@@ -24,7 +24,6 @@ from .descent import (
 from .gog import (
     build_presentation,
     conjugacy_class_count,
-    enumerate_pi1_homs,
     verify_tree_independence,
     verify_tree_vankampen,
 )
@@ -37,6 +36,7 @@ from .graphs import (
     is_tree,
     maximal_tree,
 )
+from .groups import enumerate_homs
 from .inputs import InputError, WorkbenchInput, parse_input
 from .reports import (
     EXIT_FAIL,
@@ -46,7 +46,7 @@ from .reports import (
     ReportDocument,
     input_digest,
 )
-from .torsors import ScaleError, verify_groupoid_pushout, verify_setoid_equivalence
+from .torsors import ScaleError, verify_groupoid_pushout
 
 COMMANDS = (
     "graph-check",
@@ -256,29 +256,29 @@ def _cmd_gog_presentation(args, doc):
 def _cmd_gog_homs(args, doc):
     gog = doc.build_gog()
     group = doc.test_group(args.group)
-    families = enumerate_pi1_homs(gog, group)
-    classes = conjugacy_class_count(families)
+    vk = build_presentation(gog)
+    homs = enumerate_homs(vk.presentation, group)
+    classes = conjugacy_class_count(group, homs)
     lines = [
-        f"presentation homs into {group.name}: {len(families)}",
+        f"presentation homs into {group.name}: {len(homs)}",
         f"up to simultaneous conjugation: {classes}",
     ]
-    shown = []
-    for fam in families[:20]:
-        shown.append(
-            {
-                "vertex_homs": {
-                    v: [group.label(x) for x in fam.vertex_homs[v].mapping]
-                    for v in gog.graph.vertices
-                },
-                "conjugators": {
-                    e: group.label(fam.conjugators[e]) for e in gog.graph.edge_names()
-                },
-            }
-        )
-    machine = {"law": "vankampen-presentation", "count": len(families),
+    shown = [
+        {
+            "vertex_homs": {
+                v: [group.label(x) for x in vk.vertex_images(h, v)]
+                for v in gog.graph.vertices
+            },
+            "conjugators": {
+                e: group.label(vk.edge_image(h, e)) for e in gog.graph.edge_names()
+            },
+        }
+        for h in homs[:20]
+    ]
+    machine = {"law": "vankampen-presentation", "count": len(homs),
                "conjugacy_classes": classes, "families_shown": shown}
     return _report(
-        "vankampen-presentation", str(len(families)), lines, machine, EXIT_PASS
+        "vankampen-presentation", str(len(homs)), lines, machine, EXIT_PASS
     )
 
 
@@ -299,22 +299,14 @@ def _cmd_gog_verify(args, doc):
                    EXIT_PASS if passed else EXIT_FAIL)
 
 
-def _cmd_torsor_verify(args, doc):
-    gog = doc.build_gog()
-    group = doc.test_group(args.group)
-    report = verify_setoid_equivalence(gog, group)
-    verdict = "PASS" if report.passed else "REFUTED"
-    return _report("torsor-patching-equivalence", verdict, report.lines(),
-                   report.to_json(), EXIT_PASS if report.passed else EXIT_FAIL)
-
-
-def _cmd_pushout_verify(args, doc):
+def _cmd_functor_sets(args, doc):
     gog = doc.build_gog()
     group = doc.test_group(args.group)
     report = verify_groupoid_pushout(gog, group)
+    law = "groupoid-pushout" if args.command == "pushout-verify" else "torsor-patching-equivalence"
     verdict = "PASS" if report.passed else "REFUTED"
-    return _report("groupoid-pushout", verdict, report.lines(),
-                   report.to_json(), EXIT_PASS if report.passed else EXIT_FAIL)
+    return _report(law, verdict, report.lines(), {"law": law, **report.to_json()},
+                   EXIT_PASS if report.passed else EXIT_FAIL)
 
 
 # -- descent commands ---------------------------------------------------------
@@ -367,8 +359,8 @@ _HANDLERS = {
     "gog-presentation": _cmd_gog_presentation,
     "gog-homs": _cmd_gog_homs,
     "gog-verify": _cmd_gog_verify,
-    "torsor-verify": _cmd_torsor_verify,
-    "pushout-verify": _cmd_pushout_verify,
+    "torsor-verify": _cmd_functor_sets,
+    "pushout-verify": _cmd_functor_sets,
     "descent-as": _cmd_descent_as,
     "descent-kummer": _cmd_descent_kummer,
     "descent-example29": _cmd_descent_example29,

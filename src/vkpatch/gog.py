@@ -19,8 +19,7 @@ test group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import ReductionGraph, SpanningTree, is_tree, maximal_tree, spanning_trees
 from .groups import (
@@ -31,14 +30,19 @@ from .groups import (
     hom_set,
 )
 
+class EdgeMapError(ValueError):
+    """An edge map that does not fit its branch; carries the branch name."""
+
+    def __init__(self, branch: str, message: str):
+        super().__init__(message)
+        self.branch = branch
+
 
 class GraphOfFiniteGroups:
     """Vertex and edge groups over a validated reduction graph.
 
     ``edge_maps[name]`` holds the two monomorphisms of the branch's group,
-    keyed ``"to_point"`` and ``"to_component"``.  Injectivity is required by
-    default; ``permissive=True`` accepts non-injective maps (the presentation
-    is well formed either way) and reports record which mode ran.
+    keyed ``"to_point"`` and ``"to_component"``; both must be injective.
     """
 
     def __init__(
@@ -47,11 +51,9 @@ class GraphOfFiniteGroups:
         vertex_groups: Mapping[str, FiniteGroup],
         edge_groups: Mapping[str, FiniteGroup],
         edge_maps: Mapping[str, Mapping[str, GroupHom]],
-        permissive: bool = False,
     ):
         graph.require_valid()
         self.graph = graph
-        self.permissive = bool(permissive)
         self.vertex_groups = {v: vertex_groups[v] for v in graph.vertices}
         self.edge_groups = {n: edge_groups[n] for n in graph.edge_names()}
         self.edge_maps: dict[str, dict[str, GroupHom]] = {}
@@ -60,18 +62,14 @@ class GraphOfFiniteGroups:
             to_p, to_u = maps["to_point"], maps["to_component"]
             p, u = graph.point_end(name), graph.component_end(name)
             if to_p.source != self.edge_groups[name] or to_u.source != self.edge_groups[name]:
-                raise ValueError(f"edge maps of {name} must start at its edge group")
+                raise EdgeMapError(name, f"edge maps of {name} must start at its edge group")
             if to_p.target != self.vertex_groups[p]:
-                raise ValueError(f"map to_point of {name} must land in the group at {p}")
+                raise EdgeMapError(name, f"map to_point of {name} must land in the group at {p}")
             if to_u.target != self.vertex_groups[u]:
-                raise ValueError(f"map to_component of {name} must land in the group at {u}")
-            if not self.permissive:
-                for side, hom in (("to_point", to_p), ("to_component", to_u)):
-                    if not hom.is_injective():
-                        raise ValueError(
-                            f"edge map {side} of {name} is not injective "
-                            "(pass permissive=True to allow)"
-                        )
+                raise EdgeMapError(name, f"map to_component of {name} must land in the group at {u}")
+            for side, hom in (("to_point", to_p), ("to_component", to_u)):
+                if not hom.is_injective():
+                    raise EdgeMapError(name, f"edge map {side} of {name} is not injective")
             self.edge_maps[name] = {"to_point": to_p, "to_component": to_u}
 
     @classmethod
@@ -240,20 +238,6 @@ class HomFamily:
         conj = tuple(self.conjugators[n] for n in self.gog.graph.edge_names())
         return (verts, conj)
 
-    def restriction_key(self) -> tuple:
-        """The family with the edge letters forgotten."""
-        return tuple(self.vertex_homs[v].mapping for v in self.gog.graph.vertices)
-
-    def conjugated(self, g: int) -> "HomFamily":
-        """Simultaneous conjugation by a test-group element."""
-        G = self.group
-        homs = {
-            v: GroupHom(h.source, G, [G.conjugate(g, x) for x in h.mapping])
-            for v, h in self.vertex_homs.items()
-        }
-        conj = {n: G.conjugate(g, c) for n, c in self.conjugators.items()}
-        return HomFamily(self.gog, G, homs, conj)
-
 
 def enumerate_pi1_homs(
     gog: GraphOfFiniteGroups,
@@ -280,29 +264,47 @@ def enumerate_pi1_homs(
     return tuple(families)
 
 
-@lru_cache(maxsize=None)
-def _cached_hom_set(source: FiniteGroup, target: FiniteGroup):
-    return hom_set(source, target)
+def backtrack_vertices(
+    gog: GraphOfFiniteGroups,
+    candidates: Mapping[str, Sequence],
+    agrees: Callable[[Mapping, str], bool],
+) -> list[dict]:
+    """Every choice of one candidate per vertex that passes ``agrees(chosen,
+    branch)`` on every branch.  Vertices are chosen in canonical order and a
+    branch is checked as soon as both of its ends are chosen; the choices come
+    out in lexicographic order of the candidate positions."""
+    vertices = gog.graph.vertices
+    pos = {v: i for i, v in enumerate(vertices)}
+    edges_by_later: dict[str, list[str]] = {v: [] for v in vertices}
+    for name in gog.graph.edge_names():
+        p, u = gog.graph.point_end(name), gog.graph.component_end(name)
+        edges_by_later[p if pos[p] > pos[u] else u].append(name)
+
+    chosen: dict = {}
+    out: list[dict] = []
+
+    def extend(i: int) -> None:
+        if i == len(vertices):
+            out.append(dict(chosen))
+            return
+        v = vertices[i]
+        for cand in candidates[v]:
+            chosen[v] = cand
+            if all(agrees(chosen, n) for n in edges_by_later[v]):
+                extend(i + 1)
+        chosen.pop(v, None)
+
+    extend(0)
+    return out
 
 
 def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[HomFamily, ...]:
     """Vertex-hom families whose edge restrictions agree exactly (all
     conjugators the identity): the compatible-system model."""
-    vertices = gog.graph.vertices
-    candidates = {v: _cached_hom_set(gog.vertex_groups[v], group) for v in vertices}
-    edges_by_later_vertex: dict[str, list[str]] = {v: [] for v in vertices}
-    pos = {v: i for i, v in enumerate(vertices)}
-    for name in gog.graph.edge_names():
-        p, u = gog.graph.point_end(name), gog.graph.component_end(name)
-        later = p if pos[p] > pos[u] else u
-        edges_by_later_vertex[later].append(name)
 
-    chosen: dict[str, GroupHom] = {}
-    out: list[HomFamily] = []
-
-    def compatible(name: str) -> bool:
-        p, u = gog.graph.point_end(name), gog.graph.component_end(name)
-        f_p, f_u = chosen[p], chosen[u]
+    def compatible(chosen: Mapping[str, GroupHom], name: str) -> bool:
+        f_p = chosen[gog.graph.point_end(name)]
+        f_u = chosen[gog.graph.component_end(name)]
         to_p = gog.edge_maps[name]["to_point"]
         to_u = gog.edge_maps[name]["to_component"]
         return all(
@@ -310,20 +312,12 @@ def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[HomF
             for g in range(gog.edge_groups[name].order)
         )
 
-    def extend(i: int) -> None:
-        if i == len(vertices):
-            homs = dict(chosen)
-            conj = {n: group.identity for n in gog.graph.edge_names()}
-            out.append(HomFamily(gog, group, homs, conj))
-            return
-        v = vertices[i]
-        for f in candidates[v]:
-            chosen[v] = f
-            if all(compatible(n) for n in edges_by_later_vertex[v]):
-                extend(i + 1)
-        del chosen[v]
-
-    extend(0)
+    candidates = {v: hom_set(gog.vertex_groups[v], group) for v in gog.graph.vertices}
+    conj = {n: group.identity for n in gog.graph.edge_names()}
+    out = [
+        HomFamily(gog, group, homs, conj)
+        for homs in backtrack_vertices(gog, candidates, compatible)
+    ]
     out.sort(key=HomFamily.key)
     return tuple(out)
 
@@ -343,7 +337,6 @@ class TreeVanKampenReport:
     restriction_surjective: bool
     bijection: bool
     witness: str | None
-    permissive_mode: bool
     passed: bool
 
     def lines(self) -> list[str]:
@@ -355,8 +348,6 @@ class TreeVanKampenReport:
         ]
         if not self.graph_is_tree:
             out.insert(0, "non-tree detected")
-        if self.permissive_mode:
-            out.append("edge maps: permissive mode (injectivity not enforced)")
         if self.witness:
             out.append(f"witness: {self.witness}")
         return out
@@ -369,7 +360,6 @@ class TreeVanKampenReport:
             "naive_count": self.naive_count,
             "bijection": self.bijection,
             "witness": self.witness,
-            "permissive_mode": self.permissive_mode,
             "passed": self.passed,
         }
 
@@ -383,11 +373,13 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
     test group.
     """
     tree_flag = is_tree(gog.graph)
-    pi1 = enumerate_pi1_homs(gog, group)
+    vk = build_presentation(gog)
+    homs = enumerate_homs(vk.presentation, group)
     naive = naive_limit_homs(gog, group)
-    naive_keys = {fam.restriction_key() for fam in naive}
+    naive_keys = {fam.key()[0] for fam in naive}
 
-    restricted = [fam.restriction_key() for fam in pi1]
+    vertices = gog.graph.vertices
+    restricted = [tuple(vk.vertex_images(a, v) for v in vertices) for a in homs]
     lands = all(k in naive_keys for k in restricted)
     injective = len(set(restricted)) == len(restricted)
     surjective = naive_keys <= set(restricted)
@@ -395,48 +387,40 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
 
     witness = None
     if not lands:
-        bad = next(fam for fam in pi1 if fam.restriction_key() not in naive_keys)
+        bad = next(a for a, k in zip(homs, restricted) if k not in naive_keys)
         witness = (
             "a presentation hom restricts to a family without exact edge "
-            f"agreement; conjugators {_conj_desc(bad)}"
+            f"agreement; conjugators {_conj_desc(vk, group, bad)}"
         )
     elif not injective:
-        seen: dict[tuple, HomFamily] = {}
-        for fam in pi1:
-            k = fam.restriction_key()
+        seen: set[tuple] = set()
+        for a, k in zip(homs, restricted):
             if k in seen:
                 witness = (
                     "two presentation homs restrict identically; the extra one "
-                    f"has conjugators {_conj_desc(fam)}"
+                    f"has conjugators {_conj_desc(vk, group, a)}"
                 )
                 break
-            seen[k] = fam
+            seen.add(k)
 
     passed = bijection if tree_flag else True
     return TreeVanKampenReport(
         law="tree-direct-limit",
         graph_is_tree=tree_flag,
-        pi1_count=len(pi1),
+        pi1_count=len(homs),
         naive_count=len(naive),
         restriction_lands_in_limit=lands,
         restriction_injective=injective,
         restriction_surjective=surjective,
         bijection=bijection,
         witness=witness,
-        permissive_mode=gog.permissive,
         passed=passed,
     )
 
 
-def _conj_desc(fam: HomFamily) -> str:
-    G = fam.group
-    return (
-        "{"
-        + ", ".join(
-            f"{n}: {G.label(fam.conjugators[n])}" for n in fam.gog.graph.edge_names()
-        )
-        + "}"
-    )
+def _conj_desc(vk: VanKampenPresentation, group: FiniteGroup, assignment: Sequence[int]) -> str:
+    edges = vk.gog.graph.edge_names()
+    return "{" + ", ".join(f"{n}: {group.label(vk.edge_image(assignment, n))}" for n in edges) + "}"
 
 
 @dataclass(frozen=True)
@@ -467,7 +451,7 @@ def verify_tree_independence(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Tr
     counts: dict[str, int] = {}
     for tree in spanning_trees(gog.graph):
         label = "{" + ",".join(tree.edge_names) + "}"
-        counts[label] = len(enumerate_pi1_homs(gog, group, tree=tree))
+        counts[label] = len(enumerate_homs(build_presentation(gog, tree).presentation, group))
     values = set(counts.values())
     all_equal = len(values) == 1
     return TreeIndependenceReport(
@@ -478,13 +462,19 @@ def verify_tree_independence(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Tr
     )
 
 
-def conjugacy_class_count(families: Sequence[HomFamily]) -> int:
-    """Number of families up to simultaneous conjugation by the test group."""
-    remaining = {fam.key(): fam for fam in families}
+def conjugacy_class_count(group: FiniteGroup, homs: Iterable[Sequence[int]]) -> int:
+    """Number of homs up to simultaneous conjugation by the test group.
+
+    A hom is its tuple of generator images, as ``enumerate_homs`` yields it;
+    conjugating the hom conjugates every entry."""
+    conjugations = [
+        [group.conjugate(g, x) for x in range(group.order)] for g in range(group.order)
+    ]
+    remaining = {tuple(h) for h in homs}
     classes = 0
     while remaining:
-        _, fam = next(iter(sorted(remaining.items())))
+        h = remaining.pop()
         classes += 1
-        for g in range(fam.group.order):
-            remaining.pop(fam.conjugated(g).key(), None)
+        for table in conjugations:
+            remaining.discard(tuple(table[x] for x in h))
     return classes

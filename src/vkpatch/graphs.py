@@ -49,41 +49,46 @@ class ReductionGraph:
             sorted((str(n), str(a), str(b)) for n, a, b in edges)
         )
         self._report: ValidationReport | None = None
-        seen = set()
-        for n, _, _ in self.edges:
-            if n in seen:
+        # endpoint and incidence maps, built once; on a malformed branch the
+        # end outside the point class is taken as the component end
+        self._by_name: dict[str, tuple[str, str, str]] = {}
+        self._ends: dict[str, tuple[str, str]] = {}
+        incident: dict[str, list[str]] = {}
+        for e in self.edges:
+            n, a, b = e
+            if n in self._by_name:
                 raise ValueError(f"duplicate edge name {n!r}")
-            seen.add(n)
+            self._by_name[n] = e
+            self._ends[n] = (a, b) if a in self.points else (b, a)
+            for end in {a, b}:
+                incident.setdefault(end, []).append(n)
         overlap = set(self.points) & set(self.components)
         if overlap:
             raise ValueError(f"labels used as both point and component: {sorted(overlap)}")
+        self._incident = {v: tuple(names) for v, names in incident.items()}
+        self._edge_names = tuple(self._by_name)
+        # all vertex labels in canonical (sorted) order
+        self.vertices = tuple(sorted(self.points + self.components))
 
     # -- structure helpers ---------------------------------------------------
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        """All vertex labels in canonical (sorted) order."""
-        return tuple(sorted(self.points + self.components))
-
     def edge_names(self) -> tuple[str, ...]:
-        return tuple(e[0] for e in self.edges)
+        return self._edge_names
 
     def edge(self, name: str) -> tuple[str, str, str]:
-        for e in self.edges:
-            if e[0] == name:
-                return e
-        raise KeyError(f"no edge named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no edge named {name!r}") from None
 
     def point_end(self, name: str) -> str:
-        _, a, b = self.edge(name)
-        return a if a in self.points else b
+        return self._ends[name][0]
 
     def component_end(self, name: str) -> str:
-        _, a, b = self.edge(name)
-        return b if a in self.points else a
+        return self._ends[name][1]
 
     def edges_at(self, vertex: str) -> tuple[str, ...]:
-        return tuple(n for n, a, b in self.edges if vertex in (a, b))
+        return self._incident.get(vertex, ())
 
     def degree(self, vertex: str) -> int:
         return len(self.edges_at(vertex))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 
@@ -356,8 +357,12 @@ def group_presentation(group: FiniteGroup, prefix: str = "g") -> Presentation:
     return Presentation(gens, tuple(rels))
 
 
+@lru_cache(maxsize=None)
 def hom_set(source: FiniteGroup, target: FiniteGroup) -> tuple["GroupHom", ...]:
-    """All homomorphisms source -> target, canonically ordered."""
+    """All homomorphisms source -> target, canonically ordered.
+
+    Cached per (source, target) pair; the homs are immutable, so every caller
+    may share them."""
     pres = group_presentation(source)
     return tuple(
         GroupHom(source, target, images) for images in enumerate_homs(pres, target)

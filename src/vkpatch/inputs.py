@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .descent import ASInstance, KummerInstance
-from .gog import GraphOfFiniteGroups
+from .gog import EdgeMapError, GraphOfFiniteGroups
 from .graphs import ReductionGraph
 from .groups import FiniteGroup, GroupAxiomError, GroupHom, cyclic, make_group
 
@@ -97,7 +97,10 @@ class WorkbenchInput:
                 errors.append(f"edge_maps.{e}: {exc}")
         if errors:
             raise InputError(errors)
-        return GraphOfFiniteGroups(graph, vertex_groups, edge_groups, edge_maps)
+        try:
+            return GraphOfFiniteGroups(graph, vertex_groups, edge_groups, edge_maps)
+        except EdgeMapError as exc:
+            raise InputError([f"edge_maps.{exc.branch}: {exc}"]) from exc
 
     def test_group(self, flag_value: str | None) -> FiniteGroup:
         name = flag_value or self.options.get("test_group")

@@ -40,11 +40,17 @@ from .gog import (
     GraphOfFiniteGroups,
     HomFamily,
     VanKampenPresentation,
+    backtrack_vertices,
     build_presentation,
     enumerate_pi1_homs,
 )
-from .graphs import SpanningTree
 from .groups import FiniteGroup, GroupHom, hom_set
+
+# enumerations beyond this many global or fiber-product elements are refused
+FUNCTOR_SET_CAP = 2_000_000
+# round trips through the inverse natural map are checked on every element up
+# to this many, then on a deterministic stride
+ROUNDTRIP_CAP = 20_000
 
 
 class PatchingError(ValueError):
@@ -56,7 +62,7 @@ class PatchingError(ValueError):
 
 
 class ScaleError(ValueError):
-    """The requested enumeration exceeds the configured size cap."""
+    """The requested enumeration exceeds ``FUNCTOR_SET_CAP``."""
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +521,6 @@ def inverse_natural_map(
 def _enumerate_fiber_data(
     gog: GraphOfFiniteGroups,
     group: FiniteGroup,
-    cap: int,
 ) -> list[dict[str, VertexFunctorData]]:
     """All branch-compatible families of vertex functor data, by backtracking
     over the vertices in canonical order."""
@@ -536,34 +541,13 @@ def _enumerate_fiber_data(
                 cands.append(VertexFunctorData(v, hom.mapping, flags))
         per_vertex[v] = cands
         est *= max(len(cands), 1)
-        if est > cap:
+        if est > FUNCTOR_SET_CAP:
             raise ScaleError(
-                f"fiber-product enumeration would visit ~{est} tuples (cap {cap})"
+                f"fiber-product enumeration would visit ~{est} tuples (cap {FUNCTOR_SET_CAP})"
             )
-
-    pos = {v: i for i, v in enumerate(vertices)}
-    edges_by_later: dict[str, list[str]] = {v: [] for v in vertices}
-    for e in gog.graph.edge_names():
-        p, u = gog.graph.point_end(e), gog.graph.component_end(e)
-        later = p if pos[p] > pos[u] else u
-        edges_by_later[later].append(e)
-
-    out: list[dict[str, VertexFunctorData]] = []
-    chosen: dict[str, VertexFunctorData] = {}
-
-    def extend(i: int) -> None:
-        if i == len(vertices):
-            out.append(dict(chosen))
-            return
-        v = vertices[i]
-        for cand in per_vertex[v]:
-            chosen[v] = cand
-            if all(_branch_agrees(gog, G, chosen, e) for e in edges_by_later[v]):
-                extend(i + 1)
-        chosen.pop(v, None)
-
-    extend(0)
-    return out
+    return backtrack_vertices(
+        gog, per_vertex, lambda chosen, e: _branch_agrees(gog, G, chosen, e)
+    )
 
 
 def _datum_key(gog: GraphOfFiniteGroups, datum: Mapping[str, VertexFunctorData]) -> tuple:
@@ -595,25 +579,14 @@ class TwoFiberObject:
         self.component_data = {u: component_data[u] for u in gog.graph.components}
         self.point_data = {p: point_data[p] for p in gog.graph.points}
         self.connecting = dict(connecting)
-        for e in gog.graph.edge_names():
-            expected = self._restriction_morphism(e)
+        expected = _connecting_maps(gog, self.component_data, self.point_data)
+        for e, mor in expected.items():
             given = self.connecting.get(e)
-            if given is None or expected is None or given.mapping != expected.mapping:
+            if given is None or mor is None or given.mapping != mor.mapping:
                 raise ValueError(
                     f"connecting map at branch {e} is not the isomorphism of the "
                     "two restrictions"
                 )
-
-    def _restriction_morphism(self, edge: str) -> TorsorMorphism | None:
-        u = self.gog.graph.component_end(edge)
-        p = self.gog.graph.point_end(edge)
-        u_side = self.component_data[u].restrict_to_branch(
-            edge, self.gog.edge_maps[edge]["to_component"]
-        )
-        p_side = self.point_data[p].restrict_to_branch(
-            edge, self.gog.edge_maps[edge]["to_point"]
-        )
-        return torsor_morphisms(u_side, p_side)
 
     @classmethod
     def build(
@@ -624,16 +597,10 @@ class TwoFiberObject:
     ) -> "TwoFiberObject":
         """Compute the unique connecting isomorphisms; raise naming the first
         branch whose restrictions do not match."""
-        connecting = {}
-        self_like = cls.__new__(cls)
-        self_like.gog = gog
-        self_like.component_data = {u: component_data[u] for u in gog.graph.components}
-        self_like.point_data = {p: point_data[p] for p in gog.graph.points}
-        for e in gog.graph.edge_names():
-            mor = self_like._restriction_morphism(e)
+        connecting = _connecting_maps(gog, component_data, point_data)
+        for e, mor in connecting.items():
             if mor is None:
                 raise ValueError(f"branch {e}: restrictions are not isomorphic")
-            connecting[e] = mor
         return cls(gog, component_data, point_data, connecting)
 
     def class_key(self) -> tuple:
@@ -642,6 +609,25 @@ class TwoFiberObject:
             tuple(self.component_data[u].canonical_key() for u in self.gog.graph.components),
             tuple(self.point_data[p].canonical_key() for p in self.gog.graph.points),
         )
+
+
+def _connecting_maps(
+    gog: GraphOfFiniteGroups,
+    component_data: Mapping[str, MultipointedTorsor],
+    point_data: Mapping[str, MultipointedTorsor],
+) -> dict[str, TorsorMorphism | None]:
+    """Per branch, the unique isomorphism from the component-side restriction
+    to the point-side one, or None when the two are not isomorphic."""
+    out: dict[str, TorsorMorphism | None] = {}
+    for e in gog.graph.edge_names():
+        u_side = component_data[gog.graph.component_end(e)].restrict_to_branch(
+            e, gog.edge_maps[e]["to_component"]
+        )
+        p_side = point_data[gog.graph.point_end(e)].restrict_to_branch(
+            e, gog.edge_maps[e]["to_point"]
+        )
+        out[e] = torsor_morphisms(u_side, p_side)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +722,7 @@ class PatchingSolution:
         return out
 
 
-def solve_patching(
-    problem: PatchingProblem,
-    tree: SpanningTree | None = None,
-    presentation: VanKampenPresentation | None = None,
-) -> PatchingSolution:
+def solve_patching(problem: PatchingProblem) -> PatchingSolution:
     """Solve a compatible patching problem.
 
     The local data is trivialized to vertex functor data; compatibility makes
@@ -750,8 +732,7 @@ def solve_patching(
     """
     problem.check_compatibility()
     gog, G = problem.gog, problem.group
-    if presentation is None:
-        presentation = build_presentation(gog, tree)
+    presentation = build_presentation(gog)
 
     datum = {}
     for v in gog.graph.vertices:
@@ -782,29 +763,91 @@ def solve_patching(
 
 
 # ---------------------------------------------------------------------------
-# Setoid equivalence and groupoid pushout verifiers
+# Setoid equivalence and groupoid pushout verifier
 
 
 @dataclass(frozen=True)
-class EquivalenceCounts:
+class FunctorSetReport:
+    """One comparison of the global functor set with the fiber product.
+
+    It decides both laws at once.  The setoid equivalence asks that
+    restriction be a bijection on classes with as many global classes as
+    fiber classes; the groupoid pushout asks that it be a bijection with as
+    many fiber classes as presentation homs.  Global classes are the
+    presentation homs, so both reduce to ``passed``.
+    """
+
     global_raw: int
     fiber_raw: int
     marking_gauge: int
-    global_classes: int
-    fiber_classes: int
     pi1_count: int
+    fiber_classes: int
     bijective: bool
     roundtrip_checked: int
+    roundtrip_stride: int
+
+    @property
+    def counts(self) -> "FunctorSetReport":
+        """The report itself: its fields are the counts."""
+        return self
+
+    @property
+    def global_classes(self) -> int:
+        return self.pi1_count
+
+    @property
+    def functor_count(self) -> int:
+        return self.fiber_classes
+
+    @property
+    def agreement(self) -> bool:
+        return self.fiber_classes == self.pi1_count
+
+    @property
+    def passed(self) -> bool:
+        return self.bijective and self.agreement
+
+    def lines(self) -> list[str]:
+        if self.roundtrip_stride == 1:
+            strided = "every element"
+        else:
+            strided = f"strided, every {self.roundtrip_stride}th element"
+        return [
+            f"global torsor classes = presentation homs: {self.global_classes}",
+            f"patching-family classes = pushout functors: {self.fiber_classes}",
+            f"counts agree: {self.agreement}",
+            f"raw functor sets: global {self.global_raw}, fiber product {self.fiber_raw}",
+            f"point-marking gauge: {self.marking_gauge}",
+            f"restriction functor bijective on classes: {self.bijective}",
+            f"round trips verified: {self.roundtrip_checked} ({strided})",
+        ]
+
+    def to_json(self) -> dict:
+        return {
+            "global_classes": self.global_classes,
+            "fiber_classes": self.fiber_classes,
+            "functor_count": self.functor_count,
+            "pi1_count": self.pi1_count,
+            "agreement": self.agreement,
+            "global_raw": self.global_raw,
+            "fiber_raw": self.fiber_raw,
+            "marking_gauge": self.marking_gauge,
+            "bijective": self.bijective,
+            "roundtrip_checked": self.roundtrip_checked,
+            "roundtrip_stride": self.roundtrip_stride,
+            "passed": self.passed,
+        }
 
 
-def _compare_functor_sets(
-    gog: GraphOfFiniteGroups,
-    group: FiniteGroup,
-    tree: SpanningTree | None,
-    cap: int,
-    roundtrip_cap: int = 20_000,
-) -> EquivalenceCounts:
-    presentation = build_presentation(gog, tree)
+def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> FunctorSetReport:
+    """Check torsor patching in both of its forms.
+
+    Restriction must be a bijection between isomorphism classes of global
+    multipointed torsors (functors from the global groupoid into BG) and
+    branch-agreeing families of local ones (functor families on the vertex
+    groupoids), and the class count with the marking gauge removed must equal
+    the presentation hom count.  Both sides are enumerated independently."""
+    presentation = build_presentation(gog)
     G = group
     pi1 = enumerate_pi1_homs(gog, G, presentation=presentation)
     edges = gog.graph.edge_names()
@@ -812,152 +855,48 @@ def _compare_functor_sets(
     free_edges = [e for e in edges if e != b0]
     gauge = G.order ** len(free_edges)
     lhs_raw = len(pi1) * gauge
-    if lhs_raw > cap:
-        raise ScaleError(f"global functor enumeration has {lhs_raw} elements (cap {cap})")
+    if lhs_raw > FUNCTOR_SET_CAP:
+        raise ScaleError(
+            f"global functor enumeration has {lhs_raw} elements (cap {FUNCTOR_SET_CAP})"
+        )
 
-    fiber = _enumerate_fiber_data(gog, G, cap)
+    fiber = _enumerate_fiber_data(gog, G)
     fiber_keys = {_datum_key(gog, d) for d in fiber}
     if len(fiber_keys) != len(fiber):
         raise AssertionError("fiber enumeration produced duplicates")
 
-    # the inverse round trip is checked on every element up to roundtrip_cap,
-    # then on a deterministic stride; set equality below stays exhaustive
-    stride = max(1, lhs_raw // roundtrip_cap)
+    # set equality below stays exhaustive whatever the round-trip stride
+    stride = max(1, lhs_raw // ROUNDTRIP_CAP)
     image_keys = set()
     roundtrips = 0
-    index = 0
-    for family in pi1:
-        for combo in itertools.product(range(G.order), repeat=len(free_edges)):
-            markings = {b0: G.identity}
-            markings.update(dict(zip(free_edges, combo)))
-            datum = natural_map(presentation, family, markings)
-            key = _datum_key(gog, datum)
-            if key in image_keys:
-                raise AssertionError("restriction functor is not injective")
-            image_keys.add(key)
-            if index % stride == 0:
-                for e in edges:
-                    if not _branch_agrees(gog, G, datum, e):
-                        raise AssertionError("restriction broke branch agreement")
-                back_family, back_markings = inverse_natural_map(presentation, G, datum)
-                if back_family.key() != family.key() or back_markings != markings:
-                    raise AssertionError("inverse natural map failed the round trip")
-                roundtrips += 1
-            index += 1
+    combos = itertools.product(range(G.order), repeat=len(free_edges))
+    for index, (family, combo) in enumerate(itertools.product(pi1, combos)):
+        markings = {b0: G.identity}
+        markings.update(dict(zip(free_edges, combo)))
+        datum = natural_map(presentation, family, markings)
+        key = _datum_key(gog, datum)
+        if key in image_keys:
+            raise AssertionError("restriction functor is not injective")
+        image_keys.add(key)
+        if index % stride == 0:
+            for e in edges:
+                if not _branch_agrees(gog, G, datum, e):
+                    raise AssertionError("restriction broke branch agreement")
+            back_family, back_markings = inverse_natural_map(presentation, G, datum)
+            if back_family.key() != family.key() or back_markings != markings:
+                raise AssertionError("inverse natural map failed the round trip")
+            roundtrips += 1
 
-    bijective = image_keys == fiber_keys
     fiber_raw = len(fiber)
     if fiber_raw % gauge != 0:
         raise AssertionError("fiber count is not a multiple of the marking gauge")
-    return EquivalenceCounts(
+    return FunctorSetReport(
         global_raw=lhs_raw,
         fiber_raw=fiber_raw,
         marking_gauge=gauge,
-        global_classes=len(pi1),
-        fiber_classes=fiber_raw // gauge,
         pi1_count=len(pi1),
-        bijective=bijective,
+        fiber_classes=fiber_raw // gauge,
+        bijective=image_keys == fiber_keys,
         roundtrip_checked=roundtrips,
-    )
-
-
-@dataclass(frozen=True)
-class SetoidEquivalenceReport:
-    law: str
-    counts: EquivalenceCounts
-    passed: bool
-
-    def lines(self) -> list[str]:
-        c = self.counts
-        return [
-            f"global torsor classes (modulo point-marking): {c.global_classes}",
-            f"patching-family classes (modulo point-marking): {c.fiber_classes}",
-            f"raw multipointed classes: global {c.global_raw}, fiber product {c.fiber_raw}",
-            f"point-marking gauge: {c.marking_gauge}",
-            f"restriction functor bijective on classes: {c.bijective}",
-            f"round trips verified: {c.roundtrip_checked}",
-        ]
-
-    def to_json(self) -> dict:
-        c = self.counts
-        return {
-            "law": self.law,
-            "global_classes": c.global_classes,
-            "fiber_classes": c.fiber_classes,
-            "global_raw": c.global_raw,
-            "fiber_raw": c.fiber_raw,
-            "marking_gauge": c.marking_gauge,
-            "bijective": c.bijective,
-            "passed": self.passed,
-        }
-
-
-def verify_setoid_equivalence(
-    gog: GraphOfFiniteGroups,
-    group: FiniteGroup,
-    tree: SpanningTree | None = None,
-    cap: int = 2_000_000,
-) -> SetoidEquivalenceReport:
-    """Check that restriction is a bijection between isomorphism classes of
-    global multipointed torsors and compatible families of local ones."""
-    counts = _compare_functor_sets(gog, group, tree, cap)
-    passed = counts.bijective and counts.global_classes == counts.fiber_classes
-    return SetoidEquivalenceReport(
-        law="torsor-patching-equivalence", counts=counts, passed=passed
-    )
-
-
-@dataclass(frozen=True)
-class PushoutReport:
-    law: str
-    counts: EquivalenceCounts
-    pi1_count: int
-    functor_count: int
-    agreement: bool
-    passed: bool
-
-    def lines(self) -> list[str]:
-        c = self.counts
-        return [
-            f"pushout functor count: {self.functor_count}",
-            f"presentation hom count: {self.pi1_count}",
-            f"counts agree: {self.agreement}",
-            f"raw functor sets: global {c.global_raw}, fiber product {c.fiber_raw}",
-            f"natural map bijective: {c.bijective}",
-        ]
-
-    def to_json(self) -> dict:
-        c = self.counts
-        return {
-            "law": self.law,
-            "functor_count": self.functor_count,
-            "pi1_count": self.pi1_count,
-            "agreement": self.agreement,
-            "global_raw": c.global_raw,
-            "fiber_raw": c.fiber_raw,
-            "bijective": c.bijective,
-            "passed": self.passed,
-        }
-
-
-def verify_groupoid_pushout(
-    gog: GraphOfFiniteGroups,
-    group: FiniteGroup,
-    tree: SpanningTree | None = None,
-    cap: int = 2_000_000,
-) -> PushoutReport:
-    """Check the groupoid pushout: functors from the global groupoid into BG
-    biject with branch-agreeing functor families on the vertex groupoids, and
-    the class count (marking gauge removed) equals the presentation hom
-    count, enumerated independently on both sides."""
-    counts = _compare_functor_sets(gog, group, tree, cap)
-    agreement = counts.fiber_classes == counts.pi1_count
-    passed = counts.bijective and agreement
-    return PushoutReport(
-        law="groupoid-pushout",
-        counts=counts,
-        pi1_count=counts.pi1_count,
-        functor_count=counts.fiber_classes,
-        agreement=agreement,
-        passed=passed,
+        roundtrip_stride=stride,
     )

@@ -203,6 +203,33 @@ def test_pushout_and_torsor_verify(tmp_path, capsys):
         assert "verdict: PASS" in out
 
 
+def test_functor_set_report_carries_both_laws(tmp_path, capsys):
+    keys = {"global_classes", "fiber_classes", "functor_count", "pi1_count",
+            "agreement", "global_raw", "fiber_raw", "marking_gauge", "bijective",
+            "roundtrip_checked", "roundtrip_stride", "passed"}
+    for cmd, law in (("torsor-verify", "torsor-patching-equivalence"),
+                     ("pushout-verify", "groupoid-pushout")):
+        run([cmd, write(tmp_path, CIRCLE)])
+        out = capsys.readouterr().out
+        machine = json.loads(out.split("-- machine --\n", 1)[1])
+        assert machine["law"] == law
+        assert keys <= set(machine)
+        assert machine["roundtrip_checked"] == machine["global_raw"] == 4
+        assert machine["roundtrip_stride"] == 1
+        assert "round trips verified: 4 (every element)" in out
+
+
+def test_non_injective_edge_map_is_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(AMALGAM))
+    doc["edge_maps"]["b1"]["to_point"] = {"1": "0"}
+    code = run(["gog-verify", write(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("input error: edge_maps.b1: ")
+    assert "not injective" in err
+    assert "Traceback" not in err
+
+
 def test_descent_as_exit_and_agreement(tmp_path, capsys):
     code = run(["descent-as", write(tmp_path, AS_DOC)])
     out = capsys.readouterr().out

@@ -26,7 +26,7 @@ from vkpatch.gog import (
     verify_tree_vankampen,
 )
 from vkpatch.graphs import maximal_tree, spanning_trees
-from vkpatch.groups import GroupHom, cyclic, hom_set, symmetric
+from vkpatch.groups import GroupHom, conjugate_hom, cyclic, enumerate_homs, hom_set, symmetric
 
 
 def amalgam_c4_c6() -> GraphOfFiniteGroups:
@@ -125,12 +125,6 @@ def test_edge_maps_must_be_injective_by_default():
             diamond_graph(), {"P": c4, "U": c4}, {"b1": c2},
             {"b1": {"to_point": collapse, "to_component": GroupHom(c2, c4, [0, 2])}},
         )
-    permissive = GraphOfFiniteGroups(
-        diamond_graph(), {"P": c4, "U": c4}, {"b1": c2},
-        {"b1": {"to_point": collapse, "to_component": GroupHom(c2, c4, [0, 2])}},
-        permissive=True,
-    )
-    assert permissive.permissive
 
 
 def test_tree_vankampen_on_trees_is_a_bijection():
@@ -236,9 +230,9 @@ def test_conjugacy_class_count():
     gog = GraphOfFiniteGroups.with_trivial_edges(
         diamond_graph(), {"P": cyclic(2), "U": cyclic(3)}
     )
-    fams = enumerate_pi1_homs(gog, s3)
-    assert len(fams) == 12
-    classes = conjugacy_class_count(fams)
+    homs = enumerate_homs(build_presentation(gog).presentation, s3)
+    assert len(homs) == 12
+    classes = conjugacy_class_count(s3, homs)
     # orbits under simultaneous conjugation: hand count
     assert classes == 4
 
@@ -249,3 +243,86 @@ def test_presentation_requires_matching_tree():
     tree = maximal_tree(other.graph)
     with pytest.raises(ValueError):
         build_presentation(gog, tree)
+
+
+def _validated_vankampen_fields(gog, G):
+    """pi1_count, naive_count, bijection and witness of the tree van Kampen
+    report, recomputed from validated HomFamily objects."""
+    families = enumerate_pi1_homs(gog, G)
+    naive = naive_limit_homs(gog, G)
+    naive_keys = {fam.key()[0] for fam in naive}
+    restricted = [fam.key()[0] for fam in families]
+    lands = all(k in naive_keys for k in restricted)
+    injective = len(set(restricted)) == len(restricted)
+    bijection = lands and injective and naive_keys <= set(restricted)
+
+    def conj(fam):
+        return "{" + ", ".join(
+            f"{n}: {G.label(fam.conjugators[n])}" for n in gog.graph.edge_names()
+        ) + "}"
+
+    witness = None
+    if not lands:
+        bad = next(f for f, k in zip(families, restricted) if k not in naive_keys)
+        witness = (
+            "a presentation hom restricts to a family without exact edge "
+            f"agreement; conjugators {conj(bad)}"
+        )
+    elif not injective:
+        seen = set()
+        for fam, k in zip(families, restricted):
+            if k in seen:
+                witness = (
+                    "two presentation homs restrict identically; the extra one "
+                    f"has conjugators {conj(fam)}"
+                )
+                break
+            seen.add(k)
+    return len(families), len(naive), bijection, witness
+
+
+def _orbit_count(gog, G, families):
+    """Classes under simultaneous conjugation, via the validating conjugate_hom."""
+    remaining = {fam.key() for fam in families}
+    classes = 0
+    for fam in families:
+        if fam.key() not in remaining:
+            continue
+        classes += 1
+        for g in range(G.order):
+            verts = tuple(
+                conjugate_hom(fam.vertex_homs[v], g).mapping for v in gog.graph.vertices
+            )
+            conj = tuple(G.conjugate(g, fam.conjugators[n]) for n in gog.graph.edge_names())
+            remaining.discard((verts, conj))
+    return classes
+
+
+def test_tuple_paths_match_validated_families_on_the_catalog():
+    from catalog import add_extra_edges
+
+    rng = random.Random(71)
+    pool = [G for G in groups_up_to(8) if G.order > 1]
+    nonabelian = [G for G in pool if not G.is_abelian()]
+    witnesses = 0
+    for k in range(16):
+        graph = random_tree_graph(rng, max_vertices=3)
+        if k % 4 >= 2:
+            graph = add_extra_edges(rng, graph, 1)
+        gog = random_gog(rng, graph, vertex_order_cap=6)
+        G = nonabelian[k // 2 % len(nonabelian)] if k % 2 else pool[k // 2]
+
+        indep = verify_tree_independence(gog, G)
+        assert list(indep.counts.values()) == [
+            len(enumerate_pi1_homs(gog, G, tree=t)) for t in spanning_trees(graph)
+        ]
+
+        families = enumerate_pi1_homs(gog, G)
+        homs = enumerate_homs(build_presentation(gog).presentation, G)
+        assert conjugacy_class_count(G, homs) == _orbit_count(gog, G, families)
+
+        report = verify_tree_vankampen(gog, G)
+        fields = (report.pi1_count, report.naive_count, report.bijection, report.witness)
+        assert fields == _validated_vankampen_fields(gog, G)
+        witnesses += report.witness is not None
+    assert witnesses > 0

@@ -57,6 +57,23 @@ def test_degree_zero_vertex_is_reported():
     assert any("degree 0" in v for v in g.validate().violations)
 
 
+def test_incidence_lookups_match_the_edge_list_on_malformed_graphs():
+    g = ReductionGraph(
+        ["P", "Q"], ["U"],
+        [("b1", "P", "U"), ("b2", "U", "P"), ("b3", "P", "Q"), ("b4", "U", "X"),
+         ("b5", "U", "U")],
+    )
+    for n, a, b in g.edges:
+        assert g.edge(n) == (n, a, b)
+        assert g.point_end(n) == (a if a in g.points else b)
+        assert g.component_end(n) == (b if a in g.points else a)
+    for v in g.vertices + ("X", "nowhere"):
+        assert g.edges_at(v) == tuple(n for n, a, b in g.edges if v in (a, b))
+    for lookup in (g.edge, g.point_end, g.component_end):
+        with pytest.raises(KeyError):
+            lookup("b9")
+
+
 def test_is_tree():
     assert is_tree(diamond_graph())
     assert not is_tree(circle_graph())

@@ -18,6 +18,7 @@ from catalog import (
 )
 from vkpatch.gog import GraphOfFiniteGroups, build_presentation, enumerate_pi1_homs
 from vkpatch.groups import GroupHom, cyclic, hom_set, symmetric
+from vkpatch import torsors
 from vkpatch.torsors import (
     GroupoidFunctor,
     ModelGroupoid,
@@ -32,7 +33,6 @@ from vkpatch.torsors import (
     torsor_from_hom,
     torsor_morphisms,
     verify_groupoid_pushout,
-    verify_setoid_equivalence,
 )
 
 
@@ -234,18 +234,18 @@ def test_natural_map_round_trip_on_random_instances():
 
 def test_setoid_equivalence_spec_counts():
     c1, c2, c3, s3 = cyclic(1), cyclic(2), cyclic(3), symmetric(3)
-    report = verify_setoid_equivalence(
+    report = verify_groupoid_pushout(
         GraphOfFiniteGroups.with_trivial_edges(diamond_graph(), {"P": c2, "U": c3}), s3
     )
     assert report.counts.global_classes == report.counts.fiber_classes == 12
     assert report.passed
 
-    report = verify_setoid_equivalence(trivial_gog(circle_graph()), c3)
+    report = verify_groupoid_pushout(trivial_gog(circle_graph()), c3)
     assert report.counts.global_classes == report.counts.fiber_classes == 3
     assert report.counts.global_raw == report.counts.fiber_raw == 9
     assert report.passed
 
-    report = verify_setoid_equivalence(trivial_gog(circle_graph()), c1)
+    report = verify_groupoid_pushout(trivial_gog(circle_graph()), c1)
     assert report.counts.global_classes == 1
     assert report.passed
 
@@ -266,6 +266,27 @@ def test_pushout_spec_counts():
     report = verify_groupoid_pushout(trivial_gog(diamond_graph()), c1)
     assert report.functor_count == report.pi1_count == 1
     assert report.passed
+
+
+def test_roundtrip_stride_is_reported(monkeypatch):
+    gog, c3 = trivial_gog(theta_graph()), cyclic(3)
+    report = verify_groupoid_pushout(gog, c3)
+    assert report.counts.global_raw == 81
+    assert report.roundtrip_checked == report.counts.global_raw
+    assert report.roundtrip_stride == 1
+    assert "round trips verified: 81 (every element)" in report.lines()
+
+    monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", 10)
+    report = verify_groupoid_pushout(gog, c3)
+    assert report.passed
+    assert report.roundtrip_stride > 1
+    assert report.roundtrip_checked < report.counts.global_raw
+    assert report.to_json()["roundtrip_stride"] == report.roundtrip_stride
+    assert report.to_json()["roundtrip_checked"] == report.roundtrip_checked
+    assert (
+        f"round trips verified: {report.roundtrip_checked} "
+        f"(strided, every {report.roundtrip_stride}th element)"
+    ) in report.lines()
 
 
 def test_pushout_on_random_instances():
@@ -388,7 +409,7 @@ def test_two_fiber_object_classes_match_the_fiber_product():
     raw fiber count of the setoid equivalence report."""
     c2, c3, s3 = cyclic(2), cyclic(3), symmetric(3)
     gog = GraphOfFiniteGroups.with_trivial_edges(diamond_graph(), {"P": c2, "U": c3})
-    report = verify_setoid_equivalence(gog, s3)
+    report = verify_groupoid_pushout(gog, s3)
     classes = set()
     built = 0
     for f_p in hom_set(c2, s3):
