@@ -9,6 +9,7 @@ timing.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 
@@ -24,6 +25,7 @@ from .descent import (
 from .gog import (
     build_presentation,
     conjugacy_class_count,
+    enumerate_pi1_homs,
     verify_tree_independence,
     verify_tree_vankampen,
 )
@@ -36,7 +38,6 @@ from .graphs import (
     is_tree,
     maximal_tree,
 )
-from .groups import enumerate_homs
 from .inputs import InputError, WorkbenchInput, parse_input
 from .reports import (
     EXIT_FAIL,
@@ -256,29 +257,28 @@ def _cmd_gog_presentation(args, doc):
 def _cmd_gog_homs(args, doc):
     gog = doc.build_gog()
     group = doc.test_group(args.group)
-    vk = build_presentation(gog)
-    homs = enumerate_homs(vk.presentation, group)
-    classes = conjugacy_class_count(group, homs)
+    families = enumerate_pi1_homs(gog, group)
+    # a family's tables and conjugators are its generator images, reordered
+    keys = (fam.key() for fam in families)
+    classes = conjugacy_class_count(group, (itertools.chain(*verts, conj) for verts, conj in keys))
     lines = [
-        f"presentation homs into {group.name}: {len(homs)}",
+        f"presentation homs into {group.name}: {len(families)}",
         f"up to simultaneous conjugation: {classes}",
     ]
     shown = [
         {
             "vertex_homs": {
-                v: [group.label(x) for x in vk.vertex_images(h, v)]
+                v: [group.label(x) for x in fam.vertex_homs[v].mapping]
                 for v in gog.graph.vertices
             },
-            "conjugators": {
-                e: group.label(vk.edge_image(h, e)) for e in gog.graph.edge_names()
-            },
+            "conjugators": {e: group.label(fam.conjugators[e]) for e in gog.graph.edge_names()},
         }
-        for h in homs[:20]
+        for fam in families[:20]
     ]
-    machine = {"law": "vankampen-presentation", "count": len(homs),
+    machine = {"law": "vankampen-presentation", "count": len(families),
                "conjugacy_classes": classes, "families_shown": shown}
     return _report(
-        "vankampen-presentation", str(len(homs)), lines, machine, EXIT_PASS
+        "vankampen-presentation", str(len(families)), lines, machine, EXIT_PASS
     )
 
 

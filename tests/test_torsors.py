@@ -285,7 +285,7 @@ def test_roundtrip_stride_is_reported(monkeypatch):
     assert report.to_json()["roundtrip_checked"] == report.roundtrip_checked
     assert (
         f"round trips verified: {report.roundtrip_checked} "
-        f"(strided, every {report.roundtrip_stride}th element)"
+        f"(strided: one element in {report.roundtrip_stride})"
     ) in report.lines()
 
 
