@@ -78,7 +78,10 @@ def _opt_int(args, doc: WorkbenchInput, flag: str, key: str, default=None):
     value = getattr(args, flag, None)
     if value is None:
         value = doc.options.get(key, default)
-    return None if value is None else int(value)
+    try:
+        return None if value is None else int(value)
+    except (TypeError, ValueError):
+        raise InputError([f"options.{key}: not an integer: {value!r}"]) from None
 
 
 def run(argv: list[str]) -> int:
@@ -191,6 +194,8 @@ def _cmd_graph_rank(args, doc):
 def _cmd_graph_covers(args, doc):
     graph = doc.require_graph()
     degree = _opt_int(args, doc, "degree", "degree", 2)
+    if degree < 1:
+        raise InputError([f"degree: cover degree must be >= 1, got {degree}"])
     covers = enumerate_connected_covers(graph, degree)
     reps = [
         {name: list(cover.assignment[name]) for name in graph.edge_names()}

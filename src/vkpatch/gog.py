@@ -127,12 +127,15 @@ class VanKampenPresentation:
     vertex_symbol: Mapping[tuple[str, int], int]
     edge_symbol: Mapping[str, int]
 
-    def vertex_images(self, assignment: Sequence[int], vertex: str) -> tuple[int, ...]:
-        group = self.gog.vertex_groups[vertex]
-        return tuple(assignment[self.vertex_symbol[(vertex, a)]] for a in range(group.order))
-
-    def edge_image(self, assignment: Sequence[int], edge: str) -> int:
-        return assignment[self.edge_symbol[edge]]
+    def family_key(self, assignment: Sequence[int]) -> tuple:
+        """The hom family of a generator assignment as ``HomFamily.key()``
+        gives it: vertex tables in vertex order, then branch conjugators."""
+        graph, groups = self.gog.graph, self.gog.vertex_groups
+        tables = tuple(
+            tuple(assignment[self.vertex_symbol[(v, a)]] for a in range(groups[v].order))
+            for v in graph.vertices
+        )
+        return tables, tuple(assignment[self.edge_symbol[n]] for n in graph.edge_names())
 
 
 def build_presentation(
@@ -230,6 +233,16 @@ class HomFamily:
                         f"at element {self.gog.edge_groups[name].label(g)}"
                     )
 
+    @classmethod
+    def from_key(cls, gog: GraphOfFiniteGroups, group: FiniteGroup, key: tuple) -> "HomFamily":
+        """Validate a family key (see ``key``) and build its family."""
+        tables, conj = key
+        homs = {
+            v: GroupHom(gog.vertex_groups[v], group, table)
+            for v, table in zip(gog.graph.vertices, tables)
+        }
+        return cls(gog, group, homs, dict(zip(gog.graph.edge_names(), conj)))
+
     def key(self) -> tuple:
         """Canonical sort/equality key: vertex tables then conjugators."""
         verts = tuple(
@@ -250,18 +263,10 @@ def enumerate_pi1_homs(
     edges).  Ordered lexicographically over the presentation's generators."""
     if presentation is None:
         presentation = build_presentation(gog, tree)
-    assignments = enumerate_homs(presentation.presentation, group)
-    families = []
-    for assignment in assignments:
-        homs = {
-            v: GroupHom(gog.vertex_groups[v], group, presentation.vertex_images(assignment, v))
-            for v in gog.graph.vertices
-        }
-        conj = {
-            n: presentation.edge_image(assignment, n) for n in gog.graph.edge_names()
-        }
-        families.append(HomFamily(gog, group, homs, conj))
-    return tuple(families)
+    return tuple(
+        HomFamily.from_key(gog, group, presentation.family_key(assignment))
+        for assignment in enumerate_homs(presentation.presentation, group)
+    )
 
 
 def backtrack_vertices(
@@ -378,8 +383,7 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
     naive = naive_limit_homs(gog, group)
     naive_keys = {fam.key()[0] for fam in naive}
 
-    vertices = gog.graph.vertices
-    restricted = [tuple(vk.vertex_images(a, v) for v in vertices) for a in homs]
+    restricted = [vk.family_key(a)[0] for a in homs]
     lands = all(k in naive_keys for k in restricted)
     injective = len(set(restricted)) == len(restricted)
     surjective = naive_keys <= set(restricted)
@@ -419,8 +423,8 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
 
 
 def _conj_desc(vk: VanKampenPresentation, group: FiniteGroup, assignment: Sequence[int]) -> str:
-    edges = vk.gog.graph.edge_names()
-    return "{" + ", ".join(f"{n}: {group.label(vk.edge_image(assignment, n))}" for n in edges) + "}"
+    conj = zip(vk.gog.graph.edge_names(), vk.family_key(assignment)[1])
+    return "{" + ", ".join(f"{n}: {group.label(c)}" for n, c in conj) + "}"
 
 
 @dataclass(frozen=True)

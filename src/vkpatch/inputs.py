@@ -11,6 +11,7 @@ violating triple.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -114,29 +115,43 @@ class WorkbenchInput:
         spec = self.descent.get("artin_schreier")
         if spec is None:
             raise InputError(["this command needs descent.artin_schreier"])
-        p = int(spec["p"])
-        if spec.get("rational"):
-            return ASInstance.rational(p, int(spec.get("e", 1)), spec["alpha"])
-        return ASInstance.finite(
-            p, int(spec.get("k1_degree", 1)), int(spec["k2_degree"]), spec["alpha"]
-        )
+        with _spec_errors("descent.artin_schreier"):
+            p = int(spec["p"])
+            if spec.get("rational"):
+                return ASInstance.rational(p, int(spec.get("e", 1)), spec["alpha"])
+            return ASInstance.finite(
+                p, int(spec.get("k1_degree", 1)), int(spec["k2_degree"]), spec["alpha"]
+            )
 
     def kummer_instance(self) -> KummerInstance:
         spec = self.descent.get("kummer")
         if spec is None:
             raise InputError(["this command needs descent.kummer"])
-        p = int(spec["p"])
-        truncation = int(spec.get("truncation", 200))
-        if spec.get("model", "transcendental") == "base-ring":
-            return KummerInstance.base_ring_model(
-                p, spec.get("gbar_coeffs", [1]), truncation=truncation
+        with _spec_errors("descent.kummer"):
+            p = int(spec["p"])
+            truncation = int(spec.get("truncation", 200))
+            if spec.get("model", "transcendental") == "base-ring":
+                return KummerInstance.base_ring_model(
+                    p, spec.get("gbar_coeffs", [1]), truncation=truncation
+                )
+            return KummerInstance.transcendental_model(
+                p,
+                q_exp=int(spec.get("q_exp", 1)),
+                terms=int(spec.get("terms", 4)),
+                truncation=truncation,
             )
-        return KummerInstance.transcendental_model(
-            p,
-            q_exp=int(spec.get("q_exp", 1)),
-            terms=int(spec.get("terms", 4)),
-            truncation=truncation,
-        )
+
+
+@contextmanager
+def _spec_errors(path: str):
+    """Report a missing or unusable field of the spec at ``path`` as an
+    input error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InputError([f"{path}: missing field {exc.args[0]!r}"]) from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError([f"{path}: {exc}"]) from exc
 
 
 def _hom_from_labels(source: FiniteGroup, target: FiniteGroup, table: Mapping[str, str]) -> GroupHom:
@@ -169,7 +184,11 @@ def parse_input(document: str) -> WorkbenchInput:
             warnings.append(f"unknown top-level key {key!r} ignored")
     if "version" not in data:
         raise InputError(["missing required 'version' field"])
-    if int(data["version"]) != SCHEMA_VERSION:
+    try:
+        version = int(data["version"])
+    except (TypeError, ValueError):
+        raise InputError([f"version: not an integer: {data['version']!r}"]) from None
+    if version != SCHEMA_VERSION:
         raise InputError([f"unsupported schema version {data['version']}"])
 
     groups: dict[str, FiniteGroup] = {}
@@ -184,6 +203,9 @@ def parse_input(document: str) -> WorkbenchInput:
     edge_group_names: dict[str, str] = {}
     if "graph" in data:
         gsec = data["graph"] or {}
+        if not isinstance(gsec, dict):
+            errors.append(f"graph: must be an object, got {type(gsec).__name__}")
+            gsec = {}
         for key in gsec:
             if key not in _GRAPH_KEYS:
                 warnings.append(f"unknown graph key {key!r} ignored")
@@ -246,7 +268,7 @@ def parse_input(document: str) -> WorkbenchInput:
     if errors:
         raise InputError(errors)
     return WorkbenchInput(
-        version=int(data["version"]),
+        version=version,
         raw_text=document,
         graph=graph,
         vertex_group_names=vertex_group_names,

@@ -42,9 +42,8 @@ from .gog import (
     VanKampenPresentation,
     backtrack_vertices,
     build_presentation,
-    enumerate_pi1_homs,
 )
-from .groups import FiniteGroup, GroupHom, hom_set
+from .groups import FiniteGroup, GroupHom, enumerate_homs, group_presentation
 
 # enumerations beyond this many global or fiber-product elements are refused
 FUNCTOR_SET_CAP = 2_000_000
@@ -385,45 +384,35 @@ def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> TorsorMo
 
 # ---------------------------------------------------------------------------
 # Local functor data over a graph of groups
+#
+# Functor data is kept as plain index tuples, each its own set key.  A global
+# functor is a family key (``HomFamily.key()``: vertex tables in vertex order,
+# conjugators in branch order) plus a branch -> test-group marking mapping.
+# A local datum is one entry per vertex in vertex order: the vertex hom table
+# and one flag per incident branch in ``edges_at`` order, identity at the
+# least branch.
 
 
-@dataclass(frozen=True)
-class VertexFunctorData:
-    """Functor data at one vertex: a hom table (element index -> test-group
-    index) and one flag per incident branch, identity at the least branch."""
-
-    vertex: str
-    hom_mapping: tuple[int, ...]
-    flags: Mapping[str, int]
-
-    def key(self) -> tuple:
-        return (self.hom_mapping, tuple(sorted(self.flags.items())))
-
-
-def _base_branch(gog: GraphOfFiniteGroups, vertex: str) -> str:
-    return min(gog.graph.edges_at(vertex))
-
-
-def _branch_agrees(gog: GraphOfFiniteGroups, group: FiniteGroup, datum: Mapping[str, VertexFunctorData], edge: str) -> bool:
+def _branch_agrees(gog: GraphOfFiniteGroups, group: FiniteGroup, datum: Mapping[str, tuple], edge: str) -> bool:
     p, u = gog.graph.point_end(edge), gog.graph.component_end(edge)
-    dp, du = datum[p], datum[u]
-    gp, gu = dp.flags[edge], du.flags[edge]
-    to_p = gog.edge_maps[edge]["to_point"]
-    to_u = gog.edge_maps[edge]["to_component"]
-    for g in range(gog.edge_groups[edge].order):
-        lhs = group.conjugate(gu, du.hom_mapping[to_u(g)])
-        rhs = group.conjugate(gp, dp.hom_mapping[to_p(g)])
-        if lhs != rhs:
-            return False
-    return True
+    (hom_p, flags_p), (hom_u, flags_u) = datum[p], datum[u]
+    gp = flags_p[gog.graph.edges_at(p).index(edge)]
+    gu = flags_u[gog.graph.edges_at(u).index(edge)]
+    to_p = gog.edge_maps[edge]["to_point"].mapping
+    to_u = gog.edge_maps[edge]["to_component"].mapping
+    return all(
+        group.conjugate(gu, hom_u[a]) == group.conjugate(gp, hom_p[b])
+        for a, b in zip(to_u, to_p)
+    )
 
 
 def natural_map(
     presentation: VanKampenPresentation,
-    family: HomFamily,
+    group: FiniteGroup,
+    family_key: tuple,
     markings: Mapping[str, int],
-) -> dict[str, VertexFunctorData]:
-    """Restrict a global functor (hom family + point markings) to the vertex
+) -> tuple:
+    """Restrict a global functor (family key + point markings) to the vertex
     groupoids.
 
     ``markings`` assigns a test-group element to every branch, identity at
@@ -431,127 +420,98 @@ def natural_map(
     component-side ones absorb the branch's conjugator, mirroring the edge
     relation of the presentation.
     """
-    gog = presentation.gog
-    G = family.group
-    b0 = min(gog.graph.edge_names())
-    if markings[b0] != G.identity:
+    graph = presentation.gog.graph
+    G = group
+    if markings[min(graph.edge_names())] != G.identity:
         raise ValueError("marking at the least branch must be the identity")
+    tables, conj = family_key
+    conjugators = dict(zip(graph.edge_names(), conj))
 
-    datum: dict[str, VertexFunctorData] = {}
-    for v in gog.graph.points:
-        m = _base_branch(gog, v)
-        hm = markings[m]
-        mapping = tuple(G.conjugate(hm, x) for x in family.vertex_homs[v].mapping)
-        flags = {
-            e: G.mul(markings[e], G.inv(hm)) for e in gog.graph.edges_at(v)
-        }
-        datum[v] = VertexFunctorData(v, mapping, flags)
-    for v in gog.graph.components:
-        m = _base_branch(gog, v)
-        k = G.mul(markings[m], G.inv(family.conjugators[m]))
-        mapping = tuple(G.conjugate(k, x) for x in family.vertex_homs[v].mapping)
-        flags = {
-            e: G.mul(
-                G.mul(markings[e], G.inv(family.conjugators[e])), G.inv(k)
-            )
-            for e in gog.graph.edges_at(v)
-        }
-        datum[v] = VertexFunctorData(v, mapping, flags)
-    return datum
+    datum = []
+    for v, table in zip(graph.vertices, tables):
+        shifted = [
+            markings[e] if graph.point_end(e) == v else G.mul(markings[e], G.inv(conjugators[e]))
+            for e in graph.edges_at(v)
+        ]
+        k = shifted[0]
+        k_inv = G.inv(k)
+        mapping = tuple(G.conjugate(k, x) for x in table)
+        datum.append((mapping, tuple(G.mul(m, k_inv) for m in shifted)))
+    return tuple(datum)
 
 
 def inverse_natural_map(
     presentation: VanKampenPresentation,
     group: FiniteGroup,
-    datum: Mapping[str, VertexFunctorData],
-) -> tuple[HomFamily, dict[str, int]]:
-    """Reconstruct the unique global functor restricting to the given family
-    of vertex functor data (which must agree over every branch)."""
+    datum: tuple,
+) -> tuple[tuple, dict[str, int]]:
+    """Reconstruct the unique global functor, as a family key and markings,
+    restricting to the given local datum (which must agree over every
+    branch)."""
     gog = presentation.gog
-    tree = presentation.tree
+    graph = gog.graph
     G = group
-    b0 = min(gog.graph.edge_names())
+    flag = {
+        (v, e): f
+        for v, (_, flags) in zip(graph.vertices, datum)
+        for e, f in zip(graph.edges_at(v), flags)
+    }
 
+    # gauges along the tree, each vertex from the one that reached it
     gauges: dict[str, int] = {}
-    root = gog.graph.point_end(b0)
-    gauges[root] = G.inv(datum[root].flags[b0])
-    pending = set(gog.graph.vertices) - {root}
-    while pending:
-        progressed = False
-        for e in tree.edge_names:
-            p, u = gog.graph.point_end(e), gog.graph.component_end(e)
-            gp, gu = datum[p].flags[e], datum[u].flags[e]
-            if p not in pending and u in pending:
-                gauges[u] = G.mul(G.mul(G.inv(gu), gp), gauges[p])
-                pending.discard(u)
-                progressed = True
-            elif u not in pending and p in pending:
-                gauges[p] = G.mul(G.mul(G.inv(gp), gu), gauges[u])
-                pending.discard(p)
-                progressed = True
-        if not progressed:
-            raise ValueError("spanning tree does not reach every vertex")
+    for v, via in gog.bfs_vertex_order(presentation.tree):
+        if via is None:
+            gauges[v] = G.identity
+            continue
+        p, u = graph.point_end(via), graph.component_end(via)
+        w = p if v == u else u
+        gauges[v] = G.mul(G.mul(G.inv(flag[v, via]), flag[w, via]), gauges[w])
+    # one right translation pins the least branch's marking to the identity
+    b0 = min(graph.edge_names())
+    p0 = graph.point_end(b0)
+    shift = G.inv(G.mul(flag[p0, b0], gauges[p0]))
+    gauges = {v: G.mul(a, shift) for v, a in gauges.items()}
 
-    vertex_homs = {}
-    for v in gog.graph.vertices:
-        a = gauges[v]
-        vertex_homs[v] = GroupHom(
-            gog.vertex_groups[v],
-            G,
-            [G.conjugate(G.inv(a), x) for x in datum[v].hom_mapping],
-        )
-    markings = {}
-    conjugators = {}
-    for e in gog.graph.edge_names():
-        p, u = gog.graph.point_end(e), gog.graph.component_end(e)
-        markings[e] = G.mul(datum[p].flags[e], gauges[p])
-        conjugators[e] = G.mul(
-            G.mul(G.inv(gauges[u]), G.inv(datum[u].flags[e])),
-            markings[e],
-        )
+    tables = tuple(
+        tuple(G.conjugate(G.inv(gauges[v]), x) for x in table)
+        for v, (table, _) in zip(graph.vertices, datum)
+    )
+    markings: dict[str, int] = {}
+    conjugators: dict[str, int] = {}
+    for e in graph.edge_names():
+        p, u = graph.point_end(e), graph.component_end(e)
+        markings[e] = G.mul(flag[p, e], gauges[p])
+        conjugators[e] = G.mul(G.mul(G.inv(gauges[u]), G.inv(flag[u, e])), markings[e])
     if markings[b0] != G.identity:
         raise AssertionError("reconstruction failed to pin the base marking")
-    for e in tree.edge_names:
-        if conjugators[e] != G.identity:
-            raise AssertionError("reconstruction failed to trivialize a tree letter")
-    family = HomFamily(gog, G, vertex_homs, conjugators)
-    return family, markings
+    if any(conjugators[e] != G.identity for e in presentation.tree.edge_names):
+        raise AssertionError("reconstruction failed to trivialize a tree letter")
+    return (tables, tuple(conjugators.values())), markings
 
 
-def _enumerate_fiber_data(
-    gog: GraphOfFiniteGroups,
-    group: FiniteGroup,
-) -> list[dict[str, VertexFunctorData]]:
-    """All branch-compatible families of vertex functor data, by backtracking
-    over the vertices in canonical order."""
+def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[tuple]:
+    """All branch-compatible local data, by backtracking over the vertices
+    in canonical order."""
     G = group
-    vertices = gog.graph.vertices
-    per_vertex: dict[str, list[VertexFunctorData]] = {}
+    per_vertex: dict[str, list[tuple]] = {}
     est = 1
-    for v in vertices:
-        homs = hom_set(gog.vertex_groups[v], G)
-        edges = gog.graph.edges_at(v)
-        base = min(edges)
-        free = [e for e in edges if e != base]
-        cands = []
-        for hom in homs:
-            for combo in itertools.product(range(G.order), repeat=len(free)):
-                flags = {base: G.identity}
-                flags.update(dict(zip(free, combo)))
-                cands.append(VertexFunctorData(v, hom.mapping, flags))
-        per_vertex[v] = cands
-        est *= max(len(cands), 1)
+    for v in gog.graph.vertices:
+        tables = enumerate_homs(group_presentation(gog.vertex_groups[v]), G)
+        free = len(gog.graph.edges_at(v)) - 1
+        per_vertex[v] = [
+            (table, (G.identity, *combo))
+            for table in tables
+            for combo in itertools.product(range(G.order), repeat=free)
+        ]
+        est *= max(len(per_vertex[v]), 1)
         if est > FUNCTOR_SET_CAP:
             raise ScaleError(
                 f"fiber-product enumeration would visit ~{est} tuples (cap {FUNCTOR_SET_CAP})"
             )
-    return backtrack_vertices(
+    chosen = backtrack_vertices(
         gog, per_vertex, lambda chosen, e: _branch_agrees(gog, G, chosen, e)
     )
-
-
-def _datum_key(gog: GraphOfFiniteGroups, datum: Mapping[str, VertexFunctorData]) -> tuple:
-    return tuple(datum[v].key() for v in gog.graph.vertices)
+    return [tuple(c[v] for v in gog.graph.vertices) for c in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -734,26 +694,28 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
     gog, G = problem.gog, problem.group
     presentation = build_presentation(gog)
 
-    datum = {}
+    local = {}
     for v in gog.graph.vertices:
         t = problem.vertex_data[v]
         coords = t.point_coords()
-        flags = {e: G.inv(coords[e]) for e in gog.graph.edges_at(v)}
-        datum[v] = VertexFunctorData(v, t.structure_map().mapping, flags)
+        flags = tuple(G.inv(coords[e]) for e in gog.graph.edges_at(v))
+        local[v] = (t.structure_map().mapping, flags)
     for e in gog.graph.edge_names():
-        if not _branch_agrees(gog, G, datum, e):
+        if not _branch_agrees(gog, G, local, e):
             raise PatchingError(e, f"branch {e}: local data does not agree")
 
-    family, markings = inverse_natural_map(presentation, G, datum)
+    key, markings = inverse_natural_map(
+        presentation, G, tuple(local[v] for v in gog.graph.vertices)
+    )
+    family = HomFamily.from_key(gog, G, key)
 
     restriction_morphisms: dict[str, TorsorMorphism] = {}
-    induced = natural_map(presentation, family, markings)
-    for v in gog.graph.vertices:
-        ind = induced[v]
+    induced = natural_map(presentation, G, key, markings)
+    for v, (table, flags) in zip(gog.graph.vertices, induced):
         torsor = MultipointedTorsor.standard(
             G,
-            GroupHom(gog.vertex_groups[v], G, ind.hom_mapping),
-            {e: G.inv(ind.flags[e]) for e in gog.graph.edges_at(v)},
+            GroupHom(gog.vertex_groups[v], G, table),
+            {e: G.inv(f) for e, f in zip(gog.graph.edges_at(v), flags)},
         )
         mor = torsor_morphisms(torsor, problem.vertex_data[v])
         if mor is None:
@@ -787,19 +749,6 @@ class FunctorSetReport:
     roundtrip_stride: int
 
     @property
-    def counts(self) -> "FunctorSetReport":
-        """The report itself: its fields are the counts."""
-        return self
-
-    @property
-    def global_classes(self) -> int:
-        return self.pi1_count
-
-    @property
-    def functor_count(self) -> int:
-        return self.fiber_classes
-
-    @property
     def agreement(self) -> bool:
         return self.fiber_classes == self.pi1_count
 
@@ -813,7 +762,7 @@ class FunctorSetReport:
         else:
             strided = f"strided: one element in {self.roundtrip_stride}"
         return [
-            f"global torsor classes = presentation homs: {self.global_classes}",
+            f"global torsor classes = presentation homs: {self.pi1_count}",
             f"patching-family classes = pushout functors: {self.fiber_classes}",
             f"counts agree: {self.agreement}",
             f"raw functor sets: global {self.global_raw}, fiber product {self.fiber_raw}",
@@ -824,9 +773,9 @@ class FunctorSetReport:
 
     def to_json(self) -> dict:
         return {
-            "global_classes": self.global_classes,
+            "global_classes": self.pi1_count,
             "fiber_classes": self.fiber_classes,
-            "functor_count": self.functor_count,
+            "functor_count": self.fiber_classes,
             "pi1_count": self.pi1_count,
             "agreement": self.agreement,
             "global_raw": self.global_raw,
@@ -849,7 +798,9 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
     the presentation hom count.  Both sides are enumerated independently."""
     presentation = build_presentation(gog)
     G = group
-    pi1 = enumerate_pi1_homs(gog, G, presentation=presentation)
+    pi1 = [
+        presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)
+    ]
     edges = gog.graph.edge_names()
     b0 = min(edges)
     free_edges = [e for e in edges if e != b0]
@@ -861,7 +812,7 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
         )
 
     fiber = _enumerate_fiber_data(gog, G)
-    fiber_keys = {_datum_key(gog, d) for d in fiber}
+    fiber_keys = set(fiber)
     if len(fiber_keys) != len(fiber):
         raise AssertionError("fiber enumeration produced duplicates")
 
@@ -870,20 +821,20 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
     image_keys = set()
     roundtrips = 0
     combos = itertools.product(range(G.order), repeat=len(free_edges))
-    for index, (family, combo) in enumerate(itertools.product(pi1, combos)):
+    for index, (key, combo) in enumerate(itertools.product(pi1, combos)):
         markings = {b0: G.identity}
-        markings.update(dict(zip(free_edges, combo)))
-        datum = natural_map(presentation, family, markings)
-        key = _datum_key(gog, datum)
-        if key in image_keys:
+        markings.update(zip(free_edges, combo))
+        datum = natural_map(presentation, G, key, markings)
+        if datum in image_keys:
             raise AssertionError("restriction functor is not injective")
-        image_keys.add(key)
+        image_keys.add(datum)
         if index % stride == 0:
+            local = dict(zip(gog.graph.vertices, datum))
             for e in edges:
-                if not _branch_agrees(gog, G, datum, e):
+                if not _branch_agrees(gog, G, local, e):
                     raise AssertionError("restriction broke branch agreement")
-            back_family, back_markings = inverse_natural_map(presentation, G, datum)
-            if back_family.key() != family.key() or back_markings != markings:
+            back_key, back_markings = inverse_natural_map(presentation, G, datum)
+            if back_key != key or back_markings != markings:
                 raise AssertionError("inverse natural map failed the round trip")
             roundtrips += 1
 

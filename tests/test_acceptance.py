@@ -118,7 +118,7 @@ def test_criterion_3_pushout_agreement():
         if len(enumerate_pi1_homs(gog, G)) * G.order**n_free > 30_000:
             G = rng.choice(small)
         report = verify_groupoid_pushout(gog, G)
-        assert report.functor_count == report.pi1_count
+        assert report.fiber_classes == report.pi1_count
         assert report.passed
         if non_tree:
             checked_nontree += 1

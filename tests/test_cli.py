@@ -230,6 +230,34 @@ def test_non_injective_edge_map_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_AS_SPEC = AS_DOC["descent"]["artin_schreier"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, path",
+    [
+        ("graph-check", {**MINIMAL, "version": "x"}, [], "version"),
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            k: v for k, v in _AS_SPEC.items() if k != "p"}}}, [], "descent.artin_schreier"),
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            **_AS_SPEC, "alpha": "zz"}}}, [], "descent.artin_schreier"),
+        ("graph-check", {"version": 1, "graph": [1]}, [], "graph"),
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "p": 4}}}, [], "descent.kummer"),
+        ("graph-covers", MINIMAL, ["--degree", "0"], "degree"),
+        ("graph-covers", {**MINIMAL, "options": {"degree": "two"}}, [], "options.degree"),
+    ],
+    ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
+         "covers-degree-text"],
+)
+def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
+    code = run([command, write(tmp_path, doc), *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err.startswith(f"input error: {path}: ")
+    assert captured.out == ""
+
+
 def test_descent_as_exit_and_agreement(tmp_path, capsys):
     code = run(["descent-as", write(tmp_path, AS_DOC)])
     out = capsys.readouterr().out

@@ -326,3 +326,25 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
         assert fields == _validated_vankampen_fields(gog, G)
         witnesses += report.witness is not None
     assert witnesses > 0
+
+
+def test_family_keys_match_validated_families_on_the_catalog():
+    """The presentation's family keys are the keys of the validated families,
+    in order, and read each generator image at its own symbol."""
+    from catalog import add_extra_edges
+
+    rng = random.Random(83)
+    pool = [G for G in groups_up_to(6) if G.order > 1]
+    for k in range(12):
+        graph = random_tree_graph(rng, max_vertices=3)
+        if k % 2:
+            graph = add_extra_edges(rng, graph, 1)
+        gog = random_gog(rng, graph, vertex_order_cap=6)
+        G = pool[k % len(pool)]
+        vk = build_presentation(gog)
+        assignments = enumerate_homs(vk.presentation, G)
+        families = enumerate_pi1_homs(gog, G, presentation=vk)
+        assert [vk.family_key(a) for a in assignments] == [fam.key() for fam in families]
+        for a, fam in zip(assignments, families):
+            assert all(fam.vertex_homs[v](x) == a[s] for (v, x), s in vk.vertex_symbol.items())
+            assert all(fam.conjugators[n] == a[s] for n, s in vk.edge_symbol.items())

@@ -16,7 +16,7 @@ from catalog import (
     theta_graph,
     trivial_gog,
 )
-from vkpatch.gog import GraphOfFiniteGroups, build_presentation, enumerate_pi1_homs
+from vkpatch.gog import GraphOfFiniteGroups, HomFamily, build_presentation, enumerate_pi1_homs
 from vkpatch.groups import GroupHom, cyclic, hom_set, symmetric
 from vkpatch import torsors
 from vkpatch.torsors import (
@@ -226,9 +226,9 @@ def test_natural_map_round_trip_on_random_instances():
         pres = build_presentation(gog)
         for family in enumerate_pi1_homs(gog, G, presentation=pres):
             for markings in _markings_space(gog, G):
-                datum = natural_map(pres, family, markings)
-                back_family, back_markings = inverse_natural_map(pres, G, datum)
-                assert back_family.key() == family.key()
+                datum = natural_map(pres, G, family.key(), markings)
+                back_key, back_markings = inverse_natural_map(pres, G, datum)
+                assert back_key == family.key()
                 assert back_markings == markings
 
 
@@ -237,42 +237,42 @@ def test_setoid_equivalence_spec_counts():
     report = verify_groupoid_pushout(
         GraphOfFiniteGroups.with_trivial_edges(diamond_graph(), {"P": c2, "U": c3}), s3
     )
-    assert report.counts.global_classes == report.counts.fiber_classes == 12
+    assert report.pi1_count == report.fiber_classes == 12
     assert report.passed
 
     report = verify_groupoid_pushout(trivial_gog(circle_graph()), c3)
-    assert report.counts.global_classes == report.counts.fiber_classes == 3
-    assert report.counts.global_raw == report.counts.fiber_raw == 9
+    assert report.pi1_count == report.fiber_classes == 3
+    assert report.global_raw == report.fiber_raw == 9
     assert report.passed
 
     report = verify_groupoid_pushout(trivial_gog(circle_graph()), c1)
-    assert report.counts.global_classes == 1
+    assert report.pi1_count == 1
     assert report.passed
 
 
 def test_pushout_spec_counts():
     c1, c2, s3 = cyclic(1), cyclic(2), symmetric(3)
     report = verify_groupoid_pushout(trivial_gog(theta_graph()), c2)
-    assert report.functor_count == report.pi1_count == 4
+    assert report.fiber_classes == report.pi1_count == 4
     assert report.passed
 
     report = verify_groupoid_pushout(
         GraphOfFiniteGroups.with_trivial_edges(diamond_graph(), {"P": c2, "U": cyclic(3)}),
         s3,
     )
-    assert report.functor_count == report.pi1_count == 12
+    assert report.fiber_classes == report.pi1_count == 12
     assert report.passed
 
     report = verify_groupoid_pushout(trivial_gog(diamond_graph()), c1)
-    assert report.functor_count == report.pi1_count == 1
+    assert report.fiber_classes == report.pi1_count == 1
     assert report.passed
 
 
 def test_roundtrip_stride_is_reported(monkeypatch):
     gog, c3 = trivial_gog(theta_graph()), cyclic(3)
     report = verify_groupoid_pushout(gog, c3)
-    assert report.counts.global_raw == 81
-    assert report.roundtrip_checked == report.counts.global_raw
+    assert report.global_raw == 81
+    assert report.roundtrip_checked == report.global_raw
     assert report.roundtrip_stride == 1
     assert "round trips verified: 81 (every element)" in report.lines()
 
@@ -280,13 +280,46 @@ def test_roundtrip_stride_is_reported(monkeypatch):
     report = verify_groupoid_pushout(gog, c3)
     assert report.passed
     assert report.roundtrip_stride > 1
-    assert report.roundtrip_checked < report.counts.global_raw
+    assert report.roundtrip_checked < report.global_raw
     assert report.to_json()["roundtrip_stride"] == report.roundtrip_stride
     assert report.to_json()["roundtrip_checked"] == report.roundtrip_checked
     assert (
         f"round trips verified: {report.roundtrip_checked} "
         f"(strided: one element in {report.roundtrip_stride})"
     ) in report.lines()
+
+
+def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
+    """The verifier compares index tuples: no GroupHom or HomFamily is
+    constructed, while the validating enumeration builds both."""
+    rng = random.Random(5)
+    graph = add_extra_edges(rng, random_tree_graph(rng, max_vertices=3), 1)
+    instances = [
+        (GraphOfFiniteGroups.with_trivial_edges(theta_graph(), {"P": symmetric(3), "U": cyclic(3)}),
+         cyclic(3)),
+        (random_gog(rng, graph, vertex_order_cap=6), symmetric(3)),
+    ]
+    built = {"GroupHom": 0, "HomFamily": 0}
+    hom_init, family_check = GroupHom.__init__, HomFamily.__post_init__
+
+    def counting_init(self, *args, **kwargs):
+        built["GroupHom"] += 1
+        hom_init(self, *args, **kwargs)
+
+    def counting_check(self):
+        built["HomFamily"] += 1
+        family_check(self)
+
+    monkeypatch.setattr(GroupHom, "__init__", counting_init)
+    monkeypatch.setattr(HomFamily, "__post_init__", counting_check)
+    for gog, G in instances:
+        families = enumerate_pi1_homs(gog, G)
+        assert built["HomFamily"] == len(families) > 0
+        assert built["GroupHom"] >= len(families)
+        built.update(GroupHom=0, HomFamily=0)
+        report = verify_groupoid_pushout(gog, G)
+        assert report.passed and report.pi1_count == len(families)
+        assert built == {"GroupHom": 0, "HomFamily": 0}
 
 
 def test_pushout_on_random_instances():
@@ -307,12 +340,11 @@ def test_pushout_on_random_instances():
 def _vertex_groupoid_data(gog, G, family, markings):
     """Build vertex/branch torsor data realizing a fiber-product object."""
     pres = build_presentation(gog)
-    datum = natural_map(pres, family, markings)
+    datum = natural_map(pres, G, family.key(), markings)
     vertex_data = {}
-    for v in gog.graph.vertices:
-        d = datum[v]
-        hom = GroupHom(gog.vertex_groups[v], G, d.hom_mapping)
-        points = {e: G.inv(d.flags[e]) for e in gog.graph.edges_at(v)}
+    for v, (table, flags) in zip(gog.graph.vertices, datum):
+        hom = GroupHom(gog.vertex_groups[v], G, table)
+        points = {e: G.inv(f) for e, f in zip(gog.graph.edges_at(v), flags)}
         vertex_data[v] = MultipointedTorsor.standard(G, hom, points)
     branch_data = {}
     for e in gog.graph.edge_names():
@@ -386,14 +418,14 @@ def test_solve_patching_solution_is_unique():
     hits = 0
     for fam in families:
         for mk in _markings_space(gog, G):
-            datum = natural_map(pres, fam, mk)
+            datum = natural_map(pres, G, fam.key(), mk)
             induced_vd = {
                 v: MultipointedTorsor.standard(
                     G,
-                    GroupHom(gog.vertex_groups[v], G, datum[v].hom_mapping),
-                    {e: G.inv(datum[v].flags[e]) for e in gog.graph.edges_at(v)},
+                    GroupHom(gog.vertex_groups[v], G, table),
+                    {e: G.inv(f) for e, f in zip(gog.graph.edges_at(v), flags)},
                 )
-                for v in gog.graph.vertices
+                for v, (table, flags) in zip(gog.graph.vertices, datum)
             }
             if all(
                 torsor_morphisms(induced_vd[v], vd[v]) is not None
@@ -425,7 +457,7 @@ def test_two_fiber_object_classes_match_the_fiber_product():
                     built += 1
                     classes.add(obj.class_key())
     assert built > 0
-    assert len(classes) == report.counts.fiber_raw == 12
+    assert len(classes) == report.fiber_raw == 12
 
 
 def test_two_fiber_object_validates_connecting_maps():
