@@ -3,6 +3,10 @@
 Finite field elements are integers 0..q-1 read as base-p digit vectors, i.e.
 polynomials in a generator w modulo the lexicographically least monic
 irreducible of degree e, which makes element order and labels deterministic.
+Arithmetic runs on exp/log/Zech tables of the least primitive element, built
+once per field in O(q) polynomial products; for p = 2 addition is integer
+XOR of the codes.  The polynomial product remains as the input of the table
+build and as the reference arithmetic of the tests.
 Rational function field elements are reduced fractions of coefficient tuples
 with monic denominator.  Both fields expose the same duck-typed surface
 (add/mul/inv/pth_root/label), which is all the series layer needs.
@@ -91,8 +95,22 @@ def _is_irreducible(f, p):
     return True
 
 
+# Zech-table entry for 1 + g^i = 0, which has no logarithm
+_NO_LOG = -1
+
+
 class FiniteField:
-    """GF(p^e) with exact table-backed arithmetic on integer-coded elements."""
+    """GF(p^e) on integer-coded elements, with log-table arithmetic.
+
+    The least primitive element g is found once, on construction, with the
+    polynomial product ``_raw_mul``; its powers give ``_exp`` (g^i, doubled to
+    length 2(q-1) so that a product of two units needs no modulo) and
+    ``_log``.  The Zech table ``_zech[i] = log(1 + g^i)``, also doubled,
+    makes addition a lookup (Lidl & Niederreiter, *Finite Fields*, ch. 9);
+    it holds ``_NO_LOG`` where 1 + g^i = 0.  The build costs O(q) polynomial
+    products.  For p = 2 the base-p digits are bits, so ``add`` and ``sub``
+    are integer XOR and ``neg`` is the identity.
+    """
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
@@ -106,8 +124,7 @@ class FiniteField:
         self.modulus = _irreducible(p, e)
         self.zero = 0
         self.one = 1
-        self._mul = None
-        self._inv = None
+        self._build_tables()
 
     # -- encoding ------------------------------------------------------------
 
@@ -127,29 +144,7 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.q)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        return self._encode([(-x) % self.p for x in self._digits(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul is None:
-            self._build_tables()
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        if self._inv is None:
-            self._build_tables()
-        return self._inv[a]
+    # -- table construction (``_raw_mul`` is also the tests' reference) -----
 
     def _raw_mul(self, a: int, b: int) -> int:
         prod = _pmul(_strip(self._digits(a)), _strip(self._digits(b)), self.p)
@@ -157,32 +152,76 @@ class FiniteField:
         return self._encode(list(red) + [0] * self.e)
 
     def _build_tables(self) -> None:
-        q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = self._raw_mul(a, b)
-                mul[a][b] = v
-                mul[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._mul = [tuple(row) for row in mul]
-        self._inv = tuple(inv)
+        units = self.q - 1
+        for g in range(1, self.q):
+            # powers of g up to its order; g is primitive when that is q - 1
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._raw_mul(x, g)
+            if len(powers) == units:
+                break
+        log = [0] * self.q
+        for i, x in enumerate(powers):
+            log[x] = i
+        p, zech = self.p, [_NO_LOG] * units
+        for i, x in enumerate(powers):
+            s = x - x % p + (x + 1) % p  # 1 + x: one more in the lowest digit
+            if s:
+                zech[i] = log[s]
+        self._units = units
+        self._half = units // 2
+        self._exp = tuple(powers + powers)
+        self._log = tuple(log)
+        self._zech = tuple(zech + zech)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z == _NO_LOG else self._exp[la + z]
+
+    def neg(self, a: int) -> int:
+        if self.p == 2 or not a:
+            return a
+        return self._exp[self._log[a] + self._half]
+
+    def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if not b:
+            return a
+        lb = self._log[b] + self._half  # a log of -b
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[lb - la]
+        return 0 if z == _NO_LOG else self._exp[la + z]
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of 0")
+        return self._exp[self._units - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        acc, base = 1, a
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
+        if not a:
+            if n < 0:
+                raise ZeroDivisionError("inverse of 0")
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % self._units]
 
     def pth_root(self, a: int) -> int:
         """The unique p-th root (Frobenius is bijective on a finite field)."""
@@ -193,17 +232,6 @@ class FiniteField:
         if self.e % degree != 0:
             raise ValueError(f"GF({self.p}^{degree}) is not a subfield of GF({self.p}^{self.e})")
         return self.pow(a, self.p**degree) == a
-
-    def generator(self) -> int:
-        """Least multiplicative generator."""
-        for a in range(2, self.q):
-            x, k = a, 1
-            while x != 1:
-                x = self.mul(x, a)
-                k += 1
-            if k == self.q - 1:
-                return a
-        return 1
 
     def label(self, a: int) -> str:
         if self.e == 1:

@@ -90,7 +90,7 @@ class GraphOfFiniteGroups:
         }
         return cls(graph, vertex_groups, edge_groups, edge_maps)
 
-    def bfs_vertex_order(self, tree: SpanningTree) -> list[tuple[str, str | None]]:
+    def bfs_vertex_order(self, tree: SpanningTree) -> tuple[tuple[str, str | None], ...]:
         """Vertices in BFS order along the tree, with the tree edge that
         reached each non-root vertex."""
         order: list[tuple[str, str | None]] = []
@@ -109,7 +109,7 @@ class GraphOfFiniteGroups:
                     seen.add(w)
                     order.append((w, name))
                     queue.append(w)
-        return order
+        return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ class VanKampenPresentation:
     Generators are one symbol per vertex-group element plus one letter per
     branch; generator order follows a BFS of the spanning tree so that the
     hom enumerator can prune across vertices as early as possible.
+    ``bfs_order`` is that BFS: each vertex with the tree branch that reached
+    it (None at the root).
     """
 
     gog: GraphOfFiniteGroups
@@ -126,6 +128,7 @@ class VanKampenPresentation:
     presentation: Presentation
     vertex_symbol: Mapping[tuple[str, int], int]
     edge_symbol: Mapping[str, int]
+    bfs_order: tuple[tuple[str, str | None], ...]
 
     def family_key(self, assignment: Sequence[int]) -> tuple:
         """The hom family of a generator assignment as ``HomFamily.key()``
@@ -195,7 +198,7 @@ def build_presentation(
             relators.append((e, sp, -e, -su))
 
     pres = Presentation(tuple(generators), tuple(relators))
-    return VanKampenPresentation(gog, tree, pres, vertex_symbol, edge_symbol)
+    return VanKampenPresentation(gog, tree, pres, vertex_symbol, edge_symbol, bfs)
 
 
 @dataclass(frozen=True)

@@ -459,7 +459,7 @@ def inverse_natural_map(
 
     # gauges along the tree, each vertex from the one that reached it
     gauges: dict[str, int] = {}
-    for v, via in gog.bfs_vertex_order(presentation.tree):
+    for v, via in presentation.bfs_order:
         if via is None:
             gauges[v] = G.identity
             continue

@@ -52,6 +52,8 @@ def test_presentation_of_free_product():
     assert (e,) in vk.presentation.relators
     # multiplication relators for both vertex groups
     assert len(vk.presentation.relators) == 4 + 9 + 1  # trivial edge group adds none
+    # the tree BFS the generators follow is kept on the presentation
+    assert vk.bfs_order == gog.bfs_vertex_order(vk.tree) == (("P", None), ("U", "b1"))
 
 
 def test_presentation_of_circle_with_trivial_groups():
