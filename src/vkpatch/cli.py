@@ -31,6 +31,7 @@ from .gog import (
 )
 from .graphs import (
     InvalidGraphError,
+    ScaleError,
     cycle_rank,
     enumerate_connected_covers,
     export_dot,
@@ -47,7 +48,7 @@ from .reports import (
     ReportDocument,
     input_digest,
 )
-from .torsors import ScaleError, verify_groupoid_pushout
+from .torsors import verify_groupoid_pushout
 
 COMMANDS = (
     "graph-check",

@@ -490,14 +490,20 @@ def _gf_kernel_vector(F: FiniteField, rows: list[list[int]], ncols: int) -> list
         if pivot_row is None:
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = F.inv(matrix[rank][col])
-        matrix[rank] = [F.mul(inv, v) for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != F.zero:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    F.sub(v, F.mul(factor, w)) for v, w in zip(matrix[r], matrix[rank])
-                ]
+        # the pivot row is zero left of col, so it is normalized, and other
+        # rows change, only on its nonzero columns from col on
+        pivot = matrix[rank]
+        inv = F.inv(pivot[col])
+        support = []
+        for j in range(col, ncols):
+            if pivot[j] != F.zero:
+                pivot[j] = F.mul(inv, pivot[j])
+                support.append((j, pivot[j]))
+        for r, row in enumerate(matrix):
+            if r != rank and row[col] != F.zero:
+                factor = row[col]
+                for j, w in support:
+                    row[j] = F.sub(row[j], F.mul(factor, w))
         pivots[col] = rank
         rank += 1
     free = [c for c in range(ncols) if c not in pivots]

@@ -18,6 +18,16 @@ class InvalidGraphError(ValueError):
     """Raised when an operation requires a graph that fails validation."""
 
 
+class ScaleError(ValueError):
+    """The requested enumeration exceeds a fixed cap (``COVER_SCAN_CAP`` or
+    ``torsors.FUNCTOR_SET_CAP``)."""
+
+
+# Cover enumeration refuses a scan of more tuples than this rather than run
+# unbounded: rank 2 up to degree 8, rank 3 up to degree 5, rank 4 up to 4.
+COVER_SCAN_CAP = 1_000_000
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -306,11 +316,21 @@ def enumerate_connected_covers(
 ) -> tuple[GraphCover, ...]:
     """Connected degree-n covers up to simultaneous sheet relabeling.
 
-    Covers correspond to tuples of sheet permutations on the non-tree edges;
-    the cover is connected iff the generated permutation group acts
+    Covers correspond to tuples of sheet permutations on the r non-tree
+    edges; the cover is connected iff the generated permutation group acts
     transitively on sheets, and two tuples give isomorphic covers iff they are
     simultaneously conjugate.  Representatives are the lexicographically
-    least tuple of each class.
+    least tuple of each class, returned in sorted order.
+
+    The least tuple (s1, ..., sr) of a class has s1 least in its S_n
+    conjugacy class, and (s2, ..., sr) least under conjugation by the
+    centralizer C(s1).  So for the least permutation c of each cycle type the
+    tuples (s2, ..., sr) are scanned in lexicographic order: the first
+    unmarked transitive one is a representative, and its whole C(c)-orbit is
+    then marked.  That is about p(n) * (n!)^(r-1) tuple visits, p(n) the
+    number of partitions of n, against (n!)^(r+1) for minimizing every tuple
+    over all n! conjugations (the oracle the tests keep).  A scan larger than
+    ``COVER_SCAN_CAP`` raises ``ScaleError`` before any permutation is built.
     """
     graph.require_valid()
     if degree < 1:
@@ -319,24 +339,74 @@ def enumerate_connected_covers(
         tree = maximal_tree(graph)
     free = tree.non_tree_edges()
     n = degree
-    perms = sorted(itertools.permutations(range(n)))
     ident = tuple(range(n))
-
-    reps: set[tuple[tuple[int, ...], ...]] = set()
-    for combo in itertools.product(perms, repeat=len(free)):
-        if not _transitive(combo, n):
-            continue
-        canon = min(
-            tuple(_conj(tau, sigma) for sigma in combo) for tau in perms
-        )
-        reps.add(canon)
+    if free:
+        reps = _least_transitive_tuples(n, len(free))
+    else:
+        reps = [()] if n == 1 else []
 
     covers = []
-    for combo in sorted(reps):
+    for combo in reps:
         assignment = {name: ident for name in tree.edge_names}
         assignment.update(dict(zip(free, combo)))
         covers.append(GraphCover(graph, degree, tree, assignment))
     return tuple(covers)
+
+
+def _least_transitive_tuples(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The least tuple of every conjugacy class of transitive r-tuples in
+    S_n (r >= 1), in sorted order."""
+    fact = math.factorial(n)
+    scan = _partition_count(n) * max(fact, fact ** (r - 1))
+    if scan > COVER_SCAN_CAP:
+        raise ScaleError(
+            f"degree-{n} covers of a rank-{r} graph would scan ~{scan} tuples "
+            f"(cap {COVER_SCAN_CAP})"
+        )
+    perms = sorted(itertools.permutations(range(n)))
+    index = {perm: i for i, perm in enumerate(perms)}
+    firsts = {}  # cycle type -> its least permutation, inserted in sorted order
+    for perm in perms:
+        firsts.setdefault(_cycle_type(perm), perm)
+    out = []
+    for c in firsts.values():
+        centralizer: list[tuple[int, ...]] = []  # built at c's first representative
+        seen = bytearray(fact ** (r - 1))
+        for pos, rest in enumerate(itertools.product(perms, repeat=r - 1)):
+            if seen[pos] or not _transitive((c, *rest), n):
+                continue
+            out.append((c, *rest))
+            if not centralizer:
+                centralizer = [tau for tau in perms if _conj(tau, c) == c]
+            for tau in centralizer:
+                mark = 0
+                for sigma in rest:
+                    mark = mark * fact + index[_conj(tau, sigma)]
+                seen[mark] = 1
+    return out
+
+
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _partition_count(n: int) -> int:
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
 
 
 def _transitive(gens: Sequence[tuple[int, ...]], n: int) -> bool:

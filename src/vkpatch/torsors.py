@@ -43,6 +43,7 @@ from .gog import (
     backtrack_vertices,
     build_presentation,
 )
+from .graphs import ScaleError
 from .groups import FiniteGroup, GroupHom, enumerate_homs, group_presentation
 
 # enumerations beyond this many global or fiber-product elements are refused
@@ -58,10 +59,6 @@ class PatchingError(ValueError):
     def __init__(self, branch: str, message: str):
         super().__init__(message)
         self.branch = branch
-
-
-class ScaleError(ValueError):
-    """The requested enumeration exceeds ``FUNCTOR_SET_CAP``."""
 
 
 # ---------------------------------------------------------------------------

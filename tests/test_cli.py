@@ -195,6 +195,26 @@ def test_graph_covers_theta(tmp_path, capsys):
     assert "3 connected covers of degree 2" in out
 
 
+def test_graph_covers_beyond_the_scan_cap_is_an_input_error(tmp_path, capsys):
+    # theta has cycle rank 2: degree 12 would scan 77 * 12! tuples, so the
+    # cap refuses it before a single permutation is built
+    doc = {
+        "version": 1,
+        "graph": {
+            "points": ["P"],
+            "components": ["U"],
+            "edges": [["b1", "P", "U"], ["b2", "P", "U"], ["b3", "P", "U"]],
+        },
+    }
+    code = run(["graph-covers", write(tmp_path, doc), "--degree", "12"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err.startswith("input error: degree-12 covers of a rank-2 graph")
+    assert "cap 1000000" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_pushout_and_torsor_verify(tmp_path, capsys):
     for cmd in ("pushout-verify", "torsor-verify"):
         code = run([cmd, write(tmp_path, CIRCLE)])

@@ -3,6 +3,8 @@ and the residue-level Kummer obstruction."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from vkpatch.descent import (
@@ -18,6 +20,7 @@ from vkpatch.descent import (
     as_descends_galois,
     build_counterexample,
     kummer_obstruction,
+    _gf_kernel_vector,
     verify_example_29,
 )
 from vkpatch.fields import FiniteField
@@ -180,6 +183,65 @@ def test_kummer_char3():
     inst = KummerInstance.transcendental_model(3, terms=3, truncation=120)
     decision = kummer_obstruction(inst, 3)
     assert decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
+
+
+def full_gauss_jordan_kernel_vector(F, rows, ncols):
+    """Reference kernel vector: Gauss-Jordan updating every entry of every
+    other row at each pivot, zeros included."""
+    matrix = [row[:] for row in rows]
+    pivots = {}
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col] != F.zero), None)
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        inv = F.inv(matrix[rank][col])
+        matrix[rank] = [F.mul(inv, v) for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != F.zero:
+                factor = matrix[r][col]
+                matrix[r] = [F.sub(v, F.mul(factor, w)) for v, w in zip(matrix[r], matrix[rank])]
+        pivots[col] = rank
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    vec = [F.zero] * ncols
+    vec[free[0]] = F.one
+    for col, r in pivots.items():
+        vec[col] = F.neg(matrix[r][free[0]])
+    return vec
+
+
+def test_kernel_vector_matches_full_gauss_jordan():
+    rng = random.Random(29)
+    for p, e in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        F = FiniteField(p, e)
+        for trial in range(60):
+            ncols = rng.randint(1, 7)
+            shape = trial % 3
+            nrows = {0: ncols + rng.randint(1, 6), 1: ncols, 2: rng.randint(1, ncols + 3)}[shape]
+            if shape == 2:
+                # rank-deficient: every row a combination of fewer basis rows
+                basis = [[rng.randrange(F.q) for _ in range(ncols)]
+                         for _ in range(rng.randint(1, max(1, ncols - 1)))]
+                rows = []
+                for _ in range(nrows):
+                    row = [F.zero] * ncols
+                    for b in basis:
+                        c = rng.randrange(F.q)
+                        row = [F.add(x, F.mul(c, y)) for x, y in zip(row, b)]
+                    rows.append(row)
+            else:
+                rows = [[rng.randrange(F.q) if rng.random() < 0.7 else F.zero
+                         for _ in range(ncols)] for _ in range(nrows)]
+            for _ in range(rng.randint(0, 2)):
+                rows.insert(rng.randint(0, len(rows)), [F.zero] * ncols)
+            expected = full_gauss_jordan_kernel_vector(F, rows, ncols)
+            before = [row[:] for row in rows]
+            assert _gf_kernel_vector(F, rows, ncols) == expected, (p, e, trial)
+            assert rows == before
 
 
 # -- counterexample builder ------------------------------------------------------------

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from catalog import circle_graph, diamond_graph, theta_graph
 from vkpatch.graphs import (
+    COVER_SCAN_CAP,
     InvalidGraphError,
     ReductionGraph,
+    ScaleError,
     SpanningTree,
     cycle_rank,
     enumerate_connected_covers,
@@ -220,6 +223,141 @@ def test_covers_are_connected_and_valid():
 def test_cover_rejects_bad_degree():
     with pytest.raises(ValueError):
         enumerate_connected_covers(circle_graph(), 0)
+
+
+def rank_graph(rank: int) -> ReductionGraph:
+    """One point and one component joined by rank + 1 parallel branches."""
+    return ReductionGraph(["P"], ["U"], [(f"b{i}", "P", "U") for i in range(rank + 1)])
+
+
+def _conjugate(tau, sigma):
+    n = len(tau)
+    tau_inv = [0] * n
+    for i, x in enumerate(tau):
+        tau_inv[x] = i
+    return tuple(tau[sigma[tau_inv[i]]] for i in range(n))
+
+
+def _is_transitive(gens, n):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for g in gens:
+            for j in (g[i], g.index(i)):
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+    return len(seen) == n
+
+
+def brute_force_least_tuples(n: int, rank: int) -> list:
+    """Every transitive rank-tuple of S_n minimized over all n! simultaneous
+    conjugations: the (n!)^(rank+1) enumeration the orderly scan replaces."""
+    perms = sorted(itertools.permutations(range(n)))
+    reps = set()
+    for combo in itertools.product(perms, repeat=rank):
+        if _is_transitive(combo, n):
+            reps.add(min(tuple(_conjugate(tau, s) for s in combo) for tau in perms))
+    return sorted(reps)
+
+
+def _cover_tuples(graph, degree):
+    free = maximal_tree(graph).non_tree_edges()
+    return [tuple(c.assignment[name] for name in free)
+            for c in enumerate_connected_covers(graph, degree)]
+
+
+def hall_transitive_count(rank: int, n: int) -> int:
+    """a_n(F_r), the number of index-n subgroups of the free group of rank r
+    (M. Hall, Canad. J. Math. 1, 1949)."""
+    a = [0]
+    for m in range(1, n + 1):
+        f = math.factorial
+        a.append(m * f(m) ** (rank - 1)
+                 - sum(f(m - k) ** (rank - 1) * a[k] for k in range(1, m)))
+    return a[n]
+
+
+def mednykh_class_count(rank: int, n: int) -> int:
+    """Conjugacy classes of index-n subgroups of the free group of rank r
+    (A. D. Mednykh, J. Algebra 320, 2008): (1/n) sum over l*m = n of
+    a_m(F_r) times J_k(l), the epimorphisms of F_k onto Z/l, k = m(r-1)+1."""
+
+    def mobius(x):
+        out, p = 1, 2
+        while p * p <= x:
+            if x % p == 0:
+                x //= p
+                if x % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if x > 1 else out
+
+    total = 0
+    for m in range(1, n + 1):
+        if n % m:
+            continue
+        l, k = n // m, m * (rank - 1) + 1
+        jordan = sum(mobius(l // d) * d ** k for d in range(1, l + 1) if l % d == 0)
+        total += hall_transitive_count(rank, m) * jordan
+    assert total % n == 0
+    return total // n
+
+
+def test_cover_representatives_equal_the_brute_force_minimization():
+    cases = [(rank_graph(r), d) for r in range(4) for d in range(1, 5)]
+    cases += [(diamond_graph(), 3), (circle_graph(), 5)]
+    for graph, degree in cases:
+        rank = cycle_rank(graph)
+        assert _cover_tuples(graph, degree) == brute_force_least_tuples(degree, rank), (
+            rank, degree)
+
+
+def test_cover_counts_match_mednykh():
+    expected = {2: [1, 3, 7, 26, 97, 624, 4163], 3: [1, 7, 41, 604, 13753]}
+    for rank, counts in expected.items():
+        graph = rank_graph(rank)
+        for degree, count in enumerate(counts, start=1):
+            assert mednykh_class_count(rank, degree) == count
+            assert len(enumerate_connected_covers(graph, degree)) == count, (rank, degree)
+
+
+def test_cover_orbits_sum_to_the_transitive_tuple_count():
+    for rank, top in ((2, 5), (3, 4)):
+        graph = rank_graph(rank)
+        for n in range(1, top + 1):
+            perms = list(itertools.permutations(range(n)))
+            orbit_total = 0
+            for combo in _cover_tuples(graph, n):
+                stab = sum(
+                    all(_conjugate(tau, s) == s for s in combo) for tau in perms
+                )
+                orbit_total += math.factorial(n) // stab
+            assert orbit_total == math.factorial(n - 1) * hall_transitive_count(rank, n)
+
+
+def test_cover_representatives_are_sorted_and_connected():
+    for rank, degree in ((1, 4), (2, 4), (3, 3)):
+        graph = rank_graph(rank)
+        covers = enumerate_connected_covers(graph, degree)
+        assert all(c.is_connected() for c in covers)
+        tuples = _cover_tuples(graph, degree)
+        assert tuples == sorted(set(tuples))
+
+
+def test_cover_scan_beyond_the_cap_is_refused():
+    # rank 2 admits degree 8 (22 * 8! tuples), not degree 9 (30 * 9!)
+    assert 22 * math.factorial(8) <= COVER_SCAN_CAP < 30 * math.factorial(9)
+    with pytest.raises(ScaleError, match="cap"):
+        enumerate_connected_covers(theta_graph(), 9)
+    with pytest.raises(ScaleError):
+        enumerate_connected_covers(rank_graph(3), 6)
+    with pytest.raises(ScaleError):
+        enumerate_connected_covers(rank_graph(4), 5)
+    # a tree has no free edge to scan: one cover at degree 1, none above
+    assert enumerate_connected_covers(diamond_graph(), 12) == ()
 
 
 # -- index bound ----------------------------------------------------------------
