@@ -226,12 +226,10 @@ def _cmd_export_dot(args, doc):
 
 
 def _cmd_index_bound(args, doc):
-    indices = doc.options.get("local_indices")
-    if not indices:
-        raise InputError(["index-bound needs options.local_indices"])
-    result = index_bound({str(k): int(v) for k, v in indices.items()})
+    indices = doc.local_indices()
+    result = index_bound(indices)
     machine = {"law": "index-divisibility-bound", "product": result.product,
-               "lcm": result.lcm, "local_indices": {str(k): int(v) for k, v in indices.items()}}
+               "lcm": result.lcm, "local_indices": indices}
     return _report(
         "index-divisibility-bound", f"product {result.product}, lcm {result.lcm}",
         result.lines(), machine, EXIT_PASS,

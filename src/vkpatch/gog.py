@@ -19,7 +19,7 @@ test group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import ReductionGraph, SpanningTree, is_tree, maximal_tree, spanning_trees
 from .groups import (
@@ -27,7 +27,7 @@ from .groups import (
     GroupHom,
     Presentation,
     enumerate_homs,
-    hom_set,
+    group_presentation,
 )
 
 class EdgeMapError(ValueError):
@@ -121,6 +121,21 @@ class VanKampenPresentation:
     hom enumerator can prune across vertices as early as possible.
     ``bfs_order`` is that BFS: each vertex with the tree branch that reached
     it (None at the root).
+
+    The remaining fields index the graph by position, vertices in
+    ``graph.vertices`` order and branches in ``edge_names`` order, so the
+    natural maps of the patching verifiers never look up a name:
+
+    - ``vertex_blocks``: each vertex's run of generator symbols, as a slice;
+    - ``edge_symbols``: each branch's letter;
+    - ``incidence``: per vertex, (branch, end) for each branch in
+      ``edges_at`` order, with end 0 at the point and 1 at the component;
+    - ``branch_ends``: per branch, (point, its slot, component, its slot),
+      a slot being the branch's place in that vertex's ``incidence``;
+    - ``branch_maps``: per branch, the to_point and to_component tables;
+    - ``tree_steps``: the BFS below the root (vertex 0) as (vertex, slot,
+      earlier vertex, slot) of the tree branch joining the two;
+    - ``tree_branches``: the tree branches.
     """
 
     gog: GraphOfFiniteGroups
@@ -129,16 +144,21 @@ class VanKampenPresentation:
     vertex_symbol: Mapping[tuple[str, int], int]
     edge_symbol: Mapping[str, int]
     bfs_order: tuple[tuple[str, str | None], ...]
+    vertex_blocks: tuple[slice, ...]
+    edge_symbols: tuple[int, ...]
+    incidence: tuple[tuple[tuple[int, int], ...], ...]
+    branch_ends: tuple[tuple[int, int, int, int], ...]
+    branch_maps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    tree_steps: tuple[tuple[int, int, int, int], ...]
+    tree_branches: tuple[int, ...]
 
     def family_key(self, assignment: Sequence[int]) -> tuple:
         """The hom family of a generator assignment as ``HomFamily.key()``
         gives it: vertex tables in vertex order, then branch conjugators."""
-        graph, groups = self.gog.graph, self.gog.vertex_groups
-        tables = tuple(
-            tuple(assignment[self.vertex_symbol[(v, a)]] for a in range(groups[v].order))
-            for v in graph.vertices
+        return (
+            tuple(tuple(assignment[block]) for block in self.vertex_blocks),
+            tuple(assignment[s] for s in self.edge_symbols),
         )
-        return tables, tuple(assignment[self.edge_symbol[n]] for n in graph.edge_names())
 
 
 def build_presentation(
@@ -198,7 +218,43 @@ def build_presentation(
             relators.append((e, sp, -e, -su))
 
     pres = Presentation(tuple(generators), tuple(relators))
-    return VanKampenPresentation(gog, tree, pres, vertex_symbol, edge_symbol, bfs)
+
+    graph = gog.graph
+    vertices, names = graph.vertices, graph.edge_names()
+    vpos = {v: i for i, v in enumerate(vertices)}
+    bpos = {name: b for b, name in enumerate(names)}
+    slot = {(v, name): k for v in vertices for k, name in enumerate(graph.edges_at(v))}
+
+    def across(v: str, name: str) -> tuple[int, int, int, int]:
+        """(v, the branch's slot at v, its other end, the slot there)."""
+        p, u = graph.point_end(name), graph.component_end(name)
+        w = p if v == u else u
+        return (vpos[v], slot[v, name], vpos[w], slot[w, name])
+
+    return VanKampenPresentation(
+        gog,
+        tree,
+        pres,
+        vertex_symbol,
+        edge_symbol,
+        bfs,
+        vertex_blocks=tuple(
+            slice(vertex_symbol[(v, 0)], vertex_symbol[(v, 0)] + gog.vertex_groups[v].order)
+            for v in vertices
+        ),
+        edge_symbols=tuple(edge_symbol[name] for name in names),
+        incidence=tuple(
+            tuple((bpos[name], int(graph.point_end(name) != v)) for name in graph.edges_at(v))
+            for v in vertices
+        ),
+        branch_ends=tuple(across(graph.point_end(name), name) for name in names),
+        branch_maps=tuple(
+            (gog.edge_maps[name]["to_point"].mapping, gog.edge_maps[name]["to_component"].mapping)
+            for name in names
+        ),
+        tree_steps=tuple(across(v, via) for v, via in bfs[1:]),
+        tree_branches=tuple(sorted(bpos[name] for name in tree.edge_names)),
+    )
 
 
 @dataclass(frozen=True)
@@ -274,60 +330,76 @@ def enumerate_pi1_homs(
 
 def backtrack_vertices(
     gog: GraphOfFiniteGroups,
-    candidates: Mapping[str, Sequence],
-    agrees: Callable[[Mapping, str], bool],
-) -> list[dict]:
-    """Every choice of one candidate per vertex that passes ``agrees(chosen,
-    branch)`` on every branch.  Vertices are chosen in canonical order and a
-    branch is checked as soon as both of its ends are chosen; the choices come
-    out in lexicographic order of the candidate positions."""
-    vertices = gog.graph.vertices
-    pos = {v: i for i, v in enumerate(vertices)}
-    edges_by_later: dict[str, list[str]] = {v: [] for v in vertices}
-    for name in gog.graph.edge_names():
-        p, u = gog.graph.point_end(name), gog.graph.component_end(name)
-        edges_by_later[p if pos[p] > pos[u] else u].append(name)
+    candidates: Sequence[Sequence],
+    restrict: Callable[[int, int, Any], Hashable],
+) -> list[tuple]:
+    """Every choice of one candidate per vertex whose two ends restrict
+    equally to every branch.
 
-    chosen: dict = {}
-    out: list[dict] = []
+    ``candidates[i]`` lists the candidates at ``graph.vertices[i]`` and
+    ``restrict(i, b, cand)`` is the restriction of one of them to branch b
+    (a position in ``edge_names``).  Vertices are chosen in canonical order.
+    Each vertex's candidates are bucketed by their restrictions to the
+    branches whose other end comes earlier, so a partial choice extends by
+    one lookup (a hash join) instead of a test per candidate.  Buckets keep
+    candidate order, so the choices, tuples in vertex order, come out in
+    lexicographic order of the candidate positions."""
+    graph = gog.graph
+    n = len(graph.vertices)
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for b, name in enumerate(graph.edge_names()):
+        early, late = sorted((pos[graph.point_end(name)], pos[graph.component_end(name)]))
+        joins[late].append((early, b))
+    # per vertex: the restrictions of the earlier ends' candidates to be
+    # probed, and its own candidates bucketed by the matching restrictions
+    probes: list[list[tuple[int, list]]] = []
+    buckets: list[dict[tuple, list[int]]] = []
+    for j in range(n):
+        probes.append([(i, [restrict(i, b, c) for c in candidates[i]]) for i, b in joins[j]])
+        index: dict[tuple, list[int]] = {}
+        for k, c in enumerate(candidates[j]):
+            index.setdefault(tuple(restrict(j, b, c) for _, b in joins[j]), []).append(k)
+        buckets.append(index)
 
-    def extend(i: int) -> None:
-        if i == len(vertices):
-            out.append(dict(chosen))
+    picks = [0] * n
+    out: list[tuple] = []
+
+    def extend(j: int) -> None:
+        bucket = buckets[j].get(tuple(restricted[picks[i]] for i, restricted in probes[j]), ())
+        if j == n - 1:
+            head = tuple(candidates[i][picks[i]] for i in range(j))
+            last = candidates[j]
+            out.extend([head + (last[k],) for k in bucket])
             return
-        v = vertices[i]
-        for cand in candidates[v]:
-            chosen[v] = cand
-            if all(agrees(chosen, n) for n in edges_by_later[v]):
-                extend(i + 1)
-        chosen.pop(v, None)
+        for k in bucket:
+            picks[j] = k
+            extend(j + 1)
 
     extend(0)
     return out
 
 
-def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[HomFamily, ...]:
-    """Vertex-hom families whose edge restrictions agree exactly (all
-    conjugators the identity): the compatible-system model."""
-
-    def compatible(chosen: Mapping[str, GroupHom], name: str) -> bool:
-        f_p = chosen[gog.graph.point_end(name)]
-        f_u = chosen[gog.graph.component_end(name)]
-        to_p = gog.edge_maps[name]["to_point"]
-        to_u = gog.edge_maps[name]["to_component"]
-        return all(
-            f_u(to_u(g)) == f_p(to_p(g))
-            for g in range(gog.edge_groups[name].order)
-        )
-
-    candidates = {v: hom_set(gog.vertex_groups[v], group) for v in gog.graph.vertices}
-    conj = {n: group.identity for n in gog.graph.edge_names()}
-    out = [
-        HomFamily(gog, group, homs, conj)
-        for homs in backtrack_vertices(gog, candidates, compatible)
+def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[tuple, ...]:
+    """The compatible-system model: vertex-hom families whose edge
+    restrictions agree exactly (all conjugators the identity), each as its
+    vertex tables in vertex order, in sorted order."""
+    graph = gog.graph
+    sides = [
+        (gog.edge_maps[name]["to_point"].mapping, gog.edge_maps[name]["to_component"].mapping)
+        for name in graph.edge_names()
     ]
-    out.sort(key=HomFamily.key)
-    return tuple(out)
+    point_pos = [graph.vertices.index(graph.point_end(name)) for name in graph.edge_names()]
+
+    def restrict(i: int, b: int, table: tuple) -> tuple:
+        to_p, to_u = sides[b]
+        return tuple([table[a] for a in (to_p if i == point_pos[b] else to_u)])
+
+    candidates = [
+        enumerate_homs(group_presentation(gog.vertex_groups[v]), group) for v in graph.vertices
+    ]
+    # candidates come in lexicographic order, so the join's output is sorted
+    return tuple(backtrack_vertices(gog, candidates, restrict))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +456,7 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
     vk = build_presentation(gog)
     homs = enumerate_homs(vk.presentation, group)
     naive = naive_limit_homs(gog, group)
-    naive_keys = {fam.key()[0] for fam in naive}
+    naive_keys = set(naive)
 
     restricted = [vk.family_key(a)[0] for a in homs]
     lands = all(k in naive_keys for k in restricted)
@@ -474,14 +546,11 @@ def conjugacy_class_count(group: FiniteGroup, homs: Iterable[Sequence[int]]) -> 
 
     A hom is its tuple of generator images, as ``enumerate_homs`` yields it;
     conjugating the hom conjugates every entry."""
-    conjugations = [
-        [group.conjugate(g, x) for x in range(group.order)] for g in range(group.order)
-    ]
     remaining = {tuple(h) for h in homs}
     classes = 0
     while remaining:
         h = remaining.pop()
         classes += 1
-        for table in conjugations:
+        for table in group.conjugation_table():
             remaining.discard(tuple(table[x] for x in h))
     return classes

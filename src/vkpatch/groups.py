@@ -25,7 +25,7 @@ class GroupAxiomError(ValueError):
 class FiniteGroup:
     """A finite group given by labeled elements and a full Cayley table."""
 
-    __slots__ = ("name", "elements", "table", "identity", "inverse", "_index")
+    __slots__ = ("name", "elements", "table", "identity", "inverse", "_index", "_conjugation")
 
     def __init__(self, name: str, elements: Sequence[str], table: Sequence[Sequence[int]]):
         elements = tuple(str(e) for e in elements)
@@ -77,6 +77,7 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(inverse)
         self._index = {e: i for i, e in enumerate(elements)}
+        self._conjugation = None
 
     @property
     def order(self) -> int:
@@ -115,6 +116,15 @@ class FiniteGroup:
     def conjugate(self, g: int, a: int) -> int:
         """g a g^-1."""
         return self.table[self.table[g][a]][self.inverse[g]]
+
+    def conjugation_table(self) -> tuple[tuple[int, ...], ...]:
+        """``conjugation_table()[g][a]`` is g a g^-1; built on first use."""
+        if self._conjugation is None:
+            self._conjugation = tuple(
+                tuple(self.conjugate(g, a) for a in range(self.order))
+                for g in range(self.order)
+            )
+        return self._conjugation
 
     def is_abelian(self) -> bool:
         return all(

@@ -129,17 +129,52 @@ class WorkbenchInput:
             raise InputError(["this command needs descent.kummer"])
         with _spec_errors("descent.kummer"):
             p = int(spec["p"])
-            truncation = int(spec.get("truncation", 200))
-            if spec.get("model", "transcendental") == "base-ring":
+            truncation = _positive(spec, "truncation", 200)
+            model = spec.get("model", "transcendental")
+            if model == "base-ring":
                 return KummerInstance.base_ring_model(
                     p, spec.get("gbar_coeffs", [1]), truncation=truncation
+                )
+            if model != "transcendental":
+                raise ValueError(
+                    f"unknown model {model!r}; choose 'transcendental' or 'base-ring'"
                 )
             return KummerInstance.transcendental_model(
                 p,
                 q_exp=int(spec.get("q_exp", 1)),
-                terms=int(spec.get("terms", 4)),
+                terms=_positive(spec, "terms", 4),
                 truncation=truncation,
             )
+
+    def local_indices(self) -> dict[str, int]:
+        """``options.local_indices``: a positive integer per label."""
+        indices = self.options.get("local_indices")
+        if not indices:
+            raise InputError(["index-bound needs options.local_indices"])
+        if not isinstance(indices, dict):
+            raise InputError(
+                [f"options.local_indices: must be an object, got {type(indices).__name__}"]
+            )
+        out = {}
+        for label, value in indices.items():
+            try:
+                index = int(value)
+            except (TypeError, ValueError):
+                index = 0
+            if index < 1:
+                raise InputError([
+                    f"options.local_indices: index at {label!r} is not a positive "
+                    f"integer: {value!r}"
+                ])
+            out[str(label)] = index
+        return out
+
+
+def _positive(spec: Mapping, key: str, default: int) -> int:
+    value = int(spec.get(key, default))
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 @contextmanager
@@ -150,7 +185,7 @@ def _spec_errors(path: str):
         yield
     except KeyError as exc:
         raise InputError([f"{path}: missing field {exc.args[0]!r}"]) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError([f"{path}: {exc}"]) from exc
 
 
@@ -209,12 +244,18 @@ def parse_input(document: str) -> WorkbenchInput:
         for key in gsec:
             if key not in _GRAPH_KEYS:
                 warnings.append(f"unknown graph key {key!r} ignored")
+        entries = {}
+        for key in ("points", "components", "edges"):
+            entries[key] = gsec.get(key, [])
+            if not isinstance(entries[key], list):
+                errors.append(f"graph.{key}: must be a list, got {type(entries[key]).__name__}")
+                entries[key] = []
         points, components, edges = [], [], []
         for cls_name, bucket, assign in (
             ("points", points, vertex_group_names),
             ("components", components, vertex_group_names),
         ):
-            for item in gsec.get(cls_name, []):
+            for item in entries[cls_name]:
                 if isinstance(item, str):
                     bucket.append(item)
                 elif isinstance(item, dict) and "name" in item:
@@ -224,7 +265,7 @@ def parse_input(document: str) -> WorkbenchInput:
                 else:
                     errors.append(f"graph.{cls_name}: malformed entry {item!r}")
         declared = set(points) | set(components)
-        for item in gsec.get("edges", []):
+        for item in entries["edges"]:
             if isinstance(item, (list, tuple)) and len(item) == 3:
                 name, a, b = item
             elif isinstance(item, dict) and {"name", "point", "component"} <= set(item):

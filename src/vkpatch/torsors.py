@@ -32,6 +32,7 @@ are implemented explicitly and checked by enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -384,56 +385,73 @@ def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> TorsorMo
 #
 # Functor data is kept as plain index tuples, each its own set key.  A global
 # functor is a family key (``HomFamily.key()``: vertex tables in vertex order,
-# conjugators in branch order) plus a branch -> test-group marking mapping.
-# A local datum is one entry per vertex in vertex order: the vertex hom table
-# and one flag per incident branch in ``edges_at`` order, identity at the
-# least branch.
+# conjugators in branch order) plus its markings: one test-group element per
+# branch in branch order, identity at the least branch.  A local datum is one
+# entry per vertex in vertex order: the vertex hom table and one flag per
+# incident branch in ``edges_at`` order, identity at the least branch.  The
+# maps below walk the presentation's position tables, not the graph's names.
 
 
-def _branch_agrees(gog: GraphOfFiniteGroups, group: FiniteGroup, datum: Mapping[str, tuple], edge: str) -> bool:
-    p, u = gog.graph.point_end(edge), gog.graph.component_end(edge)
-    (hom_p, flags_p), (hom_u, flags_u) = datum[p], datum[u]
-    gp = flags_p[gog.graph.edges_at(p).index(edge)]
-    gu = flags_u[gog.graph.edges_at(u).index(edge)]
-    to_p = gog.edge_maps[edge]["to_point"].mapping
-    to_u = gog.edge_maps[edge]["to_component"].mapping
-    return all(
-        group.conjugate(gu, hom_u[a]) == group.conjugate(gp, hom_p[b])
-        for a, b in zip(to_u, to_p)
-    )
+def _restriction(
+    presentation: VanKampenPresentation,
+    conj: Sequence[Sequence[int]],
+    i: int,
+    b: int,
+    entry: tuple,
+) -> tuple:
+    """The entry (hom table, flags) of a local datum at vertex i restricted
+    to branch b: flag . table(side(g)) . flag^-1 over the edge-group
+    elements g, with the flag and edge map of that end."""
+    p, p_slot, _, u_slot = presentation.branch_ends[b]
+    to_p, to_u = presentation.branch_maps[b]
+    side, slot = (to_p, p_slot) if i == p else (to_u, u_slot)
+    table, flags = entry
+    row = conj[flags[slot]]
+    return tuple([row[table[a]] for a in side])
+
+
+def _disagreeing_branch(
+    presentation: VanKampenPresentation, group: FiniteGroup, datum: tuple
+) -> int | None:
+    """The first branch over which the local datum's two ends restrict
+    differently, or None when it agrees over every branch."""
+    conj = group.conjugation_table()
+    for b, (p, _, u, _) in enumerate(presentation.branch_ends):
+        if _restriction(presentation, conj, p, b, datum[p]) != _restriction(
+            presentation, conj, u, b, datum[u]
+        ):
+            return b
+    return None
 
 
 def natural_map(
     presentation: VanKampenPresentation,
     group: FiniteGroup,
     family_key: tuple,
-    markings: Mapping[str, int],
+    markings: Sequence[int],
 ) -> tuple:
-    """Restrict a global functor (family key + point markings) to the vertex
+    """Restrict a global functor (family key + markings) to the vertex
     groupoids.
 
-    ``markings`` assigns a test-group element to every branch, identity at
-    the least branch.  Point-side restrictions use the markings directly;
-    component-side ones absorb the branch's conjugator, mirroring the edge
-    relation of the presentation.
+    Point-side restrictions use the markings directly; component-side ones
+    absorb the branch's conjugator, mirroring the edge relation of the
+    presentation.
     """
-    graph = presentation.gog.graph
     G = group
-    if markings[min(graph.edge_names())] != G.identity:
+    if markings[0] != G.identity:
         raise ValueError("marking at the least branch must be the identity")
-    tables, conj = family_key
-    conjugators = dict(zip(graph.edge_names(), conj))
+    mul, inv, conj = G.table, G.inverse, G.conjugation_table()
+    tables, conjugators = family_key
+    # each branch's marking as seen from its point end and its component end
+    seen = (markings, [mul[m][inv[c]] for m, c in zip(markings, conjugators)])
 
     datum = []
-    for v, table in zip(graph.vertices, tables):
-        shifted = [
-            markings[e] if graph.point_end(e) == v else G.mul(markings[e], G.inv(conjugators[e]))
-            for e in graph.edges_at(v)
-        ]
+    for table, incident in zip(tables, presentation.incidence):
+        shifted = [seen[end][b] for b, end in incident]
         k = shifted[0]
-        k_inv = G.inv(k)
-        mapping = tuple(G.conjugate(k, x) for x in table)
-        datum.append((mapping, tuple(G.mul(m, k_inv) for m in shifted)))
+        k_inv = inv[k]
+        row = conj[k]
+        datum.append((tuple([row[x] for x in table]), tuple([mul[m][k_inv] for m in shifted])))
     return tuple(datum)
 
 
@@ -441,74 +459,62 @@ def inverse_natural_map(
     presentation: VanKampenPresentation,
     group: FiniteGroup,
     datum: tuple,
-) -> tuple[tuple, dict[str, int]]:
+) -> tuple[tuple, tuple[int, ...]]:
     """Reconstruct the unique global functor, as a family key and markings,
     restricting to the given local datum (which must agree over every
     branch)."""
-    gog = presentation.gog
-    graph = gog.graph
     G = group
-    flag = {
-        (v, e): f
-        for v, (_, flags) in zip(graph.vertices, datum)
-        for e, f in zip(graph.edges_at(v), flags)
-    }
+    mul, inv, conj = G.table, G.inverse, G.conjugation_table()
+    flags = [f for _, f in datum]
 
     # gauges along the tree, each vertex from the one that reached it
-    gauges: dict[str, int] = {}
-    for v, via in presentation.bfs_order:
-        if via is None:
-            gauges[v] = G.identity
-            continue
-        p, u = graph.point_end(via), graph.component_end(via)
-        w = p if v == u else u
-        gauges[v] = G.mul(G.mul(G.inv(flag[v, via]), flag[w, via]), gauges[w])
+    gauges = [G.identity] * len(datum)
+    for v, v_slot, w, w_slot in presentation.tree_steps:
+        gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
     # one right translation pins the least branch's marking to the identity
-    b0 = min(graph.edge_names())
-    p0 = graph.point_end(b0)
-    shift = G.inv(G.mul(flag[p0, b0], gauges[p0]))
-    gauges = {v: G.mul(a, shift) for v, a in gauges.items()}
+    p0, p0_slot = presentation.branch_ends[0][:2]
+    shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
+    gauges = [mul[a][shift] for a in gauges]
 
-    tables = tuple(
-        tuple(G.conjugate(G.inv(gauges[v]), x) for x in table)
-        for v, (table, _) in zip(graph.vertices, datum)
-    )
-    markings: dict[str, int] = {}
-    conjugators: dict[str, int] = {}
-    for e in graph.edge_names():
-        p, u = graph.point_end(e), graph.component_end(e)
-        markings[e] = G.mul(flag[p, e], gauges[p])
-        conjugators[e] = G.mul(G.mul(G.inv(gauges[u]), G.inv(flag[u, e])), markings[e])
-    if markings[b0] != G.identity:
+    tables = []
+    for a, (table, _) in zip(gauges, datum):
+        row = conj[inv[a]]
+        tables.append(tuple([row[x] for x in table]))
+    markings = []
+    conjugators = []
+    for p, p_slot, u, u_slot in presentation.branch_ends:
+        m = mul[flags[p][p_slot]][gauges[p]]
+        markings.append(m)
+        conjugators.append(mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m])
+    if markings[0] != G.identity:
         raise AssertionError("reconstruction failed to pin the base marking")
-    if any(conjugators[e] != G.identity for e in presentation.tree.edge_names):
+    if any(conjugators[b] != G.identity for b in presentation.tree_branches):
         raise AssertionError("reconstruction failed to trivialize a tree letter")
-    return (tables, tuple(conjugators.values())), markings
+    return (tuple(tables), tuple(conjugators)), tuple(markings)
 
 
-def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[tuple]:
-    """All branch-compatible local data, by backtracking over the vertices
-    in canonical order."""
+def _enumerate_fiber_data(presentation: VanKampenPresentation, group: FiniteGroup) -> list[tuple]:
+    """All branch-compatible local data, by a join over the vertices in
+    canonical order."""
+    gog = presentation.gog
     G = group
-    per_vertex: dict[str, list[tuple]] = {}
+    per_vertex: list[list[tuple]] = []
     est = 1
     for v in gog.graph.vertices:
         tables = enumerate_homs(group_presentation(gog.vertex_groups[v]), G)
         free = len(gog.graph.edges_at(v)) - 1
-        per_vertex[v] = [
+        per_vertex.append([
             (table, (G.identity, *combo))
             for table in tables
             for combo in itertools.product(range(G.order), repeat=free)
-        ]
-        est *= max(len(per_vertex[v]), 1)
+        ])
+        est *= max(len(per_vertex[-1]), 1)
         if est > FUNCTOR_SET_CAP:
             raise ScaleError(
                 f"fiber-product enumeration would visit ~{est} tuples (cap {FUNCTOR_SET_CAP})"
             )
-    chosen = backtrack_vertices(
-        gog, per_vertex, lambda chosen, e: _branch_agrees(gog, G, chosen, e)
-    )
-    return [tuple(c[v] for v in gog.graph.vertices) for c in chosen]
+    restrict = functools.partial(_restriction, presentation, G.conjugation_table())
+    return backtrack_vertices(gog, per_vertex, restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -691,19 +697,19 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
     gog, G = problem.gog, problem.group
     presentation = build_presentation(gog)
 
-    local = {}
+    local = []
     for v in gog.graph.vertices:
         t = problem.vertex_data[v]
         coords = t.point_coords()
         flags = tuple(G.inv(coords[e]) for e in gog.graph.edges_at(v))
-        local[v] = (t.structure_map().mapping, flags)
-    for e in gog.graph.edge_names():
-        if not _branch_agrees(gog, G, local, e):
-            raise PatchingError(e, f"branch {e}: local data does not agree")
+        local.append((t.structure_map().mapping, flags))
+    datum = tuple(local)
+    bad = _disagreeing_branch(presentation, G, datum)
+    if bad is not None:
+        e = gog.graph.edge_names()[bad]
+        raise PatchingError(e, f"branch {e}: local data does not agree")
 
-    key, markings = inverse_natural_map(
-        presentation, G, tuple(local[v] for v in gog.graph.vertices)
-    )
+    key, markings = inverse_natural_map(presentation, G, datum)
     family = HomFamily.from_key(gog, G, key)
 
     restriction_morphisms: dict[str, TorsorMorphism] = {}
@@ -718,7 +724,9 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
         if mor is None:
             raise AssertionError(f"induced datum at {v} fails to match the problem")
         restriction_morphisms[v] = mor
-    return PatchingSolution(family, markings, restriction_morphisms)
+    return PatchingSolution(
+        family, dict(zip(gog.graph.edge_names(), markings)), restriction_morphisms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -798,38 +806,36 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
     pi1 = [
         presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)
     ]
-    edges = gog.graph.edge_names()
-    b0 = min(edges)
-    free_edges = [e for e in edges if e != b0]
-    gauge = G.order ** len(free_edges)
+    free_branches = len(gog.graph.edge_names()) - 1
+    gauge = G.order**free_branches
     lhs_raw = len(pi1) * gauge
     if lhs_raw > FUNCTOR_SET_CAP:
         raise ScaleError(
             f"global functor enumeration has {lhs_raw} elements (cap {FUNCTOR_SET_CAP})"
         )
 
-    fiber = _enumerate_fiber_data(gog, G)
+    fiber = _enumerate_fiber_data(presentation, G)
     fiber_keys = set(fiber)
     if len(fiber_keys) != len(fiber):
         raise AssertionError("fiber enumeration produced duplicates")
 
     # set equality below stays exhaustive whatever the round-trip stride
     stride = max(1, lhs_raw // ROUNDTRIP_CAP)
-    image_keys = set()
+    image_keys: set[tuple] = set()
     roundtrips = 0
-    combos = itertools.product(range(G.order), repeat=len(free_edges))
-    for index, (key, combo) in enumerate(itertools.product(pi1, combos)):
-        markings = {b0: G.identity}
-        markings.update(zip(free_edges, combo))
+    markings_space = [
+        (G.identity, *combo) for combo in itertools.product(range(G.order), repeat=free_branches)
+    ]
+    for index, (key, markings) in enumerate(itertools.product(pi1, markings_space)):
         datum = natural_map(presentation, G, key, markings)
-        if datum in image_keys:
-            raise AssertionError("restriction functor is not injective")
+        # one hash per datum: the set stays the same size on a repeat
+        seen = len(image_keys)
         image_keys.add(datum)
+        if len(image_keys) == seen:
+            raise AssertionError("restriction functor is not injective")
         if index % stride == 0:
-            local = dict(zip(gog.graph.vertices, datum))
-            for e in edges:
-                if not _branch_agrees(gog, G, local, e):
-                    raise AssertionError("restriction broke branch agreement")
+            if _disagreeing_branch(presentation, G, datum) is not None:
+                raise AssertionError("restriction broke branch agreement")
             back_key, back_markings = inverse_natural_map(presentation, G, datum)
             if back_key != key or back_markings != markings:
                 raise AssertionError("inverse natural map failed the round trip")

@@ -266,9 +266,25 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
             **KUMMER_DOC["descent"]["kummer"], "p": 4}}}, [], "descent.kummer"),
         ("graph-covers", MINIMAL, ["--degree", "0"], "degree"),
         ("graph-covers", {**MINIMAL, "options": {"degree": "two"}}, [], "options.degree"),
+        ("graph-check", {"version": 1, "graph": {**MINIMAL["graph"], "edges": 5}}, [],
+         "graph.edges"),
+        ("index-bound", {**MINIMAL, "options": {"local_indices": {"P": "x", "U": 6}}}, [],
+         "options.local_indices"),
+        ("index-bound", {**MINIMAL, "options": {"local_indices": {"P": 4, "U": 0}}}, [],
+         "options.local_indices"),
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            "p": 2, "rational": True, "e": 1, "alpha": {"num": [1], "den": [0]}}}}, [],
+         "descent.artin_schreier"),
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "terms": 0}}}, [], "descent.kummer"),
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "truncation": -1}}}, [], "descent.kummer"),
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "model": "zz"}}}, [], "descent.kummer"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
-         "covers-degree-text"],
+         "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
+         "alpha-den-zero", "kummer-terms0", "kummer-truncation-negative", "kummer-model-zz"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])

@@ -251,7 +251,8 @@ def _validated_vankampen_fields(gog, G):
     """pi1_count, naive_count, bijection and witness of the tree van Kampen
     report, recomputed from validated HomFamily objects."""
     families = enumerate_pi1_homs(gog, G)
-    naive = naive_limit_homs(gog, G)
+    identity = tuple(G.identity for _ in gog.graph.edge_names())
+    naive = [HomFamily.from_key(gog, G, (tables, identity)) for tables in naive_limit_homs(gog, G)]
     naive_keys = {fam.key()[0] for fam in naive}
     restricted = [fam.key()[0] for fam in families]
     lands = all(k in naive_keys for k in restricted)
