@@ -13,7 +13,6 @@ import itertools
 import sys
 import time
 
-from . import descent as descent_mod
 from .descent import (
     DESCENDS,
     INCONCLUSIVE,
@@ -120,7 +119,7 @@ def run(argv: list[str]) -> int:
         for err in exc.errors:
             print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidGraphError, ScaleError, descent_mod.InstanceRejected) as exc:
+    except (InvalidGraphError, ScaleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report.timing_ms = (time.perf_counter() - started) * 1000.0
@@ -294,7 +293,7 @@ def _cmd_gog_verify(args, doc):
     machine = report.to_json()
     passed = report.passed
     if args.all_trees or doc.options.get("all_trees"):
-        indep = verify_tree_independence(gog, group)
+        indep = verify_tree_independence(gog, group, report.pi1_count)
         lines.extend(indep.lines())
         machine["tree_independence"] = indep.to_json()
         passed = passed and indep.passed

@@ -650,6 +650,8 @@ def build_counterexample(p: int, mode: str, spec: dict | None = None) -> Counter
     Equal characteristic: an Artin-Schreier instance whose alpha is not in
     k1 (rejected otherwise).  Mixed characteristic: a residue-level Kummer
     instance with transcendental gbar (rejected if the obstruction vanishes).
+    These are the paper's statements that degree-p descent can fail in both
+    settings (``test_equal_char_counterexample``, ``test_mixed_char_counterexample``).
     """
     spec = dict(spec or {})
     if mode == "equal-char":

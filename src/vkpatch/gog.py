@@ -72,24 +72,6 @@ class GraphOfFiniteGroups:
                     raise EdgeMapError(name, f"edge map {side} of {name} is not injective")
             self.edge_maps[name] = {"to_point": to_p, "to_component": to_u}
 
-    @classmethod
-    def with_trivial_edges(
-        cls, graph: ReductionGraph, vertex_groups: Mapping[str, FiniteGroup]
-    ) -> "GraphOfFiniteGroups":
-        """Attach the trivial group to every branch."""
-        from .groups import cyclic
-
-        triv = cyclic(1, name="1")
-        edge_groups = {n: triv for n in graph.edge_names()}
-        edge_maps = {
-            n: {
-                "to_point": GroupHom.trivial(triv, vertex_groups[graph.point_end(n)]),
-                "to_component": GroupHom.trivial(triv, vertex_groups[graph.component_end(n)]),
-            }
-            for n in graph.edge_names()
-        }
-        return cls(graph, vertex_groups, edge_groups, edge_maps)
-
     def bfs_vertex_order(self, tree: SpanningTree) -> tuple[tuple[str, str | None], ...]:
         """Vertices in BFS order along the tree, with the tree edge that
         reached each non-root vertex."""
@@ -525,12 +507,22 @@ class TreeIndependenceReport:
         }
 
 
-def verify_tree_independence(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeIndependenceReport:
-    """Hom counts must not depend on the choice of maximal tree."""
+def verify_tree_independence(
+    gog: GraphOfFiniteGroups, group: FiniteGroup, maximal_count: int
+) -> TreeIndependenceReport:
+    """Hom counts must not depend on the choice of maximal tree.
+
+    ``maximal_count`` is the hom count already taken for ``maximal_tree``
+    (``TreeVanKampenReport.pi1_count``); that tree is not enumerated again.
+    """
+    maximal = maximal_tree(gog.graph).edge_names
     counts: dict[str, int] = {}
     for tree in spanning_trees(gog.graph):
         label = "{" + ",".join(tree.edge_names) + "}"
-        counts[label] = len(enumerate_homs(build_presentation(gog, tree).presentation, group))
+        if tree.edge_names == maximal:
+            counts[label] = maximal_count
+        else:
+            counts[label] = len(enumerate_homs(build_presentation(gog, tree).presentation, group))
     values = set(counts.values())
     all_equal = len(values) == 1
     return TreeIndependenceReport(

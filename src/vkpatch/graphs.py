@@ -180,9 +180,6 @@ class SpanningTree:
         if not _spans(self.graph, names):
             raise ValueError("edge subset does not span the graph acyclically")
 
-    def __contains__(self, edge_name: str) -> bool:
-        return edge_name in self.edge_names
-
     def non_tree_edges(self) -> tuple[str, ...]:
         return tuple(n for n in self.graph.edge_names() if n not in self.edge_names)
 
@@ -279,36 +276,6 @@ class GraphCover:
                 raise ValueError(f"edge {n} lacks a valid sheet permutation")
             if n in self.tree.edge_names and perm != ident:
                 raise ValueError(f"tree edge {n} must carry the identity permutation")
-
-    def total_space(self) -> tuple[list[tuple[str, int]], list[tuple[str, int, tuple[str, int], tuple[str, int]]]]:
-        """The covering graph: vertex fibers of size n, one edge per sheet."""
-        verts = [(v, i) for v in self.graph.vertices for i in range(self.degree)]
-        edges = []
-        for name in self.graph.edge_names():
-            p = self.graph.point_end(name)
-            u = self.graph.component_end(name)
-            perm = self.assignment[name]
-            for i in range(self.degree):
-                edges.append((name, i, (p, i), (u, perm[i])))
-        return verts, edges
-
-    def is_connected(self) -> bool:
-        verts, edges = self.total_space()
-        if not verts:
-            return True
-        adj: dict[tuple[str, int], list[tuple[str, int]]] = {v: [] for v in verts}
-        for _, _, a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {verts[0]}
-        frontier = [verts[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(verts)
 
 
 def enumerate_connected_covers(

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class GroupAxiomError(ValueError):
@@ -98,21 +97,6 @@ class FiniteGroup:
     def label(self, a: int) -> str:
         return self.elements[a]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse[a], -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
-
-    def element_order(self, a: int) -> int:
-        acc, k = a, 1
-        while acc != self.identity:
-            acc = self.table[acc][a]
-            k += 1
-        return k
-
     def conjugate(self, g: int, a: int) -> int:
         """g a g^-1."""
         return self.table[self.table[g][a]][self.inverse[g]]
@@ -126,20 +110,6 @@ class FiniteGroup:
             )
         return self._conjugation
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(self.order)
-        )
-
-    def exponent(self) -> int:
-        exp = 1
-        for a in range(self.order):
-            k = self.element_order(a)
-            exp = exp * k // _gcd(exp, k)
-        return exp
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
@@ -150,12 +120,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
@@ -241,24 +205,7 @@ def make_group(descriptor: Mapping, name: str = "G") -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# Presentations and words
-
-
-def word(tokens: Iterable[str], generators: Sequence[str]) -> tuple[int, ...]:
-    """Translate tokens like "x", "x^-1", "x^3" into a signed 1-based word."""
-    index = {g: i + 1 for i, g in enumerate(generators)}
-    out: list[int] = []
-    for tok in tokens:
-        if "^" in tok:
-            sym, _, exp = tok.partition("^")
-            k = int(exp)
-        else:
-            sym, k = tok, 1
-        if sym not in index:
-            raise ValueError(f"undeclared generator {sym!r} in word")
-        letter = index[sym] if k >= 0 else -index[sym]
-        out.extend([letter] * abs(k))
-    return tuple(out)
+# Presentations
 
 
 @dataclass(frozen=True)
@@ -281,12 +228,6 @@ class Presentation:
             for letter in rel:
                 if letter == 0 or abs(letter) > n:
                     raise ValueError(f"relator letter {letter} refers to no declared generator")
-
-    @classmethod
-    def from_words(cls, generators: Sequence[str], words: Iterable[Iterable[str]]) -> "Presentation":
-        gens = tuple(generators)
-        rels = tuple(word(w, gens) for w in words)
-        return cls(gens, rels)
 
     def evaluate(self, rel: tuple[int, ...], images: Sequence[int], target: FiniteGroup) -> int:
         """Evaluate a word at given generator images."""
@@ -367,18 +308,6 @@ def group_presentation(group: FiniteGroup, prefix: str = "g") -> Presentation:
     return Presentation(gens, tuple(rels))
 
 
-@lru_cache(maxsize=None)
-def hom_set(source: FiniteGroup, target: FiniteGroup) -> tuple["GroupHom", ...]:
-    """All homomorphisms source -> target, canonically ordered.
-
-    Cached per (source, target) pair; the homs are immutable, so every caller
-    may share them."""
-    pres = group_presentation(source)
-    return tuple(
-        GroupHom(source, target, images) for images in enumerate_homs(pres, target)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 
@@ -413,9 +342,6 @@ class GroupHom:
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.order
 
-    def is_trivial(self) -> bool:
-        return all(x == self.target.identity for x in self.mapping)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupHom):
             return NotImplemented
@@ -438,31 +364,3 @@ class GroupHom:
     @classmethod
     def trivial(cls, source: FiniteGroup, target: FiniteGroup) -> "GroupHom":
         return cls(source, target, [target.identity] * source.order)
-
-    @classmethod
-    def identity_hom(cls, group: FiniteGroup) -> "GroupHom":
-        return cls(group, group, range(group.order))
-
-
-def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    """outer . inner (inner applied first)."""
-    if inner.target != outer.source:
-        raise ValueError("compose: inner.target must equal outer.source")
-    return GroupHom(inner.source, outer.target, [outer.mapping[x] for x in inner.mapping])
-
-
-def restrict_hom(f: GroupHom, mono: GroupHom) -> GroupHom:
-    """Restrict f along an injective map into its source (f . mono)."""
-    if mono.target != f.source:
-        raise ValueError("restrict_hom: mono must land in the source of f")
-    if not mono.is_injective():
-        raise ValueError("restrict_hom: mono is not injective")
-    return compose(f, mono)
-
-
-def conjugate_hom(f: GroupHom, g: int) -> GroupHom:
-    """x -> g f(x) g^-1 for g an element index of the target."""
-    t = f.target
-    if not 0 <= g < t.order:
-        raise ValueError(f"{g} is not an element index of {t.name}")
-    return GroupHom(f.source, t, [t.conjugate(g, x) for x in f.mapping])

@@ -45,10 +45,6 @@ class LaurentSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, field, order: int | None = None, var: str = "t") -> "LaurentSeries":
-        return cls(field, {}, order=order, var=var)
-
-    @classmethod
     def one(cls, field, var: str = "t") -> "LaurentSeries":
         return cls(field, {0: field.one}, var=var)
 
@@ -56,17 +52,7 @@ class LaurentSeries:
     def t_power(cls, field, k: int, var: str = "t") -> "LaurentSeries":
         return cls(field, {k: field.one}, var=var)
 
-    @classmethod
-    def constant(cls, field, c, var: str = "t") -> "LaurentSeries":
-        return cls(field, {0: c}, var=var)
-
     # -- inspection --------------------------------------------------------
-
-    def is_exact(self) -> bool:
-        return self.order is None
-
-    def is_exactly_zero(self) -> bool:
-        return not self.coeffs and self.order is None
 
     def is_zero_to_order(self) -> bool:
         return not self.coeffs
@@ -129,93 +115,24 @@ class LaurentSeries:
             other.known_to() + self._low_bound(),
         )
         items: dict[int, object] = {}
+        right = list(other.terms())
         for e1, c1 in self.terms():
-            for e2, c2 in other.terms():
+            for e2, c2 in right:
                 e = e1 + e2
                 if order is not None and e > order:
-                    continue
+                    break  # terms come in increasing exponent
                 items[e] = self.field.add(
                     items.get(e, self.field.zero), self.field.mul(c1, c2)
                 )
         return LaurentSeries(self.field, items, order=order, var=self.var)
 
-    def scale(self, c) -> "LaurentSeries":
-        items = {e: self.field.mul(c, v) for e, v in self.terms()}
-        return LaurentSeries(self.field, items, order=self.order, var=self.var)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        items = {e + k: c for e, c in self.terms()}
-        order = None if self.order is None else self.order + k
-        return LaurentSeries(self.field, items, order=order, var=self.var)
-
     def pow(self, n: int) -> "LaurentSeries":
         if n < 0:
-            raise ValueError("use inverse() for negative powers")
+            raise ValueError(f"pow needs a nonnegative exponent, got {n}")
         acc = LaurentSeries.one(self.field, var=self.var)
         for _ in range(n):
             acc = acc.mul(self)
         return acc
-
-    def inverse(self, to_order: int | None = None) -> "LaurentSeries":
-        """Multiplicative inverse.
-
-        An exact monomial inverts exactly; otherwise the result is computed
-        to the propagated precision, or to ``to_order`` when the input is
-        exact (an exact non-monomial has an infinite expansion, so a target
-        order is then required).
-        """
-        if self.is_zero_to_order():
-            raise ZeroDivisionError("cannot invert a series that vanishes to its order")
-        v = self.valuation
-        nonzero = [(e, c) for e, c in self.terms()]
-        if len(nonzero) == 1 and self.order is None:
-            e, c = nonzero[0]
-            result = LaurentSeries(self.field, {-e: self.field.inv(c)}, var=self.var)
-            if to_order is not None:
-                return result.truncate(to_order)
-            return result
-        if self.order is None:
-            if to_order is None:
-                raise PrecisionError(
-                    "inverse of an exact non-monomial needs a target order"
-                )
-            target = to_order
-        else:
-            target = self.order - 2 * v
-            if to_order is not None:
-                target = min(target, to_order)
-        # unit part u with u_0 != 0: invert by recursion, then shift by -v
-        rel = target + v
-        if rel < 0:
-            return LaurentSeries.zero(self.field, order=target, var=self.var)
-        u = {e - v: c for e, c in nonzero}
-        u0_inv = self.field.inv(u[0])
-        inv_coeffs = {0: u0_inv}
-        for k in range(1, rel + 1):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                uj = u.get(j, self.field.zero)
-                if uj == self.field.zero:
-                    continue
-                acc = self.field.add(acc, self.field.mul(uj, inv_coeffs.get(k - j, self.field.zero)))
-            inv_coeffs[k] = self.field.neg(self.field.mul(u0_inv, acc))
-        items = {k - v: c for k, c in inv_coeffs.items()}
-        return LaurentSeries(self.field, items, order=target, var=self.var)
-
-    def divide(self, other: "LaurentSeries", to_order: int | None = None) -> "LaurentSeries":
-        """self / other, exact when the division terminates."""
-        self._check_compatible(other)
-        if other.is_zero_to_order():
-            raise ZeroDivisionError("division by a series that vanishes to its order")
-        if self.order is None and other.order is None and to_order is None:
-            exact = _exact_divide(self, other)
-            if exact is not None:
-                return exact
-            raise PrecisionError("division does not terminate; pass to_order")
-        inv_target = None
-        if to_order is not None:
-            inv_target = to_order - int(self._low_bound()) if self.coeffs else to_order
-        return self.mul(other.inverse(to_order=inv_target)).truncate(to_order)
 
     def truncate(self, order: int | None) -> "LaurentSeries":
         if order is None:
@@ -232,21 +149,6 @@ class LaurentSeries:
         return self.truncate(order)
 
     # -- comparisons -----------------------------------------------------
-
-    def eq_to_order(self, other: "LaurentSeries", upto: int) -> bool:
-        """Exact coefficient agreement for all exponents <= upto."""
-        self._check_compatible(other)
-        if self.known_to() < upto or other.known_to() < upto:
-            raise PrecisionError(f"cannot compare to order {upto}: insufficient precision")
-        lo = min(self._low_bound(), other._low_bound())
-        if lo == _INF:
-            return True
-        e = int(lo)
-        while e <= upto:
-            if self.coefficient(e) != other.coefficient(e):
-                return False
-            e += 1
-        return True
 
     def equals_exact(self, other: "LaurentSeries") -> bool:
         if self.order is not None or other.order is not None:
@@ -279,35 +181,6 @@ def _min_order(*orders):
     return int(min(finite)) if finite else None
 
 
-def _exact_divide(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries | None:
-    """Quotient of Laurent polynomials when the remainder vanishes."""
-    f = a.field
-    bv = b.valuation if b.coeffs else 0
-    av = a.valuation if a.coeffs else 0
-    if a.is_exactly_zero():
-        return LaurentSeries.zero(f, var=a.var)
-    pa = [a.coefficient(av + i) for i in range(max(e for e, _ in a.terms()) - av + 1)]
-    pb = [b.coefficient(bv + i) for i in range(max(e for e, _ in b.terms()) - bv + 1)]
-    from .fields import poly_divmod, poly_strip
-
-    q, r = poly_divmod(f, poly_strip(f, pa), poly_strip(f, pb))
-    if r:
-        return None
-    items = {av - bv + i: c for i, c in enumerate(q)}
-    return LaurentSeries(f, items, var=a.var)
-
-
-def series_arith(a: LaurentSeries, b: LaurentSeries, op: str, to_order: int | None = None) -> LaurentSeries:
-    """Dispatch add/mul/div with exact precision propagation."""
-    if op == "add":
-        return a.add(b)
-    if op == "mul":
-        return a.mul(b)
-    if op == "div":
-        return a.divide(b, to_order=to_order)
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # p-th power testing
 
@@ -317,17 +190,14 @@ class PthPowerResult:
     root: LaurentSeries | None
     witness: str | None
 
-    @property
-    def is_power(self) -> bool:
-        return self.root is not None
-
 
 def pth_power_test(a: LaurentSeries) -> PthPowerResult:
     """Return the unique p-th root within precision, or a refusal witness.
 
     A series is a p-th power iff its valuation and every exponent in its
     support are divisible by p and every coefficient is a p-th power in the
-    coefficient field.
+    coefficient field: the p-th power classes that mixed-characteristic
+    descent is stated in (``test_pth_power_round_trip``).
     """
     p = a.field.char
     if a.is_zero_to_order():
@@ -346,83 +216,3 @@ def pth_power_test(a: LaurentSeries) -> PthPowerResult:
         root_items[e // p] = r
     order = None if a.order is None else a.order // p
     return PthPowerResult(LaurentSeries(a.field, root_items, order=order, var=a.var), None)
-
-
-# ---------------------------------------------------------------------------
-# Artin-Schreier reduction of principal parts
-
-
-@dataclass(frozen=True)
-class ASReduction:
-    """Canonical representative of a principal part modulo gamma^p - gamma.
-
-    ``reduced + (gamma^p - gamma) + nonnegative`` reconstructs the input
-    exactly; ``halted`` lists terms that could not be lowered because their
-    coefficient has no p-th root in the coefficient field.
-    """
-
-    input: LaurentSeries
-    reduced: LaurentSeries
-    gamma: LaurentSeries
-    nonnegative: LaurentSeries
-    halted: tuple[tuple[int, str], ...]
-
-    def verify(self) -> bool:
-        p = self.input.field.char
-        wp = self.gamma.pow(p).sub(self.gamma)
-        recombined = self.reduced.add(wp).add(self.nonnegative)
-        upto = self.input.known_to()
-        if upto == _INF:
-            return recombined.equals_exact(self.input)
-        return recombined.eq_to_order(self.input, int(upto))
-
-
-def as_reduce(beta: LaurentSeries) -> ASReduction:
-    """Lower the principal part along c*t^(-pm) == c^(1/p)*t^(-m).
-
-    Each replacement subtracts an explicit gamma^p - gamma, so the output
-    differs from the input by the emitted gamma and the discarded
-    nonnegative part.  Over a finite coefficient field the result is
-    supported on exponents prime to p; over a rational function field the
-    reduction halts at coefficients without p-th roots and reports them.
-    """
-    field = beta.field
-    p = field.char
-    if beta.order is not None and beta.order < -1:
-        raise PrecisionError("principal part is not known in full")
-    work = {e: c for e, c in beta.terms() if e < 0}
-    nonneg = {e: c for e, c in beta.terms() if e >= 0}
-    gamma_items: dict[int, object] = {}
-
-    while True:
-        progressed = False
-        for e in sorted(work):
-            if e % p != 0:
-                continue
-            root = field.pth_root(work[e])
-            if root is None:
-                continue
-            del work[e]
-            target = e // p
-            gamma_items[target] = field.add(gamma_items.get(target, field.zero), root)
-            merged = field.add(work.get(target, field.zero), root)
-            if merged == field.zero:
-                work.pop(target, None)
-            else:
-                work[target] = merged
-            progressed = True
-            break
-        if not progressed:
-            break
-
-    halted = [(e, field.label(work[e])) for e in sorted(work) if e % p == 0]
-    reduced = LaurentSeries(field, work, var=beta.var)
-    gamma = LaurentSeries(field, gamma_items, var=beta.var)
-    nonnegative = LaurentSeries(field, nonneg, order=beta.order, var=beta.var)
-    return ASReduction(
-        input=beta,
-        reduced=reduced,
-        gamma=gamma,
-        nonnegative=nonnegative,
-        halted=tuple(halted),
-    )

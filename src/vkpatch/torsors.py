@@ -85,27 +85,6 @@ class ModelGroupoid:
     def base(self) -> str:
         return self.objects[0]
 
-    def compose(self, second: tuple, first: tuple) -> tuple:
-        """second . first (first applied first)."""
-        s0, g1, s1 = first
-        s1b, g2, s2 = second
-        if s1 != s1b:
-            raise ValueError("arrows do not compose")
-        return (s0, self.group.mul(g2, g1), s2)
-
-    def identity_arrow(self, s: str) -> tuple:
-        return (s, self.group.identity, s)
-
-    def inverse(self, arrow: tuple) -> tuple:
-        s0, g, s1 = arrow
-        return (s1, self.group.inv(g), s0)
-
-    def arrows(self):
-        for s0 in self.objects:
-            for g in range(self.group.order):
-                for s1 in self.objects:
-                    yield (s0, g, s1)
-
 
 class GroupoidFunctor:
     """A functor from a model groupoid to the one-object groupoid of G.
@@ -148,41 +127,6 @@ class GroupoidFunctor:
             self.vertex_hom.mapping,
             tuple(self.translations[s] for s in self.groupoid.objects),
         )
-
-    @classmethod
-    def from_arrow_table(
-        cls, groupoid: ModelGroupoid, target: FiniteGroup, table: Mapping[tuple, int]
-    ) -> "GroupoidFunctor":
-        """Validate a raw per-arrow assignment and extract functor data."""
-        for arrow in groupoid.arrows():
-            if arrow not in table:
-                raise ValueError(f"missing arrow {arrow} in functor table")
-        for s in groupoid.objects:
-            if table[groupoid.identity_arrow(s)] != target.identity:
-                raise ValueError(f"identity arrow at {s} does not map to the identity")
-        objs = groupoid.objects
-        n = groupoid.group.order
-        for s0 in objs:
-            for s1 in objs:
-                for s2 in objs:
-                    for g1 in range(n):
-                        for g2 in range(n):
-                            first = (s0, g1, s1)
-                            second = (s1, g2, s2)
-                            lhs = table[groupoid.compose(second, first)]
-                            rhs = target.mul(table[second], table[first])
-                            if lhs != rhs:
-                                raise ValueError(
-                                    f"assignment breaks composition on {second} . {first}"
-                                )
-        base = groupoid.base
-        hom = GroupHom(
-            groupoid.group,
-            target,
-            [table[(base, g, base)] for g in range(n)],
-        )
-        trans = {s: table[(base, groupoid.group.identity, s)] for s in objs}
-        return cls(groupoid, target, hom, trans)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +278,10 @@ class TorsorMorphism:
 
 def torsor_from_hom(f: GroupoidFunctor) -> MultipointedTorsor:
     """The multipointed torsor of a functor: carrier G, left action through
-    the vertex hom, point at s marked at the inverse of the translation."""
+    the vertex hom, point at s marked at the inverse of the translation.
+
+    With ``hom_from_torsor`` this is the functor/torsor dictionary of
+    acceptance criterion 5 (``test_criterion_5_dictionary_round_trip``)."""
     G = f.target
     points = {s: G.inv(f.translations[s]) for s in f.groupoid.objects}
     return MultipointedTorsor.standard(G, f.vertex_hom, points)
@@ -342,7 +289,8 @@ def torsor_from_hom(f: GroupoidFunctor) -> MultipointedTorsor:
 
 def hom_from_torsor(t: MultipointedTorsor, groupoid: ModelGroupoid) -> GroupoidFunctor:
     """The functor of a torsor: the group part of an arrow (s', gamma, s) is
-    the unique g with (gamma acting on the point at s') = (point at s) . g."""
+    the unique g with (gamma acting on the point at s') = (point at s) . g.
+    Inverse of ``torsor_from_hom`` up to isomorphism (acceptance criterion 5)."""
     if t.structure_group != groupoid.group:
         raise ValueError("torsor structure group does not match the groupoid")
     if t.point_labels != groupoid.objects:
@@ -528,7 +476,9 @@ class TwoFiberObject:
 
     Since all categories involved are setoids, the connecting isomorphisms
     are unique when they exist, and the isomorphism class of the triple is
-    the pair of class keys of the two sides.
+    the pair of class keys of the two sides.  Its classes are the local side
+    of the patching equivalence (global torsors = 2-fiber product), checked
+    in ``test_two_fiber_object_classes_match_the_fiber_product``.
     """
 
     def __init__(
@@ -692,6 +642,8 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
     it a branch-agreeing family, and the inverse of the restriction
     dictionary produces the unique global hom family with markings.  The
     returned morphisms identify the induced local data with the problem's.
+    This is torsor patching: compatible local torsors glue to a global one,
+    uniquely (``test_solve_patching_solution_is_unique``).
     """
     problem.check_compatibility()
     gog, G = problem.gog, problem.group

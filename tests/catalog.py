@@ -1,12 +1,25 @@
-"""Shared test fixtures: a zoo of small groups and seeded random instances."""
+"""Shared test fixtures: a zoo of small groups, seeded random instances, and
+builders that only tests need."""
 
 from __future__ import annotations
 
+import functools
 import random
+from typing import Iterable, Mapping, Sequence
 
 from vkpatch.gog import GraphOfFiniteGroups
-from vkpatch.graphs import ReductionGraph
-from vkpatch.groups import FiniteGroup, GroupHom, cyclic, direct_product, from_table, hom_set, symmetric
+from vkpatch.graphs import GraphCover, ReductionGraph
+from vkpatch.groups import (
+    FiniteGroup,
+    GroupHom,
+    Presentation,
+    cyclic,
+    direct_product,
+    enumerate_homs,
+    from_table,
+    group_presentation,
+    symmetric,
+)
 
 
 def perm_closure_group(generators: list[tuple[int, ...]], name: str) -> FiniteGroup:
@@ -85,6 +98,13 @@ def groups_up_to(order: int) -> list[FiniteGroup]:
     return [g for g in zoo if g.order <= order]
 
 
+@functools.lru_cache(maxsize=None)
+def hom_set(source: FiniteGroup, target: FiniteGroup) -> tuple[GroupHom, ...]:
+    """All homs source -> target, validated, in ``enumerate_homs`` order."""
+    images = enumerate_homs(group_presentation(source), target)
+    return tuple(GroupHom(source, target, mapping) for mapping in images)
+
+
 def injective_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
     return [h for h in hom_set(source, target) if h.is_injective()]
 
@@ -146,9 +166,25 @@ def random_gog(
     return GraphOfFiniteGroups(graph, vertex_groups, edge_groups, edge_maps)
 
 
+def with_trivial_edges(
+    graph: ReductionGraph, vertex_groups: Mapping[str, FiniteGroup]
+) -> GraphOfFiniteGroups:
+    """Attach the trivial group to every branch."""
+    triv = cyclic(1, name="1")
+    edge_groups = {n: triv for n in graph.edge_names()}
+    edge_maps = {
+        n: {
+            "to_point": GroupHom.trivial(triv, vertex_groups[graph.point_end(n)]),
+            "to_component": GroupHom.trivial(triv, vertex_groups[graph.component_end(n)]),
+        }
+        for n in graph.edge_names()
+    }
+    return GraphOfFiniteGroups(graph, vertex_groups, edge_groups, edge_maps)
+
+
 def trivial_gog(graph: ReductionGraph) -> GraphOfFiniteGroups:
     triv = cyclic(1, name="1")
-    return GraphOfFiniteGroups.with_trivial_edges(graph, {v: triv for v in graph.vertices})
+    return with_trivial_edges(graph, {v: triv for v in graph.vertices})
 
 
 def diamond_graph() -> ReductionGraph:
@@ -163,3 +199,60 @@ def theta_graph() -> ReductionGraph:
     return ReductionGraph(
         ["P"], ["U"], [("b1", "P", "U"), ("b2", "P", "U"), ("b3", "P", "U")]
     )
+
+
+def word(tokens: Iterable[str], generators: Sequence[str]) -> tuple[int, ...]:
+    """Translate tokens like "x", "x^-1", "x^3" into a signed 1-based word."""
+    index = {g: i + 1 for i, g in enumerate(generators)}
+    out: list[int] = []
+    for tok in tokens:
+        if "^" in tok:
+            sym, _, exp = tok.partition("^")
+            k = int(exp)
+        else:
+            sym, k = tok, 1
+        if sym not in index:
+            raise ValueError(f"undeclared generator {sym!r} in word")
+        letter = index[sym] if k >= 0 else -index[sym]
+        out.extend([letter] * abs(k))
+    return tuple(out)
+
+
+def presentation_from_words(generators: Sequence[str], words: Iterable[Iterable[str]]) -> Presentation:
+    gens = tuple(generators)
+    return Presentation(gens, tuple(word(w, gens) for w in words))
+
+
+def cover_total_space(
+    cover: GraphCover,
+) -> tuple[list[tuple[str, int]], list[tuple[str, int, tuple[str, int], tuple[str, int]]]]:
+    """The covering graph: vertex fibers of size n, one edge per sheet."""
+    graph = cover.graph
+    verts = [(v, i) for v in graph.vertices for i in range(cover.degree)]
+    edges = []
+    for name in graph.edge_names():
+        p = graph.point_end(name)
+        u = graph.component_end(name)
+        perm = cover.assignment[name]
+        for i in range(cover.degree):
+            edges.append((name, i, (p, i), (u, perm[i])))
+    return verts, edges
+
+
+def cover_is_connected(cover: GraphCover) -> bool:
+    verts, edges = cover_total_space(cover)
+    if not verts:
+        return True
+    adj: dict[tuple[str, int], list[tuple[str, int]]] = {v: [] for v in verts}
+    for _, _, a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {verts[0]}
+    frontier = [verts[0]]
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(verts)

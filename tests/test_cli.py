@@ -172,6 +172,21 @@ def test_gog_verify_all_trees_flag(tmp_path, capsys):
     assert "counts identical across trees: True" in out
 
 
+def test_gog_verify_all_trees_enumerates_each_tree_once(tmp_path, capsys, monkeypatch):
+    from vkpatch import gog
+
+    calls = []
+    real = gog.enumerate_homs
+    monkeypatch.setattr(gog, "enumerate_homs", lambda pres, G: calls.append(pres) or real(pres, G))
+    code = run(["gog-verify", write(tmp_path, CIRCLE), "--all-trees"])
+    machine = json.loads(capsys.readouterr().out.split("-- machine --\n", 1)[1])
+    assert code == EXIT_PASS
+    assert machine["tree_independence"]["counts"] == {"{b1}": 2, "{b2}": 2}
+    # one van Kampen presentation per spanning tree, plus one per vertex group
+    # for the naive limit
+    assert len(calls) == 2 + 2
+
+
 def test_gog_homs_amalgam(tmp_path, capsys):
     code = run(["gog-homs", write(tmp_path, AMALGAM)])
     out = capsys.readouterr().out

@@ -22,6 +22,7 @@ from catalog import (
     random_tree_graph,
     theta_graph,
     trivial_gog,
+    with_trivial_edges,
 )
 from vkpatch.gog import GraphOfFiniteGroups, build_presentation, naive_limit_homs
 from vkpatch.graphs import ReductionGraph
@@ -259,7 +260,7 @@ def _c2_off_root():
         {"b1": c2, "b2": c2},
         {
             "b1": {"to_point": GroupHom(c2, s3, [s3.identity, 1]),
-                   "to_component": GroupHom.identity_hom(c2)},
+                   "to_component": GroupHom(c2, c2, range(2))},
             "b2": {"to_point": GroupHom(c2, s3, [s3.identity, 1]),
                    "to_component": GroupHom(c2, c4, [0, 2])},
         },
@@ -270,9 +271,9 @@ CATALOG = {
     "diamond-trivial": lambda: trivial_gog(diamond_graph()),
     "circle-trivial": lambda: trivial_gog(circle_graph()),
     "theta-trivial": lambda: trivial_gog(theta_graph()),
-    "diamond-c2-c3": lambda: GraphOfFiniteGroups.with_trivial_edges(
+    "diamond-c2-c3": lambda: with_trivial_edges(
         diamond_graph(), {"P": cyclic(2), "U": cyclic(3)}),
-    "theta-s3-c3": lambda: GraphOfFiniteGroups.with_trivial_edges(
+    "theta-s3-c3": lambda: with_trivial_edges(
         theta_graph(), {"P": symmetric(3), "U": cyclic(3)}),
     "diamond-c2-edge": _c2_amalgam,
     "circle-c2-edges": _c2_circle,

@@ -10,11 +10,14 @@ from catalog import (
     circle_graph,
     diamond_graph,
     groups_up_to,
+    hom_set,
     random_gog,
     random_tree_graph,
     theta_graph,
     trivial_gog,
+    with_trivial_edges,
 )
+from vkpatch import gog as gog_mod
 from vkpatch.gog import (
     GraphOfFiniteGroups,
     HomFamily,
@@ -26,7 +29,7 @@ from vkpatch.gog import (
     verify_tree_vankampen,
 )
 from vkpatch.graphs import maximal_tree, spanning_trees
-from vkpatch.groups import GroupHom, conjugate_hom, cyclic, enumerate_homs, hom_set, symmetric
+from vkpatch.groups import GroupHom, cyclic, enumerate_homs, symmetric
 
 
 def amalgam_c4_c6() -> GraphOfFiniteGroups:
@@ -43,7 +46,7 @@ def amalgam_c4_c6() -> GraphOfFiniteGroups:
 
 def test_presentation_of_free_product():
     c2, c3 = cyclic(2), cyclic(3)
-    gog = GraphOfFiniteGroups.with_trivial_edges(diamond_graph(), {"P": c2, "U": c3})
+    gog = with_trivial_edges(diamond_graph(), {"P": c2, "U": c3})
     vk = build_presentation(gog)
     # generators: 2 + 3 vertex symbols plus one edge letter
     assert len(vk.presentation.generators) == 6
@@ -83,7 +86,7 @@ def test_presentation_of_amalgam_has_conjugation_relators():
 
 def test_pi1_hom_counts_on_spec_examples():
     c1, c2, c3, s3 = cyclic(1), cyclic(2), cyclic(3), symmetric(3)
-    free_prod = GraphOfFiniteGroups.with_trivial_edges(diamond_graph(), {"P": c2, "U": c3})
+    free_prod = with_trivial_edges(diamond_graph(), {"P": c2, "U": c3})
     assert len(enumerate_pi1_homs(free_prod, s3)) == 12
     assert len(enumerate_pi1_homs(trivial_gog(circle_graph()), s3)) == 6
     assert len(enumerate_pi1_homs(amalgam_c4_c6(), c2)) == 2
@@ -92,7 +95,7 @@ def test_pi1_hom_counts_on_spec_examples():
 def test_naive_limit_counts_on_spec_examples():
     c1, c2 = cyclic(1), cyclic(2)
     assert len(naive_limit_homs(trivial_gog(circle_graph()), c2)) == 1
-    free_prod = GraphOfFiniteGroups.with_trivial_edges(
+    free_prod = with_trivial_edges(
         diamond_graph(), {"P": cyclic(4), "U": cyclic(6)}
     )
     assert len(naive_limit_homs(free_prod, c1)) == 1
@@ -177,15 +180,60 @@ def test_non_tree_with_trivial_vertex_groups_counts_rank():
             assert len(naive_limit_homs(gog, G)) == 1
 
 
+def _independence(gog, G):
+    return verify_tree_independence(gog, G, verify_tree_vankampen(gog, G).pi1_count)
+
+
 def test_tree_independence_reports():
     c2, s3 = cyclic(2), symmetric(3)
-    report = verify_tree_independence(trivial_gog(circle_graph()), s3)
+    report = _independence(trivial_gog(circle_graph()), s3)
     assert report.all_equal and set(report.counts.values()) == {6}
-    report = verify_tree_independence(trivial_gog(theta_graph()), c2)
+    report = _independence(trivial_gog(theta_graph()), c2)
     assert report.all_equal and set(report.counts.values()) == {4}
     # a tree has a single spanning tree: vacuous pass
-    report = verify_tree_independence(trivial_gog(diamond_graph()), c2)
+    report = _independence(trivial_gog(diamond_graph()), c2)
     assert report.all_equal and len(report.counts) == 1
+
+
+def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
+    """With the van Kampen check's count for the maximal tree, the two checks
+    enumerate one presentation per spanning tree, and the independence
+    counts and labels are those of enumerating every tree."""
+    from catalog import add_extra_edges
+
+    real_build, real_enumerate = gog_mod.build_presentation, gog_mod.enumerate_homs
+    built, enumerated = [], []
+
+    def build(*args, **kwargs):
+        vk = real_build(*args, **kwargs)
+        built.append(vk.presentation)
+        return vk
+
+    def enumerate_counted(pres, G):
+        if any(pres is p for p in built):
+            enumerated.append(pres)
+        return real_enumerate(pres, G)
+
+    monkeypatch.setattr(gog_mod, "build_presentation", build)
+    monkeypatch.setattr(gog_mod, "enumerate_homs", enumerate_counted)
+    rng = random.Random(29)
+    cases = [(trivial_gog(g()), symmetric(3)) for g in (diamond_graph, circle_graph, theta_graph)]
+    for k in range(6):
+        graph = add_extra_edges(rng, random_tree_graph(rng, max_vertices=3), k % 3)
+        cases.append((random_gog(rng, graph, vertex_order_cap=6), symmetric(3)))
+    for gog, G in cases:
+        built.clear()
+        enumerated.clear()
+        report = verify_tree_vankampen(gog, G)
+        indep = verify_tree_independence(gog, G, report.pi1_count)
+        trees = spanning_trees(gog.graph)
+        assert len(enumerated) == len(trees)
+        expected = [
+            ("{" + ",".join(t.edge_names) + "}",
+             len(real_enumerate(real_build(gog, t).presentation, G)))
+            for t in trees
+        ]
+        assert list(indep.counts.items()) == expected
 
 
 def test_pi1_count_invariant_under_tree_choice_random_instances():
@@ -210,7 +258,7 @@ def test_free_product_specialization_count():
         graph = random_tree_graph(rng)
         pool = groups_up_to(8)
         vgroups = {v: rng.choice(pool) for v in graph.vertices}
-        gog = GraphOfFiniteGroups.with_trivial_edges(graph, vgroups)
+        gog = with_trivial_edges(graph, vgroups)
         for G in (cyclic(2), symmetric(3)):
             expected = 1
             for v in graph.vertices:
@@ -229,7 +277,7 @@ def test_enumeration_is_deterministic():
 
 def test_conjugacy_class_count():
     s3 = symmetric(3)
-    gog = GraphOfFiniteGroups.with_trivial_edges(
+    gog = with_trivial_edges(
         diamond_graph(), {"P": cyclic(2), "U": cyclic(3)}
     )
     homs = enumerate_homs(build_presentation(gog).presentation, s3)
@@ -285,7 +333,8 @@ def _validated_vankampen_fields(gog, G):
 
 
 def _orbit_count(gog, G, families):
-    """Classes under simultaneous conjugation, via the validating conjugate_hom."""
+    """Classes under simultaneous conjugation, each conjugated vertex hom
+    built as a validating GroupHom."""
     remaining = {fam.key() for fam in families}
     classes = 0
     for fam in families:
@@ -294,7 +343,8 @@ def _orbit_count(gog, G, families):
         classes += 1
         for g in range(G.order):
             verts = tuple(
-                conjugate_hom(fam.vertex_homs[v], g).mapping for v in gog.graph.vertices
+                GroupHom(f.source, G, [G.conjugate(g, x) for x in f.mapping]).mapping
+                for f in (fam.vertex_homs[v] for v in gog.graph.vertices)
             )
             conj = tuple(G.conjugate(g, fam.conjugators[n]) for n in gog.graph.edge_names())
             remaining.discard((verts, conj))
@@ -306,7 +356,10 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
 
     rng = random.Random(71)
     pool = [G for G in groups_up_to(8) if G.order > 1]
-    nonabelian = [G for G in pool if not G.is_abelian()]
+    nonabelian = [
+        G for G in pool
+        if any(G.mul(a, b) != G.mul(b, a) for a in range(G.order) for b in range(G.order))
+    ]
     witnesses = 0
     for k in range(16):
         graph = random_tree_graph(rng, max_vertices=3)
@@ -315,7 +368,8 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
         gog = random_gog(rng, graph, vertex_order_cap=6)
         G = nonabelian[k // 2 % len(nonabelian)] if k % 2 else pool[k // 2]
 
-        indep = verify_tree_independence(gog, G)
+        report = verify_tree_vankampen(gog, G)
+        indep = verify_tree_independence(gog, G, report.pi1_count)
         assert list(indep.counts.values()) == [
             len(enumerate_pi1_homs(gog, G, tree=t)) for t in spanning_trees(graph)
         ]
@@ -324,7 +378,6 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
         homs = enumerate_homs(build_presentation(gog).presentation, G)
         assert conjugacy_class_count(G, homs) == _orbit_count(gog, G, families)
 
-        report = verify_tree_vankampen(gog, G)
         fields = (report.pi1_count, report.naive_count, report.bijection, report.witness)
         assert fields == _validated_vankampen_fields(gog, G)
         witnesses += report.witness is not None

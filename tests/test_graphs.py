@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from catalog import circle_graph, diamond_graph, theta_graph
+from catalog import circle_graph, cover_is_connected, cover_total_space, diamond_graph, theta_graph
 from vkpatch.graphs import (
     COVER_SCAN_CAP,
     InvalidGraphError,
@@ -214,8 +214,8 @@ def test_cover_counts_do_not_depend_on_tree_choice():
 
 def test_covers_are_connected_and_valid():
     for cover in enumerate_connected_covers(theta_graph(), 2):
-        assert cover.is_connected()
-        verts, edges = cover.total_space()
+        assert cover_is_connected(cover)
+        verts, edges = cover_total_space(cover)
         assert len(verts) == 2 * len(theta_graph().vertices)
         assert len(edges) == 2 * len(theta_graph().edges)
 
@@ -342,7 +342,7 @@ def test_cover_representatives_are_sorted_and_connected():
     for rank, degree in ((1, 4), (2, 4), (3, 3)):
         graph = rank_graph(rank)
         covers = enumerate_connected_covers(graph, degree)
-        assert all(c.is_connected() for c in covers)
+        assert all(cover_is_connected(c) for c in covers)
         tuples = _cover_tuples(graph, degree)
         assert tuples == sorted(set(tuples))
 

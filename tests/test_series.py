@@ -1,4 +1,4 @@
-"""Laurent series arithmetic, precision discipline, p-th powers, reduction."""
+"""Laurent series arithmetic, precision discipline, p-th powers."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ from vkpatch.fields import FiniteField, RationalFunctionField
 from vkpatch.series import (
     LaurentSeries,
     PrecisionError,
-    as_reduce,
     pth_power_test,
-    series_arith,
 )
 
 F2 = FiniteField(2)
@@ -70,39 +68,13 @@ def test_t_times_t_inverse():
     t = LaurentSeries.t_power(F2, 1)
     tinv = LaurentSeries.t_power(F2, -1)
     assert t.mul(tinv).equals_exact(LaurentSeries.one(F2))
-    assert series_arith(t, t, "div").equals_exact(LaurentSeries.one(F2))
 
 
 def test_char_two_sign_collapse():
     a = LaurentSeries(F2, {0: 1, 1: 1})
     b = LaurentSeries(F2, {0: 1, 1: F2.neg(1)})
-    product = series_arith(a, b, "mul")
+    product = a.mul(b)
     assert product.equals_exact(LaurentSeries(F2, {0: 1, 2: 1}))
-
-
-def test_geometric_series_expansion():
-    one = LaurentSeries.one(F3)
-    denom = LaurentSeries(F3, {0: 1, 1: F3.neg(1)})
-    result = series_arith(one, denom, "div", to_order=3)
-    assert result.order == 3
-    for e in range(4):
-        assert result.coefficient(e) == 1
-
-
-def test_division_without_target_order_requires_termination():
-    one = LaurentSeries.one(F3)
-    denom = LaurentSeries(F3, {0: 1, 1: F3.neg(1)})
-    with pytest.raises(PrecisionError):
-        series_arith(one, denom, "div")
-    # exact Laurent division does terminate
-    num = LaurentSeries(F3, {1: 1, 2: 1})
-    t = LaurentSeries.t_power(F3, 1)
-    assert series_arith(num, t, "div").equals_exact(LaurentSeries(F3, {0: 1, 1: 1}))
-
-
-def test_division_by_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        series_arith(LaurentSeries.one(F2), LaurentSeries.zero(F2), "div")
 
 
 def test_field_mismatch_rejected():
@@ -118,7 +90,7 @@ def test_precision_propagation():
     with pytest.raises(PrecisionError):
         a.coefficient(5)
     with pytest.raises(PrecisionError):
-        a.eq_to_order(b, 5)
+        a.equals_exact(b)
 
 
 def test_product_valuation_adds():
@@ -131,25 +103,18 @@ def test_product_valuation_adds():
         assert prod.valuation == a.valuation + b.valuation
 
 
-def test_inverse_of_truncated_series():
-    b = LaurentSeries(F3, {1: 1, 2: 1}, order=5)
-    inv = b.inverse()
-    assert inv.order == 5 - 2
-    assert b.mul(inv).eq_to_order(LaurentSeries.one(F3), 3)
-
-
 # -- p-th power test ------------------------------------------------------------------
 
 
 def test_pth_power_of_monomial():
     r = pth_power_test(LaurentSeries.t_power(F3, 3))
-    assert r.is_power
+    assert r.root is not None
     assert r.root.equals_exact(LaurentSeries.t_power(F3, 1))
 
 
 def test_pth_power_valuation_witness():
     r = pth_power_test(LaurentSeries.t_power(F3, 1))
-    assert not r.is_power
+    assert r.root is None
     assert "valuation 1" in r.witness
 
 
@@ -157,11 +122,11 @@ def test_pth_power_coefficient_witness_over_function_field():
     s = Q3.s()
     series = LaurentSeries(Q3, {3: s})
     r = pth_power_test(series)
-    assert not r.is_power
+    assert r.root is None
     assert "not a 3-th power" in r.witness
     # cube of a reduced fraction has numerator degree divisible by 3
     cube = LaurentSeries(Q3, {3: Q3.pow(s, 3)})
-    assert pth_power_test(cube).is_power
+    assert pth_power_test(cube).root is not None
     # s*t^2 already fails on the valuation, before the coefficient is seen
     r2 = pth_power_test(LaurentSeries(Q3, {2: s}))
     assert "valuation 2" in r2.witness
@@ -170,9 +135,9 @@ def test_pth_power_coefficient_witness_over_function_field():
 def test_pth_power_round_trip_respects_truncation():
     a = LaurentSeries(F2, {2: 1, 4: 1}, order=9)
     r = pth_power_test(a)
-    assert r.is_power and r.root.order == 4
+    assert r.root is not None and r.root.order == 4
     square = r.root.pow(2)
-    assert square.eq_to_order(a, int(square.known_to()))
+    assert dict(square.terms()) == dict(a.truncate(square.order).terms())
 
 
 def test_pth_power_round_trip():
@@ -184,70 +149,10 @@ def test_pth_power_round_trip():
         a = LaurentSeries(F9, items)
         cube = a.pow(3)
         r = pth_power_test(cube)
-        assert r.is_power
+        assert r.root is not None
         assert r.root.pow(3).equals_exact(cube)
 
 
 def test_pth_power_rejects_zero():
     with pytest.raises(ValueError):
-        pth_power_test(LaurentSeries.zero(F2))
-
-
-# -- Artin-Schreier reduction ------------------------------------------------------------
-
-
-def test_reduce_t_inverse_is_fixed():
-    red = as_reduce(LaurentSeries(F2, {-1: 1}))
-    assert red.reduced.equals_exact(LaurentSeries(F2, {-1: 1}))
-    assert red.gamma.is_exactly_zero()
-    assert red.verify()
-
-
-def test_reduce_t_minus_two_over_f2():
-    red = as_reduce(LaurentSeries(F2, {-2: 1}))
-    assert red.reduced.equals_exact(LaurentSeries(F2, {-1: 1}))
-    assert red.gamma.equals_exact(LaurentSeries(F2, {-1: 1}))
-    assert red.verify()
-
-
-def test_reduce_t_minus_three_unchanged():
-    red = as_reduce(LaurentSeries(F2, {-3: 1}))
-    assert red.reduced.equals_exact(LaurentSeries(F2, {-3: 1}))
-    assert red.verify()
-
-
-def test_reduce_is_idempotent_and_wp_invariant():
-    rng = random.Random(29)
-    for field in (F2, F3, F4, F9):
-        for _ in range(25):
-            items = {}
-            for _ in range(rng.randint(1, 5)):
-                items[-rng.randint(1, 9)] = rng.randint(0, field.q - 1)
-            items[rng.randint(0, 3)] = rng.randint(0, field.q - 1)
-            beta = LaurentSeries(field, items)
-            red = as_reduce(beta)
-            assert red.verify()
-            again = as_reduce(red.reduced)
-            assert again.reduced.equals_exact(red.reduced)
-            assert again.gamma.is_exactly_zero()
-            # fully reduced over a finite field: no exponent divisible by p
-            assert all(e % field.char != 0 for e in red.reduced.support())
-
-
-def test_reduce_halts_on_non_pth_power_coefficients():
-    s = Q3.s()
-    red = as_reduce(LaurentSeries(Q3, {-3: s}))
-    assert red.halted == ((-3, "s"),)
-    assert red.reduced.support() == (-3,)
-    assert red.verify()
-    # but a cube coefficient does reduce
-    red = as_reduce(LaurentSeries(Q3, {-3: Q3.pow(s, 3)}))
-    assert red.reduced.support() == (-1,)
-    assert red.verify()
-
-
-def test_reduce_emits_nonnegative_part():
-    beta = LaurentSeries(F2, {-2: 1, 0: 1, 3: 1})
-    red = as_reduce(beta)
-    assert red.nonnegative.equals_exact(LaurentSeries(F2, {0: 1, 3: 1}))
-    assert red.verify()
+        pth_power_test(LaurentSeries(F2, {}))
