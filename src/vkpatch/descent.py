@@ -244,8 +244,9 @@ def as_brute_force_oracle(
 
     For each candidate the Artin-Schreier equation is solved coefficient by
     coefficient; since alpha/t - beta is a Laurent polynomial the per-
-    candidate verdict is exact, and ``truncation`` only bounds the emitted
-    gamma.  An empty search space is INCONCLUSIVE, never a silent answer.
+    candidate verdict is exact and the emitted gamma is exact too.
+    ``truncation`` bounds nothing: it is only echoed into the report.  An
+    empty search space is INCONCLUSIVE, never a silent answer.
     """
     if support_bound < 1:
         return ASOracleDecision(

@@ -253,6 +253,8 @@ class FiniteField:
         """Accept an element index, or '0', '1', 'w' for convenience."""
         if isinstance(text, int):
             a = text
+        elif not isinstance(text, str):
+            raise ValueError(f"cannot parse field element {text!r}")
         elif text.strip().lstrip("-").isdigit():
             a = int(text)
         elif text.strip() == "w":

@@ -43,6 +43,16 @@ class GraphOfFiniteGroups:
 
     ``edge_maps[name]`` holds the two monomorphisms of the branch's group,
     keyed ``"to_point"`` and ``"to_component"``; both must be injective.
+
+    The graph is also indexed by position, vertices in ``graph.vertices``
+    order and branches in ``edge_names`` order, so that the join and the
+    natural maps of the patching verifiers never look up a name:
+
+    - ``incidence``: per vertex, (branch, end) for each branch in
+      ``edges_at`` order, with end 0 at the point and 1 at the component;
+    - ``branch_ends``: per branch, (point, its slot, component, its slot),
+      a slot being the branch's place in that vertex's ``incidence``;
+    - ``branch_maps``: per branch, the to_point and to_component tables.
     """
 
     def __init__(
@@ -57,6 +67,9 @@ class GraphOfFiniteGroups:
         self.vertex_groups = {v: vertex_groups[v] for v in graph.vertices}
         self.edge_groups = {n: edge_groups[n] for n in graph.edge_names()}
         self.edge_maps: dict[str, dict[str, GroupHom]] = {}
+        vpos = {v: i for i, v in enumerate(graph.vertices)}
+        slot = {(v, name): k for v in graph.vertices for k, name in enumerate(graph.edges_at(v))}
+        ends, tables = [], []
         for name in graph.edge_names():
             maps = edge_maps[name]
             to_p, to_u = maps["to_point"], maps["to_component"]
@@ -71,27 +84,15 @@ class GraphOfFiniteGroups:
                 if not hom.is_injective():
                     raise EdgeMapError(name, f"edge map {side} of {name} is not injective")
             self.edge_maps[name] = {"to_point": to_p, "to_component": to_u}
-
-    def bfs_vertex_order(self, tree: SpanningTree) -> tuple[tuple[str, str | None], ...]:
-        """Vertices in BFS order along the tree, with the tree edge that
-        reached each non-root vertex."""
-        order: list[tuple[str, str | None]] = []
-        root = self.graph.vertices[0]
-        seen = {root}
-        order.append((root, None))
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for name in self.graph.edges_at(v):
-                if name not in tree.edge_names:
-                    continue
-                p, u = self.graph.point_end(name), self.graph.component_end(name)
-                w = u if v == p else p
-                if w not in seen:
-                    seen.add(w)
-                    order.append((w, name))
-                    queue.append(w)
-        return tuple(order)
+            ends.append((vpos[p], slot[p, name], vpos[u], slot[u, name]))
+            tables.append((to_p.mapping, to_u.mapping))
+        incidence = [[(0, 0)] * len(graph.edges_at(v)) for v in graph.vertices]
+        for b, (p, p_slot, u, u_slot) in enumerate(ends):
+            incidence[p][p_slot] = (b, 0)
+            incidence[u][u_slot] = (b, 1)
+        self.incidence = tuple(tuple(row) for row in incidence)
+        self.branch_ends = tuple(ends)
+        self.branch_maps = tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -100,21 +101,12 @@ class VanKampenPresentation:
 
     Generators are one symbol per vertex-group element plus one letter per
     branch; generator order follows a BFS of the spanning tree so that the
-    hom enumerator can prune across vertices as early as possible.
-    ``bfs_order`` is that BFS: each vertex with the tree branch that reached
-    it (None at the root).
-
-    The remaining fields index the graph by position, vertices in
-    ``graph.vertices`` order and branches in ``edge_names`` order, so the
-    natural maps of the patching verifiers never look up a name:
+    hom enumerator can prune across vertices as early as possible.  The
+    tree-independent position tables live on the graph of groups; the
+    fields here, in the same positions, are the ones the tree fixes:
 
     - ``vertex_blocks``: each vertex's run of generator symbols, as a slice;
     - ``edge_symbols``: each branch's letter;
-    - ``incidence``: per vertex, (branch, end) for each branch in
-      ``edges_at`` order, with end 0 at the point and 1 at the component;
-    - ``branch_ends``: per branch, (point, its slot, component, its slot),
-      a slot being the branch's place in that vertex's ``incidence``;
-    - ``branch_maps``: per branch, the to_point and to_component tables;
     - ``tree_steps``: the BFS below the root (vertex 0) as (vertex, slot,
       earlier vertex, slot) of the tree branch joining the two;
     - ``tree_branches``: the tree branches.
@@ -123,14 +115,8 @@ class VanKampenPresentation:
     gog: GraphOfFiniteGroups
     tree: SpanningTree
     presentation: Presentation
-    vertex_symbol: Mapping[tuple[str, int], int]
-    edge_symbol: Mapping[str, int]
-    bfs_order: tuple[tuple[str, str | None], ...]
     vertex_blocks: tuple[slice, ...]
     edge_symbols: tuple[int, ...]
-    incidence: tuple[tuple[tuple[int, int], ...], ...]
-    branch_ends: tuple[tuple[int, int, int, int], ...]
-    branch_maps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     tree_steps: tuple[tuple[int, int, int, int], ...]
     tree_branches: tuple[int, ...]
 
@@ -151,91 +137,68 @@ def build_presentation(
         tree = maximal_tree(gog.graph)
     if tree.graph is not gog.graph and tree.graph != gog.graph:
         raise ValueError("spanning tree belongs to a different graph")
+    vertices, names = gog.graph.vertices, gog.graph.edge_names()
+    in_tree = [name in tree.edge_names for name in names]
+
+    # BFS of the tree from vertex 0, each vertex with the branch reaching it
+    bfs: list[tuple[int, int | None]] = [(0, None)]
+    steps: list[tuple[int, int, int, int]] = []
+    reached = {0}
+    for v, _ in bfs:
+        for k, (b, end) in enumerate(gog.incidence[v]):
+            p, p_slot, u, u_slot = gog.branch_ends[b]
+            w, w_slot = (u, u_slot) if end == 0 else (p, p_slot)
+            if in_tree[b] and w not in reached:
+                reached.add(w)
+                bfs.append((w, b))
+                steps.append((w, w_slot, v, k))
 
     generators: list[str] = []
-    vertex_symbol: dict[tuple[str, int], int] = {}
-    edge_symbol: dict[str, int] = {}
+    starts = [0] * len(vertices)
+    edge_symbols: list[int | None] = [None] * len(names)
 
-    def add_vertex_block(v: str) -> None:
-        group = gog.vertex_groups[v]
-        for a in range(group.order):
-            vertex_symbol[(v, a)] = len(generators)
-            generators.append(f"{v}:{group.label(a)}")
+    def add_edge_letter(b: int) -> None:
+        edge_symbols[b] = len(generators)
+        generators.append(f"e:{names[b]}")
 
-    def add_edge_letter(name: str) -> None:
-        edge_symbol[name] = len(generators)
-        generators.append(f"e:{name}")
-
-    bfs = gog.bfs_vertex_order(tree)
     for v, via in bfs:
-        add_vertex_block(v)
+        group = gog.vertex_groups[vertices[v]]
+        starts[v] = len(generators)
+        generators.extend(f"{vertices[v]}:{group.label(a)}" for a in range(group.order))
         if via is not None:
             add_edge_letter(via)
-    for name in gog.graph.edge_names():
-        if name not in edge_symbol:
-            add_edge_letter(name)
+    for b in range(len(names)):
+        if edge_symbols[b] is None:
+            add_edge_letter(b)
 
     relators: list[tuple[int, ...]] = []
     for v, _ in bfs:
-        group = gog.vertex_groups[v]
-        for a in range(group.order):
-            sa = vertex_symbol[(v, a)] + 1
-            for b in range(group.order):
-                sb = vertex_symbol[(v, b)] + 1
-                sab = vertex_symbol[(v, group.table[a][b])] + 1
-                relators.append((sa, sb, -sab))
-    for name in gog.graph.edge_names():
-        e = edge_symbol[name] + 1
-        if name in tree.edge_names:
+        s = starts[v] + 1
+        for a, row in enumerate(gog.vertex_groups[vertices[v]].table):
+            relators.extend((s + a, s + c, -(s + ac)) for c, ac in enumerate(row))
+    for b, name in enumerate(names):
+        e = edge_symbols[b] + 1
+        if in_tree[b]:
             relators.append((e,))
-        p, u = gog.graph.point_end(name), gog.graph.component_end(name)
-        edge_group = gog.edge_groups[name]
-        to_p = gog.edge_maps[name]["to_point"]
-        to_u = gog.edge_maps[name]["to_component"]
-        for g in range(edge_group.order):
-            if g == edge_group.identity:
-                continue
-            sp = vertex_symbol[(p, to_p(g))] + 1
-            su = vertex_symbol[(u, to_u(g))] + 1
-            relators.append((e, sp, -e, -su))
-
-    pres = Presentation(tuple(generators), tuple(relators))
-
-    graph = gog.graph
-    vertices, names = graph.vertices, graph.edge_names()
-    vpos = {v: i for i, v in enumerate(vertices)}
-    bpos = {name: b for b, name in enumerate(names)}
-    slot = {(v, name): k for v in vertices for k, name in enumerate(graph.edges_at(v))}
-
-    def across(v: str, name: str) -> tuple[int, int, int, int]:
-        """(v, the branch's slot at v, its other end, the slot there)."""
-        p, u = graph.point_end(name), graph.component_end(name)
-        w = p if v == u else u
-        return (vpos[v], slot[v, name], vpos[w], slot[w, name])
+        p, _, u, _ = gog.branch_ends[b]
+        to_p, to_u = gog.branch_maps[b]
+        sp, su = starts[p] + 1, starts[u] + 1
+        identity = gog.edge_groups[name].identity
+        relators.extend(
+            (e, sp + to_p[g], -e, -(su + to_u[g])) for g in range(len(to_p)) if g != identity
+        )
 
     return VanKampenPresentation(
         gog,
         tree,
-        pres,
-        vertex_symbol,
-        edge_symbol,
-        bfs,
+        Presentation(tuple(generators), tuple(relators)),
         vertex_blocks=tuple(
-            slice(vertex_symbol[(v, 0)], vertex_symbol[(v, 0)] + gog.vertex_groups[v].order)
-            for v in vertices
+            slice(starts[v], starts[v] + gog.vertex_groups[name].order)
+            for v, name in enumerate(vertices)
         ),
-        edge_symbols=tuple(edge_symbol[name] for name in names),
-        incidence=tuple(
-            tuple((bpos[name], int(graph.point_end(name) != v)) for name in graph.edges_at(v))
-            for v in vertices
-        ),
-        branch_ends=tuple(across(graph.point_end(name), name) for name in names),
-        branch_maps=tuple(
-            (gog.edge_maps[name]["to_point"].mapping, gog.edge_maps[name]["to_component"].mapping)
-            for name in names
-        ),
-        tree_steps=tuple(across(v, via) for v, via in bfs[1:]),
-        tree_branches=tuple(sorted(bpos[name] for name in tree.edge_names)),
+        edge_symbols=tuple(edge_symbols),
+        tree_steps=tuple(steps),
+        tree_branches=tuple(b for b in range(len(names)) if in_tree[b]),
     )
 
 
@@ -326,12 +289,10 @@ def backtrack_vertices(
     one lookup (a hash join) instead of a test per candidate.  Buckets keep
     candidate order, so the choices, tuples in vertex order, come out in
     lexicographic order of the candidate positions."""
-    graph = gog.graph
-    n = len(graph.vertices)
-    pos = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(gog.graph.vertices)
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for b, name in enumerate(graph.edge_names()):
-        early, late = sorted((pos[graph.point_end(name)], pos[graph.component_end(name)]))
+    for b, (p, _, u, _) in enumerate(gog.branch_ends):
+        early, late = sorted((p, u))
         joins[late].append((early, b))
     # per vertex: the restrictions of the earlier ends' candidates to be
     # probed, and its own candidates bucketed by the matching restrictions
@@ -366,19 +327,12 @@ def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[tupl
     """The compatible-system model: vertex-hom families whose edge
     restrictions agree exactly (all conjugators the identity), each as its
     vertex tables in vertex order, in sorted order."""
-    graph = gog.graph
-    sides = [
-        (gog.edge_maps[name]["to_point"].mapping, gog.edge_maps[name]["to_component"].mapping)
-        for name in graph.edge_names()
-    ]
-    point_pos = [graph.vertices.index(graph.point_end(name)) for name in graph.edge_names()]
-
     def restrict(i: int, b: int, table: tuple) -> tuple:
-        to_p, to_u = sides[b]
-        return tuple([table[a] for a in (to_p if i == point_pos[b] else to_u)])
+        to_p, to_u = gog.branch_maps[b]
+        return tuple([table[a] for a in (to_p if i == gog.branch_ends[b][0] else to_u)])
 
     candidates = [
-        enumerate_homs(group_presentation(gog.vertex_groups[v]), group) for v in graph.vertices
+        enumerate_homs(group_presentation(gog.vertex_groups[v]), group) for v in gog.graph.vertices
     ]
     # candidates come in lexicographic order, so the join's output is sorted
     return tuple(backtrack_vertices(gog, candidates, restrict))

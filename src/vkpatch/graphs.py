@@ -75,6 +75,11 @@ class ReductionGraph:
         overlap = set(self.points) & set(self.components)
         if overlap:
             raise ValueError(f"labels used as both point and component: {sorted(overlap)}")
+        # both classes are sorted, so a repeated label sits next to itself
+        repeated = {a for vs in (self.points, self.components) for a, b in zip(vs, vs[1:])
+                    if a == b}
+        if repeated:
+            raise ValueError(f"vertex labels declared twice: {sorted(repeated)}")
         self._incident = {v: tuple(names) for v, names in incident.items()}
         self._edge_names = tuple(self._by_name)
         # all vertex labels in canonical (sorted) order

@@ -203,6 +203,17 @@ def _hom_from_labels(source: FiniteGroup, target: FiniteGroup, table: Mapping[st
     return GroupHom(source, target, mapping)
 
 
+def _object(value, path: str, errors: list[str]) -> dict:
+    """``value`` as an object, empty when it is absent or empty; any other
+    value is recorded as an error at ``path``."""
+    if not value:
+        return {}
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{path}: must be an object, got {type(value).__name__}")
+    return {}
+
+
 def parse_input(document: str) -> WorkbenchInput:
     """Validate a document; collect schema errors with paths."""
     errors: list[str] = []
@@ -227,7 +238,7 @@ def parse_input(document: str) -> WorkbenchInput:
         raise InputError([f"unsupported schema version {data['version']}"])
 
     groups: dict[str, FiniteGroup] = {}
-    for name, descriptor in (data.get("groups") or {}).items():
+    for name, descriptor in _object(data.get("groups"), "groups", errors).items():
         try:
             groups[name] = make_group(descriptor, name=name)
         except (GroupAxiomError, ValueError, KeyError, TypeError) as exc:
@@ -237,10 +248,7 @@ def parse_input(document: str) -> WorkbenchInput:
     vertex_group_names: dict[str, str] = {}
     edge_group_names: dict[str, str] = {}
     if "graph" in data:
-        gsec = data["graph"] or {}
-        if not isinstance(gsec, dict):
-            errors.append(f"graph: must be an object, got {type(gsec).__name__}")
-            gsec = {}
+        gsec = _object(data["graph"], "graph", errors)
         for key in gsec:
             if key not in _GRAPH_KEYS:
                 warnings.append(f"unknown graph key {key!r} ignored")
@@ -258,7 +266,7 @@ def parse_input(document: str) -> WorkbenchInput:
             for item in entries[cls_name]:
                 if isinstance(item, str):
                     bucket.append(item)
-                elif isinstance(item, dict) and "name" in item:
+                elif isinstance(item, dict) and isinstance(item.get("name"), str):
                     bucket.append(item["name"])
                     if "group" in item:
                         assign[item["name"]] = item["group"]
@@ -270,11 +278,13 @@ def parse_input(document: str) -> WorkbenchInput:
                 name, a, b = item
             elif isinstance(item, dict) and {"name", "point", "component"} <= set(item):
                 name, a, b = item["name"], item["point"], item["component"]
-                if "group" in item:
-                    edge_group_names[item["name"]] = item["group"]
             else:
+                name = a = b = None
+            if not all(isinstance(x, str) for x in (name, a, b)):
                 errors.append(f"graph.edges: malformed entry {item!r}")
                 continue
+            if isinstance(item, dict) and "group" in item:
+                edge_group_names[name] = item["group"]
             for end in (a, b):
                 if end not in declared:
                     errors.append(f"graph.edges.{name}: undeclared vertex {end!r}")
@@ -286,25 +296,28 @@ def parse_input(document: str) -> WorkbenchInput:
                 errors.append(f"graph: {exc}")
 
     for v, gname in vertex_group_names.items():
-        if gname not in groups:
+        if not isinstance(gname, str) or gname not in groups:
             errors.append(f"graph vertex {v}: group {gname!r} is not defined")
     for e, gname in edge_group_names.items():
-        if gname not in groups:
+        if not isinstance(gname, str) or gname not in groups:
             errors.append(f"graph edge {e}: group {gname!r} is not defined")
 
-    edge_map_tables = dict(data.get("edge_maps") or {})
-    if graph is not None:
-        for e in edge_map_tables:
-            if e not in graph.edge_names():
-                errors.append(f"edge_maps.{e}: no such edge")
+    edge_map_tables = dict(_object(data.get("edge_maps"), "edge_maps", errors))
+    for e, table in edge_map_tables.items():
+        if graph is not None and e not in graph.edge_names():
+            errors.append(f"edge_maps.{e}: no such edge")
+        table = _object(table, f"edge_maps.{e}", errors)
+        for side in ("to_point", "to_component"):
+            _object(table.get(side), f"edge_maps.{e}.{side}", errors)
 
-    options = dict(data.get("options") or {})
+    options = dict(_object(data.get("options"), "options", errors))
     for key in options:
         if key not in _OPTION_KEYS:
             warnings.append(f"unknown option {key!r} ignored")
     test_group = options.get("test_group")
-    if test_group and test_group not in groups:
+    if test_group and (not isinstance(test_group, str) or test_group not in groups):
         errors.append(f"options.test_group: group {test_group!r} is not defined")
+    descent = dict(_object(data.get("descent"), "descent", errors))
 
     if errors:
         raise InputError(errors)
@@ -316,7 +329,7 @@ def parse_input(document: str) -> WorkbenchInput:
         edge_group_names=edge_group_names,
         groups=groups,
         edge_map_tables=edge_map_tables,
-        descent=dict(data.get("descent") or {}),
+        descent=descent,
         options=options,
         warnings=warnings,
     )

@@ -337,11 +337,14 @@ def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> TorsorMo
 # branch in branch order, identity at the least branch.  A local datum is one
 # entry per vertex in vertex order: the vertex hom table and one flag per
 # incident branch in ``edges_at`` order, identity at the least branch.  The
-# maps below walk the presentation's position tables, not the graph's names.
+# maps below walk the position tables that ``GraphOfFiniteGroups`` owns
+# (incidence, branch ends, branch maps), not the graph's names; the inverse
+# map also walks the presentation's tree steps and tree branches, the only
+# tables that depend on the spanning tree.
 
 
 def _restriction(
-    presentation: VanKampenPresentation,
+    gog: GraphOfFiniteGroups,
     conj: Sequence[Sequence[int]],
     i: int,
     b: int,
@@ -350,24 +353,20 @@ def _restriction(
     """The entry (hom table, flags) of a local datum at vertex i restricted
     to branch b: flag . table(side(g)) . flag^-1 over the edge-group
     elements g, with the flag and edge map of that end."""
-    p, p_slot, _, u_slot = presentation.branch_ends[b]
-    to_p, to_u = presentation.branch_maps[b]
+    p, p_slot, _, u_slot = gog.branch_ends[b]
+    to_p, to_u = gog.branch_maps[b]
     side, slot = (to_p, p_slot) if i == p else (to_u, u_slot)
     table, flags = entry
     row = conj[flags[slot]]
     return tuple([row[table[a]] for a in side])
 
 
-def _disagreeing_branch(
-    presentation: VanKampenPresentation, group: FiniteGroup, datum: tuple
-) -> int | None:
+def _disagreeing_branch(gog: GraphOfFiniteGroups, group: FiniteGroup, datum: tuple) -> int | None:
     """The first branch over which the local datum's two ends restrict
     differently, or None when it agrees over every branch."""
     conj = group.conjugation_table()
-    for b, (p, _, u, _) in enumerate(presentation.branch_ends):
-        if _restriction(presentation, conj, p, b, datum[p]) != _restriction(
-            presentation, conj, u, b, datum[u]
-        ):
+    for b, (p, _, u, _) in enumerate(gog.branch_ends):
+        if _restriction(gog, conj, p, b, datum[p]) != _restriction(gog, conj, u, b, datum[u]):
             return b
     return None
 
@@ -394,7 +393,7 @@ def natural_map(
     seen = (markings, [mul[m][inv[c]] for m, c in zip(markings, conjugators)])
 
     datum = []
-    for table, incident in zip(tables, presentation.incidence):
+    for table, incident in zip(tables, presentation.gog.incidence):
         shifted = [seen[end][b] for b, end in incident]
         k = shifted[0]
         k_inv = inv[k]
@@ -413,6 +412,7 @@ def inverse_natural_map(
     branch)."""
     G = group
     mul, inv, conj = G.table, G.inverse, G.conjugation_table()
+    branch_ends = presentation.gog.branch_ends
     flags = [f for _, f in datum]
 
     # gauges along the tree, each vertex from the one that reached it
@@ -420,7 +420,7 @@ def inverse_natural_map(
     for v, v_slot, w, w_slot in presentation.tree_steps:
         gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
     # one right translation pins the least branch's marking to the identity
-    p0, p0_slot = presentation.branch_ends[0][:2]
+    p0, p0_slot = branch_ends[0][:2]
     shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
     gauges = [mul[a][shift] for a in gauges]
 
@@ -430,7 +430,7 @@ def inverse_natural_map(
         tables.append(tuple([row[x] for x in table]))
     markings = []
     conjugators = []
-    for p, p_slot, u, u_slot in presentation.branch_ends:
+    for p, p_slot, u, u_slot in branch_ends:
         m = mul[flags[p][p_slot]][gauges[p]]
         markings.append(m)
         conjugators.append(mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m])
@@ -441,16 +441,15 @@ def inverse_natural_map(
     return (tuple(tables), tuple(conjugators)), tuple(markings)
 
 
-def _enumerate_fiber_data(presentation: VanKampenPresentation, group: FiniteGroup) -> list[tuple]:
+def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[tuple]:
     """All branch-compatible local data, by a join over the vertices in
     canonical order."""
-    gog = presentation.gog
     G = group
     per_vertex: list[list[tuple]] = []
     est = 1
-    for v in gog.graph.vertices:
+    for v, incident in zip(gog.graph.vertices, gog.incidence):
         tables = enumerate_homs(group_presentation(gog.vertex_groups[v]), G)
-        free = len(gog.graph.edges_at(v)) - 1
+        free = len(incident) - 1
         per_vertex.append([
             (table, (G.identity, *combo))
             for table in tables
@@ -461,7 +460,7 @@ def _enumerate_fiber_data(presentation: VanKampenPresentation, group: FiniteGrou
             raise ScaleError(
                 f"fiber-product enumeration would visit ~{est} tuples (cap {FUNCTOR_SET_CAP})"
             )
-    restrict = functools.partial(_restriction, presentation, G.conjugation_table())
+    restrict = functools.partial(_restriction, gog, G.conjugation_table())
     return backtrack_vertices(gog, per_vertex, restrict)
 
 
@@ -656,7 +655,7 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
         flags = tuple(G.inv(coords[e]) for e in gog.graph.edges_at(v))
         local.append((t.structure_map().mapping, flags))
     datum = tuple(local)
-    bad = _disagreeing_branch(presentation, G, datum)
+    bad = _disagreeing_branch(gog, G, datum)
     if bad is not None:
         e = gog.graph.edge_names()[bad]
         raise PatchingError(e, f"branch {e}: local data does not agree")
@@ -766,7 +765,7 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
             f"global functor enumeration has {lhs_raw} elements (cap {FUNCTOR_SET_CAP})"
         )
 
-    fiber = _enumerate_fiber_data(presentation, G)
+    fiber = _enumerate_fiber_data(gog, G)
     fiber_keys = set(fiber)
     if len(fiber_keys) != len(fiber):
         raise AssertionError("fiber enumeration produced duplicates")
@@ -786,7 +785,7 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
         if len(image_keys) == seen:
             raise AssertionError("restriction functor is not injective")
         if index % stride == 0:
-            if _disagreeing_branch(presentation, G, datum) is not None:
+            if _disagreeing_branch(gog, G, datum) is not None:
                 raise AssertionError("restriction broke branch agreement")
             back_key, back_markings = inverse_natural_map(presentation, G, datum)
             if back_key != key or back_markings != markings:

@@ -296,10 +296,30 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
             **KUMMER_DOC["descent"]["kummer"], "truncation": -1}}}, [], "descent.kummer"),
         ("descent-kummer", {"version": 1, "descent": {"kummer": {
             **KUMMER_DOC["descent"]["kummer"], "model": "zz"}}}, [], "descent.kummer"),
+        ("gog-verify", {**AMALGAM, "edge_maps": {"b1": "x"}}, [], "edge_maps.b1"),
+        ("gog-verify", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": [["1", "2"]], "to_component": {"1": "3"}}}}, [], "edge_maps.b1.to_point"),
+        ("graph-check", {"version": 1, "graph": {
+            **MINIMAL["graph"], "edges": [["b1", ["P"], "U"]]}}, [], "graph.edges"),
+        ("graph-check", {"version": 1, "graph": {**MINIMAL["graph"], "points": [{"name": [1]}]}},
+         [], "graph.points"),
+        ("gog-verify", {**AMALGAM, "graph": {
+            **AMALGAM["graph"], "points": [{"name": "P", "group": ["C4"]}]}}, [], "graph vertex P"),
+        ("gog-verify", {**CIRCLE, "options": {"test_group": ["C2"]}}, [], "options.test_group"),
+        ("gog-verify", {**CIRCLE, "groups": [1]}, [], "groups"),
+        ("gog-verify", {**CIRCLE, "options": [1]}, [], "options"),
+        ("descent-as", {"version": 1, "descent": [1]}, [], "descent"),
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            **_AS_SPEC, "alpha": ["w"]}}}, [], "descent.artin_schreier"),
+        ("graph-tree", {**CIRCLE, "graph": {**CIRCLE["graph"], "points": ["P", "P"]}}, [],
+         "graph"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
-         "alpha-den-zero", "kummer-terms0", "kummer-truncation-negative", "kummer-model-zz"],
+         "alpha-den-zero", "kummer-terms0", "kummer-truncation-negative", "kummer-model-zz",
+         "edge-map-text", "edge-map-side-list", "edge-end-list", "vertex-name-list",
+         "vertex-group-list", "test-group-list", "groups-list", "options-list", "descent-list",
+         "alpha-list", "vertex-declared-twice"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])

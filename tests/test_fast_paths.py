@@ -144,14 +144,18 @@ def inverse_natural_map_by_names(presentation, G, datum):
         for v, (_, flags) in zip(graph.vertices, datum)
         for e, f in zip(graph.edges_at(v), flags)
     }
-    gauges = {}
-    for v, via in presentation.bfs_order:
-        if via is None:
-            gauges[v] = G.identity
-            continue
-        p, u = graph.point_end(via), graph.component_end(via)
-        w = p if v == u else u
-        gauges[v] = G.mul(G.mul(G.inv(flag[v, via]), flag[w, via]), gauges[w])
+    # gauges along the tree by a name BFS from the least vertex
+    gauges = {graph.vertices[0]: G.identity}
+    queue = [graph.vertices[0]]
+    for w in queue:
+        for via in graph.edges_at(w):
+            if via not in presentation.tree.edge_names:
+                continue
+            p, u = graph.point_end(via), graph.component_end(via)
+            v = p if w == u else u
+            if v not in gauges:
+                gauges[v] = G.mul(G.mul(G.inv(flag[v, via]), flag[w, via]), gauges[w])
+                queue.append(v)
     b0 = min(graph.edge_names())
     p0 = graph.point_end(b0)
     shift = G.inv(G.mul(flag[p0, b0], gauges[p0]))
@@ -180,7 +184,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     assert list(joined) == sorted(joined)
 
     pres = build_presentation(gog)
-    fiber = _enumerate_fiber_data(pres, G)
+    fiber = _enumerate_fiber_data(gog, G)
     assert fiber == filtered_fiber_data(gog, G)
 
     names = gog.graph.edge_names()
@@ -202,7 +206,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     for chosen in itertools.islice(itertools.product(*candidates.values()), 2000):
         by_name = dict(zip(gog.graph.vertices, chosen))
         bad = [e for e in names if not branch_agrees(gog, G, by_name, e)]
-        found = _disagreeing_branch(pres, G, chosen)
+        found = _disagreeing_branch(gog, G, chosen)
         assert found == (names.index(bad[0]) if bad else None)
     return len(fiber), len(joined)
 
@@ -314,7 +318,7 @@ def test_join_keeps_disagreeing_data_out():
     gog, G = _c2_circle(), symmetric(3)
     candidates = local_candidates(gog, G)
     total = len(candidates["P"]) * len(candidates["U"])
-    fiber = _enumerate_fiber_data(build_presentation(gog), G)
+    fiber = _enumerate_fiber_data(gog, G)
     assert 0 < len(fiber) < total
 
 

@@ -28,8 +28,8 @@ from vkpatch.gog import (
     verify_tree_independence,
     verify_tree_vankampen,
 )
-from vkpatch.graphs import maximal_tree, spanning_trees
-from vkpatch.groups import GroupHom, cyclic, enumerate_homs, symmetric
+from vkpatch.graphs import SpanningTree, maximal_tree, spanning_trees
+from vkpatch.groups import GroupHom, cyclic, enumerate_homs, from_table, symmetric
 
 
 def amalgam_c4_c6() -> GraphOfFiniteGroups:
@@ -51,12 +51,15 @@ def test_presentation_of_free_product():
     # generators: 2 + 3 vertex symbols plus one edge letter
     assert len(vk.presentation.generators) == 6
     # the tree edge letter is trivialized
-    e = vk.edge_symbol["b1"] + 1
+    e = vk.edge_symbols[0] + 1
     assert (e,) in vk.presentation.relators
     # multiplication relators for both vertex groups
     assert len(vk.presentation.relators) == 4 + 9 + 1  # trivial edge group adds none
-    # the tree BFS the generators follow is kept on the presentation
-    assert vk.bfs_order == gog.bfs_vertex_order(vk.tree) == (("P", None), ("U", "b1"))
+    # the tree BFS the generators follow is kept on the presentation: U
+    # (vertex 1) is reached from the root P (vertex 0) over b1, slot 0 at both
+    assert gog.graph.vertices == ("P", "U")
+    assert vk.tree_steps == ((1, 0, 0, 0),)
+    assert gog.incidence[1][0] == (0, 1)
 
 
 def test_presentation_of_circle_with_trivial_groups():
@@ -65,8 +68,8 @@ def test_presentation_of_circle_with_trivial_groups():
     # two trivial vertex symbols, two edge letters, one trivializer
     assert len(vk.presentation.generators) == 4
     free_letters = [
-        name for name in gog.graph.edge_names()
-        if (vk.edge_symbol[name] + 1,) not in vk.presentation.relators
+        name for name, s in zip(gog.graph.edge_names(), vk.edge_symbols)
+        if (s + 1,) not in vk.presentation.relators
     ]
     assert free_letters == ["b2"]
 
@@ -75,13 +78,84 @@ def test_presentation_of_amalgam_has_conjugation_relators():
     gog = amalgam_c4_c6()
     vk = build_presentation(gog)
     pres = vk.presentation
-    e = vk.edge_symbol["b1"] + 1
-    sp = vk.vertex_symbol[("P", 2)] + 1  # image of the involution in C4
-    su = vk.vertex_symbol[("U", 3)] + 1  # image of the involution in C6
+    e = vk.edge_symbols[0] + 1
+    sp = vk.vertex_blocks[0].start + 2 + 1  # image of the involution in C4 at P
+    su = vk.vertex_blocks[1].start + 3 + 1  # image of the involution in C6 at U
+    assert pres.generators[sp - 1] == "P:2" and pres.generators[su - 1] == "U:3"
     assert (e, sp, -e, -su) in pres.relators
     # tree edge: letter trivialized, so the relation amounts to amalgamation
     assert (e,) in pres.relators
     assert len(pres.relators) == 16 + 36 + 1 + 1
+
+
+def test_presentation_pinned_with_table_edge_group_identity_not_first():
+    """A circle whose b1 edge group (and U's group) lists its identity
+    second: the conjugation relator is emitted for the non-identity element
+    at index 0, and none for the identity."""
+    c2 = cyclic(2)
+    edge = from_table(["a", "e"], [["e", "a"], ["a", "e"]], name="E")
+    at_u = from_table(["s", "i"], [["i", "s"], ["s", "i"]], name="V")
+    gog = GraphOfFiniteGroups(
+        circle_graph(),
+        {"P": c2, "U": at_u},
+        {"b1": edge, "b2": cyclic(1)},
+        {
+            "b1": {"to_point": GroupHom(edge, c2, [1, 0]),
+                   "to_component": GroupHom(edge, at_u, [0, 1])},
+            "b2": {"to_point": GroupHom.trivial(cyclic(1), c2),
+                   "to_component": GroupHom.trivial(cyclic(1), at_u)},
+        },
+    )
+    vk = build_presentation(gog)
+    assert vk.presentation.generators == ("P:0", "P:1", "U:s", "U:i", "e:b1", "e:b2")
+    assert vk.presentation.relators == (
+        (1, 1, -1), (1, 2, -2), (2, 1, -2), (2, 2, -1),
+        (3, 3, -4), (3, 4, -3), (4, 3, -3), (4, 4, -4),
+        (5,), (5, 2, -5, -3),
+    )
+    assert vk.vertex_blocks == (slice(0, 2), slice(2, 4))
+    assert vk.edge_symbols == (4, 5)
+    assert vk.tree_steps == ((1, 0, 0, 0),)
+    assert vk.tree_branches == (0,)
+
+
+def test_presentation_pinned_on_theta_with_a_chosen_tree():
+    """Theta with C2 at P, C4 at U, C2 on the parallel branches b2 and b3 and
+    the spanning tree {b2}: vertex blocks follow the tree BFS (P, then U),
+    each reached vertex followed by the tree letter that reached it (b2),
+    and the other letters come last in branch order."""
+    c2, c4 = cyclic(2), cyclic(4)
+    into = {"to_point": GroupHom(c2, c2, [0, 1]), "to_component": GroupHom(c2, c4, [0, 2])}
+    graph = theta_graph()
+    gog = GraphOfFiniteGroups(
+        graph,
+        {"P": c2, "U": c4},
+        {"b1": cyclic(1), "b2": c2, "b3": c2},
+        {
+            "b1": {"to_point": GroupHom.trivial(cyclic(1), c2),
+                   "to_component": GroupHom.trivial(cyclic(1), c4)},
+            "b2": into,
+            "b3": into,
+        },
+    )
+    vk = build_presentation(gog, SpanningTree(graph, ("b2",)))
+    assert vk.presentation.generators == (
+        "P:0", "P:1", "U:0", "U:1", "U:2", "U:3", "e:b2", "e:b1", "e:b3"
+    )
+    assert vk.presentation.relators == (
+        (1, 1, -1), (1, 2, -2), (2, 1, -2), (2, 2, -1),
+        (3, 3, -3), (3, 4, -4), (3, 5, -5), (3, 6, -6),
+        (4, 3, -4), (4, 4, -5), (4, 5, -6), (4, 6, -3),
+        (5, 3, -5), (5, 4, -6), (5, 5, -3), (5, 6, -4),
+        (6, 3, -6), (6, 4, -3), (6, 5, -4), (6, 6, -5),
+        (7,), (7, 2, -7, -5),
+        (9, 2, -9, -5),
+    )
+    assert vk.vertex_blocks == (slice(0, 2), slice(2, 6))
+    assert vk.edge_symbols == (7, 6, 8)
+    # U (vertex 1) is reached over b2, its slot 1 at both ends
+    assert vk.tree_steps == ((1, 1, 0, 1),)
+    assert vk.tree_branches == (1,)
 
 
 def test_pi1_hom_counts_on_spec_examples():
@@ -401,6 +475,19 @@ def test_family_keys_match_validated_families_on_the_catalog():
         assignments = enumerate_homs(vk.presentation, G)
         families = enumerate_pi1_homs(gog, G, presentation=vk)
         assert [vk.family_key(a) for a in assignments] == [fam.key() for fam in families]
+        symbols = [
+            (v, x, s)
+            for v, block in zip(gog.graph.vertices, vk.vertex_blocks)
+            for x, s in enumerate(range(block.start, block.stop))
+        ]
+        # each symbol is named for its vertex and element, each letter for its branch
+        assert len(symbols) + len(vk.edge_symbols) == len(vk.presentation.generators)
+        for v, x, s in symbols:
+            assert vk.presentation.generators[s] == f"{v}:{gog.vertex_groups[v].label(x)}"
+        for n, s in zip(gog.graph.edge_names(), vk.edge_symbols):
+            assert vk.presentation.generators[s] == f"e:{n}"
         for a, fam in zip(assignments, families):
-            assert all(fam.vertex_homs[v](x) == a[s] for (v, x), s in vk.vertex_symbol.items())
-            assert all(fam.conjugators[n] == a[s] for n, s in vk.edge_symbol.items())
+            assert all(fam.vertex_homs[v](x) == a[s] for v, x, s in symbols)
+            assert all(
+                fam.conjugators[n] == a[s] for n, s in zip(gog.graph.edge_names(), vk.edge_symbols)
+            )
