@@ -49,23 +49,6 @@ from .reports import (
 )
 from .torsors import verify_groupoid_pushout
 
-COMMANDS = (
-    "graph-check",
-    "graph-tree",
-    "graph-rank",
-    "graph-covers",
-    "gog-presentation",
-    "gog-homs",
-    "gog-verify",
-    "torsor-verify",
-    "pushout-verify",
-    "descent-as",
-    "descent-kummer",
-    "descent-example29",
-    "index-bound",
-    "export-dot",
-)
-
 
 def _read_document(path: str) -> str:
     if path == "-":
@@ -90,7 +73,7 @@ def run(argv: list[str]) -> int:
         description="Exact workbench: van Kampen presentations, torsor patching, "
         "and characteristic-p descent obstructions over reduction graphs.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("input", nargs="?", default="-",
                         help="input document path, or '-' for stdin")
     parser.add_argument("--group", help="name of the test group (from 'groups')")

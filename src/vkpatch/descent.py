@@ -31,52 +31,23 @@ FAILS_WITHIN_BOUNDS = "FAILS-WITHIN-BOUNDS"
 OBSTRUCTED_WITHIN_BOUNDS = "OBSTRUCTED-WITHIN-BOUNDS"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-
-class InstanceRejected(ValueError):
-    """A counterexample request whose data does not violate descent."""
-
-
-# ---------------------------------------------------------------------------
-# Subfields k1 of the coefficient field k2
-
-
-class SubfieldSpec:
-    """The base coefficient field k1 inside k2.
-
-    Either the subfield GF(p^d) of a finite k2 = GF(p^e) with d | e, or the
-    constant field of a rational function field k2 = GF(q)(s).
-    """
-
-    def __init__(self, kind: str, degree: int | None = None):
-        if kind not in ("subfield", "constants"):
-            raise ValueError(f"unknown subfield kind {kind!r}")
-        self.kind = kind
-        self.degree = degree
-
-    def contains(self, k2, x) -> bool:
-        if self.kind == "subfield":
-            return k2.in_subfield(x, self.degree)
-        return k2.is_constant(x)
-
-    def elements(self, k2) -> list:
-        """All elements of k1 as elements of k2 (k1 is finite here)."""
-        if self.kind == "subfield":
-            return [x for x in k2.elements() if k2.in_subfield(x, self.degree)]
-        return sorted(k2.constant(c) for c in k2.base.elements())
-
-    def describe(self, k2) -> str:
-        if self.kind == "subfield":
-            return f"GF({k2.p}^{self.degree})"
-        return f"constants {k2.base!r}"
+# The Artin-Schreier oracle refuses a search of more than this many candidate
+# beta, |k1|^support_bound, rather than run unbounded.
+AS_CANDIDATE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
 class ASInstance:
-    """Extension datum for Y^p - Y - alpha/t over k2((t)) relative to k1."""
+    """Extension datum for Y^p - Y - alpha/t over k2((t)) relative to k1.
+
+    k1 is the subfield GF(p^k1_degree) of a finite k2 = GF(p^e) with
+    k1_degree | e or, when ``k1_degree`` is None, the constant field of a
+    rational function field k2 = GF(q)(s).  Either way k1 is finite.
+    """
 
     p: int
     k2: object
-    k1: SubfieldSpec
+    k1_degree: int | None
     alpha: object
 
     def __post_init__(self):
@@ -91,18 +62,30 @@ class ASInstance:
         if d2 % d1 != 0:
             raise ValueError("k1 must be a subfield: d1 must divide d2")
         k2 = FiniteField(p, d2)
-        return cls(p, k2, SubfieldSpec("subfield", d1), k2.parse(alpha))
+        return cls(p, k2, d1, k2.parse(alpha))
 
     @classmethod
     def rational(cls, p: int, e: int, alpha) -> "ASInstance":
         """k1 = GF(p^e) inside k2 = GF(p^e)(s)."""
         k2 = RationalFunctionField(FiniteField(p, e))
-        return cls(p, k2, SubfieldSpec("constants"), k2.parse(alpha))
+        return cls(p, k2, None, k2.parse(alpha))
 
-    def alpha_is_algebraic_over_k1(self) -> bool:
-        if isinstance(self.k2, FiniteField):
-            return True
-        return self.k2.is_constant(self.alpha)
+    def in_k1(self, x) -> bool:
+        if self.k1_degree is None:
+            return self.k2.is_constant(x)
+        return self.k2.in_subfield(x, self.k1_degree)
+
+    def k1_elements(self) -> list:
+        """All elements of k1 as elements of k2, in increasing order: the
+        oracle searches them in this order."""
+        if self.k1_degree is None:
+            return sorted(self.k2.constant(c) for c in self.k2.base.elements())
+        return [x for x in self.k2.elements() if self.k2.in_subfield(x, self.k1_degree)]
+
+    def k1_label(self) -> str:
+        if self.k1_degree is None:
+            return f"constants {self.k2.base!r}"
+        return f"GF({self.p}^{self.k1_degree})"
 
     def alpha_label(self) -> str:
         return self.k2.label(self.alpha)
@@ -139,36 +122,29 @@ def as_descends_galois(instance: ASInstance) -> ASDecision:
     """Decide degree-p Galois descent of Y^p - Y - alpha/t by membership.
 
     alpha in k1 gives the explicit witness beta = alpha/t; otherwise descent
-    fails, and when alpha is transcendental over k1 no degree-p extension at
-    all can induce the extension (so the certificate widens the scope).
+    fails.  A non-constant alpha in a rational k2 is transcendental over k1,
+    and then no degree-p extension at all can induce the extension (so the
+    certificate widens the scope).
     """
     k2 = instance.k2
-    in_k1 = instance.k1.contains(k2, instance.alpha)
-    if in_k1:
+    k1 = instance.k1_label()
+    if instance.in_k1(instance.alpha):
         beta = LaurentSeries(k2, {-1: instance.alpha})
         cert = (
-            f"alpha = {instance.alpha_label()} lies in k1 = {instance.k1.describe(k2)}",
+            f"alpha = {instance.alpha_label()} lies in k1 = {k1}",
             "witness: beta = alpha/t with gamma = 0",
         )
         return ASDecision(DESCENDS, "galois-degree-p", True, beta, cert)
-    if instance.alpha_is_algebraic_over_k1():
-        if isinstance(k2, FiniteField):
-            q1 = instance.p ** instance.k1.degree
-            power = k2.pow(instance.alpha, q1)
-            witness = (
-                f"alpha^(p^{instance.k1.degree}) = {k2.label(power)} differs from "
-                f"alpha = {instance.alpha_label()}"
-            )
-        else:
-            witness = f"alpha = {instance.alpha_label()} is not a constant"
+    if instance.k1_degree is not None:
+        power = k2.pow(instance.alpha, instance.p**instance.k1_degree)
         cert = (
-            f"alpha is not in k1 = {instance.k1.describe(k2)}: {witness}",
+            f"alpha is not in k1 = {k1}: alpha^(p^{instance.k1_degree}) = "
+            f"{k2.label(power)} differs from alpha = {instance.alpha_label()}",
             "no degree-p Galois extension of k1((t)) induces the extension",
         )
         return ASDecision(FAILS, "galois-degree-p", False, None, cert)
     cert = (
-        f"alpha = {instance.alpha_label()} is transcendental over k1 = "
-        f"{instance.k1.describe(k2)}",
+        f"alpha = {instance.alpha_label()} is transcendental over k1 = {k1}",
         "no degree-p extension of k1((t)) at all induces the extension",
     )
     return ASDecision(FAILS, "any-degree-p", False, None, cert)
@@ -238,7 +214,7 @@ def _solve_artin_schreier(k2, p: int, x_terms: dict) -> dict | None:
 
 
 def as_brute_force_oracle(
-    instance: ASInstance, support_bound: int, truncation: int = 50
+    instance: ASInstance, support_bound: int, truncation: int
 ) -> ASOracleDecision:
     """Exhaustive search for beta over k1 with bounded negative support.
 
@@ -246,21 +222,24 @@ def as_brute_force_oracle(
     coefficient; since alpha/t - beta is a Laurent polynomial the per-
     candidate verdict is exact and the emitted gamma is exact too.
     ``truncation`` bounds nothing: it is only echoed into the report.  An
-    empty search space is INCONCLUSIVE, never a silent answer.
+    empty search space, or one of more than ``AS_CANDIDATE_CAP`` candidates,
+    is INCONCLUSIVE with nothing tried, never a silent answer.
     """
     if support_bound < 1:
         return ASOracleDecision(
-            INCONCLUSIVE,
-            None,
-            None,
-            0,
-            support_bound,
-            truncation,
+            INCONCLUSIVE, None, None, 0, support_bound, truncation,
             "support bound below 1: empty search space",
         )
     k2 = instance.k2
     p = instance.p
-    k1_elements = instance.k1.elements(k2)
+    k1_elements = instance.k1_elements()
+    # |k1| >= 2, so an exponent of the cap's bit length already exceeds it
+    if len(k1_elements) ** min(support_bound, AS_CANDIDATE_CAP.bit_length()) > AS_CANDIDATE_CAP:
+        return ASOracleDecision(
+            INCONCLUSIVE, None, None, 0, support_bound, truncation,
+            f"|k1|^{support_bound} candidates with |k1| = {len(k1_elements)} exceed "
+            f"the cap of {AS_CANDIDATE_CAP}: search not run",
+        )
     tried = 0
     # positions run from the deepest exponent down, so low-degree beta come
     # first and the least witness is e.g. beta = alpha/t when alpha is in k1
@@ -455,7 +434,7 @@ class KummerInstance:
 
     @classmethod
     def transcendental_model(
-        cls, p: int, q_exp: int = 1, terms: int = 4, truncation: int = 200
+        cls, p: int, q_exp: int, terms: int, truncation: int
     ) -> "KummerInstance":
         """gbar = sum of x^(i^2) for i = 0..terms: no bounded algebraic
         relation matches its gap structure."""
@@ -465,7 +444,7 @@ class KummerInstance:
         return cls(p, F, gbar, truncation)
 
     @classmethod
-    def base_ring_model(cls, p: int, coeffs: Sequence[int], truncation: int = 200) -> "KummerInstance":
+    def base_ring_model(cls, p: int, coeffs: Sequence[int], truncation: int) -> "KummerInstance":
         """gbar a polynomial of the base ring (descent must hold)."""
         F = FiniteField(p, 1)
         items = {i: F.parse(c) for i, c in enumerate(coeffs)}
@@ -570,9 +549,8 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     F = instance.coeff_field
     p = instance.p
     fbar = instance.fbar()
-    d = search_bound
-    k_bound = search_bound
-    unknowns = (d + 1) * (k_bound + 1)
+    # a relation has search_bound + 1 coefficients, each of search_bound + 1 terms
+    unknowns = (search_bound + 1) ** 2
 
     n_eq = int(min(fbar.known_to(), instance.truncation))
     if unknowns >= n_eq:
@@ -591,21 +569,21 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
             )
             h = fbar.mul(e_series.pow(p)).truncate_if_needed(instance.truncation)
             powers = [LaurentSeries.one(F, var="x")]
-            for _ in range(d):
+            for _ in range(search_bound):
                 powers.append(powers[-1].mul(h).truncate_if_needed(instance.truncation))
             n_rows = int(min([instance.truncation] + [int(s.known_to()) for s in powers[1:]]))
             rows = []
             for exp in range(0, n_rows + 1):
                 row = []
-                for j in range(d + 1):
-                    for k in range(k_bound + 1):
+                for j in range(search_bound + 1):
+                    for k in range(search_bound + 1):
                         row.append(powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero)
                 rows.append(row)
             vec = _gf_kernel_vector(F, rows, unknowns)
             if vec is not None:
                 relation = tuple(
-                    poly_strip(F, tuple(vec[j * (k_bound + 1) + k] for k in range(k_bound + 1)))
-                    for j in range(d + 1)
+                    poly_strip(F, tuple(vec[j:j + search_bound + 1]))
+                    for j in range(0, unknowns, search_bound + 1)
                 )
                 return KummerDecision(
                     DESCENDS,
@@ -614,7 +592,7 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
                     tried,
                     search_bound,
                     instance.truncation,
-                    f"f*e^p satisfies a degree-<= {d} relation to order {n_rows}: "
+                    f"f*e^p satisfies a degree-<= {search_bound} relation to order {n_rows}: "
                     "the obstruction vanishes within bounds",
                 )
     return KummerDecision(
@@ -627,67 +605,3 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
         f"no unit candidate of degree <= {search_bound} makes f*e^p algebraic "
         f"of degree <= {search_bound} to order {n_eq}",
     )
-
-
-# ---------------------------------------------------------------------------
-# Counterexample builder
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    mode: str
-    instance: object
-    decision: object
-
-    def lines(self) -> list[str]:
-        out = [f"counterexample mode: {self.mode}"]
-        out.extend(self.decision.lines())
-        return out
-
-
-def build_counterexample(p: int, mode: str, spec: dict | None = None) -> Counterexample:
-    """A validated instance certified to violate degree-p descent.
-
-    Equal characteristic: an Artin-Schreier instance whose alpha is not in
-    k1 (rejected otherwise).  Mixed characteristic: a residue-level Kummer
-    instance with transcendental gbar (rejected if the obstruction vanishes).
-    These are the paper's statements that degree-p descent can fail in both
-    settings (``test_equal_char_counterexample``, ``test_mixed_char_counterexample``).
-    """
-    spec = dict(spec or {})
-    if mode == "equal-char":
-        if "finite" in spec:
-            d1, d2, alpha = spec["finite"]
-            instance = ASInstance.finite(p, d1, d2, alpha)
-        else:
-            e = int(spec.get("e", 1))
-            alpha = spec.get("alpha", "s")
-            instance = ASInstance.rational(p, e, alpha)
-        decision = as_descends_galois(instance)
-        if decision.verdict == DESCENDS:
-            raise InstanceRejected(
-                f"alpha = {instance.alpha_label()} lies in k1; not a counterexample"
-            )
-        return Counterexample(mode, instance, decision)
-    if mode == "mixed-char":
-        if "gbar_coeffs" in spec:
-            instance = KummerInstance.base_ring_model(
-                p, spec["gbar_coeffs"], truncation=int(spec.get("truncation", 200))
-            )
-        else:
-            instance = KummerInstance.transcendental_model(
-                p,
-                q_exp=int(spec.get("q_exp", 1)),
-                terms=int(spec.get("terms", 4)),
-                truncation=int(spec.get("truncation", 200)),
-            )
-        bound = int(spec.get("search_bound", 4))
-        decision = kummer_obstruction(instance, bound)
-        if decision.verdict == DESCENDS:
-            raise InstanceRejected(
-                "gbar is algebraic within bounds; the obstruction vanishes"
-            )
-        if decision.verdict == INCONCLUSIVE:
-            raise InstanceRejected(f"bounds too small to certify: {decision.note}")
-        return Counterexample(mode, instance, decision)
-    raise ValueError(f"unknown counterexample mode {mode!r}")

@@ -348,9 +348,6 @@ class TreeVanKampenReport:
     graph_is_tree: bool
     pi1_count: int
     naive_count: int
-    restriction_lands_in_limit: bool
-    restriction_injective: bool
-    restriction_surjective: bool
     bijection: bool
     witness: str | None
     passed: bool
@@ -424,9 +421,6 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
         graph_is_tree=tree_flag,
         pi1_count=len(homs),
         naive_count=len(naive),
-        restriction_lands_in_limit=lands,
-        restriction_injective=injective,
-        restriction_surjective=surjective,
         bijection=bijection,
         witness=witness,
         passed=passed,

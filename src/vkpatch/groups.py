@@ -229,16 +229,6 @@ class Presentation:
                 if letter == 0 or abs(letter) > n:
                     raise ValueError(f"relator letter {letter} refers to no declared generator")
 
-    def evaluate(self, rel: tuple[int, ...], images: Sequence[int], target: FiniteGroup) -> int:
-        """Evaluate a word at given generator images."""
-        table = target.table
-        inv = target.inverse
-        acc = target.identity
-        for letter in rel:
-            g = images[letter - 1] if letter > 0 else inv[images[-letter - 1]]
-            acc = table[acc][g]
-        return acc
-
 
 def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All maps generator -> target element under which every relator dies.
@@ -251,12 +241,6 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
     gens = source.generators
     r = len(gens)
     n = target.order
-    if r == 0:
-        for rel in source.relators:
-            if source.evaluate(rel, (), target) != target.identity:
-                return ()
-        return ((),)
-
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for rel in source.relators:
         if not rel:

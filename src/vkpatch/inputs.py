@@ -45,8 +45,6 @@ class InputError(ValueError):
 
 @dataclass
 class WorkbenchInput:
-    version: int
-    raw_text: str
     graph: ReductionGraph | None
     vertex_group_names: dict[str, str]
     edge_group_names: dict[str, str]
@@ -94,7 +92,9 @@ class WorkbenchInput:
                         eg, vertex_groups[u], table["to_component"]
                     ),
                 }
-            except (KeyError, ValueError) as exc:
+            except KeyError as exc:
+                errors.append(f"edge_maps.{e}: missing field {exc.args[0]!r}")
+            except ValueError as exc:
                 errors.append(f"edge_maps.{e}: {exc}")
         if errors:
             raise InputError(errors)
@@ -120,7 +120,7 @@ class WorkbenchInput:
             if spec.get("rational"):
                 return ASInstance.rational(p, int(spec.get("e", 1)), spec["alpha"])
             return ASInstance.finite(
-                p, int(spec.get("k1_degree", 1)), int(spec["k2_degree"]), spec["alpha"]
+                p, _positive(spec, "k1_degree", 1), int(spec["k2_degree"]), spec["alpha"]
             )
 
     def kummer_instance(self) -> KummerInstance:
@@ -192,7 +192,10 @@ def _spec_errors(path: str):
 def _hom_from_labels(source: FiniteGroup, target: FiniteGroup, table: Mapping[str, str]) -> GroupHom:
     mapping = [target.identity] * source.order
     for src_label, dst_label in table.items():
-        mapping[source.index(str(src_label))] = target.index(str(dst_label))
+        try:
+            mapping[source.index(str(src_label))] = target.index(str(dst_label))
+        except KeyError as exc:  # an unknown label, not a missing field
+            raise ValueError(exc.args[0]) from None
     missing = [
         source.label(a)
         for a in range(source.order)
@@ -322,8 +325,6 @@ def parse_input(document: str) -> WorkbenchInput:
     if errors:
         raise InputError(errors)
     return WorkbenchInput(
-        version=version,
-        raw_text=document,
         graph=graph,
         vertex_group_names=vertex_group_names,
         edge_group_names=edge_group_names,

@@ -80,9 +80,6 @@ class LaurentSeries:
             if c != self.field.zero:
                 yield (self.valuation + i, c)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms())
-
     def _check_compatible(self, other: "LaurentSeries") -> None:
         if self.field != other.field:
             raise ValueError("coefficient fields differ")

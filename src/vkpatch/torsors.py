@@ -606,32 +606,10 @@ class PatchingProblem:
 
 @dataclass(frozen=True)
 class PatchingSolution:
-    """A global solution: hom family, branch markings, restriction maps."""
+    """A global solution: the hom family and its branch markings."""
 
     family: HomFamily
     markings: Mapping[str, int]
-    restriction_morphisms: Mapping[str, TorsorMorphism]
-
-    def lines(self) -> list[str]:
-        G = self.family.group
-        out = ["patching solved; global datum (unique up to unique isomorphism):"]
-        for v in self.family.gog.graph.vertices:
-            hom = self.family.vertex_homs[v]
-            images = ", ".join(
-                f"{hom.source.label(a)}->{G.label(hom(a))}" for a in range(hom.source.order)
-            )
-            out.append(f"  vertex {v}: {images}")
-        conj = ", ".join(
-            f"{e}: {G.label(self.family.conjugators[e])}"
-            for e in self.family.gog.graph.edge_names()
-        )
-        out.append(f"  edge conjugators: {conj}")
-        marks = ", ".join(
-            f"{e}: {G.label(self.markings[e])}"
-            for e in sorted(self.markings)
-        )
-        out.append(f"  branch markings: {marks}")
-        return out
 
 
 def solve_patching(problem: PatchingProblem) -> PatchingSolution:
@@ -640,7 +618,7 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
     The local data is trivialized to vertex functor data; compatibility makes
     it a branch-agreeing family, and the inverse of the restriction
     dictionary produces the unique global hom family with markings.  The
-    returned morphisms identify the induced local data with the problem's.
+    local data it induces is checked to be isomorphic to the problem's.
     This is torsor patching: compatible local torsors glue to a global one,
     uniquely (``test_solve_patching_solution_is_unique``).
     """
@@ -663,7 +641,6 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
     key, markings = inverse_natural_map(presentation, G, datum)
     family = HomFamily.from_key(gog, G, key)
 
-    restriction_morphisms: dict[str, TorsorMorphism] = {}
     induced = natural_map(presentation, G, key, markings)
     for v, (table, flags) in zip(gog.graph.vertices, induced):
         torsor = MultipointedTorsor.standard(
@@ -671,13 +648,9 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
             GroupHom(gog.vertex_groups[v], G, table),
             {e: G.inv(f) for e, f in zip(gog.graph.edges_at(v), flags)},
         )
-        mor = torsor_morphisms(torsor, problem.vertex_data[v])
-        if mor is None:
+        if torsor_morphisms(torsor, problem.vertex_data[v]) is None:
             raise AssertionError(f"induced datum at {v} fails to match the problem")
-        restriction_morphisms[v] = mor
-    return PatchingSolution(
-        family, dict(zip(gog.graph.edge_names(), markings)), restriction_morphisms
-    )
+    return PatchingSolution(family, dict(zip(gog.graph.edge_names(), markings)))
 
 
 # ---------------------------------------------------------------------------

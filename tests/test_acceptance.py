@@ -247,9 +247,9 @@ def test_criterion_8_criterion_vs_oracle():
 
 
 def test_criterion_9_kummer_desk_test():
-    trans = KummerInstance.transcendental_model(2, terms=4, truncation=200)
+    trans = KummerInstance.transcendental_model(2, 1, 4, 200)
     obstructed = kummer_obstruction(trans, 4)
-    base = KummerInstance.base_ring_model(2, [1, 0, 1], truncation=200)
+    base = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
     descends = kummer_obstruction(base, 4)
     ok = (
         obstructed.verdict == OBSTRUCTED_WITHIN_BOUNDS

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import vkpatch
 from vkpatch.cli import run
 from vkpatch.inputs import InputError, parse_input
 from vkpatch.reports import (
@@ -48,6 +53,12 @@ AMALGAM = {
 AS_DOC = {
     "version": 1,
     "descent": {"artin_schreier": {"p": 2, "k1_degree": 1, "k2_degree": 2, "alpha": "w"}},
+}
+
+# 5^25 candidates at the default support p^2 = 25
+AS_P5_DOC = {
+    "version": 1,
+    "descent": {"artin_schreier": {"p": 5, "k2_degree": 2, "alpha": "w"}},
 }
 
 KUMMER_DOC = {
@@ -313,13 +324,15 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
             **_AS_SPEC, "alpha": ["w"]}}}, [], "descent.artin_schreier"),
         ("graph-tree", {**CIRCLE, "graph": {**CIRCLE["graph"], "points": ["P", "P"]}}, [],
          "graph"),
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            **_AS_SPEC, "k1_degree": -1}}}, [], "descent.artin_schreier"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
          "alpha-den-zero", "kummer-terms0", "kummer-truncation-negative", "kummer-model-zz",
          "edge-map-text", "edge-map-side-list", "edge-end-list", "vertex-name-list",
          "vertex-group-list", "test-group-list", "groups-list", "options-list", "descent-list",
-         "alpha-list", "vertex-declared-twice"],
+         "alpha-list", "vertex-declared-twice", "k1-degree-negative"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])
@@ -327,6 +340,46 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags
     assert code == EXIT_INPUT_ERROR
     assert captured.err.startswith(f"input error: {path}: ")
     assert captured.out == ""
+
+
+def test_edge_map_errors_name_the_missing_field_and_the_unknown_label(tmp_path, capsys):
+    missing = json.loads(json.dumps(AMALGAM))
+    del missing["edge_maps"]["b1"]["to_point"]
+    unknown = json.loads(json.dumps(AMALGAM))
+    unknown["edge_maps"]["b1"]["to_point"] = {"zz": "2"}
+    for doc, line in (
+        (missing, "input error: edge_maps.b1: missing field 'to_point'"),
+        (unknown, "input error: edge_maps.b1: 'zz' is not an element of C2"),
+    ):
+        assert run(["gog-verify", write(tmp_path, doc)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == line + "\n"
+
+
+def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
+    # a child process with a timeout fails on an unbounded search instead of
+    # hanging
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "vkpatch.cli", "descent-as", write(tmp_path, AS_P5_DOC)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert child.returncode == EXIT_PASS
+    human, _, machine = child.stdout.partition("-- machine --\n")
+    assert "oracle inconclusive; criterion verdict stands" in human
+    oracle = json.loads(machine)["oracle"]
+    assert oracle["verdict"] == "INCONCLUSIVE"
+    assert oracle["candidates_tried"] == 0
+    assert oracle["note"] == (
+        "|k1|^25 candidates with |k1| = 5 exceed the cap of 1000000: search not run"
+    )
+
+
+def test_descent_as_support_bound_far_over_the_cap_is_inconclusive(tmp_path, capsys):
+    code = run(["descent-as", write(tmp_path, AS_P5_DOC), "--support-bound", "1000000000"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert "searched 0 candidate beta (support up to t^-1000000000)" in out
+    assert "oracle inconclusive; criterion verdict stands" in out
 
 
 def test_descent_as_exit_and_agreement(tmp_path, capsys):

@@ -14,11 +14,9 @@ from vkpatch.descent import (
     INCONCLUSIVE,
     OBSTRUCTED_WITHIN_BOUNDS,
     ASInstance,
-    InstanceRejected,
     KummerInstance,
     as_brute_force_oracle,
     as_descends_galois,
-    build_counterexample,
     kummer_obstruction,
     _gf_kernel_vector,
     verify_example_29,
@@ -34,8 +32,7 @@ def test_alpha_in_k1_descends_with_explicit_beta():
     inst = ASInstance.finite(2, 1, 2, 1)
     decision = as_descends_galois(inst)
     assert decision.verdict == DESCENDS
-    assert decision.beta.support() == (-1,)
-    assert decision.beta.coefficient(-1) == 1
+    assert dict(decision.beta.terms()) == {-1: 1}
 
 
 def test_generator_of_f4_fails_galois_descent():
@@ -51,6 +48,27 @@ def test_transcendental_alpha_fails_any_descent():
     decision = as_descends_galois(inst)
     assert decision.verdict == FAILS
     assert decision.scope == "any-degree-p"
+
+
+def test_decision_lines_pinned():
+    # alpha = w^2+w in GF(4) inside GF(16), then the generator w outside it
+    assert as_descends_galois(ASInstance.finite(2, 2, 4, 6)).lines() == [
+        "verdict: DESCENDS (galois-degree-p)",
+        "  alpha = w^2+w lies in k1 = GF(2^2)",
+        "  witness: beta = alpha/t with gamma = 0",
+        "  beta = w^2+w*t^-1",
+    ]
+    assert as_descends_galois(ASInstance.finite(2, 2, 4, "w")).lines() == [
+        "verdict: FAILS (galois-degree-p)",
+        "  alpha is not in k1 = GF(2^2): alpha^(p^2) = w+1 differs from alpha = w",
+        "  no degree-p Galois extension of k1((t)) induces the extension",
+    ]
+    alpha = {"num": [1, 0, 1], "den": [2, 1]}
+    assert as_descends_galois(ASInstance.rational(3, 1, alpha)).lines() == [
+        "verdict: FAILS (any-degree-p)",
+        "  alpha = (s^2+1)/(s+2) is transcendental over k1 = constants GF(3)",
+        "  no degree-p extension of k1((t)) at all induces the extension",
+    ]
 
 
 def test_instance_validation():
@@ -80,7 +98,32 @@ def test_oracle_rejects_f4_generator_within_bounds():
 
 def test_oracle_empty_search_space_is_inconclusive():
     inst = ASInstance.finite(2, 1, 2, "w")
-    assert as_brute_force_oracle(inst, 0, 50).verdict == INCONCLUSIVE
+    assert as_brute_force_oracle(inst, 0, 50).to_json() == {
+        "law": "artin-schreier-oracle",
+        "verdict": "INCONCLUSIVE",
+        "beta": None,
+        "gamma": None,
+        "candidates_tried": 0,
+        "support_bound": 0,
+        "truncation": 50,
+        "note": "support bound below 1: empty search space",
+    }
+
+
+def test_oracle_search_over_the_cap_is_inconclusive():
+    inst = ASInstance.finite(2, 1, 2, "w")
+    for bound in (20, 1_000_000_000):  # 2^20 = 1,048,576 candidates and up
+        decision = as_brute_force_oracle(inst, bound, 50)
+        assert decision.verdict == INCONCLUSIVE
+        assert decision.candidates_tried == 0
+        assert decision.note == (
+            f"|k1|^{bound} candidates with |k1| = 2 exceed the cap of 1000000: "
+            "search not run"
+        )
+    # k1 = GF(2^10): 1024 candidates are searched, 1024^2 are not
+    inst = ASInstance.finite(2, 10, 10, "w")
+    assert as_brute_force_oracle(inst, 1, 50).verdict == DESCENDS
+    assert as_brute_force_oracle(inst, 2, 50).verdict == INCONCLUSIVE
 
 
 def test_oracle_witnesses_satisfy_equation_exactly():
@@ -151,14 +194,14 @@ def test_example_29_char5_remainder_shape():
 
 
 def test_transcendental_gbar_is_obstructed():
-    inst = KummerInstance.transcendental_model(2, terms=4, truncation=200)
+    inst = KummerInstance.transcendental_model(2, 1, 4, 200)
     decision = kummer_obstruction(inst, 4)
     assert decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
     assert decision.candidates_tried == 31  # monic polynomials of degree <= 4
 
 
 def test_base_ring_gbar_descends():
-    inst = KummerInstance.base_ring_model(2, [1, 0, 1], truncation=200)
+    inst = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
     decision = kummer_obstruction(inst, 4)
     assert decision.verdict == DESCENDS
     assert decision.witness_e == (1,)  # e = 1 suffices
@@ -167,20 +210,20 @@ def test_base_ring_gbar_descends():
 
 
 def test_fbar_of_base_ring_gbar_is_polynomial():
-    inst = KummerInstance.base_ring_model(2, [1, 0, 1], truncation=200)
+    inst = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
     fbar = inst.fbar()
     # (1 + x^2)^2 + x = 1 + x + x^4 over GF(2)
     assert dict(fbar.terms()) == {0: 1, 1: 1, 4: 1}
 
 
 def test_kummer_bounds_are_honest():
-    inst = KummerInstance.transcendental_model(2, terms=4, truncation=20)
+    inst = KummerInstance.transcendental_model(2, 1, 4, 20)
     assert kummer_obstruction(inst, 4).verdict == INCONCLUSIVE
     assert kummer_obstruction(inst, -1).verdict == INCONCLUSIVE
 
 
 def test_kummer_char3():
-    inst = KummerInstance.transcendental_model(3, terms=3, truncation=120)
+    inst = KummerInstance.transcendental_model(3, 1, 3, 120)
     decision = kummer_obstruction(inst, 3)
     assert decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
 
@@ -244,25 +287,24 @@ def test_kernel_vector_matches_full_gauss_jordan():
             assert rows == before
 
 
-# -- counterexample builder ------------------------------------------------------------
+# -- degree-p descent can fail in both settings ---------------------------------------
 
 
 def test_equal_char_counterexample():
-    ce = build_counterexample(2, "equal-char", {})
-    assert ce.decision.verdict == FAILS
-    assert ce.decision.scope == "any-degree-p"
+    decision = as_descends_galois(ASInstance.rational(2, 1, "s"))
+    assert decision.verdict == FAILS
+    assert decision.scope == "any-degree-p"
 
 
-def test_equal_char_rejects_member_alpha():
-    with pytest.raises(InstanceRejected):
-        build_counterexample(3, "equal-char", {"finite": (1, 1, 1)})
+def test_member_alpha_is_no_counterexample():
+    assert as_descends_galois(ASInstance.finite(3, 1, 1, 1)).verdict == DESCENDS
 
 
 def test_mixed_char_counterexample():
-    ce = build_counterexample(2, "mixed-char", {})
-    assert ce.decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
+    inst = KummerInstance.transcendental_model(2, 1, 4, 200)
+    assert kummer_obstruction(inst, 4).verdict == OBSTRUCTED_WITHIN_BOUNDS
 
 
-def test_mixed_char_rejects_base_ring_gbar():
-    with pytest.raises(InstanceRejected):
-        build_counterexample(2, "mixed-char", {"gbar_coeffs": [1, 0, 1]})
+def test_base_ring_gbar_is_no_counterexample():
+    inst = KummerInstance.base_ring_model(3, [2, 1], 120)
+    assert kummer_obstruction(inst, 3).verdict == DESCENDS

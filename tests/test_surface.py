@@ -7,6 +7,9 @@ it must be listed below, as backing a paper statement under test or as pinned
 by name in the benchmark tracer.  Anything else is dead: delete it, or move a
 helper that only tests use into ``tests/catalog.py``.
 
+Likewise every dataclass field must be read as an attribute somewhere in
+``src/vkpatch`` or ``tests``; a field only ever written is dead.
+
 Matching is by bare name, so a method shares its name with every attribute
 of that name: the walk can miss dead code that shares a name with live code.
 """
@@ -19,11 +22,11 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vkpatch"
+TESTS = ROOT / "tests"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 # (qualified name, the test that exercises the paper statement it backs)
 PAPER_BACKED = (
-    ("descent.build_counterexample", "test_descent.py::test_equal_char_counterexample"),
     ("series.pth_power_test", "test_series.py::test_pth_power_round_trip"),
     ("torsors.torsor_from_hom", "test_acceptance.py::test_criterion_5_dictionary_round_trip"),
     ("torsors.hom_from_torsor", "test_acceptance.py::test_criterion_5_dictionary_round_trip"),
@@ -141,3 +144,39 @@ def test_listed_names_exist_and_name_their_reason():
     for qualname, entry in PERFBENCH_PINNED:
         assert qualname in defs, qualname
         assert entry in tracer, entry
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields() -> list[str]:
+    """Dataclass fields of ``src/vkpatch`` that nothing reads as an attribute."""
+    modules = _modules()
+    fields = [
+        f"{module}.{node.name}.{item.target.id}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    trees = list(modules.values()) + [
+        ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))
+    ]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [q for q in fields if q.rsplit(".", 1)[1] not in read]
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields()
+    assert not unread, f"dataclass fields nothing reads: {unread}"

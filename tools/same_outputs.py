@@ -10,7 +10,8 @@ written under a temporary directory.  For every invocation OUT.json records
 the exit code, a sha256 of stdout with the ``timing:`` line and the machine
 block's ``timing_ms`` line removed, and a sha256 of stderr.  An exception
 that escapes ``run`` is recorded as exit 1 with its type and message appended
-to stderr, as the interpreter would report it.
+to stderr, as the interpreter would report it; the script then names each
+such invocation on stderr and exits 1 once OUT.json is written.
 
 Two checkouts print the same outputs apart from timing exactly when their
 OUT.json files are equal:
@@ -42,9 +43,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def replay(run, bench) -> dict:
+def replay(run, bench, raised: list[str]) -> dict:
     """name -> exit code and output digests for each invocation of one pass,
-    run from the current directory with documents under ``docs/``."""
+    run from the current directory with documents under ``docs/``.  The
+    names of invocations whose ``run`` raised are appended to ``raised``."""
     os.makedirs("docs")
     paths = {}
     for i, name in enumerate(sorted({inv.doc for inv in bench.invocations})):
@@ -60,6 +62,7 @@ def replay(run, bench) -> dict:
                 code = run([inv.command, paths[inv.doc], *inv.flags])
             except Exception as exc:  # a traceback in a CLI child: exit 1
                 code = 1
+                raised.append(inv.name)
                 stderr.write(f"Traceback\n{type(exc).__name__}: {exc}\n")
         out[inv.name] = {
             "exit": code,
@@ -82,6 +85,7 @@ def main(argv: list[str]) -> int:
     from workloads import build_pass
 
     results = {}
+    raised: list[str] = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
@@ -89,16 +93,18 @@ def main(argv: list[str]) -> int:
                 work = Path(tmp, f"{workload}-{seed}")
                 work.mkdir()
                 os.chdir(work)
+                key, failed = f"{workload}:{seed}", []
                 try:
-                    results[f"{workload}:{seed}"] = replay(
-                        vkpatch.cli.run, build_pass(workload, seed)
-                    )
+                    results[key] = replay(vkpatch.cli.run, build_pass(workload, seed), failed)
                 finally:
                     os.chdir(home)
+                raised += (f"{key} {name}" for name in failed)
     out_path.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     count = sum(len(r) for r in results.values())
     print(f"{count} invocations replayed from {src} into {out_path}")
-    return 0
+    for name in raised:
+        print(f"raised: {name}", file=sys.stderr)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
