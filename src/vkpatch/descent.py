@@ -19,7 +19,6 @@ series.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FiniteField, RationalFunctionField, poly_strip
@@ -36,7 +35,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 AS_CANDIDATE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
 class ASInstance:
     """Extension datum for Y^p - Y - alpha/t over k2((t)) relative to k1.
 
@@ -45,16 +43,17 @@ class ASInstance:
     rational function field k2 = GF(q)(s).  Either way k1 is finite.
     """
 
-    p: int
-    k2: object
-    k1_degree: int | None
-    alpha: object
+    __slots__ = ("p", "k2", "k1_degree", "alpha")
 
-    def __post_init__(self):
-        if self.k2.char != self.p:
+    def __init__(self, p: int, k2, k1_degree: int | None, alpha):
+        if k2.char != p:
             raise ValueError("coefficient field characteristic must equal p")
-        if self.alpha == self.k2.zero:
+        if alpha == k2.zero:
             raise ValueError("alpha must be nonzero")
+        self.p = p
+        self.k2 = k2
+        self.k1_degree = k1_degree
+        self.alpha = alpha
 
     @classmethod
     def finite(cls, p: int, d1: int, d2: int, alpha) -> "ASInstance":
@@ -91,14 +90,23 @@ class ASInstance:
         return self.k2.label(self.alpha)
 
 
-@dataclass(frozen=True)
 class ASDecision:
-    verdict: str
-    scope: str
-    alpha_in_k1: bool
-    beta: LaurentSeries | None
-    certificate: tuple[str, ...]
-    law: str = "artin-schreier-descent"
+    __slots__ = ("verdict", "scope", "alpha_in_k1", "beta", "certificate")
+    law = "artin-schreier-descent"
+
+    def __init__(
+        self,
+        verdict: str,
+        scope: str,
+        alpha_in_k1: bool,
+        beta: LaurentSeries | None,
+        certificate: tuple[str, ...],
+    ):
+        self.verdict = verdict
+        self.scope = scope
+        self.alpha_in_k1 = alpha_in_k1
+        self.beta = beta
+        self.certificate = certificate
 
     def lines(self) -> list[str]:
         out = [f"verdict: {self.verdict} ({self.scope})"]
@@ -150,16 +158,29 @@ def as_descends_galois(instance: ASInstance) -> ASDecision:
     return ASDecision(FAILS, "any-degree-p", False, None, cert)
 
 
-@dataclass(frozen=True)
 class ASOracleDecision:
-    verdict: str
-    beta: LaurentSeries | None
-    gamma: LaurentSeries | None
-    candidates_tried: int
-    support_bound: int
-    truncation: int
-    note: str
-    law: str = "artin-schreier-oracle"
+    __slots__ = (
+        "verdict", "beta", "gamma", "candidates_tried", "support_bound", "truncation", "note",
+    )
+    law = "artin-schreier-oracle"
+
+    def __init__(
+        self,
+        verdict: str,
+        beta: LaurentSeries | None,
+        gamma: LaurentSeries | None,
+        candidates_tried: int,
+        support_bound: int,
+        truncation: int,
+        note: str,
+    ):
+        self.verdict = verdict
+        self.beta = beta
+        self.gamma = gamma
+        self.candidates_tried = candidates_tried
+        self.support_bound = support_bound
+        self.truncation = truncation
+        self.note = note
 
     def lines(self) -> list[str]:
         out = [
@@ -318,7 +339,6 @@ def _render_uty(poly: dict) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class Example29Report:
     """The exact polynomial identity behind non-Galois degree-3 descent.
 
@@ -327,11 +347,20 @@ class Example29Report:
     other characteristic and for the wrong generator W = Y.
     """
 
-    remainder: dict
-    char5_remainder: dict
-    wrong_generator_remainder: dict
-    expansion: tuple[str, ...]
-    law: str = "artin-schreier-nongalois-descent"
+    __slots__ = ("remainder", "char5_remainder", "wrong_generator_remainder", "expansion")
+    law = "artin-schreier-nongalois-descent"
+
+    def __init__(
+        self,
+        remainder: dict,
+        char5_remainder: dict,
+        wrong_generator_remainder: dict,
+        expansion: tuple[str, ...],
+    ):
+        self.remainder = remainder
+        self.char5_remainder = char5_remainder
+        self.wrong_generator_remainder = wrong_generator_remainder
+        self.expansion = expansion
 
     @property
     def passed(self) -> bool:
@@ -409,7 +438,6 @@ def verify_example_29() -> Example29Report:
 # Kummer obstruction at the residue level
 
 
-@dataclass(frozen=True)
 class KummerInstance:
     """Residue-level data for Y^p - g^p - x over a local base.
 
@@ -419,18 +447,19 @@ class KummerInstance:
     bounded-degree coefficients.
     """
 
-    p: int
-    coeff_field: FiniteField
-    gbar: LaurentSeries
-    truncation: int
+    __slots__ = ("p", "coeff_field", "gbar", "truncation")
 
-    def __post_init__(self):
-        if self.coeff_field.p != self.p:
+    def __init__(self, p: int, coeff_field: FiniteField, gbar: LaurentSeries, truncation: int):
+        if coeff_field.p != p:
             raise ValueError("residue field characteristic must equal p")
-        if self.gbar.valuation < 0 and self.gbar.coeffs:
+        if gbar.valuation < 0 and gbar.coeffs:
             raise ValueError("gbar must lie in the power series ring (valuation >= 0)")
-        if self.gbar.var != "x":
+        if gbar.var != "x":
             raise ValueError("gbar must be a series in the residue uniformizer x")
+        self.p = p
+        self.coeff_field = coeff_field
+        self.gbar = gbar
+        self.truncation = truncation
 
     @classmethod
     def transcendental_model(
@@ -497,16 +526,30 @@ def _gf_kernel_vector(F: FiniteField, rows: list[list[int]], ncols: int) -> list
     return vec
 
 
-@dataclass(frozen=True)
 class KummerDecision:
-    verdict: str
-    witness_e: tuple[int, ...] | None
-    witness_relation: tuple[tuple[int, ...], ...] | None
-    candidates_tried: int
-    search_bound: int
-    truncation: int
-    note: str
-    law: str = "kummer-descent-obstruction"
+    __slots__ = (
+        "verdict", "witness_e", "witness_relation", "candidates_tried", "search_bound",
+        "truncation", "note",
+    )
+    law = "kummer-descent-obstruction"
+
+    def __init__(
+        self,
+        verdict: str,
+        witness_e: tuple[int, ...] | None,
+        witness_relation: tuple[tuple[int, ...], ...] | None,
+        candidates_tried: int,
+        search_bound: int,
+        truncation: int,
+        note: str,
+    ):
+        self.verdict = verdict
+        self.witness_e = witness_e
+        self.witness_relation = witness_relation
+        self.candidates_tried = candidates_tried
+        self.search_bound = search_bound
+        self.truncation = truncation
+        self.note = note
 
     def lines(self) -> list[str]:
         out = [f"verdict: {self.verdict}", f"  {self.note}"]

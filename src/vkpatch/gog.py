@@ -18,7 +18,6 @@ test group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import ReductionGraph, SpanningTree, is_tree, maximal_tree, spanning_trees
@@ -95,7 +94,6 @@ class GraphOfFiniteGroups:
         self.branch_maps = tuple(tables)
 
 
-@dataclass(frozen=True)
 class VanKampenPresentation:
     """The spanning-tree presentation of a graph of groups.
 
@@ -112,13 +110,28 @@ class VanKampenPresentation:
     - ``tree_branches``: the tree branches.
     """
 
-    gog: GraphOfFiniteGroups
-    tree: SpanningTree
-    presentation: Presentation
-    vertex_blocks: tuple[slice, ...]
-    edge_symbols: tuple[int, ...]
-    tree_steps: tuple[tuple[int, int, int, int], ...]
-    tree_branches: tuple[int, ...]
+    __slots__ = (
+        "gog", "tree", "presentation", "vertex_blocks", "edge_symbols", "tree_steps",
+        "tree_branches",
+    )
+
+    def __init__(
+        self,
+        gog: GraphOfFiniteGroups,
+        tree: SpanningTree,
+        presentation: Presentation,
+        vertex_blocks: tuple[slice, ...],
+        edge_symbols: tuple[int, ...],
+        tree_steps: tuple[tuple[int, int, int, int], ...],
+        tree_branches: tuple[int, ...],
+    ):
+        self.gog = gog
+        self.tree = tree
+        self.presentation = presentation
+        self.vertex_blocks = vertex_blocks
+        self.edge_symbols = edge_symbols
+        self.tree_steps = tree_steps
+        self.tree_branches = tree_branches
 
     def family_key(self, assignment: Sequence[int]) -> tuple:
         """The hom family of a generator assignment as ``HomFamily.key()``
@@ -202,7 +215,6 @@ def build_presentation(
     )
 
 
-@dataclass(frozen=True)
 class HomFamily:
     """A vertex-hom family with one conjugator per branch.
 
@@ -214,12 +226,24 @@ class HomFamily:
     where c is the branch's conjugator.  Families are compared as tables.
     """
 
-    gog: GraphOfFiniteGroups
-    group: FiniteGroup
-    vertex_homs: Mapping[str, GroupHom]
-    conjugators: Mapping[str, int]
+    __slots__ = ("gog", "group", "vertex_homs", "conjugators")
+
+    def __init__(
+        self,
+        gog: GraphOfFiniteGroups,
+        group: FiniteGroup,
+        vertex_homs: Mapping[str, GroupHom],
+        conjugators: Mapping[str, int],
+    ):
+        self.gog = gog
+        self.group = group
+        self.vertex_homs = vertex_homs
+        self.conjugators = conjugators
+        self.__post_init__()
 
     def __post_init__(self):
+        """The edge relation on every branch.  perfbench/tracer.py counts the
+        calls by this name."""
         G = self.group
         for name in self.gog.graph.edge_names():
             c = self.conjugators[name]
@@ -342,15 +366,28 @@ def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[tupl
 # Verifiers
 
 
-@dataclass(frozen=True)
 class TreeVanKampenReport:
-    law: str
-    graph_is_tree: bool
-    pi1_count: int
-    naive_count: int
-    bijection: bool
-    witness: str | None
-    passed: bool
+    __slots__ = (
+        "law", "graph_is_tree", "pi1_count", "naive_count", "bijection", "witness", "passed",
+    )
+
+    def __init__(
+        self,
+        law: str,
+        graph_is_tree: bool,
+        pi1_count: int,
+        naive_count: int,
+        bijection: bool,
+        witness: str | None,
+        passed: bool,
+    ):
+        self.law = law
+        self.graph_is_tree = graph_is_tree
+        self.pi1_count = pi1_count
+        self.naive_count = naive_count
+        self.bijection = bijection
+        self.witness = witness
+        self.passed = passed
 
     def lines(self) -> list[str]:
         out = [
@@ -432,12 +469,14 @@ def _conj_desc(vk: VanKampenPresentation, group: FiniteGroup, assignment: Sequen
     return "{" + ", ".join(f"{n}: {group.label(c)}" for n, c in conj) + "}"
 
 
-@dataclass(frozen=True)
 class TreeIndependenceReport:
-    law: str
-    counts: Mapping[str, int]
-    all_equal: bool
-    passed: bool
+    __slots__ = ("law", "counts", "all_equal", "passed")
+
+    def __init__(self, law: str, counts: Mapping[str, int], all_equal: bool, passed: bool):
+        self.law = law
+        self.counts = counts
+        self.all_equal = all_equal
+        self.passed = passed
 
     def lines(self) -> list[str]:
         out = [f"spanning trees: {len(self.counts)}"]

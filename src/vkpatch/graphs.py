@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -28,10 +27,12 @@ class ScaleError(ValueError):
 COVER_SCAN_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        self.ok = ok
+        self.violations = violations
 
     def lines(self) -> list[str]:
         if self.ok:
@@ -165,25 +166,24 @@ class ReductionGraph:
         )
 
 
-@dataclass(frozen=True)
 class SpanningTree:
     """A spanning edge subset of a validated reduction graph."""
 
-    graph: ReductionGraph
-    edge_names: tuple[str, ...]
+    __slots__ = ("graph", "edge_names")
 
-    def __post_init__(self):
-        self.graph.require_valid()
-        names = tuple(sorted(self.edge_names))
-        object.__setattr__(self, "edge_names", names)
-        known = set(self.graph.edge_names())
+    def __init__(self, graph: ReductionGraph, edge_names: Iterable[str]):
+        graph.require_valid()
+        names = tuple(sorted(edge_names))
+        known = set(graph.edge_names())
         for n in names:
             if n not in known:
                 raise ValueError(f"tree edge {n!r} is not an edge of the graph")
-        if len(names) != len(self.graph.vertices) - 1:
+        if len(names) != len(graph.vertices) - 1:
             raise ValueError("tree edge count must be |vertices| - 1")
-        if not _spans(self.graph, names):
+        if not _spans(graph, names):
             raise ValueError("edge subset does not span the graph acyclically")
+        self.graph = graph
+        self.edge_names = names
 
     def non_tree_edges(self) -> tuple[str, ...]:
         return tuple(n for n in self.graph.edge_names() if n not in self.edge_names)
@@ -264,23 +264,29 @@ def _conj(tau: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(tau[sigma[tau_inv[i]]] for i in range(n))
 
 
-@dataclass(frozen=True)
 class GraphCover:
     """A degree-n cover given by sheet permutations, identity on tree edges."""
 
-    graph: ReductionGraph
-    degree: int
-    tree: SpanningTree
-    assignment: Mapping[str, tuple[int, ...]]
+    __slots__ = ("graph", "degree", "tree", "assignment")
 
-    def __post_init__(self):
-        ident = tuple(range(self.degree))
-        for n in self.graph.edge_names():
-            perm = self.assignment.get(n)
-            if perm is None or sorted(perm) != list(range(self.degree)):
+    def __init__(
+        self,
+        graph: ReductionGraph,
+        degree: int,
+        tree: SpanningTree,
+        assignment: Mapping[str, tuple[int, ...]],
+    ):
+        ident = tuple(range(degree))
+        for n in graph.edge_names():
+            perm = assignment.get(n)
+            if perm is None or sorted(perm) != list(range(degree)):
                 raise ValueError(f"edge {n} lacks a valid sheet permutation")
-            if n in self.tree.edge_names and perm != ident:
+            if n in tree.edge_names and perm != ident:
                 raise ValueError(f"tree edge {n} must carry the identity permutation")
+        self.graph = graph
+        self.degree = degree
+        self.tree = tree
+        self.assignment = assignment
 
 
 def enumerate_connected_covers(
@@ -398,10 +404,17 @@ def _transitive(gens: Sequence[tuple[int, ...]], n: int) -> bool:
 # Index bound and DOT export
 
 
-@dataclass(frozen=True)
 class IndexBound:
-    product: int
-    lcm: int
+    __slots__ = ("product", "lcm")
+
+    def __init__(self, product: int, lcm: int):
+        self.product = product
+        self.lcm = lcm
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexBound):
+            return NotImplemented
+        return (self.product, self.lcm) == (other.product, other.lcm)
 
     def lines(self) -> list[str]:
         return [

@@ -13,7 +13,6 @@ every triple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 
@@ -208,7 +207,6 @@ def make_group(descriptor: Mapping, name: str = "G") -> FiniteGroup:
 # Presentations
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator symbols and relator words.
 
@@ -217,17 +215,18 @@ class Presentation:
     in the presented group.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[tuple[int, ...], ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator symbols")
-        n = len(self.generators)
-        for rel in self.relators:
+        n = len(generators)
+        for rel in relators:
             for letter in rel:
                 if letter == 0 or abs(letter) > n:
                     raise ValueError(f"relator letter {letter} refers to no declared generator")
+        self.generators = generators
+        self.relators = relators
 
 
 def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:

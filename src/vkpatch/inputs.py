@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .descent import ASInstance, KummerInstance
@@ -43,16 +42,31 @@ class InputError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass
 class WorkbenchInput:
-    graph: ReductionGraph | None
-    vertex_group_names: dict[str, str]
-    edge_group_names: dict[str, str]
-    groups: dict[str, FiniteGroup]
-    edge_map_tables: dict[str, dict]
-    descent: dict
-    options: dict
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = (
+        "graph", "vertex_group_names", "edge_group_names", "groups", "edge_map_tables",
+        "descent", "options", "warnings",
+    )
+
+    def __init__(
+        self,
+        graph: ReductionGraph | None,
+        vertex_group_names: dict[str, str],
+        edge_group_names: dict[str, str],
+        groups: dict[str, FiniteGroup],
+        edge_map_tables: dict[str, dict],
+        descent: dict,
+        options: dict,
+        warnings: list[str],
+    ):
+        self.graph = graph
+        self.vertex_group_names = vertex_group_names
+        self.edge_group_names = edge_group_names
+        self.groups = groups
+        self.edge_map_tables = edge_map_tables
+        self.descent = descent
+        self.options = options
+        self.warnings = warnings
 
     def require_graph(self) -> ReductionGraph:
         if self.graph is None:

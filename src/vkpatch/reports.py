@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 
 EXIT_PASS = 0
@@ -22,17 +21,31 @@ def input_digest(document: str) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-@dataclass
 class ReportDocument:
-    command: str
-    input_sha: str
-    law: str
-    verdict: str
-    human_lines: list[str]
-    machine: dict
-    exit_code: int
-    timing_ms: float = 0.0
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = (
+        "command", "input_sha", "law", "verdict", "human_lines", "machine", "exit_code",
+        "timing_ms", "warnings",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        input_sha: str,
+        law: str,
+        verdict: str,
+        human_lines: list[str],
+        machine: dict,
+        exit_code: int,
+    ):
+        self.command = command
+        self.input_sha = input_sha
+        self.law = law
+        self.verdict = verdict
+        self.human_lines = human_lines
+        self.machine = machine
+        self.exit_code = exit_code
+        self.timing_ms = 0.0
+        self.warnings = []
 
     def deterministic_digest(self) -> str:
         payload = {

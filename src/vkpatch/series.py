@@ -9,7 +9,6 @@ depend on unknown coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 _INF = float("inf")
@@ -162,7 +161,9 @@ class LaurentSeries:
                 if e == 0:
                     parts.append(cl)
                 else:
-                    head = "" if cl == "1" else f"{cl}*"
+                    # a coefficient that is a sum is one factor of the term
+                    factor = f"({cl})" if "+" in cl else cl
+                    head = "" if cl == "1" else f"{factor}*"
                     parts.append(f"{head}{self.var}^{e}" if e != 1 else f"{head}{self.var}")
             body = " + ".join(parts)
         if self.order is not None:
@@ -182,10 +183,12 @@ def _min_order(*orders):
 # p-th power testing
 
 
-@dataclass(frozen=True)
 class PthPowerResult:
-    root: LaurentSeries | None
-    witness: str | None
+    __slots__ = ("root", "witness")
+
+    def __init__(self, root: LaurentSeries | None, witness: str | None):
+        self.root = root
+        self.witness = witness
 
 
 def pth_power_test(a: LaurentSeries) -> PthPowerResult:

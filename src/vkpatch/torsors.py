@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .gog import (
@@ -269,11 +268,15 @@ class MultipointedTorsor:
         )
 
 
-@dataclass(frozen=True)
 class TorsorMorphism:
-    source: MultipointedTorsor
-    target: MultipointedTorsor
-    mapping: tuple[int, ...]
+    __slots__ = ("source", "target", "mapping")
+
+    def __init__(
+        self, source: MultipointedTorsor, target: MultipointedTorsor, mapping: tuple[int, ...]
+    ):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
 
 def torsor_from_hom(f: GroupoidFunctor) -> MultipointedTorsor:
@@ -604,12 +607,14 @@ class PatchingProblem:
         return morphisms
 
 
-@dataclass(frozen=True)
 class PatchingSolution:
     """A global solution: the hom family and its branch markings."""
 
-    family: HomFamily
-    markings: Mapping[str, int]
+    __slots__ = ("family", "markings")
+
+    def __init__(self, family: HomFamily, markings: Mapping[str, int]):
+        self.family = family
+        self.markings = markings
 
 
 def solve_patching(problem: PatchingProblem) -> PatchingSolution:
@@ -657,7 +662,6 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
 # Setoid equivalence and groupoid pushout verifier
 
 
-@dataclass(frozen=True)
 class FunctorSetReport:
     """One comparison of the global functor set with the fiber product.
 
@@ -668,14 +672,30 @@ class FunctorSetReport:
     presentation homs, so both reduce to ``passed``.
     """
 
-    global_raw: int
-    fiber_raw: int
-    marking_gauge: int
-    pi1_count: int
-    fiber_classes: int
-    bijective: bool
-    roundtrip_checked: int
-    roundtrip_stride: int
+    __slots__ = (
+        "global_raw", "fiber_raw", "marking_gauge", "pi1_count", "fiber_classes", "bijective",
+        "roundtrip_checked", "roundtrip_stride",
+    )
+
+    def __init__(
+        self,
+        global_raw: int,
+        fiber_raw: int,
+        marking_gauge: int,
+        pi1_count: int,
+        fiber_classes: int,
+        bijective: bool,
+        roundtrip_checked: int,
+        roundtrip_stride: int,
+    ):
+        self.global_raw = global_raw
+        self.fiber_raw = fiber_raw
+        self.marking_gauge = marking_gauge
+        self.pi1_count = pi1_count
+        self.fiber_classes = fiber_classes
+        self.bijective = bijective
+        self.roundtrip_checked = roundtrip_checked
+        self.roundtrip_stride = roundtrip_stride
 
     @property
     def agreement(self) -> bool:

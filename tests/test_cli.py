@@ -374,6 +374,25 @@ def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
     )
 
 
+def test_cli_import_loads_no_introspection_modules():
+    # each command runs in a fresh process, so whatever this import loads is
+    # paid on every call; dataclasses alone would pull in all five
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vkpatch.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "vkpatch.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "dis", "tokenize", "ast"}
+
+
 def test_descent_as_support_bound_far_over_the_cap_is_inconclusive(tmp_path, capsys):
     code = run(["descent-as", write(tmp_path, AS_P5_DOC), "--support-bound", "1000000000"])
     out = capsys.readouterr().out

@@ -56,7 +56,7 @@ def test_decision_lines_pinned():
         "verdict: DESCENDS (galois-degree-p)",
         "  alpha = w^2+w lies in k1 = GF(2^2)",
         "  witness: beta = alpha/t with gamma = 0",
-        "  beta = w^2+w*t^-1",
+        "  beta = (w^2+w)*t^-1",
     ]
     assert as_descends_galois(ASInstance.finite(2, 2, 4, "w")).lines() == [
         "verdict: FAILS (galois-degree-p)",

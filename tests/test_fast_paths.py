@@ -25,7 +25,7 @@ from catalog import (
     with_trivial_edges,
 )
 from vkpatch.gog import GraphOfFiniteGroups, build_presentation, naive_limit_homs
-from vkpatch.graphs import ReductionGraph
+from vkpatch.graphs import ReductionGraph, ScaleError
 from vkpatch.groups import GroupHom, cyclic, enumerate_homs, group_presentation, symmetric
 from vkpatch.torsors import (
     _disagreeing_branch,
@@ -35,7 +35,7 @@ from vkpatch.torsors import (
 )
 
 try:
-    from hypothesis import HealthCheck, given, seed, settings, strategies as st
+    from hypothesis import HealthCheck, given, reject, seed, settings, strategies as st
 except ImportError:  # the sweep below is optional
     given = None
 
@@ -178,13 +178,14 @@ def inverse_natural_map_by_names(presentation, G, datum):
 def assert_fast_paths_match(gog, G, max_globals=400):
     """The join equals the filter for both callers, and the natural maps
     equal the name-walking ones on about ``max_globals`` global functors
-    spread over the whole set."""
+    spread over the whole set.  A ``ScaleError`` of the fiber join comes
+    before any oracle runs."""
+    fiber = _enumerate_fiber_data(gog, G)
     joined = naive_limit_homs(gog, G)
     assert list(joined) == filtered_naive_limit(gog, G)
     assert list(joined) == sorted(joined)
 
     pres = build_presentation(gog)
-    fiber = _enumerate_fiber_data(gog, G)
     assert fiber == filtered_fiber_data(gog, G)
 
     names = gog.graph.edge_names()
@@ -343,6 +344,12 @@ def test_fast_paths_match_the_oracles_on_a_hypothesis_sweep():
         if renamed:
             graph = relabel(rng, graph)
         gog = random_gog(rng, graph, edge_order_cap=3, vertex_pool=pool)
-        assert_fast_paths_match(gog, G, max_globals=50)
+        try:
+            assert_fast_paths_match(gog, G, max_globals=50)
+        except ScaleError:
+            # a draw over FUNCTOR_SET_CAP is out of scope, not a failure:
+            # shrinking it reruns the exponential filter oracles on each
+            # smaller draw
+            reject()
 
     sweep()

@@ -103,6 +103,22 @@ def test_product_valuation_adds():
         assert prod.valuation == a.valuation + b.valuation
 
 
+@pytest.mark.parametrize(
+    "field, terms, order, text",
+    [
+        # w+1 in GF(4) and w^2+w in GF(16) are sums: each is one factor
+        (F4, {-1: F4.add(F4.parse("w"), F4.one), 0: F4.add(F4.parse("w"), F4.one),
+              1: F4.one, 2: F4.parse("w")}, None, "(w+1)*t^-1 + w+1 + t + w*t^2"),
+        (FiniteField(2, 4), {-2: 2, -1: 6}, 3, "w*t^-2 + (w^2+w)*t^-1 + O(t^4)"),
+        (Q3, {-2: Q3.parse({"num": [1, 0, 1], "den": [2, 1]}),
+              -1: Q3.add(Q3.s(), Q3.one), 1: Q3.s()}, None,
+         "((s^2+1)/(s+2))*t^-2 + (s+1)*t^-1 + s*t"),
+    ],
+)
+def test_render_parenthesizes_sum_coefficients(field, terms, order, text):
+    assert LaurentSeries(field, terms, order=order).render() == text
+
+
 # -- p-th power test ------------------------------------------------------------------
 
 

@@ -7,8 +7,9 @@ it must be listed below, as backing a paper statement under test or as pinned
 by name in the benchmark tracer.  Anything else is dead: delete it, or move a
 helper that only tests use into ``tests/catalog.py``.
 
-Likewise every dataclass field must be read as an attribute somewhere in
-``src/vkpatch`` or ``tests``; a field only ever written is dead.
+Likewise every slot of a class that declares ``__slots__`` must be read as
+an attribute somewhere in ``src/vkpatch`` or ``tests``; a slot only ever
+written is dead.
 
 Matching is by bare name, so a method shares its name with every attribute
 of that name: the walk can miss dead code that shares a name with live code.
@@ -146,24 +147,26 @@ def test_listed_names_exist_and_name_their_reason():
         assert entry in tracer, entry
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def _slots(node: ast.ClassDef) -> list[str]:
+    """The names a class body assigns to ``__slots__``."""
+    for item in node.body:
+        if (
+            isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+        ):
+            return [elt.value for elt in item.value.elts]
+    return []
 
 
-def unread_fields() -> list[str]:
-    """Dataclass fields of ``src/vkpatch`` that nothing reads as an attribute."""
+def unread_slots() -> list[str]:
+    """Slots of ``src/vkpatch`` classes that nothing reads as an attribute."""
     modules = _modules()
-    fields = [
-        f"{module}.{node.name}.{item.target.id}"
+    slots = [
+        f"{module}.{node.name}.{slot}"
         for module, tree in modules.items()
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        if isinstance(node, ast.ClassDef)
+        for slot in _slots(node)
     ]
     trees = list(modules.values()) + [
         ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))
@@ -174,9 +177,9 @@ def unread_fields() -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return [q for q in fields if q.rsplit(".", 1)[1] not in read]
+    return [q for q in slots if q.rsplit(".", 1)[1] not in read]
 
 
-def test_every_dataclass_field_is_read():
-    unread = unread_fields()
-    assert not unread, f"dataclass fields nothing reads: {unread}"
+def test_every_slot_is_read():
+    unread = unread_slots()
+    assert not unread, f"slots nothing reads: {unread}"
