@@ -123,11 +123,12 @@ def _dispatch(args, doc: WorkbenchInput, sha: str) -> ReportDocument:
     return report
 
 
-def _report(law, verdict, lines, machine, exit_code) -> ReportDocument:
+def _report(verdict, lines, machine, exit_code) -> ReportDocument:
+    """A report on the law its machine block names."""
     return ReportDocument(
         command="",
         input_sha="",
-        law=law,
+        law=machine["law"],
         verdict=verdict,
         human_lines=lines,
         machine=machine,
@@ -135,19 +136,23 @@ def _report(law, verdict, lines, machine, exit_code) -> ReportDocument:
     )
 
 
+def _pass_or_refuted(passed: bool, lines, machine) -> ReportDocument:
+    if passed:
+        return _report("PASS", lines, machine, EXIT_PASS)
+    return _report("REFUTED", lines, machine, EXIT_FAIL)
+
+
 # -- graph commands ----------------------------------------------------------
 
 
 def _cmd_graph_check(args, doc):
-    graph = doc.require_graph()
-    result = graph.validate()
-    verdict = "PASS" if result.ok else "FAIL"
-    machine = {"law": "reduction-graph-invariants", "ok": result.ok,
-               "violations": list(result.violations)}
-    return _report(
-        "reduction-graph-invariants", verdict, result.lines(), machine,
-        EXIT_PASS if result.ok else EXIT_FAIL,
-    )
+    violations = doc.require_graph().validate()
+    machine = {"law": "reduction-graph-invariants", "ok": not violations,
+               "violations": list(violations)}
+    if not violations:
+        return _report("PASS", ["graph invariants: pass"], machine, EXIT_PASS)
+    lines = ["graph invariants: FAIL"] + [f"  - {v}" for v in violations]
+    return _report("FAIL", lines, machine, EXIT_FAIL)
 
 
 def _cmd_graph_tree(args, doc):
@@ -155,10 +160,7 @@ def _cmd_graph_tree(args, doc):
     flag = is_tree(graph)
     machine = {"law": "tree-recognition", "is_tree": flag,
                "edges": len(graph.edges), "vertices": len(graph.vertices)}
-    return _report(
-        "tree-recognition", "TREE" if flag else "NOT-TREE",
-        [f"is a tree: {flag}"], machine, EXIT_PASS,
-    )
+    return _report("TREE" if flag else "NOT-TREE", [f"is a tree: {flag}"], machine, EXIT_PASS)
 
 
 def _cmd_graph_rank(args, doc):
@@ -168,7 +170,7 @@ def _cmd_graph_rank(args, doc):
     machine = {"law": "cycle-rank", "cycle_rank": rank,
                "canonical_tree": list(tree.edge_names)}
     return _report(
-        "cycle-rank", str(rank),
+        str(rank),
         [f"cycle rank: {rank}", f"canonical maximal tree: {list(tree.edge_names)}"],
         machine, EXIT_PASS,
     )
@@ -180,16 +182,13 @@ def _cmd_graph_covers(args, doc):
     if degree < 1:
         raise InputError([f"degree: cover degree must be >= 1, got {degree}"])
     covers = enumerate_connected_covers(graph, degree)
-    reps = [
-        {name: list(cover.assignment[name]) for name in graph.edge_names()}
-        for cover in covers
-    ]
+    reps = [{name: list(cover[name]) for name in graph.edge_names()} for cover in covers]
     lines = [f"{len(covers)} connected covers of degree {degree}"]
     for i, rep in enumerate(reps):
         lines.append(f"  cover {i}: {rep}")
     machine = {"law": "connected-cover-count", "degree": degree,
                "count": len(covers), "representatives": reps}
-    return _report("connected-cover-count", str(len(covers)), lines, machine, EXIT_PASS)
+    return _report(str(len(covers)), lines, machine, EXIT_PASS)
 
 
 def _cmd_export_dot(args, doc):
@@ -204,18 +203,19 @@ def _cmd_export_dot(args, doc):
     else:
         lines.extend(text.rstrip("\n").split("\n"))
     machine = {"law": "dot-export", "dot": text}
-    return _report("dot-export", "OK", lines, machine, EXIT_PASS)
+    return _report("OK", lines, machine, EXIT_PASS)
 
 
 def _cmd_index_bound(args, doc):
     indices = doc.local_indices()
-    result = index_bound(indices)
-    machine = {"law": "index-divisibility-bound", "product": result.product,
-               "lcm": result.lcm, "local_indices": indices}
-    return _report(
-        "index-divisibility-bound", f"product {result.product}, lcm {result.lcm}",
-        result.lines(), machine, EXIT_PASS,
-    )
+    product, lcm = index_bound(indices)
+    machine = {"law": "index-divisibility-bound", "product": product, "lcm": lcm,
+               "local_indices": indices}
+    lines = [
+        f"divisibility bound (proved): index divides {product}",
+        f"least common multiple (conjectural sharp value): {lcm}",
+    ]
+    return _report(f"product {product}, lcm {lcm}", lines, machine, EXIT_PASS)
 
 
 # -- graph-of-groups commands -------------------------------------------------
@@ -237,7 +237,7 @@ def _cmd_gog_presentation(args, doc):
         "relators": [list(r) for r in pres.relators],
         "tree": list(vk.tree.edge_names),
     }
-    return _report("vankampen-presentation", "OK", lines, machine, EXIT_PASS)
+    return _report("OK", lines, machine, EXIT_PASS)
 
 
 def _cmd_gog_homs(args, doc):
@@ -263,36 +263,28 @@ def _cmd_gog_homs(args, doc):
     ]
     machine = {"law": "vankampen-presentation", "count": len(families),
                "conjugacy_classes": classes, "families_shown": shown}
-    return _report(
-        "vankampen-presentation", str(len(families)), lines, machine, EXIT_PASS
-    )
+    return _report(str(len(families)), lines, machine, EXIT_PASS)
 
 
 def _cmd_gog_verify(args, doc):
     gog = doc.build_gog()
     group = doc.test_group(args.group)
-    report = verify_tree_vankampen(gog, group)
-    lines = report.lines()
-    machine = report.to_json()
-    passed = report.passed
+    lines, machine = verify_tree_vankampen(gog, group)
+    passed = machine["passed"]
     if args.all_trees or doc.options.get("all_trees"):
-        indep = verify_tree_independence(gog, group, report.pi1_count)
-        lines.extend(indep.lines())
-        machine["tree_independence"] = indep.to_json()
-        passed = passed and indep.passed
-    verdict = "PASS" if passed else "REFUTED"
-    return _report("tree-direct-limit", verdict, lines, machine,
-                   EXIT_PASS if passed else EXIT_FAIL)
+        indep_lines, indep = verify_tree_independence(gog, group, machine["pi1_count"])
+        lines.extend(indep_lines)
+        machine["tree_independence"] = indep
+        passed = passed and indep["passed"]
+    return _pass_or_refuted(passed, lines, machine)
 
 
 def _cmd_functor_sets(args, doc):
     gog = doc.build_gog()
     group = doc.test_group(args.group)
-    report = verify_groupoid_pushout(gog, group)
+    lines, machine = verify_groupoid_pushout(gog, group)
     law = "groupoid-pushout" if args.command == "pushout-verify" else "torsor-patching-equivalence"
-    verdict = "PASS" if report.passed else "REFUTED"
-    return _report(law, verdict, report.lines(), {"law": law, **report.to_json()},
-                   EXIT_PASS if report.passed else EXIT_FAIL)
+    return _pass_or_refuted(machine["passed"], lines, {"law": law, **machine})
 
 
 # -- descent commands ---------------------------------------------------------
@@ -317,7 +309,7 @@ def _cmd_descent_as(args, doc):
         machine["agreement"] = agree
         if not agree:
             exit_code = EXIT_FAIL
-    return _report("artin-schreier-descent", decision.verdict, lines, machine, exit_code)
+    return _report(decision.verdict, lines, machine, exit_code)
 
 
 def _cmd_descent_kummer(args, doc):
@@ -325,16 +317,14 @@ def _cmd_descent_kummer(args, doc):
     bound = _opt_int(args, doc, "support_bound", "search_bound", 4)
     decision = kummer_obstruction(instance, bound)
     exit_code = EXIT_INCONCLUSIVE if decision.verdict == INCONCLUSIVE else EXIT_PASS
-    return _report("kummer-descent-obstruction", decision.verdict,
-                   decision.lines(), decision.to_json(), exit_code)
+    return _report(decision.verdict, decision.lines(), decision.to_json(), exit_code)
 
 
 def _cmd_descent_example29(args, doc):
     report = verify_example_29()
-    verdict = "PASS" if report.passed else "REFUTED"
     lines = [f"remainder = {'0' if not report.remainder else 'NONZERO'}"] + report.lines()
-    return _report("artin-schreier-nongalois-descent", verdict, lines,
-                   report.to_json(), EXIT_PASS if report.passed else EXIT_FAIL)
+    machine = report.to_json()
+    return _pass_or_refuted(machine["passed"], lines, machine)
 
 
 _HANDLERS = {

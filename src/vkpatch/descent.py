@@ -415,21 +415,19 @@ def _w_identity_remainder(p: int, w_power: int) -> dict:
 
 def verify_example_29() -> Example29Report:
     """Certify the W = Y^2 identity exactly, with two sanity inversions."""
-    main = _w_identity_remainder(3, 2)
-    char5 = _w_identity_remainder(5, 2)
-    wrong = _w_identity_remainder(3, 1)
-    y6 = _reduce_y_cubed(3, {(0, 0, 6): 1})
-    y4 = _reduce_y_cubed(3, {(0, 0, 4): 1})
+    p = 3
+    y6 = _reduce_y_cubed(p, {(0, 0, 6): 1})
+    y4 = _reduce_y_cubed(p, {(0, 0, 4): 1})
     expansion = (
         f"W^3 = Y^6 = {_render_uty(y6)}",
         f"W^2 = Y^4 = {_render_uty(y4)}",
         "W = Y^2",
-        "sum collapses against x/t^2 = u^2*T^2 in characteristic 3",
+        f"sum collapses against x/t^2 = u^2*T^2 in characteristic {p}",
     )
     return Example29Report(
-        remainder=main,
-        char5_remainder=char5,
-        wrong_generator_remainder=wrong,
+        remainder=_w_identity_remainder(p, 2),
+        char5_remainder=_w_identity_remainder(5, 2),
+        wrong_generator_remainder=_w_identity_remainder(p, 1),
         expansion=expansion,
     )
 

@@ -352,7 +352,9 @@ def poly_label(field, coeffs, var: str = "s") -> str:
         if i == 0:
             parts.append(cl)
         else:
-            head = "" if cl == "1" else f"{cl}*"
+            # a coefficient that is a sum is one factor of the term
+            factor = f"({cl})" if "+" in cl else cl
+            head = "" if cl == "1" else f"{factor}*"
             parts.append(f"{head}{var}^{i}" if i > 1 else f"{head}{var}")
     return "+".join(parts)
 

@@ -366,61 +366,15 @@ def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[tupl
 # Verifiers
 
 
-class TreeVanKampenReport:
-    __slots__ = (
-        "law", "graph_is_tree", "pi1_count", "naive_count", "bijection", "witness", "passed",
-    )
-
-    def __init__(
-        self,
-        law: str,
-        graph_is_tree: bool,
-        pi1_count: int,
-        naive_count: int,
-        bijection: bool,
-        witness: str | None,
-        passed: bool,
-    ):
-        self.law = law
-        self.graph_is_tree = graph_is_tree
-        self.pi1_count = pi1_count
-        self.naive_count = naive_count
-        self.bijection = bijection
-        self.witness = witness
-        self.passed = passed
-
-    def lines(self) -> list[str]:
-        out = [
-            f"graph is a tree: {self.graph_is_tree}",
-            f"presentation homs: {self.pi1_count}",
-            f"naive limit homs: {self.naive_count}",
-            f"restriction map is a bijection: {self.bijection}",
-        ]
-        if not self.graph_is_tree:
-            out.insert(0, "non-tree detected")
-        if self.witness:
-            out.append(f"witness: {self.witness}")
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "graph_is_tree": self.graph_is_tree,
-            "pi1_count": self.pi1_count,
-            "naive_count": self.naive_count,
-            "bijection": self.bijection,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
-
-
-def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeVanKampenReport:
+def verify_tree_vankampen(
+    gog: GraphOfFiniteGroups, group: FiniteGroup
+) -> tuple[list[str], dict]:
     """Compare presentation homs against exact compatible systems.
 
     On a tree the map that forgets edge letters must be a bijection onto the
     families with exact edge agreement; on a non-tree graph the report flags
     the graph and exhibits the discrepancy witness when one exists for this
-    test group.
+    test group.  Returns the report's human lines and its machine block.
     """
     tree_flag = is_tree(gog.graph)
     vk = build_presentation(gog)
@@ -452,16 +406,26 @@ def verify_tree_vankampen(gog: GraphOfFiniteGroups, group: FiniteGroup) -> TreeV
                 break
             seen.add(k)
 
-    passed = bijection if tree_flag else True
-    return TreeVanKampenReport(
-        law="tree-direct-limit",
-        graph_is_tree=tree_flag,
-        pi1_count=len(homs),
-        naive_count=len(naive),
-        bijection=bijection,
-        witness=witness,
-        passed=passed,
-    )
+    lines = [
+        f"graph is a tree: {tree_flag}",
+        f"presentation homs: {len(homs)}",
+        f"naive limit homs: {len(naive)}",
+        f"restriction map is a bijection: {bijection}",
+    ]
+    if not tree_flag:
+        lines.insert(0, "non-tree detected")
+    if witness:
+        lines.append(f"witness: {witness}")
+    machine = {
+        "law": "tree-direct-limit",
+        "graph_is_tree": tree_flag,
+        "pi1_count": len(homs),
+        "naive_count": len(naive),
+        "bijection": bijection,
+        "witness": witness,
+        "passed": bijection if tree_flag else True,
+    }
+    return lines, machine
 
 
 def _conj_desc(vk: VanKampenPresentation, group: FiniteGroup, assignment: Sequence[int]) -> str:
@@ -469,38 +433,14 @@ def _conj_desc(vk: VanKampenPresentation, group: FiniteGroup, assignment: Sequen
     return "{" + ", ".join(f"{n}: {group.label(c)}" for n, c in conj) + "}"
 
 
-class TreeIndependenceReport:
-    __slots__ = ("law", "counts", "all_equal", "passed")
-
-    def __init__(self, law: str, counts: Mapping[str, int], all_equal: bool, passed: bool):
-        self.law = law
-        self.counts = counts
-        self.all_equal = all_equal
-        self.passed = passed
-
-    def lines(self) -> list[str]:
-        out = [f"spanning trees: {len(self.counts)}"]
-        for name, count in self.counts.items():
-            out.append(f"  tree {name}: {count} homs")
-        out.append(f"counts identical across trees: {self.all_equal}")
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "counts": dict(self.counts),
-            "all_equal": self.all_equal,
-            "passed": self.passed,
-        }
-
-
 def verify_tree_independence(
     gog: GraphOfFiniteGroups, group: FiniteGroup, maximal_count: int
-) -> TreeIndependenceReport:
+) -> tuple[list[str], dict]:
     """Hom counts must not depend on the choice of maximal tree.
 
     ``maximal_count`` is the hom count already taken for ``maximal_tree``
-    (``TreeVanKampenReport.pi1_count``); that tree is not enumerated again.
+    (the ``pi1_count`` of ``verify_tree_vankampen``); that tree is not
+    enumerated again.  Returns the report's human lines and machine block.
     """
     maximal = maximal_tree(gog.graph).edge_names
     counts: dict[str, int] = {}
@@ -510,14 +450,13 @@ def verify_tree_independence(
             counts[label] = maximal_count
         else:
             counts[label] = len(enumerate_homs(build_presentation(gog, tree).presentation, group))
-    values = set(counts.values())
-    all_equal = len(values) == 1
-    return TreeIndependenceReport(
-        law="tree-independence",
-        counts=counts,
-        all_equal=all_equal,
-        passed=all_equal,
-    )
+    all_equal = len(set(counts.values())) == 1
+    lines = [f"spanning trees: {len(counts)}"]
+    lines.extend(f"  tree {name}: {count} homs" for name, count in counts.items())
+    lines.append(f"counts identical across trees: {all_equal}")
+    machine = {"law": "tree-independence", "counts": counts, "all_equal": all_equal,
+               "passed": all_equal}
+    return lines, machine
 
 
 def conjugacy_class_count(group: FiniteGroup, homs: Iterable[Sequence[int]]) -> int:

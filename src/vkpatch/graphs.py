@@ -27,19 +27,6 @@ class ScaleError(ValueError):
 COVER_SCAN_CAP = 1_000_000
 
 
-class ValidationReport:
-    __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        self.ok = ok
-        self.violations = violations
-
-    def lines(self) -> list[str]:
-        if self.ok:
-            return ["graph invariants: pass"]
-        return ["graph invariants: FAIL"] + [f"  - {v}" for v in self.violations]
-
-
 class ReductionGraph:
     """Bipartite multigraph of point vertices, component vertices, branches.
 
@@ -59,7 +46,7 @@ class ReductionGraph:
         self.edges = tuple(
             sorted((str(n), str(a), str(b)) for n, a, b in edges)
         )
-        self._report: ValidationReport | None = None
+        self._violations: tuple[str, ...] | None = None
         # endpoint and incidence maps, built once; on a malformed branch the
         # end outside the point class is taken as the component end
         self._by_name: dict[str, tuple[str, str, str]] = {}
@@ -111,10 +98,11 @@ class ReductionGraph:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> ValidationReport:
-        """Check bipartiteness, connectivity, endpoint references, degrees."""
-        if self._report is not None:
-            return self._report
+    def validate(self) -> tuple[str, ...]:
+        """Check bipartiteness, connectivity, endpoint references, degrees;
+        every violated invariant, none when the graph is valid."""
+        if self._violations is not None:
+            return self._violations
         violations: list[str] = []
         declared = set(self.points) | set(self.components)
         if not self.points:
@@ -150,14 +138,13 @@ class ReductionGraph:
             missing = sorted(declared - seen)
             if missing:
                 violations.append(f"graph is disconnected: unreachable {missing}")
-        report = ValidationReport(ok=not violations, violations=tuple(violations))
-        self._report = report
-        return report
+        self._violations = tuple(violations)
+        return self._violations
 
     def require_valid(self) -> None:
-        report = self.validate()
-        if not report.ok:
-            raise InvalidGraphError("; ".join(report.violations))
+        violations = self.validate()
+        if violations:
+            raise InvalidGraphError("; ".join(violations))
 
     def __repr__(self) -> str:
         return (
@@ -264,35 +251,11 @@ def _conj(tau: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(tau[sigma[tau_inv[i]]] for i in range(n))
 
 
-class GraphCover:
-    """A degree-n cover given by sheet permutations, identity on tree edges."""
-
-    __slots__ = ("graph", "degree", "tree", "assignment")
-
-    def __init__(
-        self,
-        graph: ReductionGraph,
-        degree: int,
-        tree: SpanningTree,
-        assignment: Mapping[str, tuple[int, ...]],
-    ):
-        ident = tuple(range(degree))
-        for n in graph.edge_names():
-            perm = assignment.get(n)
-            if perm is None or sorted(perm) != list(range(degree)):
-                raise ValueError(f"edge {n} lacks a valid sheet permutation")
-            if n in tree.edge_names and perm != ident:
-                raise ValueError(f"tree edge {n} must carry the identity permutation")
-        self.graph = graph
-        self.degree = degree
-        self.tree = tree
-        self.assignment = assignment
-
-
 def enumerate_connected_covers(
     graph: ReductionGraph, degree: int, tree: SpanningTree | None = None
-) -> tuple[GraphCover, ...]:
-    """Connected degree-n covers up to simultaneous sheet relabeling.
+) -> tuple[dict[str, tuple[int, ...]], ...]:
+    """Connected degree-n covers up to simultaneous sheet relabeling, each as
+    its sheet permutation per branch, the identity on tree branches.
 
     Covers correspond to tuples of sheet permutations on the r non-tree
     edges; the cover is connected iff the generated permutation group acts
@@ -326,8 +289,8 @@ def enumerate_connected_covers(
     covers = []
     for combo in reps:
         assignment = {name: ident for name in tree.edge_names}
-        assignment.update(dict(zip(free, combo)))
-        covers.append(GraphCover(graph, degree, tree, assignment))
+        assignment.update(zip(free, combo))
+        covers.append(assignment)
     return tuple(covers)
 
 
@@ -404,26 +367,7 @@ def _transitive(gens: Sequence[tuple[int, ...]], n: int) -> bool:
 # Index bound and DOT export
 
 
-class IndexBound:
-    __slots__ = ("product", "lcm")
-
-    def __init__(self, product: int, lcm: int):
-        self.product = product
-        self.lcm = lcm
-
-    def __eq__(self, other):
-        if not isinstance(other, IndexBound):
-            return NotImplemented
-        return (self.product, self.lcm) == (other.product, other.lcm)
-
-    def lines(self) -> list[str]:
-        return [
-            f"divisibility bound (proved): index divides {self.product}",
-            f"least common multiple (conjectural sharp value): {self.lcm}",
-        ]
-
-
-def index_bound(local_indices: Mapping[str, int] | Sequence[int]) -> IndexBound:
+def index_bound(local_indices: Mapping[str, int] | Sequence[int]) -> tuple[int, int]:
     """Product of local indices (the proved bound) and their lcm.
 
     The product is the established divisibility bound; the lcm is reported
@@ -441,7 +385,7 @@ def index_bound(local_indices: Mapping[str, int] | Sequence[int]) -> IndexBound:
     prod = 1
     for v in values:
         prod *= int(v)
-    return IndexBound(product=prod, lcm=math.lcm(*[int(v) for v in values]))
+    return prod, math.lcm(*[int(v) for v in values])
 
 
 def export_dot(graph: ReductionGraph, tree: SpanningTree | None = None) -> str:

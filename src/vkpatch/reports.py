@@ -59,6 +59,7 @@ class ReportDocument:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def render(self) -> str:
+        digest = self.deterministic_digest()
         lines = [
             "== vkpatch report ==",
             f"command: {self.command}",
@@ -69,11 +70,11 @@ class ReportDocument:
         for w in self.warnings:
             lines.append(f"warning: {w}")
         lines.extend(self.human_lines)
-        lines.append(f"deterministic-digest: {self.deterministic_digest()}")
+        lines.append(f"deterministic-digest: {digest}")
         lines.append(f"timing: {self.timing_ms:.1f} ms (excluded from digest)")
         lines.append("-- machine --")
         machine = dict(self.machine)
-        machine["deterministic_digest"] = self.deterministic_digest()
+        machine["deterministic_digest"] = digest
         machine["timing_ms"] = self.timing_ms
         lines.append(json.dumps(machine, sort_keys=True, indent=2))
         return "\n".join(lines) + "\n"

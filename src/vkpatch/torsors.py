@@ -662,89 +662,24 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
 # Setoid equivalence and groupoid pushout verifier
 
 
-class FunctorSetReport:
-    """One comparison of the global functor set with the fiber product.
-
-    It decides both laws at once.  The setoid equivalence asks that
-    restriction be a bijection on classes with as many global classes as
-    fiber classes; the groupoid pushout asks that it be a bijection with as
-    many fiber classes as presentation homs.  Global classes are the
-    presentation homs, so both reduce to ``passed``.
-    """
-
-    __slots__ = (
-        "global_raw", "fiber_raw", "marking_gauge", "pi1_count", "fiber_classes", "bijective",
-        "roundtrip_checked", "roundtrip_stride",
-    )
-
-    def __init__(
-        self,
-        global_raw: int,
-        fiber_raw: int,
-        marking_gauge: int,
-        pi1_count: int,
-        fiber_classes: int,
-        bijective: bool,
-        roundtrip_checked: int,
-        roundtrip_stride: int,
-    ):
-        self.global_raw = global_raw
-        self.fiber_raw = fiber_raw
-        self.marking_gauge = marking_gauge
-        self.pi1_count = pi1_count
-        self.fiber_classes = fiber_classes
-        self.bijective = bijective
-        self.roundtrip_checked = roundtrip_checked
-        self.roundtrip_stride = roundtrip_stride
-
-    @property
-    def agreement(self) -> bool:
-        return self.fiber_classes == self.pi1_count
-
-    @property
-    def passed(self) -> bool:
-        return self.bijective and self.agreement
-
-    def lines(self) -> list[str]:
-        if self.roundtrip_stride == 1:
-            strided = "every element"
-        else:
-            strided = f"strided: one element in {self.roundtrip_stride}"
-        return [
-            f"global torsor classes = presentation homs: {self.pi1_count}",
-            f"patching-family classes = pushout functors: {self.fiber_classes}",
-            f"counts agree: {self.agreement}",
-            f"raw functor sets: global {self.global_raw}, fiber product {self.fiber_raw}",
-            f"point-marking gauge: {self.marking_gauge}",
-            f"restriction functor bijective on classes: {self.bijective}",
-            f"round trips verified: {self.roundtrip_checked} ({strided})",
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "global_classes": self.pi1_count,
-            "fiber_classes": self.fiber_classes,
-            "functor_count": self.fiber_classes,
-            "pi1_count": self.pi1_count,
-            "agreement": self.agreement,
-            "global_raw": self.global_raw,
-            "fiber_raw": self.fiber_raw,
-            "marking_gauge": self.marking_gauge,
-            "bijective": self.bijective,
-            "roundtrip_checked": self.roundtrip_checked,
-            "roundtrip_stride": self.roundtrip_stride,
-            "passed": self.passed,
-        }
-
-
-def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> FunctorSetReport:
+def verify_groupoid_pushout(
+    gog: GraphOfFiniteGroups, group: FiniteGroup
+) -> tuple[list[str], dict]:
     """Check torsor patching in both of its forms.
 
     Restriction must be a bijection between isomorphism classes of global
     multipointed torsors (functors from the global groupoid into BG) and
     branch-agreeing families of local ones (functor families on the vertex
     groupoids), and the class count with the marking gauge removed must equal
-    the presentation hom count.  Both sides are enumerated independently."""
+    the presentation hom count.  Both sides are enumerated independently.
+
+    One comparison decides both laws.  The setoid equivalence asks that
+    restriction be a bijection on classes with as many global classes as
+    fiber classes; the groupoid pushout asks that it be a bijection with as
+    many fiber classes as presentation homs.  Global classes are the
+    presentation homs, so both reduce to ``passed``.  Returns the report's
+    human lines and its machine block, which has no ``law``: the caller
+    names the law it checks."""
     presentation = build_presentation(gog)
     G = group
     pi1 = [
@@ -788,16 +723,34 @@ def verify_groupoid_pushout(gog: GraphOfFiniteGroups, group: FiniteGroup) -> Fun
     fiber_raw = len(fiber)
     if fiber_raw % gauge != 0:
         raise AssertionError("fiber count is not a multiple of the marking gauge")
-    return FunctorSetReport(
-        global_raw=lhs_raw,
-        fiber_raw=fiber_raw,
-        marking_gauge=gauge,
-        pi1_count=len(pi1),
-        fiber_classes=fiber_raw // gauge,
-        bijective=image_keys == fiber_keys,
-        roundtrip_checked=roundtrips,
-        roundtrip_stride=stride,
-    )
+    fiber_classes = fiber_raw // gauge
+    agreement = fiber_classes == len(pi1)
+    bijective = image_keys == fiber_keys
+    strided = "every element" if stride == 1 else f"strided: one element in {stride}"
+    lines = [
+        f"global torsor classes = presentation homs: {len(pi1)}",
+        f"patching-family classes = pushout functors: {fiber_classes}",
+        f"counts agree: {agreement}",
+        f"raw functor sets: global {lhs_raw}, fiber product {fiber_raw}",
+        f"point-marking gauge: {gauge}",
+        f"restriction functor bijective on classes: {bijective}",
+        f"round trips verified: {roundtrips} ({strided})",
+    ]
+    machine = {
+        "global_classes": len(pi1),
+        "fiber_classes": fiber_classes,
+        "functor_count": fiber_classes,
+        "pi1_count": len(pi1),
+        "agreement": agreement,
+        "global_raw": lhs_raw,
+        "fiber_raw": fiber_raw,
+        "marking_gauge": gauge,
+        "bijective": bijective,
+        "roundtrip_checked": roundtrips,
+        "roundtrip_stride": stride,
+        "passed": bijective and agreement,
+    }
+    return lines, machine
 
 
 # The setoid-equivalence law is decided by the same comparison; the name stays

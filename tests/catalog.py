@@ -8,7 +8,7 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from vkpatch.gog import GraphOfFiniteGroups
-from vkpatch.graphs import GraphCover, ReductionGraph
+from vkpatch.graphs import ReductionGraph
 from vkpatch.groups import (
     FiniteGroup,
     GroupHom,
@@ -224,23 +224,25 @@ def presentation_from_words(generators: Sequence[str], words: Iterable[Iterable[
 
 
 def cover_total_space(
-    cover: GraphCover,
+    graph: ReductionGraph, degree: int, assignment: Mapping[str, Sequence[int]],
 ) -> tuple[list[tuple[str, int]], list[tuple[str, int, tuple[str, int], tuple[str, int]]]]:
-    """The covering graph: vertex fibers of size n, one edge per sheet."""
-    graph = cover.graph
-    verts = [(v, i) for v in graph.vertices for i in range(cover.degree)]
+    """The covering graph of a degree-n cover given by its sheet permutation
+    per branch: vertex fibers of size n, one edge per sheet."""
+    verts = [(v, i) for v in graph.vertices for i in range(degree)]
     edges = []
     for name in graph.edge_names():
         p = graph.point_end(name)
         u = graph.component_end(name)
-        perm = cover.assignment[name]
-        for i in range(cover.degree):
+        perm = assignment[name]
+        for i in range(degree):
             edges.append((name, i, (p, i), (u, perm[i])))
     return verts, edges
 
 
-def cover_is_connected(cover: GraphCover) -> bool:
-    verts, edges = cover_total_space(cover)
+def cover_is_connected(
+    graph: ReductionGraph, degree: int, assignment: Mapping[str, Sequence[int]]
+) -> bool:
+    verts, edges = cover_total_space(graph, degree, assignment)
     if not verts:
         return True
     adj: dict[tuple[str, int], list[tuple[str, int]]] = {v: [] for v in verts}

@@ -18,6 +18,7 @@ from vkpatch.reports import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
     EXIT_PASS,
+    ReportDocument,
 )
 
 MINIMAL = {
@@ -87,7 +88,7 @@ def digest_of(capsys) -> str:
 def test_parse_minimal_document():
     doc = parse_input(json.dumps(MINIMAL))
     assert doc.graph is not None
-    assert doc.graph.validate().ok
+    assert doc.graph.validate() == ()
 
 
 def test_parse_rejects_missing_version():
@@ -436,6 +437,12 @@ def test_index_bound_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert "product 24, lcm 12" in out
+    # 1 is the least local index, and a valid one
+    doc["options"] = {"local_indices": {"P": 1, "U": 6}}
+    code = run(["index-bound", write(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert "product 6, lcm 6" in out
 
 
 def test_export_dot_to_file(tmp_path, capsys):
@@ -554,10 +561,21 @@ def test_random_gog_round_trips_through_schema(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_machine_block_is_valid_json(tmp_path, capsys):
+def test_machine_block_is_valid_json(tmp_path, capsys, monkeypatch):
+    digests = []
+    real_digest = ReportDocument.deterministic_digest
+
+    def counted(self):
+        digests.append(real_digest(self))
+        return digests[-1]
+
+    monkeypatch.setattr(ReportDocument, "deterministic_digest", counted)
     run(["gog-verify", write(tmp_path, CIRCLE)])
     out = capsys.readouterr().out
     machine = out.split("-- machine --\n", 1)[1]
     payload = json.loads(machine)
     assert payload["law"] == "tree-direct-limit"
-    assert "deterministic_digest" in payload
+    # one digest per report, printed in the header and in the machine block
+    assert len(digests) == 1
+    assert payload["deterministic_digest"] == digests[0]
+    assert f"deterministic-digest: {digests[0]}\n" in out

@@ -3,6 +3,7 @@ and the residue-level Kummer obstruction."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from vkpatch.descent import (
     as_descends_galois,
     kummer_obstruction,
     _gf_kernel_vector,
+    _solve_artin_schreier,
     verify_example_29,
 )
 from vkpatch.fields import FiniteField
@@ -136,6 +138,38 @@ def test_oracle_witnesses_satisfy_equation_exactly():
     assert lhs.equals_exact(rhs)
 
 
+def _exhaustive_artin_schreier(k2, p, x):
+    """The negative part of gamma with gamma^p - gamma = x, or None, by
+    trying every gamma: its least exponent j has p*j = min(x), so its
+    support lies in -(|min x| // p) .. -1."""
+    target = LaurentSeries(k2, x)
+    exponents = range(-1, -(-min(x) // p) - 1, -1)
+    found = []
+    for combo in itertools.product(range(k2.q), repeat=len(exponents)):
+        gamma = LaurentSeries(k2, dict(zip(exponents, combo)))
+        if gamma.pow(p).sub(gamma).equals_exact(target):
+            found.append(dict(gamma.terms()))
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def test_artin_schreier_solve_matches_exhaustive_search():
+    # every x on exponents -depth .. -1: the solvability test p*j < min(x)
+    # and the solve from exponent -1 down both decide some of these
+    solved = refused = 0
+    for k2, depth in ((FiniteField(2), 6), (FiniteField(2, 2), 4), (FiniteField(3), 5)):
+        p = k2.p
+        for combo in itertools.product(range(k2.q), repeat=depth):
+            x = {-1 - i: c for i, c in enumerate(combo) if c != k2.zero}
+            if not x:
+                continue
+            expected = _exhaustive_artin_schreier(k2, p, x)
+            assert _solve_artin_schreier(k2, p, x) == expected, (k2, x)
+            solved += expected is not None
+            refused += expected is None
+    assert solved > 0 and refused > 0
+
+
 def test_criterion_and_oracle_agree_on_all_of_f4_and_f9():
     for p in (2, 3):
         inst_field = FiniteField(p, 2)
@@ -184,6 +218,18 @@ def test_example_29_certificate_is_exact():
     assert report.passed
 
 
+def test_example_29_lines_pinned():
+    assert verify_example_29().lines() == [
+        "remainder over GF(3): 0",
+        "  W^3 = Y^6 = Y^2 + 2*u*T*Y + u^2*T^2",
+        "  W^2 = Y^4 = Y^2 + u*T*Y",
+        "  W = Y^2",
+        "  sum collapses against x/t^2 = u^2*T^2 in characteristic 3",
+        "sanity inversion (char 5): remainder 3*Y^2 + 3*u*T*Y",
+        "sanity inversion (W = Y): remainder 2*Y + Y^2 + u*T + 2*u^2*T^2",
+    ]
+
+
 def test_example_29_char5_remainder_shape():
     # in characteristic 5 the collapse leaves 3Y^2 + 3uTY
     report = verify_example_29()
@@ -218,8 +264,10 @@ def test_fbar_of_base_ring_gbar_is_polynomial():
 
 def test_kummer_bounds_are_honest():
     inst = KummerInstance.transcendental_model(2, 1, 4, 20)
-    assert kummer_obstruction(inst, 4).verdict == INCONCLUSIVE
-    assert kummer_obstruction(inst, -1).verdict == INCONCLUSIVE
+    for bound in (4, -1):  # truncation too small; empty search space
+        decision = kummer_obstruction(inst, bound)
+        assert decision.verdict == INCONCLUSIVE
+        assert decision.candidates_tried == 0
 
 
 def test_kummer_char3():

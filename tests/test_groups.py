@@ -58,6 +58,14 @@ def test_cyclic_one_is_trivial():
     assert g.identity == 0
 
 
+def test_symmetric_one_is_trivial_and_zero_is_refused():
+    g = symmetric(1)
+    assert g.order == 1
+    assert g.identity == 0
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        symmetric(0)
+
+
 def test_symmetric3_has_three_involutions():
     s3 = symmetric(3)
     assert s3.order == 6

@@ -93,6 +93,21 @@ def test_precision_propagation():
         a.equals_exact(b)
 
 
+def test_product_keeps_the_coefficient_at_its_order():
+    # (1 + t + O(t^2)) * (1 + t) = 1 + 2t + O(t^2) over GF(3): the product is
+    # known to t^1, and its t^1 coefficient is not zero
+    a = LaurentSeries(F3, {0: 1, 1: 1}, order=1)
+    b = LaurentSeries(F3, {0: 1, 1: 1})
+    for prod in (a.mul(b), b.mul(a)):
+        assert prod.order == 1
+        assert prod.coefficient(1) == 2
+        assert prod.render() == "1 + 2*t + O(t^2)"
+    # both truncated: (t^-1 + 2 + O(t)) * (1 + 2t + O(t^2)) is known to t^0
+    c = LaurentSeries(F3, {-1: 1, 0: 2}, order=0)
+    d = LaurentSeries(F3, {0: 1, 1: 2}, order=1)
+    assert c.mul(d).render() == "t^-1 + 1 + O(t^1)"
+
+
 def test_product_valuation_adds():
     rng = random.Random(13)
     for _ in range(40):
@@ -117,6 +132,16 @@ def test_product_valuation_adds():
 )
 def test_render_parenthesizes_sum_coefficients(field, terms, order, text):
     assert LaurentSeries(field, terms, order=order).render() == text
+
+
+def test_rational_function_label_parenthesizes_sum_coefficients():
+    K = RationalFunctionField(F4)
+    w = F4.parse("w")
+    w1 = F4.add(w, F4.one)
+    assert K.label(K.make((F4.zero, w1))) == "(w+1)*s"
+    assert K.label(K.make((w1,), (F4.zero, w1, F4.one))) == "(w+1)/(s^2+(w+1)*s)"
+    # a coefficient with one term keeps no parentheses
+    assert K.label(K.make((F4.one, w, F4.one))) == "s^2+w*s+1"
 
 
 # -- p-th power test ------------------------------------------------------------------

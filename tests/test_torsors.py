@@ -224,59 +224,55 @@ def test_natural_map_round_trip_on_random_instances():
 
 def test_setoid_equivalence_spec_counts():
     c1, c2, c3, s3 = cyclic(1), cyclic(2), cyclic(3), symmetric(3)
-    report = verify_groupoid_pushout(
+    _, report = verify_groupoid_pushout(
         with_trivial_edges(diamond_graph(), {"P": c2, "U": c3}), s3
     )
-    assert report.pi1_count == report.fiber_classes == 12
-    assert report.passed
+    assert report["pi1_count"] == report["fiber_classes"] == 12
+    assert report["passed"]
 
-    report = verify_groupoid_pushout(trivial_gog(circle_graph()), c3)
-    assert report.pi1_count == report.fiber_classes == 3
-    assert report.global_raw == report.fiber_raw == 9
-    assert report.passed
+    _, report = verify_groupoid_pushout(trivial_gog(circle_graph()), c3)
+    assert report["pi1_count"] == report["fiber_classes"] == 3
+    assert report["global_raw"] == report["fiber_raw"] == 9
+    assert report["passed"]
 
-    report = verify_groupoid_pushout(trivial_gog(circle_graph()), c1)
-    assert report.pi1_count == 1
-    assert report.passed
+    _, report = verify_groupoid_pushout(trivial_gog(circle_graph()), c1)
+    assert report["pi1_count"] == 1
+    assert report["passed"]
 
 
 def test_pushout_spec_counts():
     c1, c2, s3 = cyclic(1), cyclic(2), symmetric(3)
-    report = verify_groupoid_pushout(trivial_gog(theta_graph()), c2)
-    assert report.fiber_classes == report.pi1_count == 4
-    assert report.passed
+    _, report = verify_groupoid_pushout(trivial_gog(theta_graph()), c2)
+    assert report["fiber_classes"] == report["pi1_count"] == 4
+    assert report["passed"]
 
-    report = verify_groupoid_pushout(
+    _, report = verify_groupoid_pushout(
         with_trivial_edges(diamond_graph(), {"P": c2, "U": cyclic(3)}),
         s3,
     )
-    assert report.fiber_classes == report.pi1_count == 12
-    assert report.passed
+    assert report["fiber_classes"] == report["pi1_count"] == 12
+    assert report["passed"]
 
-    report = verify_groupoid_pushout(trivial_gog(diamond_graph()), c1)
-    assert report.fiber_classes == report.pi1_count == 1
-    assert report.passed
+    _, report = verify_groupoid_pushout(trivial_gog(diamond_graph()), c1)
+    assert report["fiber_classes"] == report["pi1_count"] == 1
+    assert report["passed"]
 
 
 def test_roundtrip_stride_is_reported(monkeypatch):
     gog, c3 = trivial_gog(theta_graph()), cyclic(3)
-    report = verify_groupoid_pushout(gog, c3)
-    assert report.global_raw == 81
-    assert report.roundtrip_checked == report.global_raw
-    assert report.roundtrip_stride == 1
-    assert "round trips verified: 81 (every element)" in report.lines()
+    lines, report = verify_groupoid_pushout(gog, c3)
+    assert report["global_raw"] == 81
+    assert report["roundtrip_checked"] == report["global_raw"]
+    assert report["roundtrip_stride"] == 1
+    assert "round trips verified: 81 (every element)" in lines
 
     monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", 10)
-    report = verify_groupoid_pushout(gog, c3)
-    assert report.passed
-    assert report.roundtrip_stride > 1
-    assert report.roundtrip_checked < report.global_raw
-    assert report.to_json()["roundtrip_stride"] == report.roundtrip_stride
-    assert report.to_json()["roundtrip_checked"] == report.roundtrip_checked
-    assert (
-        f"round trips verified: {report.roundtrip_checked} "
-        f"(strided: one element in {report.roundtrip_stride})"
-    ) in report.lines()
+    lines, report = verify_groupoid_pushout(gog, c3)
+    assert report["passed"]
+    # stride 81 // 10 = 8 checks indices 0, 8, ..., 80
+    assert report["roundtrip_stride"] == 8
+    assert report["roundtrip_checked"] == 11 < report["global_raw"]
+    assert "round trips verified: 11 (strided: one element in 8)" in lines
 
 
 def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
@@ -307,8 +303,8 @@ def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
         assert built["HomFamily"] == len(families) > 0
         assert built["GroupHom"] >= len(families)
         built.update(GroupHom=0, HomFamily=0)
-        report = verify_groupoid_pushout(gog, G)
-        assert report.passed and report.pi1_count == len(families)
+        _, report = verify_groupoid_pushout(gog, G)
+        assert report["passed"] and report["pi1_count"] == len(families)
         assert built == {"GroupHom": 0, "HomFamily": 0}
 
 
@@ -320,8 +316,8 @@ def test_pushout_on_random_instances():
             graph = add_extra_edges(rng, graph, 1)
         gog = random_gog(rng, graph, vertex_order_cap=6)
         G = rng.choice([cyclic(2), cyclic(4), symmetric(3)])
-        report = verify_groupoid_pushout(gog, G)
-        assert report.passed, (graph.edges, G.name)
+        _, report = verify_groupoid_pushout(gog, G)
+        assert report["passed"], (graph.edges, G.name)
 
 
 # -- patching ----------------------------------------------------------------------
@@ -431,7 +427,7 @@ def test_two_fiber_object_classes_match_the_fiber_product():
     raw fiber count of the setoid equivalence report."""
     c2, c3, s3 = cyclic(2), cyclic(3), symmetric(3)
     gog = with_trivial_edges(diamond_graph(), {"P": c2, "U": c3})
-    report = verify_groupoid_pushout(gog, s3)
+    _, report = verify_groupoid_pushout(gog, s3)
     classes = set()
     built = 0
     for f_p in hom_set(c2, s3):
@@ -447,7 +443,7 @@ def test_two_fiber_object_classes_match_the_fiber_product():
                     built += 1
                     classes.add(obj.class_key())
     assert built > 0
-    assert len(classes) == report.fiber_raw == 12
+    assert len(classes) == report["fiber_raw"] == 12
 
 
 def test_two_fiber_object_validates_connecting_maps():
