@@ -16,6 +16,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# A field is refused beyond this many elements, before any table is built:
+# the build is O(q) polynomial products, and no test or benchmark field is
+# larger than GF(2^10).
+FIELD_SIZE_CAP = 4096
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -113,10 +118,14 @@ class FiniteField:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        # for p >= 2 the size at least doubles with the degree, so p**e is
+        # only formed once it is known to be small
+        if p > 1 and (e > FIELD_SIZE_CAP.bit_length() or p**e > FIELD_SIZE_CAP):
+            raise ValueError(f"GF({p}^{e}) has more than {FIELD_SIZE_CAP} elements (field size cap)")
+        if not is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
         self.e = e
         self.q = p**e
@@ -340,6 +349,20 @@ def poly_gcd(field, a, b) -> tuple:
     return a
 
 
+def factor_label(label: str) -> str:
+    """A coefficient label written as one factor of a term: parenthesized
+    only when a ``+`` or ``/`` stands outside its own parentheses."""
+    depth = 0
+    for ch in label:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and ch in "+/":
+            return f"({label})"
+    return label
+
+
 def poly_label(field, coeffs, var: str = "s") -> str:
     if not coeffs:
         return "0"
@@ -352,9 +375,7 @@ def poly_label(field, coeffs, var: str = "s") -> str:
         if i == 0:
             parts.append(cl)
         else:
-            # a coefficient that is a sum is one factor of the term
-            factor = f"({cl})" if "+" in cl else cl
-            head = "" if cl == "1" else f"{factor}*"
+            head = "" if cl == "1" else f"{factor_label(cl)}*"
             parts.append(f"{head}{var}^{i}" if i > 1 else f"{head}{var}")
     return "+".join(parts)
 

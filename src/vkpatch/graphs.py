@@ -297,12 +297,15 @@ def enumerate_connected_covers(
 def _least_transitive_tuples(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """The least tuple of every conjugacy class of transitive r-tuples in
     S_n (r >= 1), in sorted order."""
-    fact = math.factorial(n)
-    scan = _partition_count(n) * max(fact, fact ** (r - 1))
-    if scan > COVER_SCAN_CAP:
+    # p(n) * max(n!, (n!)^(r-1)) tuples, refused as soon as a partial product
+    # passes the cap, so no big number is ever formed
+    fact = _capped_product(range(2, n + 1))
+    if fact is None or _capped_product(
+        [_partition_count(n), *itertools.repeat(fact, max(1, r - 1))]
+    ) is None:
         raise ScaleError(
-            f"degree-{n} covers of a rank-{r} graph would scan ~{scan} tuples "
-            f"(cap {COVER_SCAN_CAP})"
+            f"degree-{n} covers of a rank-{r} graph would scan more tuples than "
+            f"allowed (cap {COVER_SCAN_CAP})"
         )
     perms = sorted(itertools.permutations(range(n)))
     index = {perm: i for i, perm in enumerate(perms)}
@@ -340,6 +343,17 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths))
+
+
+def _capped_product(factors: Iterable[int]) -> int | None:
+    """The product of positive factors, or None once it passes
+    ``COVER_SCAN_CAP``."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > COVER_SCAN_CAP:
+            return None
+    return out
 
 
 def _partition_count(n: int) -> int:

@@ -13,7 +13,11 @@ every triple.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+
+# ``make_group`` refuses a group of larger order before building any table.
+GROUP_ORDER_CAP = 200
 
 
 class GroupAxiomError(ValueError):
@@ -186,21 +190,38 @@ def make_group(descriptor: Mapping, name: str = "G") -> FiniteGroup:
 
     Accepted shapes: ``{"cyclic": n}``, ``{"symmetric": n}``,
     ``{"product": [descriptor, ...]}``, and
-    ``{"table": {"elements": [...], "table": [[...]]}}``.
+    ``{"table": {"elements": [...], "table": [[...]]}}``.  A group of order
+    above ``GROUP_ORDER_CAP`` is refused before any table is built.
     """
     if not isinstance(descriptor, Mapping) or len(descriptor) != 1:
         raise ValueError(f"group descriptor must have exactly one key, got {descriptor!r}")
     kind, value = next(iter(descriptor.items()))
     if kind == "cyclic":
-        return cyclic(int(value), name=name)
+        n = int(value)
+        _check_order(kind, [n])
+        return cyclic(n, name=name)
     if kind == "symmetric":
-        return symmetric(int(value), name=name)
+        n = int(value)
+        _check_order(kind, range(2, n + 1))
+        return symmetric(n, name=name)
     if kind == "product":
         factors = [make_group(d, name=f"{name}.{k}") for k, d in enumerate(value)]
+        _check_order(kind, [g.order for g in factors])
         return direct_product(*factors, name=name)
     if kind == "table":
+        _check_order(kind, [len(value["elements"])])
         return from_table(value["elements"], value["table"], name=name)
     raise ValueError(f"unknown group descriptor kind {kind!r}")
+
+
+def _check_order(kind: str, factors: Iterable[int]) -> None:
+    """Refuse a group whose order, the product of ``factors``, passes
+    ``GROUP_ORDER_CAP``; the product stops as soon as it does."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > GROUP_ORDER_CAP:
+            raise ValueError(f"{kind} group of order above the cap {GROUP_ORDER_CAP}")
 
 
 # ---------------------------------------------------------------------------

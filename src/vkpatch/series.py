@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .fields import factor_label
+
 _INF = float("inf")
 
 
@@ -161,9 +163,7 @@ class LaurentSeries:
                 if e == 0:
                     parts.append(cl)
                 else:
-                    # a coefficient that is a sum is one factor of the term
-                    factor = f"({cl})" if "+" in cl else cl
-                    head = "" if cl == "1" else f"{factor}*"
+                    head = "" if cl == "1" else f"{factor_label(cl)}*"
                     parts.append(f"{head}{self.var}^{e}" if e != 1 else f"{head}{self.var}")
             body = " + ".join(parts)
         if self.order is not None:
@@ -183,16 +183,9 @@ def _min_order(*orders):
 # p-th power testing
 
 
-class PthPowerResult:
-    __slots__ = ("root", "witness")
-
-    def __init__(self, root: LaurentSeries | None, witness: str | None):
-        self.root = root
-        self.witness = witness
-
-
-def pth_power_test(a: LaurentSeries) -> PthPowerResult:
-    """Return the unique p-th root within precision, or a refusal witness.
+def pth_power_test(a: LaurentSeries) -> tuple[LaurentSeries | None, str | None]:
+    """Return ``(root, None)`` with the unique p-th root within precision, or
+    ``(None, witness)`` with a refusal witness.
 
     A series is a p-th power iff its valuation and every exponent in its
     support are divisible by p and every coefficient is a p-th power in the
@@ -203,16 +196,14 @@ def pth_power_test(a: LaurentSeries) -> PthPowerResult:
     if a.is_zero_to_order():
         raise ValueError("p-th power test requires a nonzero series")
     if a.valuation % p != 0:
-        return PthPowerResult(None, f"valuation {a.valuation} not divisible by {p}")
+        return None, f"valuation {a.valuation} not divisible by {p}"
     root_items = {}
     for e, c in a.terms():
         if e % p != 0:
-            return PthPowerResult(None, f"exponent {e} not divisible by {p}")
+            return None, f"exponent {e} not divisible by {p}"
         r = a.field.pth_root(c)
         if r is None:
-            return PthPowerResult(
-                None, f"coefficient {a.field.label(c)} at exponent {e} is not a {p}-th power"
-            )
+            return None, f"coefficient {a.field.label(c)} at exponent {e} is not a {p}-th power"
         root_items[e // p] = r
     order = None if a.order is None else a.order // p
-    return PthPowerResult(LaurentSeries(a.field, root_items, order=order, var=a.var), None)
+    return LaurentSeries(a.field, root_items, order=order, var=a.var), None

@@ -268,17 +268,6 @@ class MultipointedTorsor:
         )
 
 
-class TorsorMorphism:
-    __slots__ = ("source", "target", "mapping")
-
-    def __init__(
-        self, source: MultipointedTorsor, target: MultipointedTorsor, mapping: tuple[int, ...]
-    ):
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-
-
 def torsor_from_hom(f: GroupoidFunctor) -> MultipointedTorsor:
     """The multipointed torsor of a functor: carrier G, left action through
     the vertex hom, point at s marked at the inverse of the translation.
@@ -304,8 +293,9 @@ def hom_from_torsor(t: MultipointedTorsor, groupoid: ModelGroupoid) -> GroupoidF
     return GroupoidFunctor(groupoid, t.group, hom, translations)
 
 
-def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> TorsorMorphism | None:
-    """The unique equivariant point-preserving map, if one exists.
+def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> tuple[int, ...] | None:
+    """The unique equivariant point-preserving map as a carrier table (the
+    image of each carrier element of t1), or None when there is none.
 
     The candidate is forced by where the base point goes; the setoid law
     |morphisms| <= 1 is structural.
@@ -328,7 +318,7 @@ def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> TorsorMo
         for a in range(t1.group.order):
             if mapping[t1.right[x][a]] != t2.right[mapping[x]][a]:
                 return None
-    return TorsorMorphism(t1, t2, mapping)
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -468,94 +458,21 @@ def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[
 
 
 # ---------------------------------------------------------------------------
-# 2-fiber-product objects
-
-
-class TwoFiberObject:
-    """An object of the 2-fiber product: component-side and point-side
-    multipointed torsor families plus the connecting isomorphisms of their
-    branch restrictions (one per branch, component side to point side).
-
-    Since all categories involved are setoids, the connecting isomorphisms
-    are unique when they exist, and the isomorphism class of the triple is
-    the pair of class keys of the two sides.  Its classes are the local side
-    of the patching equivalence (global torsors = 2-fiber product), checked
-    in ``test_two_fiber_object_classes_match_the_fiber_product``.
-    """
-
-    def __init__(
-        self,
-        gog: GraphOfFiniteGroups,
-        component_data: Mapping[str, MultipointedTorsor],
-        point_data: Mapping[str, MultipointedTorsor],
-        connecting: Mapping[str, TorsorMorphism],
-    ):
-        self.gog = gog
-        self.component_data = {u: component_data[u] for u in gog.graph.components}
-        self.point_data = {p: point_data[p] for p in gog.graph.points}
-        self.connecting = dict(connecting)
-        expected = _connecting_maps(gog, self.component_data, self.point_data)
-        for e, mor in expected.items():
-            given = self.connecting.get(e)
-            if given is None or mor is None or given.mapping != mor.mapping:
-                raise ValueError(
-                    f"connecting map at branch {e} is not the isomorphism of the "
-                    "two restrictions"
-                )
-
-    @classmethod
-    def build(
-        cls,
-        gog: GraphOfFiniteGroups,
-        component_data: Mapping[str, MultipointedTorsor],
-        point_data: Mapping[str, MultipointedTorsor],
-    ) -> "TwoFiberObject":
-        """Compute the unique connecting isomorphisms; raise naming the first
-        branch whose restrictions do not match."""
-        connecting = _connecting_maps(gog, component_data, point_data)
-        for e, mor in connecting.items():
-            if mor is None:
-                raise ValueError(f"branch {e}: restrictions are not isomorphic")
-        return cls(gog, component_data, point_data, connecting)
-
-    def class_key(self) -> tuple:
-        """Isomorphism-class invariant: the pair of side class keys."""
-        return (
-            tuple(self.component_data[u].canonical_key() for u in self.gog.graph.components),
-            tuple(self.point_data[p].canonical_key() for p in self.gog.graph.points),
-        )
-
-
-def _connecting_maps(
-    gog: GraphOfFiniteGroups,
-    component_data: Mapping[str, MultipointedTorsor],
-    point_data: Mapping[str, MultipointedTorsor],
-) -> dict[str, TorsorMorphism | None]:
-    """Per branch, the unique isomorphism from the component-side restriction
-    to the point-side one, or None when the two are not isomorphic."""
-    out: dict[str, TorsorMorphism | None] = {}
-    for e in gog.graph.edge_names():
-        u_side = component_data[gog.graph.component_end(e)].restrict_to_branch(
-            e, gog.edge_maps[e]["to_component"]
-        )
-        p_side = point_data[gog.graph.point_end(e)].restrict_to_branch(
-            e, gog.edge_maps[e]["to_point"]
-        )
-        out[e] = torsor_morphisms(u_side, p_side)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Patching problems
 
 
 class PatchingProblem:
-    """Local multipointed-torsor data over a graph of groups.
+    """An object of the 2-fiber product of the local torsor categories.
 
     Every vertex carries a torsor marked by its incident branches; every
     branch carries a singly pointed torsor.  The problem is compatible when
     each branch datum receives the (unique) point-preserving morphism from
-    both of its endpoints' restrictions.
+    both of its endpoints' restrictions; those morphisms are the connecting
+    isomorphisms of the product.  All the categories are setoids, so the
+    branch data are forced up to isomorphism (the point-side restrictions
+    will do) and a compatible object's class is the tuple of its vertex
+    classes (``test_two_fiber_object_classes_match_the_fiber_product``).
+    Compatible objects glue to global torsors (``solve_patching``).
     """
 
     def __init__(
@@ -586,9 +503,9 @@ class PatchingProblem:
             if t.point_labels != (e,):
                 raise ValueError(f"branch datum at {e} must be marked by {e} alone")
 
-    def check_compatibility(self) -> dict[tuple[str, str], TorsorMorphism]:
-        """The per-(vertex, branch) comparison morphisms; raises on failure."""
-        morphisms: dict[tuple[str, str], TorsorMorphism] = {}
+    def check_compatibility(self) -> None:
+        """Raise a ``PatchingError`` naming the first branch whose datum does
+        not receive a morphism from one of its ends' restrictions."""
         for e in self.gog.graph.edge_names():
             for v, side in (
                 (self.gog.graph.point_end(e), "to_point"),
@@ -596,29 +513,17 @@ class PatchingProblem:
             ):
                 alpha = self.gog.edge_maps[e][side]
                 restricted = self.vertex_data[v].restrict_to_branch(e, alpha)
-                mor = torsor_morphisms(restricted, self.branch_data[e])
-                if mor is None:
+                if torsor_morphisms(restricted, self.branch_data[e]) is None:
                     raise PatchingError(
                         e,
                         f"branch {e}: restriction of the datum at {v} does not "
                         "match the branch datum",
                     )
-                morphisms[(v, e)] = mor
-        return morphisms
 
 
-class PatchingSolution:
-    """A global solution: the hom family and its branch markings."""
-
-    __slots__ = ("family", "markings")
-
-    def __init__(self, family: HomFamily, markings: Mapping[str, int]):
-        self.family = family
-        self.markings = markings
-
-
-def solve_patching(problem: PatchingProblem) -> PatchingSolution:
-    """Solve a compatible patching problem.
+def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]:
+    """Solve a compatible patching problem: the global hom family and its
+    markings by branch name.
 
     The local data is trivialized to vertex functor data; compatibility makes
     it a branch-agreeing family, and the inverse of the restriction
@@ -655,7 +560,7 @@ def solve_patching(problem: PatchingProblem) -> PatchingSolution:
         )
         if torsor_morphisms(torsor, problem.vertex_data[v]) is None:
             raise AssertionError(f"induced datum at {v} fails to match the problem")
-    return PatchingSolution(family, dict(zip(gog.graph.edge_names(), markings)))
+    return family, dict(zip(gog.graph.edge_names(), markings))
 
 
 # ---------------------------------------------------------------------------

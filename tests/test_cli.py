@@ -242,6 +242,22 @@ def test_graph_covers_beyond_the_scan_cap_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("degree", [2000, 100000])
+def test_graph_covers_far_past_the_scan_cap_is_refused_without_big_numbers(
+    tmp_path, capsys, degree
+):
+    # the refusal stops at n! > cap: it neither formats a number of thousands
+    # of digits nor counts the partitions of the degree
+    code = run(["graph-covers", write(tmp_path, CIRCLE), "--degree", str(degree)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err == (
+        f"input error: degree-{degree} covers of a rank-1 graph would scan more "
+        "tuples than allowed (cap 1000000)\n"
+    )
+    assert captured.out == ""
+
+
 def test_pushout_and_torsor_verify(tmp_path, capsys):
     for cmd in ("pushout-verify", "torsor-verify"):
         code = run([cmd, write(tmp_path, CIRCLE)])
@@ -327,13 +343,29 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
          "graph"),
         ("descent-as", {"version": 1, "descent": {"artin_schreier": {
             **_AS_SPEC, "k1_degree": -1}}}, [], "descent.artin_schreier"),
+        ("gog-verify", {**CIRCLE, "groups": {"C2": {"cyclic": 2, "symmetric": 3}}}, [],
+         "groups.C2"),
+        ("gog-verify", {**CIRCLE, "groups": {"C2": [1]}}, [], "groups.C2"),
+        ("gog-homs", {**AMALGAM, "graph": {**AMALGAM["graph"], "edges": [
+            {"name": "b1", "point": "P", "component": "U", "group": "C9"}]}}, [],
+         "graph edge b1"),
+        # sizes past the field and group caps are refused before any table
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            **_AS_SPEC, "k2_degree": 40}}}, [], "descent.artin_schreier"),
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "q_exp": 40}}}, [], "descent.kummer"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"symmetric": 9}}}, [], "groups.G"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"product": [
+            {"cyclic": 15}, {"cyclic": 14}]}}}, [], "groups.G"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
          "alpha-den-zero", "kummer-terms0", "kummer-truncation-negative", "kummer-model-zz",
          "edge-map-text", "edge-map-side-list", "edge-end-list", "vertex-name-list",
          "vertex-group-list", "test-group-list", "groups-list", "options-list", "descent-list",
-         "alpha-list", "vertex-declared-twice", "k1-degree-negative"],
+         "alpha-list", "vertex-declared-twice", "k1-degree-negative", "group-two-keys",
+         "group-list", "edge-group-undefined", "k2-degree-40", "kummer-q-exp-40",
+         "symmetric-9", "product-over-cap"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from vkpatch.fields import FiniteField
+from vkpatch.fields import FIELD_SIZE_CAP, FiniteField
 
 SMALL = [
     (p, e)
@@ -151,3 +151,15 @@ def test_mul_matches_sympy_galoistools(p, e):
     for a, b in pairs:
         expected = element(gf_rem(gf_mul(poly(a), poly(b), p, ZZ), modulus, p, ZZ))
         assert F.mul(a, b) == expected, (F, a, b)
+
+
+def test_field_size_cap_refuses_before_any_table():
+    assert FIELD_SIZE_CAP == 2**12
+    assert FiniteField(2, 12).q == FIELD_SIZE_CAP
+    # q = p^e is never formed for a huge degree, and the size is checked
+    # before the characteristic is tested for primality
+    for p, e in ((2, 13), (3, 8), (2, 40), (2, 10**12), (4099, 1), (10**30 + 57, 1)):
+        with pytest.raises(ValueError, match=r"elements \(field size cap\)$"):
+            FiniteField(p, e)
+    with pytest.raises(ValueError, match="must be prime"):
+        FiniteField(4095, 1)

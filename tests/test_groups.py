@@ -10,6 +10,7 @@ import pytest
 from catalog import groups_up_to, hom_set, presentation_from_words, quaternion8
 from vkpatch.groups import (
     FiniteGroup,
+    GROUP_ORDER_CAP,
     GroupAxiomError,
     GroupHom,
     Presentation,
@@ -82,6 +83,24 @@ def test_klein_four_has_exponent_two():
 def test_make_group_rejects_bad_order():
     with pytest.raises(ValueError):
         make_group({"cyclic": 0})
+
+
+def test_make_group_refuses_orders_past_the_cap_before_any_table():
+    assert GROUP_ORDER_CAP == 200
+    assert make_group({"cyclic": 200}).order == 200
+    assert make_group({"symmetric": 5}).order == 120
+    assert make_group({"product": [{"cyclic": 10}, {"cyclic": 20}]}).order == 200
+    for descriptor in (
+        {"cyclic": 201},
+        {"symmetric": 6},
+        # n! stops at the first partial product past the cap
+        {"symmetric": 10**18},
+        {"product": [{"symmetric": 5}, {"cyclic": 2}]},
+        {"table": {"elements": [str(i) for i in range(201)], "table": []}},
+    ):
+        kind = next(iter(descriptor))
+        with pytest.raises(ValueError, match=f"^{kind} group of order above the cap 200$"):
+            make_group(descriptor)
 
 
 def test_bad_table_reports_failing_triple():

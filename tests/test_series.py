@@ -18,6 +18,8 @@ F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
 F9 = FiniteField(3, 2)
 Q3 = RationalFunctionField(FiniteField(3))
+Q4 = RationalFunctionField(F4)
+W1 = F4.add(F4.parse("w"), F4.one)
 
 
 # -- field sanity ---------------------------------------------------------------
@@ -128,6 +130,11 @@ def test_product_valuation_adds():
         (Q3, {-2: Q3.parse({"num": [1, 0, 1], "den": [2, 1]}),
               -1: Q3.add(Q3.s(), Q3.one), 1: Q3.s()}, None,
          "((s^2+1)/(s+2))*t^-2 + (s+1)*t^-1 + s*t"),
+        # only a + or / outside the label's own parentheses makes it a sum:
+        # (w+1)*s is a product, while a quotient keeps its parentheses
+        (Q4, {-1: Q4.make((F4.zero, W1))}, None, "(w+1)*s*t^-1"),
+        (Q3, {-1: Q3.make((1,), (1, 1)), 1: Q3.make((1,), (0, 1))}, None,
+         "((1)/(s+1))*t^-1 + ((1)/(s))*t"),
     ],
 )
 def test_render_parenthesizes_sum_coefficients(field, terms, order, text):
@@ -148,36 +155,36 @@ def test_rational_function_label_parenthesizes_sum_coefficients():
 
 
 def test_pth_power_of_monomial():
-    r = pth_power_test(LaurentSeries.t_power(F3, 3))
-    assert r.root is not None
-    assert r.root.equals_exact(LaurentSeries.t_power(F3, 1))
+    root, witness = pth_power_test(LaurentSeries.t_power(F3, 3))
+    assert root is not None and witness is None
+    assert root.equals_exact(LaurentSeries.t_power(F3, 1))
 
 
 def test_pth_power_valuation_witness():
-    r = pth_power_test(LaurentSeries.t_power(F3, 1))
-    assert r.root is None
-    assert "valuation 1" in r.witness
+    root, witness = pth_power_test(LaurentSeries.t_power(F3, 1))
+    assert root is None
+    assert "valuation 1" in witness
 
 
 def test_pth_power_coefficient_witness_over_function_field():
     s = Q3.s()
     series = LaurentSeries(Q3, {3: s})
-    r = pth_power_test(series)
-    assert r.root is None
-    assert "not a 3-th power" in r.witness
+    root, witness = pth_power_test(series)
+    assert root is None
+    assert "not a 3-th power" in witness
     # cube of a reduced fraction has numerator degree divisible by 3
     cube = LaurentSeries(Q3, {3: Q3.pow(s, 3)})
-    assert pth_power_test(cube).root is not None
+    assert pth_power_test(cube)[0] is not None
     # s*t^2 already fails on the valuation, before the coefficient is seen
-    r2 = pth_power_test(LaurentSeries(Q3, {2: s}))
-    assert "valuation 2" in r2.witness
+    _, witness = pth_power_test(LaurentSeries(Q3, {2: s}))
+    assert "valuation 2" in witness
 
 
 def test_pth_power_round_trip_respects_truncation():
     a = LaurentSeries(F2, {2: 1, 4: 1}, order=9)
-    r = pth_power_test(a)
-    assert r.root is not None and r.root.order == 4
-    square = r.root.pow(2)
+    root, _ = pth_power_test(a)
+    assert root is not None and root.order == 4
+    square = root.pow(2)
     assert dict(square.terms()) == dict(a.truncate(square.order).terms())
 
 
@@ -189,9 +196,9 @@ def test_pth_power_round_trip():
             items[rng.randint(-3, 4)] = rng.randint(1, F9.q - 1)
         a = LaurentSeries(F9, items)
         cube = a.pow(3)
-        r = pth_power_test(cube)
-        assert r.root is not None
-        assert r.root.pow(3).equals_exact(cube)
+        root, witness = pth_power_test(cube)
+        assert root is not None and witness is None
+        assert root.pow(3).equals_exact(cube)
 
 
 def test_pth_power_rejects_zero():

@@ -31,11 +31,7 @@ PAPER_BACKED = (
     ("series.pth_power_test", "test_series.py::test_pth_power_round_trip"),
     ("torsors.torsor_from_hom", "test_acceptance.py::test_criterion_5_dictionary_round_trip"),
     ("torsors.hom_from_torsor", "test_acceptance.py::test_criterion_5_dictionary_round_trip"),
-    ("torsors.TwoFiberObject",
-     "test_torsors.py::test_two_fiber_object_classes_match_the_fiber_product"),
-    ("torsors.TwoFiberObject.build",
-     "test_torsors.py::test_two_fiber_object_classes_match_the_fiber_product"),
-    ("torsors.TwoFiberObject.class_key",
+    ("torsors.MultipointedTorsor.canonical_key",
      "test_torsors.py::test_two_fiber_object_classes_match_the_fiber_product"),
     ("torsors.solve_patching", "test_torsors.py::test_solve_patching_solution_is_unique"),
 )
@@ -147,13 +143,16 @@ def test_listed_names_exist_and_name_their_reason():
         assert entry in tracer, entry
 
 
+def _assigns_slots(item: ast.AST) -> bool:
+    return isinstance(item, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+    )
+
+
 def _slots(node: ast.ClassDef) -> list[str]:
     """The names a class body assigns to ``__slots__``."""
     for item in node.body:
-        if (
-            isinstance(item, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
-        ):
+        if _assigns_slots(item):
             return [elt.value for elt in item.value.elts]
     return []
 
@@ -183,3 +182,54 @@ def unread_slots() -> list[str]:
 def test_every_slot_is_read():
     unread = unread_slots()
     assert not unread, f"slots nothing reads: {unread}"
+
+
+def _is_docstring(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def _stores_its_parameters(init: ast.FunctionDef) -> bool:
+    """Whether every statement of ``init`` is ``self.<name> = <parameter>``."""
+    args = init.args
+    params = {a.arg for a in args.posonlyargs + args.args[1:] + args.kwonlyargs}
+    stmts = [s for s in init.body if not _is_docstring(s)]
+    return all(
+        isinstance(s, ast.Assign)
+        and len(s.targets) == 1
+        and isinstance(s.targets[0], ast.Attribute)
+        and isinstance(s.targets[0].value, ast.Name)
+        and s.targets[0].value.id == "self"
+        and isinstance(s.value, ast.Name)
+        and s.value.id in params
+        for s in stmts
+    )
+
+
+def pure_records() -> list[str]:
+    """Classes of ``src/vkpatch`` whose whole body, a docstring and
+    ``__slots__`` aside, is an ``__init__`` that only stores its parameters."""
+    out = []
+    for module, tree in _modules().items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            body = [item for item in node.body if not (_is_docstring(item) or _assigns_slots(item))]
+            if (
+                len(body) == 1
+                and isinstance(body[0], ast.FunctionDef)
+                and body[0].name == "__init__"
+                and _stores_its_parameters(body[0])
+            ):
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_no_class_only_stores_its_parameters():
+    # a record that only copies its arguments is a tuple with extra code:
+    # return the tuple, or give the class the behaviour that needs it
+    records = pure_records()
+    assert not records, f"classes that only store their parameters: {records}"
