@@ -97,7 +97,7 @@ def run(argv: list[str]) -> int:
     started = time.perf_counter()
     try:
         doc = parse_input(document)
-        report = _dispatch(args, doc, input_digest(document))
+        verdict, lines, machine, exit_code = _HANDLERS[args.command](args, doc)
     except InputError as exc:
         for err in exc.errors:
             print(f"input error: {err}", file=sys.stderr)
@@ -105,41 +105,22 @@ def run(argv: list[str]) -> int:
     except (InvalidGraphError, ScaleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    report = ReportDocument(
+        args.command, input_digest(document), verdict, lines, machine, doc.warnings
+    )
     report.timing_ms = (time.perf_counter() - started) * 1000.0
     sys.stdout.write(report.render())
-    return report.exit_code
+    return exit_code
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
 
-def _dispatch(args, doc: WorkbenchInput, sha: str) -> ReportDocument:
-    handler = _HANDLERS[args.command]
-    report = handler(args, doc)
-    report.command = args.command
-    report.input_sha = sha
-    report.warnings = list(doc.warnings)
-    return report
-
-
-def _report(verdict, lines, machine, exit_code) -> ReportDocument:
-    """A report on the law its machine block names."""
-    return ReportDocument(
-        command="",
-        input_sha="",
-        law=machine["law"],
-        verdict=verdict,
-        human_lines=lines,
-        machine=machine,
-        exit_code=exit_code,
-    )
-
-
-def _pass_or_refuted(passed: bool, lines, machine) -> ReportDocument:
+def _pass_or_refuted(passed: bool, lines, machine):
     if passed:
-        return _report("PASS", lines, machine, EXIT_PASS)
-    return _report("REFUTED", lines, machine, EXIT_FAIL)
+        return "PASS", lines, machine, EXIT_PASS
+    return "REFUTED", lines, machine, EXIT_FAIL
 
 
 # -- graph commands ----------------------------------------------------------
@@ -150,9 +131,9 @@ def _cmd_graph_check(args, doc):
     machine = {"law": "reduction-graph-invariants", "ok": not violations,
                "violations": list(violations)}
     if not violations:
-        return _report("PASS", ["graph invariants: pass"], machine, EXIT_PASS)
+        return "PASS", ["graph invariants: pass"], machine, EXIT_PASS
     lines = ["graph invariants: FAIL"] + [f"  - {v}" for v in violations]
-    return _report("FAIL", lines, machine, EXIT_FAIL)
+    return "FAIL", lines, machine, EXIT_FAIL
 
 
 def _cmd_graph_tree(args, doc):
@@ -160,7 +141,7 @@ def _cmd_graph_tree(args, doc):
     flag = is_tree(graph)
     machine = {"law": "tree-recognition", "is_tree": flag,
                "edges": len(graph.edges), "vertices": len(graph.vertices)}
-    return _report("TREE" if flag else "NOT-TREE", [f"is a tree: {flag}"], machine, EXIT_PASS)
+    return "TREE" if flag else "NOT-TREE", [f"is a tree: {flag}"], machine, EXIT_PASS
 
 
 def _cmd_graph_rank(args, doc):
@@ -169,11 +150,8 @@ def _cmd_graph_rank(args, doc):
     tree = maximal_tree(graph)
     machine = {"law": "cycle-rank", "cycle_rank": rank,
                "canonical_tree": list(tree.edge_names)}
-    return _report(
-        str(rank),
-        [f"cycle rank: {rank}", f"canonical maximal tree: {list(tree.edge_names)}"],
-        machine, EXIT_PASS,
-    )
+    lines = [f"cycle rank: {rank}", f"canonical maximal tree: {list(tree.edge_names)}"]
+    return str(rank), lines, machine, EXIT_PASS
 
 
 def _cmd_graph_covers(args, doc):
@@ -188,7 +166,7 @@ def _cmd_graph_covers(args, doc):
         lines.append(f"  cover {i}: {rep}")
     machine = {"law": "connected-cover-count", "degree": degree,
                "count": len(covers), "representatives": reps}
-    return _report(str(len(covers)), lines, machine, EXIT_PASS)
+    return str(len(covers)), lines, machine, EXIT_PASS
 
 
 def _cmd_export_dot(args, doc):
@@ -203,7 +181,7 @@ def _cmd_export_dot(args, doc):
     else:
         lines.extend(text.rstrip("\n").split("\n"))
     machine = {"law": "dot-export", "dot": text}
-    return _report("OK", lines, machine, EXIT_PASS)
+    return "OK", lines, machine, EXIT_PASS
 
 
 def _cmd_index_bound(args, doc):
@@ -215,7 +193,7 @@ def _cmd_index_bound(args, doc):
         f"divisibility bound (proved): index divides {product}",
         f"least common multiple (conjectural sharp value): {lcm}",
     ]
-    return _report(f"product {product}, lcm {lcm}", lines, machine, EXIT_PASS)
+    return f"product {product}, lcm {lcm}", lines, machine, EXIT_PASS
 
 
 # -- graph-of-groups commands -------------------------------------------------
@@ -237,7 +215,7 @@ def _cmd_gog_presentation(args, doc):
         "relators": [list(r) for r in pres.relators],
         "tree": list(vk.tree.edge_names),
     }
-    return _report("OK", lines, machine, EXIT_PASS)
+    return "OK", lines, machine, EXIT_PASS
 
 
 def _cmd_gog_homs(args, doc):
@@ -263,7 +241,7 @@ def _cmd_gog_homs(args, doc):
     ]
     machine = {"law": "vankampen-presentation", "count": len(families),
                "conjugacy_classes": classes, "families_shown": shown}
-    return _report(str(len(families)), lines, machine, EXIT_PASS)
+    return str(len(families)), lines, machine, EXIT_PASS
 
 
 def _cmd_gog_verify(args, doc):
@@ -292,9 +270,8 @@ def _cmd_functor_sets(args, doc):
 
 def _cmd_descent_as(args, doc):
     instance = doc.artin_schreier_instance()
-    decision = as_descends_galois(instance)
-    lines = decision.lines()
-    machine = decision.to_json()
+    lines, machine = as_descends_galois(instance)
+    verdict = machine["verdict"]
     exit_code = EXIT_PASS
     support = _opt_int(args, doc, "support_bound", "support_bound", instance.p**2)
     truncation = _opt_int(args, doc, "truncation", "truncation", 50)
@@ -304,12 +281,12 @@ def _cmd_descent_as(args, doc):
     if oracle.verdict == INCONCLUSIVE:
         lines.append("oracle inconclusive; criterion verdict stands")
     else:
-        agree = (oracle.verdict == DESCENDS) == (decision.verdict == DESCENDS)
+        agree = (oracle.verdict == DESCENDS) == (verdict == DESCENDS)
         lines.append(f"criterion/oracle agreement: {agree}")
         machine["agreement"] = agree
         if not agree:
             exit_code = EXIT_FAIL
-    return _report(decision.verdict, lines, machine, exit_code)
+    return verdict, lines, machine, exit_code
 
 
 def _cmd_descent_kummer(args, doc):
@@ -317,13 +294,11 @@ def _cmd_descent_kummer(args, doc):
     bound = _opt_int(args, doc, "support_bound", "search_bound", 4)
     decision = kummer_obstruction(instance, bound)
     exit_code = EXIT_INCONCLUSIVE if decision.verdict == INCONCLUSIVE else EXIT_PASS
-    return _report(decision.verdict, decision.lines(), decision.to_json(), exit_code)
+    return decision.verdict, decision.lines(), decision.to_json(), exit_code
 
 
 def _cmd_descent_example29(args, doc):
-    report = verify_example_29()
-    lines = [f"remainder = {'0' if not report.remainder else 'NONZERO'}"] + report.lines()
-    machine = report.to_json()
+    lines, machine = verify_example_29()
     return _pass_or_refuted(machine["passed"], lines, machine)
 
 

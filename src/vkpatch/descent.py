@@ -19,6 +19,7 @@ series.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .fields import FiniteField, RationalFunctionField, poly_strip
@@ -90,72 +91,51 @@ class ASInstance:
         return self.k2.label(self.alpha)
 
 
-class ASDecision:
-    __slots__ = ("verdict", "scope", "alpha_in_k1", "beta", "certificate")
-    law = "artin-schreier-descent"
-
-    def __init__(
-        self,
-        verdict: str,
-        scope: str,
-        alpha_in_k1: bool,
-        beta: LaurentSeries | None,
-        certificate: tuple[str, ...],
-    ):
-        self.verdict = verdict
-        self.scope = scope
-        self.alpha_in_k1 = alpha_in_k1
-        self.beta = beta
-        self.certificate = certificate
-
-    def lines(self) -> list[str]:
-        out = [f"verdict: {self.verdict} ({self.scope})"]
-        out.extend(f"  {line}" for line in self.certificate)
-        if self.beta is not None:
-            out.append(f"  beta = {self.beta.render()}")
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "verdict": self.verdict,
-            "scope": self.scope,
-            "alpha_in_k1": self.alpha_in_k1,
-            "beta": self.beta.render() if self.beta is not None else None,
-            "certificate": list(self.certificate),
-        }
-
-
-def as_descends_galois(instance: ASInstance) -> ASDecision:
+def as_descends_galois(instance: ASInstance) -> tuple[list[str], dict]:
     """Decide degree-p Galois descent of Y^p - Y - alpha/t by membership.
 
     alpha in k1 gives the explicit witness beta = alpha/t; otherwise descent
     fails.  A non-constant alpha in a rational k2 is transcendental over k1,
     and then no degree-p extension at all can induce the extension (so the
-    certificate widens the scope).
+    certificate widens the scope).  Returns the report lines and the machine
+    block.
     """
     k2 = instance.k2
     k1 = instance.k1_label()
+    beta = None
     if instance.in_k1(instance.alpha):
-        beta = LaurentSeries(k2, {-1: instance.alpha})
-        cert = (
+        verdict, scope = DESCENDS, "galois-degree-p"
+        beta = LaurentSeries(k2, {-1: instance.alpha}).render()
+        cert = [
             f"alpha = {instance.alpha_label()} lies in k1 = {k1}",
             "witness: beta = alpha/t with gamma = 0",
-        )
-        return ASDecision(DESCENDS, "galois-degree-p", True, beta, cert)
-    if instance.k1_degree is not None:
+        ]
+    elif instance.k1_degree is not None:
+        verdict, scope = FAILS, "galois-degree-p"
         power = k2.pow(instance.alpha, instance.p**instance.k1_degree)
-        cert = (
+        cert = [
             f"alpha is not in k1 = {k1}: alpha^(p^{instance.k1_degree}) = "
             f"{k2.label(power)} differs from alpha = {instance.alpha_label()}",
             "no degree-p Galois extension of k1((t)) induces the extension",
-        )
-        return ASDecision(FAILS, "galois-degree-p", False, None, cert)
-    cert = (
-        f"alpha = {instance.alpha_label()} is transcendental over k1 = {k1}",
-        "no degree-p extension of k1((t)) at all induces the extension",
-    )
-    return ASDecision(FAILS, "any-degree-p", False, None, cert)
+        ]
+    else:
+        verdict, scope = FAILS, "any-degree-p"
+        cert = [
+            f"alpha = {instance.alpha_label()} is transcendental over k1 = {k1}",
+            "no degree-p extension of k1((t)) at all induces the extension",
+        ]
+    lines = [f"verdict: {verdict} ({scope})"] + [f"  {line}" for line in cert]
+    if beta is not None:
+        lines.append(f"  beta = {beta}")
+    machine = {
+        "law": "artin-schreier-descent",
+        "verdict": verdict,
+        "scope": scope,
+        "alpha_in_k1": beta is not None,
+        "beta": beta,
+        "certificate": cert,
+    }
+    return lines, machine
 
 
 class ASOracleDecision:
@@ -339,60 +319,6 @@ def _render_uty(poly: dict) -> str:
     return " + ".join(parts)
 
 
-class Example29Report:
-    """The exact polynomial identity behind non-Galois degree-3 descent.
-
-    With Y^3 = Y + u/t and x = u^2, the element W = Y^2 satisfies
-    W^3 + W^2 + W - x/t^2 = 0 over GF(3); the identity degenerates in any
-    other characteristic and for the wrong generator W = Y.
-    """
-
-    __slots__ = ("remainder", "char5_remainder", "wrong_generator_remainder", "expansion")
-    law = "artin-schreier-nongalois-descent"
-
-    def __init__(
-        self,
-        remainder: dict,
-        char5_remainder: dict,
-        wrong_generator_remainder: dict,
-        expansion: tuple[str, ...],
-    ):
-        self.remainder = remainder
-        self.char5_remainder = char5_remainder
-        self.wrong_generator_remainder = wrong_generator_remainder
-        self.expansion = expansion
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.remainder
-            and bool(self.char5_remainder)
-            and bool(self.wrong_generator_remainder)
-        )
-
-    def lines(self) -> list[str]:
-        out = [f"remainder over GF(3): {_render_uty(self.remainder)}"]
-        out.extend(f"  {line}" for line in self.expansion)
-        out.append(
-            f"sanity inversion (char 5): remainder {_render_uty(self.char5_remainder)}"
-        )
-        out.append(
-            "sanity inversion (W = Y): remainder "
-            f"{_render_uty(self.wrong_generator_remainder)}"
-        )
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "remainder_is_zero": not self.remainder,
-            "remainder": _render_uty(self.remainder),
-            "char5_remainder": _render_uty(self.char5_remainder),
-            "wrong_generator_remainder": _render_uty(self.wrong_generator_remainder),
-            "passed": self.passed,
-        }
-
-
 def _w_identity_remainder(p: int, w_power: int) -> dict:
     """(Y^w)^3 + (Y^w)^2 + Y^w - u^2 T^2 reduced modulo Y^3 - Y - u T."""
     w = {(0, 0, w_power): 1}
@@ -413,23 +339,37 @@ def _w_identity_remainder(p: int, w_power: int) -> dict:
     return _reduce_y_cubed(p, expr)
 
 
-def verify_example_29() -> Example29Report:
-    """Certify the W = Y^2 identity exactly, with two sanity inversions."""
+def verify_example_29() -> tuple[list[str], dict]:
+    """Certify the W = Y^2 identity exactly, with two sanity inversions.
+
+    With Y^3 = Y + u/t and x = u^2, the element W = Y^2 satisfies
+    W^3 + W^2 + W - x/t^2 = 0 over GF(3); the identity degenerates in any
+    other characteristic and for the wrong generator W = Y.  Returns the
+    report lines and the machine block.
+    """
     p = 3
-    y6 = _reduce_y_cubed(p, {(0, 0, 6): 1})
-    y4 = _reduce_y_cubed(p, {(0, 0, 4): 1})
-    expansion = (
-        f"W^3 = Y^6 = {_render_uty(y6)}",
-        f"W^2 = Y^4 = {_render_uty(y4)}",
-        "W = Y^2",
-        f"sum collapses against x/t^2 = u^2*T^2 in characteristic {p}",
-    )
-    return Example29Report(
-        remainder=_w_identity_remainder(p, 2),
-        char5_remainder=_w_identity_remainder(5, 2),
-        wrong_generator_remainder=_w_identity_remainder(p, 1),
-        expansion=expansion,
-    )
+    remainder = _render_uty(_w_identity_remainder(p, 2))
+    char5 = _render_uty(_w_identity_remainder(5, 2))
+    wrong = _render_uty(_w_identity_remainder(p, 1))
+    lines = [
+        f"remainder = {'0' if remainder == '0' else 'NONZERO'}",
+        f"remainder over GF(3): {remainder}",
+        f"  W^3 = Y^6 = {_render_uty(_reduce_y_cubed(p, {(0, 0, 6): 1}))}",
+        f"  W^2 = Y^4 = {_render_uty(_reduce_y_cubed(p, {(0, 0, 4): 1}))}",
+        "  W = Y^2",
+        f"  sum collapses against x/t^2 = u^2*T^2 in characteristic {p}",
+        f"sanity inversion (char 5): remainder {char5}",
+        f"sanity inversion (W = Y): remainder {wrong}",
+    ]
+    machine = {
+        "law": "artin-schreier-nongalois-descent",
+        "remainder_is_zero": remainder == "0",
+        "remainder": remainder,
+        "char5_remainder": char5,
+        "wrong_generator_remainder": wrong,
+        "passed": remainder == "0" and char5 != "0" and wrong != "0",
+    }
+    return lines, machine
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +406,7 @@ class KummerInstance:
         """gbar = sum of x^(i^2) for i = 0..terms: no bounded algebraic
         relation matches its gap structure."""
         F = FiniteField(p, q_exp)
-        items = {i * i: F.one for i in range(terms + 1) if i * i <= truncation}
+        items = {i * i: F.one for i in range(min(terms, math.isqrt(truncation)) + 1)}
         gbar = LaurentSeries(F, items, order=truncation, var="x")
         return cls(p, F, gbar, truncation)
 

@@ -363,7 +363,7 @@ def factor_label(label: str) -> str:
     return label
 
 
-def poly_label(field, coeffs, var: str = "s") -> str:
+def poly_label(field, coeffs) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -376,16 +376,15 @@ def poly_label(field, coeffs, var: str = "s") -> str:
             parts.append(cl)
         else:
             head = "" if cl == "1" else f"{factor_label(cl)}*"
-            parts.append(f"{head}{var}^{i}" if i > 1 else f"{head}{var}")
+            parts.append(f"{head}s^{i}" if i > 1 else f"{head}s")
     return "+".join(parts)
 
 
 class RationalFunctionField:
     """F_q(s): reduced fractions (num, den) with monic denominator."""
 
-    def __init__(self, base: FiniteField, var: str = "s"):
+    def __init__(self, base: FiniteField):
         self.base = base
-        self.var = var
         self.char = base.p
         self.zero = ((), (base.one,))
         self.one = ((base.one,), (base.one,))
@@ -464,14 +463,14 @@ class RationalFunctionField:
 
     def label(self, a) -> str:
         num, den = a
-        ns = poly_label(self.base, num, self.var)
+        ns = poly_label(self.base, num)
         if den == (self.base.one,):
             return ns
-        return f"({ns})/({poly_label(self.base, den, self.var)})"
+        return f"({ns})/({poly_label(self.base, den)})"
 
     def parse(self, spec):
         """Accept 's', an integer constant, or {'num': [...], 'den': [...]}."""
-        if isinstance(spec, str) and spec.strip() == self.var:
+        if isinstance(spec, str) and spec.strip() == "s":
             return self.s()
         if isinstance(spec, int):
             return self.constant(self.base.parse(spec))
@@ -484,14 +483,10 @@ class RationalFunctionField:
         raise ValueError(f"cannot parse rational function {spec!r}")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunctionField)
-            and self.base == other.base
-            and self.var == other.var
-        )
+        return isinstance(other, RationalFunctionField) and self.base == other.base
 
     def __hash__(self):
-        return hash(("RationalFunctionField", self.base, self.var))
+        return hash(("RationalFunctionField", self.base))
 
     def __repr__(self):
-        return f"{self.base!r}({self.var})"
+        return f"{self.base!r}(s)"

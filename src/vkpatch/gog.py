@@ -284,13 +284,11 @@ def enumerate_pi1_homs(
     gog: GraphOfFiniteGroups,
     group: FiniteGroup,
     tree: SpanningTree | None = None,
-    presentation: VanKampenPresentation | None = None,
 ) -> tuple[HomFamily, ...]:
     """All homomorphisms of the presented fundamental group into the test
     group, as vertex-hom families with edge conjugators (identity on tree
     edges).  Ordered lexicographically over the presentation's generators."""
-    if presentation is None:
-        presentation = build_presentation(gog, tree)
+    presentation = build_presentation(gog, tree)
     return tuple(
         HomFamily.from_key(gog, group, presentation.family_key(assignment))
         for assignment in enumerate_homs(presentation.presentation, group)

@@ -296,15 +296,15 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
     return tuple(out)
 
 
-def group_presentation(group: FiniteGroup, prefix: str = "g") -> Presentation:
+def group_presentation(group: FiniteGroup) -> Presentation:
     """Present a group on its full element set with all table relations.
 
-    Generator ``prefix:<label>`` stands for the element with that label; the
+    Generator ``g:<label>`` stands for the element with that label; the
     relators are one word ``a b (ab)^-1`` per pair, so homomorphisms from the
     presented group to any target are exactly the group homomorphisms.
     """
     n = group.order
-    gens = tuple(f"{prefix}:{lbl}" for lbl in group.elements)
+    gens = tuple(f"g:{lbl}" for lbl in group.elements)
     rels = []
     for a in range(n):
         for b in range(n):

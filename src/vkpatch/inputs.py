@@ -11,6 +11,7 @@ violating triple.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from typing import Mapping
 
@@ -20,6 +21,10 @@ from .graphs import ReductionGraph
 from .groups import FiniteGroup, GroupAxiomError, GroupHom, cyclic, make_group
 
 SCHEMA_VERSION = 1
+
+# index-bound refuses a product of local indices this large: it has more
+# digits than Python converts to text
+_INDEX_PRODUCT_CAP = 10**4300
 
 _TOP_KEYS = {"version", "graph", "groups", "edge_maps", "descent", "options"}
 _GRAPH_KEYS = {"points", "components", "edges"}
@@ -181,6 +186,10 @@ class WorkbenchInput:
                     f"integer: {value!r}"
                 ])
             out[str(label)] = index
+        if math.prod(out.values()) >= _INDEX_PRODUCT_CAP:
+            raise InputError(
+                ["options.local_indices: the product of the indices has more than 4300 digits"]
+            )
         return out
 
 
@@ -237,7 +246,7 @@ def parse_input(document: str) -> WorkbenchInput:
     warnings: list[str] = []
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError([f"not well-formed JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise InputError(["top level must be an object"])

@@ -22,30 +22,30 @@ def input_digest(document: str) -> str:
 
 
 class ReportDocument:
+    """One command's report; its law is the one its machine block names."""
+
     __slots__ = (
-        "command", "input_sha", "law", "verdict", "human_lines", "machine", "exit_code",
-        "timing_ms", "warnings",
+        "command", "input_sha", "law", "verdict", "human_lines", "machine", "timing_ms",
+        "warnings",
     )
 
     def __init__(
         self,
         command: str,
         input_sha: str,
-        law: str,
         verdict: str,
         human_lines: list[str],
         machine: dict,
-        exit_code: int,
+        warnings: list[str],
     ):
         self.command = command
         self.input_sha = input_sha
-        self.law = law
+        self.law = machine["law"]
         self.verdict = verdict
         self.human_lines = human_lines
         self.machine = machine
-        self.exit_code = exit_code
         self.timing_ms = 0.0
-        self.warnings = []
+        self.warnings = warnings
 
     def deterministic_digest(self) -> str:
         payload = {

@@ -113,14 +113,6 @@ class GroupoidFunctor:
         self.vertex_hom = vertex_hom
         self.translations = trans
 
-    def value(self, arrow: tuple) -> int:
-        s0, g, s1 = arrow
-        G = self.target
-        return G.mul(
-            G.mul(self.translations[s1], self.vertex_hom(g)),
-            G.inv(self.translations[s0]),
-        )
-
     def key(self) -> tuple:
         return (
             self.vertex_hom.mapping,
@@ -585,13 +577,22 @@ def verify_groupoid_pushout(
     presentation homs, so both reduce to ``passed``.  Returns the report's
     human lines and its machine block, which has no ``law``: the caller
     names the law it checks."""
-    presentation = build_presentation(gog)
     G = group
+    free_branches = len(gog.graph.edge_names()) - 1
+    # the trivial hom always exists, so the global side has at least gauge
+    # elements: refuse before enumerating, without forming a huge power
+    if G.order > 1 and (
+        free_branches > FUNCTOR_SET_CAP.bit_length() or G.order**free_branches > FUNCTOR_SET_CAP
+    ):
+        raise ScaleError(
+            f"global functor enumeration has at least {G.order}^{free_branches} elements "
+            f"(cap {FUNCTOR_SET_CAP})"
+        )
+    gauge = G.order**free_branches
+    presentation = build_presentation(gog)
     pi1 = [
         presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)
     ]
-    free_branches = len(gog.graph.edge_names()) - 1
-    gauge = G.order**free_branches
     lhs_raw = len(pi1) * gauge
     if lhs_raw > FUNCTOR_SET_CAP:
         raise ScaleError(

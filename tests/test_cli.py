@@ -407,6 +407,49 @@ def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
     )
 
 
+_CIRCLE_25 = json.dumps({
+    "version": 1,
+    "graph": {"points": ["P"], "components": ["U"],
+              "edges": [[f"b{i}", "P", "U"] for i in range(1, 26)]},
+    "groups": {"S3": {"symmetric": 3}},
+    "options": {"test_group": "S3"},
+})
+
+
+@pytest.mark.parametrize(
+    "command, text, exit_code, machine",
+    [
+        # an integer literal longer than Python converts
+        ("graph-check", '{"version": 1, "groups": {"G": {"cyclic": ' + "9" * 5000 + "}}}",
+         EXIT_INPUT_ERROR, None),
+        # a product of 12,000 digits, too long to print
+        ("index-bound", json.dumps({"version": 1, "options": {"local_indices": {
+            label: 10**3999 + 7 for label in "PQU"}}}), EXIT_INPUT_ERROR, None),
+        # 6^24 markings on the global side, refused before any hom is enumerated
+        ("torsor-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
+        ("pushout-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
+        # only the exponents with i^2 <= truncation are walked
+        ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "terms": 10**9}}}), EXIT_PASS,
+         {"verdict": "OBSTRUCTED-WITHIN-BOUNDS", "candidates_tried": 31}),
+    ],
+    ids=["long-integer", "index-product", "torsor-gauge", "pushout-gauge", "kummer-terms"],
+)
+def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, exit_code, machine):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "vkpatch.cli", command, str(path)],
+        capture_output=True, text=True, timeout=5, env=env,
+    )
+    assert child.returncode == exit_code, child.stderr
+    assert "Traceback" not in child.stderr
+    if machine is not None:
+        block = json.loads(child.stdout.partition("-- machine --\n")[2])
+        assert {key: block[key] for key in machine} == machine
+
+
 def test_cli_import_loads_no_introspection_modules():
     # each command runs in a fresh process, so whatever this import loads is
     # paid on every call; dataclasses alone would pull in all five

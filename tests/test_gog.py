@@ -475,7 +475,7 @@ def test_family_keys_match_validated_families_on_the_catalog():
         G = pool[k % len(pool)]
         vk = build_presentation(gog)
         assignments = enumerate_homs(vk.presentation, G)
-        families = enumerate_pi1_homs(gog, G, presentation=vk)
+        families = enumerate_pi1_homs(gog, G)
         assert [vk.family_key(a) for a in assignments] == [fam.key() for fam in families]
         symbols = [
             (v, x, s)

@@ -11,8 +11,11 @@ Likewise every slot of a class that declares ``__slots__`` must be read as
 an attribute somewhere in ``src/vkpatch`` or ``tests``; a slot only ever
 written is dead.
 
-Matching is by bare name, so a method shares its name with every attribute
-of that name: the walk can miss dead code that shares a name with live code.
+A module-level definition is reached by any use of its name; a method only
+by an attribute access of its name, so a local variable that happens to
+share a method's name does not keep the method alive.  Matching is still by
+name, so a method shares it with every attribute of that name: the walk can
+miss dead code that shares a name with live code.
 """
 
 from __future__ import annotations
@@ -70,18 +73,19 @@ def _definitions(modules: dict[str, ast.Module]) -> dict[str, ast.AST]:
 
 def _references(
     modules: dict[str, ast.Module], defs: dict[str, ast.AST]
-) -> list[tuple[str, frozenset[str]]]:
-    """Every name use in the package, with the checked definitions enclosing it."""
+) -> list[tuple[str, bool, frozenset[str]]]:
+    """Every name use in the package, whether it is an attribute access, and
+    the checked definitions enclosing it."""
     node_names = {id(node): q for q, node in defs.items()}
-    refs: list[tuple[str, frozenset[str]]] = []
+    refs: list[tuple[str, bool, frozenset[str]]] = []
 
     def walk(node: ast.AST, enclosing: frozenset[str]) -> None:
         if id(node) in node_names:
             enclosing = enclosing | {node_names[id(node)]}
         if isinstance(node, ast.Name):
-            refs.append((node.id, enclosing))
+            refs.append((node.id, False, enclosing))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, enclosing))
+            refs.append((node.attr, True, enclosing))
         for child in ast.iter_child_nodes(node):
             walk(child, enclosing)
 
@@ -95,15 +99,23 @@ def unreferenced(allowed: set[str]) -> list[str]:
     found by pruning to a fixed point."""
     modules = _modules()
     defs = _definitions(modules)
-    uses = collections.defaultdict(set)
-    for name, enclosing in _references(modules, defs):
-        uses[name].add(enclosing)
+    name_uses = collections.defaultdict(set)
+    attribute_uses = collections.defaultdict(set)
+    for name, is_attribute, enclosing in _references(modules, defs):
+        name_uses[name].add(enclosing)
+        if is_attribute:
+            attribute_uses[name].add(enclosing)
+
+    def used(q: str, name: str, dead: set[str]) -> bool:
+        # qualified names of methods have two dots
+        uses = attribute_uses if q.count(".") == 2 else name_uses
+        return any(q not in enc and not enc & dead for enc in uses[name])
+
     dead: set[str] = set()
     while True:
         newly = {
             q for q, node in defs.items()
-            if q not in dead and q not in allowed
-            and not any(q not in enc and not enc & dead for enc in uses[node.name])
+            if q not in dead and q not in allowed and not used(q, node.name, dead)
         }
         if not newly:
             return sorted(dead)
