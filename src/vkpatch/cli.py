@@ -223,7 +223,7 @@ def _cmd_gog_homs(args, doc):
     group = doc.test_group(args.group)
     families = enumerate_pi1_homs(gog, group)
     # a family's tables and conjugators are its generator images, reordered
-    keys = (fam.key() for fam in families)
+    keys = [fam.key for fam in families]
     classes = conjugacy_class_count(group, (itertools.chain(*verts, conj) for verts, conj in keys))
     lines = [
         f"presentation homs into {group.name}: {len(families)}",
@@ -232,12 +232,11 @@ def _cmd_gog_homs(args, doc):
     shown = [
         {
             "vertex_homs": {
-                v: [group.label(x) for x in fam.vertex_homs[v].mapping]
-                for v in gog.graph.vertices
+                v: [group.label(x) for x in table] for v, table in zip(gog.graph.vertices, tables)
             },
-            "conjugators": {e: group.label(fam.conjugators[e]) for e in gog.graph.edge_names()},
+            "conjugators": {e: group.label(c) for e, c in zip(gog.graph.edge_names(), conj)},
         }
-        for fam in families[:20]
+        for tables, conj in keys[:20]
     ]
     machine = {"law": "vankampen-presentation", "count": len(families),
                "conjugacy_classes": classes, "families_shown": shown}

@@ -412,10 +412,12 @@ class KummerInstance:
 
     @classmethod
     def base_ring_model(cls, p: int, coeffs: Sequence[int], truncation: int) -> "KummerInstance":
-        """gbar a polynomial of the base ring (descent must hold)."""
+        """gbar a polynomial of the base ring (descent must hold).  Every
+        coefficient is parsed, but gbar has valuation >= 0, so degrees past
+        the truncation cannot reach fbar and are dropped."""
         F = FiniteField(p, 1)
-        items = {i: F.parse(c) for i, c in enumerate(coeffs)}
-        gbar = LaurentSeries(F, items, var="x")
+        parsed = [F.parse(c) for c in coeffs]
+        gbar = LaurentSeries(F, dict(enumerate(parsed[: truncation + 1])), var="x")
         return cls(p, F, gbar, truncation)
 
     def fbar(self) -> LaurentSeries:

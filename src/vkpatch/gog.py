@@ -18,9 +18,19 @@ test group.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from .graphs import ReductionGraph, SpanningTree, is_tree, maximal_tree, spanning_trees
+from .graphs import (
+    ReductionGraph,
+    ScaleError,
+    SpanningTree,
+    capped_product,
+    cycle_rank,
+    is_tree,
+    maximal_tree,
+    spanning_trees,
+)
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -28,6 +38,11 @@ from .groups import (
     enumerate_homs,
     group_presentation,
 )
+
+# enumerations of presentation homs, or of global or fiber-product functors,
+# beyond this many elements are refused
+FUNCTOR_SET_CAP = 2_000_000
+
 
 class EdgeMapError(ValueError):
     """An edge map that does not fit its branch; carries the branch name."""
@@ -134,8 +149,8 @@ class VanKampenPresentation:
         self.tree_branches = tree_branches
 
     def family_key(self, assignment: Sequence[int]) -> tuple:
-        """The hom family of a generator assignment as ``HomFamily.key()``
-        gives it: vertex tables in vertex order, then branch conjugators."""
+        """The hom family of a generator assignment as ``HomFamily.key``
+        holds it: vertex tables in vertex order, then branch conjugators."""
         return (
             tuple(tuple(assignment[block]) for block in self.vertex_blocks),
             tuple(assignment[s] for s in self.edge_symbols),
@@ -216,68 +231,60 @@ def build_presentation(
 
 
 class HomFamily:
-    """A vertex-hom family with one conjugator per branch.
+    """A hom of the presented fundamental group into the test group, held as
+    its family key: vertex tables in vertex order, then one conjugator per
+    branch in branch order.
 
     The defining compatibility, checked on construction: for every branch at
     P on U and every edge-group element g,
 
         f_U(to_component(g)) = c . f_P(to_point(g)) . c^-1
 
-    where c is the branch's conjugator.  Families are compared as tables.
+    where c is the branch's conjugator.  The vertex tables are taken to be
+    homs: the presentation's relators force it for enumerated families, and
+    ``solve_patching`` validates the tables it induces.
     """
 
-    __slots__ = ("gog", "group", "vertex_homs", "conjugators")
+    __slots__ = ("gog", "group", "key")
 
-    def __init__(
-        self,
-        gog: GraphOfFiniteGroups,
-        group: FiniteGroup,
-        vertex_homs: Mapping[str, GroupHom],
-        conjugators: Mapping[str, int],
-    ):
+    def __init__(self, gog: GraphOfFiniteGroups, group: FiniteGroup, key: tuple):
         self.gog = gog
         self.group = group
-        self.vertex_homs = vertex_homs
-        self.conjugators = conjugators
+        self.key = key
         self.__post_init__()
 
     def __post_init__(self):
-        """The edge relation on every branch.  perfbench/tracer.py counts the
-        calls by this name."""
-        G = self.group
-        for name in self.gog.graph.edge_names():
-            c = self.conjugators[name]
-            p = self.gog.graph.point_end(name)
-            u = self.gog.graph.component_end(name)
-            f_p, f_u = self.vertex_homs[p], self.vertex_homs[u]
-            to_p = self.gog.edge_maps[name]["to_point"]
-            to_u = self.gog.edge_maps[name]["to_component"]
-            for g in range(self.gog.edge_groups[name].order):
-                lhs = f_u(to_u(g))
-                rhs = G.conjugate(c, f_p(to_p(g)))
-                if lhs != rhs:
+        """The edge relation on every branch, on the graph's position tables.
+        perfbench/tracer.py counts the calls by this name."""
+        tables, conjugators = self.key
+        conj = self.group.conjugation_table()
+        for b, ((p, _, u, _), (to_p, to_u)) in enumerate(
+            zip(self.gog.branch_ends, self.gog.branch_maps)
+        ):
+            f_p, f_u, row = tables[p], tables[u], conj[conjugators[b]]
+            for g, (a, c) in enumerate(zip(to_p, to_u)):
+                if f_u[c] != row[f_p[a]]:
+                    name = self.gog.graph.edge_names()[b]
                     raise ValueError(
                         f"family violates the edge relation on branch {name} "
                         f"at element {self.gog.edge_groups[name].label(g)}"
                     )
 
-    @classmethod
-    def from_key(cls, gog: GraphOfFiniteGroups, group: FiniteGroup, key: tuple) -> "HomFamily":
-        """Validate a family key (see ``key``) and build its family."""
-        tables, conj = key
-        homs = {
-            v: GroupHom(gog.vertex_groups[v], group, table)
-            for v, table in zip(gog.graph.vertices, tables)
-        }
-        return cls(gog, group, homs, dict(zip(gog.graph.edge_names(), conj)))
 
-    def key(self) -> tuple:
-        """Canonical sort/equality key: vertex tables then conjugators."""
-        verts = tuple(
-            self.vertex_homs[v].mapping for v in self.gog.graph.vertices
+def refuse_past_cap(what: str, base: int, exponent: int) -> None:
+    """Raise ``ScaleError`` when ``base**exponent``, a lower bound on the
+    size of an enumeration, passes ``FUNCTOR_SET_CAP``; the power is not
+    formed past the cap."""
+    if capped_product(itertools.repeat(base, exponent), FUNCTOR_SET_CAP) is None:
+        raise ScaleError(
+            f"{what} has at least {base}^{exponent} elements (cap {FUNCTOR_SET_CAP})"
         )
-        conj = tuple(self.conjugators[n] for n in self.gog.graph.edge_names())
-        return (verts, conj)
+
+
+def _refuse_unbounded_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> None:
+    # vertex generators at the identity with any values of the free letters
+    # are homs, so there are at least |G|^rank of them
+    refuse_past_cap("presentation hom enumeration", group.order, cycle_rank(gog.graph))
 
 
 def enumerate_pi1_homs(
@@ -286,11 +293,12 @@ def enumerate_pi1_homs(
     tree: SpanningTree | None = None,
 ) -> tuple[HomFamily, ...]:
     """All homomorphisms of the presented fundamental group into the test
-    group, as vertex-hom families with edge conjugators (identity on tree
-    edges).  Ordered lexicographically over the presentation's generators."""
+    group, as hom families (conjugators the identity on tree edges).
+    Ordered lexicographically over the presentation's generators."""
+    _refuse_unbounded_homs(gog, group)
     presentation = build_presentation(gog, tree)
     return tuple(
-        HomFamily.from_key(gog, group, presentation.family_key(assignment))
+        HomFamily(gog, group, presentation.family_key(assignment))
         for assignment in enumerate_homs(presentation.presentation, group)
     )
 
@@ -375,6 +383,7 @@ def verify_tree_vankampen(
     test group.  Returns the report's human lines and its machine block.
     """
     tree_flag = is_tree(gog.graph)
+    _refuse_unbounded_homs(gog, group)
     vk = build_presentation(gog)
     homs = enumerate_homs(vk.presentation, group)
     naive = naive_limit_homs(gog, group)

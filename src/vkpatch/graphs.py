@@ -18,8 +18,9 @@ class InvalidGraphError(ValueError):
 
 
 class ScaleError(ValueError):
-    """The requested enumeration exceeds a fixed cap (``COVER_SCAN_CAP`` or
-    ``torsors.FUNCTOR_SET_CAP``)."""
+    """The requested enumeration exceeds a fixed cap: ``COVER_SCAN_CAP`` for
+    covers, ``gog.FUNCTOR_SET_CAP`` for presentation homs and the torsor
+    functor sets."""
 
 
 # Cover enumeration refuses a scan of more tuples than this rather than run
@@ -299,9 +300,9 @@ def _least_transitive_tuples(n: int, r: int) -> list[tuple[tuple[int, ...], ...]
     S_n (r >= 1), in sorted order."""
     # p(n) * max(n!, (n!)^(r-1)) tuples, refused as soon as a partial product
     # passes the cap, so no big number is ever formed
-    fact = _capped_product(range(2, n + 1))
-    if fact is None or _capped_product(
-        [_partition_count(n), *itertools.repeat(fact, max(1, r - 1))]
+    fact = capped_product(range(2, n + 1), COVER_SCAN_CAP)
+    if fact is None or capped_product(
+        [_partition_count(n), *itertools.repeat(fact, max(1, r - 1))], COVER_SCAN_CAP
     ) is None:
         raise ScaleError(
             f"degree-{n} covers of a rank-{r} graph would scan more tuples than "
@@ -345,13 +346,13 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _capped_product(factors: Iterable[int]) -> int | None:
-    """The product of positive factors, or None once it passes
-    ``COVER_SCAN_CAP``."""
+def capped_product(factors: Iterable[int], cap: int) -> int | None:
+    """The product of positive factors, or None as soon as a partial product
+    passes ``cap``, so no number much larger than the cap is formed."""
     out = 1
     for f in factors:
         out *= f
-        if out > COVER_SCAN_CAP:
+        if out > cap:
             return None
     return out
 

@@ -37,17 +37,17 @@ import itertools
 from typing import Mapping, Sequence
 
 from .gog import (
+    FUNCTOR_SET_CAP,
     GraphOfFiniteGroups,
     HomFamily,
     VanKampenPresentation,
     backtrack_vertices,
     build_presentation,
+    refuse_past_cap,
 )
 from .graphs import ScaleError
 from .groups import FiniteGroup, GroupHom, enumerate_homs, group_presentation
 
-# enumerations beyond this many global or fiber-product elements are refused
-FUNCTOR_SET_CAP = 2_000_000
 # round trips through the inverse natural map are checked on every element up
 # to this many, then on a deterministic stride
 ROUNDTRIP_CAP = 20_000
@@ -317,7 +317,7 @@ def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> tuple[in
 # Local functor data over a graph of groups
 #
 # Functor data is kept as plain index tuples, each its own set key.  A global
-# functor is a family key (``HomFamily.key()``: vertex tables in vertex order,
+# functor is a family key (``HomFamily.key``: vertex tables in vertex order,
 # conjugators in branch order) plus its markings: one test-group element per
 # branch in branch order, identity at the least branch.  A local datum is one
 # entry per vertex in vertex order: the vertex hom table and one flag per
@@ -541,7 +541,7 @@ def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]
         raise PatchingError(e, f"branch {e}: local data does not agree")
 
     key, markings = inverse_natural_map(presentation, G, datum)
-    family = HomFamily.from_key(gog, G, key)
+    family = HomFamily(gog, G, key)
 
     induced = natural_map(presentation, G, key, markings)
     for v, (table, flags) in zip(gog.graph.vertices, induced):
@@ -580,14 +580,8 @@ def verify_groupoid_pushout(
     G = group
     free_branches = len(gog.graph.edge_names()) - 1
     # the trivial hom always exists, so the global side has at least gauge
-    # elements: refuse before enumerating, without forming a huge power
-    if G.order > 1 and (
-        free_branches > FUNCTOR_SET_CAP.bit_length() or G.order**free_branches > FUNCTOR_SET_CAP
-    ):
-        raise ScaleError(
-            f"global functor enumeration has at least {G.order}^{free_branches} elements "
-            f"(cap {FUNCTOR_SET_CAP})"
-        )
+    # elements: refuse before enumerating
+    refuse_past_cap("global functor enumeration", G.order, free_branches)
     gauge = G.order**free_branches
     presentation = build_presentation(gog)
     pi1 = [

@@ -428,12 +428,20 @@ _CIRCLE_25 = json.dumps({
         # 6^24 markings on the global side, refused before any hom is enumerated
         ("torsor-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
         ("pushout-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
+        # at least 6^24 presentation homs, refused before any is enumerated
+        ("gog-homs", _CIRCLE_25, EXIT_INPUT_ERROR, None),
+        ("gog-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
         # only the exponents with i^2 <= truncation are walked
         ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
             **KUMMER_DOC["descent"]["kummer"], "terms": 10**9}}}), EXIT_PASS,
          {"verdict": "OBSTRUCTED-WITHIN-BOUNDS", "candidates_tried": 31}),
+        # every coefficient is parsed, only those up to the truncation are kept
+        ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
+            "p": 2, "model": "base-ring", "gbar_coeffs": [1] * 10**6, "truncation": 200}}}),
+         EXIT_PASS, {"verdict": "DESCENDS", "candidates_tried": 1}),
     ],
-    ids=["long-integer", "index-product", "torsor-gauge", "pushout-gauge", "kummer-terms"],
+    ids=["long-integer", "index-product", "torsor-gauge", "pushout-gauge", "homs-bound",
+         "verify-bound", "kummer-terms", "kummer-base-ring-coeffs"],
 )
 def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, exit_code, machine):
     path = tmp_path / "input.json"

@@ -1,9 +1,11 @@
-"""The join and the index-table natural maps against the filters they replace.
+"""The join, the index-table natural maps and the hom-family check against
+the filters they replace.
 
 The oracles below are the straightforward versions: a backtracker that tests
-every candidate against a branch-agreement predicate, and natural maps that
-walk the graph by vertex and branch name with markings keyed by branch.  The
-fast paths must reproduce them exactly, order included.
+every candidate against a branch-agreement predicate, natural maps that walk
+the graph by vertex and branch name with markings keyed by branch, and an
+edge-relation check that walks it by name too.  The fast paths must
+reproduce them exactly, order and messages included.
 """
 
 from __future__ import annotations
@@ -24,9 +26,22 @@ from catalog import (
     trivial_gog,
     with_trivial_edges,
 )
-from vkpatch.gog import GraphOfFiniteGroups, build_presentation, naive_limit_homs
+from vkpatch.gog import (
+    GraphOfFiniteGroups,
+    HomFamily,
+    build_presentation,
+    enumerate_pi1_homs,
+    naive_limit_homs,
+)
 from vkpatch.graphs import ReductionGraph, ScaleError
-from vkpatch.groups import GroupHom, cyclic, enumerate_homs, group_presentation, symmetric
+from vkpatch.groups import (
+    GroupHom,
+    cyclic,
+    enumerate_homs,
+    from_table,
+    group_presentation,
+    symmetric,
+)
 from vkpatch.torsors import (
     _disagreeing_branch,
     _enumerate_fiber_data,
@@ -172,6 +187,27 @@ def inverse_natural_map_by_names(presentation, G, datum):
     return (tables, tuple(conjugators)), markings
 
 
+def edge_relation_violation_by_names(gog, G, key):
+    """The edge-relation check of a family key walking the graph by name:
+    the message of the first violation, or None when the key passes."""
+    tables, conj = key
+    vertex_tables = dict(zip(gog.graph.vertices, tables))
+    conjugators = dict(zip(gog.graph.edge_names(), conj))
+    for name in gog.graph.edge_names():
+        c = conjugators[name]
+        f_p = vertex_tables[gog.graph.point_end(name)]
+        f_u = vertex_tables[gog.graph.component_end(name)]
+        to_p = gog.edge_maps[name]["to_point"]
+        to_u = gog.edge_maps[name]["to_component"]
+        for g in range(gog.edge_groups[name].order):
+            if f_u[to_u(g)] != G.conjugate(c, f_p[to_p(g)]):
+                return (
+                    f"family violates the edge relation on branch {name} "
+                    f"at element {gog.edge_groups[name].label(g)}"
+                )
+    return None
+
+
 # -- comparison ------------------------------------------------------------------
 
 
@@ -272,6 +308,25 @@ def _c2_off_root():
     )
 
 
+def _table_edge_identity_second():
+    """A circle whose b1 edge group (and U's group) lists its identity
+    second, so the edge relation is checked at the element of index 0."""
+    c2 = cyclic(2)
+    edge = from_table(["a", "e"], [["e", "a"], ["a", "e"]], name="E")
+    at_u = from_table(["s", "i"], [["i", "s"], ["s", "i"]], name="V")
+    return GraphOfFiniteGroups(
+        circle_graph(),
+        {"P": c2, "U": at_u},
+        {"b1": edge, "b2": cyclic(1)},
+        {
+            "b1": {"to_point": GroupHom(edge, c2, [1, 0]),
+                   "to_component": GroupHom(edge, at_u, [0, 1])},
+            "b2": {"to_point": GroupHom.trivial(cyclic(1), c2),
+                   "to_component": GroupHom.trivial(cyclic(1), at_u)},
+        },
+    )
+
+
 CATALOG = {
     "diamond-trivial": lambda: trivial_gog(diamond_graph()),
     "circle-trivial": lambda: trivial_gog(circle_graph()),
@@ -283,6 +338,7 @@ CATALOG = {
     "diamond-c2-edge": _c2_amalgam,
     "circle-c2-edges": _c2_circle,
     "path-c2-edges-off-root": _c2_off_root,
+    "circle-table-edge-identity-second": _table_edge_identity_second,
 }
 
 
@@ -291,6 +347,45 @@ def test_fast_paths_match_the_oracles_on_the_catalog(name):
     gog = CATALOG[name]()
     sizes = [assert_fast_paths_match(gog, G) for G in (cyclic(2), cyclic(3), symmetric(3))]
     assert all(fiber > 0 and naive > 0 for fiber, naive in sizes)
+
+
+def _one_entry_changed(G, key):
+    """Every key that differs from ``key`` in exactly one conjugator or one
+    vertex-table entry."""
+    tables, conj = key
+    for b, c in enumerate(conj):
+        for other in range(G.order):
+            if other != c:
+                yield tables, conj[:b] + (other,) + conj[b + 1:]
+    for v, table in enumerate(tables):
+        for x, y in enumerate(table):
+            for other in range(G.order):
+                if other != y:
+                    changed = table[:x] + (other,) + table[x + 1:]
+                    yield tables[:v] + (changed,) + tables[v + 1:], conj
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_family_check_matches_the_name_walking_check_on_the_catalog(name):
+    """``HomFamily`` accepts exactly the keys the name-walking edge-relation
+    check accepts, and rejects the others with its message: every enumerated
+    key, and every key one conjugator or table entry away from one."""
+    gog = CATALOG[name]()
+    rejected = accepted = 0
+    for G in (cyclic(2), cyclic(3), symmetric(3)):
+        for fam in enumerate_pi1_homs(gog, G):
+            assert edge_relation_violation_by_names(gog, G, fam.key) is None
+            for key in _one_entry_changed(G, fam.key):
+                expected = edge_relation_violation_by_names(gog, G, key)
+                if expected is None:
+                    HomFamily(gog, G, key)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError) as info:
+                        HomFamily(gog, G, key)
+                    assert str(info.value) == expected
+                    rejected += 1
+    assert rejected > 0 and accepted > 0
 
 
 # vertex groups of even order, so that C2 edge groups are drawn often

@@ -28,7 +28,7 @@ from vkpatch.gog import (
     verify_tree_independence,
     verify_tree_vankampen,
 )
-from vkpatch.graphs import SpanningTree, maximal_tree, spanning_trees
+from vkpatch.graphs import ReductionGraph, ScaleError, SpanningTree, maximal_tree, spanning_trees
 from vkpatch.groups import GroupHom, cyclic, enumerate_homs, from_table, symmetric
 
 
@@ -178,22 +178,24 @@ def test_naive_limit_counts_on_spec_examples():
 
 def test_hom_families_satisfy_edge_relation():
     s3 = symmetric(3)
-    for fam in enumerate_pi1_homs(amalgam_c4_c6(), s3):
+    gog = amalgam_c4_c6()
+    for fam in enumerate_pi1_homs(gog, s3):
         # HomFamily validates on construction; re-check one instance by hand
-        c = fam.conjugators["b1"]
-        f_p, f_u = fam.vertex_homs["P"], fam.vertex_homs["U"]
-        assert f_u(3) == s3.conjugate(c, f_p(2))
+        tables, (c,) = fam.key
+        f = dict(zip(gog.graph.vertices, tables))
+        assert f["U"][3] == s3.conjugate(c, f["P"][2])
 
 
 def test_hom_family_rejects_bad_conjugator():
     c2 = cyclic(2)
     gog = amalgam_c4_c6()
     fams = enumerate_pi1_homs(gog, c2)
-    fam = fams[1]
-    bad_homs = dict(fam.vertex_homs)
-    bad_homs["U"] = hom_set(cyclic(6), c2)[1]  # break edge agreement
-    with pytest.raises(ValueError):
-        HomFamily(gog, c2, bad_homs, fam.conjugators)
+    tables, conj = fams[1].key
+    bad_tables = list(tables)
+    # break edge agreement
+    bad_tables[gog.graph.vertices.index("U")] = hom_set(cyclic(6), c2)[1].mapping
+    with pytest.raises(ValueError, match="edge relation on branch b1"):
+        HomFamily(gog, c2, (tuple(bad_tables), conj))
 
 
 def test_edge_maps_must_be_injective_by_default():
@@ -344,10 +346,31 @@ def test_free_product_specialization_count():
 def test_enumeration_is_deterministic():
     gog = amalgam_c4_c6()
     s3 = symmetric(3)
-    first = [fam.key() for fam in enumerate_pi1_homs(gog, s3)]
-    second = [fam.key() for fam in enumerate_pi1_homs(gog, s3)]
+    first = [fam.key for fam in enumerate_pi1_homs(gog, s3)]
+    second = [fam.key for fam in enumerate_pi1_homs(gog, s3)]
     assert first == second
     assert len(set(first)) == len(first)
+
+
+def test_hom_enumeration_is_refused_past_the_cap(monkeypatch):
+    """Vertex generators at the identity with any free letters are homs, so
+    there are at least |G|^rank of them: both enumerating callers run at the
+    cap and refuse past it before enumerating."""
+    monkeypatch.setattr(gog_mod, "FUNCTOR_SET_CAP", 8)
+    c2 = cyclic(2)
+
+    def bouquet(branches):
+        # one point and one component joined by parallel branches: rank branches - 1
+        edges = [(f"b{i}", "P", "U") for i in range(1, branches + 1)]
+        return trivial_gog(ReductionGraph(["P"], ["U"], edges))
+
+    assert len(enumerate_pi1_homs(bouquet(4), c2)) == 8
+    assert verify_tree_vankampen(bouquet(4), c2)[1]["pi1_count"] == 8
+    for enumerate_or_verify in (enumerate_pi1_homs, verify_tree_vankampen):
+        with pytest.raises(ScaleError, match=r"at least 2\^4 elements \(cap 8\)$"):
+            enumerate_or_verify(bouquet(5), c2)
+    # a trivial test group never passes the cap, whatever the rank
+    assert len(enumerate_pi1_homs(bouquet(40), cyclic(1))) == 1
 
 
 def test_conjugacy_class_count():
@@ -370,21 +393,29 @@ def test_presentation_requires_matching_tree():
         build_presentation(gog, tree)
 
 
+def _validated_family(gog, G, key):
+    """The family of a key, each vertex table first built as a validating
+    GroupHom."""
+    for v, table in zip(gog.graph.vertices, key[0]):
+        GroupHom(gog.vertex_groups[v], G, table)
+    return HomFamily(gog, G, key)
+
+
 def _validated_vankampen_fields(gog, G):
     """pi1_count, naive_count, bijection and witness of the tree van Kampen
-    report, recomputed from validated HomFamily objects."""
-    families = enumerate_pi1_homs(gog, G)
+    report, recomputed from validated families."""
+    families = [_validated_family(gog, G, fam.key) for fam in enumerate_pi1_homs(gog, G)]
     identity = tuple(G.identity for _ in gog.graph.edge_names())
-    naive = [HomFamily.from_key(gog, G, (tables, identity)) for tables in naive_limit_homs(gog, G)]
-    naive_keys = {fam.key()[0] for fam in naive}
-    restricted = [fam.key()[0] for fam in families]
+    naive = [_validated_family(gog, G, (tables, identity)) for tables in naive_limit_homs(gog, G)]
+    naive_keys = {fam.key[0] for fam in naive}
+    restricted = [fam.key[0] for fam in families]
     lands = all(k in naive_keys for k in restricted)
     injective = len(set(restricted)) == len(restricted)
     bijection = lands and injective and naive_keys <= set(restricted)
 
     def conj(fam):
         return "{" + ", ".join(
-            f"{n}: {G.label(fam.conjugators[n])}" for n in gog.graph.edge_names()
+            f"{n}: {G.label(c)}" for n, c in zip(gog.graph.edge_names(), fam.key[1])
         ) + "}"
 
     witness = None
@@ -410,18 +441,19 @@ def _validated_vankampen_fields(gog, G):
 def _orbit_count(gog, G, families):
     """Classes under simultaneous conjugation, each conjugated vertex hom
     built as a validating GroupHom."""
-    remaining = {fam.key() for fam in families}
+    remaining = {fam.key for fam in families}
     classes = 0
     for fam in families:
-        if fam.key() not in remaining:
+        if fam.key not in remaining:
             continue
         classes += 1
+        tables, conjugators = fam.key
         for g in range(G.order):
             verts = tuple(
-                GroupHom(f.source, G, [G.conjugate(g, x) for x in f.mapping]).mapping
-                for f in (fam.vertex_homs[v] for v in gog.graph.vertices)
+                GroupHom(gog.vertex_groups[v], G, [G.conjugate(g, x) for x in table]).mapping
+                for v, table in zip(gog.graph.vertices, tables)
             )
-            conj = tuple(G.conjugate(g, fam.conjugators[n]) for n in gog.graph.edge_names())
+            conj = tuple(G.conjugate(g, c) for c in conjugators)
             remaining.discard((verts, conj))
     return classes
 
@@ -476,7 +508,7 @@ def test_family_keys_match_validated_families_on_the_catalog():
         vk = build_presentation(gog)
         assignments = enumerate_homs(vk.presentation, G)
         families = enumerate_pi1_homs(gog, G)
-        assert [vk.family_key(a) for a in assignments] == [fam.key() for fam in families]
+        assert [vk.family_key(a) for a in assignments] == [fam.key for fam in families]
         symbols = [
             (v, x, s)
             for v, block in zip(gog.graph.vertices, vk.vertex_blocks)
@@ -489,7 +521,10 @@ def test_family_keys_match_validated_families_on_the_catalog():
         for n, s in zip(gog.graph.edge_names(), vk.edge_symbols):
             assert vk.presentation.generators[s] == f"e:{n}"
         for a, fam in zip(assignments, families):
-            assert all(fam.vertex_homs[v](x) == a[s] for v, x, s in symbols)
-            assert all(
-                fam.conjugators[n] == a[s] for n, s in zip(gog.graph.edge_names(), vk.edge_symbols)
-            )
+            tables, conjugators = fam.key
+            homs = {
+                v: GroupHom(gog.vertex_groups[v], G, table)
+                for v, table in zip(gog.graph.vertices, tables)
+            }
+            assert all(homs[v](x) == a[s] for v, x, s in symbols)
+            assert all(c == a[s] for c, s in zip(conjugators, vk.edge_symbols))

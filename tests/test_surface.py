@@ -44,6 +44,17 @@ PERFBENCH_PINNED = (
     ("graphs.ReductionGraph.edge", ("graphs", "ReductionGraph.edge")),
 )
 
+# (qualified name, why it may build a validating GroupHom or a HomFamily);
+# everywhere else the runtime works on index tables
+VALIDATED_BUILDERS = (
+    ("inputs.WorkbenchInput.build_gog", "input boundary: trivial edge maps of a trivial edge group"),
+    ("inputs._hom_from_labels", "input boundary: an edge map read from the document"),
+    ("gog.enumerate_pi1_homs",
+     "perfbench/tracer.py counts HomFamily.__post_init__ under gog-homs"),
+    ("torsors.MultipointedTorsor.structure_map", "paper-backed torsor model: a torsor's hom"),
+    ("torsors.solve_patching", "paper-backed torsor model: the glued family, induced homs"),
+)
+
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
@@ -245,3 +256,44 @@ def test_no_class_only_stores_its_parameters():
     # return the tuple, or give the class the behaviour that needs it
     records = pure_records()
     assert not records, f"classes that only store their parameters: {records}"
+
+
+def _builds_validated(call: ast.Call) -> bool:
+    """``GroupHom(...)``, ``GroupHom.trivial(...)`` or ``HomFamily(...)``."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id in ("GroupHom", "HomFamily")
+    return (
+        isinstance(f, ast.Attribute)
+        and f.attr == "trivial"
+        and isinstance(f.value, ast.Name)
+        and f.value.id == "GroupHom"
+    )
+
+
+def validated_builds() -> set[str]:
+    """The checked definitions of ``src/vkpatch`` (or modules, for
+    module-level code) that build a validating GroupHom or a HomFamily."""
+    modules = _modules()
+    defs = _definitions(modules)
+    enclosing = {id(node): q for q, node in defs.items()}
+    found = set()
+
+    def walk(node: ast.AST, where: str) -> None:
+        where = enclosing.get(id(node), where)
+        if isinstance(node, ast.Call) and _builds_validated(node):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for module, tree in modules.items():
+        walk(tree, module)
+    return found
+
+
+def test_validated_objects_are_built_only_where_listed():
+    builders = validated_builds()
+    listed = {q for q, _ in VALIDATED_BUILDERS}
+    assert builders <= listed, f"validated objects built outside the list: {builders - listed}"
+    # a listed site that no longer builds one comes off the list
+    assert listed <= builders, f"listed sites that build nothing: {listed - builders}"

@@ -223,9 +223,9 @@ def test_natural_map_round_trip_on_random_instances():
         pres = build_presentation(gog)
         for family in enumerate_pi1_homs(gog, G):
             for markings in _markings_space(gog, G):
-                datum = natural_map(pres, G, family.key(), markings)
+                datum = natural_map(pres, G, family.key, markings)
                 back_key, back_markings = inverse_natural_map(pres, G, datum)
-                assert back_key == family.key()
+                assert back_key == family.key
                 assert back_markings == markings
 
 
@@ -284,7 +284,8 @@ def test_roundtrip_stride_is_reported(monkeypatch):
 
 def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
     """The verifier compares index tuples: no GroupHom or HomFamily is
-    constructed, while the validating enumeration builds both."""
+    constructed, while the enumeration builds one HomFamily per hom and no
+    GroupHom."""
     rng = random.Random(5)
     graph = add_extra_edges(rng, random_tree_graph(rng, max_vertices=3), 1)
     instances = [
@@ -308,7 +309,7 @@ def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
     for gog, G in instances:
         families = enumerate_pi1_homs(gog, G)
         assert built["HomFamily"] == len(families) > 0
-        assert built["GroupHom"] >= len(families)
+        assert built["GroupHom"] == 0
         built.update(GroupHom=0, HomFamily=0)
         _, report = verify_groupoid_pushout(gog, G)
         assert report["passed"] and report["pi1_count"] == len(families)
@@ -333,7 +334,7 @@ def test_pushout_on_random_instances():
 def _vertex_groupoid_data(gog, G, family, markings):
     """Build vertex/branch torsor data realizing a fiber-product object."""
     pres = build_presentation(gog)
-    datum = natural_map(pres, G, family.key(), markings)
+    datum = natural_map(pres, G, family.key, markings)
     vertex_data = {}
     for v, (table, flags) in zip(gog.graph.vertices, datum):
         hom = GroupHom(gog.vertex_groups[v], G, table)
@@ -354,7 +355,7 @@ def test_solve_patching_trivial_data():
     vd = {v: MultipointedTorsor.standard(c2, triv, {"b1": 0}) for v in ("P", "U")}
     bd = {"b1": MultipointedTorsor.standard(c2, triv, {"b1": 0})}
     family, _ = solve_patching(PatchingProblem(gog, c2, vd, bd))
-    assert all(set(h.mapping) == {h.target.identity} for h in family.vertex_homs.values())
+    assert all(set(table) == {c2.identity} for table in family.key[0])
 
 
 def test_solve_patching_reproduces_local_homs():
@@ -370,8 +371,9 @@ def test_solve_patching_reproduces_local_homs():
             }
             bd = {"b1": MultipointedTorsor.standard(s3, GroupHom.trivial(cyclic(1), s3), {"b1": 0})}
             family, _ = solve_patching(PatchingProblem(gog, s3, vd, bd))
-            assert family.vertex_homs["P"].mapping == f_p.mapping
-            assert family.vertex_homs["U"].mapping == f_u.mapping
+            tables = dict(zip(gog.graph.vertices, family.key[0]))
+            assert tables["P"] == f_p.mapping
+            assert tables["U"] == f_u.mapping
             count += 1
     assert count == len(hom_set(c2, s3)) * len(hom_set(c3, s3)) == 12
 
@@ -388,7 +390,7 @@ def test_solve_patching_circle_family_has_two_classes():
             "U": MultipointedTorsor.standard(c2, triv, {"b1": pts[2], "b2": pts[3]}),
         }
         family, _ = solve_patching(PatchingProblem(gog, c2, vd, bd))
-        classes.add(family.key())
+        classes.add(family.key)
     assert len(classes) == 2
     conj_values = {key[1] for key in classes}
     assert conj_values == {(0, 0), (0, 1)}
@@ -407,11 +409,11 @@ def test_solve_patching_solution_is_unique():
     markings = next(iter(_markings_space(gog, G)))
     vd, bd = _vertex_groupoid_data(gog, G, family, markings)
     solved, solved_markings = solve_patching(PatchingProblem(gog, G, vd, bd))
-    target = solved.key(), tuple(solved_markings[e] for e in gog.graph.edge_names())
+    target = solved.key, tuple(solved_markings[e] for e in gog.graph.edge_names())
     hits = 0
     for fam in families:
         for mk in _markings_space(gog, G):
-            datum = natural_map(pres, G, fam.key(), mk)
+            datum = natural_map(pres, G, fam.key, mk)
             induced_vd = {
                 v: MultipointedTorsor.standard(
                     G,
@@ -425,7 +427,7 @@ def test_solve_patching_solution_is_unique():
                 for v in gog.graph.vertices
             ):
                 hits += 1
-                assert (fam.key(), mk) == target
+                assert (fam.key, mk) == target
     assert hits == 1
 
 
