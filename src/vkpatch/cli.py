@@ -57,12 +57,12 @@ def _read_document(path: str) -> str:
         return fh.read()
 
 
-def _opt_int(args, doc: WorkbenchInput, flag: str, key: str, default=None):
+def _opt_int(args, doc: WorkbenchInput, flag: str, key: str, default: int) -> int:
     value = getattr(args, flag, None)
     if value is None:
         value = doc.options.get(key, default)
     try:
-        return None if value is None else int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise InputError([f"options.{key}: not an integer: {value!r}"]) from None
 
@@ -79,7 +79,6 @@ def run(argv: list[str]) -> int:
     parser.add_argument("--group", help="name of the test group (from 'groups')")
     parser.add_argument("--degree", type=int, help="cover degree for graph-covers")
     parser.add_argument("--support-bound", dest="support_bound", type=int)
-    parser.add_argument("--truncation", type=int)
     parser.add_argument("--all-trees", action="store_true",
                         help="also check spanning-tree independence")
     parser.add_argument("--dot-output", help="write DOT text to this path")
@@ -273,8 +272,7 @@ def _cmd_descent_as(args, doc):
     verdict = machine["verdict"]
     exit_code = EXIT_PASS
     support = _opt_int(args, doc, "support_bound", "support_bound", instance.p**2)
-    truncation = _opt_int(args, doc, "truncation", "truncation", 50)
-    oracle = as_brute_force_oracle(instance, support, truncation)
+    oracle = as_brute_force_oracle(instance, support)
     lines.extend(oracle.lines())
     machine["oracle"] = oracle.to_json()
     if oracle.verdict == INCONCLUSIVE:

@@ -23,6 +23,7 @@ import math
 from typing import Sequence
 
 from .fields import FiniteField, RationalFunctionField, poly_strip
+from .graphs import ScaleError, refuse_past
 from .series import LaurentSeries
 
 DESCENDS = "DESCENDS"
@@ -34,6 +35,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # The Artin-Schreier oracle refuses a search of more than this many candidate
 # beta, |k1|^support_bound, rather than run unbounded.
 AS_CANDIDATE_CAP = 1_000_000
+
+# The Kummer search stops before its elimination work, counted as candidates
+# times rows times unknowns squared, passes this: about 1.5 s at p = 5.
+KUMMER_WORK_CAP = 25_000_000
 
 
 class ASInstance:
@@ -139,9 +144,7 @@ def as_descends_galois(instance: ASInstance) -> tuple[list[str], dict]:
 
 
 class ASOracleDecision:
-    __slots__ = (
-        "verdict", "beta", "gamma", "candidates_tried", "support_bound", "truncation", "note",
-    )
+    __slots__ = ("verdict", "beta", "gamma", "candidates_tried", "support_bound", "note")
     law = "artin-schreier-oracle"
 
     def __init__(
@@ -151,7 +154,6 @@ class ASOracleDecision:
         gamma: LaurentSeries | None,
         candidates_tried: int,
         support_bound: int,
-        truncation: int,
         note: str,
     ):
         self.verdict = verdict
@@ -159,7 +161,6 @@ class ASOracleDecision:
         self.gamma = gamma
         self.candidates_tried = candidates_tried
         self.support_bound = support_bound
-        self.truncation = truncation
         self.note = note
 
     def lines(self) -> list[str]:
@@ -184,7 +185,6 @@ class ASOracleDecision:
             "gamma": self.gamma.render() if self.gamma is not None else None,
             "candidates_tried": self.candidates_tried,
             "support_bound": self.support_bound,
-            "truncation": self.truncation,
             "note": self.note,
         }
 
@@ -214,32 +214,29 @@ def _solve_artin_schreier(k2, p: int, x_terms: dict) -> dict | None:
     return {j: c for j, c in gamma.items() if c != k2.zero}
 
 
-def as_brute_force_oracle(
-    instance: ASInstance, support_bound: int, truncation: int
-) -> ASOracleDecision:
+def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleDecision:
     """Exhaustive search for beta over k1 with bounded negative support.
 
     For each candidate the Artin-Schreier equation is solved coefficient by
     coefficient; since alpha/t - beta is a Laurent polynomial the per-
-    candidate verdict is exact and the emitted gamma is exact too.
-    ``truncation`` bounds nothing: it is only echoed into the report.  An
+    candidate verdict is exact and the emitted gamma is exact too.  An
     empty search space, or one of more than ``AS_CANDIDATE_CAP`` candidates,
     is INCONCLUSIVE with nothing tried, never a silent answer.
     """
     if support_bound < 1:
         return ASOracleDecision(
-            INCONCLUSIVE, None, None, 0, support_bound, truncation,
+            INCONCLUSIVE, None, None, 0, support_bound,
             "support bound below 1: empty search space",
         )
     k2 = instance.k2
     p = instance.p
     k1_elements = instance.k1_elements()
-    # |k1| >= 2, so an exponent of the cap's bit length already exceeds it
-    if len(k1_elements) ** min(support_bound, AS_CANDIDATE_CAP.bit_length()) > AS_CANDIDATE_CAP:
+    try:
+        refuse_past(f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
+                    (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
+    except ScaleError as exc:
         return ASOracleDecision(
-            INCONCLUSIVE, None, None, 0, support_bound, truncation,
-            f"|k1|^{support_bound} candidates with |k1| = {len(k1_elements)} exceed "
-            f"the cap of {AS_CANDIDATE_CAP}: search not run",
+            INCONCLUSIVE, None, None, 0, support_bound, f"{exc}: search not run"
         )
     tried = 0
     # positions run from the deepest exponent down, so low-degree beta come
@@ -269,7 +266,6 @@ def as_brute_force_oracle(
             gamma_series,
             tried,
             support_bound,
-            truncation,
             "witness verified exactly: gamma^p - gamma = alpha/t - beta",
         )
     return ASOracleDecision(
@@ -278,7 +274,6 @@ def as_brute_force_oracle(
         None,
         tried,
         support_bound,
-        truncation,
         "no candidate beta admits a solution (each refusal is exact)",
     )
 
@@ -522,7 +517,9 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     model membership test asks for a polynomial relation of degree <=
     search_bound with coefficient degree <= search_bound holding to the
     truncation order, found by exact linear algebra over GF(q).  Both
-    verdicts are labeled with their bounds.
+    verdicts are labeled with their bounds.  The search stops INCONCLUSIVE
+    before its elimination work would pass ``KUMMER_WORK_CAP``, so a
+    candidate too large to try alone is refused before the search.
     """
     if search_bound < 0:
         return KummerDecision(
@@ -539,13 +536,24 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     if unknowns >= n_eq:
         return KummerDecision(
             INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
-            f"truncation {instance.truncation} too small for {unknowns} unknowns",
+            f"truncation {instance.truncation} too small for {search_bound + 1}^2 unknowns",
         )
 
+    # each candidate's system has at most truncation + 1 rows, and its
+    # elimination costs about rows * unknowns^2 field operations
+    what = f"the elimination work at truncation {instance.truncation} with {unknowns} unknowns"
     tried = 0
     for deg in range(0, search_bound + 1):
         for lower in itertools.product(range(F.q), repeat=deg):
             e_coeffs = tuple(lower) + (F.one,)
+            try:
+                refuse_past(what, (tried + 1, instance.truncation + 1, unknowns, unknowns),
+                            KUMMER_WORK_CAP)
+            except ScaleError as exc:
+                return KummerDecision(
+                    INCONCLUSIVE, None, None, tried, search_bound, instance.truncation,
+                    f"{exc}: stopped after {tried} candidates",
+                )
             tried += 1
             e_series = LaurentSeries(
                 F, {i: c for i, c in enumerate(e_coeffs)}, var="x"

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .graphs import refuse_past
+
 # A field is refused beyond this many elements, before any table is built:
 # the build is O(q) polynomial products, and no test or benchmark field is
 # larger than GF(2^10).
@@ -120,15 +122,14 @@ class FiniteField:
     def __init__(self, p: int, e: int = 1):
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
-        # for p >= 2 the size at least doubles with the degree, so p**e is
-        # only formed once it is known to be small
-        if p > 1 and (e > FIELD_SIZE_CAP.bit_length() or p**e > FIELD_SIZE_CAP):
-            raise ValueError(f"GF({p}^{e}) has more than {FIELD_SIZE_CAP} elements (field size cap)")
+        # p < 2 is refused below; for p >= 2 a size past the cap is refused
+        # before the primality test, which a huge p would stall
+        if p > 1:
+            self.q = refuse_past(f"the size of GF({p}^{e})", (p for _ in range(e)), FIELD_SIZE_CAP)
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
         self.e = e
-        self.q = p**e
         self.char = p
         self.modulus = _irreducible(p, e)
         self.zero = 0

@@ -23,12 +23,11 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import (
     ReductionGraph,
-    ScaleError,
     SpanningTree,
-    capped_product,
     cycle_rank,
     is_tree,
     maximal_tree,
+    refuse_past,
     spanning_trees,
 )
 from .groups import (
@@ -271,20 +270,12 @@ class HomFamily:
                     )
 
 
-def refuse_past_cap(what: str, base: int, exponent: int) -> None:
-    """Raise ``ScaleError`` when ``base**exponent``, a lower bound on the
-    size of an enumeration, passes ``FUNCTOR_SET_CAP``; the power is not
-    formed past the cap."""
-    if capped_product(itertools.repeat(base, exponent), FUNCTOR_SET_CAP) is None:
-        raise ScaleError(
-            f"{what} has at least {base}^{exponent} elements (cap {FUNCTOR_SET_CAP})"
-        )
-
-
 def _refuse_unbounded_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> None:
     # vertex generators at the identity with any values of the free letters
     # are homs, so there are at least |G|^rank of them
-    refuse_past_cap("presentation hom enumeration", group.order, cycle_rank(gog.graph))
+    rank = cycle_rank(gog.graph)
+    refuse_past(f"the presentation hom count, at least {group.order}^{rank},",
+                itertools.repeat(group.order, rank), FUNCTOR_SET_CAP)
 
 
 def enumerate_pi1_homs(

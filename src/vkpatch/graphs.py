@@ -18,14 +18,31 @@ class InvalidGraphError(ValueError):
 
 
 class ScaleError(ValueError):
-    """The requested enumeration exceeds a fixed cap: ``COVER_SCAN_CAP`` for
-    covers, ``gog.FUNCTOR_SET_CAP`` for presentation homs and the torsor
-    functor sets."""
+    """A size or a search passes its fixed cap; ``refuse_past`` raises it."""
+
+
+def refuse_past(what: str, factors: Iterable[int], cap: int) -> int:
+    """The product of the positive ``factors``, a size or a count of work.
+
+    Raises ``ScaleError`` naming ``what`` and the cap as soon as a partial
+    product passes ``cap``, so no number much larger than the cap is formed.
+    Every size cap of the package is checked here.
+    """
+    total = 1
+    for f in factors:
+        total *= f
+        if total > cap:  # the index cap, of 4,300 digits, is shown by its length
+            shown = cap if cap < 10**18 else f"{len(str(cap))} digits"
+            raise ScaleError(f"{what} passes the cap of {shown}")
+    return total
 
 
 # Cover enumeration refuses a scan of more tuples than this rather than run
 # unbounded: rank 2 up to degree 8, rank 3 up to degree 5, rank 4 up to 4.
 COVER_SCAN_CAP = 1_000_000
+
+# ``spanning_trees`` refuses to test more edge subsets than this.
+TREE_SCAN_CAP = 100_000
 
 
 class ReductionGraph:
@@ -232,6 +249,8 @@ def spanning_trees(graph: ReductionGraph) -> tuple[SpanningTree, ...]:
     graph.require_valid()
     names = graph.edge_names()
     k = len(graph.vertices) - 1
+    refuse_past(f"the spanning-tree scan of C({len(names)}, {k}) edge subsets",
+                [math.comb(len(names), k)], TREE_SCAN_CAP)
     out = []
     for subset in itertools.combinations(names, k):
         if _spans(graph, subset):
@@ -281,12 +300,12 @@ def enumerate_connected_covers(
         tree = maximal_tree(graph)
     free = tree.non_tree_edges()
     n = degree
-    ident = tuple(range(n))
     if free:
         reps = _least_transitive_tuples(n, len(free))
     else:
         reps = [()] if n == 1 else []
 
+    ident = tuple(range(n)) if reps else ()  # no cover of a tree past degree 1
     covers = []
     for combo in reps:
         assignment = {name: ident for name in tree.edge_names}
@@ -298,16 +317,12 @@ def enumerate_connected_covers(
 def _least_transitive_tuples(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """The least tuple of every conjugacy class of transitive r-tuples in
     S_n (r >= 1), in sorted order."""
-    # p(n) * max(n!, (n!)^(r-1)) tuples, refused as soon as a partial product
-    # passes the cap, so no big number is ever formed
-    fact = capped_product(range(2, n + 1), COVER_SCAN_CAP)
-    if fact is None or capped_product(
-        [_partition_count(n), *itertools.repeat(fact, max(1, r - 1))], COVER_SCAN_CAP
-    ) is None:
-        raise ScaleError(
-            f"degree-{n} covers of a rank-{r} graph would scan more tuples than "
-            f"allowed (cap {COVER_SCAN_CAP})"
-        )
+    # p(n) * max(n!, (n!)^(r-1)) tuples; n! is refused first, so p(n) is
+    # only counted for a small n
+    what = f"the tuple scan for degree-{n} covers of a rank-{r} graph"
+    fact = refuse_past(what, range(2, n + 1), COVER_SCAN_CAP)
+    refuse_past(what, [_partition_count(n), *itertools.repeat(fact, max(1, r - 1))],
+                COVER_SCAN_CAP)
     perms = sorted(itertools.permutations(range(n)))
     index = {perm: i for i, perm in enumerate(perms)}
     firsts = {}  # cycle type -> its least permutation, inserted in sorted order
@@ -344,17 +359,6 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def capped_product(factors: Iterable[int], cap: int) -> int | None:
-    """The product of positive factors, or None as soon as a partial product
-    passes ``cap``, so no number much larger than the cap is formed."""
-    out = 1
-    for f in factors:
-        out *= f
-        if out > cap:
-            return None
-    return out
 
 
 def _partition_count(n: int) -> int:

@@ -13,11 +13,16 @@ every triple.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from .graphs import refuse_past
 
 # ``make_group`` refuses a group of larger order before building any table.
 GROUP_ORDER_CAP = 200
+
+# ``enumerate_homs`` refuses a search that has tried more candidate images
+# than this; theta (S3, S3) into S4, 665,856 homs, tries 927,984.
+HOM_SEARCH_CAP = 2_000_000
 
 
 class GroupAxiomError(ValueError):
@@ -196,32 +201,23 @@ def make_group(descriptor: Mapping, name: str = "G") -> FiniteGroup:
     if not isinstance(descriptor, Mapping) or len(descriptor) != 1:
         raise ValueError(f"group descriptor must have exactly one key, got {descriptor!r}")
     kind, value = next(iter(descriptor.items()))
+    what = f"the order of the {kind} group"
     if kind == "cyclic":
         n = int(value)
-        _check_order(kind, [n])
+        refuse_past(what, [n], GROUP_ORDER_CAP)
         return cyclic(n, name=name)
     if kind == "symmetric":
         n = int(value)
-        _check_order(kind, range(2, n + 1))
+        refuse_past(what, range(2, n + 1), GROUP_ORDER_CAP)
         return symmetric(n, name=name)
     if kind == "product":
         factors = [make_group(d, name=f"{name}.{k}") for k, d in enumerate(value)]
-        _check_order(kind, [g.order for g in factors])
+        refuse_past(what, [g.order for g in factors], GROUP_ORDER_CAP)
         return direct_product(*factors, name=name)
     if kind == "table":
-        _check_order(kind, [len(value["elements"])])
+        refuse_past(what, [len(value["elements"])], GROUP_ORDER_CAP)
         return from_table(value["elements"], value["table"], name=name)
     raise ValueError(f"unknown group descriptor kind {kind!r}")
-
-
-def _check_order(kind: str, factors: Iterable[int]) -> None:
-    """Refuse a group whose order, the product of ``factors``, passes
-    ``GROUP_ORDER_CAP``; the product stops as soon as it does."""
-    order = 1
-    for f in factors:
-        order *= f
-        if order > GROUP_ORDER_CAP:
-            raise ValueError(f"{kind} group of order above the cap {GROUP_ORDER_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,9 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
     Exhaustive over ``|target|^r`` candidates, pruned by checking each
     relator as soon as the last generator it mentions has been assigned.
     Output is in lexicographic order of the image tuples, so it is
-    deterministic and canonical.
+    deterministic and canonical.  A search that has tried more than
+    ``HOM_SEARCH_CAP`` candidates, counted |target| at a time as each
+    partial assignment is extended, raises ``ScaleError``.
     """
     gens = source.generators
     r = len(gens)
@@ -272,11 +270,16 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
     identity = target.identity
     images = [0] * r
     out: list[tuple[int, ...]] = []
+    what = f"the hom search into {target.name}"
+    tried = 0
 
     def extend(depth: int) -> None:
+        nonlocal tried
         if depth == r:
             out.append(tuple(images))
             return
+        tried += n
+        refuse_past(what, (tried,), HOM_SEARCH_CAP)
         bucket = buckets[depth]
         for cand in range(n):
             images[depth] = cand

@@ -3,7 +3,7 @@
 Sections: ``graph`` (vertices and edges, optionally carrying group names),
 ``groups`` (named group descriptors), ``edge_maps`` (per-branch injection
 tables), ``descent`` (Artin-Schreier / Kummer instance specs), ``options``
-(bounds, truncation, test group, local indices).  Unknown keys warn;
+(bounds, test group, local indices).  Unknown keys warn;
 dangling references fail with the offending path; bad tables fail with the
 violating triple.
 """
@@ -11,20 +11,19 @@ violating triple.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from typing import Mapping
 
 from .descent import ASInstance, KummerInstance
 from .gog import EdgeMapError, GraphOfFiniteGroups
-from .graphs import ReductionGraph
+from .graphs import ReductionGraph, refuse_past
 from .groups import FiniteGroup, GroupAxiomError, GroupHom, cyclic, make_group
 
 SCHEMA_VERSION = 1
 
-# index-bound refuses a product of local indices this large: it has more
-# digits than Python converts to text
-_INDEX_PRODUCT_CAP = 10**4300
+# index-bound refuses a product of local indices past this, the largest
+# integer of the 4,300 digits that Python converts to text
+_INDEX_PRODUCT_CAP = 10**4300 - 1
 
 _TOP_KEYS = {"version", "graph", "groups", "edge_maps", "descent", "options"}
 _GRAPH_KEYS = {"points", "components", "edges"}
@@ -32,7 +31,6 @@ _OPTION_KEYS = {
     "test_group",
     "degree",
     "support_bound",
-    "truncation",
     "all_trees",
     "local_indices",
     "search_bound",
@@ -101,7 +99,7 @@ class WorkbenchInput:
                 }
                 continue
             table = self.edge_map_tables.get(e)
-            if table is None:
+            if not table:  # parse_input reads an empty or null map as absent
                 errors.append(f"edge_maps.{e}: required for nontrivial edge group")
                 continue
             try:
@@ -186,10 +184,8 @@ class WorkbenchInput:
                     f"integer: {value!r}"
                 ])
             out[str(label)] = index
-        if math.prod(out.values()) >= _INDEX_PRODUCT_CAP:
-            raise InputError(
-                ["options.local_indices: the product of the indices has more than 4300 digits"]
-            )
+        refuse_past("options.local_indices: the product of the indices", out.values(),
+                    _INDEX_PRODUCT_CAP)
         return out
 
 
@@ -213,6 +209,7 @@ def _spec_errors(path: str):
 
 
 def _hom_from_labels(source: FiniteGroup, target: FiniteGroup, table: Mapping[str, str]) -> GroupHom:
+    table = table or {}  # an empty or null side, which parse_input lets through
     mapping = [target.identity] * source.order
     for src_label, dst_label in table.items():
         try:

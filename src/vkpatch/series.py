@@ -21,7 +21,8 @@ class PrecisionError(ArithmeticError):
 
 
 class LaurentSeries:
-    """Coefficients from ``valuation`` up to ``order`` (None = exact)."""
+    """Coefficients known up to ``order`` (None = exact); ``coeffs`` runs
+    from ``valuation`` to the last nonzero one."""
 
     __slots__ = ("field", "var", "valuation", "coeffs", "order")
 
@@ -36,8 +37,7 @@ class LaurentSeries:
         if items:
             lo, hi = min(items), max(items)
             self.valuation = lo
-            top = hi if order is None else order
-            self.coeffs = tuple(items.get(k, field.zero) for k in range(lo, top + 1))
+            self.coeffs = tuple(items.get(k, field.zero) for k in range(lo, hi + 1))
         else:
             self.valuation = 0
             self.coeffs = ()

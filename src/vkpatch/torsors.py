@@ -43,9 +43,8 @@ from .gog import (
     VanKampenPresentation,
     backtrack_vertices,
     build_presentation,
-    refuse_past_cap,
 )
-from .graphs import ScaleError
+from .graphs import refuse_past
 from .groups import FiniteGroup, GroupHom, enumerate_homs, group_presentation
 
 # round trips through the inverse natural map are checked on every element up
@@ -430,21 +429,21 @@ def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[
     """All branch-compatible local data, by a join over the vertices in
     canonical order."""
     G = group
-    per_vertex: list[list[tuple]] = []
-    est = 1
-    for v, incident in zip(gog.graph.vertices, gog.incidence):
-        tables = enumerate_homs(group_presentation(gog.vertex_groups[v]), G)
-        free = len(incident) - 1
-        per_vertex.append([
-            (table, (G.identity, *combo))
-            for table in tables
-            for combo in itertools.product(range(G.order), repeat=free)
-        ])
-        est *= max(len(per_vertex[-1]), 1)
-        if est > FUNCTOR_SET_CAP:
-            raise ScaleError(
-                f"fiber-product enumeration would visit ~{est} tuples (cap {FUNCTOR_SET_CAP})"
-            )
+    tables = [
+        enumerate_homs(group_presentation(gog.vertex_groups[v]), G) for v in gog.graph.vertices
+    ]
+    # a vertex has its hom tables times |G|^(branches - 1) flag tuples; the
+    # caller's gauge check keeps that power small
+    refuse_past(
+        "the fiber-product join, the product of the vertex candidate counts,",
+        (len(t) * G.order ** (len(incident) - 1) for t, incident in zip(tables, gog.incidence)),
+        FUNCTOR_SET_CAP,
+    )
+    per_vertex = [
+        [(table, (G.identity, *combo)) for table in vertex_tables
+         for combo in itertools.product(range(G.order), repeat=len(incident) - 1)]
+        for vertex_tables, incident in zip(tables, gog.incidence)
+    ]
     restrict = functools.partial(_restriction, gog, G.conjugation_table())
     return backtrack_vertices(gog, per_vertex, restrict)
 
@@ -581,17 +580,14 @@ def verify_groupoid_pushout(
     free_branches = len(gog.graph.edge_names()) - 1
     # the trivial hom always exists, so the global side has at least gauge
     # elements: refuse before enumerating
-    refuse_past_cap("global functor enumeration", G.order, free_branches)
-    gauge = G.order**free_branches
+    gauge = refuse_past(f"the marking gauge {G.order}^{free_branches}",
+                        itertools.repeat(G.order, free_branches), FUNCTOR_SET_CAP)
     presentation = build_presentation(gog)
     pi1 = [
         presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)
     ]
-    lhs_raw = len(pi1) * gauge
-    if lhs_raw > FUNCTOR_SET_CAP:
-        raise ScaleError(
-            f"global functor enumeration has {lhs_raw} elements (cap {FUNCTOR_SET_CAP})"
-        )
+    lhs_raw = refuse_past(f"the global functor count, {len(pi1)} x {gauge},",
+                          (len(pi1), gauge), FUNCTOR_SET_CAP)
 
     fiber = _enumerate_fiber_data(gog, G)
     fiber_keys = set(fiber)

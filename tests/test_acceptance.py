@@ -234,7 +234,7 @@ def test_criterion_8_criterion_vs_oracle():
         for alpha in range(1, field.q):
             inst = ASInstance.finite(p, 1, 2, alpha)
             _, criterion = as_descends_galois(inst)
-            oracle = as_brute_force_oracle(inst, p * p, 50)
+            oracle = as_brute_force_oracle(inst, p * p)
             assert oracle.verdict in (DESCENDS, FAILS_WITHIN_BOUNDS)
             assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS)
             checked += 1

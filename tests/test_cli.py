@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
 import pytest
 
 import vkpatch
-from vkpatch.cli import run
+from vkpatch.cli import _HANDLERS, run
 from vkpatch.inputs import InputError, parse_input
 from vkpatch.reports import (
     EXIT_FAIL,
@@ -20,6 +23,11 @@ from vkpatch.reports import (
     EXIT_PASS,
     ReportDocument,
 )
+
+try:
+    from hypothesis import given, seed, settings, strategies as st
+except ImportError:  # the structural fuzz is optional
+    given = None
 
 MINIMAL = {
     "version": 1,
@@ -236,8 +244,10 @@ def test_graph_covers_beyond_the_scan_cap_is_an_input_error(tmp_path, capsys):
     code = run(["graph-covers", write(tmp_path, doc), "--degree", "12"])
     captured = capsys.readouterr()
     assert code == EXIT_INPUT_ERROR
-    assert captured.err.startswith("input error: degree-12 covers of a rank-2 graph")
-    assert "cap 1000000" in captured.err
+    assert captured.err.startswith(
+        "input error: the tuple scan for degree-12 covers of a rank-2 graph"
+    )
+    assert "cap of 1000000" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -252,8 +262,8 @@ def test_graph_covers_far_past_the_scan_cap_is_refused_without_big_numbers(
     captured = capsys.readouterr()
     assert code == EXIT_INPUT_ERROR
     assert captured.err == (
-        f"input error: degree-{degree} covers of a rank-1 graph would scan more "
-        "tuples than allowed (cap 1000000)\n"
+        f"input error: the tuple scan for degree-{degree} covers of a rank-1 graph "
+        "passes the cap of 1000000\n"
     )
     assert captured.out == ""
 
@@ -357,6 +367,12 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
         ("graph-check", {**MINIMAL, "groups": {"G": {"symmetric": 9}}}, [], "groups.G"),
         ("graph-check", {**MINIMAL, "groups": {"G": {"product": [
             {"cyclic": 15}, {"cyclic": 14}]}}}, [], "groups.G"),
+        # a null option, and a null or empty edge map, once raised a traceback
+        ("descent-as", {**AS_DOC, "options": {"support_bound": None}}, [],
+         "options.support_bound"),
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": None, "to_component": {"1": "3"}}}}, [], "edge_maps.b1"),
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": []}}, [], "edge_maps.b1"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
@@ -365,7 +381,8 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
          "vertex-group-list", "test-group-list", "groups-list", "options-list", "descent-list",
          "alpha-list", "vertex-declared-twice", "k1-degree-negative", "group-two-keys",
          "group-list", "edge-group-undefined", "k2-degree-40", "kummer-q-exp-40",
-         "symmetric-9", "product-over-cap"],
+         "symmetric-9", "product-over-cap", "option-null", "edge-map-side-null",
+         "edge-map-list"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])
@@ -403,7 +420,7 @@ def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
     assert oracle["verdict"] == "INCONCLUSIVE"
     assert oracle["candidates_tried"] == 0
     assert oracle["note"] == (
-        "|k1|^25 candidates with |k1| = 5 exceed the cap of 1000000: search not run"
+        "the search space |k1|^25 with |k1| = 5 passes the cap of 1000000: search not run"
     )
 
 
@@ -413,6 +430,35 @@ _CIRCLE_25 = json.dumps({
               "edges": [[f"b{i}", "P", "U"] for i in range(1, 26)]},
     "groups": {"S3": {"symmetric": 3}},
     "options": {"test_group": "S3"},
+})
+
+# a tree of groups, so |G|^rank = 1: one point joined to 20 components, C2
+# at every vertex, into C2 (2^21 homs)
+_TREE_20 = json.dumps({
+    "version": 1,
+    "graph": {"points": [{"name": "P", "group": "C2"}],
+              "components": [{"name": f"U{i}", "group": "C2"} for i in range(1, 21)],
+              "edges": [[f"b{i}", "P", f"U{i}"] for i in range(1, 21)]},
+    "groups": {"C2": {"cyclic": 2}},
+    "options": {"test_group": "C2"},
+})
+
+# K(10, 10) with trivial groups: C(100, 19) edge subsets for --all-trees
+_K_10_10 = json.dumps({
+    "version": 1,
+    "graph": {"points": [f"P{i}" for i in range(10)], "components": [f"U{j}" for j in range(10)],
+              "edges": [[f"b{i}.{j}", f"P{i}", f"U{j}"] for i in range(10) for j in range(10)]},
+    "groups": {"C1": {"cyclic": 1}},
+    "options": {"test_group": "C1", "all_trees": True},
+})
+
+# one branch with C2^7 at the point, into C2^7: 2^49 vertex homs
+_C2_POWER_7 = json.dumps({
+    "version": 1,
+    "graph": {"points": [{"name": "P", "group": "E"}], "components": ["U"],
+              "edges": [["b1", "P", "U"]]},
+    "groups": {"E": {"product": [{"cyclic": 2}] * 7}},
+    "options": {"test_group": "E"},
 })
 
 
@@ -439,9 +485,34 @@ _CIRCLE_25 = json.dumps({
         ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
             "p": 2, "model": "base-ring", "gbar_coeffs": [1] * 10**6, "truncation": 200}}}),
          EXIT_PASS, {"verdict": "DESCENDS", "candidates_tried": 1}),
+        # 5 * 10^7 rows per candidate: refused before the search
+        ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "truncation": 5 * 10**7}}}), EXIT_INCONCLUSIVE,
+         {"verdict": "INCONCLUSIVE", "candidates_tried": 0}),
+        # 19,531 candidates of 49 unknowns each: stopped when the work budget is spent
+        ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
+            "p": 5, "model": "transcendental", "terms": 4, "truncation": 200}},
+            "options": {"search_bound": 6}}), EXIT_INCONCLUSIVE,
+         {"verdict": "INCONCLUSIVE", "candidates_tried": 51}),
+        # the hom search budget, where |G|^rank refuses nothing
+        ("gog-homs", _TREE_20, EXIT_INPUT_ERROR, None),
+        ("gog-verify", _TREE_20, EXIT_INPUT_ERROR, None),
+        ("gog-homs", _C2_POWER_7, EXIT_INPUT_ERROR, None),
+        ("gog-verify", _C2_POWER_7, EXIT_INPUT_ERROR, None),
+        ("torsor-verify", _C2_POWER_7, EXIT_INPUT_ERROR, None),
+        ("gog-verify", _K_10_10, EXIT_INPUT_ERROR, None),
+        # a tree has no cover past degree 1, and none is built
+        ("graph-covers", json.dumps({**MINIMAL, "options": {"degree": 2**31}}), EXIT_PASS,
+         {"count": 0}),
+        # (bound + 1)^2 unknowns has too many digits to print
+        ("descent-kummer", json.dumps({**KUMMER_DOC, "options": {"search_bound": 10**4000}}),
+         EXIT_INCONCLUSIVE, {"verdict": "INCONCLUSIVE", "candidates_tried": 0}),
     ],
     ids=["long-integer", "index-product", "torsor-gauge", "pushout-gauge", "homs-bound",
-         "verify-bound", "kummer-terms", "kummer-base-ring-coeffs"],
+         "verify-bound", "kummer-terms", "kummer-base-ring-coeffs", "kummer-truncation",
+         "kummer-p5-bound6", "homs-tree20", "verify-tree20", "homs-c2-power-7",
+         "verify-c2-power-7", "torsor-c2-power-7", "all-trees-k10-10", "covers-tree-huge-degree",
+         "kummer-bound-4001-digits"],
 )
 def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, exit_code, machine):
     path = tmp_path / "input.json"
@@ -662,3 +733,114 @@ def test_machine_block_is_valid_json(tmp_path, capsys, monkeypatch):
     assert len(digests) == 1
     assert payload["deterministic_digest"] == digests[0]
     assert f"deterministic-digest: {digests[0]}\n" in out
+
+
+# -- structural fuzz ------------------------------------------------------------
+
+# the input document of the README, every section filled
+FULL_DOC = {
+    "version": 1,
+    "graph": {
+        "points": [{"name": "P", "group": "C4"}],
+        "components": [{"name": "U", "group": "C6"}],
+        "edges": [{"name": "b1", "point": "P", "component": "U", "group": "C2"},
+                  ["b2", "P", "U"]],
+    },
+    "groups": {"C2": {"cyclic": 2}, "C4": {"cyclic": 4}, "C6": {"cyclic": 6},
+               "S3": {"symmetric": 3}, "V4": {"product": [{"cyclic": 2}, {"cyclic": 2}]},
+               "T": {"table": {"elements": ["e", "a"], "table": [["e", "a"], ["a", "e"]]}}},
+    "edge_maps": {"b1": {"to_point": {"1": "2"}, "to_component": {"1": "3"}}},
+    "descent": {
+        "artin_schreier": {"p": 2, "k1_degree": 1, "k2_degree": 2, "alpha": "w"},
+        "kummer": {"p": 2, "model": "transcendental", "terms": 4, "truncation": 200},
+    },
+    "options": {"test_group": "C2", "degree": 2, "support_bound": 4, "all_trees": False,
+                "local_indices": {"P": 4, "U": 6}},
+}
+
+# documents like the benchmark's, each small enough to answer in well under
+# a second when unchanged
+FUZZ_BASES = (
+    FULL_DOC,
+    CIRCLE,
+    AMALGAM,
+    {**AS_DOC, "options": {"support_bound": 6}},
+    {"version": 1, "descent": {"artin_schreier": {
+        "p": 2, "rational": True, "e": 2, "alpha": {"num": [1, 2], "den": [1]}}}},
+    {**KUMMER_DOC, "options": {"search_bound": 2}},
+    {"version": 1, "descent": {"kummer": {
+        "p": 3, "model": "base-ring", "gbar_coeffs": [2, 1], "truncation": 120}}},
+    {**MINIMAL, "options": {"degree": 3, "local_indices": {"x0": 4, "x1": 9}}},
+)
+
+EXTREME_INTS = (-(10**18), -1, 0, 1, 2**31, 10**18, 10**4000)
+JSON_VALUES = (None, True, 1.5, 7, "x", [], [1], {}, {"x": 1})
+
+
+def _locations(value, path=()):
+    """The path of every key and list item under ``value``."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _locations(child, path + (key,))
+
+
+if given is not None:
+    @st.composite
+    def mutated_documents(draw):
+        """A command and a base document with one mutation: a value swapped
+        for one of another JSON type, an integer pushed to an extreme, or a
+        key or item dropped."""
+        doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+        path = draw(st.sampled_from(list(_locations(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        kind = draw(st.sampled_from(("type", "extreme", "drop")))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "extreme" and type(old) is int:
+            parent[path[-1]] = draw(st.sampled_from(EXTREME_INTS))
+        else:
+            parent[path[-1]] = draw(
+                st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)])
+            )
+        return draw(st.sampled_from(sorted(_HANDLERS))), doc
+
+
+class _Hang(BaseException):
+    """Raised by the alarm in a call that passed its wall budget; not an
+    ``Exception``, so no handler in the package can swallow it."""
+
+
+def _run_within(argv: list[str], seconds: float) -> int:
+    def alarm(signum, frame):
+        raise _Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
+def test_structural_fuzz_keeps_the_exit_contract(tmp_path):
+    """Mutated documents never hang, never raise out of ``run``, and exit
+    with a code of the contract (MacIver et al., JOSS 4(43), 2019)."""
+    path = tmp_path / "fuzz.json"
+
+    @seed(20261018)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(mutated_documents())
+    def check(case):
+        command, doc = case
+        path.write_text(json.dumps(doc))
+        assert _run_within([command, str(path)], 5) in (0, 1, 2, 3)
+
+    check()

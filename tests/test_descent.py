@@ -24,6 +24,7 @@ from vkpatch.descent import (
     _w_identity_remainder,
     verify_example_29,
 )
+from vkpatch import descent as descent_mod
 from vkpatch.fields import FiniteField
 from vkpatch.series import LaurentSeries
 
@@ -87,7 +88,7 @@ def test_instance_validation():
 
 def test_oracle_finds_least_witness():
     inst = ASInstance.finite(2, 1, 1, 1)
-    decision = as_brute_force_oracle(inst, 4, 50)
+    decision = as_brute_force_oracle(inst, 4)
     assert decision.verdict == DESCENDS
     assert decision.beta.equals_exact(LaurentSeries(inst.k2, {-1: 1}))
     assert decision.gamma.equals_exact(LaurentSeries(inst.k2, {}))
@@ -95,21 +96,20 @@ def test_oracle_finds_least_witness():
 
 def test_oracle_rejects_f4_generator_within_bounds():
     inst = ASInstance.finite(2, 1, 2, "w")
-    decision = as_brute_force_oracle(inst, 8, 50)
+    decision = as_brute_force_oracle(inst, 8)
     assert decision.verdict == FAILS_WITHIN_BOUNDS
     assert decision.candidates_tried == 2**8
 
 
 def test_oracle_empty_search_space_is_inconclusive():
     inst = ASInstance.finite(2, 1, 2, "w")
-    assert as_brute_force_oracle(inst, 0, 50).to_json() == {
+    assert as_brute_force_oracle(inst, 0).to_json() == {
         "law": "artin-schreier-oracle",
         "verdict": "INCONCLUSIVE",
         "beta": None,
         "gamma": None,
         "candidates_tried": 0,
         "support_bound": 0,
-        "truncation": 50,
         "note": "support bound below 1: empty search space",
     }
 
@@ -117,23 +117,23 @@ def test_oracle_empty_search_space_is_inconclusive():
 def test_oracle_search_over_the_cap_is_inconclusive():
     inst = ASInstance.finite(2, 1, 2, "w")
     for bound in (20, 1_000_000_000):  # 2^20 = 1,048,576 candidates and up
-        decision = as_brute_force_oracle(inst, bound, 50)
+        decision = as_brute_force_oracle(inst, bound)
         assert decision.verdict == INCONCLUSIVE
         assert decision.candidates_tried == 0
         assert decision.note == (
-            f"|k1|^{bound} candidates with |k1| = 2 exceed the cap of 1000000: "
+            f"the search space |k1|^{bound} with |k1| = 2 passes the cap of 1000000: "
             "search not run"
         )
     # k1 = GF(2^10): 1024 candidates are searched, 1024^2 are not
     inst = ASInstance.finite(2, 10, 10, "w")
-    assert as_brute_force_oracle(inst, 1, 50).verdict == DESCENDS
-    assert as_brute_force_oracle(inst, 2, 50).verdict == INCONCLUSIVE
+    assert as_brute_force_oracle(inst, 1).verdict == DESCENDS
+    assert as_brute_force_oracle(inst, 2).verdict == INCONCLUSIVE
 
 
 def test_oracle_witnesses_satisfy_equation_exactly():
     # deep support: beta = t^-4 equivalent paths exercise the triangular solve
     inst = ASInstance.finite(2, 1, 1, 1)
-    decision = as_brute_force_oracle(inst, 4, 50)
+    decision = as_brute_force_oracle(inst, 4)
     gamma, beta = decision.gamma, decision.beta
     lhs = gamma.pow(2).sub(gamma)
     rhs = LaurentSeries(inst.k2, {-1: inst.alpha}).sub(beta)
@@ -178,7 +178,7 @@ def test_criterion_and_oracle_agree_on_all_of_f4_and_f9():
         for alpha in range(1, inst_field.q):
             inst = ASInstance.finite(p, 1, 2, alpha)
             _, criterion = as_descends_galois(inst)
-            oracle = as_brute_force_oracle(inst, p * p, 50)
+            oracle = as_brute_force_oracle(inst, p * p)
             assert oracle.verdict != INCONCLUSIVE
             assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS), (
                 p, alpha,
@@ -187,7 +187,7 @@ def test_criterion_and_oracle_agree_on_all_of_f4_and_f9():
 
 def test_oracle_over_rational_constants():
     inst = ASInstance.rational(3, 1, "s")
-    decision = as_brute_force_oracle(inst, 3, 30)
+    decision = as_brute_force_oracle(inst, 3)
     assert decision.verdict == FAILS_WITHIN_BOUNDS
 
 
@@ -199,13 +199,13 @@ def test_agreement_on_larger_coefficient_fields():
     for alpha in range(1, 16):
         inst = ASInstance.finite(2, 2, 4, alpha)
         _, criterion = as_descends_galois(inst)
-        oracle = as_brute_force_oracle(inst, 4, 50)
+        oracle = as_brute_force_oracle(inst, 4)
         assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS)
     sample = [1, 2, 3, 7, 20, 40, 60, 80]
     for alpha in sample:
         inst = ASInstance.finite(3, 2, 4, alpha)
         _, criterion = as_descends_galois(inst)
-        oracle = as_brute_force_oracle(inst, 2, 50)
+        oracle = as_brute_force_oracle(inst, 2)
         assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS), alpha
 
 
@@ -273,6 +273,35 @@ def test_kummer_bounds_are_honest():
         decision = kummer_obstruction(inst, bound)
         assert decision.verdict == INCONCLUSIVE
         assert decision.candidates_tried == 0
+
+
+def test_kummer_search_stops_when_its_work_budget_is_spent(monkeypatch):
+    # p = 2, bound 4, truncation 200: each candidate is 201 rows x 25^2 unknowns
+    inst = KummerInstance.transcendental_model(2, 1, 4, 200)
+    per_candidate = 201 * 25 * 25
+    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 7 * per_candidate)
+    decision = kummer_obstruction(inst, 4)
+    assert decision.verdict == INCONCLUSIVE
+    assert decision.candidates_tried == 7
+    assert decision.note == (
+        f"the elimination work at truncation 200 with 25 unknowns passes the cap of "
+        f"{7 * per_candidate}: stopped after 7 candidates"
+    )
+    # one candidate past the budget is refused before the search
+    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", per_candidate - 1)
+    decision = kummer_obstruction(inst, 4)
+    assert (decision.verdict, decision.candidates_tried) == (INCONCLUSIVE, 0)
+    # the whole search, 31 candidates, fits a budget of exactly its work
+    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 31 * per_candidate)
+    decision = kummer_obstruction(inst, 4)
+    assert (decision.verdict, decision.candidates_tried) == (OBSTRUCTED_WITHIN_BOUNDS, 31)
+
+
+def test_kummer_search_that_decides_early_is_never_refused():
+    # p = 5, bound 5: a full search would pass the budget, but e = 1 decides
+    inst = KummerInstance.base_ring_model(5, [2, 3], 200)
+    decision = kummer_obstruction(inst, 5)
+    assert (decision.verdict, decision.candidates_tried) == (DESCENDS, 1)
 
 
 def test_kummer_char3():

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from vkpatch.fields import FIELD_SIZE_CAP, FiniteField
+from vkpatch.graphs import ScaleError
 
 SMALL = [
     (p, e)
@@ -159,7 +160,8 @@ def test_field_size_cap_refuses_before_any_table():
     # q = p^e is never formed for a huge degree, and the size is checked
     # before the characteristic is tested for primality
     for p, e in ((2, 13), (3, 8), (2, 40), (2, 10**12), (4099, 1), (10**30 + 57, 1)):
-        with pytest.raises(ValueError, match=r"elements \(field size cap\)$"):
+        message = rf"^the size of GF\({p}\^{e}\) passes the cap of 4096$"
+        with pytest.raises(ScaleError, match=message):
             FiniteField(p, e)
     with pytest.raises(ValueError, match="must be prime"):
         FiniteField(4095, 1)

@@ -18,6 +18,7 @@ from catalog import (
     with_trivial_edges,
 )
 from vkpatch import gog as gog_mod
+from vkpatch import groups as groups_mod
 from vkpatch.gog import (
     GraphOfFiniteGroups,
     HomFamily,
@@ -367,10 +368,20 @@ def test_hom_enumeration_is_refused_past_the_cap(monkeypatch):
     assert len(enumerate_pi1_homs(bouquet(4), c2)) == 8
     assert verify_tree_vankampen(bouquet(4), c2)[1]["pi1_count"] == 8
     for enumerate_or_verify in (enumerate_pi1_homs, verify_tree_vankampen):
-        with pytest.raises(ScaleError, match=r"at least 2\^4 elements \(cap 8\)$"):
+        with pytest.raises(ScaleError, match=r"at least 2\^4, passes the cap of 8$"):
             enumerate_or_verify(bouquet(5), c2)
     # a trivial test group never passes the cap, whatever the rank
     assert len(enumerate_pi1_homs(bouquet(40), cyclic(1))) == 1
+
+
+def test_theta_of_s3_into_s4_fits_the_hom_search_budget(monkeypatch):
+    """665,856 homs take 927,984 candidate images, under ``HOM_SEARCH_CAP``;
+    a budget of exactly that many still admits the search."""
+    s3 = symmetric(3)
+    vk = build_presentation(with_trivial_edges(theta_graph(), {"P": s3, "U": s3}))
+    assert groups_mod.HOM_SEARCH_CAP >= 927_984
+    monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", 927_984)
+    assert len(enumerate_homs(vk.presentation, symmetric(4))) == 665_856
 
 
 def test_conjugacy_class_count():

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from catalog import circle_graph, cover_is_connected, cover_total_space, diamond_graph, theta_graph
+from vkpatch import graphs as graphs_mod
 from vkpatch.graphs import (
     COVER_SCAN_CAP,
     InvalidGraphError,
@@ -106,6 +107,16 @@ def test_spanning_tree_enumeration():
     assert len(spanning_trees(theta_graph())) == 3
     assert len(spanning_trees(circle_graph())) == 2
     assert len(spanning_trees(diamond_graph())) == 1
+
+
+def test_spanning_tree_scan_past_the_cap_is_refused(monkeypatch):
+    # theta: its 3 branches are the C(3, 1) edge subsets that are tested
+    monkeypatch.setattr(graphs_mod, "TREE_SCAN_CAP", 3)
+    assert len(spanning_trees(theta_graph())) == 3
+    monkeypatch.setattr(graphs_mod, "TREE_SCAN_CAP", 2)
+    with pytest.raises(ScaleError, match=r"^the spanning-tree scan of C\(3, 1\) edge subsets "
+                       r"passes the cap of 2$"):
+        spanning_trees(theta_graph())
 
 
 def test_non_tree_edge_count_equals_rank():

@@ -8,6 +8,8 @@ import math
 import pytest
 
 from catalog import groups_up_to, hom_set, presentation_from_words, quaternion8
+from vkpatch import groups as groups_mod
+from vkpatch.graphs import ScaleError
 from vkpatch.groups import (
     FiniteGroup,
     GROUP_ORDER_CAP,
@@ -99,7 +101,8 @@ def test_make_group_refuses_orders_past_the_cap_before_any_table():
         {"table": {"elements": [str(i) for i in range(201)], "table": []}},
     ):
         kind = next(iter(descriptor))
-        with pytest.raises(ValueError, match=f"^{kind} group of order above the cap 200$"):
+        message = f"^the order of the {kind} group passes the cap of 200$"
+        with pytest.raises(ScaleError, match=message):
             make_group(descriptor)
 
 
@@ -194,6 +197,20 @@ def test_enumerate_homs_is_exhaustive_against_brute_force():
     ]
     for pres, target in cases:
         assert list(enumerate_homs(pres, target)) == brute_force_homs(pres, target)
+
+
+def test_enumerate_homs_refuses_a_search_past_its_budget(monkeypatch):
+    # two free generators into C3: 3 candidates at the root and 3 under each
+    # of its 3 children, 12 in all, for 9 homs
+    free = Presentation(("a", "b"), ())
+    monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", 12)
+    assert len(enumerate_homs(free, cyclic(3))) == 9
+    monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", 11)
+    with pytest.raises(ScaleError, match="^the hom search into C3 passes the cap of 11$"):
+        enumerate_homs(free, cyclic(3))
+    # a search with no generator tries nothing
+    monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", 0)
+    assert enumerate_homs(Presentation((), ()), cyclic(3)) == ((),)
 
 
 def test_enumerate_homs_output_is_sorted():
