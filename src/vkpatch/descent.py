@@ -4,16 +4,21 @@ Artin-Schreier classes: the extension of k2((t)) generated by a root of
 Y^p - Y - alpha/t comes from a degree-p Galois extension of k1((t)) exactly
 when alpha/t is equivalent, modulo gamma^p - gamma over k2((t)), to a series
 with k1 coefficients; collapsing the principal part shows this happens iff
-alpha lies in k1.  The criterion decides by membership; the brute-force
-oracle independently searches bounded-support candidates and solves the
-Artin-Schreier equation coefficient by coefficient (the solve is triangular,
-so each verdict for a candidate is exact).
+alpha lies in k1.  The criterion decides by membership; the oracle
+independently searches bounded-support candidates beta.  The Artin-Schreier
+equation is triangular, so only the beta coefficients at -1..-(support // p)
+are free and every deeper one is forced (Serre, *Local Fields*, ch. IV): the
+oracle walks those free choices, answers as the exhaustive product-order
+search would, and verifies its witness exactly.
 
 The mixed-characteristic analogue tests p-th power classes at the residue
 level: for f = g^p + x with x a uniformizer, the extension descends only if
 f e^p is algebraic over the base ring for some unit e, which the desk model
 checks by bounded-degree minimal-polynomial search over truncated power
-series.
+series.  A relation that holds to the truncation order holds to every lower
+order, so each candidate is first screened at a low order and only the
+survivors are solved at full truncation (van der Hoeven, "Relax, but don't
+be too lazy", *J. Symbolic Comput.* 34(6), 2002).
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 AS_CANDIDATE_CAP = 1_000_000
 
 # The Kummer search stops before its elimination work, counted as candidates
-# times rows times unknowns squared, passes this: about 1.5 s at p = 5.
+# times rows times unknowns squared, passes this.  The count is that of a
+# full-truncation elimination per candidate; the low-order screen does less.
 KUMMER_WORK_CAP = 25_000_000
 
 
@@ -189,39 +195,54 @@ class ASOracleDecision:
         }
 
 
-def _solve_artin_schreier(k2, p: int, x_terms: dict) -> dict | None:
-    """Solve gamma^p - gamma = x for x supported on negative exponents.
+def _valid_betas(instance: ASInstance, support_bound: int):
+    """Every beta over k1 on exponents -support_bound..-1 with alpha/t - beta
+    in the image of gamma -> gamma^p - gamma, with its gamma.
 
-    The system is triangular: gamma at -1, -2, ... is forced in turn, and a
-    solution exists iff the forced gamma vanishes on exponents whose p-th
-    multiple lies below the support of x.  Exact: no truncation involved.
+    Write x = alpha/t - beta and h = support_bound // p.  The solve is
+    triangular, gamma_m = [p | m] gamma_(m/p)^p - x_m from m = -1 down, and a
+    solution exists exactly when gamma has degree <= h in 1/t.  So only the
+    coefficients at -1..-h are free; each deeper one is forced, x_m =
+    [p | m] gamma_(m/p)^p, and a choice is dropped as soon as a forced beta
+    coefficient leaves k1.  Yields (beta, gamma) as dicts by exponent, beta
+    over all of -support_bound..-1 and gamma without its zeros, for each of
+    the |k1|^h free choices that survives.
     """
-    if not x_terms:
-        return {}
-    v_min = min(x_terms)
-    if v_min >= 0:
-        raise ValueError("x must be supported on negative exponents")
-    gamma: dict[int, object] = {}
-    for m in range(-1, v_min - 1, -1):
-        acc = k2.zero
-        if m % p == 0:
-            prev = gamma.get(m // p, k2.zero)
-            acc = k2.pow(prev, p) if prev != k2.zero else k2.zero
-        gamma[m] = k2.sub(acc, x_terms.get(m, k2.zero))
-    for j, c in gamma.items():
-        if p * j < v_min and c != k2.zero:
-            return None
-    return {j: c for j, c in gamma.items() if c != k2.zero}
+    k2, p, alpha = instance.k2, instance.p, instance.alpha
+    zero = k2.zero
+    h = support_bound // p
+    for shallow in itertools.product(instance.k1_elements(), repeat=h):
+        beta: dict[int, object] = {}
+        gamma: dict[int, object] = {}
+        for m in range(-1, -support_bound - 1, -1):
+            root = gamma[m // p] if m % p == 0 else zero
+            forced = k2.pow(root, p) if root != zero else zero
+            shift = alpha if m == -1 else zero  # x_m = shift - beta_m
+            if m >= -h:
+                b = shallow[-1 - m]
+                gamma[m] = k2.sub(forced, k2.sub(shift, b))
+            else:
+                b = k2.sub(shift, forced)
+                if not instance.in_k1(b):
+                    break
+            beta[m] = b
+        else:
+            yield beta, {j: c for j, c in gamma.items() if c != zero}
 
 
 def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleDecision:
-    """Exhaustive search for beta over k1 with bounded negative support.
+    """Exact search for beta over k1 with bounded negative support.
 
-    For each candidate the Artin-Schreier equation is solved coefficient by
-    coefficient; since alpha/t - beta is a Laurent polynomial the per-
-    candidate verdict is exact and the emitted gamma is exact too.  An
-    empty search space, or one of more than ``AS_CANDIDATE_CAP`` candidates,
-    is INCONCLUSIVE with nothing tried, never a silent answer.
+    The candidates are the |k1|^support_bound beta in product order, deepest
+    exponent first, so low-degree beta come first and the least witness is
+    e.g. beta = alpha/t when alpha is in k1.  ``_valid_betas`` lists every
+    candidate that admits a solution from |k1|^(support_bound // p) free
+    choices; the witness is the least of them in that order, and
+    ``candidates_tried`` is its rank plus one, or the whole product space
+    when there is none: the count an exhaustive loop would report.  The
+    witness gamma is checked exactly against the equation.  An empty search
+    space, or one of more than ``AS_CANDIDATE_CAP`` candidates, is
+    INCONCLUSIVE with nothing tried, never a silent answer.
     """
     if support_bound < 1:
         return ASOracleDecision(
@@ -229,52 +250,47 @@ def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleD
             "support bound below 1: empty search space",
         )
     k2 = instance.k2
-    p = instance.p
     k1_elements = instance.k1_elements()
     try:
-        refuse_past(f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
-                    (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
+        space = refuse_past(
+            f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
+            (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
     except ScaleError as exc:
         return ASOracleDecision(
             INCONCLUSIVE, None, None, 0, support_bound, f"{exc}: search not run"
         )
-    tried = 0
-    # positions run from the deepest exponent down, so low-degree beta come
-    # first and the least witness is e.g. beta = alpha/t when alpha is in k1
-    exponents = list(range(-support_bound, 0))
-    for combo in itertools.product(k1_elements, repeat=support_bound):
-        tried += 1
-        x_terms: dict[int, object] = {}
-        for m, b in zip(exponents, combo):
-            if b != k2.zero:
-                x_terms[m] = k2.neg(b)
-        x_terms[-1] = k2.add(x_terms.get(-1, k2.zero), instance.alpha)
-        if x_terms.get(-1) == k2.zero:
-            x_terms.pop(-1, None)
-        gamma = _solve_artin_schreier(k2, p, x_terms)
-        if gamma is None:
-            continue
-        beta = LaurentSeries(k2, dict(zip(exponents, combo)))
-        gamma_series = LaurentSeries(k2, gamma)
-        x_series = LaurentSeries(k2, x_terms)
-        check = gamma_series.pow(p).sub(gamma_series)
-        if not check.equals_exact(x_series):
-            raise AssertionError("oracle produced an invalid Artin-Schreier witness")
+    position = {b: i for i, b in enumerate(k1_elements)}
+
+    def rank(beta: dict) -> int:
+        r = 0
+        for m in range(-support_bound, 0):
+            r = r * len(k1_elements) + position[beta[m]]
+        return r
+
+    valid = ((rank(beta), beta, gamma) for beta, gamma in _valid_betas(instance, support_bound))
+    found = min(valid, key=lambda item: item[0], default=None)
+    if found is None:
         return ASOracleDecision(
-            DESCENDS,
-            beta,
-            gamma_series,
-            tried,
+            FAILS_WITHIN_BOUNDS,
+            None,
+            None,
+            space,
             support_bound,
-            "witness verified exactly: gamma^p - gamma = alpha/t - beta",
+            "no candidate beta admits a solution (each refusal is exact)",
         )
+    least, beta_terms, gamma_terms = found
+    beta = LaurentSeries(k2, beta_terms)
+    gamma = LaurentSeries(k2, gamma_terms)
+    x_series = LaurentSeries(k2, {-1: instance.alpha}).sub(beta)
+    if not gamma.pow(instance.p).sub(gamma).equals_exact(x_series):
+        raise AssertionError("oracle produced an invalid Artin-Schreier witness")
     return ASOracleDecision(
-        FAILS_WITHIN_BOUNDS,
-        None,
-        None,
-        tried,
+        DESCENDS,
+        beta,
+        gamma,
+        least + 1,
         support_bound,
-        "no candidate beta admits a solution (each refusal is exact)",
+        "witness verified exactly: gamma^p - gamma = alpha/t - beta",
     )
 
 
@@ -461,6 +477,53 @@ def _gf_kernel_vector(F: FiniteField, rows: list[list[int]], ncols: int) -> list
     return vec
 
 
+def _relation_rows(fbar: LaurentSeries, e_power: LaurentSeries, search_bound: int,
+                   order: int) -> tuple[list[list], int]:
+    """The linear system of a relation sum c_jk x^k h^j = 0 with h = fbar e^p,
+    all known to ``order``: row n holds the coefficients of x^n, column
+    j (search_bound + 1) + k those of x^k h^j.  Returns the rows and the
+    exponent of the last one, the order the relation holds to."""
+    F = fbar.field
+    h = fbar.mul(e_power).truncate_if_needed(order)
+    powers = [LaurentSeries.one(F, var="x")]
+    for _ in range(search_bound):
+        powers.append(powers[-1].mul(h).truncate_if_needed(order))
+    n_rows = int(min([order] + [int(s.known_to()) for s in powers[1:]]))
+    rows = [
+        [powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero
+         for j in range(search_bound + 1) for k in range(search_bound + 1)]
+        for exp in range(n_rows + 1)
+    ]
+    return rows, n_rows
+
+
+def _reaches_rank(F: FiniteField, rows: list[list], ncols: int) -> bool:
+    """Whether the rows have rank ``ncols``, i.e. no nonzero kernel vector.
+
+    Each row is reduced in place against an echelon basis, and the scan
+    stops as soon as the basis is full.  A basis row has 1 at its pivot
+    column and zeros to its left, so only its nonzero entries right of the
+    pivot are kept: a reduced row is never read again at a pivot it passed.
+    """
+    basis: dict[int, list[tuple[int, int]]] = {}
+    for row in rows:
+        for col in range(ncols):
+            c = row[col]
+            if c == F.zero:
+                continue
+            support = basis.get(col)
+            if support is None:
+                inv = F.inv(c)
+                basis[col] = [(j, F.mul(inv, row[j]))
+                              for j in range(col + 1, ncols) if row[j] != F.zero]
+                if len(basis) == ncols:
+                    return True
+                break
+            for j, w in support:
+                row[j] = F.sub(row[j], F.mul(c, w))
+    return False
+
+
 class KummerDecision:
     __slots__ = (
         "verdict", "witness_e", "witness_relation", "candidates_tried", "search_bound",
@@ -516,10 +579,14 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     and denominators do not enlarge the p-th power class).  For each, the
     model membership test asks for a polynomial relation of degree <=
     search_bound with coefficient degree <= search_bound holding to the
-    truncation order, found by exact linear algebra over GF(q).  Both
-    verdicts are labeled with their bounds.  The search stops INCONCLUSIVE
-    before its elimination work would pass ``KUMMER_WORK_CAP``, so a
-    candidate too large to try alone is refused before the search.
+    truncation order, found by exact linear algebra over GF(q).  A candidate
+    whose rows up to order min(2 unknowns, truncation) already have full
+    rank has no relation to any higher order either, and is rejected there;
+    the survivors are solved at full truncation.  Both verdicts are labeled
+    with their bounds.  The search stops INCONCLUSIVE before its elimination
+    work, counted at full truncation for every candidate, would pass
+    ``KUMMER_WORK_CAP``, so a candidate too large to try alone is refused
+    before the search.
     """
     if search_bound < 0:
         return KummerDecision(
@@ -542,6 +609,9 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     # each candidate's system has at most truncation + 1 rows, and its
     # elimination costs about rows * unknowns^2 field operations
     what = f"the elimination work at truncation {instance.truncation} with {unknowns} unknowns"
+    # rows up to this order reject nearly every candidate that the full system
+    # rejects; at the truncation itself the screen would be the full system
+    screen = min(2 * unknowns, instance.truncation)
     tried = 0
     for deg in range(0, search_bound + 1):
         for lower in itertools.product(range(F.q), repeat=deg):
@@ -555,21 +625,12 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
                     f"{exc}: stopped after {tried} candidates",
                 )
             tried += 1
-            e_series = LaurentSeries(
-                F, {i: c for i, c in enumerate(e_coeffs)}, var="x"
-            )
-            h = fbar.mul(e_series.pow(p)).truncate_if_needed(instance.truncation)
-            powers = [LaurentSeries.one(F, var="x")]
-            for _ in range(search_bound):
-                powers.append(powers[-1].mul(h).truncate_if_needed(instance.truncation))
-            n_rows = int(min([instance.truncation] + [int(s.known_to()) for s in powers[1:]]))
-            rows = []
-            for exp in range(0, n_rows + 1):
-                row = []
-                for j in range(search_bound + 1):
-                    for k in range(search_bound + 1):
-                        row.append(powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero)
-                rows.append(row)
+            e_power = LaurentSeries(F, {i: c for i, c in enumerate(e_coeffs)}, var="x").pow(p)
+            if screen < instance.truncation and _reaches_rank(
+                F, _relation_rows(fbar, e_power, search_bound, screen)[0], unknowns
+            ):
+                continue
+            rows, n_rows = _relation_rows(fbar, e_power, search_bound, instance.truncation)
             vec = _gf_kernel_vector(F, rows, unknowns)
             if vec is not None:
                 relation = tuple(

@@ -461,6 +461,16 @@ _C2_POWER_7 = json.dumps({
     "options": {"test_group": "E"},
 })
 
+# alpha = 1 + 2s over GF(3)(s): transcendental over the constants
+_AS_RATIONAL = json.dumps({"version": 1, "descent": {"artin_schreier": {
+    "p": 3, "rational": True, "e": 1, "alpha": {"num": [1, 2], "den": [1]}}}})
+
+
+def _as_rational_fails(support):
+    return {"law": "artin-schreier-oracle", "verdict": "FAILS-WITHIN-BOUNDS", "beta": None,
+            "gamma": None, "candidates_tried": 3**support, "support_bound": support,
+            "note": "no candidate beta admits a solution (each refusal is exact)"}
+
 
 @pytest.mark.parametrize(
     "command, text, exit_code, machine",
@@ -507,12 +517,16 @@ _C2_POWER_7 = json.dumps({
         # (bound + 1)^2 unknowns has too many digits to print
         ("descent-kummer", json.dumps({**KUMMER_DOC, "options": {"search_bound": 10**4000}}),
          EXIT_INCONCLUSIVE, {"verdict": "INCONCLUSIVE", "candidates_tried": 0}),
+        # 3^9 and 3^11 candidates over GF(3)(s), decided from 3^3 free choices each
+        ("descent-as", _AS_RATIONAL, EXIT_PASS, {"oracle": _as_rational_fails(9)}),
+        ("descent-as", json.dumps({**json.loads(_AS_RATIONAL), "options": {"support_bound": 11}}),
+         EXIT_PASS, {"oracle": _as_rational_fails(11)}),
     ],
     ids=["long-integer", "index-product", "torsor-gauge", "pushout-gauge", "homs-bound",
          "verify-bound", "kummer-terms", "kummer-base-ring-coeffs", "kummer-truncation",
          "kummer-p5-bound6", "homs-tree20", "verify-tree20", "homs-c2-power-7",
          "verify-c2-power-7", "torsor-c2-power-7", "all-trees-k10-10", "covers-tree-huge-degree",
-         "kummer-bound-4001-digits"],
+         "kummer-bound-4001-digits", "as-rational-support-9", "as-rational-support-11"],
 )
 def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, exit_code, machine):
     path = tmp_path / "input.json"

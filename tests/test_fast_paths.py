@@ -1,11 +1,13 @@
-"""The join, the index-table natural maps and the hom-family check against
-the filters they replace.
+"""The join, the index-table natural maps, the hom-family check and the two
+pruned descent searches against the loops they replace.
 
 The oracles below are the straightforward versions: a backtracker that tests
 every candidate against a branch-agreement predicate, natural maps that walk
-the graph by vertex and branch name with markings keyed by branch, and an
-edge-relation check that walks it by name too.  The fast paths must
-reproduce them exactly, order and messages included.
+the graph by vertex and branch name with markings keyed by branch, an
+edge-relation check that walks it by name too, the Artin-Schreier oracle
+that solves every candidate beta in product order, and the Kummer search
+that eliminates every candidate's system at full truncation.  The fast paths
+must reproduce them exactly, order and messages included.
 """
 
 from __future__ import annotations
@@ -26,6 +28,24 @@ from catalog import (
     trivial_gog,
     with_trivial_edges,
 )
+from vkpatch import descent as descent_mod
+from vkpatch.descent import (
+    DESCENDS,
+    FAILS_WITHIN_BOUNDS,
+    INCONCLUSIVE,
+    OBSTRUCTED_WITHIN_BOUNDS,
+    AS_CANDIDATE_CAP,
+    KUMMER_WORK_CAP,
+    ASInstance,
+    ASOracleDecision,
+    KummerDecision,
+    KummerInstance,
+    _gf_kernel_vector,
+    _valid_betas,
+    as_brute_force_oracle,
+    kummer_obstruction,
+)
+from vkpatch.fields import poly_strip
 from vkpatch.gog import (
     GraphOfFiniteGroups,
     HomFamily,
@@ -33,7 +53,7 @@ from vkpatch.gog import (
     enumerate_pi1_homs,
     naive_limit_homs,
 )
-from vkpatch.graphs import ReductionGraph, ScaleError
+from vkpatch.graphs import ReductionGraph, ScaleError, refuse_past
 from vkpatch.groups import (
     GroupHom,
     cyclic,
@@ -42,6 +62,7 @@ from vkpatch.groups import (
     group_presentation,
     symmetric,
 )
+from vkpatch.series import LaurentSeries
 from vkpatch.torsors import (
     _disagreeing_branch,
     _enumerate_fiber_data,
@@ -448,3 +469,259 @@ def test_fast_paths_match_the_oracles_on_a_hypothesis_sweep():
             reject()
 
     sweep()
+
+
+# -- descent searches ----------------------------------------------------------------
+
+
+def solve_artin_schreier(k2, p: int, x_terms: dict) -> dict | None:
+    """Solve gamma^p - gamma = x for x supported on negative exponents.
+
+    The system is triangular: gamma at -1, -2, ... is forced in turn, and a
+    solution exists iff the forced gamma vanishes on exponents whose p-th
+    multiple lies below the support of x.  Exact: no truncation involved.
+    """
+    if not x_terms:
+        return {}
+    v_min = min(x_terms)
+    if v_min >= 0:
+        raise ValueError("x must be supported on negative exponents")
+    gamma: dict[int, object] = {}
+    for m in range(-1, v_min - 1, -1):
+        acc = k2.zero
+        if m % p == 0:
+            prev = gamma.get(m // p, k2.zero)
+            acc = k2.pow(prev, p) if prev != k2.zero else k2.zero
+        gamma[m] = k2.sub(acc, x_terms.get(m, k2.zero))
+    for j, c in gamma.items():
+        if p * j < v_min and c != k2.zero:
+            return None
+    return {j: c for j, c in gamma.items() if c != k2.zero}
+
+
+def product_order_as_oracle(instance: ASInstance, support_bound: int) -> ASOracleDecision:
+    """Every candidate beta in product order, each solved in turn."""
+    if support_bound < 1:
+        return ASOracleDecision(
+            INCONCLUSIVE, None, None, 0, support_bound,
+            "support bound below 1: empty search space",
+        )
+    k2 = instance.k2
+    p = instance.p
+    k1_elements = instance.k1_elements()
+    try:
+        refuse_past(f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
+                    (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
+    except ScaleError as exc:
+        return ASOracleDecision(
+            INCONCLUSIVE, None, None, 0, support_bound, f"{exc}: search not run"
+        )
+    tried = 0
+    exponents = list(range(-support_bound, 0))
+    for combo in itertools.product(k1_elements, repeat=support_bound):
+        tried += 1
+        x_terms: dict[int, object] = {}
+        for m, b in zip(exponents, combo):
+            if b != k2.zero:
+                x_terms[m] = k2.neg(b)
+        x_terms[-1] = k2.add(x_terms.get(-1, k2.zero), instance.alpha)
+        if x_terms.get(-1) == k2.zero:
+            x_terms.pop(-1, None)
+        gamma = solve_artin_schreier(k2, p, x_terms)
+        if gamma is None:
+            continue
+        beta = LaurentSeries(k2, dict(zip(exponents, combo)))
+        gamma_series = LaurentSeries(k2, gamma)
+        x_series = LaurentSeries(k2, x_terms)
+        check = gamma_series.pow(p).sub(gamma_series)
+        if not check.equals_exact(x_series):
+            raise AssertionError("oracle produced an invalid Artin-Schreier witness")
+        return ASOracleDecision(
+            DESCENDS, beta, gamma_series, tried, support_bound,
+            "witness verified exactly: gamma^p - gamma = alpha/t - beta",
+        )
+    return ASOracleDecision(
+        FAILS_WITHIN_BOUNDS, None, None, tried, support_bound,
+        "no candidate beta admits a solution (each refusal is exact)",
+    )
+
+
+def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> KummerDecision:
+    """Every candidate e's system built and eliminated at full truncation."""
+    if search_bound < 0:
+        return KummerDecision(
+            INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
+            "negative search bound: empty search space",
+        )
+    F = instance.coeff_field
+    p = instance.p
+    fbar = instance.fbar()
+    unknowns = (search_bound + 1) ** 2
+    n_eq = int(min(fbar.known_to(), instance.truncation))
+    if unknowns >= n_eq:
+        return KummerDecision(
+            INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
+            f"truncation {instance.truncation} too small for {search_bound + 1}^2 unknowns",
+        )
+    what = f"the elimination work at truncation {instance.truncation} with {unknowns} unknowns"
+    tried = 0
+    for deg in range(0, search_bound + 1):
+        for lower in itertools.product(range(F.q), repeat=deg):
+            e_coeffs = tuple(lower) + (F.one,)
+            try:
+                refuse_past(what, (tried + 1, instance.truncation + 1, unknowns, unknowns),
+                            KUMMER_WORK_CAP)
+            except ScaleError as exc:
+                return KummerDecision(
+                    INCONCLUSIVE, None, None, tried, search_bound, instance.truncation,
+                    f"{exc}: stopped after {tried} candidates",
+                )
+            tried += 1
+            e_series = LaurentSeries(F, {i: c for i, c in enumerate(e_coeffs)}, var="x")
+            h = fbar.mul(e_series.pow(p)).truncate_if_needed(instance.truncation)
+            powers = [LaurentSeries.one(F, var="x")]
+            for _ in range(search_bound):
+                powers.append(powers[-1].mul(h).truncate_if_needed(instance.truncation))
+            n_rows = int(min([instance.truncation] + [int(s.known_to()) for s in powers[1:]]))
+            rows = []
+            for exp in range(0, n_rows + 1):
+                row = []
+                for j in range(search_bound + 1):
+                    for k in range(search_bound + 1):
+                        row.append(powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero)
+                rows.append(row)
+            vec = _gf_kernel_vector(F, rows, unknowns)
+            if vec is not None:
+                relation = tuple(
+                    poly_strip(F, tuple(vec[j:j + search_bound + 1]))
+                    for j in range(0, unknowns, search_bound + 1)
+                )
+                return KummerDecision(
+                    DESCENDS, e_coeffs, relation, tried, search_bound, instance.truncation,
+                    f"f*e^p satisfies a degree-<= {search_bound} relation to order {n_rows}: "
+                    "the obstruction vanishes within bounds",
+                )
+    return KummerDecision(
+        OBSTRUCTED_WITHIN_BOUNDS, None, None, tried, search_bound, instance.truncation,
+        f"no unit candidate of degree <= {search_bound} makes f*e^p algebraic "
+        f"of degree <= {search_bound} to order {n_eq}",
+    )
+
+
+def assert_same_decision(fast, slow):
+    assert fast.to_json() == slow.to_json()
+    assert fast.lines() == slow.lines()
+
+
+# (p, k1 degree, k2 degree) of the finite towers; each is searched at every
+# support whose product space has at most AS_SWEEP_SPACE candidates
+AS_TOWERS = ((2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 4), (2, 3, 3),
+             (3, 1, 1), (3, 1, 2), (3, 1, 3), (5, 1, 2))
+AS_SWEEP_SPACE = 1024
+
+
+def test_as_oracle_matches_the_product_loop_on_finite_towers():
+    descends = fails = 0
+    for p, d1, e in AS_TOWERS:
+        for alpha in range(1, p**e):
+            inst = ASInstance.finite(p, d1, e, alpha)
+            support = 1
+            while p ** (d1 * support) <= AS_SWEEP_SPACE:
+                fast = as_brute_force_oracle(inst, support)
+                assert_same_decision(fast, product_order_as_oracle(inst, support))
+                descends += fast.verdict == DESCENDS
+                fails += fast.verdict == FAILS_WITHIN_BOUNDS
+                support += 1
+    assert descends > 0 and fails > 0
+
+
+def test_as_oracle_matches_the_product_loop_over_rational_function_fields():
+    for p, e in ((2, 1), (2, 2), (3, 1)):
+        for alpha in ("s", 1, {"num": [1, 1], "den": [0, 1]}):
+            inst = ASInstance.rational(p, e, alpha)
+            for support in range(1, 6):
+                assert_same_decision(as_brute_force_oracle(inst, support),
+                                     product_order_as_oracle(inst, support))
+
+
+def gamma_enumeration_valid_betas(instance: ASInstance, support_bound: int) -> set:
+    """The valid beta with their gamma, from the other side: every gamma of
+    degree <= support_bound // p over k2 whose alpha/t - (gamma^p - gamma)
+    has k1 coefficients.  gamma -> gamma^p - gamma is injective on 1/t k2[1/t]
+    (its kernel is the constants GF(p)), so each beta comes once."""
+    k2, p = instance.k2, instance.p
+    exponents = range(-1, -(support_bound // p) - 1, -1)
+    alpha_t = LaurentSeries(k2, {-1: instance.alpha})
+    found = set()
+    for combo in itertools.product(k2.elements(), repeat=len(exponents)):
+        gamma = LaurentSeries(k2, dict(zip(exponents, combo)))
+        beta = alpha_t.sub(gamma.pow(p).sub(gamma))
+        coeffs = {m: beta.coefficient(m) for m in range(-support_bound, 0)}
+        if all(instance.in_k1(c) for c in coeffs.values()):
+            found.add((tuple(sorted(coeffs.items())), tuple(gamma.terms())))
+    return found
+
+
+def test_valid_betas_equal_the_gamma_enumeration():
+    nonempty = 0
+    for (p, d1, e), supports in (((2, 1, 2), 6), ((2, 1, 3), 5), ((2, 2, 4), 3),
+                                 ((3, 1, 2), 8), ((3, 1, 3), 5), ((5, 1, 2), 7)):
+        for alpha in range(1, p**e):
+            inst = ASInstance.finite(p, d1, e, alpha)
+            for support in range(1, supports + 1):
+                fast = {
+                    (tuple(sorted(beta.items())), tuple(sorted(gamma.items())))
+                    for beta, gamma in _valid_betas(inst, support)
+                }
+                assert fast == gamma_enumeration_valid_betas(inst, support), (p, d1, e, alpha)
+                nonempty += bool(fast)
+    assert nonempty > 0
+
+
+KUMMER_SWEEP = [
+    (model, p, bound)
+    for model in ("transcendental", "base-ring")
+    for p in (2, 3)
+    for bound in range(5)
+]
+
+
+def _kummer_instance(model, p, truncation):
+    if model == "transcendental":
+        return KummerInstance.transcendental_model(p, 1, 4, truncation)
+    return KummerInstance.base_ring_model(p, [1, 1], truncation)
+
+
+@pytest.mark.parametrize("model, p, bound", KUMMER_SWEEP,
+                         ids=[f"{m}-p{p}-b{b}" for m, p, b in KUMMER_SWEEP])
+def test_kummer_search_matches_the_full_elimination(model, p, bound):
+    inst = _kummer_instance(model, p, 200)
+    assert_same_decision(kummer_obstruction(inst, bound), full_elimination_kummer(inst, bound))
+
+
+def test_kummer_search_matches_the_full_elimination_past_screen_survivors(monkeypatch):
+    # at p = 5 a candidate can pass the screen and still fail at full
+    # truncation; at truncation 40 a later candidate then descends
+    full = []
+    kernel_vector = descent_mod._gf_kernel_vector
+
+    def counted(F, rows, ncols):
+        full.append(kernel_vector(F, rows, ncols))
+        return full[-1]
+
+    monkeypatch.setattr(descent_mod, "_gf_kernel_vector", counted)
+    for truncation, bound, verdict, tried in ((25, 2, OBSTRUCTED_WITHIN_BOUNDS, 31),
+                                              (40, 3, DESCENDS, 32)):
+        inst = KummerInstance.transcendental_model(5, 1, 1, truncation)
+        full.clear()
+        fast = kummer_obstruction(inst, bound)
+        assert (fast.verdict, fast.candidates_tried) == (verdict, tried)
+        assert None in full
+        assert_same_decision(fast, full_elimination_kummer(inst, bound))
+
+
+def test_kummer_search_matches_the_full_elimination_when_the_screen_is_the_whole_system():
+    # bound 3 has 16 unknowns, so a truncation of 30 leaves no lower order to screen at
+    for model in ("transcendental", "base-ring"):
+        inst = _kummer_instance(model, 2, 30)
+        assert_same_decision(kummer_obstruction(inst, 3), full_elimination_kummer(inst, 3))
