@@ -19,6 +19,7 @@ test group.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import (
@@ -378,9 +379,15 @@ def verify_tree_vankampen(
     vk = build_presentation(gog)
     homs = enumerate_homs(vk.presentation, group)
     naive = naive_limit_homs(gog, group)
-    naive_keys = set(naive)
+    # each hom's vertex images in vertex order, against each naive family's
+    # tables run together; a valid graph has two vertices at least, so the
+    # getter reads two positions or more and returns tuples
+    vertex_images = operator.itemgetter(
+        *(x for block in vk.vertex_blocks for x in range(block.start, block.stop))
+    )
+    naive_keys = {tuple(itertools.chain.from_iterable(tables)) for tables in naive}
 
-    restricted = [vk.family_key(a)[0] for a in homs]
+    restricted = [vertex_images(a) for a in homs]
     lands = all(k in naive_keys for k in restricted)
     injective = len(set(restricted)) == len(restricted)
     surjective = naive_keys <= set(restricted)

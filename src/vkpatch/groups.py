@@ -251,10 +251,13 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
 
     Exhaustive over ``|target|^r`` candidates, pruned by checking each
     relator as soon as the last generator it mentions has been assigned.
-    Output is in lexicographic order of the image tuples, so it is
-    deterministic and canonical.  A search that has tried more than
-    ``HOM_SEARCH_CAP`` candidates, counted |target| at a time as each
-    partial assignment is extended, raises ``ScaleError``.
+    When one of those relators mentions that generator exactly once, the
+    images already assigned force its value (forward checking), so only
+    that value is tried against the rest.  Output is in lexicographic order
+    of the image tuples, so it is deterministic and canonical.  A search
+    that has tried more than ``HOM_SEARCH_CAP`` candidates, counted
+    |target| at a time as each partial assignment is extended, raises
+    ``ScaleError``; the count is the same whether a value is forced or not.
     """
     gens = source.generators
     r = len(gens)
@@ -264,11 +267,25 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
         if not rel:
             continue
         buckets[max(abs(letter) for letter in rel) - 1].append(rel)
+    # per depth: the word w2 w1 and the sign of the letter of a relator
+    # w1 x^sign w2 that mentions the new generator x once (x^sign is then
+    # the inverse of w2 w1), or None; that relator leaves its bucket
+    solved: list[tuple[tuple[int, ...], int] | None] = [None] * r
+    for depth, bucket in enumerate(buckets):
+        for k, rel in enumerate(bucket):
+            at = [i for i, letter in enumerate(rel) if abs(letter) == depth + 1]
+            if len(at) == 1:
+                i = at[0]
+                solved[depth] = (rel[i + 1:] + rel[:i], rel[i])
+                del bucket[k]
+                break
 
     table = target.table
     inv = target.inverse
     identity = target.identity
-    images = [0] * r
+    # vals[k] is the image of generator k (from 1) and vals[-k] its inverse,
+    # so a relator letter indexes its value directly
+    vals = [identity] * (2 * r + 1)
     out: list[tuple[int, ...]] = []
     what = f"the hom search into {target.name}"
     tried = 0
@@ -276,23 +293,29 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
     def extend(depth: int) -> None:
         nonlocal tried
         if depth == r:
-            out.append(tuple(images))
+            out.append(tuple(vals[1:r + 1]))
             return
         tried += n
         refuse_past(what, (tried,), HOM_SEARCH_CAP)
         bucket = buckets[depth]
-        for cand in range(n):
-            images[depth] = cand
-            ok = True
+        if solved[depth] is None:
+            candidates = range(n)
+        else:
+            word, sign = solved[depth]
+            acc = identity
+            for letter in word:
+                acc = table[acc][vals[letter]]
+            candidates = (inv[acc] if sign > 0 else acc,)
+        for cand in candidates:
+            vals[depth + 1] = cand
+            vals[-depth - 1] = inv[cand]
             for rel in bucket:
                 acc = identity
                 for letter in rel:
-                    g = images[letter - 1] if letter > 0 else inv[images[-letter - 1]]
-                    acc = table[acc][g]
+                    acc = table[acc][vals[letter]]
                 if acc != identity:
-                    ok = False
                     break
-            if ok:
+            else:
                 extend(depth + 1)
 
     extend(0)

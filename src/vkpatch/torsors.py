@@ -345,14 +345,115 @@ def _restriction(
     return tuple([row[table[a]] for a in side])
 
 
-def _disagreeing_branch(gog: GraphOfFiniteGroups, group: FiniteGroup, datum: tuple) -> int | None:
-    """The first branch over which the local datum's two ends restrict
-    differently, or None when it agrees over every branch."""
-    conj = group.conjugation_table()
-    for b, (p, _, u, _) in enumerate(gog.branch_ends):
-        if _restriction(gog, conj, p, b, datum[p]) != _restriction(gog, conj, u, b, datum[u]):
-            return b
-    return None
+class _NaturalMaps:
+    """The natural map and its inverse for one presentation and test group,
+    with caches that make them cheap per element.
+
+    A vertex's entry of a local datum depends only on its hom table and on
+    the markings shifted onto its incident branches, so the forward map
+    computes each entry once, together with its restrictions to those
+    branches, and branch agreement compares cached restrictions.  The
+    inverse gauges each (hom table, gauge) pair once.  The caches live as
+    long as the object, one verifier or patching call."""
+
+    __slots__ = ("presentation", "group", "_conj", "_entries", "_gauged")
+
+    def __init__(self, presentation: VanKampenPresentation, group: FiniteGroup):
+        self.presentation = presentation
+        self.group = group
+        self._conj = group.conjugation_table()
+        # per vertex: (hom table, shifted markings) -> (entry, restrictions)
+        self._entries: list[dict] = [{} for _ in presentation.gog.incidence]
+        # (hom table, gauge) -> the table conjugated by the gauge's inverse
+        self._gauged: dict[tuple, tuple] = {}
+
+    def restrictions(self, i: int, entry: tuple) -> tuple:
+        """The entry of a local datum at vertex i restricted to each of its
+        incident branches, in ``edges_at`` order."""
+        gog = self.presentation.gog
+        return tuple([_restriction(gog, self._conj, i, b, entry) for b, _ in gog.incidence[i]])
+
+    def _entry(self, i: int, table: tuple, shifted: tuple) -> tuple:
+        """The entry at vertex i of a vertex table whose incident branches
+        carry the shifted markings, with its restrictions; cached."""
+        mul = self.group.table
+        k = shifted[0]
+        row, k_inv = self._conj[k], self.group.inverse[k]
+        entry = (tuple([row[x] for x in table]), tuple([mul[m][k_inv] for m in shifted]))
+        self._entries[i][table, shifted] = hit = (entry, self.restrictions(i, entry))
+        return hit
+
+    def forward(self, family_key: tuple, markings: Sequence[int]) -> tuple[tuple, tuple]:
+        """The local datum of a global functor (family key + markings), and
+        per vertex its entry's restrictions to the incident branches.
+
+        Point-side restrictions use the markings directly; component-side
+        ones absorb the branch's conjugator, mirroring the edge relation of
+        the presentation."""
+        G = self.group
+        if markings[0] != G.identity:
+            raise ValueError("marking at the least branch must be the identity")
+        mul, inv = G.table, G.inverse
+        tables, conjugators = family_key
+        # each branch's marking as seen from its point end and its component end
+        seen = (markings, [mul[m][inv[c]] for m, c in zip(markings, conjugators)])
+        datum, restricted = [], []
+        for i, (table, incident, cache) in enumerate(
+            zip(tables, self.presentation.gog.incidence, self._entries)
+        ):
+            shifted = tuple([seen[end][b] for b, end in incident])
+            entry, restrictions = cache.get((table, shifted)) or self._entry(i, table, shifted)
+            datum.append(entry)
+            restricted.append(restrictions)
+        return tuple(datum), tuple(restricted)
+
+    def disagreeing_branch(self, restricted: Sequence[tuple]) -> int | None:
+        """The first branch over which the two ends of a local datum, given by
+        its per-vertex restrictions, restrict differently; None when it
+        agrees over every branch."""
+        for b, (p, p_slot, u, u_slot) in enumerate(self.presentation.gog.branch_ends):
+            if restricted[p][p_slot] != restricted[u][u_slot]:
+                return b
+        return None
+
+    def inverse(self, datum: tuple) -> tuple[tuple, tuple[int, ...]]:
+        """Reconstruct the unique global functor, as a family key and
+        markings, restricting to the given local datum (which must agree
+        over every branch)."""
+        G = self.group
+        mul, inv = G.table, G.inverse
+        presentation = self.presentation
+        branch_ends = presentation.gog.branch_ends
+        flags = [f for _, f in datum]
+
+        # gauges along the tree, each vertex from the one that reached it
+        gauges = [G.identity] * len(datum)
+        for v, v_slot, w, w_slot in presentation.tree_steps:
+            gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
+        # one right translation pins the least branch's marking to the identity
+        p0, p0_slot = branch_ends[0][:2]
+        shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
+        gauges = [mul[a][shift] for a in gauges]
+
+        gauged = self._gauged
+        tables = []
+        for a, (table, _) in zip(gauges, datum):
+            hit = gauged.get((table, a))
+            if hit is None:
+                row = self._conj[inv[a]]
+                hit = gauged[table, a] = tuple([row[x] for x in table])
+            tables.append(hit)
+        markings = tuple([mul[flags[p][p_slot]][gauges[p]] for p, p_slot, _, _ in branch_ends])
+        conjugators = tuple([
+            mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m]
+            for (_, _, u, u_slot), m in zip(branch_ends, markings)
+        ])
+        if markings[0] != G.identity:
+            raise AssertionError("reconstruction failed to pin the base marking")
+        for b in presentation.tree_branches:
+            if conjugators[b] != G.identity:
+                raise AssertionError("reconstruction failed to trivialize a tree letter")
+        return (tuple(tables), conjugators), markings
 
 
 def natural_map(
@@ -362,28 +463,8 @@ def natural_map(
     markings: Sequence[int],
 ) -> tuple:
     """Restrict a global functor (family key + markings) to the vertex
-    groupoids.
-
-    Point-side restrictions use the markings directly; component-side ones
-    absorb the branch's conjugator, mirroring the edge relation of the
-    presentation.
-    """
-    G = group
-    if markings[0] != G.identity:
-        raise ValueError("marking at the least branch must be the identity")
-    mul, inv, conj = G.table, G.inverse, G.conjugation_table()
-    tables, conjugators = family_key
-    # each branch's marking as seen from its point end and its component end
-    seen = (markings, [mul[m][inv[c]] for m, c in zip(markings, conjugators)])
-
-    datum = []
-    for table, incident in zip(tables, presentation.gog.incidence):
-        shifted = [seen[end][b] for b, end in incident]
-        k = shifted[0]
-        k_inv = inv[k]
-        row = conj[k]
-        datum.append((tuple([row[x] for x in table]), tuple([mul[m][k_inv] for m in shifted])))
-    return tuple(datum)
+    groupoids: the local datum of ``_NaturalMaps.forward``."""
+    return _NaturalMaps(presentation, group).forward(family_key, markings)[0]
 
 
 def inverse_natural_map(
@@ -393,36 +474,8 @@ def inverse_natural_map(
 ) -> tuple[tuple, tuple[int, ...]]:
     """Reconstruct the unique global functor, as a family key and markings,
     restricting to the given local datum (which must agree over every
-    branch)."""
-    G = group
-    mul, inv, conj = G.table, G.inverse, G.conjugation_table()
-    branch_ends = presentation.gog.branch_ends
-    flags = [f for _, f in datum]
-
-    # gauges along the tree, each vertex from the one that reached it
-    gauges = [G.identity] * len(datum)
-    for v, v_slot, w, w_slot in presentation.tree_steps:
-        gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
-    # one right translation pins the least branch's marking to the identity
-    p0, p0_slot = branch_ends[0][:2]
-    shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
-    gauges = [mul[a][shift] for a in gauges]
-
-    tables = []
-    for a, (table, _) in zip(gauges, datum):
-        row = conj[inv[a]]
-        tables.append(tuple([row[x] for x in table]))
-    markings = []
-    conjugators = []
-    for p, p_slot, u, u_slot in branch_ends:
-        m = mul[flags[p][p_slot]][gauges[p]]
-        markings.append(m)
-        conjugators.append(mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m])
-    if markings[0] != G.identity:
-        raise AssertionError("reconstruction failed to pin the base marking")
-    if any(conjugators[b] != G.identity for b in presentation.tree_branches):
-        raise AssertionError("reconstruction failed to trivialize a tree letter")
-    return (tuple(tables), tuple(conjugators)), tuple(markings)
+    branch): ``_NaturalMaps.inverse``."""
+    return _NaturalMaps(presentation, group).inverse(datum)
 
 
 def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[tuple]:
@@ -534,15 +587,16 @@ def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]
         flags = tuple(G.inv(coords[e]) for e in gog.graph.edges_at(v))
         local.append((t.structure_map().mapping, flags))
     datum = tuple(local)
-    bad = _disagreeing_branch(gog, G, datum)
+    maps = _NaturalMaps(presentation, G)
+    bad = maps.disagreeing_branch([maps.restrictions(i, entry) for i, entry in enumerate(datum)])
     if bad is not None:
         e = gog.graph.edge_names()[bad]
         raise PatchingError(e, f"branch {e}: local data does not agree")
 
-    key, markings = inverse_natural_map(presentation, G, datum)
+    key, markings = maps.inverse(datum)
     family = HomFamily(gog, G, key)
 
-    induced = natural_map(presentation, G, key, markings)
+    induced, _ = maps.forward(key, markings)
     for v, (table, flags) in zip(gog.graph.vertices, induced):
         torsor = MultipointedTorsor.standard(
             G,
@@ -601,17 +655,18 @@ def verify_groupoid_pushout(
     markings_space = [
         (G.identity, *combo) for combo in itertools.product(range(G.order), repeat=free_branches)
     ]
+    maps = _NaturalMaps(presentation, G)
     for index, (key, markings) in enumerate(itertools.product(pi1, markings_space)):
-        datum = natural_map(presentation, G, key, markings)
+        datum, restricted = maps.forward(key, markings)
         # one hash per datum: the set stays the same size on a repeat
         seen = len(image_keys)
         image_keys.add(datum)
         if len(image_keys) == seen:
             raise AssertionError("restriction functor is not injective")
         if index % stride == 0:
-            if _disagreeing_branch(gog, G, datum) is not None:
+            if maps.disagreeing_branch(restricted) is not None:
                 raise AssertionError("restriction broke branch agreement")
-            back_key, back_markings = inverse_natural_map(presentation, G, datum)
+            back_key, back_markings = maps.inverse(datum)
             if back_key != key or back_markings != markings:
                 raise AssertionError("inverse natural map failed the round trip")
             roundtrips += 1

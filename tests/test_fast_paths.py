@@ -1,13 +1,15 @@
-"""The join, the index-table natural maps, the hom-family check and the two
-pruned descent searches against the loops they replace.
+"""The join, the cached index-table natural maps, the relator-solved hom
+search, the hom-family check and the two pruned descent searches against the
+loops they replace.
 
 The oracles below are the straightforward versions: a backtracker that tests
 every candidate against a branch-agreement predicate, natural maps that walk
-the graph by vertex and branch name with markings keyed by branch, an
-edge-relation check that walks it by name too, the Artin-Schreier oracle
-that solves every candidate beta in product order, and the Kummer search
-that eliminates every candidate's system at full truncation.  The fast paths
-must reproduce them exactly, order and messages included.
+the graph by vertex and branch name with markings keyed by branch, a hom
+search that tries every candidate image of every generator, an
+edge-relation check that walks the graph by name too, the Artin-Schreier
+oracle that solves every candidate beta in product order, and the Kummer
+search that eliminates every candidate's system at full truncation.  The
+fast paths must reproduce them exactly, order and messages included.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from catalog import (
     add_extra_edges,
     circle_graph,
     diamond_graph,
+    dihedral4,
     groups_up_to,
+    presentation_from_words,
+    quaternion8,
     random_gog,
     random_tree_graph,
     theta_graph,
@@ -29,6 +34,7 @@ from catalog import (
     with_trivial_edges,
 )
 from vkpatch import descent as descent_mod
+from vkpatch import groups as groups_mod
 from vkpatch.descent import (
     DESCENDS,
     FAILS_WITHIN_BOUNDS,
@@ -56,6 +62,7 @@ from vkpatch.gog import (
 from vkpatch.graphs import ReductionGraph, ScaleError, refuse_past
 from vkpatch.groups import (
     GroupHom,
+    Presentation,
     cyclic,
     enumerate_homs,
     from_table,
@@ -64,8 +71,8 @@ from vkpatch.groups import (
 )
 from vkpatch.series import LaurentSeries
 from vkpatch.torsors import (
-    _disagreeing_branch,
     _enumerate_fiber_data,
+    _NaturalMaps,
     inverse_natural_map,
     natural_map,
 )
@@ -229,6 +236,44 @@ def edge_relation_violation_by_names(gog, G, key):
     return None
 
 
+def try_every_candidate_homs(source, target):
+    """``enumerate_homs`` without forward checking: every candidate image of
+    each generator is tested against the relators whose last generator it
+    is, under the same search budget."""
+    r = len(source.generators)
+    n = target.order
+    buckets = [[] for _ in range(r)]
+    for rel in source.relators:
+        if rel:
+            buckets[max(abs(letter) for letter in rel) - 1].append(rel)
+    images = [0] * r
+    out = []
+    tried = 0
+
+    def extend(depth):
+        nonlocal tried
+        if depth == r:
+            out.append(tuple(images))
+            return
+        tried += n
+        refuse_past(f"the hom search into {target.name}", (tried,), groups_mod.HOM_SEARCH_CAP)
+        for cand in range(n):
+            images[depth] = cand
+            if all(_word_value(target, images, rel) == target.identity for rel in buckets[depth]):
+                extend(depth + 1)
+
+    extend(0)
+    return tuple(out)
+
+
+def _word_value(group, images, rel):
+    acc = group.identity
+    for letter in rel:
+        g = images[letter - 1] if letter > 0 else group.inverse[images[-letter - 1]]
+        acc = group.mul(acc, g)
+    return acc
+
+
 # -- comparison ------------------------------------------------------------------
 
 
@@ -244,17 +289,25 @@ def assert_fast_paths_match(gog, G, max_globals=400):
 
     pres = build_presentation(gog)
     assert fiber == filtered_fiber_data(gog, G)
+    homs = enumerate_homs(pres.presentation, G)
+    assert homs == try_every_candidate_homs(pres.presentation, G)
 
+    # one set of caches across all the elements, as the verifier keeps it
+    maps = _NaturalMaps(pres, G)
     names = gog.graph.edge_names()
-    keys = [pres.family_key(a) for a in enumerate_homs(pres.presentation, G)]
+    keys = [pres.family_key(a) for a in homs]
     markings_space = itertools.product(range(G.order), repeat=len(names) - 1)
     globals_ = itertools.product(keys, markings_space)
     stride = max(1, len(keys) * G.order ** (len(names) - 1) // max_globals)
     for key, combo in itertools.islice(globals_, 0, None, stride):
         markings = (G.identity, *combo)
-        datum = natural_map(pres, G, key, markings)
+        datum, restricted = maps.forward(key, markings)
+        assert datum == natural_map(pres, G, key, markings)
         assert datum == natural_map_by_names(pres, G, key, dict(zip(names, markings)))
-        back_key, back_markings = inverse_natural_map(pres, G, datum)
+        assert restricted == tuple(maps.restrictions(i, entry) for i, entry in enumerate(datum))
+        assert maps.disagreeing_branch(restricted) is None
+        back_key, back_markings = maps.inverse(datum)
+        assert (back_key, back_markings) == inverse_natural_map(pres, G, datum)
         oracle_key, oracle_markings = inverse_natural_map_by_names(pres, G, datum)
         assert (back_key, dict(zip(names, back_markings))) == (oracle_key, oracle_markings)
         assert (back_key, back_markings) == (key, markings)
@@ -264,7 +317,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     for chosen in itertools.islice(itertools.product(*candidates.values()), 2000):
         by_name = dict(zip(gog.graph.vertices, chosen))
         bad = [e for e in names if not branch_agrees(gog, G, by_name, e)]
-        found = _disagreeing_branch(gog, G, chosen)
+        found = maps.disagreeing_branch([maps.restrictions(i, c) for i, c in enumerate(chosen)])
         assert found == (names.index(bad[0]) if bad else None)
     return len(fiber), len(joined)
 
@@ -437,6 +490,64 @@ def test_join_keeps_disagreeing_data_out():
     total = len(candidates["P"]) * len(candidates["U"])
     fiber = _enumerate_fiber_data(gog, G)
     assert 0 < len(fiber) < total
+
+
+# -- hom search ------------------------------------------------------------------
+
+
+def test_hom_search_matches_the_oracle_on_group_presentations():
+    """The vertex-hom searches of the join and the fiber enumeration: every
+    relator a b (ab)^-1 solves for (ab) once a and b come first."""
+    for source in groups_up_to(8):
+        pres = group_presentation(source)
+        for target in (symmetric(4), dihedral4(), quaternion8()):
+            assert enumerate_homs(pres, target) == try_every_candidate_homs(pres, target)
+
+
+# one presentation per way the last generator of a relator can appear in it
+WORD_PRESENTATIONS = {
+    # c once: c = (b a)^-1
+    "solved": (("a", "b", "c"), [["a^2"], ["a", "c", "b"]]),
+    # c once and inverted: c = b a, then one more relator checked
+    "solved-inverted": (("a", "b", "c"), [["a", "c^-1", "b"], ["c^3"], ["b^2"]]),
+    # c twice, once inverted: every image of c is tried
+    "twice": (("a", "b", "c"), [["c", "a", "c^-1", "b^-1"], ["a^3"]]),
+    # c twice in a square: every image of c is tried
+    "square": (("a", "b", "c"), [["c^2", "a^-1"], ["b", "a", "b^-1", "a^-1"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_PRESENTATIONS))
+def test_hom_search_matches_the_oracle_on_words(name):
+    gens, words = WORD_PRESENTATIONS[name]
+    pres = presentation_from_words(gens, words)
+    for target in (cyclic(4), symmetric(3), symmetric(4), dihedral4(), quaternion8()):
+        homs = enumerate_homs(pres, target)
+        assert homs == try_every_candidate_homs(pres, target)
+        assert homs
+
+
+def test_hom_search_refuses_where_the_oracle_does(monkeypatch):
+    """Both searches count |target| per extended assignment, so a small cap
+    stops both at the same point with the same message, or neither."""
+    cases = [(group_presentation(cyclic(3)), symmetric(3)),
+             (group_presentation(symmetric(3)), cyclic(2))]
+    cases += [(presentation_from_words(*WORD_PRESENTATIONS[name]), symmetric(3))
+              for name in sorted(WORD_PRESENTATIONS)]
+    outcomes = set()
+    for cap in (0, 5, 6, 18, 40, 100, 400):
+        monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", cap)
+        for pres, target in cases:
+            results = []
+            for search in (enumerate_homs, try_every_candidate_homs):
+                try:
+                    results.append(search(pres, target))
+                except ScaleError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (cap, pres.relators)
+            outcomes.add(type(results[0]))
+    assert outcomes == {tuple, str}
+    assert enumerate_homs(Presentation((), ()), cyclic(3)) == ((),)
 
 
 @pytest.mark.skipif(given is None, reason="hypothesis is not installed")

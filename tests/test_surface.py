@@ -42,6 +42,8 @@ PAPER_BACKED = (
 # (qualified name, its (module, qualified name) entry in the tracer's tables)
 PERFBENCH_PINNED = (
     ("graphs.ReductionGraph.edge", ("graphs", "ReductionGraph.edge")),
+    ("torsors.natural_map", ("torsors", "natural_map")),
+    ("torsors.inverse_natural_map", ("torsors", "inverse_natural_map")),
 )
 
 # (qualified name, why it may build a validating GroupHom or a HomFamily);

@@ -282,6 +282,66 @@ def test_roundtrip_stride_is_reported(monkeypatch):
     assert "round trips verified: 11 (strided: one element in 8)" in lines
 
 
+_CACHED_ENTRY = torsors._NaturalMaps._entry
+
+
+def _corrupt_first_cached_entry(monkeypatch) -> dict:
+    """Swap two differing flags of the first forward entry the verifier
+    caches, leaving its cached restrictions as they were."""
+    real = _CACHED_ENTRY
+    state = {"corrupted": 0}
+
+    def corrupting(self, i, table, shifted):
+        entry, restrictions = real(self, i, table, shifted)
+        hom, flags = entry
+        if not state["corrupted"] and len(set(flags)) > 1:
+            j = next(k for k, f in enumerate(flags) if f != flags[0])
+            swapped = list(flags)
+            swapped[0], swapped[j] = swapped[j], swapped[0]
+            entry = (hom, tuple(swapped))
+            self._entries[i][table, shifted] = (entry, restrictions)
+            state["corrupted"] += 1
+        return entry, restrictions
+
+    monkeypatch.setattr(torsors._NaturalMaps, "_entry", corrupting)
+    return state
+
+
+def _c2_edged_circle():
+    c1, c2, c4 = cyclic(1), cyclic(2), cyclic(4)
+    return GraphOfFiniteGroups(
+        circle_graph(),
+        {"P": c4, "U": c2},
+        {"b1": c2, "b2": c1},
+        {"b1": {"to_point": GroupHom(c2, c4, [0, 2]), "to_component": GroupHom(c2, c2, [0, 1])},
+         "b2": {"to_point": GroupHom.trivial(c1, c4), "to_component": GroupHom.trivial(c1, c2)}},
+    )
+
+
+@pytest.mark.parametrize("roundtrip_cap", [None, 10], ids=["every-element", "strided"])
+def test_pushout_verifier_catches_a_corrupted_cached_entry(monkeypatch, roundtrip_cap):
+    """A wrong cached forward entry fails the round trip, the injectivity
+    check or the set comparison, also when round trips are strided."""
+    instances = [(trivial_gog(theta_graph()), cyclic(3)),
+                 (_c2_edged_circle(), symmetric(3))]
+    for gog, G in instances:
+        _, clean = verify_groupoid_pushout(gog, G)
+        assert clean["passed"]
+    if roundtrip_cap is not None:
+        monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", roundtrip_cap)
+    for gog, G in instances:
+        state = _corrupt_first_cached_entry(monkeypatch)
+        try:
+            _, report = verify_groupoid_pushout(gog, G)
+        except AssertionError:
+            pass
+        else:
+            assert not report["passed"]
+            if roundtrip_cap is not None:
+                assert report["roundtrip_stride"] > 1
+        assert state["corrupted"] == 1
+
+
 def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
     """The verifier compares index tuples: no GroupHom or HomFamily is
     constructed, while the enumeration builds one HomFamily per hom and no
