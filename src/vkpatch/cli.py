@@ -37,6 +37,7 @@ from .graphs import (
     index_bound,
     is_tree,
     maximal_tree,
+    read_int,
 )
 from .inputs import InputError, WorkbenchInput, parse_input
 from .reports import (
@@ -62,7 +63,7 @@ def _opt_int(args, doc: WorkbenchInput, flag: str, key: str, default: int) -> in
     if value is None:
         value = doc.options.get(key, default)
     try:
-        return int(value)
+        return read_int(value, f"options.{key}")
     except (TypeError, ValueError):
         raise InputError([f"options.{key}: not an integer: {value!r}"]) from None
 
@@ -174,8 +175,11 @@ def _cmd_export_dot(args, doc):
     text = export_dot(graph, tree)
     lines = ["DOT export (tree edges solid, others dashed):"]
     if args.dot_output:
-        with open(args.dot_output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.dot_output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError([f"--dot-output: {exc}"]) from None
         lines.append(f"written to {args.dot_output}")
     else:
         lines.extend(text.rstrip("\n").split("\n"))

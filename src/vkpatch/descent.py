@@ -436,47 +436,6 @@ class KummerInstance:
         return self.gbar.pow(self.p).add(x).truncate_if_needed(self.truncation)
 
 
-def _gf_kernel_vector(F: FiniteField, rows: list[list[int]], ncols: int) -> list[int] | None:
-    """A nontrivial kernel vector of the row system over GF(q), or None."""
-    matrix = [row[:] for row in rows]
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != F.zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        # the pivot row is zero left of col, so it is normalized, and other
-        # rows change, only on its nonzero columns from col on
-        pivot = matrix[rank]
-        inv = F.inv(pivot[col])
-        support = []
-        for j in range(col, ncols):
-            if pivot[j] != F.zero:
-                pivot[j] = F.mul(inv, pivot[j])
-                support.append((j, pivot[j]))
-        for r, row in enumerate(matrix):
-            if r != rank and row[col] != F.zero:
-                factor = row[col]
-                for j, w in support:
-                    row[j] = F.sub(row[j], F.mul(factor, w))
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    target = free[0]
-    vec = [F.zero] * ncols
-    vec[target] = F.one
-    for col, r in pivots.items():
-        vec[col] = F.neg(matrix[r][target])
-    return vec
-
-
 def _relation_rows(fbar: LaurentSeries, e_power: LaurentSeries, search_bound: int,
                    order: int) -> tuple[list[list], int]:
     """The linear system of a relation sum c_jk x^k h^j = 0 with h = fbar e^p,
@@ -497,13 +456,17 @@ def _relation_rows(fbar: LaurentSeries, e_power: LaurentSeries, search_bound: in
     return rows, n_rows
 
 
-def _reaches_rank(F: FiniteField, rows: list[list], ncols: int) -> bool:
-    """Whether the rows have rank ``ncols``, i.e. no nonzero kernel vector.
+def _kernel_vector(F: FiniteField, rows: list[list], ncols: int) -> list | None:
+    """A nonzero kernel vector of the rows over GF(q), or None when they
+    have rank ``ncols``.
 
     Each row is reduced in place against an echelon basis, and the scan
     stops as soon as the basis is full.  A basis row has 1 at its pivot
     column and zeros to its left, so only its nonzero entries right of the
     pivot are kept: a reduced row is never read again at a pivot it passed.
+    Back-substitution puts 1 at the least free column and 0 at the others;
+    the pivot columns depend only on the row space, so this is the vector
+    of a full Gauss-Jordan elimination.
     """
     basis: dict[int, list[tuple[int, int]]] = {}
     for row in rows:
@@ -517,11 +480,17 @@ def _reaches_rank(F: FiniteField, rows: list[list], ncols: int) -> bool:
                 basis[col] = [(j, F.mul(inv, row[j]))
                               for j in range(col + 1, ncols) if row[j] != F.zero]
                 if len(basis) == ncols:
-                    return True
+                    return None
                 break
             for j, w in support:
                 row[j] = F.sub(row[j], F.mul(c, w))
-    return False
+    vec = [F.zero] * ncols
+    vec[min(c for c in range(ncols) if c not in basis)] = F.one
+    for col in sorted(basis, reverse=True):
+        for j, w in basis[col]:
+            if vec[j] != F.zero:
+                vec[col] = F.sub(vec[col], F.mul(w, vec[j]))
+    return vec
 
 
 class KummerDecision:
@@ -626,12 +595,12 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
                 )
             tried += 1
             e_power = LaurentSeries(F, {i: c for i, c in enumerate(e_coeffs)}, var="x").pow(p)
-            if screen < instance.truncation and _reaches_rank(
+            if screen < instance.truncation and _kernel_vector(
                 F, _relation_rows(fbar, e_power, search_bound, screen)[0], unknowns
-            ):
+            ) is None:
                 continue
             rows, n_rows = _relation_rows(fbar, e_power, search_bound, instance.truncation)
-            vec = _gf_kernel_vector(F, rows, unknowns)
+            vec = _kernel_vector(F, rows, unknowns)
             if vec is not None:
                 relation = tuple(
                     poly_strip(F, tuple(vec[j:j + search_bound + 1]))

@@ -261,7 +261,7 @@ class FiniteField:
 
     def parse(self, text: str | int) -> int:
         """Accept an element index, or '0', '1', 'w' for convenience."""
-        if isinstance(text, int):
+        if isinstance(text, int) and not isinstance(text, bool):
             a = text
         elif not isinstance(text, str):
             raise ValueError(f"cannot parse field element {text!r}")

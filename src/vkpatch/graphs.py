@@ -37,6 +37,14 @@ def refuse_past(what: str, factors: Iterable[int], cap: int) -> int:
     return total
 
 
+def read_int(value, path: str) -> int:
+    """A document integer, read as ``int`` reads it; a bool or a fractional
+    number is refused with a ``ValueError`` naming ``path``, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{path}: not an integer: {value!r}")
+    return int(value)
+
+
 # Cover enumeration refuses a scan of more tuples than this rather than run
 # unbounded: rank 2 up to degree 8, rank 3 up to degree 5, rank 4 up to 4.
 COVER_SCAN_CAP = 1_000_000

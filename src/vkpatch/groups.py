@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .graphs import refuse_past
+from .graphs import read_int, refuse_past
 
 # ``make_group`` refuses a group of larger order before building any table.
 GROUP_ORDER_CAP = 200
@@ -203,11 +203,11 @@ def make_group(descriptor: Mapping, name: str = "G") -> FiniteGroup:
     kind, value = next(iter(descriptor.items()))
     what = f"the order of the {kind} group"
     if kind == "cyclic":
-        n = int(value)
+        n = read_int(value, kind)
         refuse_past(what, [n], GROUP_ORDER_CAP)
         return cyclic(n, name=name)
     if kind == "symmetric":
-        n = int(value)
+        n = read_int(value, kind)
         refuse_past(what, range(2, n + 1), GROUP_ORDER_CAP)
         return symmetric(n, name=name)
     if kind == "product":

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .descent import ASInstance, KummerInstance
 from .gog import EdgeMapError, GraphOfFiniteGroups
-from .graphs import ReductionGraph, refuse_past
+from .graphs import ReductionGraph, read_int, refuse_past
 from .groups import FiniteGroup, GroupAxiomError, GroupHom, cyclic, make_group
 
 SCHEMA_VERSION = 1
@@ -133,19 +133,19 @@ class WorkbenchInput:
         if spec is None:
             raise InputError(["this command needs descent.artin_schreier"])
         with _spec_errors("descent.artin_schreier"):
-            p = int(spec["p"])
+            p = read_int(spec["p"], "p")
             if spec.get("rational"):
-                return ASInstance.rational(p, int(spec.get("e", 1)), spec["alpha"])
-            return ASInstance.finite(
-                p, _positive(spec, "k1_degree", 1), int(spec["k2_degree"]), spec["alpha"]
-            )
+                return ASInstance.rational(p, read_int(spec.get("e", 1), "e"), spec["alpha"])
+            k1_degree = _positive(spec, "k1_degree", 1)
+            k2_degree = read_int(spec["k2_degree"], "k2_degree")
+            return ASInstance.finite(p, k1_degree, k2_degree, spec["alpha"])
 
     def kummer_instance(self) -> KummerInstance:
         spec = self.descent.get("kummer")
         if spec is None:
             raise InputError(["this command needs descent.kummer"])
         with _spec_errors("descent.kummer"):
-            p = int(spec["p"])
+            p = read_int(spec["p"], "p")
             truncation = _positive(spec, "truncation", 200)
             model = spec.get("model", "transcendental")
             if model == "base-ring":
@@ -158,7 +158,7 @@ class WorkbenchInput:
                 )
             return KummerInstance.transcendental_model(
                 p,
-                q_exp=int(spec.get("q_exp", 1)),
+                q_exp=read_int(spec.get("q_exp", 1), "q_exp"),
                 terms=_positive(spec, "terms", 4),
                 truncation=truncation,
             )
@@ -175,7 +175,7 @@ class WorkbenchInput:
         out = {}
         for label, value in indices.items():
             try:
-                index = int(value)
+                index = read_int(value, str(label))
             except (TypeError, ValueError):
                 index = 0
             if index < 1:
@@ -190,7 +190,7 @@ class WorkbenchInput:
 
 
 def _positive(spec: Mapping, key: str, default: int) -> int:
-    value = int(spec.get(key, default))
+    value = read_int(spec.get(key, default), key)
     if value < 1:
         raise ValueError(f"{key} must be at least 1, got {value}")
     return value
@@ -254,7 +254,7 @@ def parse_input(document: str) -> WorkbenchInput:
     if "version" not in data:
         raise InputError(["missing required 'version' field"])
     try:
-        version = int(data["version"])
+        version = read_int(data["version"], "version")
     except (TypeError, ValueError):
         raise InputError([f"version: not an integer: {data['version']!r}"]) from None
     if version != SCHEMA_VERSION:
@@ -340,6 +340,8 @@ def parse_input(document: str) -> WorkbenchInput:
     test_group = options.get("test_group")
     if test_group and (not isinstance(test_group, str) or test_group not in groups):
         errors.append(f"options.test_group: group {test_group!r} is not defined")
+    if not isinstance(options.get("all_trees", False), bool):
+        errors.append(f"options.all_trees: must be a boolean, got {options['all_trees']!r}")
     descent = dict(_object(data.get("descent"), "descent", errors))
 
     if errors:

@@ -569,41 +569,30 @@ def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]
     """Solve a compatible patching problem: the global hom family and its
     markings by branch name.
 
-    The local data is trivialized to vertex functor data; compatibility makes
-    it a branch-agreeing family, and the inverse of the restriction
-    dictionary produces the unique global hom family with markings.  The
-    local data it induces is checked to be isomorphic to the problem's.
-    This is torsor patching: compatible local torsors glue to a global one,
-    uniquely (``test_solve_patching_solution_is_unique``).
+    Each vertex torsor is trivialized to its functor on the vertex groupoid
+    (``hom_from_torsor``); compatibility makes these a branch-agreeing
+    family, and the inverse of the restriction dictionary produces the
+    unique global hom family with markings.  The torsors of the functors it
+    induces (``torsor_from_hom``) are checked to be isomorphic to the
+    problem's.  This is torsor patching: compatible local torsors glue to a
+    global one, uniquely (``test_solve_patching_solution_is_unique``).
     """
     problem.check_compatibility()
     gog, G = problem.gog, problem.group
-    presentation = build_presentation(gog)
-
-    local = []
-    for v in gog.graph.vertices:
-        t = problem.vertex_data[v]
-        coords = t.point_coords()
-        flags = tuple(G.inv(coords[e]) for e in gog.graph.edges_at(v))
-        local.append((t.structure_map().mapping, flags))
-    datum = tuple(local)
-    maps = _NaturalMaps(presentation, G)
-    bad = maps.disagreeing_branch([maps.restrictions(i, entry) for i, entry in enumerate(datum)])
-    if bad is not None:
-        e = gog.graph.edge_names()[bad]
-        raise PatchingError(e, f"branch {e}: local data does not agree")
-
+    groupoids = [ModelGroupoid(gog.graph.edges_at(v), gog.vertex_groups[v])
+                 for v in gog.graph.vertices]
+    # edges_at lists a vertex's branches sorted, the groupoid's object order
+    datum = tuple(hom_from_torsor(problem.vertex_data[v], groupoid).key()
+                  for v, groupoid in zip(gog.graph.vertices, groupoids))
+    maps = _NaturalMaps(build_presentation(gog), G)
     key, markings = maps.inverse(datum)
     family = HomFamily(gog, G, key)
 
     induced, _ = maps.forward(key, markings)
-    for v, (table, flags) in zip(gog.graph.vertices, induced):
-        torsor = MultipointedTorsor.standard(
-            G,
-            GroupHom(gog.vertex_groups[v], G, table),
-            {e: G.inv(f) for e, f in zip(gog.graph.edges_at(v), flags)},
-        )
-        if torsor_morphisms(torsor, problem.vertex_data[v]) is None:
+    for v, groupoid, (table, flags) in zip(gog.graph.vertices, groupoids, induced):
+        functor = GroupoidFunctor(groupoid, G, GroupHom(groupoid.group, G, table),
+                                  dict(zip(groupoid.objects, flags)))
+        if torsor_morphisms(torsor_from_hom(functor), problem.vertex_data[v]) is None:
             raise AssertionError(f"induced datum at {v} fails to match the problem")
     return family, dict(zip(gog.graph.edge_names(), markings))
 

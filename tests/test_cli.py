@@ -373,6 +373,28 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
         ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
             "to_point": None, "to_component": {"1": "3"}}}}, [], "edge_maps.b1"),
         ("gog-homs", {**AMALGAM, "edge_maps": {"b1": []}}, [], "edge_maps.b1"),
+        # a bool or a fractional number is not an integer, nor a bool a field element
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {**_AS_SPEC, "p": 2.9}}},
+         [], "descent.artin_schreier"),
+        ("index-bound", {**MINIMAL, "options": {"local_indices": {"P": 2.5, "U": 6}}}, [],
+         "options.local_indices"),
+        ("index-bound", {**MINIMAL, "options": {"local_indices": {"P": True, "U": 6}}}, [],
+         "options.local_indices"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"cyclic": 2.5}}}, [], "groups.G"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"symmetric": True}}}, [], "groups.G"),
+        ("graph-covers", {**MINIMAL, "options": {"degree": 2.9}}, [], "options.degree"),
+        ("graph-check", {**MINIMAL, "version": 1.9}, [], "version"),
+        ("gog-verify", {**CIRCLE, "options": {"test_group": "C2", "all_trees": "no"}}, [],
+         "options.all_trees"),
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "truncation": 200.5}}}, [], "descent.kummer"),
+        ("descent-kummer", {**KUMMER_DOC, "options": {"search_bound": True}}, [],
+         "options.search_bound"),
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {**_AS_SPEC, "alpha": True}}},
+         [], "descent.artin_schreier"),
+        # JSON's Infinity once escaped as an OverflowError traceback
+        ("descent-as", {"version": 1, "descent": {"artin_schreier": {
+            **_AS_SPEC, "p": float("inf")}}}, [], "descent.artin_schreier"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
@@ -382,7 +404,10 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
          "alpha-list", "vertex-declared-twice", "k1-degree-negative", "group-two-keys",
          "group-list", "edge-group-undefined", "k2-degree-40", "kummer-q-exp-40",
          "symmetric-9", "product-over-cap", "option-null", "edge-map-side-null",
-         "edge-map-list"],
+         "edge-map-list", "as-p-fraction", "local-index-fraction", "local-index-bool",
+         "cyclic-fraction", "symmetric-bool", "degree-fraction", "version-fraction",
+         "all-trees-text", "kummer-truncation-fraction", "search-bound-bool", "alpha-bool",
+         "as-p-infinity"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])
@@ -621,6 +646,37 @@ def test_export_dot_to_file(tmp_path, capsys):
     text = out_path.read_text()
     assert 'label="b1", style=solid' in text
     assert 'label="b2", style=dashed' in text
+
+
+@pytest.mark.parametrize("target", ["missing/graph.dot", "."], ids=["no-directory", "directory"])
+def test_export_dot_to_an_unwritable_path_is_an_input_error(tmp_path, capsys, target):
+    code = run(["export-dot", write(tmp_path, CIRCLE), "--dot-output", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT_ERROR
+    assert captured.err.startswith("input error: --dot-output: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_integral_numbers_are_read_as_before(tmp_path, capsys):
+    """A float with an integral value, or an integer string, still reads as
+    that integer: the same report as the JSON integer gives."""
+    for command, plain, variant in (
+        ("descent-as", AS_DOC, {"version": 1.0, "descent": {"artin_schreier": {
+            **_AS_SPEC, "p": 2.0, "k2_degree": "2"}}}),
+        ("graph-covers", {**CIRCLE, "options": {"degree": 3}},
+         {**CIRCLE, "groups": {"C2": {"cyclic": 2.0}}, "options": {"degree": 3.0}}),
+        ("index-bound", {**MINIMAL, "options": {"local_indices": {"P": 4, "U": 6}}},
+         {**MINIMAL, "options": {"local_indices": {"P": 4.0, "U": "6"}}}),
+    ):
+        outputs = []
+        for doc in (plain, variant):
+            assert run([command, write(tmp_path, doc)]) == EXIT_PASS
+            out = capsys.readouterr().out
+            # the input text, and so its digests, differ; nothing else does
+            outputs.append([line for line in out.split("\n") if not line.startswith("input:")
+                            and "digest" not in line and "timing" not in line])
+        assert outputs[0] == outputs[1], command
 
 
 def test_unknown_command_is_input_error(capsys):

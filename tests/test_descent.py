@@ -19,8 +19,7 @@ from vkpatch.descent import (
     as_brute_force_oracle,
     as_descends_galois,
     kummer_obstruction,
-    _gf_kernel_vector,
-    _reaches_rank,
+    _kernel_vector,
     _w_identity_remainder,
     verify_example_29,
 )
@@ -28,7 +27,7 @@ from vkpatch import descent as descent_mod
 from vkpatch.fields import FiniteField
 from vkpatch.series import LaurentSeries
 
-from test_fast_paths import solve_artin_schreier
+from test_fast_paths import full_gauss_jordan_kernel_vector, solve_artin_schreier
 
 
 # -- criterion -------------------------------------------------------------------
@@ -308,35 +307,6 @@ def test_kummer_char3():
     assert decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
 
 
-def full_gauss_jordan_kernel_vector(F, rows, ncols):
-    """Reference kernel vector: Gauss-Jordan updating every entry of every
-    other row at each pivot, zeros included."""
-    matrix = [row[:] for row in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col] != F.zero), None)
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = F.inv(matrix[rank][col])
-        matrix[rank] = [F.mul(inv, v) for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != F.zero:
-                factor = matrix[r][col]
-                matrix[r] = [F.sub(v, F.mul(factor, w)) for v, w in zip(matrix[r], matrix[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    vec = [F.zero] * ncols
-    vec[free[0]] = F.one
-    for col, r in pivots.items():
-        vec[col] = F.neg(matrix[r][free[0]])
-    return vec
-
-
 def test_kernel_vector_matches_full_gauss_jordan():
     rng = random.Random(29)
     for p, e in ((2, 1), (3, 1), (2, 2), (3, 2)):
@@ -362,11 +332,9 @@ def test_kernel_vector_matches_full_gauss_jordan():
             for _ in range(rng.randint(0, 2)):
                 rows.insert(rng.randint(0, len(rows)), [F.zero] * ncols)
             expected = full_gauss_jordan_kernel_vector(F, rows, ncols)
-            before = [row[:] for row in rows]
-            assert _gf_kernel_vector(F, rows, ncols) == expected, (p, e, trial)
-            assert rows == before
-            # the screen's rank test reduces its rows in place
-            assert _reaches_rank(F, [row[:] for row in rows], ncols) == (expected is None)
+            # None exactly when the rows have full rank; the rows are
+            # reduced in place, so the elimination gets a copy
+            assert _kernel_vector(F, [row[:] for row in rows], ncols) == expected, (p, e, trial)
 
 
 # -- degree-p descent can fail in both settings ---------------------------------------

@@ -8,8 +8,9 @@ the graph by vertex and branch name with markings keyed by branch, a hom
 search that tries every candidate image of every generator, an
 edge-relation check that walks the graph by name too, the Artin-Schreier
 oracle that solves every candidate beta in product order, and the Kummer
-search that eliminates every candidate's system at full truncation.  The
-fast paths must reproduce them exactly, order and messages included.
+search that solves every candidate's system at full truncation by a full
+Gauss-Jordan elimination.  The fast paths must reproduce them exactly, order
+and messages included.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from vkpatch.descent import (
     ASOracleDecision,
     KummerDecision,
     KummerInstance,
-    _gf_kernel_vector,
     _valid_betas,
     as_brute_force_oracle,
     kummer_obstruction,
@@ -657,6 +657,35 @@ def product_order_as_oracle(instance: ASInstance, support_bound: int) -> ASOracl
     )
 
 
+def full_gauss_jordan_kernel_vector(F, rows, ncols):
+    """Reference kernel vector: Gauss-Jordan updating every entry of every
+    other row at each pivot, zeros included."""
+    matrix = [row[:] for row in rows]
+    pivots = {}
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col] != F.zero), None)
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        inv = F.inv(matrix[rank][col])
+        matrix[rank] = [F.mul(inv, v) for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != F.zero:
+                factor = matrix[r][col]
+                matrix[r] = [F.sub(v, F.mul(factor, w)) for v, w in zip(matrix[r], matrix[rank])]
+        pivots[col] = rank
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    vec = [F.zero] * ncols
+    vec[free[0]] = F.one
+    for col, r in pivots.items():
+        vec[col] = F.neg(matrix[r][free[0]])
+    return vec
+
+
 def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> KummerDecision:
     """Every candidate e's system built and eliminated at full truncation."""
     if search_bound < 0:
@@ -701,7 +730,7 @@ def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> Kumm
                     for k in range(search_bound + 1):
                         row.append(powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero)
                 rows.append(row)
-            vec = _gf_kernel_vector(F, rows, unknowns)
+            vec = full_gauss_jordan_kernel_vector(F, rows, unknowns)
             if vec is not None:
                 relation = tuple(
                     poly_strip(F, tuple(vec[j:j + search_bound + 1]))
@@ -814,13 +843,17 @@ def test_kummer_search_matches_the_full_elimination_past_screen_survivors(monkey
     # at p = 5 a candidate can pass the screen and still fail at full
     # truncation; at truncation 40 a later candidate then descends
     full = []
-    kernel_vector = descent_mod._gf_kernel_vector
+    kernel_vector = descent_mod._kernel_vector
 
     def counted(F, rows, ncols):
-        full.append(kernel_vector(F, rows, ncols))
-        return full[-1]
+        vec = kernel_vector(F, rows, ncols)
+        # a full-truncation system has a row per order up to the truncation;
+        # the screen's stops at twice the unknowns, below it
+        if len(rows) > 2 * ncols + 1:
+            full.append(vec)
+        return vec
 
-    monkeypatch.setattr(descent_mod, "_gf_kernel_vector", counted)
+    monkeypatch.setattr(descent_mod, "_kernel_vector", counted)
     for truncation, bound, verdict, tried in ((25, 2, OBSTRUCTED_WITHIN_BOUNDS, 31),
                                               (40, 3, DESCENDS, 32)):
         inst = KummerInstance.transcendental_model(5, 1, 1, truncation)

@@ -540,3 +540,51 @@ def test_incompatible_problem_names_the_branch():
     with pytest.raises(PatchingError) as exc:
         solve_patching(PatchingProblem(gog, c2, vd, bd))
     assert exc.value.branch == "b1"
+
+
+def test_compatibility_is_branch_agreement_of_the_trivialized_data():
+    """``check_compatibility`` passes exactly when the vertex torsors,
+    trivialized by ``hom_from_torsor``, agree over every branch; so
+    ``solve_patching`` needs no agreement check of its own.  Each branch
+    datum is the restriction of one of its ends; half the problems come from
+    a global functor, and half of those get one vertex torsor redrawn."""
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        graph = random_tree_graph(rng, max_vertices=3)
+        if rng.random() < 0.5:
+            graph = add_extra_edges(rng, graph, 1)
+        gog = random_gog(rng, graph, vertex_order_cap=6)
+        G = rng.choice([cyclic(2), cyclic(4), symmetric(3)])
+        vertices = gog.graph.vertices
+        if rng.random() < 0.5:
+            family = rng.choice(enumerate_pi1_homs(gog, G))
+            markings = rng.choice(list(_markings_space(gog, G)))
+            vd, _ = _vertex_groupoid_data(gog, G, family, markings)
+            redraw = [rng.choice(vertices)] if rng.random() < 0.5 else []
+        else:
+            vd, redraw = {}, vertices
+        for v in redraw:
+            points = {e: rng.randrange(G.order) for e in gog.graph.edges_at(v)}
+            vd[v] = MultipointedTorsor.standard(
+                G, rng.choice(hom_set(gog.vertex_groups[v], G)), points)
+        bd = {}
+        for e in gog.graph.edge_names():
+            v, side = rng.choice([(gog.graph.point_end(e), "to_point"),
+                                  (gog.graph.component_end(e), "to_component")])
+            bd[e] = vd[v].restrict_to_branch(e, gog.edge_maps[e][side])
+        problem = PatchingProblem(gog, G, vd, bd)
+        try:
+            problem.check_compatibility()
+            compatible = True
+        except PatchingError:
+            compatible = False
+        datum = [hom_from_torsor(vd[v], ModelGroupoid(gog.graph.edges_at(v), gog.vertex_groups[v]))
+                 .key() for v in vertices]
+        maps = torsors._NaturalMaps(build_presentation(gog), G)
+        restricted = [maps.restrictions(i, entry) for i, entry in enumerate(datum)]
+        assert compatible == (maps.disagreeing_branch(restricted) is None), (graph.edges, G.name)
+        if compatible:
+            solve_patching(problem)
+        outcomes[compatible] += 1
+    assert min(outcomes.values()) > 0, outcomes
