@@ -5,8 +5,9 @@ polynomials in a generator w modulo the lexicographically least monic
 irreducible of degree e, which makes element order and labels deterministic.
 Arithmetic runs on exp/log/Zech tables of the least primitive element, built
 once per field in O(q) polynomial products; for p = 2 addition is integer
-XOR of the codes.  The polynomial product remains as the input of the table
-build and as the reference arithmetic of the tests.
+XOR of the codes.  The table build, and the tests' reference arithmetic
+``_raw_mul``, multiply digit vectors with the same ``poly_mul`` and
+``poly_divmod`` that serve GF(q)(s), taken over the prime field GF(p).
 Rational function field elements are reduced fractions of coefficient tuples
 with monic denominator.  Both fields expose the same duck-typed surface
 (add/mul/inv/pth_root/label), which is all the series layer needs.
@@ -14,13 +15,11 @@ with monic denominator.  Both fields expose the same duck-typed surface
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .graphs import refuse_past
+from .graphs import read_list, refuse_past
 
 # A field is refused beyond this many elements, before any table is built:
-# the build is O(q) polynomial products, and no test or benchmark field is
-# larger than GF(2^10).
+# the build is O(q) polynomial products; no workload field is larger than
+# GF(2^8), and the tests and the output replay build up to GF(2^12).
 FIELD_SIZE_CAP = 4096
 
 
@@ -35,71 +34,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomials over Z/p as little-endian int tuples -----------------------
+def _digits(code: int, p: int, e: int) -> tuple[int, ...]:
+    """The e base-p digits of an element code, least significant first."""
+    out = []
+    for _ in range(e):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
 
 
-def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _strip(out)
-
-
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        k = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(m):
-            a[k + i] = (a[k + i] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _strip(a)
-
-
-def _irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree e over Z/p."""
-    if e == 1:
-        return (0, 1)
-    for code in range(p**e):
-        coeffs = []
-        c = code
-        for _ in range(e):
-            coeffs.append(c % p)
-            c //= p
-        cand = tuple(coeffs) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")
-
-
-def _is_irreducible(f, p):
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % p)
-                c //= p
-            g = tuple(coeffs) + (1,)
-            if _pmod(f, g, p) == ():
-                return False
-    return True
+def _irreducible(prime: "FiniteField", e: int) -> tuple[int, ...]:
+    """Lexicographically least monic irreducible of degree e over the prime
+    field: the first monic candidate, in code order, that no monic
+    polynomial of degree 1..e/2 divides."""
+    p = prime.p
+    divisors = [_digits(code, p, d) + (1,) for d in range(1, e // 2 + 1) for code in range(p**d)]
+    candidates = (_digits(code, p, e) + (1,) for code in range(p**e))
+    return next(f for f in candidates if all(poly_divmod(prime, f, g)[1] for g in divisors))
 
 
 # Zech-table entry for 1 + g^i = 0, which has no logarithm
@@ -131,25 +82,12 @@ class FiniteField:
         self.p = p
         self.e = e
         self.char = p
-        self.modulus = _irreducible(p, e)
+        # the prime field GF(p), over which digit vectors are multiplied
+        self.prime = FiniteField(p) if e > 1 else self
+        self.modulus = _irreducible(self.prime, e)
         self.zero = 0
         self.one = 1
         self._build_tables()
-
-    # -- encoding ------------------------------------------------------------
-
-    def _digits(self, x: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
-
-    def _encode(self, digits: Sequence[int]) -> int:
-        x = 0
-        for d in reversed(list(digits)[: self.e]):
-            x = x * self.p + (d % self.p)
-        return x
 
     def elements(self) -> range:
         return range(self.q)
@@ -157,20 +95,29 @@ class FiniteField:
     # -- table construction (``_raw_mul`` is also the tests' reference) -----
 
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pmul(_strip(self._digits(a)), _strip(self._digits(b)), self.p)
-        red = _pmod(prod, self.modulus, self.p) if len(prod) >= self.e + 1 else prod
-        return self._encode(list(red) + [0] * self.e)
+        p, e = self.p, self.e
+        if e == 1:
+            return a * b % p
+        prime = self.prime
+        prod = poly_mul(prime, _digits(a, p, e), _digits(b, p, e))
+        x = 0
+        for d in reversed(poly_divmod(prime, prod, self.modulus)[1]):
+            x = x * p + d
+        return x
 
     def _build_tables(self) -> None:
-        units = self.q - 1
+        units, walked = self.q - 1, set()
         for g in range(1, self.q):
+            if g in walked:  # a power of a walked g: its order divides g's
+                continue
             # powers of g up to its order; g is primitive when that is q - 1
             powers, x = [1], g
             while x != 1:
                 powers.append(x)
-                x = self._raw_mul(x, g)
+                x = self._raw_mul(g, x)  # g's zero digits are skipped
             if len(powers) == units:
                 break
+            walked.update(powers)
         log = [0] * self.q
         for i, x in enumerate(powers):
             log[x] = i
@@ -246,7 +193,7 @@ class FiniteField:
     def label(self, a: int) -> str:
         if self.e == 1:
             return str(a)
-        digits = self._digits(a)
+        digits = _digits(a, self.p, self.e)
         parts = []
         for i in range(self.e - 1, -1, -1):
             c = digits[i]
@@ -289,6 +236,8 @@ class FiniteField:
 
 
 def poly_strip(field, coeffs) -> tuple:
+    if not coeffs or coeffs[-1] != field.zero:
+        return tuple(coeffs)
     c = list(coeffs)
     while c and c[-1] == field.zero:
         c.pop()
@@ -305,19 +254,17 @@ def poly_add(field, a, b) -> tuple:
     return poly_strip(field, out)
 
 
-def poly_neg(field, a) -> tuple:
-    return tuple(field.neg(x) for x in a)
-
-
 def poly_mul(field, a, b) -> tuple:
     if not a or not b:
         return ()
-    out = [field.zero] * (len(a) + len(b) - 1)
+    add, mul, zero = field.add, field.mul, field.zero
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == field.zero:
+        if x == zero:
             continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
+        for j, y in enumerate(b, i):
+            if y != zero:
+                out[j] = add(out[j], mul(x, y))
     return poly_strip(field, out)
 
 
@@ -325,18 +272,21 @@ def poly_divmod(field, a, b) -> tuple[tuple, tuple]:
     b = poly_strip(field, b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(poly_strip(field, a))
-    q = [field.zero] * max(len(rem) - len(b) + 1, 0)
+    sub, mul, zero = field.sub, field.mul, field.zero
+    rem = list(a)
+    q = [zero] * max(len(rem) - len(b) + 1, 0)
     inv_lead = field.inv(b[-1])
-    while len(rem) >= len(b):
-        factor = field.mul(rem[-1], inv_lead)
+    while True:
+        while rem and rem[-1] == zero:
+            rem.pop()
+        if len(rem) < len(b):
+            return poly_strip(field, q), tuple(rem)
+        factor = mul(rem[-1], inv_lead)
         k = len(rem) - len(b)
         q[k] = factor
-        for i, c in enumerate(b):
-            rem[k + i] = field.sub(rem[k + i], field.mul(factor, c))
-        while rem and rem[-1] == field.zero:
-            rem.pop()
-    return poly_strip(field, q), tuple(rem)
+        for i, c in enumerate(b, k):
+            if c != zero:
+                rem[i] = sub(rem[i], mul(factor, c))
 
 
 def poly_gcd(field, a, b) -> tuple:
@@ -421,7 +371,7 @@ class RationalFunctionField:
         return self.make(num, poly_mul(self.base, da, db))
 
     def neg(self, a):
-        return (poly_neg(self.base, a[0]), a[1])
+        return (tuple(map(self.base.neg, a[0])), a[1])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -478,8 +428,8 @@ class RationalFunctionField:
         if isinstance(spec, str) and spec.strip().isdigit():
             return self.constant(self.base.parse(spec))
         if isinstance(spec, dict):
-            num = tuple(self.base.parse(c) for c in spec.get("num", []))
-            den = tuple(self.base.parse(c) for c in spec.get("den", [self.base.one]))
+            num = tuple(map(self.base.parse, read_list(spec.get("num", []), "num")))
+            den = tuple(map(self.base.parse, read_list(spec.get("den", [self.base.one]), "den")))
             return self.make(num, den)
         raise ValueError(f"cannot parse rational function {spec!r}")
 

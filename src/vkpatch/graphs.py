@@ -45,6 +45,14 @@ def read_int(value, path: str) -> int:
     return int(value)
 
 
+def read_list(value, path: str) -> list:
+    """A document list; a string or an object, which would iterate as one,
+    is refused with a ``ValueError`` naming ``path``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: not a list: {value!r}")
+    return value
+
+
 # Cover enumeration refuses a scan of more tuples than this rather than run
 # unbounded: rank 2 up to degree 8, rank 3 up to degree 5, rank 4 up to 4.
 COVER_SCAN_CAP = 1_000_000

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .descent import ASInstance, KummerInstance
 from .gog import EdgeMapError, GraphOfFiniteGroups
-from .graphs import ReductionGraph, read_int, refuse_past
+from .graphs import ReductionGraph, read_int, read_list, refuse_past
 from .groups import FiniteGroup, GroupAxiomError, GroupHom, cyclic, make_group
 
 SCHEMA_VERSION = 1
@@ -134,7 +134,10 @@ class WorkbenchInput:
             raise InputError(["this command needs descent.artin_schreier"])
         with _spec_errors("descent.artin_schreier"):
             p = read_int(spec["p"], "p")
-            if spec.get("rational"):
+            rational = spec.get("rational", False)
+            if not isinstance(rational, bool):
+                raise ValueError(f"rational: not a boolean: {rational!r}")
+            if rational:
                 return ASInstance.rational(p, read_int(spec.get("e", 1), "e"), spec["alpha"])
             k1_degree = _positive(spec, "k1_degree", 1)
             k2_degree = read_int(spec["k2_degree"], "k2_degree")
@@ -149,9 +152,8 @@ class WorkbenchInput:
             truncation = _positive(spec, "truncation", 200)
             model = spec.get("model", "transcendental")
             if model == "base-ring":
-                return KummerInstance.base_ring_model(
-                    p, spec.get("gbar_coeffs", [1]), truncation=truncation
-                )
+                coeffs = read_list(spec.get("gbar_coeffs", [1]), "gbar_coeffs")
+                return KummerInstance.base_ring_model(p, coeffs, truncation=truncation)
             if model != "transcendental":
                 raise ValueError(
                     f"unknown model {model!r}; choose 'transcendental' or 'base-ring'"

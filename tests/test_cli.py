@@ -430,6 +430,43 @@ def test_edge_map_errors_name_the_missing_field_and_the_unknown_label(tmp_path, 
         assert capsys.readouterr().err == line + "\n"
 
 
+_AS_RATIONAL_SPEC = {"p": 2, "rational": True, "e": 1}
+
+
+@pytest.mark.parametrize(
+    "command, descent, line",
+    [
+        # a non-boolean flag once selected the GF(q)(s) model by truthiness
+        ("descent-as", {"artin_schreier": {**_AS_SPEC, "rational": "no"}},
+         "descent.artin_schreier: rational: not a boolean: 'no'"),
+        ("descent-as", {"artin_schreier": {**_AS_SPEC, "rational": 1}},
+         "descent.artin_schreier: rational: not a boolean: 1"),
+        ("descent-as", {"artin_schreier": {**_AS_SPEC, "rational": [0]}},
+         "descent.artin_schreier: rational: not a boolean: [0]"),
+        # a string once read digit by digit, and an object by its keys
+        ("descent-as", {"artin_schreier": {
+            **_AS_RATIONAL_SPEC, "alpha": {"num": "11", "den": [1]}}},
+         "descent.artin_schreier: num: not a list: '11'"),
+        ("descent-as", {"artin_schreier": {
+            **_AS_RATIONAL_SPEC, "alpha": {"num": {"1": 0, "0": 5}, "den": [1]}}},
+         "descent.artin_schreier: num: not a list: {'1': 0, '0': 5}"),
+        ("descent-as", {"artin_schreier": {
+            **_AS_RATIONAL_SPEC, "alpha": {"num": [1], "den": "1"}}},
+         "descent.artin_schreier: den: not a list: '1'"),
+        ("descent-kummer", {"kummer": {"p": 2, "model": "base-ring", "gbar_coeffs": "11"}},
+         "descent.kummer: gbar_coeffs: not a list: '11'"),
+    ],
+    ids=["rational-text", "rational-int", "rational-list", "num-text", "num-object",
+         "den-text", "gbar-coeffs-text"],
+)
+def test_flags_and_coefficient_lists_must_have_their_json_type(tmp_path, capsys, command,
+                                                               descent, line):
+    doc = {"version": 1, "descent": descent}
+    assert run([command, write(tmp_path, doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {line}\n")
+
+
 def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
     # a child process with a timeout fails on an unbounded search instead of
     # hanging

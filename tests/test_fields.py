@@ -154,6 +154,21 @@ def test_mul_matches_sympy_galoistools(p, e):
         assert F.mul(a, b) == expected, (F, a, b)
 
 
+@pytest.mark.parametrize("p,e", SMALL + LARGE + [(3, 7), (5, 5), (2, 12)])
+def test_modulus_is_the_least_monic_irreducible(p, e):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    # every element code and label depends on which irreducible is chosen
+    F = FiniteField(p, e)
+    for code in range(p**e):
+        candidate = [1] + [ZZ(d) for d in reversed(_digits(F, code))]  # big-endian
+        if gf_irreducible_p(candidate, p, ZZ):
+            break
+    assert F.modulus == tuple(int(c) for c in reversed(candidate))
+
+
 def test_field_size_cap_refuses_before_any_table():
     assert FIELD_SIZE_CAP == 2**12
     assert FiniteField(2, 12).q == FIELD_SIZE_CAP

@@ -6,12 +6,18 @@ SRC is the ``src`` directory of the checkout under test; its ``vkpatch`` is
 imported and each invocation runs through ``vkpatch.cli.run``.  The
 invocations are those of the three workloads of ``perfbench/workloads.py``
 (imported, never changed) at seeds 3 and 7, with each pass's documents
-written under a temporary directory.  For every invocation OUT.json records
-the exit code, a sha256 of stdout with the ``timing:`` line and the machine
-block's ``timing_ms`` line removed, and a sha256 of stderr.  An exception
-that escapes ``run`` is recorded as exit 1 with its type and message appended
-to stderr, as the interpreter would report it; the script then names each
-such invocation on stderr and exits 1 once OUT.json is written.
+written under a temporary directory.  The workloads build no field larger
+than GF(2^8) and none of characteristic 7, so a fixed list of documents on
+fields they never build, up to ``FIELD_SIZE_CAP``, is replayed after them
+under the key ``large-fields``: ``descent-as`` over GF(2^10), GF(2^12),
+GF(3^7), GF(5^5), GF(7^4) and GF(4093), and ``descent-kummer`` over GF(7^2)
+and GF(7^3), each at ``--support-bound 1``.  For every invocation OUT.json
+records the exit code, a sha256 of stdout with the ``timing:`` line and the
+machine block's ``timing_ms`` line removed, and a sha256 of stderr.  An
+exception that escapes ``run`` is recorded as exit 1 with its type and
+message appended to stderr, as the interpreter would report it; the script
+then names each such invocation on stderr and exits 1 once OUT.json is
+written.
 
 Two checkouts print the same outputs apart from timing exactly when their
 OUT.json files are equal:
@@ -37,6 +43,16 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pi1-patching", "descent-search", "cli-batch")
 SEEDS = (3, 7)
 TIMING = re.compile(r'^(timing: .*|\s*"timing_ms": .*)\n', re.MULTILINE)
+LARGE_FIELDS = (
+    ("as-2^10", "descent-as", {"p": 2, "k1_degree": 1, "k2_degree": 10, "alpha": "w"}),
+    ("as-2^12", "descent-as", {"p": 2, "k1_degree": 4, "k2_degree": 12, "alpha": "w"}),
+    ("as-3^7", "descent-as", {"p": 3, "k1_degree": 1, "k2_degree": 7, "alpha": "w"}),
+    ("as-5^5", "descent-as", {"p": 5, "k1_degree": 1, "k2_degree": 5, "alpha": "w"}),
+    ("as-7^4", "descent-as", {"p": 7, "k1_degree": 2, "k2_degree": 4, "alpha": "w"}),
+    ("as-4093", "descent-as", {"p": 4093, "k1_degree": 1, "k2_degree": 1, "alpha": 2}),
+    ("kummer-7^2", "descent-kummer", {"p": 7, "q_exp": 2, "terms": 4, "truncation": 200}),
+    ("kummer-7^3", "descent-kummer", {"p": 7, "q_exp": 3, "terms": 4, "truncation": 200}),
+)
 
 
 def _sha256(text: str) -> str:
@@ -72,6 +88,18 @@ def replay(run, bench, raised: list[str]) -> dict:
     return out
 
 
+def large_fields_pass():
+    """The ``LARGE_FIELDS`` documents as one pass of the workloads' shape."""
+    from workloads import Invocation, Pass
+
+    docs, invocations = {}, []
+    for name, command, spec in LARGE_FIELDS:
+        key = "artin_schreier" if command == "descent-as" else "kummer"
+        docs[name] = json.dumps({"version": 1, "descent": {key: spec}})
+        invocations.append(Invocation(name, command, name, ("--support-bound", "1")))
+    return Pass("large-fields", 0, docs, tuple(invocations), 0)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -84,21 +112,22 @@ def main(argv: list[str]) -> int:
     import vkpatch.cli
     from workloads import build_pass
 
+    passes = {f"{w}:{seed}": build_pass(w, seed) for w in WORKLOADS for seed in SEEDS}
+    passes["large-fields"] = large_fields_pass()
     results = {}
     raised: list[str] = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                work = Path(tmp, f"{workload}-{seed}")
-                work.mkdir()
-                os.chdir(work)
-                key, failed = f"{workload}:{seed}", []
-                try:
-                    results[key] = replay(vkpatch.cli.run, build_pass(workload, seed), failed)
-                finally:
-                    os.chdir(home)
-                raised += (f"{key} {name}" for name in failed)
+        for i, (key, bench) in enumerate(passes.items()):
+            work = Path(tmp, str(i))
+            work.mkdir()
+            os.chdir(work)
+            failed: list[str] = []
+            try:
+                results[key] = replay(vkpatch.cli.run, bench, failed)
+            finally:
+                os.chdir(home)
+            raised += (f"{key} {name}" for name in failed)
     out_path.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     count = sum(len(r) for r in results.values())
     print(f"{count} invocations replayed from {src} into {out_path}")
