@@ -149,8 +149,8 @@ def _cmd_graph_rank(args, doc):
     rank = cycle_rank(graph)
     tree = maximal_tree(graph)
     machine = {"law": "cycle-rank", "cycle_rank": rank,
-               "canonical_tree": list(tree.edge_names)}
-    lines = [f"cycle rank: {rank}", f"canonical maximal tree: {list(tree.edge_names)}"]
+               "canonical_tree": list(tree)}
+    lines = [f"cycle rank: {rank}", f"canonical maximal tree: {list(tree)}"]
     return str(rank), lines, machine, EXIT_PASS
 
 
@@ -170,9 +170,7 @@ def _cmd_graph_covers(args, doc):
 
 
 def _cmd_export_dot(args, doc):
-    graph = doc.require_graph()
-    tree = maximal_tree(graph)
-    text = export_dot(graph, tree)
+    text = export_dot(doc.require_graph())
     lines = ["DOT export (tree edges solid, others dashed):"]
     if args.dot_output:
         try:
@@ -210,13 +208,13 @@ def _cmd_gog_presentation(args, doc):
         f"generators ({len(pres.generators)}): {', '.join(pres.generators[:12])}"
         + ("..." if len(pres.generators) > 12 else ""),
         f"relators: {len(pres.relators)}",
-        f"spanning tree: {list(vk.tree.edge_names)}",
+        f"spanning tree: {list(vk.tree)}",
     ]
     machine = {
         "law": "vankampen-presentation",
         "generators": list(pres.generators),
         "relators": [list(r) for r in pres.relators],
-        "tree": list(vk.tree.edge_names),
+        "tree": list(vk.tree),
     }
     return "OK", lines, machine, EXIT_PASS
 

@@ -24,7 +24,6 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import (
     ReductionGraph,
-    SpanningTree,
     cycle_rank,
     is_tree,
     maximal_tree,
@@ -133,7 +132,7 @@ class VanKampenPresentation:
     def __init__(
         self,
         gog: GraphOfFiniteGroups,
-        tree: SpanningTree,
+        tree: tuple[str, ...],
         presentation: Presentation,
         vertex_blocks: tuple[slice, ...],
         edge_symbols: tuple[int, ...],
@@ -158,15 +157,14 @@ class VanKampenPresentation:
 
 
 def build_presentation(
-    gog: GraphOfFiniteGroups, tree: SpanningTree | None = None
+    gog: GraphOfFiniteGroups, tree: tuple[str, ...] | None = None
 ) -> VanKampenPresentation:
-    """Presentation of the fundamental group relative to a spanning tree."""
+    """Presentation of the fundamental group relative to a spanning tree,
+    given by its edge names (``maximal_tree`` by default)."""
     if tree is None:
         tree = maximal_tree(gog.graph)
-    if tree.graph is not gog.graph and tree.graph != gog.graph:
-        raise ValueError("spanning tree belongs to a different graph")
     vertices, names = gog.graph.vertices, gog.graph.edge_names()
-    in_tree = [name in tree.edge_names for name in names]
+    in_tree = [name in tree for name in names]
 
     # BFS of the tree from vertex 0, each vertex with the branch reaching it
     bfs: list[tuple[int, int | None]] = [(0, None)]
@@ -282,13 +280,12 @@ def _refuse_unbounded_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> None
 def enumerate_pi1_homs(
     gog: GraphOfFiniteGroups,
     group: FiniteGroup,
-    tree: SpanningTree | None = None,
 ) -> tuple[HomFamily, ...]:
     """All homomorphisms of the presented fundamental group into the test
     group, as hom families (conjugators the identity on tree edges).
     Ordered lexicographically over the presentation's generators."""
     _refuse_unbounded_homs(gog, group)
-    presentation = build_presentation(gog, tree)
+    presentation = build_presentation(gog)
     return tuple(
         HomFamily(gog, group, presentation.family_key(assignment))
         for assignment in enumerate_homs(presentation.presentation, group)
@@ -447,11 +444,11 @@ def verify_tree_independence(
     (the ``pi1_count`` of ``verify_tree_vankampen``); that tree is not
     enumerated again.  Returns the report's human lines and machine block.
     """
-    maximal = maximal_tree(gog.graph).edge_names
+    maximal = maximal_tree(gog.graph)
     counts: dict[str, int] = {}
     for tree in spanning_trees(gog.graph):
-        label = "{" + ",".join(tree.edge_names) + "}"
-        if tree.edge_names == maximal:
+        label = "{" + ",".join(tree) + "}"
+        if tree == maximal:
             counts[label] = maximal_count
         else:
             counts[label] = len(enumerate_homs(build_presentation(gog, tree).presentation, group))

@@ -127,9 +127,6 @@ class ReductionGraph:
     def edges_at(self, vertex: str) -> tuple[str, ...]:
         return self._incident.get(vertex, ())
 
-    def degree(self, vertex: str) -> int:
-        return len(self.edges_at(vertex))
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> tuple[str, ...]:
@@ -155,21 +152,10 @@ class ReductionGraph:
                         f"edge {n} is not bipartite: joins ({a}, {b})"
                     )
         for v in self.vertices:
-            if self.degree(v) == 0:
+            if not self.edges_at(v):
                 violations.append(f"vertex {v} has degree 0")
         if declared and not violations:
-            seen = {self.vertices[0]}
-            frontier = [self.vertices[0]]
-            while frontier:
-                v = frontier.pop()
-                for n, a, b in self.edges:
-                    if v == a and b not in seen:
-                        seen.add(b)
-                        frontier.append(b)
-                    elif v == b and a not in seen:
-                        seen.add(a)
-                        frontier.append(a)
-            missing = sorted(declared - seen)
+            missing = _unreached(self, self._edge_names)
             if missing:
                 violations.append(f"graph is disconnected: unreachable {missing}")
         self._violations = tuple(violations)
@@ -187,31 +173,9 @@ class ReductionGraph:
         )
 
 
-class SpanningTree:
-    """A spanning edge subset of a validated reduction graph."""
-
-    __slots__ = ("graph", "edge_names")
-
-    def __init__(self, graph: ReductionGraph, edge_names: Iterable[str]):
-        graph.require_valid()
-        names = tuple(sorted(edge_names))
-        known = set(graph.edge_names())
-        for n in names:
-            if n not in known:
-                raise ValueError(f"tree edge {n!r} is not an edge of the graph")
-        if len(names) != len(graph.vertices) - 1:
-            raise ValueError("tree edge count must be |vertices| - 1")
-        if not _spans(graph, names):
-            raise ValueError("edge subset does not span the graph acyclically")
-        self.graph = graph
-        self.edge_names = names
-
-    def non_tree_edges(self) -> tuple[str, ...]:
-        return tuple(n for n in self.graph.edge_names() if n not in self.edge_names)
-
-
-def _spans(graph: ReductionGraph, names: Iterable[str]) -> bool:
-    chosen = set(names)
+def _unreached(graph: ReductionGraph, names: Iterable[str]) -> list[str]:
+    """The vertices, in canonical order, that the edges ``names`` do not join
+    to the least vertex, by one union-find pass over those edges."""
     parent = {v: v for v in graph.vertices}
 
     def find(v):
@@ -220,15 +184,11 @@ def _spans(graph: ReductionGraph, names: Iterable[str]) -> bool:
             v = parent[v]
         return v
 
-    for n, a, b in graph.edges:
-        if n not in chosen:
-            continue
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    roots = {find(v) for v in graph.vertices}
-    return len(roots) == 1
+    for n in names:
+        a, b = graph._ends[n]
+        parent[find(a)] = find(b)
+    root = find(graph.vertices[0])
+    return [v for v in graph.vertices if find(v) != root]
 
 
 def is_tree(graph: ReductionGraph) -> bool:
@@ -242,36 +202,31 @@ def cycle_rank(graph: ReductionGraph) -> int:
     return len(graph.edges) - len(graph.vertices) + 1
 
 
-def maximal_tree(graph: ReductionGraph) -> SpanningTree:
-    """Deterministic spanning tree: grow from the least vertex, taking at
-    each step the least-named edge with exactly one endpoint in the tree."""
+def maximal_tree(graph: ReductionGraph) -> tuple[str, ...]:
+    """Deterministic spanning tree, as its sorted edge names: grow from the
+    least vertex, taking at each step the least-named edge with exactly one
+    endpoint in the tree."""
     graph.require_valid()
     reached = {graph.vertices[0]}
     chosen: list[str] = []
     while len(reached) < len(graph.vertices):
-        for n, a, b in graph.edges:
-            if (a in reached) != (b in reached):
-                chosen.append(n)
-                reached.add(a)
-                reached.add(b)
-                break
-        else:
-            raise InvalidGraphError("graph is disconnected")
-    return SpanningTree(graph, tuple(chosen))
+        n, a, b = next(e for e in graph.edges if (e[1] in reached) != (e[2] in reached))
+        chosen.append(n)
+        reached.update((a, b))
+    return tuple(sorted(chosen))
 
 
-def spanning_trees(graph: ReductionGraph) -> tuple[SpanningTree, ...]:
-    """All spanning trees, enumerated in canonical edge-subset order."""
+def spanning_trees(graph: ReductionGraph) -> tuple[tuple[str, ...], ...]:
+    """All spanning trees, each as its sorted edge names, enumerated in
+    canonical edge-subset order."""
     graph.require_valid()
     names = graph.edge_names()
     k = len(graph.vertices) - 1
     refuse_past(f"the spanning-tree scan of C({len(names)}, {k}) edge subsets",
                 [math.comb(len(names), k)], TREE_SCAN_CAP)
-    out = []
-    for subset in itertools.combinations(names, k):
-        if _spans(graph, subset):
-            out.append(SpanningTree(graph, subset))
-    return tuple(out)
+    # |V| - 1 edges that join every vertex form a tree
+    return tuple(subset for subset in itertools.combinations(names, k)
+                 if not _unreached(graph, subset))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +243,7 @@ def _conj(tau: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def enumerate_connected_covers(
-    graph: ReductionGraph, degree: int, tree: SpanningTree | None = None
+    graph: ReductionGraph, degree: int, tree: tuple[str, ...] | None = None
 ) -> tuple[dict[str, tuple[int, ...]], ...]:
     """Connected degree-n covers up to simultaneous sheet relabeling, each as
     its sheet permutation per branch, the identity on tree branches.
@@ -314,7 +269,7 @@ def enumerate_connected_covers(
         raise ValueError(f"cover degree must be >= 1, got {degree}")
     if tree is None:
         tree = maximal_tree(graph)
-    free = tree.non_tree_edges()
+    free = tuple(n for n in graph.edge_names() if n not in tree)
     n = degree
     if free:
         reps = _least_transitive_tuples(n, len(free))
@@ -324,7 +279,7 @@ def enumerate_connected_covers(
     ident = tuple(range(n)) if reps else ()  # no cover of a tree past degree 1
     covers = []
     for combo in reps:
-        assignment = {name: ident for name in tree.edge_names}
+        assignment = {name: ident for name in tree}
         assignment.update(zip(free, combo))
         covers.append(assignment)
     return tuple(covers)
@@ -423,20 +378,24 @@ def index_bound(local_indices: Mapping[str, int] | Sequence[int]) -> tuple[int, 
     return prod, math.lcm(*[int(v) for v in values])
 
 
-def export_dot(graph: ReductionGraph, tree: SpanningTree | None = None) -> str:
-    """Byte-deterministic DOT text; tree edges solid, non-tree dashed."""
-    graph.require_valid()
+def _quoted(name: str) -> str:
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def export_dot(graph: ReductionGraph) -> str:
+    """Byte-deterministic DOT text; edges of ``maximal_tree`` solid, the
+    others dashed.  Names are quoted with their backslashes and double
+    quotes escaped."""
+    tree = maximal_tree(graph)
     lines = ["graph reduction {"]
     for p in graph.points:
-        lines.append(f'  "{p}" [shape=circle, class=point];')
+        lines.append(f"  {_quoted(p)} [shape=circle, class=point];")
     for c in graph.components:
-        lines.append(f'  "{c}" [shape=box, class=component];')
+        lines.append(f"  {_quoted(c)} [shape=box, class=component];")
     for name in graph.edge_names():
-        p = graph.point_end(name)
-        u = graph.component_end(name)
-        style = "solid"
-        if tree is not None and name not in tree.edge_names:
-            style = "dashed"
-        lines.append(f'  "{p}" -- "{u}" [label="{name}", style={style}];')
+        style = "solid" if name in tree else "dashed"
+        p, u = _quoted(graph.point_end(name)), _quoted(graph.component_end(name))
+        lines.append(f"  {p} -- {u} [label={_quoted(name)}, style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -229,14 +229,13 @@ class Presentation:
 
     A relator is a tuple of nonzero signed integers: ``i`` means generator
     ``i-1`` and ``-i`` its inverse.  Every relator evaluates to the identity
-    in the presented group.
+    in the presented group.  Relators refer to positions, so the symbols are
+    display labels only and may repeat.
     """
 
     __slots__ = ("generators", "relators")
 
     def __init__(self, generators: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
-        if len(set(generators)) != len(generators):
-            raise ValueError("duplicate generator symbols")
         n = len(generators)
         for rel in relators:
             for letter in rel:

@@ -214,6 +214,72 @@ def test_gog_homs_amalgam(tmp_path, capsys):
     assert "presentation homs into C2: 2" in out
 
 
+def _colliding_symbols(vertex: str) -> dict:
+    """A circle with C2 everywhere, a C2 vertex named ``vertex`` and branches
+    named 0 and 1: for ``e`` the vertex symbols e:0, e:1 are also the branch
+    letters."""
+    identity = {"to_point": {"1": "1"}, "to_component": {"1": "1"}}
+    return {
+        "version": 1,
+        "graph": {
+            "points": [{"name": vertex, "group": "C2"}],
+            "components": [{"name": "U", "group": "C2"}],
+            "edges": [{"name": b, "point": vertex, "component": "U", "group": "C2"}
+                      for b in ("0", "1")],
+        },
+        "groups": {"C2": {"cyclic": 2}, "S3": {"symmetric": 3}},
+        "edge_maps": {"0": identity, "1": identity},
+        "options": {"test_group": "S3"},
+    }
+
+
+# vertex P with element x:y and vertex P:x with element y both give P:x:y
+NESTED_SYMBOLS = {
+    "version": 1,
+    "graph": {
+        "points": [{"name": "P", "group": "A"}],
+        "components": [{"name": "P:x", "group": "B"}],
+        "edges": [{"name": "b1", "point": "P", "component": "P:x", "group": "C2"}],
+    },
+    "groups": {
+        "C2": {"cyclic": 2},
+        "S3": {"symmetric": 3},
+        "A": {"table": {"elements": ["1", "x:y"], "table": [["1", "x:y"], ["x:y", "1"]]}},
+        "B": {"table": {"elements": ["1", "y"], "table": [["1", "y"], ["y", "1"]]}},
+    },
+    "edge_maps": {"b1": {"to_point": {"1": "x:y"}, "to_component": {"1": "y"}}},
+    "options": {"test_group": "S3"},
+}
+
+
+@pytest.mark.parametrize("command", ["gog-presentation", "gog-homs", "gog-verify",
+                                     "torsor-verify", "pushout-verify"])
+@pytest.mark.parametrize("doc", [_colliding_symbols("e"), NESTED_SYMBOLS],
+                         ids=["vertex-e-branches-0-1", "nested-colons"])
+def test_colliding_generator_symbols_are_no_error(tmp_path, capsys, command, doc):
+    code = run([command, write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_PASS, "")
+    if command == "gog-presentation":
+        repeated = "e:0, e:1, e:0, e:1" if doc is not NESTED_SYMBOLS else "P:x:y, P:x:1, P:x:y"
+        assert repeated in captured.out
+
+
+def test_colliding_generator_symbols_count_as_renamed_ones(tmp_path, capsys):
+    """Renaming the vertex e to E, so no symbol repeats, changes no count."""
+    counts = []
+    for vertex in ("e", "E"):
+        assert run(["gog-homs", write(tmp_path, _colliding_symbols(vertex))]) == EXIT_PASS
+        out = capsys.readouterr().out
+        counts.append([line for line in out.split("\n")
+                       if line.startswith(("presentation homs", "up to simultaneous"))])
+    # Hom(C2 x Z, S3), (x, t) commuting: t free when x = 1 (3 classes), and
+    # t in the order-2 centralizer of each of the 3 transpositions (2 classes)
+    assert counts[0] == counts[1] == [
+        "presentation homs into S3: 12", "up to simultaneous conjugation: 5",
+    ]
+
+
 def test_graph_covers_theta(tmp_path, capsys):
     doc = {
         "version": 1,

@@ -59,7 +59,7 @@ from vkpatch.gog import (
     enumerate_pi1_homs,
     naive_limit_homs,
 )
-from vkpatch.graphs import ReductionGraph, ScaleError, refuse_past
+from vkpatch.graphs import ReductionGraph, ScaleError, _unreached, refuse_past
 from vkpatch.groups import (
     GroupHom,
     Presentation,
@@ -192,7 +192,7 @@ def inverse_natural_map_by_names(presentation, G, datum):
     queue = [graph.vertices[0]]
     for w in queue:
         for via in graph.edges_at(w):
-            if via not in presentation.tree.edge_names:
+            if via not in presentation.tree:
                 continue
             p, u = graph.point_end(via), graph.component_end(via)
             v = p if w == u else u
@@ -580,6 +580,57 @@ def test_fast_paths_match_the_oracles_on_a_hypothesis_sweep():
             reject()
 
     sweep()
+
+
+# -- connectivity ----------------------------------------------------------------
+
+
+def bfs_unreached(graph, names):
+    """The vertices the edges ``names`` do not join to the least vertex, by
+    the BFS ``validate`` used to run: every edge is scanned for each vertex
+    popped."""
+    chosen = [graph.edge(n) for n in names]
+    seen = {graph.vertices[0]}
+    frontier = [graph.vertices[0]]
+    while frontier:
+        v = frontier.pop()
+        for n, a, b in chosen:
+            if v == a and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+            elif v == b and a not in seen:
+                seen.add(a)
+                frontier.append(a)
+    return sorted(set(graph.vertices) - seen)
+
+
+def random_bipartite_multigraph(rng):
+    """Up to 4 points and 4 components, each vertex on at least one branch,
+    often in more than one connected piece."""
+    points = [f"P{i}" for i in range(rng.randint(1, 4))]
+    components = [f"U{i}" for i in range(rng.randint(1, 4))]
+    pairs = [(p, rng.choice(components)) for p in points]
+    pairs += [(rng.choice(points), u) for u in components]
+    pairs += [(rng.choice(points), rng.choice(components)) for _ in range(rng.randint(0, 3))]
+    return ReductionGraph(points, components,
+                          [(f"b{k}", p, u) for k, (p, u) in enumerate(pairs)])
+
+
+def test_union_find_matches_the_bfs():
+    rng = random.Random(7)
+    disconnected = 0
+    for _ in range(300):
+        graph = random_bipartite_multigraph(rng)
+        names = graph.edge_names()
+        missing = bfs_unreached(graph, names)
+        assert _unreached(graph, names) == missing
+        disconnected += bool(missing)
+        expected = (f"graph is disconnected: unreachable {missing}",) if missing else ()
+        assert graph.validate() == expected
+        for _ in range(4):
+            subset = rng.sample(names, rng.randint(0, len(names)))
+            assert _unreached(graph, subset) == bfs_unreached(graph, subset)
+    assert 10 < disconnected < 290  # both verdicts occur on whole graphs
 
 
 # -- descent searches ----------------------------------------------------------------

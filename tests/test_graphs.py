@@ -5,17 +5,25 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 
-from catalog import circle_graph, cover_is_connected, cover_total_space, diamond_graph, theta_graph
+from catalog import (
+    add_extra_edges,
+    circle_graph,
+    cover_is_connected,
+    cover_total_space,
+    diamond_graph,
+    random_tree_graph,
+    theta_graph,
+)
 from vkpatch import graphs as graphs_mod
 from vkpatch.graphs import (
     COVER_SCAN_CAP,
     InvalidGraphError,
     ReductionGraph,
     ScaleError,
-    SpanningTree,
     cycle_rank,
     enumerate_connected_covers,
     export_dot,
@@ -92,21 +100,80 @@ def test_cycle_rank():
 
 
 def test_maximal_tree_is_canonical():
-    assert maximal_tree(circle_graph()).edge_names == ("b1",)
-    assert maximal_tree(theta_graph()).edge_names == ("b1",)
-    assert maximal_tree(diamond_graph()).edge_names == ("b1",)
+    assert maximal_tree(circle_graph()) == ("b1",)
+    assert maximal_tree(theta_graph()) == ("b1",)
+    assert maximal_tree(diamond_graph()) == ("b1",)
     # on a tree, the unique spanning tree is the whole edge set
     star = ReductionGraph(
         ["P1", "P2", "P3"], ["U"],
         [("b1", "P1", "U"), ("b2", "P2", "U"), ("b3", "P3", "U")],
     )
-    assert maximal_tree(star).edge_names == ("b1", "b2", "b3")
+    assert maximal_tree(star) == ("b1", "b2", "b3")
 
 
 def test_spanning_tree_enumeration():
     assert len(spanning_trees(theta_graph())) == 3
     assert len(spanning_trees(circle_graph())) == 2
     assert len(spanning_trees(diamond_graph())) == 1
+
+
+def kirchhoff_tree_count(graph: ReductionGraph) -> int:
+    """Kirchhoff's matrix-tree theorem: the number of spanning trees is the
+    determinant of the Laplacian with the least vertex's row and column
+    removed, parallel branches each counted.  Fraction-free Bareiss
+    elimination keeps every entry an exact int."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    lap = [[0] * len(index) for _ in index]
+    for _, a, b in graph.edges:
+        i, j = index[a], index[b]
+        lap[i][i] += 1
+        lap[j][j] += 1
+        lap[i][j] -= 1
+        lap[j][i] -= 1
+    m = [row[1:] for row in lap[1:]]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def complete_bipartite(a: int, b: int) -> ReductionGraph:
+    points = [f"P{i}" for i in range(a)]
+    components = [f"U{j}" for j in range(b)]
+    edges = [(f"b{i}_{j}", p, u) for i, p in enumerate(points) for j, u in enumerate(components)]
+    return ReductionGraph(points, components, edges)
+
+
+def test_spanning_tree_count_is_the_matrix_tree_determinant():
+    # the oracle itself against K_{a,b}'s a^(b-1) b^(a-1) trees (Scoins, 1962)
+    for a, b in ((1, 1), (1, 4), (2, 2), (2, 3), (3, 3)):
+        graph = complete_bipartite(a, b)
+        assert kirchhoff_tree_count(graph) == a ** (b - 1) * b ** (a - 1)
+        assert len(spanning_trees(graph)) == a ** (b - 1) * b ** (a - 1)
+    for graph in (diamond_graph(), circle_graph(), theta_graph()):
+        assert len(spanning_trees(graph)) == kirchhoff_tree_count(graph)
+    rng = random.Random(20)
+    counts = []
+    for _ in range(100):
+        graph = random_tree_graph(rng, max_vertices=7)
+        graph = add_extra_edges(rng, graph, rng.randint(0, 5))
+        trees = spanning_trees(graph)
+        counts.append(len(trees))
+        assert len(trees) == kirchhoff_tree_count(graph)
+        # each tree is its sorted edge names, in canonical subset order
+        assert all(list(t) == sorted(t) for t in trees)
+        assert list(trees) == sorted(trees)
+        assert maximal_tree(graph) in trees
+    assert max(counts) > 100  # the sample reaches far past the catalog's three trees
 
 
 def test_spanning_tree_scan_past_the_cap_is_refused(monkeypatch):
@@ -122,12 +189,7 @@ def test_spanning_tree_scan_past_the_cap_is_refused(monkeypatch):
 def test_non_tree_edge_count_equals_rank():
     for g in (diamond_graph(), circle_graph(), theta_graph()):
         for tree in spanning_trees(g):
-            assert len(tree.non_tree_edges()) == cycle_rank(g)
-
-
-def test_spanning_tree_rejects_cycles():
-    with pytest.raises(ValueError):
-        SpanningTree(theta_graph(), ("b1", "b2"))
+            assert len(g.edges) - len(tree) == cycle_rank(g)
 
 
 def test_operations_require_valid_graph():
@@ -236,7 +298,7 @@ def test_covers_are_connected_and_valid():
     cases += [(theta, 3, t) for t in spanning_trees(theta)]
     cases += [(circle_graph(), 4, None), (diamond_graph(), 1, None)]
     for graph, degree, tree in cases:
-        tree_names = (tree or maximal_tree(graph)).edge_names
+        tree_names = tree or maximal_tree(graph)
         covers = enumerate_connected_covers(graph, degree, tree=tree)
         assert covers
         for cover in covers:
@@ -291,7 +353,8 @@ def brute_force_least_tuples(n: int, rank: int) -> list:
 
 
 def _cover_tuples(graph, degree):
-    free = maximal_tree(graph).non_tree_edges()
+    tree = maximal_tree(graph)
+    free = [name for name in graph.edge_names() if name not in tree]
     return [tuple(c[name] for name in free) for c in enumerate_connected_covers(graph, degree)]
 
 
@@ -428,9 +491,24 @@ def test_export_dot_single_edge():
 
 def test_export_dot_marks_tree_edges():
     circle = circle_graph()
-    text = export_dot(circle, maximal_tree(circle))
+    text = export_dot(circle)
     assert 'label="b1", style=solid' in text
     assert 'label="b2", style=dashed' in text
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    graph = ReductionGraph(
+        ['P"x', "Q"], ["U\\"],
+        [('b"1', 'P"x', "U\\"), ("b\\2", "Q", "U\\"), ("b3", "Q", "U\\")],
+    )
+    lines = export_dot(graph).split("\n")
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    tokens = [[re.sub(r"\\(.)", r"\1", t) for t in quoted.findall(line)] for line in lines]
+    assert tokens[1:4] == [['P"x'], ["Q"], ["U\\"]]
+    # branches in name order, and "3" sorts before a backslash
+    assert tokens[4:7] == [['P"x', "U\\", 'b"1'], ["Q", "U\\", "b3"], ["Q", "U\\", "b\\2"]]
+    # every quote is a token's own: nothing is left outside a token but syntax
+    assert all('"' not in quoted.sub("", line) for line in lines)
 
 
 def test_export_dot_theta_lists_everything():

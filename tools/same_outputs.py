@@ -11,7 +11,13 @@ than GF(2^8) and none of characteristic 7, so a fixed list of documents on
 fields they never build, up to ``FIELD_SIZE_CAP``, is replayed after them
 under the key ``large-fields``: ``descent-as`` over GF(2^10), GF(2^12),
 GF(3^7), GF(5^5), GF(7^4) and GF(4093), and ``descent-kummer`` over GF(7^2)
-and GF(7^3), each at ``--support-bound 1``.  For every invocation OUT.json
+and GF(7^3), each at ``--support-bound 1``.  Their graphs have at most three
+spanning trees and their invalid graphs two connected pieces, so a fixed
+list of graph shapes follows under the key ``graph-shapes``: ``graph-check``
+on a graph in three pieces, and ``graph-rank``, ``graph-tree``,
+``export-dot``, ``gog-presentation`` and ``gog-verify --all-trees`` into C2
+on a rank-3 graph with 36 spanning trees, whose grown tree is not its five
+least-named branches.  For every invocation OUT.json
 records the exit code, a sha256 of stdout with the ``timing:`` line and the
 machine block's ``timing_ms`` line removed, and a sha256 of stderr.  An
 exception that escapes ``run`` is recorded as exit 1 with its type and
@@ -52,6 +58,24 @@ LARGE_FIELDS = (
     ("as-4093", "descent-as", {"p": 4093, "k1_degree": 1, "k2_degree": 1, "alpha": 2}),
     ("kummer-7^2", "descent-kummer", {"p": 7, "q_exp": 2, "terms": 4, "truncation": 200}),
     ("kummer-7^3", "descent-kummer", {"p": 7, "q_exp": 3, "terms": 4, "truncation": 200}),
+)
+
+# the four least-named branches close the cycle P1 U1 P2 U2
+RANK3_GRAPH = {
+    "points": [{"name": "P1", "group": "C2"}, "P2", "P3"],
+    "components": ["U1", "U2", {"name": "U3", "group": "C2"}],
+    "edges": [["b1", "P1", "U1"], ["b2", "P2", "U1"], ["b3", "P2", "U2"], ["b4", "P1", "U2"],
+              ["b5", "P3", "U3"], ["b6", "P2", "U3"], ["b7", "P3", "U1"], ["b8", "P1", "U3"]],
+}
+THREE_PIECES = {
+    "points": ["P1", "P2", "P3"],
+    "components": ["U1", "U2", "U3"],
+    "edges": [["b1", "P1", "U1"], ["b2", "P1", "U1"], ["b3", "P2", "U2"], ["b4", "P3", "U3"]],
+}
+GRAPH_SHAPES = (
+    ("three-pieces", THREE_PIECES, ("graph-check",)),
+    ("rank3", RANK3_GRAPH, ("graph-rank", "graph-tree", "export-dot", "gog-presentation",
+                            "gog-verify --all-trees")),
 )
 
 
@@ -100,6 +124,21 @@ def large_fields_pass():
     return Pass("large-fields", 0, docs, tuple(invocations), 0)
 
 
+def graph_shapes_pass():
+    """The ``GRAPH_SHAPES`` documents as one pass of the workloads' shape."""
+    from workloads import Invocation, Pass
+
+    docs, invocations = {}, []
+    for name, graph, calls in GRAPH_SHAPES:
+        docs[name] = json.dumps({"version": 1, "graph": graph,
+                                 "groups": {"C2": {"cyclic": 2}},
+                                 "options": {"test_group": "C2"}})
+        for call in calls:
+            command, *flags = call.split()
+            invocations.append(Invocation(f"{name}/{command}", command, name, tuple(flags)))
+    return Pass("graph-shapes", 0, docs, tuple(invocations), 0)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -114,6 +153,7 @@ def main(argv: list[str]) -> int:
 
     passes = {f"{w}:{seed}": build_pass(w, seed) for w in WORKLOADS for seed in SEEDS}
     passes["large-fields"] = large_fields_pass()
+    passes["graph-shapes"] = graph_shapes_pass()
     results = {}
     raised: list[str] = []
     home = os.getcwd()
