@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .fields import FiniteField, RationalFunctionField, poly_strip
+from .fields import FiniteField, RationalFunctionField, poly_add, poly_strip
 from .graphs import ScaleError, refuse_past
 from .series import LaurentSeries
 
@@ -385,27 +385,47 @@ def verify_example_29() -> tuple[list[str], dict]:
 
 # ---------------------------------------------------------------------------
 # Kummer obstruction at the residue level
+#
+# A series in x is its coefficient list from x^0: every series here has
+# valuation >= 0, so a list cut below x^n is exact to that order.
+
+
+def _frobenius(F: FiniteField, a: Sequence, n: int) -> list:
+    """The coefficients of a^p below x^n: in characteristic p the p-th power
+    sends c x^i to c^p x^(pi) (Lidl & Niederreiter, *Finite Fields*, ch. 2)."""
+    p = F.p
+    out = [F.zero] * min(p * (len(a) - 1) + 1, n) if a else []
+    for i, c in enumerate(a[: (n - 1) // p + 1]):
+        out[p * i] = F.pow(c, p)
+    return out
+
+
+def _mul_to(F: FiniteField, a: Sequence, b: Sequence, n: int) -> list:
+    """The coefficients of a*b below x^n."""
+    add, mul, zero = F.add, F.mul, F.zero
+    out = [zero] * min(len(a) + len(b) - 1, n)
+    for i, c in enumerate(a[:n]):
+        if c == zero:
+            continue
+        for j, d in enumerate(b[: n - i], i):
+            if d != zero:
+                out[j] = add(out[j], mul(c, d))
+    return out
 
 
 class KummerInstance:
     """Residue-level data for Y^p - g^p - x over a local base.
 
     The base ring is GF(q)[x] localized at the origin; its completion is
-    modeled by truncated power series in x, and "algebraic over the base" is
-    modeled as satisfying a polynomial relation of bounded degree with
-    bounded-degree coefficients.
+    modeled by power series in x truncated past x^truncation, and "algebraic
+    over the base" is modeled as satisfying a polynomial relation of bounded
+    degree with bounded-degree coefficients.  ``gbar`` holds the coefficients
+    of x^0, x^1, ... up to the last nonzero one.
     """
 
-    __slots__ = ("p", "coeff_field", "gbar", "truncation")
+    __slots__ = ("coeff_field", "gbar", "truncation")
 
-    def __init__(self, p: int, coeff_field: FiniteField, gbar: LaurentSeries, truncation: int):
-        if coeff_field.p != p:
-            raise ValueError("residue field characteristic must equal p")
-        if gbar.valuation < 0 and gbar.coeffs:
-            raise ValueError("gbar must lie in the power series ring (valuation >= 0)")
-        if gbar.var != "x":
-            raise ValueError("gbar must be a series in the residue uniformizer x")
-        self.p = p
+    def __init__(self, coeff_field: FiniteField, gbar: tuple, truncation: int):
         self.coeff_field = coeff_field
         self.gbar = gbar
         self.truncation = truncation
@@ -417,43 +437,52 @@ class KummerInstance:
         """gbar = sum of x^(i^2) for i = 0..terms: no bounded algebraic
         relation matches its gap structure."""
         F = FiniteField(p, q_exp)
-        items = {i * i: F.one for i in range(min(terms, math.isqrt(truncation)) + 1)}
-        gbar = LaurentSeries(F, items, order=truncation, var="x")
-        return cls(p, F, gbar, truncation)
+        last = min(terms, math.isqrt(truncation))
+        gbar = [F.zero] * (last * last + 1)
+        for i in range(last + 1):
+            gbar[i * i] = F.one
+        return cls(F, tuple(gbar), truncation)
 
     @classmethod
     def base_ring_model(cls, p: int, coeffs: Sequence[int], truncation: int) -> "KummerInstance":
         """gbar a polynomial of the base ring (descent must hold).  Every
-        coefficient is parsed, but gbar has valuation >= 0, so degrees past
-        the truncation cannot reach fbar and are dropped."""
+        coefficient is parsed, but degrees past the truncation cannot reach
+        fbar and are dropped."""
         F = FiniteField(p, 1)
         parsed = [F.parse(c) for c in coeffs]
-        gbar = LaurentSeries(F, dict(enumerate(parsed[: truncation + 1])), var="x")
-        return cls(p, F, gbar, truncation)
+        return cls(F, poly_strip(F, parsed[: truncation + 1]), truncation)
 
-    def fbar(self) -> LaurentSeries:
-        x = LaurentSeries.t_power(self.coeff_field, 1, var="x")
-        return self.gbar.pow(self.p).add(x).truncate_if_needed(self.truncation)
+    def fbar(self) -> tuple:
+        """f = g^p + x to x^truncation, up to its last nonzero coefficient."""
+        F = self.coeff_field
+        return poly_add(F, _frobenius(F, self.gbar, self.truncation + 1), (F.zero, F.one))
 
 
-def _relation_rows(fbar: LaurentSeries, e_power: LaurentSeries, search_bound: int,
-                   order: int) -> tuple[list[list], int]:
-    """The linear system of a relation sum c_jk x^k h^j = 0 with h = fbar e^p,
-    all known to ``order``: row n holds the coefficients of x^n, column
-    j (search_bound + 1) + k those of x^k h^j.  Returns the rows and the
-    exponent of the last one, the order the relation holds to."""
-    F = fbar.field
-    h = fbar.mul(e_power).truncate_if_needed(order)
-    powers = [LaurentSeries.one(F, var="x")]
+def _relation_rows(F: FiniteField, fbar: Sequence, e_power: Sequence, search_bound: int,
+                   order: int) -> list[list]:
+    """The linear system of a relation sum c_jk x^k h^j = 0 with h = fbar e^p
+    to x^order: row n holds the coefficients of x^n, column
+    j (search_bound + 1) + k those of x^k h^j."""
+    n = order + 1
+    h = _mul_to(F, fbar, e_power, n)
+    powers = [[F.one]]
     for _ in range(search_bound):
-        powers.append(powers[-1].mul(h).truncate_if_needed(order))
-    n_rows = int(min([order] + [int(s.known_to()) for s in powers[1:]]))
-    rows = [
-        [powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero
-         for j in range(search_bound + 1) for k in range(search_bound + 1)]
-        for exp in range(n_rows + 1)
+        powers.append(_mul_to(F, powers[-1], h, n))
+    return [
+        [power[exp - k] if 0 <= exp - k < len(power) else F.zero
+         for power in powers for k in range(search_bound + 1)]
+        for exp in range(n)
     ]
-    return rows, n_rows
+
+
+def _check_relation(F: FiniteField, h: Sequence, relation: Sequence, n: int) -> None:
+    """Raise unless sum_j c_j h^j vanishes below x^n, evaluated by Horner's
+    rule independently of the linear system that produced the c_j."""
+    acc: tuple = ()
+    for c in reversed(relation):
+        acc = poly_add(F, _mul_to(F, acc, h, n), c)
+    if acc:
+        raise AssertionError("search produced an invalid Kummer relation")
 
 
 def _kernel_vector(F: FiniteField, rows: list[list], ncols: int) -> list | None:
@@ -551,11 +580,11 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     truncation order, found by exact linear algebra over GF(q).  A candidate
     whose rows up to order min(2 unknowns, truncation) already have full
     rank has no relation to any higher order either, and is rejected there;
-    the survivors are solved at full truncation.  Both verdicts are labeled
-    with their bounds.  The search stops INCONCLUSIVE before its elimination
-    work, counted at full truncation for every candidate, would pass
-    ``KUMMER_WORK_CAP``, so a candidate too large to try alone is refused
-    before the search.
+    the survivors are solved at full truncation, and a relation found is
+    checked by substitution.  Both verdicts are labeled with their bounds.
+    The search stops INCONCLUSIVE before its elimination work, counted at
+    full truncation for every candidate, would pass ``KUMMER_WORK_CAP``, so a
+    candidate too large to try alone is refused before fbar is built.
     """
     if search_bound < 0:
         return KummerDecision(
@@ -563,66 +592,57 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
             "negative search bound: empty search space",
         )
     F = instance.coeff_field
-    p = instance.p
-    fbar = instance.fbar()
+    truncation = instance.truncation
     # a relation has search_bound + 1 coefficients, each of search_bound + 1 terms
     unknowns = (search_bound + 1) ** 2
-
-    n_eq = int(min(fbar.known_to(), instance.truncation))
-    if unknowns >= n_eq:
+    if unknowns >= truncation:
         return KummerDecision(
-            INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
-            f"truncation {instance.truncation} too small for {search_bound + 1}^2 unknowns",
+            INCONCLUSIVE, None, None, 0, search_bound, truncation,
+            f"truncation {truncation} too small for {search_bound + 1}^2 unknowns",
         )
 
-    # each candidate's system has at most truncation + 1 rows, and its
-    # elimination costs about rows * unknowns^2 field operations
-    what = f"the elimination work at truncation {instance.truncation} with {unknowns} unknowns"
+    # each candidate's system has at most n rows, and its elimination costs
+    # about rows * unknowns^2 field operations
+    n = truncation + 1
+    what = f"the elimination work at truncation {truncation} with {unknowns} unknowns"
     # rows up to this order reject nearly every candidate that the full system
     # rejects; at the truncation itself the screen would be the full system
-    screen = min(2 * unknowns, instance.truncation)
+    screen = min(2 * unknowns, truncation)
+    fbar = None  # built once the first candidate is admitted
     tried = 0
     for deg in range(0, search_bound + 1):
         for lower in itertools.product(range(F.q), repeat=deg):
             e_coeffs = tuple(lower) + (F.one,)
             try:
-                refuse_past(what, (tried + 1, instance.truncation + 1, unknowns, unknowns),
-                            KUMMER_WORK_CAP)
+                refuse_past(what, (tried + 1, n, unknowns, unknowns), KUMMER_WORK_CAP)
             except ScaleError as exc:
                 return KummerDecision(
-                    INCONCLUSIVE, None, None, tried, search_bound, instance.truncation,
+                    INCONCLUSIVE, None, None, tried, search_bound, truncation,
                     f"{exc}: stopped after {tried} candidates",
                 )
             tried += 1
-            e_power = LaurentSeries(F, {i: c for i, c in enumerate(e_coeffs)}, var="x").pow(p)
-            if screen < instance.truncation and _kernel_vector(
-                F, _relation_rows(fbar, e_power, search_bound, screen)[0], unknowns
+            if fbar is None:
+                fbar = instance.fbar()
+            e_power = _frobenius(F, e_coeffs, n)
+            if screen < truncation and _kernel_vector(
+                F, _relation_rows(F, fbar, e_power, search_bound, screen), unknowns
             ) is None:
                 continue
-            rows, n_rows = _relation_rows(fbar, e_power, search_bound, instance.truncation)
+            rows = _relation_rows(F, fbar, e_power, search_bound, truncation)
             vec = _kernel_vector(F, rows, unknowns)
             if vec is not None:
                 relation = tuple(
                     poly_strip(F, tuple(vec[j:j + search_bound + 1]))
                     for j in range(0, unknowns, search_bound + 1)
                 )
+                _check_relation(F, _mul_to(F, fbar, e_power, n), relation, n)
                 return KummerDecision(
-                    DESCENDS,
-                    e_coeffs,
-                    relation,
-                    tried,
-                    search_bound,
-                    instance.truncation,
-                    f"f*e^p satisfies a degree-<= {search_bound} relation to order {n_rows}: "
+                    DESCENDS, e_coeffs, relation, tried, search_bound, truncation,
+                    f"f*e^p satisfies a degree-<= {search_bound} relation to order {truncation}: "
                     "the obstruction vanishes within bounds",
                 )
     return KummerDecision(
-        OBSTRUCTED_WITHIN_BOUNDS,
-        None,
-        None,
-        tried,
-        search_bound,
-        instance.truncation,
+        OBSTRUCTED_WITHIN_BOUNDS, None, None, tried, search_bound, truncation,
         f"no unit candidate of degree <= {search_bound} makes f*e^p algebraic "
-        f"of degree <= {search_bound} to order {n_eq}",
+        f"of degree <= {search_bound} to order {truncation}",
     )

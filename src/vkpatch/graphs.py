@@ -243,10 +243,11 @@ def _conj(tau: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def enumerate_connected_covers(
-    graph: ReductionGraph, degree: int, tree: tuple[str, ...] | None = None
+    graph: ReductionGraph, degree: int
 ) -> tuple[dict[str, tuple[int, ...]], ...]:
     """Connected degree-n covers up to simultaneous sheet relabeling, each as
-    its sheet permutation per branch, the identity on tree branches.
+    its sheet permutation per branch, the identity on the branches of
+    ``maximal_tree``.
 
     Covers correspond to tuples of sheet permutations on the r non-tree
     edges; the cover is connected iff the generated permutation group acts
@@ -267,8 +268,7 @@ def enumerate_connected_covers(
     graph.require_valid()
     if degree < 1:
         raise ValueError(f"cover degree must be >= 1, got {degree}")
-    if tree is None:
-        tree = maximal_tree(graph)
+    tree = maximal_tree(graph)
     free = tuple(n for n in graph.edge_names() if n not in tree)
     n = degree
     if free:

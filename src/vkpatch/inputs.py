@@ -229,9 +229,9 @@ def _hom_from_labels(source: FiniteGroup, target: FiniteGroup, table: Mapping[st
 
 
 def _object(value, path: str, errors: list[str]) -> dict:
-    """``value`` as an object, empty when it is absent or empty; any other
-    value is recorded as an error at ``path``."""
-    if not value:
+    """``value`` as an object, empty when it is absent (missing or null); any
+    other value is recorded as an error at ``path``."""
+    if value is None:
         return {}
     if isinstance(value, dict):
         return value
@@ -272,7 +272,7 @@ def parse_input(document: str) -> WorkbenchInput:
     graph = None
     vertex_group_names: dict[str, str] = {}
     edge_group_names: dict[str, str] = {}
-    if "graph" in data:
+    if data.get("graph") is not None:
         gsec = _object(data["graph"], "graph", errors)
         for key in gsec:
             if key not in _GRAPH_KEYS:

@@ -24,11 +24,10 @@ class LaurentSeries:
     """Coefficients known up to ``order`` (None = exact); ``coeffs`` runs
     from ``valuation`` to the last nonzero one."""
 
-    __slots__ = ("field", "var", "valuation", "coeffs", "order")
+    __slots__ = ("field", "valuation", "coeffs", "order")
 
-    def __init__(self, field, coeffs: Mapping[int, object] | None = None, order: int | None = None, var: str = "t"):
+    def __init__(self, field, coeffs: Mapping[int, object] | None = None, order: int | None = None):
         self.field = field
-        self.var = var
         items = {int(k): v for k, v in (coeffs or {}).items() if v != field.zero}
         if order is not None:
             for k in items:
@@ -46,12 +45,8 @@ class LaurentSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def one(cls, field, var: str = "t") -> "LaurentSeries":
-        return cls(field, {0: field.one}, var=var)
-
-    @classmethod
-    def t_power(cls, field, k: int, var: str = "t") -> "LaurentSeries":
-        return cls(field, {k: field.one}, var=var)
+    def one(cls, field) -> "LaurentSeries":
+        return cls(field, {0: field.one})
 
     # -- inspection --------------------------------------------------------
 
@@ -67,15 +62,6 @@ class LaurentSeries:
             return self.valuation
         return _INF if self.order is None else self.order + 1
 
-    def coefficient(self, exp: int):
-        if self.order is not None and exp > self.order:
-            raise PrecisionError(
-                f"coefficient of {self.var}^{exp} unknown beyond order {self.order}"
-            )
-        if not self.coeffs or exp < self.valuation or exp > self.valuation + len(self.coeffs) - 1:
-            return self.field.zero
-        return self.coeffs[exp - self.valuation]
-
     def terms(self):
         for i, c in enumerate(self.coeffs):
             if c != self.field.zero:
@@ -84,8 +70,6 @@ class LaurentSeries:
     def _check_compatible(self, other: "LaurentSeries") -> None:
         if self.field != other.field:
             raise ValueError("coefficient fields differ")
-        if self.var != other.var:
-            raise ValueError("series variables differ")
 
     # -- ring operations -----------------------------------------------------
 
@@ -97,11 +81,11 @@ class LaurentSeries:
             if order is not None and e > order:
                 continue
             items[e] = self.field.add(items.get(e, self.field.zero), c)
-        return LaurentSeries(self.field, items, order=order, var=self.var)
+        return LaurentSeries(self.field, items, order=order)
 
     def neg(self) -> "LaurentSeries":
         items = {e: self.field.neg(c) for e, c in self.terms()}
-        return LaurentSeries(self.field, items, order=self.order, var=self.var)
+        return LaurentSeries(self.field, items, order=self.order)
 
     def sub(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.add(other.neg())
@@ -122,29 +106,15 @@ class LaurentSeries:
                 items[e] = self.field.add(
                     items.get(e, self.field.zero), self.field.mul(c1, c2)
                 )
-        return LaurentSeries(self.field, items, order=order, var=self.var)
+        return LaurentSeries(self.field, items, order=order)
 
     def pow(self, n: int) -> "LaurentSeries":
         if n < 0:
             raise ValueError(f"pow needs a nonnegative exponent, got {n}")
-        acc = LaurentSeries.one(self.field, var=self.var)
+        acc = LaurentSeries.one(self.field)
         for _ in range(n):
             acc = acc.mul(self)
         return acc
-
-    def truncate(self, order: int | None) -> "LaurentSeries":
-        if order is None:
-            return self
-        if self.order is not None and self.order < order:
-            raise PrecisionError(f"cannot extend precision from {self.order} to {order}")
-        items = {e: c for e, c in self.terms() if e <= order}
-        return LaurentSeries(self.field, items, order=order, var=self.var)
-
-    def truncate_if_needed(self, order: int) -> "LaurentSeries":
-        """Truncate to the given order unless already known less precisely."""
-        if self.order is not None and self.order < order:
-            return self
-        return self.truncate(order)
 
     # -- comparisons -----------------------------------------------------
 
@@ -164,10 +134,10 @@ class LaurentSeries:
                     parts.append(cl)
                 else:
                     head = "" if cl == "1" else f"{factor_label(cl)}*"
-                    parts.append(f"{head}{self.var}^{e}" if e != 1 else f"{head}{self.var}")
+                    parts.append(f"{head}t^{e}" if e != 1 else f"{head}t")
             body = " + ".join(parts)
         if self.order is not None:
-            body += f" + O({self.var}^{self.order + 1})"
+            body += f" + O(t^{self.order + 1})"
         return body
 
     def __repr__(self):
@@ -206,4 +176,4 @@ def pth_power_test(a: LaurentSeries) -> tuple[LaurentSeries | None, str | None]:
             return None, f"coefficient {a.field.label(c)} at exponent {e} is not a {p}-th power"
         root_items[e // p] = r
     order = None if a.order is None else a.order // p
-    return LaurentSeries(a.field, root_items, order=order, var=a.var), None
+    return LaurentSeries(a.field, root_items, order=order), None

@@ -461,6 +461,18 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
         # JSON's Infinity once escaped as an OverflowError traceback
         ("descent-as", {"version": 1, "descent": {"artin_schreier": {
             **_AS_SPEC, "p": float("inf")}}}, [], "descent.artin_schreier"),
+        # a falsy value of the wrong type once read as an empty section
+        ("graph-check", {"version": 1, "graph": []}, [], "graph"),
+        ("graph-check", {"version": 1, "graph": 0}, [], "graph"),
+        ("graph-check", {"version": 1, "graph": False}, [], "graph"),
+        ("graph-check", {"version": 1, "graph": ""}, [], "graph"),
+        ("descent-as", {**AS_DOC, "graph": []}, [], "graph"),
+        ("gog-verify", {**CIRCLE, "groups": 0}, [], "groups"),
+        ("gog-verify", {**CIRCLE, "options": False}, [], "options"),
+        ("descent-as", {"version": 1, "descent": ""}, [], "descent"),
+        ("gog-verify", {**CIRCLE, "edge_maps": []}, [], "edge_maps"),
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": [], "to_component": {"1": "3"}}}}, [], "edge_maps.b1.to_point"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
@@ -473,7 +485,9 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
          "edge-map-list", "as-p-fraction", "local-index-fraction", "local-index-bool",
          "cyclic-fraction", "symmetric-bool", "degree-fraction", "version-fraction",
          "all-trees-text", "kummer-truncation-fraction", "search-bound-bool", "alpha-bool",
-         "as-p-infinity"],
+         "as-p-infinity", "graph-empty-list", "graph-zero", "graph-false", "graph-empty-text",
+         "unused-graph-empty-list", "groups-zero", "options-false", "descent-empty-text",
+         "edge-maps-empty-list", "edge-map-side-empty-list"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])
@@ -481,6 +495,23 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags
     assert code == EXIT_INPUT_ERROR
     assert captured.err.startswith(f"input error: {path}: ")
     assert captured.out == ""
+
+
+def test_null_sections_read_as_absent(tmp_path, capsys):
+    # a null graph is refused like a missing one, not checked as an empty graph
+    for doc in ({"version": 1}, {"version": 1, "graph": None}):
+        assert run(["graph-check", write(tmp_path, doc)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "input error: this command needs a 'graph' section\n")
+    # null sections that a command does not use change nothing but the input
+    # text and its digests
+    outputs = []
+    for doc in (AS_DOC, {**AS_DOC, "graph": None, "groups": None, "edge_maps": None,
+                         "options": None}):
+        assert run(["descent-as", write(tmp_path, doc)]) == EXIT_PASS
+        outputs.append([line for line in capsys.readouterr().out.split("\n")
+                        if not line.startswith("input:") and "digest" not in line
+                        and "timing" not in line])
+    assert outputs[0] == outputs[1]
 
 
 def test_edge_map_errors_name_the_missing_field_and_the_unknown_label(tmp_path, capsys):

@@ -258,10 +258,31 @@ def test_base_ring_gbar_descends():
 
 
 def test_fbar_of_base_ring_gbar_is_polynomial():
-    inst = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
-    fbar = inst.fbar()
+    inst = KummerInstance.base_ring_model(2, [1, 0, 1, 0, 0], 200)
+    # gbar stops at its last nonzero coefficient, and
     # (1 + x^2)^2 + x = 1 + x + x^4 over GF(2)
-    assert dict(fbar.terms()) == {0: 1, 1: 1, 4: 1}
+    assert inst.gbar == (1, 0, 1)
+    assert inst.fbar() == (1, 1, 0, 0, 1)
+    # past the truncation fbar is cut: x^4 is dropped at truncation 3
+    assert KummerInstance.base_ring_model(2, [1, 0, 1], 3).fbar() == (1, 1)
+
+
+def test_kummer_relation_is_checked_by_substitution(monkeypatch):
+    # e = 1 gives the relation c_0 + f = 0; a kernel vector off by one in
+    # c_0 leaves the constant 1 at x^0, which the Horner evaluation finds
+    kernel_vector = descent_mod._kernel_vector
+
+    def perturbed(F, rows, ncols):
+        vec = kernel_vector(F, rows, ncols)
+        if vec is not None:
+            vec[0] = F.add(vec[0], F.one)
+        return vec
+
+    inst = KummerInstance.base_ring_model(3, [2, 1], 120)
+    assert kummer_obstruction(inst, 3).verdict == DESCENDS
+    monkeypatch.setattr(descent_mod, "_kernel_vector", perturbed)
+    with pytest.raises(AssertionError, match="invalid Kummer relation"):
+        kummer_obstruction(inst, 3)
 
 
 def test_kummer_bounds_are_honest():

@@ -8,9 +8,9 @@ the graph by vertex and branch name with markings keyed by branch, a hom
 search that tries every candidate image of every generator, an
 edge-relation check that walks the graph by name too, the Artin-Schreier
 oracle that solves every candidate beta in product order, and the Kummer
-search that solves every candidate's system at full truncation by a full
-Gauss-Jordan elimination.  The fast paths must reproduce them exactly, order
-and messages included.
+search that forms its series by precision-tracked products and solves every
+candidate's system at full truncation by a full Gauss-Jordan elimination.
+The fast paths must reproduce them exactly, order and messages included.
 """
 
 from __future__ import annotations
@@ -47,11 +47,13 @@ from vkpatch.descent import (
     ASOracleDecision,
     KummerDecision,
     KummerInstance,
+    _frobenius,
+    _mul_to,
     _valid_betas,
     as_brute_force_oracle,
     kummer_obstruction,
 )
-from vkpatch.fields import poly_strip
+from vkpatch.fields import FiniteField, poly_strip
 from vkpatch.gog import (
     GraphOfFiniteGroups,
     HomFamily,
@@ -737,16 +739,26 @@ def full_gauss_jordan_kernel_vector(F, rows, ncols):
     return vec
 
 
+def series_coefficient(series: LaurentSeries, exp: int):
+    """The coefficient at exponent ``exp``, which must be known."""
+    assert series.order is None or exp <= series.order, (exp, series.order)
+    i = exp - series.valuation
+    return series.coeffs[i] if 0 <= i < len(series.coeffs) else series.field.zero
+
+
 def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> KummerDecision:
-    """Every candidate e's system built and eliminated at full truncation."""
+    """Every candidate e's system built and eliminated at full truncation,
+    on precision-tracked series: fbar = gbar^p + x with gbar known to the
+    truncation, and e^p, by repeated products."""
     if search_bound < 0:
         return KummerDecision(
             INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
             "negative search bound: empty search space",
         )
     F = instance.coeff_field
-    p = instance.p
-    fbar = instance.fbar()
+    p = F.p
+    gbar = LaurentSeries(F, dict(enumerate(instance.gbar)), order=instance.truncation)
+    fbar = gbar.pow(p).add(LaurentSeries(F, {1: F.one}))
     unknowns = (search_bound + 1) ** 2
     n_eq = int(min(fbar.known_to(), instance.truncation))
     if unknowns >= n_eq:
@@ -768,18 +780,17 @@ def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> Kumm
                     f"{exc}: stopped after {tried} candidates",
                 )
             tried += 1
-            e_series = LaurentSeries(F, {i: c for i, c in enumerate(e_coeffs)}, var="x")
-            h = fbar.mul(e_series.pow(p)).truncate_if_needed(instance.truncation)
-            powers = [LaurentSeries.one(F, var="x")]
+            h = fbar.mul(LaurentSeries(F, dict(enumerate(e_coeffs))).pow(p))
+            powers = [LaurentSeries.one(F)]
             for _ in range(search_bound):
-                powers.append(powers[-1].mul(h).truncate_if_needed(instance.truncation))
+                powers.append(powers[-1].mul(h))
             n_rows = int(min([instance.truncation] + [int(s.known_to()) for s in powers[1:]]))
             rows = []
             for exp in range(0, n_rows + 1):
                 row = []
                 for j in range(search_bound + 1):
                     for k in range(search_bound + 1):
-                        row.append(powers[j].coefficient(exp - k) if exp - k >= 0 else F.zero)
+                        row.append(series_coefficient(powers[j], exp - k) if exp >= k else F.zero)
                 rows.append(row)
             vec = full_gauss_jordan_kernel_vector(F, rows, unknowns)
             if vec is not None:
@@ -847,7 +858,7 @@ def gamma_enumeration_valid_betas(instance: ASInstance, support_bound: int) -> s
     for combo in itertools.product(k2.elements(), repeat=len(exponents)):
         gamma = LaurentSeries(k2, dict(zip(exponents, combo)))
         beta = alpha_t.sub(gamma.pow(p).sub(gamma))
-        coeffs = {m: beta.coefficient(m) for m in range(-support_bound, 0)}
+        coeffs = {m: series_coefficient(beta, m) for m in range(-support_bound, 0)}
         if all(instance.in_k1(c) for c in coeffs.values()):
             found.add((tuple(sorted(coeffs.items())), tuple(gamma.terms())))
     return found
@@ -869,25 +880,51 @@ def test_valid_betas_equal_the_gamma_enumeration():
     assert nonempty > 0
 
 
+# (model, p, q_exp, bound); over GF(4) and GF(9) the p-th power moves
+# coefficients, which over GF(p) it fixes
 KUMMER_SWEEP = [
-    (model, p, bound)
+    (model, p, 1, bound)
     for model in ("transcendental", "base-ring")
     for p in (2, 3)
     for bound in range(5)
-]
+] + [
+    (model, p, 2, bound)
+    for model in ("transcendental", "base-ring")
+    for p, bounds in ((2, 4), (3, 3))
+    for bound in range(bounds)
+] + [("base-ring", 3, 2, 3)]  # f = w^3 + x + x^3 needs bound 3 to descend
 
 
-def _kummer_instance(model, p, truncation):
+def _kummer_instance(model, p, truncation, q_exp=1):
     if model == "transcendental":
-        return KummerInstance.transcendental_model(p, 1, 4, truncation)
-    return KummerInstance.base_ring_model(p, [1, 1], truncation)
+        return KummerInstance.transcendental_model(p, q_exp, 4, truncation)
+    if q_exp == 1:
+        return KummerInstance.base_ring_model(p, [1, 1], truncation)
+    # gbar = w + x: the p-th power moves its constant term, w^p != w
+    F = FiniteField(p, q_exp)
+    return KummerInstance(F, (F.parse("w"), F.one), truncation)
 
 
-@pytest.mark.parametrize("model, p, bound", KUMMER_SWEEP,
-                         ids=[f"{m}-p{p}-b{b}" for m, p, b in KUMMER_SWEEP])
-def test_kummer_search_matches_the_full_elimination(model, p, bound):
-    inst = _kummer_instance(model, p, 200)
+@pytest.mark.parametrize(
+    "model, p, q_exp, bound", KUMMER_SWEEP,
+    ids=[f"{m}-p{p}-b{b}" if q == 1 else f"{m}-q{p**q}-b{b}" for m, p, q, b in KUMMER_SWEEP])
+def test_kummer_search_matches_the_full_elimination(model, p, q_exp, bound):
+    inst = _kummer_instance(model, p, 200, q_exp)
     assert_same_decision(kummer_obstruction(inst, bound), full_elimination_kummer(inst, bound))
+
+
+def test_frobenius_and_truncated_product_match_the_series_products():
+    rng = random.Random(41)
+    for p, e in ((2, 1), (2, 2), (3, 2), (5, 1)):
+        F = FiniteField(p, e)
+        for _ in range(50):
+            a, b = ([rng.randrange(F.q) for _ in range(rng.randint(0, 9))] for _ in range(2))
+            n = rng.randint(0, 30)
+            sa, sb = (LaurentSeries(F, dict(enumerate(c))) for c in (a, b))
+            for fast, slow in ((_frobenius(F, a, n), sa.pow(p)), (_mul_to(F, a, b, n), sa.mul(sb))):
+                assert len(fast) <= n
+                fast += [F.zero] * (n - len(fast))
+                assert fast == [series_coefficient(slow, i) for i in range(n)], (p, e, a, b, n)
 
 
 def test_kummer_search_matches_the_full_elimination_past_screen_survivors(monkeypatch):

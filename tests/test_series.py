@@ -67,8 +67,8 @@ def test_rational_pth_root():
 
 
 def test_t_times_t_inverse():
-    t = LaurentSeries.t_power(F2, 1)
-    tinv = LaurentSeries.t_power(F2, -1)
+    t = LaurentSeries(F2, {1: 1})
+    tinv = LaurentSeries(F2, {-1: 1})
     assert t.mul(tinv).equals_exact(LaurentSeries.one(F2))
 
 
@@ -89,8 +89,8 @@ def test_precision_propagation():
     b = LaurentSeries(F3, {2: 1})
     assert a.add(b).order == 4
     assert a.mul(b).order == 6
-    with pytest.raises(PrecisionError):
-        a.coefficient(5)
+    with pytest.raises(ValueError):
+        LaurentSeries(F3, {5: 1}, order=4)  # a coefficient past the known order
     with pytest.raises(PrecisionError):
         a.equals_exact(b)
 
@@ -102,7 +102,7 @@ def test_product_keeps_the_coefficient_at_its_order():
     b = LaurentSeries(F3, {0: 1, 1: 1})
     for prod in (a.mul(b), b.mul(a)):
         assert prod.order == 1
-        assert prod.coefficient(1) == 2
+        assert dict(prod.terms())[1] == 2
         assert prod.render() == "1 + 2*t + O(t^2)"
     # both truncated: (t^-1 + 2 + O(t)) * (1 + 2t + O(t^2)) is known to t^0
     c = LaurentSeries(F3, {-1: 1, 0: 2}, order=0)
@@ -155,13 +155,13 @@ def test_rational_function_label_parenthesizes_sum_coefficients():
 
 
 def test_pth_power_of_monomial():
-    root, witness = pth_power_test(LaurentSeries.t_power(F3, 3))
+    root, witness = pth_power_test(LaurentSeries(F3, {3: 1}))
     assert root is not None and witness is None
-    assert root.equals_exact(LaurentSeries.t_power(F3, 1))
+    assert root.equals_exact(LaurentSeries(F3, {1: 1}))
 
 
 def test_pth_power_valuation_witness():
-    root, witness = pth_power_test(LaurentSeries.t_power(F3, 1))
+    root, witness = pth_power_test(LaurentSeries(F3, {1: 1}))
     assert root is None
     assert "valuation 1" in witness
 
@@ -185,7 +185,7 @@ def test_pth_power_round_trip_respects_truncation():
     root, _ = pth_power_test(a)
     assert root is not None and root.order == 4
     square = root.pow(2)
-    assert dict(square.terms()) == dict(a.truncate(square.order).terms())
+    assert dict(square.terms()) == {e: c for e, c in a.terms() if e <= square.order}
 
 
 def test_pth_power_round_trip():
