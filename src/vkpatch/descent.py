@@ -419,8 +419,10 @@ class KummerInstance:
     The base ring is GF(q)[x] localized at the origin; its completion is
     modeled by power series in x truncated past x^truncation, and "algebraic
     over the base" is modeled as satisfying a polynomial relation of bounded
-    degree with bounded-degree coefficients.  ``gbar`` holds the coefficients
-    of x^0, x^1, ... up to the last nonzero one.
+    degree with bounded-degree coefficients.  ``gbar`` holds its nonzero
+    terms as (exponent, coefficient) pairs in increasing exponent; its dense
+    coefficients are formed only by ``fbar``, which the search calls once it
+    has admitted a candidate.
     """
 
     __slots__ = ("coeff_field", "gbar", "truncation")
@@ -438,10 +440,7 @@ class KummerInstance:
         relation matches its gap structure."""
         F = FiniteField(p, q_exp)
         last = min(terms, math.isqrt(truncation))
-        gbar = [F.zero] * (last * last + 1)
-        for i in range(last + 1):
-            gbar[i * i] = F.one
-        return cls(F, tuple(gbar), truncation)
+        return cls(F, tuple([(i * i, F.one) for i in range(last + 1)]), truncation)
 
     @classmethod
     def base_ring_model(cls, p: int, coeffs: Sequence[int], truncation: int) -> "KummerInstance":
@@ -450,12 +449,16 @@ class KummerInstance:
         fbar and are dropped."""
         F = FiniteField(p, 1)
         parsed = [F.parse(c) for c in coeffs]
-        return cls(F, poly_strip(F, parsed[: truncation + 1]), truncation)
+        return cls(F, tuple([(i, c) for i, c in enumerate(parsed[: truncation + 1])
+                             if c != F.zero]), truncation)
 
     def fbar(self) -> tuple:
         """f = g^p + x to x^truncation, up to its last nonzero coefficient."""
         F = self.coeff_field
-        return poly_add(F, _frobenius(F, self.gbar, self.truncation + 1), (F.zero, F.one))
+        dense = [F.zero] * (self.gbar[-1][0] + 1 if self.gbar else 0)
+        for i, c in self.gbar:
+            dense[i] = c
+        return poly_add(F, _frobenius(F, dense, self.truncation + 1), (F.zero, F.one))
 
 
 def _relation_rows(F: FiniteField, fbar: Sequence, e_power: Sequence, search_bound: int,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Mapping, Sequence
 
 from .gog import (
@@ -345,18 +346,34 @@ def _restriction(
     return tuple([row[table[a]] for a in side])
 
 
+def _memo_column(memo: dict, keys: list, fill) -> list:
+    """The memo's values at the keys, in order; ``fill(key)`` computes and
+    stores each missing one, once."""
+    column = list(map(memo.get, keys))
+    if None in column:
+        for key in set(keys).difference(memo):
+            fill(key)
+        column = list(map(memo.__getitem__, keys))
+    return column
+
+
 class _NaturalMaps:
     """The natural map and its inverse for one presentation and test group,
     with caches that make them cheap per element.
 
     A vertex's entry of a local datum depends only on its hom table and on
     the markings shifted onto its incident branches, so the forward map
-    computes each entry once, together with its restrictions to those
-    branches, and branch agreement compares cached restrictions.  The
-    inverse gauges each (hom table, gauge) pair once.  The caches live as
-    long as the object, one verifier or patching call."""
+    computes each entry once (``_entry``), together with its restrictions to
+    those branches, and branch agreement compares cached restrictions.  The
+    inverse reads a datum's flags apart from its hom tables: the gauges,
+    markings and conjugators depend on the flags alone and are computed once
+    per flags tuple (``_flag_part``), and each (hom table, gauge) pair is
+    gauged once (``_gauged_table``).  ``forward_columns`` and
+    ``check_round_trips`` run both maps over many markings of one family at
+    once, on columns, through the same caches.  The caches live as long as
+    the object, one verifier or patching call."""
 
-    __slots__ = ("presentation", "group", "_conj", "_entries", "_gauged")
+    __slots__ = ("presentation", "group", "_conj", "_entries", "_flag_parts", "_gauged")
 
     def __init__(self, presentation: VanKampenPresentation, group: FiniteGroup):
         self.presentation = presentation
@@ -364,6 +381,8 @@ class _NaturalMaps:
         self._conj = group.conjugation_table()
         # per vertex: (hom table, shifted markings) -> (entry, restrictions)
         self._entries: list[dict] = [{} for _ in presentation.gog.incidence]
+        # flags of a local datum -> (gauges, markings, conjugators)
+        self._flag_parts: dict[tuple, tuple] = {}
         # (hom table, gauge) -> the table conjugated by the gauge's inverse
         self._gauged: dict[tuple, tuple] = {}
 
@@ -407,42 +426,43 @@ class _NaturalMaps:
             restricted.append(restrictions)
         return tuple(datum), tuple(restricted)
 
-    def disagreeing_branch(self, restricted: Sequence[tuple]) -> int | None:
-        """The first branch over which the two ends of a local datum, given by
-        its per-vertex restrictions, restrict differently; None when it
-        agrees over every branch."""
-        for b, (p, p_slot, u, u_slot) in enumerate(self.presentation.gog.branch_ends):
-            if restricted[p][p_slot] != restricted[u][u_slot]:
-                return b
-        return None
+    def forward_columns(self, family_key: tuple, columns: Sequence[Sequence[int]]) -> list[list]:
+        """``forward`` on many global functors of one family at once, given
+        as one column of markings per branch: per vertex, the column of
+        (entry, restrictions).  ``_entry`` fills only the entries not cached
+        yet, each once."""
+        mul, inv = self.group.table, self.group.inverse
+        tables, conjugators = family_key
+        # each branch's marking column as seen from its point end and its
+        # component end, where m goes to m . c^-1
+        seen = (columns, [list(map([row[inv[c]] for row in mul].__getitem__, column))
+                          for column, c in zip(columns, conjugators)])
+        hits = []
+        for i, (table, incident, cache) in enumerate(
+            zip(tables, self.presentation.gog.incidence, self._entries)
+        ):
+            keys = list(zip(itertools.repeat(table), zip(*[seen[end][b] for b, end in incident])))
+            hits.append(_memo_column(cache, keys, lambda key: self._entry(i, *key)))
+        return hits
 
-    def inverse(self, datum: tuple) -> tuple[tuple, tuple[int, ...]]:
-        """Reconstruct the unique global functor, as a family key and
-        markings, restricting to the given local datum (which must agree
-        over every branch)."""
+    def _flag_part(self, flags: tuple) -> tuple:
+        """What the inverse reads from a local datum's flags alone (one flag
+        tuple per vertex): the vertex gauges, the markings and the
+        conjugators of the global functor; memoized on the flags."""
         G = self.group
         mul, inv = G.table, G.inverse
         presentation = self.presentation
         branch_ends = presentation.gog.branch_ends
-        flags = [f for _, f in datum]
 
         # gauges along the tree, each vertex from the one that reached it
-        gauges = [G.identity] * len(datum)
+        gauges = [G.identity] * len(flags)
         for v, v_slot, w, w_slot in presentation.tree_steps:
             gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
         # one right translation pins the least branch's marking to the identity
         p0, p0_slot = branch_ends[0][:2]
         shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
-        gauges = [mul[a][shift] for a in gauges]
+        gauges = tuple([mul[a][shift] for a in gauges])
 
-        gauged = self._gauged
-        tables = []
-        for a, (table, _) in zip(gauges, datum):
-            hit = gauged.get((table, a))
-            if hit is None:
-                row = self._conj[inv[a]]
-                hit = gauged[table, a] = tuple([row[x] for x in table])
-            tables.append(hit)
         markings = tuple([mul[flags[p][p_slot]][gauges[p]] for p, p_slot, _, _ in branch_ends])
         conjugators = tuple([
             mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m]
@@ -453,7 +473,58 @@ class _NaturalMaps:
         for b in presentation.tree_branches:
             if conjugators[b] != G.identity:
                 raise AssertionError("reconstruction failed to trivialize a tree letter")
-        return (tuple(tables), conjugators), markings
+        self._flag_parts[flags] = part = (gauges, markings, conjugators)
+        return part
+
+    def _gauged_table(self, table: tuple, gauge: int) -> tuple:
+        """A hom table conjugated by the inverse of a gauge; memoized."""
+        row = self._conj[self.group.inverse[gauge]]
+        self._gauged[table, gauge] = hit = tuple([row[x] for x in table])
+        return hit
+
+    def inverse(self, datum: tuple) -> tuple[tuple, tuple[int, ...]]:
+        """Reconstruct the unique global functor, as a family key and
+        markings, restricting to the given local datum (which must agree
+        over every branch)."""
+        flags = tuple([f for _, f in datum])
+        gauges, markings, conjugators = self._flag_parts.get(flags) or self._flag_part(flags)
+        gauged = self._gauged
+        tables = tuple([
+            gauged.get((table, a)) or self._gauged_table(table, a)
+            for (table, _), a in zip(datum, gauges)
+        ])
+        return (tables, conjugators), markings
+
+    def check_round_trips(self, family_key: tuple, hits: Sequence[list],
+                          markings: list[tuple]) -> None:
+        """Check global functors of one family, given by their markings and
+        per vertex the column of their (entry, restrictions) as
+        ``forward_columns`` returns it: each local datum agrees over every
+        branch, and ``inverse`` takes it back to the family key and its
+        markings.  Raises ``AssertionError`` at the first check that fails.
+
+        Only the data's columns are read: restriction columns for agreement,
+        then the flags columns through the flag-part memo and the table
+        columns through the gauged-table memo."""
+        item = operator.itemgetter
+        restricted = [list(map(item(1), column)) for column in hits]
+        for p, p_slot, u, u_slot in self.presentation.gog.branch_ends:
+            if list(map(item(p_slot), restricted[p])) != list(map(item(u_slot), restricted[u])):
+                raise AssertionError("restriction broke branch agreement")
+
+        entries = [list(map(item(0), column)) for column in hits]
+        flags = list(zip(*[map(item(1), column) for column in entries]))
+        parts = _memo_column(self._flag_parts, flags, self._flag_part)
+        tables, conjugators = family_key
+        if (list(map(item(1), parts)) != markings
+                or list(map(item(2), parts)).count(conjugators) != len(parts)):
+            raise AssertionError("inverse natural map failed the round trip")
+        gauges = list(map(item(0), parts))
+        gauged = self._gauged
+        for i, (table, column) in enumerate(zip(tables, entries)):
+            for pair in set(zip(map(item(0), column), map(item(i), gauges))):
+                if (gauged.get(pair) or self._gauged_table(*pair)) != table:
+                    raise AssertionError("inverse natural map failed the round trip")
 
 
 def natural_map(
@@ -612,6 +683,13 @@ def verify_groupoid_pushout(
     groupoids), and the class count with the marking gauge removed must equal
     the presentation hom count.  Both sides are enumerated independently.
 
+    The global side runs one pass per presentation hom over all its
+    markings, as columns (``_NaturalMaps.forward_columns``): every global
+    functor gets its local datum, and the image set must grow by the marking
+    gauge per hom, which is injectivity.  The global functors whose index in
+    ``product(homs, markings)`` the round-trip stride divides also get
+    branch agreement and the round trip (``check_round_trips``).
+
     One comparison decides both laws.  The setoid equivalence asks that
     restriction be a bijection on classes with as many global classes as
     fiber classes; the groupoid pushout asks that it be a bijection with as
@@ -639,26 +717,27 @@ def verify_groupoid_pushout(
 
     # set equality below stays exhaustive whatever the round-trip stride
     stride = max(1, lhs_raw // ROUNDTRIP_CAP)
-    image_keys: set[tuple] = set()
-    roundtrips = 0
-    markings_space = [
+    markings = [
         (G.identity, *combo) for combo in itertools.product(range(G.order), repeat=free_branches)
     ]
+    columns = list(zip(*markings))
+    entry_of = operator.itemgetter(0)
     maps = _NaturalMaps(presentation, G)
-    for index, (key, markings) in enumerate(itertools.product(pi1, markings_space)):
-        datum, restricted = maps.forward(key, markings)
-        # one hash per datum: the set stays the same size on a repeat
+    image_keys: set[tuple] = set()
+    roundtrips = 0
+    # one pass per family over all its markings: global index k * gauge + j
+    for k, key in enumerate(pi1):
+        hits = maps.forward_columns(key, columns)
         seen = len(image_keys)
-        image_keys.add(datum)
-        if len(image_keys) == seen:
+        image_keys.update(zip(*[map(entry_of, column) for column in hits]))
+        if len(image_keys) - seen != gauge:
             raise AssertionError("restriction functor is not injective")
-        if index % stride == 0:
-            if maps.disagreeing_branch(restricted) is not None:
-                raise AssertionError("restriction broke branch agreement")
-            back_key, back_markings = maps.inverse(datum)
-            if back_key != key or back_markings != markings:
-                raise AssertionError("inverse natural map failed the round trip")
-            roundtrips += 1
+        # round trips on the global indices divisible by the stride
+        first = -k * gauge % stride
+        if first < gauge:
+            maps.check_round_trips(key, [column[first::stride] for column in hits],
+                                   markings[first::stride])
+            roundtrips += len(range(first, gauge, stride))
 
     fiber_raw = len(fiber)
     if fiber_raw % gauge != 0:

@@ -702,6 +702,35 @@ def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, e
         assert {key: block[key] for key in machine} == machine
 
 
+# a child that runs one command and prints its exit code and peak RSS in KB;
+# the child's own RUSAGE_CHILDREN sees only that one command
+_PEAK_RSS_CHILD = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run([sys.executable, '-m', 'vkpatch.cli', *sys.argv[1:]],"
+    " stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode\n"
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def test_kummer_refused_past_the_budget_builds_no_dense_gbar(tmp_path, capsys):
+    """A gbar of 10^9 terms cut at a truncation the work budget refuses is
+    kept as its 2,237 square exponents, so the refusal costs no list of
+    `truncation` coefficients (it peaked at 94 MB when gbar was dense)."""
+    path = write(tmp_path, {"version": 1, "descent": {"kummer": {
+        "p": 2, "model": "transcendental", "terms": 10**9, "truncation": 5 * 10**6}}})
+    assert run(["descent-kummer", path]) == EXIT_INCONCLUSIVE
+    block = json.loads(capsys.readouterr().out.partition("-- machine --\n")[2])
+    assert (block["verdict"], block["candidates_tried"]) == ("INCONCLUSIVE", 0)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, "descent-kummer", path],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    code, peak_kb = map(int, child.stdout.split())
+    assert code == EXIT_INCONCLUSIVE
+    assert peak_kb <= 25 * 1024, f"peak RSS {peak_kb} KB"
+
+
 def test_cli_import_loads_no_introspection_modules():
     # each command runs in a fresh process, so whatever this import loads is
     # paid on every call; dataclasses alone would pull in all five

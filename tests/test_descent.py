@@ -257,11 +257,19 @@ def test_base_ring_gbar_descends():
     assert decision.witness_relation[1] == (1,)
 
 
+def test_transcendental_gbar_keeps_only_the_square_exponents():
+    # 10^9 terms cut at i^2 <= 5 * 10^6: 2,237 terms, not 5 * 10^6 coefficients
+    inst = KummerInstance.transcendental_model(2, 1, 10**9, 5 * 10**6)
+    assert inst.gbar == tuple((i * i, 1) for i in range(2237))
+    # (1 + x + x^4)^2 + x = 1 + x + x^2 + x^8 over GF(2)
+    assert KummerInstance.transcendental_model(2, 1, 2, 200).fbar() == (1, 1, 1, 0, 0, 0, 0, 0, 1)
+
+
 def test_fbar_of_base_ring_gbar_is_polynomial():
     inst = KummerInstance.base_ring_model(2, [1, 0, 1, 0, 0], 200)
-    # gbar stops at its last nonzero coefficient, and
+    # gbar keeps its nonzero terms only, and
     # (1 + x^2)^2 + x = 1 + x + x^4 over GF(2)
-    assert inst.gbar == (1, 0, 1)
+    assert inst.gbar == ((0, 1), (2, 1))
     assert inst.fbar() == (1, 1, 0, 0, 1)
     # past the truncation fbar is cut: x^4 is dropped at truncation 3
     assert KummerInstance.base_ring_model(2, [1, 0, 1], 3).fbar() == (1, 1)

@@ -4,7 +4,8 @@ loops they replace.
 
 The oracles below are the straightforward versions: a backtracker that tests
 every candidate against a branch-agreement predicate, natural maps that walk
-the graph by vertex and branch name with markings keyed by branch, a hom
+the graph by vertex and branch name with markings keyed by branch, the
+pushout verifier's comparison one global functor at a time, a hom
 search that tries every candidate image of every generator, an
 edge-relation check that walks the graph by name too, the Artin-Schreier
 oracle that solves every candidate beta in product order, and the Kummer
@@ -16,6 +17,7 @@ The fast paths must reproduce them exactly, order and messages included.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -36,6 +38,7 @@ from catalog import (
 )
 from vkpatch import descent as descent_mod
 from vkpatch import groups as groups_mod
+from vkpatch import torsors as torsors_mod
 from vkpatch.descent import (
     DESCENDS,
     FAILS_WITHIN_BOUNDS,
@@ -77,6 +80,7 @@ from vkpatch.torsors import (
     _NaturalMaps,
     inverse_natural_map,
     natural_map,
+    verify_groupoid_pushout,
 )
 
 try:
@@ -217,6 +221,48 @@ def inverse_natural_map_by_names(presentation, G, datum):
     return (tables, tuple(conjugators)), markings
 
 
+def disagreeing_branch(presentation, restricted):
+    """The first branch over which the two ends of a local datum, given by
+    its per-vertex restrictions (``_NaturalMaps.restrictions``), restrict
+    differently; None when it agrees over every branch."""
+    for b, (p, p_slot, u, u_slot) in enumerate(presentation.gog.branch_ends):
+        if restricted[p][p_slot] != restricted[u][u_slot]:
+            return b
+    return None
+
+
+def per_element_functor_sets(gog, G):
+    """The pushout verifier's comparison one global functor at a time, in
+    ``product(pi1, markings)`` order: each datum by ``forward``, added to the
+    image set with an injectivity check, and on every element whose global
+    index the stride divides, branch agreement by ``disagreeing_branch`` and
+    the round trip by ``inverse``.  Returns the image set, the round trips
+    checked and whether the law holds."""
+    presentation = build_presentation(gog)
+    free_branches = len(gog.graph.edge_names()) - 1
+    pi1 = [presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)]
+    markings_space = [(G.identity, *combo)
+                      for combo in itertools.product(range(G.order), repeat=free_branches)]
+    stride = max(1, len(pi1) * len(markings_space) // torsors_mod.ROUNDTRIP_CAP)
+    maps = _NaturalMaps(presentation, G)
+    image, roundtrips = set(), 0
+    for index, (key, markings) in enumerate(itertools.product(pi1, markings_space)):
+        datum, restricted = maps.forward(key, markings)
+        seen = len(image)
+        image.add(datum)
+        if len(image) == seen:
+            raise AssertionError("restriction functor is not injective")
+        if index % stride == 0:
+            if disagreeing_branch(presentation, restricted) is not None:
+                raise AssertionError("restriction broke branch agreement")
+            if maps.inverse(datum) != (key, markings):
+                raise AssertionError("inverse natural map failed the round trip")
+            roundtrips += 1
+    fiber = _enumerate_fiber_data(gog, G)
+    passed = image == set(fiber) and len(fiber) == len(pi1) * len(markings_space)
+    return image, roundtrips, passed
+
+
 def edge_relation_violation_by_names(gog, G, key):
     """The edge-relation check of a family key walking the graph by name:
     the message of the first violation, or None when the key passes."""
@@ -307,7 +353,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
         assert datum == natural_map(pres, G, key, markings)
         assert datum == natural_map_by_names(pres, G, key, dict(zip(names, markings)))
         assert restricted == tuple(maps.restrictions(i, entry) for i, entry in enumerate(datum))
-        assert maps.disagreeing_branch(restricted) is None
+        assert disagreeing_branch(pres, restricted) is None
         back_key, back_markings = maps.inverse(datum)
         assert (back_key, back_markings) == inverse_natural_map(pres, G, datum)
         oracle_key, oracle_markings = inverse_natural_map_by_names(pres, G, datum)
@@ -319,7 +365,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     for chosen in itertools.islice(itertools.product(*candidates.values()), 2000):
         by_name = dict(zip(gog.graph.vertices, chosen))
         bad = [e for e in names if not branch_agrees(gog, G, by_name, e)]
-        found = maps.disagreeing_branch([maps.restrictions(i, c) for i, c in enumerate(chosen)])
+        found = disagreeing_branch(pres, [maps.restrictions(i, c) for i, c in enumerate(chosen)])
         assert found == (names.index(bad[0]) if bad else None)
     return len(fiber), len(joined)
 
@@ -425,6 +471,94 @@ def test_fast_paths_match_the_oracles_on_the_catalog(name):
     assert all(fiber > 0 and naive > 0 for fiber, naive in sizes)
 
 
+def stride_caps(global_raw, gauge):
+    """``ROUNDTRIP_CAP`` values by stride mode: every element, the least
+    stride past 1 that does not divide the marking gauge, and the least
+    stride past the gauge; a mode that no cap reaches is left out."""
+    caps = {"every-element": global_raw}
+    for cap in range(global_raw, 0, -1):
+        stride = global_raw // cap
+        if stride > 1 and gauge % stride:
+            caps.setdefault("not-dividing", cap)
+        if stride > gauge:
+            caps.setdefault("past-the-gauge", cap)
+    return caps
+
+
+def assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=None):
+    """``verify_groupoid_pushout`` and ``per_element_functor_sets`` agree on
+    the image set, the round trips checked and the verdict in every stride
+    mode, the strided ones only up to ``strided_up_to`` global functors when
+    it is given; returns the modes run."""
+    image = set()
+    forward_columns = _NaturalMaps.forward_columns
+
+    def recording(self, key, columns):
+        hits = forward_columns(self, key, columns)
+        image.update(zip(*[map(operator.itemgetter(0), column) for column in hits]))
+        return hits
+
+    monkeypatch.setattr(_NaturalMaps, "forward_columns", recording)
+    gauge = G.order ** (len(gog.graph.edge_names()) - 1)
+    global_raw = len(enumerate_pi1_homs(gog, G)) * gauge
+    modes = stride_caps(global_raw, gauge)
+    if strided_up_to is not None and global_raw > strided_up_to:
+        modes = {"every-element": global_raw}
+    for mode, cap in modes.items():
+        monkeypatch.setattr(torsors_mod, "ROUNDTRIP_CAP", cap)
+        image.clear()
+        _, report = verify_groupoid_pushout(gog, G)
+        oracle_image, roundtrips, passed = per_element_functor_sets(gog, G)
+        assert image == oracle_image, mode
+        assert (report["roundtrip_checked"], report["passed"]) == (roundtrips, passed), mode
+        assert report["global_raw"] == global_raw
+        stride = report["roundtrip_stride"]
+        assert {"every-element": stride == 1, "not-dividing": gauge % stride > 0,
+                "past-the-gauge": stride > gauge}[mode], (mode, stride, gauge)
+    return set(modes)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_column_pass_matches_the_per_element_loop_on_the_catalog(monkeypatch, name):
+    gog = CATALOG[name]()
+    modes = set()
+    for G in (cyclic(2), cyclic(3), symmetric(3)):
+        modes |= assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=5000)
+    # the trivial diamond has one global functor, so no stride past 1
+    assert len(modes) == 3 or name == "diamond-trivial"
+
+
+def with_free_letter(gog):
+    """The graph of groups with one more branch, parallel to its least one
+    and sorted after every other, carrying the trivial group."""
+    graph = gog.graph
+    _, p, u = graph.edges[0]
+    free = max(graph.edge_names()) + "+"
+    c1 = cyclic(1)
+    return GraphOfFiniteGroups(
+        ReductionGraph(graph.points, graph.components, [*graph.edges, (free, p, u)]),
+        gog.vertex_groups,
+        {**gog.edge_groups, free: c1},
+        {**gog.edge_maps, free: {"to_point": GroupHom.trivial(c1, gog.vertex_groups[p]),
+                                 "to_component": GroupHom.trivial(c1, gog.vertex_groups[u])}},
+    )
+
+
+def test_a_free_letter_multiplies_the_functor_sets():
+    """A parallel branch with the trivial edge group is a free letter of
+    pi1: the hom and fiber class counts grow by |G|, the raw functor sets by
+    |G|^2 (one more marking too), and the verdict stays."""
+    scale = {"pi1_count": 1, "fiber_classes": 1, "global_raw": 2, "fiber_raw": 2}
+    for name in sorted(CATALOG):
+        gog = CATALOG[name]()
+        for G in (cyclic(2), cyclic(3)):
+            _, before = verify_groupoid_pushout(gog, G)
+            _, after = verify_groupoid_pushout(with_free_letter(gog), G)
+            assert {key: after[key] for key in scale} == {
+                key: before[key] * G.order ** power for key, power in scale.items()}, name
+            assert after["passed"] == before["passed"], name
+
+
 def _one_entry_changed(G, key):
     """Every key that differs from ``key`` in exactly one conjugator or one
     vertex-table entry."""
@@ -468,9 +602,11 @@ def test_family_check_matches_the_name_walking_check_on_the_catalog(name):
 EVEN_POOL = [g for g in groups_up_to(6) if g.order % 2 == 0]
 
 
-def test_fast_paths_match_the_oracles_on_random_instances():
+def random_instances():
+    """The seeded random sweep: twelve graphs of groups of up to four
+    vertices, half with a cycle, a third renamed, with C2 edge groups drawn
+    often, each with its test group."""
     rng = random.Random(97)
-    nontrivial_edges = 0
     for k in range(12):
         graph = random_tree_graph(rng, max_vertices=4)
         if k % 2:
@@ -478,10 +614,24 @@ def test_fast_paths_match_the_oracles_on_random_instances():
         if k % 3 == 1:
             graph = relabel(rng, graph)
         gog = random_gog(rng, graph, edge_order_cap=2, vertex_pool=EVEN_POOL)
-        G = (cyclic(2), cyclic(4), symmetric(3))[k % 3]
+        yield gog, (cyclic(2), cyclic(4), symmetric(3))[k % 3]
+
+
+def test_fast_paths_match_the_oracles_on_random_instances():
+    nontrivial_edges = 0
+    for gog, G in random_instances():
         assert_fast_paths_match(gog, G, max_globals=100)
         nontrivial_edges += sum(eg.order > 1 for eg in gog.edge_groups.values())
     assert nontrivial_edges >= 6
+
+
+def test_column_pass_matches_the_per_element_loop_on_random_instances(monkeypatch):
+    modes, large = set(), 0
+    for gog, G in random_instances():
+        modes |= assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=5000)
+        large += len(gog.graph.vertices) >= 3
+    assert modes == {"every-element", "not-dividing", "past-the-gauge"}
+    assert large > 0
 
 
 def test_join_keeps_disagreeing_data_out():
@@ -757,7 +907,7 @@ def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> Kumm
         )
     F = instance.coeff_field
     p = F.p
-    gbar = LaurentSeries(F, dict(enumerate(instance.gbar)), order=instance.truncation)
+    gbar = LaurentSeries(F, dict(instance.gbar), order=instance.truncation)
     fbar = gbar.pow(p).add(LaurentSeries(F, {1: F.one}))
     unknowns = (search_bound + 1) ** 2
     n_eq = int(min(fbar.known_to(), instance.truncation))
@@ -902,7 +1052,7 @@ def _kummer_instance(model, p, truncation, q_exp=1):
         return KummerInstance.base_ring_model(p, [1, 1], truncation)
     # gbar = w + x: the p-th power moves its constant term, w^p != w
     F = FiniteField(p, q_exp)
-    return KummerInstance(F, (F.parse("w"), F.one), truncation)
+    return KummerInstance(F, ((0, F.parse("w")), (1, F.one)), truncation)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from catalog import (
     trivial_gog,
     with_trivial_edges,
 )
+from test_fast_paths import disagreeing_branch
 from vkpatch.gog import GraphOfFiniteGroups, HomFamily, build_presentation, enumerate_pi1_homs
 from vkpatch.groups import GroupHom, cyclic, symmetric
 from vkpatch import torsors
@@ -342,6 +343,89 @@ def test_pushout_verifier_catches_a_corrupted_cached_entry(monkeypatch, roundtri
         assert state["corrupted"] == 1
 
 
+def test_pushout_verifier_catches_a_corrupted_cached_restriction(monkeypatch):
+    """A wrong cached restriction leaves every local datum right, so only
+    the branch-agreement check can see it."""
+    gog, G = _c2_edged_circle(), symmetric(3)
+    state = {"corrupted": 0}
+
+    def corrupting(self, i, table, shifted):
+        entry, restrictions = _CACHED_ENTRY(self, i, table, shifted)
+        if not state["corrupted"]:
+            first = restrictions[0]
+            restrictions = (first[:-1] + ((first[-1] + 1) % G.order,), *restrictions[1:])
+            self._entries[i][table, shifted] = (entry, restrictions)
+            state["corrupted"] += 1
+        return entry, restrictions
+
+    monkeypatch.setattr(torsors._NaturalMaps, "_entry", corrupting)
+    with pytest.raises(AssertionError, match="branch agreement"):
+        verify_groupoid_pushout(gog, G)
+    assert state["corrupted"] == 1
+
+
+_FLAG_PART = torsors._NaturalMaps._flag_part
+_GAUGED_TABLE = torsors._NaturalMaps._gauged_table
+
+
+def _corrupt_first_flag_part(monkeypatch) -> dict:
+    """Memoize a wrong last marking for the first flags tuple the inverse
+    reads."""
+    state = {"corrupted": 0}
+
+    def corrupting(self, flags):
+        gauges, markings, conjugators = _FLAG_PART(self, flags)
+        if not state["corrupted"]:
+            markings = markings[:-1] + ((markings[-1] + 1) % self.group.order,)
+            self._flag_parts[flags] = (gauges, markings, conjugators)
+            state["corrupted"] += 1
+        return gauges, markings, conjugators
+
+    monkeypatch.setattr(torsors._NaturalMaps, "_flag_part", corrupting)
+    return state
+
+
+def _corrupt_first_gauged_table(monkeypatch) -> dict:
+    """Memoize a wrong back table for the first (hom table, gauge) pair the
+    inverse gauges."""
+    state = {"corrupted": 0}
+
+    def corrupting(self, table, gauge):
+        back = _GAUGED_TABLE(self, table, gauge)
+        if not state["corrupted"]:
+            back = back[:-1] + ((back[-1] + 1) % self.group.order,)
+            self._gauged[table, gauge] = back
+            state["corrupted"] += 1
+        return back
+
+    monkeypatch.setattr(torsors._NaturalMaps, "_gauged_table", corrupting)
+    return state
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_first_flag_part, _corrupt_first_gauged_table],
+                         ids=["flag-part", "gauged-table"])
+@pytest.mark.parametrize("roundtrip_cap", [None, 10], ids=["every-element", "strided"])
+def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, roundtrip_cap, corrupt):
+    """A wrong memoized part of the inverse fails the round trip, also when
+    round trips are strided."""
+    instances = [(trivial_gog(theta_graph()), cyclic(3)),
+                 (_c2_edged_circle(), symmetric(3))]
+    if roundtrip_cap is not None:
+        monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", roundtrip_cap)
+    for gog, G in instances:
+        state = corrupt(monkeypatch)
+        try:
+            _, report = verify_groupoid_pushout(gog, G)
+        except AssertionError:
+            pass
+        else:
+            assert not report["passed"]
+        assert state["corrupted"] == 1
+        _, report = verify_groupoid_pushout(gog, G)
+        if roundtrip_cap is not None:
+            assert report["roundtrip_stride"] > 1
+
+
 def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
     """The verifier compares index tuples: no GroupHom or HomFamily is
     constructed, while the enumeration builds one HomFamily per hom and no
@@ -581,9 +665,10 @@ def test_compatibility_is_branch_agreement_of_the_trivialized_data():
             compatible = False
         datum = [hom_from_torsor(vd[v], ModelGroupoid(gog.graph.edges_at(v), gog.vertex_groups[v]))
                  .key() for v in vertices]
-        maps = torsors._NaturalMaps(build_presentation(gog), G)
+        pres = build_presentation(gog)
+        maps = torsors._NaturalMaps(pres, G)
         restricted = [maps.restrictions(i, entry) for i, entry in enumerate(datum)]
-        assert compatible == (maps.disagreeing_branch(restricted) is None), (graph.edges, G.name)
+        assert compatible == (disagreeing_branch(pres, restricted) is None), (graph.edges, G.name)
         if compatible:
             solve_patching(problem)
         outcomes[compatible] += 1
