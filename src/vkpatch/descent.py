@@ -27,7 +27,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .fields import FiniteField, RationalFunctionField, poly_add, poly_strip
+from .fields import FiniteField, RationalFunctionField, poly_add, poly_mul, poly_strip
 from .graphs import ScaleError, refuse_past
 from .series import LaurentSeries
 
@@ -400,19 +400,6 @@ def _frobenius(F: FiniteField, a: Sequence, n: int) -> list:
     return out
 
 
-def _mul_to(F: FiniteField, a: Sequence, b: Sequence, n: int) -> list:
-    """The coefficients of a*b below x^n."""
-    add, mul, zero = F.add, F.mul, F.zero
-    out = [zero] * min(len(a) + len(b) - 1, n)
-    for i, c in enumerate(a[:n]):
-        if c == zero:
-            continue
-        for j, d in enumerate(b[: n - i], i):
-            if d != zero:
-                out[j] = add(out[j], mul(c, d))
-    return out
-
-
 class KummerInstance:
     """Residue-level data for Y^p - g^p - x over a local base.
 
@@ -467,10 +454,10 @@ def _relation_rows(F: FiniteField, fbar: Sequence, e_power: Sequence, search_bou
     to x^order: row n holds the coefficients of x^n, column
     j (search_bound + 1) + k those of x^k h^j."""
     n = order + 1
-    h = _mul_to(F, fbar, e_power, n)
+    h = poly_mul(F, fbar, e_power, n)
     powers = [[F.one]]
     for _ in range(search_bound):
-        powers.append(_mul_to(F, powers[-1], h, n))
+        powers.append(poly_mul(F, powers[-1], h, n))
     return [
         [power[exp - k] if 0 <= exp - k < len(power) else F.zero
          for power in powers for k in range(search_bound + 1)]
@@ -483,7 +470,7 @@ def _check_relation(F: FiniteField, h: Sequence, relation: Sequence, n: int) -> 
     rule independently of the linear system that produced the c_j."""
     acc: tuple = ()
     for c in reversed(relation):
-        acc = poly_add(F, _mul_to(F, acc, h, n), c)
+        acc = poly_add(F, poly_mul(F, acc, h, n), c)
     if acc:
         raise AssertionError("search produced an invalid Kummer relation")
 
@@ -638,7 +625,7 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
                     poly_strip(F, tuple(vec[j:j + search_bound + 1]))
                     for j in range(0, unknowns, search_bound + 1)
                 )
-                _check_relation(F, _mul_to(F, fbar, e_power, n), relation, n)
+                _check_relation(F, poly_mul(F, fbar, e_power, n), relation, n)
                 return KummerDecision(
                     DESCENDS, e_coeffs, relation, tried, search_bound, truncation,
                     f"f*e^p satisfies a degree-<= {search_bound} relation to order {truncation}: "

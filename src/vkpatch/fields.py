@@ -254,15 +254,19 @@ def poly_add(field, a, b) -> tuple:
     return poly_strip(field, out)
 
 
-def poly_mul(field, a, b) -> tuple:
+def poly_mul(field, a, b, n: int | None = None) -> tuple:
+    """The product a*b, or with ``n`` only its coefficients below x^n."""
     if not a or not b:
         return ()
     add, mul, zero = field.add, field.mul, field.zero
-    out = [zero] * (len(a) + len(b) - 1)
+    size = len(a) + len(b) - 1
+    if n is not None and n < size:
+        size, a = n, a[:n]
+    out = [zero] * size
     for i, x in enumerate(a):
         if x == zero:
             continue
-        for j, y in enumerate(b, i):
+        for j, y in enumerate(b if i + len(b) <= size else b[: size - i], i):
             if y != zero:
                 out[j] = add(out[j], mul(x, y))
     return poly_strip(field, out)

@@ -326,19 +326,33 @@ def backtrack_vertices(
 
     picks = [0] * n
     out: list[tuple] = []
+    last = candidates[n - 1]
 
-    def extend(j: int) -> None:
-        bucket = buckets[j].get(tuple(restricted[picks[i]] for i, restricted in probes[j]), ())
-        if j == n - 1:
-            head = tuple(candidates[i][picks[i]] for i in range(j))
-            last = candidates[j]
-            out.extend([head + (last[k],) for k in bucket])
-            return
-        for k in bucket:
+    def matching(j: int) -> Sequence[int]:
+        """The positions of vertex j's candidates that agree with the picks
+        at the earlier ends of its branches."""
+        return buckets[j].get(tuple([restricted[picks[i]] for i, restricted in probes[j]]), ())
+
+    def complete() -> None:
+        head = tuple([candidates[i][picks[i]] for i in range(n - 1)])
+        out.extend([head + (last[k],) for k in matching(n - 1)])
+
+    if n == 1:
+        complete()
+        return out
+    # one iterator of matching positions per vertex from the first to the
+    # one being picked, all but the last, so the depth is not the call depth
+    stack = [iter(matching(0))]
+    while stack:
+        j = len(stack) - 1
+        for k in stack[-1]:
             picks[j] = k
-            extend(j + 1)
-
-    extend(0)
+            if j + 2 < n:
+                stack.append(iter(matching(j + 1)))
+                break
+            complete()
+        else:
+            stack.pop()
     return out
 
 

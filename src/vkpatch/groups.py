@@ -288,24 +288,30 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
     out: list[tuple[int, ...]] = []
     what = f"the hom search into {target.name}"
     tried = 0
+    if not r:
+        return ((),)
+    # one iterator of candidate images per generator from the first to the
+    # one being chosen, so the depth of the search is not the call depth
+    stack: list = []
 
-    def extend(depth: int) -> None:
+    def push(depth: int) -> None:
         nonlocal tried
-        if depth == r:
-            out.append(tuple(vals[1:r + 1]))
-            return
         tried += n
         refuse_past(what, (tried,), HOM_SEARCH_CAP)
-        bucket = buckets[depth]
         if solved[depth] is None:
-            candidates = range(n)
-        else:
-            word, sign = solved[depth]
-            acc = identity
-            for letter in word:
-                acc = table[acc][vals[letter]]
-            candidates = (inv[acc] if sign > 0 else acc,)
-        for cand in candidates:
+            stack.append(iter(range(n)))
+            return
+        word, sign = solved[depth]
+        acc = identity
+        for letter in word:
+            acc = table[acc][vals[letter]]
+        stack.append(iter((inv[acc] if sign > 0 else acc,)))
+
+    push(0)
+    while stack:
+        depth = len(stack) - 1
+        bucket = buckets[depth]
+        for cand in stack[-1]:
             vals[depth + 1] = cand
             vals[-depth - 1] = inv[cand]
             for rel in bucket:
@@ -315,9 +321,12 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
                 if acc != identity:
                     break
             else:
-                extend(depth + 1)
-
-    extend(0)
+                if depth + 1 < r:
+                    push(depth + 1)
+                    break
+                out.append(tuple(vals[1:r + 1]))
+        else:
+            stack.pop()
     return tuple(out)
 
 

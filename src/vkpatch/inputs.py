@@ -245,7 +245,8 @@ def parse_input(document: str) -> WorkbenchInput:
     warnings: list[str] = []
     try:
         data = json.loads(document)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    # JSONDecodeError, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError([f"not well-formed JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise InputError(["top level must be an object"])

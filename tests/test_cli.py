@@ -620,6 +620,23 @@ _C2_POWER_7 = json.dumps({
     "options": {"test_group": "E"},
 })
 
+
+def _path(k, order):
+    """A path of k points and k components, P1 - U1 - P2 - ... - Uk, with
+    the trivial group everywhere, into the cyclic group of that order: a
+    tree of trivial groups, so one hom, with one generator per vertex and
+    one per branch."""
+    edges = [[f"a{i}", f"P{i}", f"U{i}"] for i in range(1, k + 1)]
+    edges += [[f"b{i}", f"P{i + 1}", f"U{i}"] for i in range(1, k)]
+    return json.dumps({
+        "version": 1,
+        "graph": {"points": [f"P{i}" for i in range(1, k + 1)],
+                  "components": [f"U{i}" for i in range(1, k + 1)], "edges": edges},
+        "groups": {"G": {"cyclic": order}},
+        "options": {"test_group": "G"},
+    })
+
+
 # alpha = 1 + 2s over GF(3)(s): transcendental over the constants
 _AS_RATIONAL = json.dumps({"version": 1, "descent": {"artin_schreier": {
     "p": 3, "rational": True, "e": 1, "alpha": {"num": [1, 2], "den": [1]}}}})
@@ -680,12 +697,22 @@ def _as_rational_fails(support):
         ("descent-as", _AS_RATIONAL, EXIT_PASS, {"oracle": _as_rational_fails(9)}),
         ("descent-as", json.dumps({**json.loads(_AS_RATIONAL), "options": {"support_bound": 11}}),
          EXIT_PASS, {"oracle": _as_rational_fails(11)}),
+        # 999 generators: the hom search is as deep as that, not the call stack
+        ("gog-homs", _path(250, 2), EXIT_PASS, {"count": 1}),
+        ("gog-verify", _path(250, 2), EXIT_PASS, {"passed": True, "pi1_count": 1}),
+        # 1,040 vertices: so is the join over them
+        ("gog-verify", _path(520, 1), EXIT_PASS, {"passed": True, "pi1_count": 1}),
+        ("torsor-verify", _path(520, 1), EXIT_PASS, {"passed": True, "global_raw": 1}),
+        # nested past the JSON parser's recursion limit
+        ("graph-check", "[" * 100_000 + "]" * 100_000, EXIT_INPUT_ERROR, None),
     ],
     ids=["long-integer", "index-product", "torsor-gauge", "pushout-gauge", "homs-bound",
          "verify-bound", "kummer-terms", "kummer-base-ring-coeffs", "kummer-truncation",
          "kummer-p5-bound6", "homs-tree20", "verify-tree20", "homs-c2-power-7",
          "verify-c2-power-7", "torsor-c2-power-7", "all-trees-k10-10", "covers-tree-huge-degree",
-         "kummer-bound-4001-digits", "as-rational-support-9", "as-rational-support-11"],
+         "kummer-bound-4001-digits", "as-rational-support-9", "as-rational-support-11",
+         "homs-path-250", "verify-path-250", "verify-path-520", "torsor-path-520",
+         "nested-100000"],
 )
 def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, exit_code, machine):
     path = tmp_path / "input.json"

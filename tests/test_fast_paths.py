@@ -38,7 +38,6 @@ from catalog import (
 )
 from vkpatch import descent as descent_mod
 from vkpatch import groups as groups_mod
-from vkpatch import torsors as torsors_mod
 from vkpatch.descent import (
     DESCENDS,
     FAILS_WITHIN_BOUNDS,
@@ -51,12 +50,11 @@ from vkpatch.descent import (
     KummerDecision,
     KummerInstance,
     _frobenius,
-    _mul_to,
     _valid_betas,
     as_brute_force_oracle,
     kummer_obstruction,
 )
-from vkpatch.fields import FiniteField, poly_strip
+from vkpatch.fields import FiniteField, poly_mul, poly_strip
 from vkpatch.gog import (
     GraphOfFiniteGroups,
     HomFamily,
@@ -233,34 +231,31 @@ def disagreeing_branch(presentation, restricted):
 
 def per_element_functor_sets(gog, G):
     """The pushout verifier's comparison one global functor at a time, in
-    ``product(pi1, markings)`` order: each datum by ``forward``, added to the
-    image set with an injectivity check, and on every element whose global
-    index the stride divides, branch agreement by ``disagreeing_branch`` and
-    the round trip by ``inverse``.  Returns the image set, the round trips
-    checked and whether the law holds."""
+    ``product(pi1, markings)`` order, by the name-walking maps: each datum
+    by ``natural_map_by_names``, added to the image set with an injectivity
+    check, then branch agreement by ``branch_agrees`` and the round trip by
+    ``inverse_natural_map_by_names``, on every element.  Returns the image
+    set and whether the law holds."""
     presentation = build_presentation(gog)
-    free_branches = len(gog.graph.edge_names()) - 1
+    names = gog.graph.edge_names()
     pi1 = [presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)]
-    markings_space = [(G.identity, *combo)
-                      for combo in itertools.product(range(G.order), repeat=free_branches)]
-    stride = max(1, len(pi1) * len(markings_space) // torsors_mod.ROUNDTRIP_CAP)
-    maps = _NaturalMaps(presentation, G)
-    image, roundtrips = set(), 0
-    for index, (key, markings) in enumerate(itertools.product(pi1, markings_space)):
-        datum, restricted = maps.forward(key, markings)
+    markings_space = [dict(zip(names, (G.identity, *combo)))
+                      for combo in itertools.product(range(G.order), repeat=len(names) - 1)]
+    image = set()
+    for key, markings in itertools.product(pi1, markings_space):
+        datum = natural_map_by_names(presentation, G, key, markings)
         seen = len(image)
         image.add(datum)
         if len(image) == seen:
             raise AssertionError("restriction functor is not injective")
-        if index % stride == 0:
-            if disagreeing_branch(presentation, restricted) is not None:
-                raise AssertionError("restriction broke branch agreement")
-            if maps.inverse(datum) != (key, markings):
-                raise AssertionError("inverse natural map failed the round trip")
-            roundtrips += 1
+        by_name = dict(zip(gog.graph.vertices, datum))
+        if not all(branch_agrees(gog, G, by_name, e) for e in names):
+            raise AssertionError("restriction broke branch agreement")
+        if inverse_natural_map_by_names(presentation, G, datum) != (key, markings):
+            raise AssertionError("inverse natural map failed the round trip")
     fiber = _enumerate_fiber_data(gog, G)
     passed = image == set(fiber) and len(fiber) == len(pi1) * len(markings_space)
-    return image, roundtrips, passed
+    return image, passed
 
 
 def edge_relation_violation_by_names(gog, G, key):
@@ -471,25 +466,10 @@ def test_fast_paths_match_the_oracles_on_the_catalog(name):
     assert all(fiber > 0 and naive > 0 for fiber, naive in sizes)
 
 
-def stride_caps(global_raw, gauge):
-    """``ROUNDTRIP_CAP`` values by stride mode: every element, the least
-    stride past 1 that does not divide the marking gauge, and the least
-    stride past the gauge; a mode that no cap reaches is left out."""
-    caps = {"every-element": global_raw}
-    for cap in range(global_raw, 0, -1):
-        stride = global_raw // cap
-        if stride > 1 and gauge % stride:
-            caps.setdefault("not-dividing", cap)
-        if stride > gauge:
-            caps.setdefault("past-the-gauge", cap)
-    return caps
-
-
-def assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=None):
+def assert_column_pass_matches(monkeypatch, gog, G):
     """``verify_groupoid_pushout`` and ``per_element_functor_sets`` agree on
-    the image set, the round trips checked and the verdict in every stride
-    mode, the strided ones only up to ``strided_up_to`` global functors when
-    it is given; returns the modes run."""
+    the image set and the verdict, and the verifier round-trips every global
+    functor."""
     image = set()
     forward_columns = _NaturalMaps.forward_columns
 
@@ -498,34 +478,21 @@ def assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=None):
         image.update(zip(*[map(operator.itemgetter(0), column) for column in hits]))
         return hits
 
-    monkeypatch.setattr(_NaturalMaps, "forward_columns", recording)
-    gauge = G.order ** (len(gog.graph.edge_names()) - 1)
-    global_raw = len(enumerate_pi1_homs(gog, G)) * gauge
-    modes = stride_caps(global_raw, gauge)
-    if strided_up_to is not None and global_raw > strided_up_to:
-        modes = {"every-element": global_raw}
-    for mode, cap in modes.items():
-        monkeypatch.setattr(torsors_mod, "ROUNDTRIP_CAP", cap)
-        image.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(_NaturalMaps, "forward_columns", recording)
         _, report = verify_groupoid_pushout(gog, G)
-        oracle_image, roundtrips, passed = per_element_functor_sets(gog, G)
-        assert image == oracle_image, mode
-        assert (report["roundtrip_checked"], report["passed"]) == (roundtrips, passed), mode
-        assert report["global_raw"] == global_raw
-        stride = report["roundtrip_stride"]
-        assert {"every-element": stride == 1, "not-dividing": gauge % stride > 0,
-                "past-the-gauge": stride > gauge}[mode], (mode, stride, gauge)
-    return set(modes)
+    oracle_image, passed = per_element_functor_sets(gog, G)
+    assert image == oracle_image
+    assert report["passed"] == passed
+    assert report["roundtrip_checked"] == report["global_raw"] == len(image)
+    assert report["roundtrip_stride"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_column_pass_matches_the_per_element_loop_on_the_catalog(monkeypatch, name):
     gog = CATALOG[name]()
-    modes = set()
     for G in (cyclic(2), cyclic(3), symmetric(3)):
-        modes |= assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=5000)
-    # the trivial diamond has one global functor, so no stride past 1
-    assert len(modes) == 3 or name == "diamond-trivial"
+        assert_column_pass_matches(monkeypatch, gog, G)
 
 
 def with_free_letter(gog):
@@ -626,11 +593,10 @@ def test_fast_paths_match_the_oracles_on_random_instances():
 
 
 def test_column_pass_matches_the_per_element_loop_on_random_instances(monkeypatch):
-    modes, large = set(), 0
+    large = 0
     for gog, G in random_instances():
-        modes |= assert_column_pass_matches(monkeypatch, gog, G, strided_up_to=5000)
+        assert_column_pass_matches(monkeypatch, gog, G)
         large += len(gog.graph.vertices) >= 3
-    assert modes == {"every-element", "not-dividing", "past-the-gauge"}
     assert large > 0
 
 
@@ -1071,9 +1037,10 @@ def test_frobenius_and_truncated_product_match_the_series_products():
             a, b = ([rng.randrange(F.q) for _ in range(rng.randint(0, 9))] for _ in range(2))
             n = rng.randint(0, 30)
             sa, sb = (LaurentSeries(F, dict(enumerate(c))) for c in (a, b))
-            for fast, slow in ((_frobenius(F, a, n), sa.pow(p)), (_mul_to(F, a, b, n), sa.mul(sb))):
+            for fast, slow in ((_frobenius(F, a, n), sa.pow(p)),
+                               (poly_mul(F, a, b, n), sa.mul(sb))):
                 assert len(fast) <= n
-                fast += [F.zero] * (n - len(fast))
+                fast = list(fast) + [F.zero] * (n - len(fast))
                 assert fast == [series_coefficient(slow, i) for i in range(n)], (p, e, a, b, n)
 
 

@@ -301,26 +301,18 @@ def test_validated_objects_are_built_only_where_listed():
     assert listed <= builders, f"listed sites that build nothing: {listed - builders}"
 
 
-# (module-level ``*_CAP``, why it is not a budget); every other cap is read
-# only as the ``cap`` argument of ``graphs.refuse_past``
-NOT_BUDGETS = (
-    ("torsors.ROUNDTRIP_CAP", "sets the stride of the round-trip check; nothing is refused"),
-)
-
-
 def cap_checks_outside_the_helper() -> list[str]:
     """Each source line of ``src/vkpatch`` that reads a module-level ``*_CAP``
     other than as the ``cap`` of a ``refuse_past`` call, or that raises
     ``ScaleError`` anywhere but in ``refuse_past``, as ``module:line: text``."""
     modules = _modules()
-    exempt = {q.split(".")[1] for q, _ in NOT_BUDGETS}
     caps = {
         target.id
         for tree in modules.values()
         for node in tree.body if isinstance(node, ast.Assign)
         for target in node.targets
         if isinstance(target, ast.Name) and target.id.endswith("_CAP")
-    } - exempt
+    }
     found = []
     for module, tree in modules.items():
         lines = (SRC / f"{module}.py").read_text(encoding="utf-8").splitlines()
@@ -347,14 +339,5 @@ def cap_checks_outside_the_helper() -> list[str]:
 
 
 def test_every_cap_is_checked_by_the_one_helper():
-    listed = {q for q, _ in NOT_BUDGETS}
-    modules = _modules()
-    defined = {
-        f"{module}.{target.id}"
-        for module, tree in modules.items()
-        for node in tree.body if isinstance(node, ast.Assign)
-        for target in node.targets if isinstance(target, ast.Name)
-    }
-    assert listed <= defined, f"listed caps that do not exist: {listed - defined}"
     outside = cap_checks_outside_the_helper()
     assert not outside, "caps checked outside graphs.refuse_past:\n" + "\n".join(outside)

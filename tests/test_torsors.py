@@ -266,21 +266,16 @@ def test_pushout_spec_counts():
     assert report["passed"]
 
 
-def test_roundtrip_stride_is_reported(monkeypatch):
-    gog, c3 = trivial_gog(theta_graph()), cyclic(3)
-    lines, report = verify_groupoid_pushout(gog, c3)
-    assert report["global_raw"] == 81
-    assert report["roundtrip_checked"] == report["global_raw"]
-    assert report["roundtrip_stride"] == 1
-    assert "round trips verified: 81 (every element)" in lines
-
-    monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", 10)
-    lines, report = verify_groupoid_pushout(gog, c3)
-    assert report["passed"]
-    # stride 81 // 10 = 8 checks indices 0, 8, ..., 80
-    assert report["roundtrip_stride"] == 8
-    assert report["roundtrip_checked"] == 11 < report["global_raw"]
-    assert "round trips verified: 11 (strided: one element in 8)" in lines
+def test_roundtrip_stride_is_reported():
+    """Every global functor is round-tripped, also past 20,000 of them: the
+    trivial circle into C200 has 200 homs times 200 markings."""
+    for gog, G, global_raw in ((trivial_gog(theta_graph()), cyclic(3), 81),
+                               (trivial_gog(circle_graph()), cyclic(200), 40_000)):
+        lines, report = verify_groupoid_pushout(gog, G)
+        assert report["passed"]
+        assert report["global_raw"] == report["roundtrip_checked"] == global_raw
+        assert report["roundtrip_stride"] == 1
+        assert f"round trips verified: {global_raw} (every element)" in lines
 
 
 _CACHED_ENTRY = torsors._NaturalMaps._entry
@@ -319,17 +314,14 @@ def _c2_edged_circle():
     )
 
 
-@pytest.mark.parametrize("roundtrip_cap", [None, 10], ids=["every-element", "strided"])
-def test_pushout_verifier_catches_a_corrupted_cached_entry(monkeypatch, roundtrip_cap):
+def test_pushout_verifier_catches_a_corrupted_cached_entry(monkeypatch):
     """A wrong cached forward entry fails the round trip, the injectivity
-    check or the set comparison, also when round trips are strided."""
+    check or the set comparison."""
     instances = [(trivial_gog(theta_graph()), cyclic(3)),
                  (_c2_edged_circle(), symmetric(3))]
     for gog, G in instances:
         _, clean = verify_groupoid_pushout(gog, G)
         assert clean["passed"]
-    if roundtrip_cap is not None:
-        monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", roundtrip_cap)
     for gog, G in instances:
         state = _corrupt_first_cached_entry(monkeypatch)
         try:
@@ -338,8 +330,6 @@ def test_pushout_verifier_catches_a_corrupted_cached_entry(monkeypatch, roundtri
             pass
         else:
             assert not report["passed"]
-            if roundtrip_cap is not None:
-                assert report["roundtrip_stride"] > 1
         assert state["corrupted"] == 1
 
 
@@ -404,14 +394,10 @@ def _corrupt_first_gauged_table(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("corrupt", [_corrupt_first_flag_part, _corrupt_first_gauged_table],
                          ids=["flag-part", "gauged-table"])
-@pytest.mark.parametrize("roundtrip_cap", [None, 10], ids=["every-element", "strided"])
-def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, roundtrip_cap, corrupt):
-    """A wrong memoized part of the inverse fails the round trip, also when
-    round trips are strided."""
+def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, corrupt):
+    """A wrong memoized part of the inverse fails the round trip."""
     instances = [(trivial_gog(theta_graph()), cyclic(3)),
                  (_c2_edged_circle(), symmetric(3))]
-    if roundtrip_cap is not None:
-        monkeypatch.setattr(torsors, "ROUNDTRIP_CAP", roundtrip_cap)
     for gog, G in instances:
         state = corrupt(monkeypatch)
         try:
@@ -421,9 +407,35 @@ def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, roundtri
         else:
             assert not report["passed"]
         assert state["corrupted"] == 1
-        _, report = verify_groupoid_pushout(gog, G)
-        if roundtrip_cap is not None:
-            assert report["roundtrip_stride"] > 1
+
+
+def test_pushout_verifier_round_trips_the_last_global_functor(monkeypatch):
+    """The round trip reaches the last global functor in ``product(homs,
+    markings)`` order: a wrong memoized inverse for the flags of the last
+    hom's last markings fails it, also past 20,000 global functors."""
+    instances = [(trivial_gog(theta_graph()), cyclic(3)),
+                 (_c2_edged_circle(), symmetric(3)),
+                 (trivial_gog(circle_graph()), cyclic(200))]
+    for gog, G in instances:
+        pres = build_presentation(gog)
+        key = enumerate_pi1_homs(gog, G)[-1].key
+        last = (G.identity, *[G.order - 1] * (len(gog.graph.edge_names()) - 1))
+        target = tuple(flags for _, flags in natural_map(pres, G, key, last))
+        state = {"corrupted": 0}
+
+        def corrupting(self, flags):
+            gauges, markings, conjugators = _FLAG_PART(self, flags)
+            if flags == target:
+                markings = markings[:-1] + ((markings[-1] + 1) % self.group.order,)
+                self._flag_parts[flags] = (gauges, markings, conjugators)
+                state["corrupted"] += 1
+            return gauges, markings, conjugators
+
+        with monkeypatch.context() as patch:
+            patch.setattr(torsors._NaturalMaps, "_flag_part", corrupting)
+            with pytest.raises(AssertionError, match="round trip"):
+                verify_groupoid_pushout(gog, G)
+        assert state["corrupted"] == 1
 
 
 def test_pushout_verifier_builds_no_validated_objects(monkeypatch):
