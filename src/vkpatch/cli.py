@@ -114,6 +114,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a CLI process writes one report and exits, so the cyclic garbage
+    # collector would only rescan the live enumerations; reference counting
+    # still frees everything else.  Imported here so that importing this
+    # module loads nothing more.
+    import gc
+
+    gc.disable()
     sys.exit(run(sys.argv[1:]))
 
 

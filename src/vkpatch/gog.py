@@ -337,11 +337,9 @@ def backtrack_vertices(
         head = tuple([candidates[i][picks[i]] for i in range(n - 1)])
         out.extend([head + (last[k],) for k in matching(n - 1)])
 
-    if n == 1:
-        complete()
-        return out
     # one iterator of matching positions per vertex from the first to the
-    # one being picked, all but the last, so the depth is not the call depth
+    # one being picked, all but the last (a valid graph has a point and a
+    # component), so the depth is not the call depth
     stack = [iter(matching(0))]
     while stack:
         j = len(stack) - 1

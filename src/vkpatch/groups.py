@@ -307,9 +307,16 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
             acc = table[acc][vals[letter]]
         stack.append(iter((inv[acc] if sign > 0 else acc,)))
 
+    # when no relator is left to check at the last generator (it is free, or
+    # solved by its one relator), each of its candidates is a leaf
+    free_leaves = not buckets[r - 1]
     push(0)
     while stack:
         depth = len(stack) - 1
+        if free_leaves and depth + 1 == r:
+            head = tuple(vals[1:r])
+            out.extend([head + (cand,) for cand in stack.pop()])
+            continue
         bucket = buckets[depth]
         for cand in stack[-1]:
             vals[depth + 1] = cand

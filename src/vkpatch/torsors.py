@@ -355,7 +355,7 @@ def _memo_column(memo: dict, keys: list, fill) -> list:
 
 class _NaturalMaps:
     """The natural map and its inverse for one presentation and test group,
-    with caches that make them cheap per element.
+    with caches that make them cheap per element and per column.
 
     A vertex's entry of a local datum depends only on its hom table and on
     the markings shifted onto its incident branches, so the forward map
@@ -364,12 +364,31 @@ class _NaturalMaps:
     inverse reads a datum's flags apart from its hom tables: the gauges,
     markings and conjugators depend on the flags alone and are computed once
     per flags tuple (``_flag_part``), and each (hom table, gauge) pair is
-    gauged once (``_gauged_table``).  ``forward_columns`` and
-    ``check_round_trips`` run both maps on columns of markings of one family,
-    through the same caches; ``forward`` is the one-element case.  The
-    caches live as long as the object, one verifier or patching call."""
+    gauged once (``_gauged_table``).  These per-element memos live as long
+    as the object, one verifier or patching call.
 
-    __slots__ = ("presentation", "group", "_conj", "_entries", "_flag_parts", "_gauged")
+    ``forward_columns`` and ``check_round_trips`` run both maps on columns
+    of markings of one family, through the same memos; ``forward`` is the
+    one-element case.  Over one set of marking columns, more is fixed, and
+    each of the column caches below is exact for that reason:
+
+    - a vertex's column of entries and restrictions depends only on its hom
+      table and the conjugators of the branches that meet it at their
+      component end, so it is built once per such pair;
+    - a branch's marking column seen from its component end depends only on
+      the branch's conjugator;
+    - a datum's flags depend only on the markings and the family's
+      conjugators, so the inverse's flag part is checked once per
+      conjugator tuple;
+    - the gauges follow from the flags, so each vertex's gauged tables are
+      checked once per (vertex, hom table, conjugator tuple).
+
+    The column caches hold the columns object they were built for and
+    start over when another one arrives, so no cached column serves another
+    marking set; the columns must not change while they are in use."""
+
+    __slots__ = ("presentation", "group", "_conj", "_entries", "_flag_parts", "_gauged",
+                 "_columns", "_shifted", "_vertex_columns", "_checked_parts", "_checked_tables")
 
     def __init__(self, presentation: VanKampenPresentation, group: FiniteGroup):
         self.presentation = presentation
@@ -381,6 +400,16 @@ class _NaturalMaps:
         self._flag_parts: dict[tuple, tuple] = {}
         # (hom table, gauge) -> the table conjugated by the gauge's inverse
         self._gauged: dict[tuple, tuple] = {}
+        # the marking columns the caches below were built for
+        self._columns = None
+        # (branch, conjugator) -> the branch's marking column at its component end
+        self._shifted: dict[tuple, list] = {}
+        # per vertex: (hom table, component-end conjugators) -> (entries, restrictions)
+        self._vertex_columns: list[dict] = []
+        # conjugators whose flag part is checked -> per vertex, the gauge column
+        self._checked_parts: dict[tuple, list] = {}
+        # (vertex, hom table, conjugators) whose gauged tables are checked
+        self._checked_tables: set[tuple] = set()
 
     def restrictions(self, i: int, entry: tuple) -> tuple:
         """The entry of a local datum at vertex i restricted to each of its
@@ -405,29 +434,53 @@ class _NaturalMaps:
         if markings[0] != self.group.identity:
             raise ValueError("marking at the least branch must be the identity")
         hits = self.forward_columns(family_key, [[m] for m in markings])
-        return tuple(zip(*[column[0] for column in hits]))
+        return (tuple([entries[0] for entries, _ in hits]),
+                tuple([tuple([column[0] for column in restricted]) for _, restricted in hits]))
 
-    def forward_columns(self, family_key: tuple, columns: Sequence[Sequence[int]]) -> list[list]:
+    def forward_columns(self, family_key: tuple, columns: Sequence[Sequence[int]]) -> list[tuple]:
         """The natural map on many global functors of one family at once,
         given as one column of markings per branch: per vertex, the column
-        of (entry, restrictions).  ``_entry`` fills only the entries not
-        cached yet, each once.
+        of entries and, per incident branch in ``edges_at`` order, the
+        column of their restrictions.  Each vertex column is built once per
+        hom table and component-end conjugators, and ``_entry`` fills only
+        the entries not cached yet, each once.
 
         Point-side restrictions use the markings directly; component-side
         ones absorb the branch's conjugator, mirroring the edge relation of
         the presentation."""
+        if columns is not self._columns:
+            self._columns = columns
+            self._shifted = {}
+            self._vertex_columns = [{} for _ in self._entries]
+            self._checked_parts = {}
+            self._checked_tables = set()
         mul, inv = self.group.table, self.group.inverse
+        shifted = self._shifted
         tables, conjugators = family_key
-        # each branch's marking column as seen from its point end and its
-        # component end, where m goes to m . c^-1
-        seen = (columns, [list(map([row[inv[c]] for row in mul].__getitem__, column))
-                          for column, c in zip(columns, conjugators)])
         hits = []
         for i, (table, incident, cache) in enumerate(
-            zip(tables, self.presentation.gog.incidence, self._entries)
+            zip(tables, self.presentation.gog.incidence, self._vertex_columns)
         ):
-            keys = list(zip(itertools.repeat(table), zip(*[seen[end][b] for b, end in incident])))
-            hits.append(_memo_column(cache, keys, lambda key: self._entry(i, *key)))
+            ends = tuple([conjugators[b] for b, end in incident if end])
+            hit = cache.get((table, ends))
+            if hit is None:
+                # each marking column as seen from this vertex: m at a point
+                # end, m . c^-1 at a component end
+                seen = []
+                for b, end in incident:
+                    if not end:
+                        seen.append(columns[b])
+                        continue
+                    c = conjugators[b]
+                    if (b, c) not in shifted:
+                        shifted[b, c] = list(map([row[inv[c]] for row in mul].__getitem__,
+                                                 columns[b]))
+                    seen.append(shifted[b, c])
+                keys = list(zip(itertools.repeat(table), zip(*seen)))
+                column = _memo_column(self._entries[i], keys, lambda key: self._entry(i, *key))
+                cache[table, ends] = hit = ([entry for entry, _ in column],
+                                            tuple(zip(*[r for _, r in column])))
+            hits.append(hit)
         return hits
 
     def _flag_part(self, flags: tuple) -> tuple:
@@ -480,36 +533,40 @@ class _NaturalMaps:
         ])
         return (tables, conjugators), markings
 
-    def check_round_trips(self, family_key: tuple, hits: Sequence[list],
+    def check_round_trips(self, family_key: tuple, hits: Sequence[tuple],
                           markings: list[tuple]) -> None:
         """Check global functors of one family, given by their markings and
-        per vertex the column of their (entry, restrictions) as
-        ``forward_columns`` returns it: each local datum agrees over every
-        branch, and ``inverse`` takes it back to the family key and its
-        markings.  Raises ``AssertionError`` at the first check that fails.
+        by what the latest ``forward_columns`` call returned for the columns
+        of those markings: each local datum agrees over every branch, and
+        ``inverse`` takes it back to the family key and its markings.
+        Raises ``AssertionError`` at the first check that fails.
 
         Only the data's columns are read: restriction columns for agreement,
-        then the flags columns through the flag-part memo and the table
-        columns through the gauged-table memo."""
+        then the flags columns through the flag-part memo, once per
+        conjugator tuple, and the table columns through the gauged-table
+        memo, once per vertex, hom table and conjugator tuple."""
         item = operator.itemgetter
-        restricted = [list(map(item(1), column)) for column in hits]
         for p, p_slot, u, u_slot in self.presentation.gog.branch_ends:
-            if list(map(item(p_slot), restricted[p])) != list(map(item(u_slot), restricted[u])):
+            if hits[p][1][p_slot] != hits[u][1][u_slot]:
                 raise AssertionError("restriction broke branch agreement")
 
-        entries = [list(map(item(0), column)) for column in hits]
-        flags = list(zip(*[map(item(1), column) for column in entries]))
-        parts = _memo_column(self._flag_parts, flags, self._flag_part)
         tables, conjugators = family_key
-        if (list(map(item(1), parts)) != markings
-                or list(map(item(2), parts)).count(conjugators) != len(parts)):
-            raise AssertionError("inverse natural map failed the round trip")
-        gauges = list(map(item(0), parts))
-        gauged = self._gauged
-        for i, (table, column) in enumerate(zip(tables, entries)):
-            for pair in set(zip(map(item(0), column), map(item(i), gauges))):
+        gauges = self._checked_parts.get(conjugators)
+        if gauges is None:
+            flags = list(zip(*[map(item(1), entries) for entries, _ in hits]))
+            parts = _memo_column(self._flag_parts, flags, self._flag_part)
+            if (list(map(item(1), parts)) != markings
+                    or list(map(item(2), parts)).count(conjugators) != len(parts)):
+                raise AssertionError("inverse natural map failed the round trip")
+            self._checked_parts[conjugators] = gauges = list(zip(*map(item(0), parts)))
+        gauged, checked = self._gauged, self._checked_tables
+        for i, (table, (entries, _), column) in enumerate(zip(tables, hits, gauges)):
+            if (i, table, conjugators) in checked:
+                continue
+            for pair in set(zip(map(item(0), entries), column)):
                 if (gauged.get(pair) or self._gauged_table(*pair)) != table:
                     raise AssertionError("inverse natural map failed the round trip")
+            checked.add((i, table, conjugators))
 
 
 def natural_map(
@@ -672,7 +729,10 @@ def verify_groupoid_pushout(
     markings, as columns (``_NaturalMaps.forward_columns``): every global
     functor gets its local datum, and the image set must grow by the marking
     gauge per hom, which is injectivity.  Every global functor also gets
-    branch agreement and the round trip (``check_round_trips``).
+    branch agreement and the round trip (``check_round_trips``).  The
+    marking columns are one object for the whole call, so the column caches
+    of ``_NaturalMaps`` hold: a hom pays for the vertex columns, flag parts
+    and gauged tables that no earlier hom shared with it.
 
     One comparison decides both laws.  The setoid equivalence asks that
     restriction be a bijection on classes with as many global classes as
@@ -701,14 +761,13 @@ def verify_groupoid_pushout(
 
     markings = [(G.identity, *combo)
                 for combo in itertools.product(range(G.order), repeat=free_branches)]
-    columns = list(zip(*markings))
-    entry_of = operator.itemgetter(0)
+    columns = tuple(zip(*markings))
     maps = _NaturalMaps(presentation, G)
     image_keys: set[tuple] = set()
     for key in pi1:
         hits = maps.forward_columns(key, columns)
         seen = len(image_keys)
-        image_keys.update(zip(*[map(entry_of, column) for column in hits]))
+        image_keys.update(zip(*[entries for entries, _ in hits]))
         if len(image_keys) - seen != gauge:
             raise AssertionError("restriction functor is not injective")
         maps.check_round_trips(key, hits, markings)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import vkpatch
-from vkpatch.cli import _HANDLERS, run
+from vkpatch.cli import _HANDLERS, main, run
 from vkpatch.inputs import InputError, parse_input
 from vkpatch.reports import (
     EXIT_FAIL,
@@ -358,6 +359,58 @@ def test_functor_set_report_carries_both_laws(tmp_path, capsys):
         assert "round trips verified: 4 (every element)" in out
 
 
+def assert_refuted(capsys, code, line):
+    """Exit 1, the REFUTED verdict, the failed check's line, and no stderr."""
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAIL, out
+    assert "verdict: REFUTED" in out
+    assert line in out
+    assert err == ""
+
+
+def test_gog_verify_exits_1_when_a_naive_family_goes_missing(tmp_path, capsys, monkeypatch):
+    """On a tree, a compatible system that no presentation hom reaches
+    refutes the direct-limit law."""
+    from vkpatch import gog
+
+    real = gog.naive_limit_homs
+    monkeypatch.setattr(gog, "naive_limit_homs", lambda g, G: real(g, G)[:-1])
+    assert_refuted(capsys, run(["gog-verify", write(tmp_path, AMALGAM)]),
+                   "restriction map is a bijection: False")
+
+
+def test_gog_verify_all_trees_exits_1_when_a_tree_count_is_off(tmp_path, capsys, monkeypatch):
+    """On the circle the direct-limit law passes, and a hom count that
+    differs for the spanning tree {b2} refutes tree independence."""
+    from vkpatch import gog
+
+    real = gog.enumerate_homs
+
+    def one_short_for_b2(pres, G):
+        homs = real(pres, G)
+        # the tree {b2} reaches U through b2, so its letter comes third
+        return homs[:-1] if pres.generators[2:3] == ("e:b2",) else homs
+
+    monkeypatch.setattr(gog, "enumerate_homs", one_short_for_b2)
+    assert_refuted(capsys, run(["gog-verify", write(tmp_path, CIRCLE), "--all-trees"]),
+                   "counts identical across trees: False")
+
+
+@pytest.mark.parametrize("command", ["torsor-verify", "pushout-verify"])
+def test_functor_set_commands_exit_1_when_a_fiber_datum_is_foreign(
+    tmp_path, capsys, monkeypatch, command
+):
+    """A branch-agreeing local datum swapped for one that no global functor
+    restricts to leaves the counts equal and breaks the bijection."""
+    from vkpatch import torsors
+
+    real = torsors._enumerate_fiber_data
+    monkeypatch.setattr(torsors, "_enumerate_fiber_data",
+                        lambda g, G: [*real(g, G)[:-1], ("foreign",)])
+    assert_refuted(capsys, run([command, write(tmp_path, CIRCLE)]),
+                   "restriction functor bijective on classes: False")
+
+
 def test_non_injective_edge_map_is_input_error(tmp_path, capsys):
     doc = json.loads(json.dumps(AMALGAM))
     doc["edge_maps"]["b1"]["to_point"] = {"1": "0"}
@@ -473,6 +526,18 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
         ("gog-verify", {**CIRCLE, "edge_maps": []}, [], "edge_maps"),
         ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
             "to_point": [], "to_component": {"1": "3"}}}}, [], "edge_maps.b1.to_point"),
+        # the boundary raises of an edge map and of a table group
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": {"1": "1"}, "to_component": {"1": "3"}}}}, [], "edge_maps.b1"),
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": {"0": "1", "1": "2"}, "to_component": {"1": "3"}}}}, [],
+         "edge_maps.b1"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"table": {
+            "elements": ["e", "e"], "table": [["e", "e"], ["e", "e"]]}}}}, [], "groups.G"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"table": {
+            "elements": ["a", "b"], "table": [["a", "a"], ["a", "a"]]}}}}, [], "groups.G"),
+        ("graph-check", {**MINIMAL, "groups": {"G": {"table": {
+            "elements": ["e", "a"], "table": [["e", "a"], ["a", "z"]]}}}}, [], "groups.G"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
@@ -487,7 +552,9 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
          "all-trees-text", "kummer-truncation-fraction", "search-bound-bool", "alpha-bool",
          "as-p-infinity", "graph-empty-list", "graph-zero", "graph-false", "graph-empty-text",
          "unused-graph-empty-list", "groups-zero", "options-false", "descent-empty-text",
-         "edge-maps-empty-list", "edge-map-side-empty-list"],
+         "edge-maps-empty-list", "edge-map-side-empty-list", "edge-map-not-a-hom",
+         "edge-map-moves-identity", "table-duplicate-labels", "table-no-identity",
+         "table-entry-undeclared"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])
@@ -774,7 +841,34 @@ def test_cli_import_loads_no_introspection_modules():
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert "vkpatch.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "dis", "tokenize", "ast"}
+    # gc is imported by main, the one caller that switches the collector off
+    assert not loaded & {"dataclasses", "inspect", "dis", "tokenize", "ast", "gc"}
+
+
+def test_run_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys):
+    path = write(tmp_path, CIRCLE)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run(["torsor-verify", path]) == EXIT_PASS
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_main_runs_without_the_cyclic_collector(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["vkpatch", "torsor-verify", write(tmp_path, CIRCLE)])
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == EXIT_PASS
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def test_descent_as_support_bound_far_over_the_cap_is_inconclusive(tmp_path, capsys):

@@ -17,7 +17,6 @@ The fast paths must reproduce them exactly, order and messages included.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 
 import pytest
@@ -475,7 +474,7 @@ def assert_column_pass_matches(monkeypatch, gog, G):
 
     def recording(self, key, columns):
         hits = forward_columns(self, key, columns)
-        image.update(zip(*[map(operator.itemgetter(0), column) for column in hits]))
+        image.update(zip(*[entries for entries, _ in hits]))
         return hits
 
     with monkeypatch.context() as patch:
@@ -666,6 +665,84 @@ def test_hom_search_refuses_where_the_oracle_does(monkeypatch):
             outcomes.add(type(results[0]))
     assert outcomes == {tuple, str}
     assert enumerate_homs(Presentation((), ()), cyclic(3)) == ((),)
+
+
+def product_filter_homs(source, target):
+    """The hom search by brute force: every image tuple in ``product`` order
+    under which every relator dies, and the candidates ``enumerate_homs``
+    charges, |target| for each prefix of length below r under which every
+    relator on that prefix's letters dies."""
+    r, n = len(source.generators), target.order
+
+    def dies_on(images, width):
+        return all(_word_value(target, images, rel) == target.identity
+                   for rel in source.relators if max(map(abs, rel), default=0) <= width)
+
+    prefixes = sum(dies_on(head, d) for d in range(r)
+                   for head in itertools.product(range(n), repeat=d))
+    homs = tuple(a for a in itertools.product(range(n), repeat=r) if dies_on(a, r))
+    return homs, n * prefixes
+
+
+def random_last_letter_presentation(rng, last):
+    """Two to four generators and up to three relators on the letters before
+    the last one; a ``"solved"`` last generator also appears once in one more
+    relator, a ``"free"`` one in none."""
+    r = rng.randint(2, 4)
+
+    def letters(k):
+        return [rng.choice((1, -1)) * rng.randint(1, r - 1) for _ in range(k)]
+
+    relators = [tuple(letters(rng.randint(1, 4))) for _ in range(rng.randint(0, 3))]
+    if last == "solved":
+        word = letters(rng.randint(0, 3))
+        word.insert(rng.randint(0, len(word)), rng.choice((1, -1)) * r)
+        relators.insert(rng.randint(0, len(relators)), tuple(word))
+    return Presentation(tuple(f"x{i}" for i in range(r)), tuple(relators))
+
+
+@pytest.mark.parametrize("last", ["free", "solved"])
+def test_hom_search_matches_the_product_filter_when_the_last_letter_needs_no_check(
+    monkeypatch, last
+):
+    """With no relator left to check at the last generator, its candidates
+    are the leaves: the homs, their order, the candidates charged and the
+    refusal point are those of the product filter."""
+    charged = []
+    real = groups_mod.refuse_past
+
+    def recording(what, factors, cap):
+        factors = tuple(factors)
+        charged.append(factors[0])
+        return real(what, factors, cap)
+
+    monkeypatch.setattr(groups_mod, "refuse_past", recording)
+    rng = random.Random(f"hom-search-{last}")
+    cap = groups_mod.HOM_SEARCH_CAP
+    for _ in range(40):
+        pres = random_last_letter_presentation(rng, last)
+        for target in (cyclic(3), symmetric(3), dihedral4()):
+            homs, tried = product_filter_homs(pres, target)
+            monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", cap)
+            charged.clear()
+            assert enumerate_homs(pres, target) == homs, pres.relators
+            assert charged[-1] == tried, pres.relators
+            monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", tried - 1)
+            refusal = f"^the hom search into {target.name} passes the cap of {tried - 1}$"
+            with pytest.raises(ScaleError, match=refusal):
+                enumerate_homs(pres, target)
+            monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", tried)
+            assert enumerate_homs(pres, target) == homs
+
+
+def test_an_empty_relator_checks_nothing():
+    """The empty word is a relator of every group: it leaves the homs of the
+    presentation without it."""
+    plain = Presentation(("x", "y"), ((1, 1),))
+    with_empty = Presentation(("x", "y"), ((), (1, 1)))
+    for target in (cyclic(4), symmetric(3)):
+        assert enumerate_homs(with_empty, target) == enumerate_homs(plain, target)
+        assert enumerate_homs(with_empty, target) == product_filter_homs(with_empty, target)[0]
 
 
 @pytest.mark.skipif(given is None, reason="hypothesis is not installed")

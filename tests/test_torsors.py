@@ -409,6 +409,28 @@ def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, corrupt)
         assert state["corrupted"] == 1
 
 
+def test_no_cached_column_serves_another_marking_set():
+    """One ``_NaturalMaps`` instance, fed two single markings and then the
+    verifier's full columns, hom after hom, answers as a fresh instance does
+    each time, and round-trips the full columns."""
+    instances = [(trivial_gog(theta_graph()), cyclic(3)),
+                 (_c2_edged_circle(), symmetric(3))]
+    for gog, G in instances:
+        pres = build_presentation(gog)
+        free = len(gog.graph.edge_names()) - 1
+        markings = [(G.identity, *combo)
+                    for combo in itertools.product(range(G.order), repeat=free)]
+        columns = tuple(zip(*markings))
+        shared = torsors._NaturalMaps(pres, G)
+        for fam in enumerate_pi1_homs(gog, G):
+            for one in (markings[1], markings[-1]):
+                assert shared.forward(fam.key, one) == \
+                    torsors._NaturalMaps(pres, G).forward(fam.key, one)
+            hits = shared.forward_columns(fam.key, columns)
+            assert hits == torsors._NaturalMaps(pres, G).forward_columns(fam.key, columns)
+            shared.check_round_trips(fam.key, hits, markings)
+
+
 def test_pushout_verifier_round_trips_the_last_global_functor(monkeypatch):
     """The round trip reaches the last global functor in ``product(homs,
     markings)`` order: a wrong memoized inverse for the flags of the last
