@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 import time
 
@@ -114,14 +115,23 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # a CLI process writes one report and exits, so the cyclic garbage
-    # collector would only rescan the live enumerations; reference counting
-    # still frees everything else.  Imported here so that importing this
-    # module loads nothing more.
+    # a CLI process writes one report and exits, so nothing is left for the
+    # cyclic collector or for interpreter teardown to do: the collector would
+    # only rescan the live enumerations (reference counting frees the rest),
+    # and teardown only frees what the exit frees anyway.  gc is imported
+    # here so that importing this module loads nothing more.
     import gc
 
     gc.disable()
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        # a reader that closed the pipe: the interpreter's own shutdown
+        # reports the unflushed stream and exits 120
+        sys.exit(code)
+    os._exit(code)
 
 
 def _pass_or_refuted(passed: bool, lines, machine):

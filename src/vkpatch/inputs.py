@@ -264,7 +264,10 @@ def parse_input(document: str) -> WorkbenchInput:
         raise InputError([f"unsupported schema version {data['version']}"])
 
     groups: dict[str, FiniteGroup] = {}
-    for name, descriptor in _object(data.get("groups"), "groups", errors).items():
+    # a declared group that fails to build is reported once, at its own path,
+    # and not again at each vertex, edge or option that names it
+    declared_groups = _object(data.get("groups"), "groups", errors)
+    for name, descriptor in declared_groups.items():
         try:
             groups[name] = make_group(descriptor, name=name)
         except (GroupAxiomError, ValueError, KeyError, TypeError) as exc:
@@ -322,10 +325,10 @@ def parse_input(document: str) -> WorkbenchInput:
                 errors.append(f"graph: {exc}")
 
     for v, gname in vertex_group_names.items():
-        if not isinstance(gname, str) or gname not in groups:
+        if not isinstance(gname, str) or gname not in declared_groups:
             errors.append(f"graph vertex {v}: group {gname!r} is not defined")
     for e, gname in edge_group_names.items():
-        if not isinstance(gname, str) or gname not in groups:
+        if not isinstance(gname, str) or gname not in declared_groups:
             errors.append(f"graph edge {e}: group {gname!r} is not defined")
 
     edge_map_tables = dict(_object(data.get("edge_maps"), "edge_maps", errors))
@@ -341,7 +344,7 @@ def parse_input(document: str) -> WorkbenchInput:
         if key not in _OPTION_KEYS:
             warnings.append(f"unknown option {key!r} ignored")
     test_group = options.get("test_group")
-    if test_group and (not isinstance(test_group, str) or test_group not in groups):
+    if test_group and (not isinstance(test_group, str) or test_group not in declared_groups):
         errors.append(f"options.test_group: group {test_group!r} is not defined")
     if not isinstance(options.get("all_trees", False), bool):
         errors.append(f"options.all_trees: must be a boolean, got {options['all_trees']!r}")

@@ -38,3 +38,11 @@ def hang_budget(pytestconfig):
     )
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def no_process_exit(monkeypatch):
+    def refuse(code):
+        pytest.fail(f"os._exit({code}) called in-process would end the test session")
+
+    monkeypatch.setattr(os, "_exit", refuse)

@@ -538,6 +538,20 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
             "elements": ["a", "b"], "table": [["a", "a"], ["a", "a"]]}}}}, [], "groups.G"),
         ("graph-check", {**MINIMAL, "groups": {"G": {"table": {
             "elements": ["e", "a"], "table": [["e", "a"], ["a", "z"]]}}}}, [], "groups.G"),
+        # an edge map from outside the edge group, and into outside the vertex group
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": {"1": "2", "5": "1"}, "to_component": {"1": "3"}}}}, [],
+         "edge_maps.b1"),
+        ("gog-homs", {**AMALGAM, "edge_maps": {"b1": {
+            "to_point": {"1": "9"}, "to_component": {"1": "3"}}}}, [], "edge_maps.b1"),
+        ("graph-check", {**MINIMAL, "groups": {"C4": {"dihedral": 4}}}, [], "groups.C4"),
+        ("graph-check", {**MINIMAL, "graph": {**MINIMAL["graph"], "edges": [
+            ["b1", "P", "U"], ["b1", "P", "U"]]}}, [], "graph"),
+        ("graph-check", {**MINIMAL, "graph": {**MINIMAL["graph"], "components": ["P", "U"]}},
+         [], "graph"),
+        ("index-bound", {**MINIMAL, "options": {"local_indices": [2, 6]}}, [],
+         "options.local_indices"),
+        ("gog-verify", {**CIRCLE, "options": {"test_group": "C3"}}, [], "options.test_group"),
     ],
     ids=["version-x", "as-no-p", "alpha-zz", "graph-list", "kummer-p4", "covers-degree0",
          "covers-degree-text", "graph-edges-int", "local-index-text", "local-index-zero",
@@ -554,7 +568,9 @@ _AS_SPEC = AS_DOC["descent"]["artin_schreier"]
          "unused-graph-empty-list", "groups-zero", "options-false", "descent-empty-text",
          "edge-maps-empty-list", "edge-map-side-empty-list", "edge-map-not-a-hom",
          "edge-map-moves-identity", "table-duplicate-labels", "table-no-identity",
-         "table-entry-undeclared"],
+         "table-entry-undeclared", "edge-map-from-outside", "edge-map-into-outside",
+         "group-kind-unknown", "edge-name-twice", "point-and-component",
+         "local-indices-list", "test-group-undefined"],
 )
 def test_malformed_values_are_input_errors(tmp_path, capsys, command, doc, flags, path):
     code = run([command, write(tmp_path, doc), *flags])
@@ -592,6 +608,26 @@ def test_edge_map_errors_name_the_missing_field_and_the_unknown_label(tmp_path, 
     ):
         assert run(["gog-verify", write(tmp_path, doc)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == line + "\n"
+
+
+def test_input_errors_without_a_path(tmp_path, capsys):
+    for argv, line in (
+        (["graph-check", write(tmp_path, [], "list.json")], "top level must be an object"),
+        (["gog-verify", write(tmp_path, CIRCLE), "--group", "C9"],
+         "test group 'C9' is not defined in 'groups'"),
+    ):
+        assert run(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"input error: {line}\n")
+
+
+def test_a_group_that_fails_to_build_is_reported_once(tmp_path, capsys):
+    doc = json.loads(json.dumps(AMALGAM))
+    doc["groups"]["C4"] = {"dihedral": 4}
+    doc["graph"]["edges"][0]["group"] = "C4"
+    doc["options"]["test_group"] = "C4"
+    assert run(["gog-verify", write(tmp_path, doc)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == (
+        "", "input error: groups.C4: unknown group descriptor kind 'dihedral'\n")
 
 
 _AS_RATIONAL_SPEC = {"p": 2, "rational": True, "e": 1}
@@ -858,17 +894,127 @@ def test_run_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_runs_without_the_cyclic_collector(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["vkpatch", "torsor-verify", write(tmp_path, CIRCLE)])
+class _Exited(Exception):
+    """Raised by a stand-in for ``os._exit``, so that ``main`` returns to the test."""
+
+
+class _RecordedStream(io.StringIO):
+    """A text stream that keeps what had been written at its last flush,
+    or whose every flush fails as on a pipe the reader closed."""
+
+    def __init__(self, broken=False):
+        super().__init__()
+        self.broken = broken
+        self.flushed = None
+
+    def flush(self):
+        if self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.flushed = self.getvalue()
+
+
+def _main_with_streams(monkeypatch, argv, out, err):
+    """Run ``main`` on ``argv`` writing to ``out`` and ``err``; the exit
+    status ``os._exit`` was given, with the collector state and what each
+    stream had flushed at that point, or None when it was not called."""
+    monkeypatch.setattr(sys, "argv", ["vkpatch", *argv])
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    exits = []
+
+    def exit_now(code):
+        exits.append((code, gc.isenabled(), out.flushed, err.flushed))
+        raise _Exited
+
+    monkeypatch.setattr(os, "_exit", exit_now)
     was = gc.isenabled()
     try:
-        with pytest.raises(SystemExit) as stop:
-            main()
-        assert stop.value.code == EXIT_PASS
-        assert not gc.isenabled()
+        main()
+    except _Exited:
+        return exits[0]
     finally:
         (gc.enable if was else gc.disable)()
-    assert "verdict: PASS" in capsys.readouterr().out
+    raise AssertionError("main returned")
+
+
+def test_main_runs_without_the_cyclic_collector(tmp_path, monkeypatch):
+    out, err = _RecordedStream(), _RecordedStream()
+    code, collecting, flushed_out, flushed_err = _main_with_streams(
+        monkeypatch, ["torsor-verify", write(tmp_path, CIRCLE)], out, err)
+    assert code == EXIT_PASS
+    assert not collecting
+    assert "verdict: PASS" in out.getvalue()
+    # the process ends without teardown, so both streams were flushed first
+    assert (flushed_out, flushed_err) == (out.getvalue(), "")
+
+
+def test_main_exits_through_the_interpreter_when_stdout_cannot_be_flushed(tmp_path,
+                                                                          monkeypatch):
+    out, err = _RecordedStream(broken=True), _RecordedStream()
+    with pytest.raises(SystemExit) as stop:
+        _main_with_streams(monkeypatch, ["graph-check", write(tmp_path, MINIMAL)], out, err)
+    assert stop.value.code == EXIT_PASS
+    assert "verdict: PASS" in out.getvalue()
+
+
+def _without_timing(text):
+    return [line for line in text.split("\n")
+            if not line.startswith("timing: ") and not line.startswith('  "timing_ms": ')]
+
+
+@pytest.mark.parametrize(
+    "command, doc, exit_code",
+    [
+        ("graph-check", MINIMAL, EXIT_PASS),
+        # P2 has no edge
+        ("graph-check", {**MINIMAL, "graph": {**MINIMAL["graph"], "points": ["P", "P2"]}},
+         EXIT_FAIL),
+        # 5 * 10^7 rows per candidate: refused before the search
+        ("descent-kummer", {"version": 1, "descent": {"kummer": {
+            **KUMMER_DOC["descent"]["kummer"], "truncation": 5 * 10**7}}}, EXIT_INCONCLUSIVE),
+        ("gog-verify", {**CIRCLE, "options": {"test_group": "C3"}}, EXIT_INPUT_ERROR),
+        ("export-dot", CIRCLE, EXIT_PASS),
+    ],
+    ids=["pass", "fail", "inconclusive", "input-error", "export-dot"],
+)
+def test_a_child_prints_what_run_prints(tmp_path, capsys, command, doc, exit_code):
+    """``main`` ends the process without teardown; every byte ``run`` writes
+    still reaches the reader, and the exit status is the one ``run`` returned."""
+    argv = [command, write(tmp_path, doc)]
+    dot = tmp_path / "out.dot"
+    if command == "export-dot":
+        argv += ["--dot-output", str(dot)]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-m", "vkpatch.cli", *argv],
+                           capture_output=True, text=True, timeout=30, env=env)
+    child_dot = dot.read_text() if command == "export-dot" else None
+    assert run(argv) == child.returncode == exit_code
+    captured = capsys.readouterr()
+    assert _without_timing(child.stdout) == _without_timing(captured.out)
+    assert child.stderr == captured.err
+    if child_dot is not None:
+        machine = json.loads(captured.out.partition("-- machine --\n")[2])
+        assert child_dot == dot.read_text() == machine["dot"]
+
+
+def test_a_child_whose_reader_closed_the_pipe_exits_120_without_traceback(tmp_path):
+    # block-buffered, as stdout is on a pipe, so the report is refused at the
+    # flush after run has returned; unbuffered, the write inside run fails
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(vkpatch.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "vkpatch.cli", "graph-check", write(tmp_path, MINIMAL)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=env)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 120
+    assert "Traceback" not in child.stderr
+    assert child.stderr.startswith(
+        "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert "BrokenPipeError" in child.stderr
 
 
 def test_descent_as_support_bound_far_over_the_cap_is_inconclusive(tmp_path, capsys):
@@ -885,6 +1031,26 @@ def test_descent_as_exit_and_agreement(tmp_path, capsys):
     assert code == EXIT_PASS
     assert "verdict: FAILS" in out
     assert "criterion/oracle agreement: True" in out
+
+
+def test_descent_as_exits_1_when_criterion_and_oracle_disagree(tmp_path, capsys,
+                                                                monkeypatch):
+    """The criterion made to claim descent where the oracle finds no beta."""
+    from vkpatch import cli
+    from vkpatch.descent import DESCENDS
+
+    real = cli.as_descends_galois
+
+    def descends(instance):
+        lines, machine = real(instance)
+        return lines, {**machine, "verdict": DESCENDS}
+
+    monkeypatch.setattr(cli, "as_descends_galois", descends)
+    code = run(["descent-as", write(tmp_path, AS_DOC)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert "criterion/oracle agreement: False" in out
+    assert err == ""
 
 
 def test_descent_kummer_verdicts(tmp_path, capsys):
