@@ -123,13 +123,16 @@ def main() -> None:
     import gc
 
     gc.disable()
-    code = run(sys.argv[1:])
+    # a reader that closed the pipe fails run's write or the flush below, and
+    # either way the exit is 120: here after a failed write, and after a
+    # failed flush at the interpreter's shutdown, which reports the unflushed
+    # stream
+    code = 120
     try:
+        code = run(sys.argv[1:])
         sys.stdout.flush()
         sys.stderr.flush()
     except OSError:
-        # a reader that closed the pipe: the interpreter's own shutdown
-        # reports the unflushed stream and exits 120
         sys.exit(code)
     os._exit(code)
 
@@ -291,13 +294,13 @@ def _cmd_descent_as(args, doc):
     verdict = machine["verdict"]
     exit_code = EXIT_PASS
     support = _opt_int(args, doc, "support_bound", "support_bound", instance.p**2)
-    oracle = as_brute_force_oracle(instance, support)
-    lines.extend(oracle.lines())
-    machine["oracle"] = oracle.to_json()
-    if oracle.verdict == INCONCLUSIVE:
+    search = as_brute_force_oracle(instance, support)
+    lines.extend(search.lines)
+    machine["oracle"] = oracle = search.machine
+    if oracle["verdict"] == INCONCLUSIVE:
         lines.append("oracle inconclusive; criterion verdict stands")
     else:
-        agree = (oracle.verdict == DESCENDS) == (verdict == DESCENDS)
+        agree = (oracle["verdict"] == DESCENDS) == (verdict == DESCENDS)
         lines.append(f"criterion/oracle agreement: {agree}")
         machine["agreement"] = agree
         if not agree:
@@ -308,9 +311,10 @@ def _cmd_descent_as(args, doc):
 def _cmd_descent_kummer(args, doc):
     instance = doc.kummer_instance()
     bound = _opt_int(args, doc, "support_bound", "search_bound", 4)
-    decision = kummer_obstruction(instance, bound)
-    exit_code = EXIT_INCONCLUSIVE if decision.verdict == INCONCLUSIVE else EXIT_PASS
-    return decision.verdict, decision.lines(), decision.to_json(), exit_code
+    search = kummer_obstruction(instance, bound)
+    verdict = search.machine["verdict"]
+    exit_code = EXIT_INCONCLUSIVE if verdict == INCONCLUSIVE else EXIT_PASS
+    return verdict, search.lines, search.machine, exit_code
 
 
 def _cmd_descent_example29(args, doc):

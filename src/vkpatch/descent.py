@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fields import FiniteField, RationalFunctionField, poly_add, poly_mul, poly_strip
 from .graphs import ScaleError, refuse_past
@@ -149,50 +149,38 @@ def as_descends_galois(instance: ASInstance) -> tuple[list[str], dict]:
     return lines, machine
 
 
-class ASOracleDecision:
-    __slots__ = ("verdict", "beta", "gamma", "candidates_tried", "support_bound", "note")
-    law = "artin-schreier-oracle"
+class SearchReport(NamedTuple):
+    """An exact search's report lines and machine block, as every law
+    returns them, and the block's ``candidates_tried`` beside them, which
+    the benchmark tracer reads as an attribute."""
 
-    def __init__(
-        self,
-        verdict: str,
-        beta: LaurentSeries | None,
-        gamma: LaurentSeries | None,
-        candidates_tried: int,
-        support_bound: int,
-        note: str,
-    ):
-        self.verdict = verdict
-        self.beta = beta
-        self.gamma = gamma
-        self.candidates_tried = candidates_tried
-        self.support_bound = support_bound
-        self.note = note
+    lines: list
+    machine: dict
+    candidates_tried: int
 
-    def lines(self) -> list[str]:
-        out = [
-            f"oracle verdict: {self.verdict}",
-            f"  searched {self.candidates_tried} candidate beta "
-            f"(support up to t^-{self.support_bound})",
-        ]
-        if self.beta is not None:
-            out.append(f"  beta = {self.beta.render()}")
-        if self.gamma is not None:
-            out.append(f"  gamma = {self.gamma.render()}")
-        if self.note:
-            out.append(f"  {self.note}")
-        return out
 
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "verdict": self.verdict,
-            "beta": self.beta.render() if self.beta is not None else None,
-            "gamma": self.gamma.render() if self.gamma is not None else None,
-            "candidates_tried": self.candidates_tried,
-            "support_bound": self.support_bound,
-            "note": self.note,
-        }
+def _oracle_report(verdict: str, tried: int, support_bound: int, note: str,
+                   witness: tuple[LaurentSeries, LaurentSeries] | None = None) -> SearchReport:
+    """The AS oracle's lines and block; a witness (beta, gamma) is rendered
+    once for both."""
+    beta = gamma = None
+    lines = [
+        f"oracle verdict: {verdict}",
+        f"  searched {tried} candidate beta (support up to t^-{support_bound})",
+    ]
+    if witness is not None:
+        beta, gamma = (series.render() for series in witness)
+        lines += [f"  beta = {beta}", f"  gamma = {gamma}"]
+    lines.append(f"  {note}")
+    return SearchReport(lines, {
+        "law": "artin-schreier-oracle",
+        "verdict": verdict,
+        "beta": beta,
+        "gamma": gamma,
+        "candidates_tried": tried,
+        "support_bound": support_bound,
+        "note": note,
+    }, tried)
 
 
 def _valid_betas(instance: ASInstance, support_bound: int):
@@ -230,7 +218,7 @@ def _valid_betas(instance: ASInstance, support_bound: int):
             yield beta, {j: c for j, c in gamma.items() if c != zero}
 
 
-def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleDecision:
+def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> SearchReport:
     """Exact search for beta over k1 with bounded negative support.
 
     The candidates are the |k1|^support_bound beta in product order, deepest
@@ -245,10 +233,8 @@ def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleD
     INCONCLUSIVE with nothing tried, never a silent answer.
     """
     if support_bound < 1:
-        return ASOracleDecision(
-            INCONCLUSIVE, None, None, 0, support_bound,
-            "support bound below 1: empty search space",
-        )
+        return _oracle_report(INCONCLUSIVE, 0, support_bound,
+                              "support bound below 1: empty search space")
     k2 = instance.k2
     k1_elements = instance.k1_elements()
     try:
@@ -256,9 +242,7 @@ def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleD
             f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
             (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
     except ScaleError as exc:
-        return ASOracleDecision(
-            INCONCLUSIVE, None, None, 0, support_bound, f"{exc}: search not run"
-        )
+        return _oracle_report(INCONCLUSIVE, 0, support_bound, f"{exc}: search not run")
     position = {b: i for i, b in enumerate(k1_elements)}
 
     def rank(beta: dict) -> int:
@@ -270,28 +254,17 @@ def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> ASOracleD
     valid = ((rank(beta), beta, gamma) for beta, gamma in _valid_betas(instance, support_bound))
     found = min(valid, key=lambda item: item[0], default=None)
     if found is None:
-        return ASOracleDecision(
-            FAILS_WITHIN_BOUNDS,
-            None,
-            None,
-            space,
-            support_bound,
-            "no candidate beta admits a solution (each refusal is exact)",
-        )
+        return _oracle_report(FAILS_WITHIN_BOUNDS, space, support_bound,
+                              "no candidate beta admits a solution (each refusal is exact)")
     least, beta_terms, gamma_terms = found
     beta = LaurentSeries(k2, beta_terms)
     gamma = LaurentSeries(k2, gamma_terms)
     x_series = LaurentSeries(k2, {-1: instance.alpha}).sub(beta)
     if not gamma.pow(instance.p).sub(gamma).equals_exact(x_series):
         raise AssertionError("oracle produced an invalid Artin-Schreier witness")
-    return ASOracleDecision(
-        DESCENDS,
-        beta,
-        gamma,
-        least + 1,
-        support_bound,
-        "witness verified exactly: gamma^p - gamma = alpha/t - beta",
-    )
+    return _oracle_report(DESCENDS, least + 1, support_bound,
+                          "witness verified exactly: gamma^p - gamma = alpha/t - beta",
+                          (beta, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -512,55 +485,31 @@ def _kernel_vector(F: FiniteField, rows: list[list], ncols: int) -> list | None:
     return vec
 
 
-class KummerDecision:
-    __slots__ = (
-        "verdict", "witness_e", "witness_relation", "candidates_tried", "search_bound",
-        "truncation", "note",
-    )
-    law = "kummer-descent-obstruction"
-
-    def __init__(
-        self,
-        verdict: str,
-        witness_e: tuple[int, ...] | None,
-        witness_relation: tuple[tuple[int, ...], ...] | None,
-        candidates_tried: int,
-        search_bound: int,
-        truncation: int,
-        note: str,
-    ):
-        self.verdict = verdict
-        self.witness_e = witness_e
-        self.witness_relation = witness_relation
-        self.candidates_tried = candidates_tried
-        self.search_bound = search_bound
-        self.truncation = truncation
-        self.note = note
-
-    def lines(self) -> list[str]:
-        out = [f"verdict: {self.verdict}", f"  {self.note}"]
-        if self.witness_e is not None:
-            out.append(f"  witness e (poly coeffs, low to high): {list(self.witness_e)}")
-        if self.witness_relation is not None:
-            out.append(
-                "  relation coefficients c_j(x) with sum c_j * (f e^p)^j = 0: "
-                + "; ".join(f"c_{j}={list(c)}" for j, c in enumerate(self.witness_relation))
-            )
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "verdict": self.verdict,
-            "witness_e": list(self.witness_e) if self.witness_e is not None else None,
-            "candidates_tried": self.candidates_tried,
-            "search_bound": self.search_bound,
-            "truncation": self.truncation,
-            "note": self.note,
-        }
+def _kummer_report(verdict: str, tried: int, search_bound: int, truncation: int, note: str,
+                   witness: tuple[tuple, tuple] | None = None) -> SearchReport:
+    """The Kummer search's lines and block; a witness is the unit e and the
+    relation's coefficients c_j, each a coefficient tuple from x^0."""
+    lines = [f"verdict: {verdict}", f"  {note}"]
+    e = None
+    if witness is not None:
+        e, relation = witness
+        lines += [
+            f"  witness e (poly coeffs, low to high): {list(e)}",
+            "  relation coefficients c_j(x) with sum c_j * (f e^p)^j = 0: "
+            + "; ".join(f"c_{j}={list(c)}" for j, c in enumerate(relation)),
+        ]
+    return SearchReport(lines, {
+        "law": "kummer-descent-obstruction",
+        "verdict": verdict,
+        "witness_e": list(e) if e is not None else None,
+        "candidates_tried": tried,
+        "search_bound": search_bound,
+        "truncation": truncation,
+        "note": note,
+    }, tried)
 
 
-def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDecision:
+def kummer_obstruction(instance: KummerInstance, search_bound: int) -> SearchReport:
     """Search for a unit adjustment putting f = g^p + x into the base model.
 
     Candidates e run over monic polynomials of degree <= search_bound (units
@@ -577,19 +526,16 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
     candidate too large to try alone is refused before fbar is built.
     """
     if search_bound < 0:
-        return KummerDecision(
-            INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
-            "negative search bound: empty search space",
-        )
+        return _kummer_report(INCONCLUSIVE, 0, search_bound, instance.truncation,
+                              "negative search bound: empty search space")
     F = instance.coeff_field
     truncation = instance.truncation
     # a relation has search_bound + 1 coefficients, each of search_bound + 1 terms
     unknowns = (search_bound + 1) ** 2
     if unknowns >= truncation:
-        return KummerDecision(
-            INCONCLUSIVE, None, None, 0, search_bound, truncation,
-            f"truncation {truncation} too small for {search_bound + 1}^2 unknowns",
-        )
+        return _kummer_report(
+            INCONCLUSIVE, 0, search_bound, truncation,
+            f"truncation {truncation} too small for {search_bound + 1}^2 unknowns")
 
     # each candidate's system has at most n rows, and its elimination costs
     # about rows * unknowns^2 field operations
@@ -606,10 +552,8 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
             try:
                 refuse_past(what, (tried + 1, n, unknowns, unknowns), KUMMER_WORK_CAP)
             except ScaleError as exc:
-                return KummerDecision(
-                    INCONCLUSIVE, None, None, tried, search_bound, truncation,
-                    f"{exc}: stopped after {tried} candidates",
-                )
+                return _kummer_report(INCONCLUSIVE, tried, search_bound, truncation,
+                                      f"{exc}: stopped after {tried} candidates")
             tried += 1
             if fbar is None:
                 fbar = instance.fbar()
@@ -626,13 +570,11 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> KummerDec
                     for j in range(0, unknowns, search_bound + 1)
                 )
                 _check_relation(F, poly_mul(F, fbar, e_power, n), relation, n)
-                return KummerDecision(
-                    DESCENDS, e_coeffs, relation, tried, search_bound, truncation,
+                return _kummer_report(
+                    DESCENDS, tried, search_bound, truncation,
                     f"f*e^p satisfies a degree-<= {search_bound} relation to order {truncation}: "
-                    "the obstruction vanishes within bounds",
-                )
-    return KummerDecision(
-        OBSTRUCTED_WITHIN_BOUNDS, None, None, tried, search_bound, truncation,
+                    "the obstruction vanishes within bounds", (e_coeffs, relation))
+    return _kummer_report(
+        OBSTRUCTED_WITHIN_BOUNDS, tried, search_bound, truncation,
         f"no unit candidate of degree <= {search_bound} makes f*e^p algebraic "
-        f"of degree <= {search_bound} to order {truncation}",
-    )
+        f"of degree <= {search_bound} to order {truncation}")

@@ -225,9 +225,6 @@ class FiniteField:
     def __eq__(self, other):
         return isinstance(other, FiniteField) and (self.p, self.e) == (other.p, other.e)
 
-    def __hash__(self):
-        return hash(("FiniteField", self.p, self.e))
-
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -439,9 +436,3 @@ class RationalFunctionField:
 
     def __eq__(self, other):
         return isinstance(other, RationalFunctionField) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("RationalFunctionField", self.base))
-
-    def __repr__(self):
-        return f"{self.base!r}(s)"

@@ -166,12 +166,6 @@ class ReductionGraph:
         if violations:
             raise InvalidGraphError("; ".join(violations))
 
-    def __repr__(self) -> str:
-        return (
-            f"ReductionGraph(points={list(self.points)}, "
-            f"components={list(self.components)}, edges={len(self.edges)})"
-        )
-
 
 def _unreached(graph: ReductionGraph, names: Iterable[str]) -> list[str]:
     """The vertices, in canonical order, that the edges ``names`` do not join
@@ -357,25 +351,15 @@ def _transitive(gens: Sequence[tuple[int, ...]], n: int) -> bool:
 # Index bound and DOT export
 
 
-def index_bound(local_indices: Mapping[str, int] | Sequence[int]) -> tuple[int, int]:
+def index_bound(local_indices: Mapping[str, int]) -> tuple[int, int]:
     """Product of local indices (the proved bound) and their lcm.
 
     The product is the established divisibility bound; the lcm is reported
-    alongside as the conjectural sharp value, without adjudicating.
+    alongside as the conjectural sharp value, without adjudicating.  The
+    indices are those ``WorkbenchInput.local_indices`` admitted: at least
+    one, each a positive integer.
     """
-    if isinstance(local_indices, Mapping):
-        values = [local_indices[k] for k in sorted(local_indices)]
-    else:
-        values = list(local_indices)
-    if not values:
-        raise ValueError("need at least one local index")
-    for v in values:
-        if int(v) < 1:
-            raise ValueError(f"local indices must be positive, got {v}")
-    prod = 1
-    for v in values:
-        prod *= int(v)
-    return prod, math.lcm(*[int(v) for v in values])
+    return math.prod(local_indices.values()), math.lcm(*local_indices.values())
 
 
 def _quoted(name: str) -> str:

@@ -126,9 +126,6 @@ class FiniteGroup:
     def __hash__(self) -> int:
         return hash((self.elements, self.table))
 
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.name}, order={self.order})"
-
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
     """Cyclic group of order n, written additively mod n."""
@@ -395,16 +392,6 @@ class GroupHom:
             and self.target == other.target
             and self.mapping == other.mapping
         )
-
-    def __hash__(self) -> int:
-        return hash(self.mapping)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{self.source.label(a)}->{self.target.label(self.mapping[a])}"
-            for a in range(self.source.order)
-        )
-        return f"GroupHom({pairs})"
 
     @classmethod
     def trivial(cls, source: FiniteGroup, target: FiniteGroup) -> "GroupHom":

@@ -140,9 +140,6 @@ class LaurentSeries:
             body += f" + O(t^{self.order + 1})"
         return body
 
-    def __repr__(self):
-        return f"LaurentSeries({self.render()})"
-
 
 def _min_order(*orders):
     finite = [o for o in orders if o != _INF]

@@ -234,9 +234,9 @@ def test_criterion_8_criterion_vs_oracle():
         for alpha in range(1, field.q):
             inst = ASInstance.finite(p, 1, 2, alpha)
             _, criterion = as_descends_galois(inst)
-            oracle = as_brute_force_oracle(inst, p * p)
-            assert oracle.verdict in (DESCENDS, FAILS_WITHIN_BOUNDS)
-            assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS)
+            oracle = as_brute_force_oracle(inst, p * p).machine
+            assert oracle["verdict"] in (DESCENDS, FAILS_WITHIN_BOUNDS)
+            assert (criterion["verdict"] == DESCENDS) == (oracle["verdict"] == DESCENDS)
             checked += 1
     elapsed = time.perf_counter() - started
     _announce(
@@ -248,12 +248,12 @@ def test_criterion_8_criterion_vs_oracle():
 
 def test_criterion_9_kummer_desk_test():
     trans = KummerInstance.transcendental_model(2, 1, 4, 200)
-    obstructed = kummer_obstruction(trans, 4)
+    obstructed = kummer_obstruction(trans, 4).machine
     base = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
-    descends = kummer_obstruction(base, 4)
+    descends = kummer_obstruction(base, 4).machine
     ok = (
-        obstructed.verdict == OBSTRUCTED_WITHIN_BOUNDS
-        and descends.verdict == DESCENDS
+        obstructed["verdict"] == OBSTRUCTED_WITHIN_BOUNDS
+        and descends["verdict"] == DESCENDS
     )
     _announce(
         9, ok,

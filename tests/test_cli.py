@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 import vkpatch
 from vkpatch.cli import _HANDLERS, main, run
+from vkpatch.fields import FiniteField
 from vkpatch.inputs import InputError, parse_input
 from vkpatch.reports import (
     EXIT_FAIL,
@@ -615,6 +617,9 @@ def test_input_errors_without_a_path(tmp_path, capsys):
         (["graph-check", write(tmp_path, [], "list.json")], "top level must be an object"),
         (["gog-verify", write(tmp_path, CIRCLE), "--group", "C9"],
          "test group 'C9' is not defined in 'groups'"),
+        # graphs.index_bound takes only what this boundary admitted: never no index
+        (["index-bound", write(tmp_path, {**MINIMAL, "options": {"local_indices": {}}})],
+         "index-bound needs options.local_indices"),
     ):
         assert run(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr() == ("", f"input error: {line}\n")
@@ -997,24 +1002,45 @@ def test_a_child_prints_what_run_prints(tmp_path, capsys, command, doc, exit_cod
         assert child_dot == dot.read_text() == machine["dot"]
 
 
-def test_a_child_whose_reader_closed_the_pipe_exits_120_without_traceback(tmp_path):
-    # block-buffered, as stdout is on a pipe, so the report is refused at the
-    # flush after run has returned; unbuffered, the write inside run fails
+def _circle(branches):
+    edges = [[f"b{i}", "P", "U"] for i in range(1, branches + 1)]
+    return {"version": 1, "graph": {"points": ["P"], "components": ["U"], "edges": edges}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, unbuffered",
+    [
+        # block-buffered, as stdout is on a pipe: the report is refused at
+        # main's flush, after run has returned
+        ("graph-check", MINIMAL, False),
+        # unbuffered, the write inside run reaches the pipe at once
+        ("graph-check", _circle(2), True),
+        # a report of about 37 KB passes the 8 KB stream buffer, so run's write
+        # reaches the pipe too
+        ("export-dot", _circle(399), False),
+    ],
+    ids=["flush", "unbuffered-write", "long-write"],
+)
+def test_a_child_whose_reader_closed_the_pipe_exits_120_without_traceback(
+        tmp_path, command, doc, unbuffered):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(pathlib.Path(vkpatch.__file__).parents[1])
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         child = subprocess.run(
-            [sys.executable, "-m", "vkpatch.cli", "graph-check", write(tmp_path, MINIMAL)],
+            [sys.executable, "-m", "vkpatch.cli", command, write(tmp_path, doc)],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=env)
     finally:
         os.close(write_end)
     assert child.returncode == 120
     assert "Traceback" not in child.stderr
-    assert child.stderr.startswith(
-        "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-    assert "BrokenPipeError" in child.stderr
+    if command == "graph-check" and not unbuffered:
+        assert child.stderr.startswith(
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert "BrokenPipeError" in child.stderr
 
 
 def test_descent_as_support_bound_far_over_the_cap_is_inconclusive(tmp_path, capsys):
@@ -1023,6 +1049,36 @@ def test_descent_as_support_bound_far_over_the_cap_is_inconclusive(tmp_path, cap
     assert code == EXIT_PASS
     assert "searched 0 candidate beta (support up to t^-1000000000)" in out
     assert "oracle inconclusive; criterion verdict stands" in out
+
+
+def test_descent_as_answers_alike_for_alpha_and_its_frobenius_image(tmp_path, capsys):
+    """k1 is stable under Frobenius, so alpha and alpha^p are in k1 together.
+    Over k1 = GF(p), Frobenius on the coefficients maps a witness (beta,
+    gamma) for alpha to (beta, gamma^p) for alpha^p, so the oracle finds
+    the same least beta after as many candidates."""
+    rng = random.Random(29)
+    towers = ((2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2))
+    verdicts, moved = set(), 0
+    for _ in range(100):
+        p, d1, d2 = rng.choice(towers)
+        F = FiniteField(p, d2)
+        alpha = rng.randrange(1, F.q)
+        support = str(rng.randint(4, 8))
+        blocks = []
+        for a in (alpha, F.pow(alpha, p)):
+            doc = {"version": 1, "descent": {"artin_schreier": {
+                "p": p, "k1_degree": d1, "k2_degree": d2, "alpha": a}}}
+            assert run(["descent-as", write(tmp_path, doc), "--support-bound", support]) == \
+                EXIT_PASS
+            blocks.append(json.loads(capsys.readouterr().out.partition("-- machine --\n")[2]))
+        first, second = blocks
+        assert first["verdict"] == second["verdict"], (p, d1, d2, alpha)
+        assert first["oracle"]["verdict"] == second["oracle"]["verdict"], (p, d1, d2, alpha)
+        if d1 == 1:
+            assert first["oracle"]["candidates_tried"] == second["oracle"]["candidates_tried"]
+        verdicts.add(first["verdict"])
+        moved += F.pow(alpha, p) != alpha
+    assert verdicts == {"DESCENDS", "FAILS"} and moved > 0
 
 
 def test_descent_as_exit_and_agreement(tmp_path, capsys):

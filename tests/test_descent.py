@@ -89,22 +89,21 @@ def test_instance_validation():
 
 def test_oracle_finds_least_witness():
     inst = ASInstance.finite(2, 1, 1, 1)
-    decision = as_brute_force_oracle(inst, 4)
-    assert decision.verdict == DESCENDS
-    assert decision.beta.equals_exact(LaurentSeries(inst.k2, {-1: 1}))
-    assert decision.gamma.equals_exact(LaurentSeries(inst.k2, {}))
+    oracle = as_brute_force_oracle(inst, 4).machine
+    assert oracle["verdict"] == DESCENDS
+    assert (oracle["beta"], oracle["gamma"]) == ("t^-1", "0")
 
 
 def test_oracle_rejects_f4_generator_within_bounds():
     inst = ASInstance.finite(2, 1, 2, "w")
-    decision = as_brute_force_oracle(inst, 8)
-    assert decision.verdict == FAILS_WITHIN_BOUNDS
-    assert decision.candidates_tried == 2**8
+    oracle = as_brute_force_oracle(inst, 8).machine
+    assert oracle["verdict"] == FAILS_WITHIN_BOUNDS
+    assert oracle["candidates_tried"] == 2**8
 
 
 def test_oracle_empty_search_space_is_inconclusive():
     inst = ASInstance.finite(2, 1, 2, "w")
-    assert as_brute_force_oracle(inst, 0).to_json() == {
+    assert as_brute_force_oracle(inst, 0).machine == {
         "law": "artin-schreier-oracle",
         "verdict": "INCONCLUSIVE",
         "beta": None,
@@ -118,27 +117,33 @@ def test_oracle_empty_search_space_is_inconclusive():
 def test_oracle_search_over_the_cap_is_inconclusive():
     inst = ASInstance.finite(2, 1, 2, "w")
     for bound in (20, 1_000_000_000):  # 2^20 = 1,048,576 candidates and up
-        decision = as_brute_force_oracle(inst, bound)
-        assert decision.verdict == INCONCLUSIVE
-        assert decision.candidates_tried == 0
-        assert decision.note == (
+        oracle = as_brute_force_oracle(inst, bound).machine
+        assert oracle["verdict"] == INCONCLUSIVE
+        assert oracle["candidates_tried"] == 0
+        assert oracle["note"] == (
             f"the search space |k1|^{bound} with |k1| = 2 passes the cap of 1000000: "
             "search not run"
         )
     # k1 = GF(2^10): 1024 candidates are searched, 1024^2 are not
     inst = ASInstance.finite(2, 10, 10, "w")
-    assert as_brute_force_oracle(inst, 1).verdict == DESCENDS
-    assert as_brute_force_oracle(inst, 2).verdict == INCONCLUSIVE
+    assert as_brute_force_oracle(inst, 1).machine["verdict"] == DESCENDS
+    assert as_brute_force_oracle(inst, 2).machine["verdict"] == INCONCLUSIVE
 
 
 def test_oracle_witnesses_satisfy_equation_exactly():
-    # deep support: beta = t^-4 equivalent paths exercise the triangular solve
-    inst = ASInstance.finite(2, 1, 1, 1)
-    decision = as_brute_force_oracle(inst, 4)
-    gamma, beta = decision.gamma, decision.beta
-    lhs = gamma.pow(2).sub(gamma)
-    rhs = LaurentSeries(inst.k2, {-1: inst.alpha}).sub(beta)
-    assert lhs.equals_exact(rhs)
+    # every beta the oracle may pick, not only the least: deep supports
+    # exercise the forced coefficients of the triangular solve
+    checked = 0
+    for inst, support in ((ASInstance.finite(2, 1, 1, 1), 4), (ASInstance.finite(2, 1, 2, 1), 6),
+                          (ASInstance.finite(3, 1, 2, 2), 7), (ASInstance.rational(2, 1, 1), 5)):
+        alpha_t = LaurentSeries(inst.k2, {-1: inst.alpha})
+        for beta, gamma in descent_mod._valid_betas(inst, support):
+            assert all(inst.in_k1(c) for c in beta.values())
+            gamma = LaurentSeries(inst.k2, gamma)
+            lhs = gamma.pow(inst.p).sub(gamma)
+            assert lhs.equals_exact(alpha_t.sub(LaurentSeries(inst.k2, beta))), (beta, gamma)
+            checked += 1
+    assert checked > 4
 
 
 def _exhaustive_artin_schreier(k2, p, x):
@@ -179,17 +184,16 @@ def test_criterion_and_oracle_agree_on_all_of_f4_and_f9():
         for alpha in range(1, inst_field.q):
             inst = ASInstance.finite(p, 1, 2, alpha)
             _, criterion = as_descends_galois(inst)
-            oracle = as_brute_force_oracle(inst, p * p)
-            assert oracle.verdict != INCONCLUSIVE
-            assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS), (
+            oracle = as_brute_force_oracle(inst, p * p).machine
+            assert oracle["verdict"] != INCONCLUSIVE
+            assert (criterion["verdict"] == DESCENDS) == (oracle["verdict"] == DESCENDS), (
                 p, alpha,
             )
 
 
 def test_oracle_over_rational_constants():
     inst = ASInstance.rational(3, 1, "s")
-    decision = as_brute_force_oracle(inst, 3)
-    assert decision.verdict == FAILS_WITHIN_BOUNDS
+    assert as_brute_force_oracle(inst, 3).machine["verdict"] == FAILS_WITHIN_BOUNDS
 
 
 def test_agreement_on_larger_coefficient_fields():
@@ -201,9 +205,9 @@ def test_agreement_on_larger_coefficient_fields():
         for alpha in range(1, field):
             inst = ASInstance.finite(p, 2, 4, alpha)
             _, criterion = as_descends_galois(inst)
-            oracle = as_brute_force_oracle(inst, 4)
-            assert oracle.verdict != INCONCLUSIVE
-            assert (criterion["verdict"] == DESCENDS) == (oracle.verdict == DESCENDS), (p, alpha)
+            oracle = as_brute_force_oracle(inst, 4).machine
+            assert oracle["verdict"] != INCONCLUSIVE
+            assert (criterion["verdict"] == DESCENDS) == (oracle["verdict"] == DESCENDS), (p, alpha)
 
 
 # -- the explicit identity ---------------------------------------------------------
@@ -243,18 +247,19 @@ def test_example_29_char5_remainder_shape():
 
 def test_transcendental_gbar_is_obstructed():
     inst = KummerInstance.transcendental_model(2, 1, 4, 200)
-    decision = kummer_obstruction(inst, 4)
-    assert decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
-    assert decision.candidates_tried == 31  # monic polynomials of degree <= 4
+    block = kummer_obstruction(inst, 4).machine
+    assert block["verdict"] == OBSTRUCTED_WITHIN_BOUNDS
+    assert block["candidates_tried"] == 31  # monic polynomials of degree <= 4
 
 
 def test_base_ring_gbar_descends():
     inst = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
-    decision = kummer_obstruction(inst, 4)
-    assert decision.verdict == DESCENDS
-    assert decision.witness_e == (1,)  # e = 1 suffices
+    lines, block, _ = kummer_obstruction(inst, 4)
+    assert block["verdict"] == DESCENDS
+    assert block["witness_e"] == [1]  # e = 1 suffices
     # f itself lies in the base ring: relation c0 + c1*f with c1 = 1
-    assert decision.witness_relation[1] == (1,)
+    assert lines[-1] == ("  relation coefficients c_j(x) with sum c_j * (f e^p)^j = 0: "
+                         "c_0=[1, 1, 0, 0, 1]; c_1=[1]; c_2=[]; c_3=[]; c_4=[]")
 
 
 def test_transcendental_gbar_keeps_only_the_square_exponents():
@@ -287,7 +292,7 @@ def test_kummer_relation_is_checked_by_substitution(monkeypatch):
         return vec
 
     inst = KummerInstance.base_ring_model(3, [2, 1], 120)
-    assert kummer_obstruction(inst, 3).verdict == DESCENDS
+    assert kummer_obstruction(inst, 3).machine["verdict"] == DESCENDS
     monkeypatch.setattr(descent_mod, "_kernel_vector", perturbed)
     with pytest.raises(AssertionError, match="invalid Kummer relation"):
         kummer_obstruction(inst, 3)
@@ -296,9 +301,8 @@ def test_kummer_relation_is_checked_by_substitution(monkeypatch):
 def test_kummer_bounds_are_honest():
     inst = KummerInstance.transcendental_model(2, 1, 4, 20)
     for bound in (4, -1):  # truncation too small; empty search space
-        decision = kummer_obstruction(inst, bound)
-        assert decision.verdict == INCONCLUSIVE
-        assert decision.candidates_tried == 0
+        block = kummer_obstruction(inst, bound).machine
+        assert (block["verdict"], block["candidates_tried"]) == (INCONCLUSIVE, 0)
 
 
 def test_kummer_search_stops_when_its_work_budget_is_spent(monkeypatch):
@@ -306,34 +310,33 @@ def test_kummer_search_stops_when_its_work_budget_is_spent(monkeypatch):
     inst = KummerInstance.transcendental_model(2, 1, 4, 200)
     per_candidate = 201 * 25 * 25
     monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 7 * per_candidate)
-    decision = kummer_obstruction(inst, 4)
-    assert decision.verdict == INCONCLUSIVE
-    assert decision.candidates_tried == 7
-    assert decision.note == (
+    block = kummer_obstruction(inst, 4).machine
+    assert block["verdict"] == INCONCLUSIVE
+    assert block["candidates_tried"] == 7
+    assert block["note"] == (
         f"the elimination work at truncation 200 with 25 unknowns passes the cap of "
         f"{7 * per_candidate}: stopped after 7 candidates"
     )
     # one candidate past the budget is refused before the search
     monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", per_candidate - 1)
-    decision = kummer_obstruction(inst, 4)
-    assert (decision.verdict, decision.candidates_tried) == (INCONCLUSIVE, 0)
+    block = kummer_obstruction(inst, 4).machine
+    assert (block["verdict"], block["candidates_tried"]) == (INCONCLUSIVE, 0)
     # the whole search, 31 candidates, fits a budget of exactly its work
     monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 31 * per_candidate)
-    decision = kummer_obstruction(inst, 4)
-    assert (decision.verdict, decision.candidates_tried) == (OBSTRUCTED_WITHIN_BOUNDS, 31)
+    block = kummer_obstruction(inst, 4).machine
+    assert (block["verdict"], block["candidates_tried"]) == (OBSTRUCTED_WITHIN_BOUNDS, 31)
 
 
 def test_kummer_search_that_decides_early_is_never_refused():
     # p = 5, bound 5: a full search would pass the budget, but e = 1 decides
     inst = KummerInstance.base_ring_model(5, [2, 3], 200)
-    decision = kummer_obstruction(inst, 5)
-    assert (decision.verdict, decision.candidates_tried) == (DESCENDS, 1)
+    block = kummer_obstruction(inst, 5).machine
+    assert (block["verdict"], block["candidates_tried"]) == (DESCENDS, 1)
 
 
 def test_kummer_char3():
     inst = KummerInstance.transcendental_model(3, 1, 3, 120)
-    decision = kummer_obstruction(inst, 3)
-    assert decision.verdict == OBSTRUCTED_WITHIN_BOUNDS
+    assert kummer_obstruction(inst, 3).machine["verdict"] == OBSTRUCTED_WITHIN_BOUNDS
 
 
 def test_kernel_vector_matches_full_gauss_jordan():
@@ -381,9 +384,9 @@ def test_member_alpha_is_no_counterexample():
 
 def test_mixed_char_counterexample():
     inst = KummerInstance.transcendental_model(2, 1, 4, 200)
-    assert kummer_obstruction(inst, 4).verdict == OBSTRUCTED_WITHIN_BOUNDS
+    assert kummer_obstruction(inst, 4).machine["verdict"] == OBSTRUCTED_WITHIN_BOUNDS
 
 
 def test_base_ring_gbar_is_no_counterexample():
     inst = KummerInstance.base_ring_model(3, [2, 1], 120)
-    assert kummer_obstruction(inst, 3).verdict == DESCENDS
+    assert kummer_obstruction(inst, 3).machine["verdict"] == DESCENDS

@@ -45,10 +45,11 @@ from vkpatch.descent import (
     AS_CANDIDATE_CAP,
     KUMMER_WORK_CAP,
     ASInstance,
-    ASOracleDecision,
-    KummerDecision,
     KummerInstance,
+    SearchReport,
     _frobenius,
+    _kummer_report,
+    _oracle_report,
     _valid_betas,
     as_brute_force_oracle,
     kummer_obstruction,
@@ -856,13 +857,11 @@ def solve_artin_schreier(k2, p: int, x_terms: dict) -> dict | None:
     return {j: c for j, c in gamma.items() if c != k2.zero}
 
 
-def product_order_as_oracle(instance: ASInstance, support_bound: int) -> ASOracleDecision:
+def product_order_as_oracle(instance: ASInstance, support_bound: int) -> SearchReport:
     """Every candidate beta in product order, each solved in turn."""
     if support_bound < 1:
-        return ASOracleDecision(
-            INCONCLUSIVE, None, None, 0, support_bound,
-            "support bound below 1: empty search space",
-        )
+        return _oracle_report(INCONCLUSIVE, 0, support_bound,
+                              "support bound below 1: empty search space")
     k2 = instance.k2
     p = instance.p
     k1_elements = instance.k1_elements()
@@ -870,9 +869,7 @@ def product_order_as_oracle(instance: ASInstance, support_bound: int) -> ASOracl
         refuse_past(f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
                     (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
     except ScaleError as exc:
-        return ASOracleDecision(
-            INCONCLUSIVE, None, None, 0, support_bound, f"{exc}: search not run"
-        )
+        return _oracle_report(INCONCLUSIVE, 0, support_bound, f"{exc}: search not run")
     tried = 0
     exponents = list(range(-support_bound, 0))
     for combo in itertools.product(k1_elements, repeat=support_bound):
@@ -893,14 +890,11 @@ def product_order_as_oracle(instance: ASInstance, support_bound: int) -> ASOracl
         check = gamma_series.pow(p).sub(gamma_series)
         if not check.equals_exact(x_series):
             raise AssertionError("oracle produced an invalid Artin-Schreier witness")
-        return ASOracleDecision(
-            DESCENDS, beta, gamma_series, tried, support_bound,
-            "witness verified exactly: gamma^p - gamma = alpha/t - beta",
-        )
-    return ASOracleDecision(
-        FAILS_WITHIN_BOUNDS, None, None, tried, support_bound,
-        "no candidate beta admits a solution (each refusal is exact)",
-    )
+        return _oracle_report(DESCENDS, tried, support_bound,
+                              "witness verified exactly: gamma^p - gamma = alpha/t - beta",
+                              (beta, gamma_series))
+    return _oracle_report(FAILS_WITHIN_BOUNDS, tried, support_bound,
+                          "no candidate beta admits a solution (each refusal is exact)")
 
 
 def full_gauss_jordan_kernel_vector(F, rows, ncols):
@@ -939,15 +933,13 @@ def series_coefficient(series: LaurentSeries, exp: int):
     return series.coeffs[i] if 0 <= i < len(series.coeffs) else series.field.zero
 
 
-def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> KummerDecision:
+def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> SearchReport:
     """Every candidate e's system built and eliminated at full truncation,
     on precision-tracked series: fbar = gbar^p + x with gbar known to the
     truncation, and e^p, by repeated products."""
     if search_bound < 0:
-        return KummerDecision(
-            INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
-            "negative search bound: empty search space",
-        )
+        return _kummer_report(INCONCLUSIVE, 0, search_bound, instance.truncation,
+                              "negative search bound: empty search space")
     F = instance.coeff_field
     p = F.p
     gbar = LaurentSeries(F, dict(instance.gbar), order=instance.truncation)
@@ -955,10 +947,9 @@ def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> Kumm
     unknowns = (search_bound + 1) ** 2
     n_eq = int(min(fbar.known_to(), instance.truncation))
     if unknowns >= n_eq:
-        return KummerDecision(
-            INCONCLUSIVE, None, None, 0, search_bound, instance.truncation,
-            f"truncation {instance.truncation} too small for {search_bound + 1}^2 unknowns",
-        )
+        return _kummer_report(
+            INCONCLUSIVE, 0, search_bound, instance.truncation,
+            f"truncation {instance.truncation} too small for {search_bound + 1}^2 unknowns")
     what = f"the elimination work at truncation {instance.truncation} with {unknowns} unknowns"
     tried = 0
     for deg in range(0, search_bound + 1):
@@ -968,10 +959,8 @@ def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> Kumm
                 refuse_past(what, (tried + 1, instance.truncation + 1, unknowns, unknowns),
                             KUMMER_WORK_CAP)
             except ScaleError as exc:
-                return KummerDecision(
-                    INCONCLUSIVE, None, None, tried, search_bound, instance.truncation,
-                    f"{exc}: stopped after {tried} candidates",
-                )
+                return _kummer_report(INCONCLUSIVE, tried, search_bound, instance.truncation,
+                                      f"{exc}: stopped after {tried} candidates")
             tried += 1
             h = fbar.mul(LaurentSeries(F, dict(enumerate(e_coeffs))).pow(p))
             powers = [LaurentSeries.one(F)]
@@ -991,21 +980,20 @@ def full_elimination_kummer(instance: KummerInstance, search_bound: int) -> Kumm
                     poly_strip(F, tuple(vec[j:j + search_bound + 1]))
                     for j in range(0, unknowns, search_bound + 1)
                 )
-                return KummerDecision(
-                    DESCENDS, e_coeffs, relation, tried, search_bound, instance.truncation,
+                return _kummer_report(
+                    DESCENDS, tried, search_bound, instance.truncation,
                     f"f*e^p satisfies a degree-<= {search_bound} relation to order {n_rows}: "
-                    "the obstruction vanishes within bounds",
-                )
-    return KummerDecision(
-        OBSTRUCTED_WITHIN_BOUNDS, None, None, tried, search_bound, instance.truncation,
+                    "the obstruction vanishes within bounds", (e_coeffs, relation))
+    return _kummer_report(
+        OBSTRUCTED_WITHIN_BOUNDS, tried, search_bound, instance.truncation,
         f"no unit candidate of degree <= {search_bound} makes f*e^p algebraic "
-        f"of degree <= {search_bound} to order {n_eq}",
-    )
+        f"of degree <= {search_bound} to order {n_eq}")
 
 
 def assert_same_decision(fast, slow):
-    assert fast.to_json() == slow.to_json()
-    assert fast.lines() == slow.lines()
+    # the lines carry what the block does not: a Kummer witness's relation
+    assert fast.machine == slow.machine
+    assert fast.lines == slow.lines
 
 
 # (p, k1 degree, k2 degree) of the finite towers; each is searched at every
@@ -1024,8 +1012,8 @@ def test_as_oracle_matches_the_product_loop_on_finite_towers():
             while p ** (d1 * support) <= AS_SWEEP_SPACE:
                 fast = as_brute_force_oracle(inst, support)
                 assert_same_decision(fast, product_order_as_oracle(inst, support))
-                descends += fast.verdict == DESCENDS
-                fails += fast.verdict == FAILS_WITHIN_BOUNDS
+                descends += fast.machine["verdict"] == DESCENDS
+                fails += fast.machine["verdict"] == FAILS_WITHIN_BOUNDS
                 support += 1
     assert descends > 0 and fails > 0
 
@@ -1141,7 +1129,7 @@ def test_kummer_search_matches_the_full_elimination_past_screen_survivors(monkey
         inst = KummerInstance.transcendental_model(5, 1, 1, truncation)
         full.clear()
         fast = kummer_obstruction(inst, bound)
-        assert (fast.verdict, fast.candidates_tried) == (verdict, tried)
+        assert (fast.machine["verdict"], fast.candidates_tried) == (verdict, tried)
         assert None in full
         assert_same_decision(fast, full_elimination_kummer(inst, bound))
 

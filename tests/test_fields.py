@@ -1,6 +1,7 @@
 """GF(p^e) log-table arithmetic against the reference digit and polynomial
 arithmetic, exhaustively on every field with q <= 81 and by sampled pairs on
-larger ones; multiplication is also checked against sympy's galoistools."""
+larger ones; multiplication is also checked against sympy's galoistools,
+and GF(p)(s) arithmetic against sympy's polynomials modulo p."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from vkpatch.fields import FIELD_SIZE_CAP, FiniteField
+from vkpatch.fields import FIELD_SIZE_CAP, FiniteField, RationalFunctionField
 from vkpatch.graphs import ScaleError
 
 SMALL = [
@@ -167,6 +168,58 @@ def test_modulus_is_the_least_monic_irreducible(p, e):
         if gf_irreducible_p(candidate, p, ZZ):
             break
     assert F.modulus == tuple(int(c) for c in reversed(candidate))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rational_functions_match_sympy_fractions(p):
+    # a fraction is reduced by the gcd and scaled to a monic denominator;
+    # sympy's Poly modulo p computes the same normal form independently
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    K = RationalFunctionField(FiniteField(p))
+
+    def poly(coeffs):  # little-endian tuple to sympy, which is big-endian
+        return sympy.Poly(list(reversed(coeffs)) or [0], s, modulus=p)
+
+    def coeffs(f):
+        return tuple(int(c) % p for c in reversed(f.all_coeffs())) if not f.is_zero else ()
+
+    def normal(num, den):
+        g = num.gcd(den)
+        num, den = num.exquo(g), den.exquo(g)
+        scale = poly([pow(int(den.LC()) % p, -1, p)])
+        return coeffs(num * scale), coeffs(den * scale)
+
+    def fraction(a):
+        return poly(a[0]), poly(a[1])
+
+    rng = random.Random(100 + p)
+
+    def random_poly(degree):
+        return tuple(rng.randrange(p) for _ in range(degree + 1))
+
+    non_monic = 0
+    for _ in range(40):
+        num, den = random_poly(rng.randint(0, 3)), random_poly(rng.randint(0, 3))
+        if not any(den):
+            continue
+        non_monic += [c for c in den if c][-1] != 1
+        a = K.make(num, den)
+        assert a == normal(poly(num), poly(den)), (num, den)
+        b = K.make(random_poly(2), random_poly(1) + (rng.randrange(1, p),))
+        (na, da), (nb, db) = fraction(a), fraction(b)
+        assert K.add(a, b) == normal(na * db + nb * da, da * db), (a, b)
+        assert K.mul(a, b) == normal(na * nb, da * db), (a, b)
+        if a != K.zero:
+            assert K.inv(a) == normal(da, na), a
+        for n in range(-3, 4):
+            if n < 0 and a == K.zero:
+                continue
+            expected = normal(na**n, da**n) if n >= 0 else normal(da**-n, na**-n)
+            assert K.pow(a, n) == expected, (a, n)
+        assert K.pth_root(K.pow(a, p)) == a
+    assert non_monic > 0 or p == 2
+    assert K.pth_root(K.zero) == K.zero
 
 
 def test_field_size_cap_refuses_before_any_table():
