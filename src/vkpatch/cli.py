@@ -52,10 +52,10 @@ from .reports import (
 from .torsors import verify_groupoid_pushout
 
 
-def _read_document(path: str) -> str:
+def _read_document(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -97,13 +97,13 @@ def run(argv: list[str]) -> int:
 
     started = time.perf_counter()
     try:
-        doc = parse_input(document)
+        doc = parse_input(document.decode("utf-8"))
         verdict, lines, machine, exit_code = _HANDLERS[args.command](args, doc)
     except InputError as exc:
         for err in exc.errors:
             print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidGraphError, ScaleError) as exc:
+    except (InvalidGraphError, ScaleError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     report = ReportDocument(

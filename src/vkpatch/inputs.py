@@ -239,6 +239,24 @@ def _object(value, path: str, errors: list[str]) -> dict:
     return {}
 
 
+def _refuse_lone_surrogates(data) -> None:
+    """Refuse a string, key or value, that holds a lone surrogate (a
+    ``\\ud800`` escape with no partner): no report can write it as UTF-8."""
+    stack = [data]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, str) and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InputError([f"string {value!r} holds a lone surrogate"]) from None
+
+
 def parse_input(document: str) -> WorkbenchInput:
     """Validate a document; collect schema errors with paths."""
     errors: list[str] = []
@@ -248,6 +266,9 @@ def parse_input(document: str) -> WorkbenchInput:
     # JSONDecodeError, an integer too long to convert, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise InputError([f"not well-formed JSON: {exc}"]) from exc
+    # a lone surrogate needs a \u escape or a non-ASCII character
+    if "\\u" in document or not document.isascii():
+        _refuse_lone_surrogates(data)
     if not isinstance(data, dict):
         raise InputError(["top level must be an object"])
 

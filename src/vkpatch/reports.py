@@ -17,8 +17,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 
 
-def input_digest(document: str) -> str:
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+def input_digest(document: bytes) -> str:
+    return hashlib.sha256(document).hexdigest()
 
 
 class ReportDocument:

@@ -359,22 +359,21 @@ class _NaturalMaps:
 
     A vertex's entry of a local datum depends only on its hom table and on
     the markings shifted onto its incident branches, so the forward map
-    computes each entry once (``_entry``), together with its restrictions to
-    those branches, and branch agreement compares cached restrictions.  The
-    inverse reads a datum's flags apart from its hom tables: the gauges,
-    markings and conjugators depend on the flags alone and are computed once
-    per flags tuple (``_flag_part``), and each (hom table, gauge) pair is
-    gauged once (``_gauged_table``).  These per-element memos live as long
-    as the object, one verifier or patching call.
+    computes each entry once (``_entry``).  The inverse reads a datum's
+    flags apart from its hom tables: the gauges, markings and conjugators
+    depend on the flags alone and are computed once per flags tuple
+    (``_flag_part``), and each (hom table, gauge) pair is gauged once
+    (``_gauged_table``).  These per-element memos live as long as the
+    object, one verifier or patching call.
 
     ``forward_columns`` and ``check_round_trips`` run both maps on columns
     of markings of one family, through the same memos; ``forward`` is the
     one-element case.  Over one set of marking columns, more is fixed, and
     each of the column caches below is exact for that reason:
 
-    - a vertex's column of entries and restrictions depends only on its hom
-      table and the conjugators of the branches that meet it at their
-      component end, so it is built once per such pair;
+    - a vertex's column of entries depends only on its hom table and the
+      conjugators of the branches that meet it at their component end, so
+      it is built once per such pair;
     - a branch's marking column seen from its component end depends only on
       the branch's conjugator;
     - a datum's flags depend only on the markings and the family's
@@ -394,7 +393,7 @@ class _NaturalMaps:
         self.presentation = presentation
         self.group = group
         self._conj = group.conjugation_table()
-        # per vertex: (hom table, shifted markings) -> (entry, restrictions)
+        # per vertex: (hom table, shifted markings) -> entry
         self._entries: list[dict] = [{} for _ in presentation.gog.incidence]
         # flags of a local datum -> (gauges, markings, conjugators)
         self._flag_parts: dict[tuple, tuple] = {}
@@ -404,50 +403,41 @@ class _NaturalMaps:
         self._columns = None
         # (branch, conjugator) -> the branch's marking column at its component end
         self._shifted: dict[tuple, list] = {}
-        # per vertex: (hom table, component-end conjugators) -> (entries, restrictions)
+        # per vertex: (hom table, component-end conjugators) -> column of entries
         self._vertex_columns: list[dict] = []
         # conjugators whose flag part is checked -> per vertex, the gauge column
         self._checked_parts: dict[tuple, list] = {}
         # (vertex, hom table, conjugators) whose gauged tables are checked
         self._checked_tables: set[tuple] = set()
 
-    def restrictions(self, i: int, entry: tuple) -> tuple:
-        """The entry of a local datum at vertex i restricted to each of its
-        incident branches, in ``edges_at`` order."""
-        gog = self.presentation.gog
-        return tuple([_restriction(gog, self._conj, i, b, entry) for b, _ in gog.incidence[i]])
-
     def _entry(self, i: int, table: tuple, shifted: tuple) -> tuple:
         """The entry at vertex i of a vertex table whose incident branches
-        carry the shifted markings, with its restrictions; cached."""
+        carry the shifted markings; cached."""
         mul = self.group.table
         k = shifted[0]
         row, k_inv = self._conj[k], self.group.inverse[k]
         entry = (tuple([row[x] for x in table]), tuple([mul[m][k_inv] for m in shifted]))
-        self._entries[i][table, shifted] = hit = (entry, self.restrictions(i, entry))
-        return hit
+        self._entries[i][table, shifted] = entry
+        return entry
 
-    def forward(self, family_key: tuple, markings: Sequence[int]) -> tuple[tuple, tuple]:
-        """The local datum of a global functor (family key + markings), and
-        per vertex its entry's restrictions to the incident branches: the
+    def forward(self, family_key: tuple, markings: Sequence[int]) -> tuple:
+        """The local datum of a global functor (family key + markings): the
         one-element case of ``forward_columns``."""
         if markings[0] != self.group.identity:
             raise ValueError("marking at the least branch must be the identity")
-        hits = self.forward_columns(family_key, [[m] for m in markings])
-        return (tuple([entries[0] for entries, _ in hits]),
-                tuple([tuple([column[0] for column in restricted]) for _, restricted in hits]))
+        return tuple([entries[0] for entries in
+                      self.forward_columns(family_key, [[m] for m in markings])])
 
-    def forward_columns(self, family_key: tuple, columns: Sequence[Sequence[int]]) -> list[tuple]:
+    def forward_columns(self, family_key: tuple, columns: Sequence[Sequence[int]]) -> list[list]:
         """The natural map on many global functors of one family at once,
         given as one column of markings per branch: per vertex, the column
-        of entries and, per incident branch in ``edges_at`` order, the
-        column of their restrictions.  Each vertex column is built once per
-        hom table and component-end conjugators, and ``_entry`` fills only
-        the entries not cached yet, each once.
+        of entries.  Each vertex column is built once per hom table and
+        component-end conjugators, and ``_entry`` fills only the entries not
+        cached yet, each once.
 
-        Point-side restrictions use the markings directly; component-side
-        ones absorb the branch's conjugator, mirroring the edge relation of
-        the presentation."""
+        Point-side entries use the markings directly; component-side ones
+        absorb the branch's conjugator, mirroring the edge relation of the
+        presentation."""
         if columns is not self._columns:
             self._columns = columns
             self._shifted = {}
@@ -477,9 +467,8 @@ class _NaturalMaps:
                                                  columns[b]))
                     seen.append(shifted[b, c])
                 keys = list(zip(itertools.repeat(table), zip(*seen)))
-                column = _memo_column(self._entries[i], keys, lambda key: self._entry(i, *key))
-                cache[table, ends] = hit = ([entry for entry, _ in column],
-                                            tuple(zip(*[r for _, r in column])))
+                cache[table, ends] = hit = _memo_column(self._entries[i], keys,
+                                                        lambda key: self._entry(i, *key))
             hits.append(hit)
         return hits
 
@@ -533,34 +522,30 @@ class _NaturalMaps:
         ])
         return (tables, conjugators), markings
 
-    def check_round_trips(self, family_key: tuple, hits: Sequence[tuple],
+    def check_round_trips(self, family_key: tuple, hits: Sequence[list],
                           markings: list[tuple]) -> None:
         """Check global functors of one family, given by their markings and
-        by what the latest ``forward_columns`` call returned for the columns
-        of those markings: each local datum agrees over every branch, and
-        ``inverse`` takes it back to the family key and its markings.
-        Raises ``AssertionError`` at the first check that fails.
+        by the entry columns the latest ``forward_columns`` call returned for
+        the columns of those markings: ``inverse`` takes each local datum
+        back to the family key and its markings.  Raises ``AssertionError``
+        at the first check that fails.
 
-        Only the data's columns are read: restriction columns for agreement,
-        then the flags columns through the flag-part memo, once per
-        conjugator tuple, and the table columns through the gauged-table
-        memo, once per vertex, hom table and conjugator tuple."""
+        Only the data's columns are read: the flags columns through the
+        flag-part memo, once per conjugator tuple, and the table columns
+        through the gauged-table memo, once per vertex, hom table and
+        conjugator tuple."""
         item = operator.itemgetter
-        for p, p_slot, u, u_slot in self.presentation.gog.branch_ends:
-            if hits[p][1][p_slot] != hits[u][1][u_slot]:
-                raise AssertionError("restriction broke branch agreement")
-
         tables, conjugators = family_key
         gauges = self._checked_parts.get(conjugators)
         if gauges is None:
-            flags = list(zip(*[map(item(1), entries) for entries, _ in hits]))
+            flags = list(zip(*[map(item(1), entries) for entries in hits]))
             parts = _memo_column(self._flag_parts, flags, self._flag_part)
             if (list(map(item(1), parts)) != markings
                     or list(map(item(2), parts)).count(conjugators) != len(parts)):
                 raise AssertionError("inverse natural map failed the round trip")
             self._checked_parts[conjugators] = gauges = list(zip(*map(item(0), parts)))
         gauged, checked = self._gauged, self._checked_tables
-        for i, (table, (entries, _), column) in enumerate(zip(tables, hits, gauges)):
+        for i, (table, entries, column) in enumerate(zip(tables, hits, gauges)):
             if (i, table, conjugators) in checked:
                 continue
             for pair in set(zip(map(item(0), entries), column)):
@@ -577,7 +562,7 @@ def natural_map(
 ) -> tuple:
     """Restrict a global functor (family key + markings) to the vertex
     groupoids: the local datum of ``_NaturalMaps.forward``."""
-    return _NaturalMaps(presentation, group).forward(family_key, markings)[0]
+    return _NaturalMaps(presentation, group).forward(family_key, markings)
 
 
 def inverse_natural_map(
@@ -701,7 +686,7 @@ def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]
     key, markings = maps.inverse(datum)
     family = HomFamily(gog, G, key)
 
-    induced, _ = maps.forward(key, markings)
+    induced = maps.forward(key, markings)
     for v, groupoid, (table, flags) in zip(gog.graph.vertices, groupoids, induced):
         functor = GroupoidFunctor(groupoid, G, GroupHom(groupoid.group, G, table),
                                   dict(zip(groupoid.objects, flags)))
@@ -727,20 +712,23 @@ def verify_groupoid_pushout(
 
     The global side runs one pass per presentation hom over all its
     markings, as columns (``_NaturalMaps.forward_columns``): every global
-    functor gets its local datum, and the image set must grow by the marking
-    gauge per hom, which is injectivity.  Every global functor also gets
-    branch agreement and the round trip (``check_round_trips``).  The
-    marking columns are one object for the whole call, so the column caches
-    of ``_NaturalMaps`` hold: a hom pays for the vertex columns, flag parts
-    and gauged tables that no earlier hom shared with it.
+    functor gets its local datum and the round trip (``check_round_trips``).
+    The marking columns are one object for the whole call, so the column
+    caches of ``_NaturalMaps`` hold: a hom pays for the vertex columns, flag
+    parts and gauged tables that no earlier hom shared with it, and for
+    removing its data from the set of fiber data not matched yet.
 
-    One comparison decides both laws.  The setoid equivalence asks that
-    restriction be a bijection on classes with as many global classes as
-    fiber classes; the groupoid pushout asks that it be a bijection with as
-    many fiber classes as presentation homs.  Global classes are the
-    presentation homs, so both reduce to ``passed``.  Returns the report's
-    human lines and its machine block, which has no ``law``: the caller
-    names the law it checks."""
+    One set decides the bijection: each hom's data must remove exactly the
+    marking gauge from the fiber data not matched yet, and none may be left.
+    The join emits only branch-agreeing data, so a datum that removes one
+    agrees over every branch; a datum outside the fiber, or one that an
+    earlier global functor took, removes less than the gauge.  The setoid
+    equivalence asks that restriction be a bijection on classes with as many
+    global classes as fiber classes; the groupoid pushout asks that it be a
+    bijection with as many fiber classes as presentation homs.  Global
+    classes are the presentation homs, so both reduce to ``passed``.
+    Returns the report's human lines and its machine block, which has no
+    ``law``: the caller names the law it checks."""
     G = group
     free_branches = len(gog.graph.edge_names()) - 1
     # the trivial hom always exists, so the global side has at least gauge
@@ -755,29 +743,28 @@ def verify_groupoid_pushout(
                           (len(pi1), gauge), FUNCTOR_SET_CAP)
 
     fiber = _enumerate_fiber_data(gog, G)
-    fiber_keys = set(fiber)
-    if len(fiber_keys) != len(fiber):
+    unmatched = set(fiber)
+    if len(unmatched) != len(fiber):
         raise AssertionError("fiber enumeration produced duplicates")
 
     markings = [(G.identity, *combo)
                 for combo in itertools.product(range(G.order), repeat=free_branches)]
     columns = tuple(zip(*markings))
     maps = _NaturalMaps(presentation, G)
-    image_keys: set[tuple] = set()
+    bijective = True
     for key in pi1:
         hits = maps.forward_columns(key, columns)
-        seen = len(image_keys)
-        image_keys.update(zip(*[entries for entries, _ in hits]))
-        if len(image_keys) - seen != gauge:
-            raise AssertionError("restriction functor is not injective")
+        left = len(unmatched)
+        unmatched.difference_update(zip(*hits))
+        bijective = bijective and left - len(unmatched) == gauge
         maps.check_round_trips(key, hits, markings)
+    bijective = bijective and not unmatched
 
     fiber_raw = len(fiber)
     if fiber_raw % gauge != 0:
         raise AssertionError("fiber count is not a multiple of the marking gauge")
     fiber_classes = fiber_raw // gauge
     agreement = fiber_classes == len(pi1)
-    bijective = image_keys == fiber_keys
     lines = [
         f"global torsor classes = presentation homs: {len(pi1)}",
         f"patching-family classes = pushout functors: {fiber_classes}",

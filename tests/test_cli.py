@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -411,6 +412,69 @@ def test_functor_set_commands_exit_1_when_a_fiber_datum_is_foreign(
                         lambda g, G: [*real(g, G)[:-1], ("foreign",)])
     assert_refuted(capsys, run([command, write(tmp_path, CIRCLE)]),
                    "restriction functor bijective on classes: False")
+
+
+@pytest.mark.parametrize("command", ["torsor-verify", "pushout-verify"])
+@pytest.mark.parametrize("edit", [lambda fiber: [*fiber, ("foreign", 0), ("foreign", 1)],
+                                  lambda fiber: fiber[:-2]],
+                         ids=["class-more", "class-less"])
+def test_functor_set_commands_exit_1_when_the_fiber_has_a_class_more_or_less(
+    tmp_path, capsys, monkeypatch, command, edit
+):
+    """The marking gauge's worth of fiber data (two, into C2) added or
+    removed.  Added, no global functor restricts to them, so they are left
+    unmatched: restriction is not onto.  Removed, some global functor's
+    datum matches nothing: restriction does not land in the fiber.  Either
+    way the bijection line says so, beside the counts."""
+    from vkpatch import torsors
+
+    real = torsors._enumerate_fiber_data
+    monkeypatch.setattr(torsors, "_enumerate_fiber_data", lambda g, G: edit(real(g, G)))
+    assert_refuted(capsys, run([command, write(tmp_path, CIRCLE)]),
+                   "restriction functor bijective on classes: False")
+
+
+# b2 leads to A, whose group is trivial, so a global functor's local datum
+# depends on b2's marking only through P's flags
+PATH_TO_A_TRIVIAL = {
+    "version": 1,
+    "graph": {
+        "points": [{"name": "P", "group": "C2"}],
+        "components": [{"name": "U", "group": "C2"}, "A"],
+        "edges": [["b1", "P", "U"], ["b2", "P", "A"]],
+    },
+    "groups": {"C2": {"cyclic": 2}, "S3": {"symmetric": 3}},
+    "options": {"test_group": "S3"},
+}
+
+
+@pytest.mark.parametrize("command", ["torsor-verify", "pushout-verify"])
+def test_functor_set_commands_exit_1_when_two_global_functors_share_a_datum(
+    tmp_path, capsys, monkeypatch, command
+):
+    """P's first cached entry with a nontrivial table and flags (e, x), x
+    not the identity, is given the flags (e, e) of the entry for marking e
+    on b2, so two global functors of one hom restrict to one datum.  Its
+    hom's conjugators were checked by an earlier hom, so the round trip
+    passes; the bijection fails without a traceback."""
+    from vkpatch import torsors
+
+    real = torsors._NaturalMaps._entry
+    corrupted = []
+
+    def colliding(self, i, table, shifted):
+        table_at, flags = entry = real(self, i, table, shifted)
+        if (not corrupted and self.presentation.gog.graph.vertices[i] == "P"
+                and set(table) != {self.group.identity} and len(set(flags)) > 1):
+            entry = (table_at, (flags[0],) * len(flags))
+            self._entries[i][table, shifted] = entry
+            corrupted.append(entry)
+        return entry
+
+    monkeypatch.setattr(torsors._NaturalMaps, "_entry", colliding)
+    assert_refuted(capsys, run([command, write(tmp_path, PATH_TO_A_TRIVIAL)]),
+                   "restriction functor bijective on classes: False")
+    assert len(corrupted) == 1
 
 
 def test_non_injective_edge_map_is_input_error(tmp_path, capsys):
@@ -1002,6 +1066,53 @@ def test_a_child_prints_what_run_prints(tmp_path, capsys, command, doc, exit_cod
         assert child_dot == dot.read_text() == machine["dot"]
 
 
+def _child(argv, stdin=b""):
+    """A ``python -m vkpatch.cli`` child on argv, fed the stdin bytes."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "vkpatch.cli", *argv], input=stdin,
+                          capture_output=True, timeout=30, env=env)
+
+
+@pytest.mark.parametrize("via", ["path", "stdin"])
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, via):
+    """Byte 0xff decodes as no UTF-8: one input-error line and exit 3,
+    through a path and on stdin alike."""
+    data = b'{"version": 1, "graph": {"points": ["P\xff"], "components": ["U"]}}'
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    child = (_child(["graph-check", str(path)]) if via == "path"
+             else _child(["graph-check", "-"], data))
+    assert child.returncode == EXIT_INPUT_ERROR
+    assert child.stdout == b""
+    assert child.stderr.decode() == ("input error: 'utf-8' codec can't decode byte 0xff "
+                                     "in position 38: invalid start byte\n")
+
+
+def test_a_crlf_document_has_the_digest_of_its_bytes_on_both_paths(tmp_path):
+    """The input digest is the sha256 of the bytes read, carriage returns
+    included, whether the document comes through a path or on stdin."""
+    data = json.dumps(MINIMAL, indent=1).replace("\n", "\r\n").encode()
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    line = f"input: sha256:{hashlib.sha256(data).hexdigest()}\n"
+    for child in (_child(["graph-check", str(path)]), _child(["graph-check", "-"], data)):
+        assert child.returncode == EXIT_PASS
+        assert line in child.stdout.decode()
+
+
+@pytest.mark.parametrize("doc, lone", [
+    ({**MINIMAL, "graph": {**MINIMAL["graph"], "edges": [["\ud800", "P", "U"]]}}, "\ud800"),
+    ({**MINIMAL, "\udc00": 1}, "\udc00"),
+], ids=["value", "key"])
+def test_a_lone_surrogate_is_an_input_error(tmp_path, doc, lone):
+    """A ``\\ud800`` escape with no partner is well-formed JSON but no UTF-8
+    text: one input-error line and exit 3, key or value."""
+    child = _child(["export-dot", write(tmp_path, doc)])
+    assert child.returncode == EXIT_INPUT_ERROR
+    assert child.stdout == b""
+    assert child.stderr.decode() == f"input error: string {lone!r} holds a lone surrogate\n"
+
+
 def _circle(branches):
     edges = [[f"b{i}", "P", "U"] for i in range(1, branches + 1)]
     return {"version": 1, "graph": {"points": ["P"], "components": ["U"], "edges": edges}}
@@ -1038,8 +1149,11 @@ def test_a_child_whose_reader_closed_the_pipe_exits_120_without_traceback(
     assert child.returncode == 120
     assert "Traceback" not in child.stderr
     if command == "graph-check" and not unbuffered:
+        # the interpreter's own report of the unflushed stream: the first
+        # wording up to Python 3.12, the second from 3.13
         assert child.stderr.startswith(
-            "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+            ("Exception ignored in: <_io.TextIOWrapper name='<stdout>'",
+             "Exception ignored on flushing sys.stdout:"))
         assert "BrokenPipeError" in child.stderr
 
 
@@ -1289,6 +1403,87 @@ def test_random_gog_round_trips_through_schema(tmp_path, capsys):
         capsys.readouterr()
         assert run(["pushout-verify", path]) == EXIT_PASS
         capsys.readouterr()
+
+
+def _subdivided(gog, b):
+    """The graph of groups with branch b, from P to U, replaced by the path
+    P - W - Q - U: W and Q carry b's edge group, and every new map is the
+    identity."""
+    from vkpatch.gog import GraphOfFiniteGroups
+    from vkpatch.graphs import ReductionGraph
+    from vkpatch.groups import GroupHom
+
+    graph = gog.graph
+    p, u = graph.point_end(b), graph.component_end(b)
+    w, q, bq, bu = f"W{b}", f"Q{b}", f"{b}q", f"{b}u"
+    edge = gog.edge_groups[b]
+    identity = GroupHom(edge, edge, range(edge.order))
+    to_p, to_u = gog.edge_maps[b]["to_point"], gog.edge_maps[b]["to_component"]
+    return GraphOfFiniteGroups(
+        ReductionGraph([*graph.points, q], [*graph.components, w],
+                       [*[e for e in graph.edges if e[0] != b], (b, p, w), (bq, q, w), (bu, q, u)]),
+        {**gog.vertex_groups, w: edge, q: edge},
+        {**gog.edge_groups, bq: edge, bu: edge},
+        {**gog.edge_maps,
+         b: {"to_point": to_p, "to_component": identity},
+         bq: {"to_point": identity, "to_component": identity},
+         bu: {"to_point": identity, "to_component": to_u}},
+    )
+
+
+def test_subdividing_a_branch_keeps_the_homs_and_the_classes(tmp_path, capsys):
+    """Subdivision amalgamates over the edge group with itself twice, so pi1
+    is unchanged: ``gog-homs`` keeps its count and classes, and
+    ``pushout-verify`` its classes and verdict, while its raw global side
+    gains two markings, a factor |G|^2.  On the circle with S3 and C2 and
+    one C2 branch, into S3, that is 60 homs, 13 classes and global_raw 360
+    becoming 12,960; then on seeded random instances."""
+    from catalog import add_extra_edges, circle_graph, random_gog, random_tree_graph
+    from vkpatch.gog import GraphOfFiniteGroups
+    from vkpatch.groups import GroupHom, cyclic, symmetric
+
+    c1, c2, s3 = cyclic(1), cyclic(2), symmetric(3)
+    involution = next(x for x in range(s3.order) if x != s3.identity and s3.mul(x, x) == s3.identity)
+    circle = GraphOfFiniteGroups(
+        circle_graph(), {"P": s3, "U": c2}, {"b1": c2, "b2": c1},
+        {"b1": {"to_point": GroupHom(c2, s3, [s3.identity, involution]),
+                "to_component": GroupHom(c2, c2, range(2))},
+         "b2": {"to_point": GroupHom.trivial(c1, s3), "to_component": GroupHom.trivial(c1, c2)}},
+    )
+    cases = [(circle, "b1", {"symmetric": 3}, 6)]
+    rng = random.Random(37)
+    for _ in range(8):
+        graph = random_tree_graph(rng, max_vertices=3)
+        if rng.random() < 0.5:
+            graph = add_extra_edges(rng, graph, 1)
+        gog = random_gog(rng, graph, vertex_order_cap=6, edge_order_cap=4)
+        descriptor, order = rng.choice([({"cyclic": 2}, 2), ({"cyclic": 3}, 3),
+                                        ({"symmetric": 3}, 6)])
+        cases.append((gog, rng.choice(gog.graph.edge_names()), descriptor, order))
+
+    def machines(gog, descriptor):
+        doc = _gog_as_document(gog)
+        doc["groups"]["T"] = descriptor
+        doc["options"]["test_group"] = "T"
+        path = write(tmp_path, doc)
+        blocks = []
+        for command in ("gog-homs", "pushout-verify"):
+            assert run([command, path]) == EXIT_PASS
+            blocks.append(json.loads(capsys.readouterr().out.partition("-- machine --\n")[2]))
+        return blocks
+
+    seen = []
+    for gog, b, descriptor, order in cases:
+        (homs, pushout), (sub_homs, sub_pushout) = (machines(gog, descriptor),
+                                                    machines(_subdivided(gog, b), descriptor))
+        seen.append((homs["count"], homs["conjugacy_classes"], pushout["global_raw"],
+                     sub_pushout["global_raw"]))
+        for key in ("count", "conjugacy_classes"):
+            assert sub_homs[key] == homs[key]
+        for key in ("global_classes", "fiber_classes", "passed"):
+            assert sub_pushout[key] == pushout[key]
+        assert sub_pushout["global_raw"] == pushout["global_raw"] * order**2
+    assert seen[0] == (60, 13, 360, 12_960)
 
 
 def test_machine_block_is_valid_json(tmp_path, capsys, monkeypatch):

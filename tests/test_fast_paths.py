@@ -76,6 +76,7 @@ from vkpatch.series import LaurentSeries
 from vkpatch.torsors import (
     _enumerate_fiber_data,
     _NaturalMaps,
+    _restriction,
     inverse_natural_map,
     natural_map,
     verify_groupoid_pushout,
@@ -219,12 +220,13 @@ def inverse_natural_map_by_names(presentation, G, datum):
     return (tables, tuple(conjugators)), markings
 
 
-def disagreeing_branch(presentation, restricted):
-    """The first branch over which the two ends of a local datum, given by
-    its per-vertex restrictions (``_NaturalMaps.restrictions``), restrict
-    differently; None when it agrees over every branch."""
-    for b, (p, p_slot, u, u_slot) in enumerate(presentation.gog.branch_ends):
-        if restricted[p][p_slot] != restricted[u][u_slot]:
+def disagreeing_branch(presentation, G, datum):
+    """The first branch over which the two ends of a local datum restrict
+    differently (``torsors._restriction``); None when it agrees over every
+    branch."""
+    gog, conj = presentation.gog, G.conjugation_table()
+    for b, (p, _, u, _) in enumerate(gog.branch_ends):
+        if _restriction(gog, conj, p, b, datum[p]) != _restriction(gog, conj, u, b, datum[u]):
             return b
     return None
 
@@ -344,11 +346,10 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     stride = max(1, len(keys) * G.order ** (len(names) - 1) // max_globals)
     for key, combo in itertools.islice(globals_, 0, None, stride):
         markings = (G.identity, *combo)
-        datum, restricted = maps.forward(key, markings)
+        datum = maps.forward(key, markings)
         assert datum == natural_map(pres, G, key, markings)
         assert datum == natural_map_by_names(pres, G, key, dict(zip(names, markings)))
-        assert restricted == tuple(maps.restrictions(i, entry) for i, entry in enumerate(datum))
-        assert disagreeing_branch(pres, restricted) is None
+        assert disagreeing_branch(pres, G, datum) is None
         back_key, back_markings = maps.inverse(datum)
         assert (back_key, back_markings) == inverse_natural_map(pres, G, datum)
         oracle_key, oracle_markings = inverse_natural_map_by_names(pres, G, datum)
@@ -360,7 +361,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     for chosen in itertools.islice(itertools.product(*candidates.values()), 2000):
         by_name = dict(zip(gog.graph.vertices, chosen))
         bad = [e for e in names if not branch_agrees(gog, G, by_name, e)]
-        found = disagreeing_branch(pres, [maps.restrictions(i, c) for i, c in enumerate(chosen)])
+        found = disagreeing_branch(pres, G, chosen)
         assert found == (names.index(bad[0]) if bad else None)
     return len(fiber), len(joined)
 
@@ -475,7 +476,7 @@ def assert_column_pass_matches(monkeypatch, gog, G):
 
     def recording(self, key, columns):
         hits = forward_columns(self, key, columns)
-        image.update(zip(*[entries for entries, _ in hits]))
+        image.update(zip(*hits))
         return hits
 
     with monkeypatch.context() as patch:
