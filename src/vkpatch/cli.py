@@ -8,7 +8,6 @@ timing.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import os
 import sys
@@ -59,39 +58,90 @@ def _read_document(path: str) -> bytes:
         return fh.read()
 
 
-def _opt_int(args, doc: WorkbenchInput, flag: str, key: str, default: int) -> int:
-    value = getattr(args, flag, None)
-    if value is None:
-        value = doc.options.get(key, default)
+def _opt_int(flag_value, doc: WorkbenchInput, key: str, default: int) -> int:
+    value = doc.options.get(key, default) if flag_value is None else flag_value
     try:
         return read_int(value, f"options.{key}")
     except (TypeError, ValueError):
         raise InputError([f"options.{key}: not an integer: {value!r}"]) from None
 
 
-def run(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vkpatch",
-        description="Exact workbench: van Kampen presentations, torsor patching, "
-        "and characteristic-p descent obstructions over reduction graphs.",
-    )
-    parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("input", nargs="?", default="-",
-                        help="input document path, or '-' for stdin")
-    parser.add_argument("--group", help="name of the test group (from 'groups')")
-    parser.add_argument("--degree", type=int, help="cover degree for graph-covers")
-    parser.add_argument("--support-bound", dest="support_bound", type=int)
-    parser.add_argument("--all-trees", action="store_true",
-                        help="also check spanning-tree independence")
-    parser.add_argument("--dot-output", help="write DOT text to this path")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        return EXIT_INPUT_ERROR
+_USAGE = (
+    "usage: vkpatch COMMAND [INPUT | -] [--group NAME] [--degree N] [--support-bound N]\n"
+    "                       [--all-trees] [--dot-output PATH]\n"
+    "Exact workbench: van Kampen presentations, torsor patching, and\n"
+    "characteristic-p descent obstructions over reduction graphs.\n"
+    "INPUT is the input document's path, or '-' (the default) for stdin.\n"
+)
 
+# the flags that take a value: the attribute each one sets, and its type
+_VALUE_FLAGS = {
+    "--group": ("group", str),
+    "--degree": ("degree", int),
+    "--support-bound": ("support_bound", int),
+    "--dot-output": ("dot_output", str),
+}
+
+
+class CommandLine:
+    """One parsed command line: a command of ``_HANDLERS``, at most one
+    input path (``-``, the default, is stdin) and the flags, in any order.
+
+    A flag takes its value from the next word or after ``=``; a repeated
+    flag keeps its last value.  A flag must be spelled out in full.  Any
+    other word that starts with ``-`` is refused, and so is a next word that
+    does, unless it is ``-`` or a negative integer.  Every refusal is an
+    ``InputError`` with one message.
+    """
+
+    __slots__ = ("command", "input", "group", "degree", "support_bound", "all_trees",
+                 "dot_output")
+
+    def __init__(self, argv: list[str]):
+        self.group = self.degree = self.support_bound = self.dot_output = None
+        self.all_trees = False
+        words = []
+        tokens = iter(argv)
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            if token == "-" or not token.startswith("-"):
+                words.append(token)
+            elif flag == "--all-trees":
+                if eq:
+                    raise InputError([f"--all-trees takes no value: {token!r}"])
+                self.all_trees = True
+            elif flag in _VALUE_FLAGS:
+                if not eq:
+                    value = next(tokens, None)
+                    if value is None or (value.startswith("-") and value != "-"
+                                         and not value[1:].isdigit()):
+                        raise InputError([f"{flag} needs a value"])
+                name, kind = _VALUE_FLAGS[flag]
+                try:
+                    setattr(self, name, kind(value))
+                except ValueError:
+                    raise InputError([f"{flag}: not an integer: {value!r}"]) from None
+            else:
+                raise InputError([f"unknown flag: {token!r}"])
+        commands = ", ".join(_HANDLERS)
+        if not words:
+            raise InputError([f"no command; expected one of: {commands}"])
+        self.command, *paths = words
+        if self.command not in _HANDLERS:
+            raise InputError([f"unknown command {self.command!r}; expected one of: {commands}"])
+        if len(paths) > 1:
+            raise InputError([f"more than one input path: {', '.join(map(repr, paths))}"])
+        self.input = paths[0] if paths else "-"
+
+
+def run(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        sys.stderr.write(_USAGE + f"commands: {', '.join(_HANDLERS)}\n")
+        return EXIT_INPUT_ERROR
     try:
+        args = CommandLine(argv)
         document = _read_document(args.input)
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -176,7 +226,7 @@ def _cmd_graph_rank(args, doc):
 
 def _cmd_graph_covers(args, doc):
     graph = doc.require_graph()
-    degree = _opt_int(args, doc, "degree", "degree", 2)
+    degree = _opt_int(args.degree, doc, "degree", 2)
     if degree < 1:
         raise InputError([f"degree: cover degree must be >= 1, got {degree}"])
     covers = enumerate_connected_covers(graph, degree)
@@ -293,7 +343,7 @@ def _cmd_descent_as(args, doc):
     lines, machine = as_descends_galois(instance)
     verdict = machine["verdict"]
     exit_code = EXIT_PASS
-    support = _opt_int(args, doc, "support_bound", "support_bound", instance.p**2)
+    support = _opt_int(args.support_bound, doc, "support_bound", instance.p**2)
     search = as_brute_force_oracle(instance, support)
     lines.extend(search.lines)
     machine["oracle"] = oracle = search.machine
@@ -310,7 +360,7 @@ def _cmd_descent_as(args, doc):
 
 def _cmd_descent_kummer(args, doc):
     instance = doc.kummer_instance()
-    bound = _opt_int(args, doc, "support_bound", "search_bound", 4)
+    bound = _opt_int(args.support_bound, doc, "search_bound", 4)
     search = kummer_obstruction(instance, bound)
     verdict = search.machine["verdict"]
     exit_code = EXIT_INCONCLUSIVE if verdict == INCONCLUSIVE else EXIT_PASS

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .fields import FiniteField, RationalFunctionField, poly_add, poly_mul, poly_strip
 from .graphs import ScaleError, refuse_past
@@ -149,14 +149,17 @@ def as_descends_galois(instance: ASInstance) -> tuple[list[str], dict]:
     return lines, machine
 
 
-class SearchReport(NamedTuple):
+class SearchReport:
     """An exact search's report lines and machine block, as every law
     returns them, and the block's ``candidates_tried`` beside them, which
     the benchmark tracer reads as an attribute."""
 
-    lines: list
-    machine: dict
-    candidates_tried: int
+    __slots__ = ("lines", "machine", "candidates_tried")
+
+    def __init__(self, lines: list, machine: dict):
+        self.lines = lines
+        self.machine = machine
+        self.candidates_tried = machine["candidates_tried"]
 
 
 def _oracle_report(verdict: str, tried: int, support_bound: int, note: str,
@@ -180,7 +183,7 @@ def _oracle_report(verdict: str, tried: int, support_bound: int, note: str,
         "candidates_tried": tried,
         "support_bound": support_bound,
         "note": note,
-    }, tried)
+    })
 
 
 def _valid_betas(instance: ASInstance, support_bound: int):
@@ -506,7 +509,7 @@ def _kummer_report(verdict: str, tried: int, search_bound: int, truncation: int,
         "search_bound": search_bound,
         "truncation": truncation,
         "note": note,
-    }, tried)
+    })
 
 
 def kummer_obstruction(instance: KummerInstance, search_bound: int) -> SearchReport:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import (
     ReductionGraph,
@@ -295,7 +295,7 @@ def enumerate_pi1_homs(
 def backtrack_vertices(
     gog: GraphOfFiniteGroups,
     candidates: Sequence[Sequence],
-    restrict: Callable[[int, int, Any], Hashable],
+    restrict: Callable[[int, int, object], Hashable],
 ) -> list[tuple]:
     """Every choice of one candidate per vertex whose two ends restrict
     equally to every branch.

@@ -13,7 +13,7 @@ every triple.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .graphs import read_int, refuse_past
 

@@ -11,8 +11,8 @@ violating triple.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from contextlib import contextmanager
-from typing import Mapping
 
 from .descent import ASInstance, KummerInstance
 from .gog import EdgeMapError, GraphOfFiniteGroups

@@ -7,8 +7,19 @@ produce identical digests.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+# hashlib loads OpenSSL's libcrypto, a few ms of every CLI child, while the
+# interpreter's own SHA-256 module gives the same digests: it is _sha2 from
+# Python 3.12 on and _sha256 before; hashlib is the fallback for a build
+# that has neither
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 EXIT_PASS = 0
@@ -18,7 +29,7 @@ EXIT_INPUT_ERROR = 3
 
 
 def input_digest(document: bytes) -> str:
-    return hashlib.sha256(document).hexdigest()
+    return sha256(document).hexdigest()
 
 
 class ReportDocument:
@@ -56,7 +67,7 @@ class ReportDocument:
             "machine": {k: v for k, v in self.machine.items() if k != "timing_ms"},
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
     def render(self) -> str:
         digest = self.deterministic_digest()

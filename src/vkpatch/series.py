@@ -9,7 +9,7 @@ depend on unknown coefficients.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .fields import factor_label
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .gog import (
     FUNCTOR_SET_CAP,

@@ -26,6 +26,7 @@ from vkpatch.reports import (
     EXIT_INPUT_ERROR,
     EXIT_PASS,
     ReportDocument,
+    input_digest,
 )
 
 try:
@@ -932,7 +933,9 @@ def test_kummer_refused_past_the_budget_builds_no_dense_gbar(tmp_path, capsys):
 
 def test_cli_import_loads_no_introspection_modules():
     # each command runs in a fresh process, so whatever this import loads is
-    # paid on every call; dataclasses alone would pull in all five
+    # paid on every call; dataclasses alone would pull in the first five.
+    # The child runs without site (-S), whose .pth files may already have
+    # imported any of these and so hidden the import
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -941,13 +944,16 @@ def test_cli_import_loads_no_introspection_modules():
     )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
     child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=env,
     )
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert "vkpatch.cli" in loaded
-    # gc is imported by main, the one caller that switches the collector off
-    assert not loaded & {"dataclasses", "inspect", "dis", "tokenize", "ast", "gc"}
+    # gc is imported by main, the one caller that switches the collector off;
+    # argparse loads gettext and locale, and hashlib loads OpenSSL
+    assert not loaded & {"dataclasses", "inspect", "dis", "tokenize", "ast", "gc", "argparse",
+                         "gettext", "locale", "hashlib", "_hashlib", "typing"}
 
 
 def test_run_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys):
@@ -1098,6 +1104,66 @@ def test_a_crlf_document_has_the_digest_of_its_bytes_on_both_paths(tmp_path):
     for child in (_child(["graph-check", str(path)]), _child(["graph-check", "-"], data)):
         assert child.returncode == EXIT_PASS
         assert line in child.stdout.decode()
+
+
+def _digest_inputs() -> dict[str, bytes]:
+    return {
+        "empty": b"",
+        "crlf": json.dumps(MINIMAL, indent=1).replace("\n", "\r\n").encode(),
+        "random-1mb": random.Random(31).randbytes(1 << 20),
+    }
+
+
+def _both_digests(data: bytes) -> tuple[str, str]:
+    """The input digest of ``data`` and the deterministic digest of a
+    report whose machine block carries ``data`` as latin-1 text."""
+    machine = {"law": "digest-oracle", "data": data.decode("latin-1"), "timing_ms": 1.0}
+    report = ReportDocument("graph-check", input_digest(data), "PASS", [], machine, [])
+    return report.input_sha, report.deterministic_digest()
+
+
+@pytest.mark.parametrize("name", list(_digest_inputs()))
+def test_the_digests_are_hashlib_sha256(name):
+    """The interpreter's built-in SHA-256 that ``reports`` uses gives
+    hashlib's digests: of the input bytes, and of the digest payload."""
+    assert vkpatch.reports.sha256.__module__ in ("_sha2", "_sha256")
+    data = _digest_inputs()[name]
+    payload = {"command": "graph-check", "input": hashlib.sha256(data).hexdigest(),
+               "law": "digest-oracle", "verdict": "PASS",
+               "machine": {"law": "digest-oracle", "data": data.decode("latin-1")}}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert _both_digests(data) == (hashlib.sha256(data).hexdigest(),
+                                   hashlib.sha256(blob).hexdigest())
+
+
+def test_the_hashlib_fallback_gives_the_same_digests(tmp_path):
+    """A child whose interpreter has neither built-in SHA-256 module falls
+    back to hashlib, with the same digests as ``_both_digests`` here."""
+    inputs = _digest_inputs()
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    code = (
+        "import hashlib, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from vkpatch.reports import ReportDocument, input_digest, sha256\n"
+        "print(sha256 is hashlib.sha256)\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path, 'rb') as fh:\n"
+        "        data = fh.read()\n"
+        "    machine = {'law': 'digest-oracle', 'data': data.decode('latin-1'),\n"
+        "               'timing_ms': 1.0}\n"
+        "    report = ReportDocument('graph-check', input_digest(data), 'PASS', [], machine, [])\n"
+        "    print(report.input_sha, report.deterministic_digest())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code, *(str(tmp_path / name) for name in inputs)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    fell_back, *digests = child.stdout.splitlines()
+    assert fell_back == "True"
+    assert digests == [" ".join(_both_digests(data)) for data in inputs.values()]
 
 
 @pytest.mark.parametrize("doc, lone", [
@@ -1302,6 +1368,79 @@ def test_integral_numbers_are_read_as_before(tmp_path, capsys):
 def test_unknown_command_is_input_error(capsys):
     assert run(["no-such-command"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+# -- command line ------------------------------------------------------------------
+
+_COMMANDS = ", ".join(_HANDLERS)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # refused: exit 3, exactly this one line on stderr, nothing on stdout
+    ([], f"input error: no command; expected one of: {_COMMANDS}"),
+    (["--degree", "3"], f"input error: no command; expected one of: {_COMMANDS}"),
+    (["no-such-command", "DOC"],
+     f"input error: unknown command 'no-such-command'; expected one of: {_COMMANDS}"),
+    (["graph-check", "DOC", "--frobnicate"], "input error: unknown flag: '--frobnicate'"),
+    (["gog-verify", "DOC", "--group"], "input error: --group needs a value"),
+    (["gog-verify", "DOC", "--group", "--all-trees"], "input error: --group needs a value"),
+    (["graph-covers", "DOC", "--degree", "two"], "input error: --degree: not an integer: 'two'"),
+    (["graph-covers", "DOC", "--degree", "2.5"], "input error: --degree: not an integer: '2.5'"),
+    (["graph-covers", "DOC", "--degree="], "input error: --degree: not an integer: ''"),
+    (["descent-as", "DOC", "--support-bound", "x"],
+     "input error: --support-bound: not an integer: 'x'"),
+    (["graph-check", "DOC", "DOC"], "input error: more than one input path: {doc!r}, {doc!r}"),
+    (["gog-verify", "DOC", "--all-trees=1"],
+     "input error: --all-trees takes no value: '--all-trees=1'"),
+    # an abbreviation is not its flag
+    (["graph-covers", "DOC", "--deg", "3"], "input error: unknown flag: '--deg'"),
+    (["graph-check", "DOC", "-x"], "input error: unknown flag: '-x'"),
+    (["graph-check", "--", "DOC"], "input error: unknown flag: '--'"),
+    # a negative integer is a value, and the command refuses it
+    (["graph-covers", "DOC", "--degree", "-1"],
+     "input error: degree: cover degree must be >= 1, got -1"),
+    # accepted: the same exit and report, apart from timing, as this argv
+    (["graph-covers", "DOC", "--degree=3"], ["graph-covers", "DOC", "--degree", "3"]),
+    # a repeated flag keeps its last value
+    (["graph-covers", "DOC", "--degree", "2", "--degree", "3"],
+     ["graph-covers", "DOC", "--degree", "3"]),
+    (["gog-verify", "DOC", "--all-trees", "--all-trees"], ["gog-verify", "DOC", "--all-trees"]),
+    # flags go anywhere: before the path, and before the command
+    (["graph-covers", "--degree", "3", "DOC"], ["graph-covers", "DOC", "--degree", "3"]),
+    (["--degree", "3", "graph-covers", "DOC"], ["graph-covers", "DOC", "--degree", "3"]),
+    (["gog-verify", "--group=C2", "--all-trees", "DOC"],
+     ["gog-verify", "DOC", "--group", "C2", "--all-trees"]),
+], ids=["no-command", "flags-only", "unknown-command", "unknown-flag", "group-no-value",
+        "group-then-flag", "degree-word", "degree-fraction", "degree-empty",
+        "support-bound-word", "two-paths", "all-trees-value", "abbreviation", "short-flag",
+        "double-dash", "degree-negative", "degree-equals", "repeated-last-wins", "repeated-switch",
+        "flag-before-path", "flag-before-command", "equals-before-path"])
+def test_the_command_line_contract(tmp_path, capsys, argv, expected):
+    doc = write(tmp_path, CIRCLE)
+    code = run([doc if word == "DOC" else word for word in argv])
+    captured = capsys.readouterr()
+    if isinstance(expected, str):
+        assert (code, captured.out) == (EXIT_INPUT_ERROR, "")
+        assert captured.err == expected.format(doc=doc) + "\n"
+        return
+    assert captured.err == ""
+    assert run([doc if word == "DOC" else word for word in expected]) == code
+    assert _without_timing(captured.out) == _without_timing(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["graph-check", "-h"], ["graph-check", "DOC", "--help"],
+    ["no-such-command", "--frobnicate", "-h"],
+], ids=["short", "long", "after-command", "after-path", "beside-errors"])
+def test_help_is_the_usage_on_stderr_and_exit_3(tmp_path, capsys, argv):
+    """``-h`` or ``--help`` anywhere prints the usage and every command on
+    stderr, and runs nothing: like any line that runs no command, exit 3."""
+    doc = write(tmp_path, CIRCLE)
+    assert run([doc if word == "DOC" else word for word in argv]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: vkpatch COMMAND [INPUT | -] [--group NAME] ")
+    assert captured.err.endswith(f"\ncommands: {_COMMANDS}\n")
 
 
 # -- determinism -------------------------------------------------------------------

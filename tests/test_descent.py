@@ -254,7 +254,8 @@ def test_transcendental_gbar_is_obstructed():
 
 def test_base_ring_gbar_descends():
     inst = KummerInstance.base_ring_model(2, [1, 0, 1], 200)
-    lines, block, _ = kummer_obstruction(inst, 4)
+    search = kummer_obstruction(inst, 4)
+    lines, block = search.lines, search.machine
     assert block["verdict"] == DESCENDS
     assert block["witness_e"] == [1]  # e = 1 suffices
     # f itself lies in the base ring: relation c0 + c1*f with c1 = 1

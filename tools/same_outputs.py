@@ -147,10 +147,6 @@ def main(argv: list[str]) -> int:
     if not (src / "vkpatch" / "cli.py").is_file():
         print(f"no vkpatch package under {src}", file=sys.stderr)
         return 2
-    # argparse wraps its usage text at the terminal width, read from COLUMNS
-    # or from the terminal on the real stdout; fix it at the width a run
-    # without a terminal gets, so the replay does not depend on the shell
-    os.environ["COLUMNS"] = "80"
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import vkpatch.cli
     from workloads import build_pass
