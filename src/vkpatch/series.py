@@ -13,8 +13,6 @@ from collections.abc import Mapping
 
 from .fields import factor_label
 
-_INF = float("inf")
-
 
 class PrecisionError(ArithmeticError):
     """An operation or comparison exceeds the known precision."""
@@ -53,14 +51,12 @@ class LaurentSeries:
     def is_zero_to_order(self) -> bool:
         return not self.coeffs
 
-    def known_to(self):
-        return _INF if self.order is None else self.order
-
-    def _low_bound(self):
-        """Least exponent at which the series might be nonzero."""
+    def _low_bound(self) -> int | None:
+        """Least exponent at which the series might be nonzero; None for
+        the exact zero."""
         if self.coeffs:
             return self.valuation
-        return _INF if self.order is None else self.order + 1
+        return None if self.order is None else self.order + 1
 
     def terms(self):
         for i, c in enumerate(self.coeffs):
@@ -75,7 +71,7 @@ class LaurentSeries:
 
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_compatible(other)
-        order = _min_order(self.known_to(), other.known_to())
+        order = _min_order(self.order, other.order)
         items: dict[int, object] = {}
         for e, c in list(self.terms()) + list(other.terms()):
             if order is not None and e > order:
@@ -92,10 +88,8 @@ class LaurentSeries:
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_compatible(other)
-        order = _min_order(
-            self.known_to() + other._low_bound(),
-            other.known_to() + self._low_bound(),
-        )
+        order = _min_order(_bound_sum(self.order, other._low_bound()),
+                           _bound_sum(other.order, self._low_bound()))
         items: dict[int, object] = {}
         right = list(other.terms())
         for e1, c1 in self.terms():
@@ -141,9 +135,15 @@ class LaurentSeries:
         return body
 
 
-def _min_order(*orders):
-    finite = [o for o in orders if o != _INF]
-    return int(min(finite)) if finite else None
+def _bound_sum(a: int | None, b: int | None) -> int | None:
+    """a + b, where None is no bound."""
+    return None if a is None or b is None else a + b
+
+
+def _min_order(*orders: int | None) -> int | None:
+    """The least of the orders, where None is no bound."""
+    bounds = [o for o in orders if o is not None]
+    return min(bounds) if bounds else None
 
 
 # ---------------------------------------------------------------------------

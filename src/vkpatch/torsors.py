@@ -342,214 +342,145 @@ def _restriction(
     return tuple([row[table[a]] for a in side])
 
 
-def _memo_column(memo: dict, keys: list, fill) -> list:
-    """The memo's values at the keys, in order; ``fill(key)`` computes and
-    stores each missing one, once."""
-    column = list(map(memo.get, keys))
-    if None in column:
-        for key in set(keys).difference(memo):
-            fill(key)
-        column = list(map(memo.__getitem__, keys))
-    return column
+def _entry(group: FiniteGroup, table: tuple, shifted: tuple) -> tuple:
+    """The entry at a vertex of a vertex table whose incident branches carry
+    the shifted markings: the table conjugated by the first marking, and
+    every marking times that one's inverse, so the first flag is the
+    identity."""
+    mul = group.table
+    k = shifted[0]
+    row, k_inv = group.conjugation_table()[k], group.inverse[k]
+    return tuple([row[x] for x in table]), tuple([mul[m][k_inv] for m in shifted])
+
+
+def _flag_part(presentation: VanKampenPresentation, group: FiniteGroup, flags: tuple) -> tuple:
+    """What the inverse reads from a local datum's flags alone (one flag
+    tuple per vertex): the vertex gauges, the markings and the conjugators
+    of the global functor."""
+    G = group
+    mul, inv = G.table, G.inverse
+    branch_ends = presentation.gog.branch_ends
+
+    # gauges along the tree, each vertex from the one that reached it
+    gauges = [G.identity] * len(flags)
+    for v, v_slot, w, w_slot in presentation.tree_steps:
+        gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
+    # one right translation pins the least branch's marking to the identity
+    p0, p0_slot = branch_ends[0][:2]
+    shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
+    gauges = tuple([mul[a][shift] for a in gauges])
+
+    markings = tuple([mul[flags[p][p_slot]][gauges[p]] for p, p_slot, _, _ in branch_ends])
+    conjugators = tuple([
+        mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m]
+        for (_, _, u, u_slot), m in zip(branch_ends, markings)
+    ])
+    if markings[0] != G.identity:
+        raise AssertionError("reconstruction failed to pin the base marking")
+    for b in presentation.tree_branches:
+        if conjugators[b] != G.identity:
+            raise AssertionError("reconstruction failed to trivialize a tree letter")
+    return gauges, markings, conjugators
+
+
+def _gauged_table(group: FiniteGroup, table: tuple, gauge: int) -> tuple:
+    """A hom table conjugated by the inverse of a gauge."""
+    row = group.conjugation_table()[group.inverse[gauge]]
+    return tuple([row[x] for x in table])
 
 
 class _NaturalMaps:
-    """The natural map and its inverse for one presentation and test group,
-    with caches that make them cheap per element and per column.
+    """The natural map on the global functors of one marking set, one family
+    at a time, and the check that the inverse takes each of them back.
 
-    A vertex's entry of a local datum depends only on its hom table and on
-    the markings shifted onto its incident branches, so the forward map
-    computes each entry once (``_entry``).  The inverse reads a datum's
-    flags apart from its hom tables: the gauges, markings and conjugators
-    depend on the flags alone and are computed once per flags tuple
-    (``_flag_part``), and each (hom table, gauge) pair is gauged once
-    (``_gauged_table``).  These per-element memos live as long as the
-    object, one verifier or patching call.
+    The marking set is fixed at construction, as one column per branch, and
+    so each cache below is exact for the reason given:
 
-    ``forward_columns`` and ``check_round_trips`` run both maps on columns
-    of markings of one family, through the same memos; ``forward`` is the
-    one-element case.  Over one set of marking columns, more is fixed, and
-    each of the column caches below is exact for that reason:
+    - ``_entries``: a vertex's entry of a local datum depends only on its
+      hom table and the markings shifted onto its incident branches, and
+      many global functors share those, so each entry is computed once;
+    - ``_vertex_columns``: a vertex's column of entries depends only on its
+      hom table and the conjugators of the branches that meet it at their
+      component end, since only a component end shifts a marking;
+    - ``_checked_parts``: a datum's flags depend only on the markings and
+      the family's conjugators, so the inverse's flag part is checked once
+      per conjugator tuple;
+    - ``_checked_tables``: the gauges follow from the flags, so each
+      vertex's gauged tables are checked once per (vertex, hom table,
+      conjugator tuple)."""
 
-    - a vertex's column of entries depends only on its hom table and the
-      conjugators of the branches that meet it at their component end, so
-      it is built once per such pair;
-    - a branch's marking column seen from its component end depends only on
-      the branch's conjugator;
-    - a datum's flags depend only on the markings and the family's
-      conjugators, so the inverse's flag part is checked once per
-      conjugator tuple;
-    - the gauges follow from the flags, so each vertex's gauged tables are
-      checked once per (vertex, hom table, conjugator tuple).
+    __slots__ = ("presentation", "group", "_markings", "_branch_columns", "_entries",
+                 "_vertex_columns", "_checked_parts", "_checked_tables")
 
-    The column caches hold the columns object they were built for and
-    start over when another one arrives, so no cached column serves another
-    marking set; the columns must not change while they are in use."""
-
-    __slots__ = ("presentation", "group", "_conj", "_entries", "_flag_parts", "_gauged",
-                 "_columns", "_shifted", "_vertex_columns", "_checked_parts", "_checked_tables")
-
-    def __init__(self, presentation: VanKampenPresentation, group: FiniteGroup):
+    def __init__(self, presentation: VanKampenPresentation, group: FiniteGroup,
+                 markings: Sequence[Sequence[int]]):
         self.presentation = presentation
         self.group = group
-        self._conj = group.conjugation_table()
+        self._markings = list(map(tuple, markings))
+        self._branch_columns = tuple(zip(*self._markings))
+        incidence = presentation.gog.incidence
         # per vertex: (hom table, shifted markings) -> entry
-        self._entries: list[dict] = [{} for _ in presentation.gog.incidence]
-        # flags of a local datum -> (gauges, markings, conjugators)
-        self._flag_parts: dict[tuple, tuple] = {}
-        # (hom table, gauge) -> the table conjugated by the gauge's inverse
-        self._gauged: dict[tuple, tuple] = {}
-        # the marking columns the caches below were built for
-        self._columns = None
-        # (branch, conjugator) -> the branch's marking column at its component end
-        self._shifted: dict[tuple, list] = {}
+        self._entries: list[dict] = [{} for _ in incidence]
         # per vertex: (hom table, component-end conjugators) -> column of entries
-        self._vertex_columns: list[dict] = []
+        self._vertex_columns: list[dict] = [{} for _ in incidence]
         # conjugators whose flag part is checked -> per vertex, the gauge column
         self._checked_parts: dict[tuple, list] = {}
         # (vertex, hom table, conjugators) whose gauged tables are checked
         self._checked_tables: set[tuple] = set()
 
-    def _entry(self, i: int, table: tuple, shifted: tuple) -> tuple:
-        """The entry at vertex i of a vertex table whose incident branches
-        carry the shifted markings; cached."""
-        mul = self.group.table
-        k = shifted[0]
-        row, k_inv = self._conj[k], self.group.inverse[k]
-        entry = (tuple([row[x] for x in table]), tuple([mul[m][k_inv] for m in shifted]))
-        self._entries[i][table, shifted] = entry
-        return entry
-
-    def forward(self, family_key: tuple, markings: Sequence[int]) -> tuple:
-        """The local datum of a global functor (family key + markings): the
-        one-element case of ``forward_columns``."""
-        if markings[0] != self.group.identity:
-            raise ValueError("marking at the least branch must be the identity")
-        return tuple([entries[0] for entries in
-                      self.forward_columns(family_key, [[m] for m in markings])])
-
-    def forward_columns(self, family_key: tuple, columns: Sequence[Sequence[int]]) -> list[list]:
-        """The natural map on many global functors of one family at once,
-        given as one column of markings per branch: per vertex, the column
-        of entries.  Each vertex column is built once per hom table and
-        component-end conjugators, and ``_entry`` fills only the entries not
-        cached yet, each once.
+    def forward_columns(self, family_key: tuple) -> list[list]:
+        """The natural map on the global functors of one family with the
+        object's markings: per vertex, the column of entries, in marking
+        order.
 
         Point-side entries use the markings directly; component-side ones
         absorb the branch's conjugator, mirroring the edge relation of the
         presentation."""
-        if columns is not self._columns:
-            self._columns = columns
-            self._shifted = {}
-            self._vertex_columns = [{} for _ in self._entries]
-            self._checked_parts = {}
-            self._checked_tables = set()
-        mul, inv = self.group.table, self.group.inverse
-        shifted = self._shifted
+        G = self.group
         tables, conjugators = family_key
         hits = []
-        for i, (table, incident, cache) in enumerate(
-            zip(tables, self.presentation.gog.incidence, self._vertex_columns)
-        ):
+        for table, incident, cache, memo in zip(tables, self.presentation.gog.incidence,
+                                                self._vertex_columns, self._entries):
             ends = tuple([conjugators[b] for b, end in incident if end])
             hit = cache.get((table, ends))
             if hit is None:
                 # each marking column as seen from this vertex: m at a point
                 # end, m . c^-1 at a component end
-                seen = []
-                for b, end in incident:
-                    if not end:
-                        seen.append(columns[b])
-                        continue
-                    c = conjugators[b]
-                    if (b, c) not in shifted:
-                        shifted[b, c] = list(map([row[inv[c]] for row in mul].__getitem__,
-                                                 columns[b]))
-                    seen.append(shifted[b, c])
+                seen = [
+                    list(map([row[G.inverse[conjugators[b]]] for row in G.table].__getitem__,
+                             self._branch_columns[b]))
+                    if end else self._branch_columns[b]
+                    for b, end in incident
+                ]
                 keys = list(zip(itertools.repeat(table), zip(*seen)))
-                cache[table, ends] = hit = _memo_column(self._entries[i], keys,
-                                                        lambda key: self._entry(i, *key))
+                for key in set(keys).difference(memo):
+                    memo[key] = _entry(G, *key)
+                cache[table, ends] = hit = list(map(memo.__getitem__, keys))
             hits.append(hit)
         return hits
 
-    def _flag_part(self, flags: tuple) -> tuple:
-        """What the inverse reads from a local datum's flags alone (one flag
-        tuple per vertex): the vertex gauges, the markings and the
-        conjugators of the global functor; memoized on the flags."""
-        G = self.group
-        mul, inv = G.table, G.inverse
-        presentation = self.presentation
-        branch_ends = presentation.gog.branch_ends
-
-        # gauges along the tree, each vertex from the one that reached it
-        gauges = [G.identity] * len(flags)
-        for v, v_slot, w, w_slot in presentation.tree_steps:
-            gauges[v] = mul[mul[inv[flags[v][v_slot]]][flags[w][w_slot]]][gauges[w]]
-        # one right translation pins the least branch's marking to the identity
-        p0, p0_slot = branch_ends[0][:2]
-        shift = inv[mul[flags[p0][p0_slot]][gauges[p0]]]
-        gauges = tuple([mul[a][shift] for a in gauges])
-
-        markings = tuple([mul[flags[p][p_slot]][gauges[p]] for p, p_slot, _, _ in branch_ends])
-        conjugators = tuple([
-            mul[mul[inv[gauges[u]]][inv[flags[u][u_slot]]]][m]
-            for (_, _, u, u_slot), m in zip(branch_ends, markings)
-        ])
-        if markings[0] != G.identity:
-            raise AssertionError("reconstruction failed to pin the base marking")
-        for b in presentation.tree_branches:
-            if conjugators[b] != G.identity:
-                raise AssertionError("reconstruction failed to trivialize a tree letter")
-        self._flag_parts[flags] = part = (gauges, markings, conjugators)
-        return part
-
-    def _gauged_table(self, table: tuple, gauge: int) -> tuple:
-        """A hom table conjugated by the inverse of a gauge; memoized."""
-        row = self._conj[self.group.inverse[gauge]]
-        self._gauged[table, gauge] = hit = tuple([row[x] for x in table])
-        return hit
-
-    def inverse(self, datum: tuple) -> tuple[tuple, tuple[int, ...]]:
-        """Reconstruct the unique global functor, as a family key and
-        markings, restricting to the given local datum (which must agree
-        over every branch)."""
-        flags = tuple([f for _, f in datum])
-        gauges, markings, conjugators = self._flag_parts.get(flags) or self._flag_part(flags)
-        gauged = self._gauged
-        tables = tuple([
-            gauged.get((table, a)) or self._gauged_table(table, a)
-            for (table, _), a in zip(datum, gauges)
-        ])
-        return (tables, conjugators), markings
-
-    def check_round_trips(self, family_key: tuple, hits: Sequence[list],
-                          markings: list[tuple]) -> None:
-        """Check global functors of one family, given by their markings and
-        by the entry columns the latest ``forward_columns`` call returned for
-        the columns of those markings: ``inverse`` takes each local datum
-        back to the family key and its markings.  Raises ``AssertionError``
-        at the first check that fails.
-
-        Only the data's columns are read: the flags columns through the
-        flag-part memo, once per conjugator tuple, and the table columns
-        through the gauged-table memo, once per vertex, hom table and
-        conjugator tuple."""
+    def check_round_trips(self, family_key: tuple, hits: Sequence[list]) -> None:
+        """Check that the inverse takes every local datum in ``hits``, the
+        entry columns ``forward_columns`` returned for the family, back to
+        the family key and its markings.  Raises ``AssertionError`` at the
+        first check that fails."""
         item = operator.itemgetter
+        G = self.group
         tables, conjugators = family_key
         gauges = self._checked_parts.get(conjugators)
         if gauges is None:
-            flags = list(zip(*[map(item(1), entries) for entries in hits]))
-            parts = _memo_column(self._flag_parts, flags, self._flag_part)
-            if (list(map(item(1), parts)) != markings
+            flags = zip(*[map(item(1), entries) for entries in hits])
+            parts = list(map(functools.partial(_flag_part, self.presentation, G), flags))
+            if (list(map(item(1), parts)) != self._markings
                     or list(map(item(2), parts)).count(conjugators) != len(parts)):
                 raise AssertionError("inverse natural map failed the round trip")
             self._checked_parts[conjugators] = gauges = list(zip(*map(item(0), parts)))
-        gauged, checked = self._gauged, self._checked_tables
+        checked = self._checked_tables
         for i, (table, entries, column) in enumerate(zip(tables, hits, gauges)):
             if (i, table, conjugators) in checked:
                 continue
             for pair in set(zip(map(item(0), entries), column)):
-                if (gauged.get(pair) or self._gauged_table(*pair)) != table:
+                if _gauged_table(G, *pair) != table:
                     raise AssertionError("inverse natural map failed the round trip")
             checked.add((i, table, conjugators))
 
@@ -561,8 +492,11 @@ def natural_map(
     markings: Sequence[int],
 ) -> tuple:
     """Restrict a global functor (family key + markings) to the vertex
-    groupoids: the local datum of ``_NaturalMaps.forward``."""
-    return _NaturalMaps(presentation, group).forward(family_key, markings)
+    groupoids: its local datum, one (hom table, flags) entry per vertex."""
+    if markings[0] != group.identity:
+        raise ValueError("marking at the least branch must be the identity")
+    hits = _NaturalMaps(presentation, group, [markings]).forward_columns(family_key)
+    return tuple([entries[0] for entries in hits])
 
 
 def inverse_natural_map(
@@ -572,8 +506,11 @@ def inverse_natural_map(
 ) -> tuple[tuple, tuple[int, ...]]:
     """Reconstruct the unique global functor, as a family key and markings,
     restricting to the given local datum (which must agree over every
-    branch): ``_NaturalMaps.inverse``."""
-    return _NaturalMaps(presentation, group).inverse(datum)
+    branch)."""
+    gauges, markings, conjugators = _flag_part(presentation, group,
+                                               tuple([f for _, f in datum]))
+    tables = tuple([_gauged_table(group, table, a) for (table, _), a in zip(datum, gauges)])
+    return (tables, conjugators), markings
 
 
 def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[tuple]:
@@ -682,11 +619,11 @@ def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]
     # edges_at lists a vertex's branches sorted, the groupoid's object order
     datum = tuple(hom_from_torsor(problem.vertex_data[v], groupoid).key()
                   for v, groupoid in zip(gog.graph.vertices, groupoids))
-    maps = _NaturalMaps(build_presentation(gog), G)
-    key, markings = maps.inverse(datum)
+    presentation = build_presentation(gog)
+    key, markings = inverse_natural_map(presentation, G, datum)
     family = HomFamily(gog, G, key)
 
-    induced = maps.forward(key, markings)
+    induced = natural_map(presentation, G, key, markings)
     for v, groupoid, (table, flags) in zip(gog.graph.vertices, groupoids, induced):
         functor = GroupoidFunctor(groupoid, G, GroupHom(groupoid.group, G, table),
                                   dict(zip(groupoid.objects, flags)))
@@ -713,10 +650,10 @@ def verify_groupoid_pushout(
     The global side runs one pass per presentation hom over all its
     markings, as columns (``_NaturalMaps.forward_columns``): every global
     functor gets its local datum and the round trip (``check_round_trips``).
-    The marking columns are one object for the whole call, so the column
-    caches of ``_NaturalMaps`` hold: a hom pays for the vertex columns, flag
-    parts and gauged tables that no earlier hom shared with it, and for
-    removing its data from the set of fiber data not matched yet.
+    One ``_NaturalMaps`` holds the markings for the whole call, so a hom
+    pays for the vertex columns and round-trip checks that no earlier hom
+    shared with it, and for removing its data from the set of fiber data
+    not matched yet.
 
     One set decides the bijection: each hom's data must remove exactly the
     marking gauge from the fiber data not matched yet, and none may be left.
@@ -749,15 +686,14 @@ def verify_groupoid_pushout(
 
     markings = [(G.identity, *combo)
                 for combo in itertools.product(range(G.order), repeat=free_branches)]
-    columns = tuple(zip(*markings))
-    maps = _NaturalMaps(presentation, G)
+    maps = _NaturalMaps(presentation, G, markings)
     bijective = True
     for key in pi1:
-        hits = maps.forward_columns(key, columns)
+        hits = maps.forward_columns(key)
         left = len(unmatched)
         unmatched.difference_update(zip(*hits))
         bijective = bijective and left - len(unmatched) == gauge
-        maps.check_round_trips(key, hits, markings)
+        maps.check_round_trips(key, hits)
     bijective = bijective and not unmatched
 
     fiber_raw = len(fiber)

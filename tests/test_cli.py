@@ -455,24 +455,23 @@ def test_functor_set_commands_exit_1_when_two_global_functors_share_a_datum(
 ):
     """P's first cached entry with a nontrivial table and flags (e, x), x
     not the identity, is given the flags (e, e) of the entry for marking e
-    on b2, so two global functors of one hom restrict to one datum.  Its
+    on b2, so two global functors of one hom restrict to one datum.  P is
+    the one vertex with two branches, so the only one with two flags.  Its
     hom's conjugators were checked by an earlier hom, so the round trip
     passes; the bijection fails without a traceback."""
     from vkpatch import torsors
 
-    real = torsors._NaturalMaps._entry
+    real = torsors._entry
     corrupted = []
 
-    def colliding(self, i, table, shifted):
-        table_at, flags = entry = real(self, i, table, shifted)
-        if (not corrupted and self.presentation.gog.graph.vertices[i] == "P"
-                and set(table) != {self.group.identity} and len(set(flags)) > 1):
+    def colliding(group, table, shifted):
+        table_at, flags = entry = real(group, table, shifted)
+        if not corrupted and set(table) != {group.identity} and len(set(flags)) > 1:
             entry = (table_at, (flags[0],) * len(flags))
-            self._entries[i][table, shifted] = entry
             corrupted.append(entry)
         return entry
 
-    monkeypatch.setattr(torsors._NaturalMaps, "_entry", colliding)
+    monkeypatch.setattr(torsors, "_entry", colliding)
     assert_refuted(capsys, run([command, write(tmp_path, PATH_TO_A_TRIVIAL)]),
                    "restriction functor bijective on classes: False")
     assert len(corrupted) == 1
@@ -1623,6 +1622,42 @@ def test_subdividing_a_branch_keeps_the_homs_and_the_classes(tmp_path, capsys):
             assert sub_pushout[key] == pushout[key]
         assert sub_pushout["global_raw"] == pushout["global_raw"] * order**2
     assert seen[0] == (60, 13, 360, 12_960)
+
+
+def test_a_free_letter_multiplies_the_functor_sets(tmp_path, capsys):
+    """A parallel branch with no edge group is a free letter of pi1: on
+    every catalog instance into C2 and C3, ``gog-homs`` counts and
+    ``pushout-verify`` classes grow by |G|, its raw functor sets by |G|^2
+    (one more marking too), and the verdict and exit code stay."""
+    from test_fast_paths import CATALOG
+
+    def outcome(doc):
+        """The counts of ``gog-homs`` and ``pushout-verify`` on the document,
+        their exit codes, and the verdict line of ``pushout-verify`` (that of
+        ``gog-homs`` is its count)."""
+        path = write(tmp_path, doc)
+        counts, verdicts = {}, []
+        for command in ("gog-homs", "pushout-verify"):
+            verdicts.append(run([command, path]))
+            head, _, machine = capsys.readouterr().out.partition("-- machine --\n")
+            counts.update(json.loads(machine))
+        verdicts.append(next(line for line in head.splitlines() if line.startswith("verdict: ")))
+        return counts, verdicts
+
+    grows = {"count": 1, "pi1_count": 1, "fiber_classes": 1, "global_raw": 2, "fiber_raw": 2}
+    for name in sorted(CATALOG):
+        gog = CATALOG[name]()
+        _, p, u = gog.graph.edges[0]
+        for order in (2, 3):
+            doc = _gog_as_document(gog)
+            doc["groups"]["T"] = {"cyclic": order}
+            doc["options"]["test_group"] = "T"
+            free = json.loads(json.dumps(doc))
+            free["graph"]["edges"].append([max(gog.graph.edge_names()) + "+", p, u])
+            (before, verdicts), (after, free_verdicts) = outcome(doc), outcome(free)
+            assert {key: after[key] for key in grows} == {
+                key: before[key] * order ** power for key, power in grows.items()}, name
+            assert free_verdicts == verdicts, name
 
 
 def test_machine_block_is_valid_json(tmp_path, capsys, monkeypatch):

@@ -42,8 +42,6 @@ PAPER_BACKED = (
 # (qualified name, its (module, qualified name) entry in the tracer's tables)
 PERFBENCH_PINNED = (
     ("graphs.ReductionGraph.edge", ("graphs", "ReductionGraph.edge")),
-    ("torsors.natural_map", ("torsors", "natural_map")),
-    ("torsors.inverse_natural_map", ("torsors", "inverse_natural_map")),
 )
 
 # (qualified name, why it may build a validating GroupHom or a HomFamily);
@@ -163,9 +161,12 @@ def test_listed_names_exist_and_name_their_reason():
             isinstance(node, ast.FunctionDef) and node.name == function for node in tree.body
         ), test
     tracer = _tracer_entries()
+    allowed = {q for q, _ in PAPER_BACKED} | {q for q, _ in PERFBENCH_PINNED}
     for qualname, entry in PERFBENCH_PINNED:
         assert qualname in defs, qualname
         assert entry in tracer, entry
+        # listed only while nothing else in src reaches it
+        assert qualname in unreferenced(allowed - {qualname}), qualname
 
 
 def _assigns_slots(item: ast.AST) -> bool:
@@ -341,3 +342,20 @@ def cap_checks_outside_the_helper() -> list[str]:
 def test_every_cap_is_checked_by_the_one_helper():
     outside = cap_checks_outside_the_helper()
     assert not outside, "caps checked outside graphs.refuse_past:\n" + "\n".join(outside)
+
+
+def float_calls() -> list[str]:
+    """Each ``float(...)`` call in ``src/vkpatch``, as ``module:line``."""
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+    ]
+
+
+def test_no_float_is_made_in_src():
+    # every verdict is exact arithmetic; a float literal that only times a
+    # command is not a call
+    calls = float_calls()
+    assert not calls, f"float calls in src/vkpatch: {calls}"

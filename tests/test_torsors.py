@@ -230,6 +230,15 @@ def test_natural_map_round_trip_on_random_instances():
                 assert back_markings == markings
 
 
+def test_natural_map_refuses_a_least_branch_marking_other_than_the_identity():
+    gog, G = trivial_gog(circle_graph()), cyclic(3)
+    pres = build_presentation(gog)
+    key = enumerate_pi1_homs(gog, G)[0].key
+    for first in range(G.order):
+        if first == G.identity:
+            continue
+        with pytest.raises(ValueError, match="^marking at the least branch must be the identity$"):
+            natural_map(pres, G, key, (first, G.identity))
 def test_setoid_equivalence_spec_counts():
     c1, c2, c3, s3 = cyclic(1), cyclic(2), cyclic(3), symmetric(3)
     _, report = verify_groupoid_pushout(
@@ -278,28 +287,26 @@ def test_roundtrip_stride_is_reported():
         assert f"round trips verified: {global_raw} (every element)" in lines
 
 
-_CACHED_ENTRY = torsors._NaturalMaps._entry
+_ENTRY = torsors._entry
 
 
 def _corrupt_first_cached_entry(monkeypatch) -> dict:
     """Swap two differing flags of the first forward entry the verifier
     caches."""
-    real = _CACHED_ENTRY
     state = {"corrupted": 0}
 
-    def corrupting(self, i, table, shifted):
-        entry = real(self, i, table, shifted)
+    def corrupting(group, table, shifted):
+        entry = _ENTRY(group, table, shifted)
         hom, flags = entry
         if not state["corrupted"] and len(set(flags)) > 1:
             j = next(k for k, f in enumerate(flags) if f != flags[0])
             swapped = list(flags)
             swapped[0], swapped[j] = swapped[j], swapped[0]
             entry = (hom, tuple(swapped))
-            self._entries[i][table, shifted] = entry
             state["corrupted"] += 1
         return entry
 
-    monkeypatch.setattr(torsors._NaturalMaps, "_entry", corrupting)
+    monkeypatch.setattr(torsors, "_entry", corrupting)
     return state
 
 
@@ -332,48 +339,46 @@ def test_pushout_verifier_catches_a_corrupted_cached_entry(monkeypatch):
         assert state["corrupted"] == 1
 
 
-_FLAG_PART = torsors._NaturalMaps._flag_part
-_GAUGED_TABLE = torsors._NaturalMaps._gauged_table
+_FLAG_PART = torsors._flag_part
+_GAUGED_TABLE = torsors._gauged_table
 
 
 def _corrupt_first_flag_part(monkeypatch) -> dict:
-    """Memoize a wrong last marking for the first flags tuple the inverse
+    """Return a wrong last marking for the first flags tuple the inverse
     reads."""
     state = {"corrupted": 0}
 
-    def corrupting(self, flags):
-        gauges, markings, conjugators = _FLAG_PART(self, flags)
+    def corrupting(presentation, group, flags):
+        gauges, markings, conjugators = _FLAG_PART(presentation, group, flags)
         if not state["corrupted"]:
-            markings = markings[:-1] + ((markings[-1] + 1) % self.group.order,)
-            self._flag_parts[flags] = (gauges, markings, conjugators)
+            markings = markings[:-1] + ((markings[-1] + 1) % group.order,)
             state["corrupted"] += 1
         return gauges, markings, conjugators
 
-    monkeypatch.setattr(torsors._NaturalMaps, "_flag_part", corrupting)
+    monkeypatch.setattr(torsors, "_flag_part", corrupting)
     return state
 
 
 def _corrupt_first_gauged_table(monkeypatch) -> dict:
-    """Memoize a wrong back table for the first (hom table, gauge) pair the
+    """Return a wrong back table for the first (hom table, gauge) pair the
     inverse gauges."""
     state = {"corrupted": 0}
 
-    def corrupting(self, table, gauge):
-        back = _GAUGED_TABLE(self, table, gauge)
+    def corrupting(group, table, gauge):
+        back = _GAUGED_TABLE(group, table, gauge)
         if not state["corrupted"]:
-            back = back[:-1] + ((back[-1] + 1) % self.group.order,)
-            self._gauged[table, gauge] = back
+            back = back[:-1] + ((back[-1] + 1) % group.order,)
             state["corrupted"] += 1
         return back
 
-    monkeypatch.setattr(torsors._NaturalMaps, "_gauged_table", corrupting)
+    monkeypatch.setattr(torsors, "_gauged_table", corrupting)
     return state
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_first_flag_part, _corrupt_first_gauged_table],
                          ids=["flag-part", "gauged-table"])
 def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, corrupt):
-    """A wrong memoized part of the inverse fails the round trip."""
+    """A wrong part of the inverse fails the round trip."""
     instances = [(trivial_gog(theta_graph()), cyclic(3)),
                  (_c2_edged_circle(), symmetric(3))]
     for gog, G in instances:
@@ -388,9 +393,10 @@ def test_pushout_verifier_catches_a_corrupted_inverse_memo(monkeypatch, corrupt)
 
 
 def test_no_cached_column_serves_another_marking_set():
-    """One ``_NaturalMaps`` instance, fed two single markings and then the
-    verifier's full columns, hom after hom, answers as a fresh instance does
-    each time, and round-trips the full columns."""
+    """One ``_NaturalMaps`` object per marking set (two single markings,
+    then the verifier's full set), hom after hom, answers as a fresh object
+    does and as ``natural_map`` does on each element, and round-trips its
+    markings."""
     instances = [(trivial_gog(theta_graph()), cyclic(3)),
                  (_c2_edged_circle(), symmetric(3))]
     for gog, G in instances:
@@ -398,20 +404,19 @@ def test_no_cached_column_serves_another_marking_set():
         free = len(gog.graph.edge_names()) - 1
         markings = [(G.identity, *combo)
                     for combo in itertools.product(range(G.order), repeat=free)]
-        columns = tuple(zip(*markings))
-        shared = torsors._NaturalMaps(pres, G)
-        for fam in enumerate_pi1_homs(gog, G):
-            for one in (markings[1], markings[-1]):
-                assert shared.forward(fam.key, one) == \
-                    torsors._NaturalMaps(pres, G).forward(fam.key, one)
-            hits = shared.forward_columns(fam.key, columns)
-            assert hits == torsors._NaturalMaps(pres, G).forward_columns(fam.key, columns)
-            shared.check_round_trips(fam.key, hits, markings)
+        for marking_set in ([markings[1]], [markings[-1]], markings):
+            shared = torsors._NaturalMaps(pres, G, marking_set)
+            for fam in enumerate_pi1_homs(gog, G):
+                hits = shared.forward_columns(fam.key)
+                assert hits == torsors._NaturalMaps(pres, G, marking_set).forward_columns(fam.key)
+                assert list(zip(*hits)) == [natural_map(pres, G, fam.key, one)
+                                            for one in marking_set]
+                shared.check_round_trips(fam.key, hits)
 
 
 def test_pushout_verifier_round_trips_the_last_global_functor(monkeypatch):
     """The round trip reaches the last global functor in ``product(homs,
-    markings)`` order: a wrong memoized inverse for the flags of the last
+    markings)`` order: a wrong inverse flag part for the flags of the last
     hom's last markings fails it, also past 20,000 global functors."""
     instances = [(trivial_gog(theta_graph()), cyclic(3)),
                  (_c2_edged_circle(), symmetric(3)),
@@ -423,16 +428,15 @@ def test_pushout_verifier_round_trips_the_last_global_functor(monkeypatch):
         target = tuple(flags for _, flags in natural_map(pres, G, key, last))
         state = {"corrupted": 0}
 
-        def corrupting(self, flags):
-            gauges, markings, conjugators = _FLAG_PART(self, flags)
+        def corrupting(presentation, group, flags):
+            gauges, markings, conjugators = _FLAG_PART(presentation, group, flags)
             if flags == target:
-                markings = markings[:-1] + ((markings[-1] + 1) % self.group.order,)
-                self._flag_parts[flags] = (gauges, markings, conjugators)
+                markings = markings[:-1] + ((markings[-1] + 1) % group.order,)
                 state["corrupted"] += 1
             return gauges, markings, conjugators
 
         with monkeypatch.context() as patch:
-            patch.setattr(torsors._NaturalMaps, "_flag_part", corrupting)
+            patch.setattr(torsors, "_flag_part", corrupting)
             with pytest.raises(AssertionError, match="round trip"):
                 verify_groupoid_pushout(gog, G)
         assert state["corrupted"] == 1
