@@ -36,6 +36,7 @@ from .groups import (
     Presentation,
     enumerate_homs,
     group_presentation,
+    iter_homs,
 )
 
 # enumerations of presentation homs, or of global or fiber-product functors,
@@ -288,7 +289,7 @@ def enumerate_pi1_homs(
     presentation = build_presentation(gog)
     return tuple(
         HomFamily(gog, group, presentation.family_key(assignment))
-        for assignment in enumerate_homs(presentation.presentation, group)
+        for assignment in iter_homs(presentation.presentation, group)
     )
 
 
@@ -386,43 +387,51 @@ def verify_tree_vankampen(
     tree_flag = is_tree(gog.graph)
     _refuse_unbounded_homs(gog, group)
     vk = build_presentation(gog)
-    homs = enumerate_homs(vk.presentation, group)
-    naive = naive_limit_homs(gog, group)
     # each hom's vertex images in vertex order, against each naive family's
     # tables run together; a valid graph has two vertices at least, so the
     # getter reads two positions or more and returns tuples
     vertex_images = operator.itemgetter(
         *(x for block in vk.vertex_blocks for x in range(block.start, block.stop))
     )
+    # the homs are streamed, and only each distinct restriction is kept, with
+    # the first hom restricting to it; the search refuses before any is
+    # yielded, so before the naive join runs
+    first: dict[tuple, tuple] = {}
+    duplicate = None
+    pi1_count = 0
+    for a in iter_homs(vk.presentation, group):
+        pi1_count += 1
+        k = vertex_images(a)
+        if k not in first:
+            first[k] = a
+        elif duplicate is None:
+            duplicate = a
+    naive = naive_limit_homs(gog, group)
     naive_keys = {tuple(itertools.chain.from_iterable(tables)) for tables in naive}
 
-    restricted = [vertex_images(a) for a in homs]
-    lands = all(k in naive_keys for k in restricted)
-    injective = len(set(restricted)) == len(restricted)
-    surjective = naive_keys <= set(restricted)
+    lands = all(k in naive_keys for k in first)
+    injective = duplicate is None
+    surjective = first.keys() >= naive_keys
     bijection = lands and injective and surjective
 
     witness = None
     if not lands:
-        bad = next(a for a, k in zip(homs, restricted) if k not in naive_keys)
+        # restrictions come in the order of their first homs, so this is the
+        # first hom that does not land
+        bad = next(a for k, a in first.items() if k not in naive_keys)
         witness = (
             "a presentation hom restricts to a family without exact edge "
             f"agreement; conjugators {_conj_desc(vk, group, bad)}"
         )
     elif not injective:
-        seen: set[tuple] = set()
-        for a, k in zip(homs, restricted):
-            if k in seen:
-                witness = (
-                    "two presentation homs restrict identically; the extra one "
-                    f"has conjugators {_conj_desc(vk, group, a)}"
-                )
-                break
-            seen.add(k)
+        witness = (
+            "two presentation homs restrict identically; the extra one "
+            f"has conjugators {_conj_desc(vk, group, duplicate)}"
+        )
 
     lines = [
         f"graph is a tree: {tree_flag}",
-        f"presentation homs: {len(homs)}",
+        f"presentation homs: {pi1_count}",
         f"naive limit homs: {len(naive)}",
         f"restriction map is a bijection: {bijection}",
     ]
@@ -433,7 +442,7 @@ def verify_tree_vankampen(
     machine = {
         "law": "tree-direct-limit",
         "graph_is_tree": tree_flag,
-        "pi1_count": len(homs),
+        "pi1_count": pi1_count,
         "naive_count": len(naive),
         "bijection": bijection,
         "witness": witness,
@@ -463,7 +472,8 @@ def verify_tree_independence(
         if tree == maximal:
             counts[label] = maximal_count
         else:
-            counts[label] = len(enumerate_homs(build_presentation(gog, tree).presentation, group))
+            counts[label] = sum(1 for _ in iter_homs(build_presentation(gog, tree).presentation,
+                                                     group))
     all_equal = len(set(counts.values())) == 1
     lines = [f"spanning trees: {len(counts)}"]
     lines.extend(f"  tree {name}: {count} homs" for name, count in counts.items())
@@ -476,7 +486,7 @@ def verify_tree_independence(
 def conjugacy_class_count(group: FiniteGroup, homs: Iterable[Sequence[int]]) -> int:
     """Number of homs up to simultaneous conjugation by the test group.
 
-    A hom is its tuple of generator images, as ``enumerate_homs`` yields it;
+    A hom is its tuple of generator images, as ``iter_homs`` yields it;
     conjugating the hom conjugates every entry."""
     remaining = {tuple(h) for h in homs}
     classes = 0

@@ -13,15 +13,15 @@ every triple.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from .graphs import read_int, refuse_past
 
 # ``make_group`` refuses a group of larger order before building any table.
 GROUP_ORDER_CAP = 200
 
-# ``enumerate_homs`` refuses a search that has tried more candidate images
-# than this; theta (S3, S3) into S4, 665,856 homs, tries 927,984.
+# ``iter_homs`` refuses a search that charges more candidate images than
+# this; theta (S3, S3) into S4, 665,856 homs, charges 927,984.
 HOM_SEARCH_CAP = 2_000_000
 
 
@@ -242,22 +242,38 @@ class Presentation:
         self.relators = relators
 
 
-def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """All maps generator -> target element under which every relator dies.
+def iter_homs(source: Presentation, target: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """All maps generator -> target element under which every relator dies,
+    in lexicographic order of the image tuples, so deterministic and
+    canonical.
 
-    Exhaustive over ``|target|^r`` candidates, pruned by checking each
-    relator as soon as the last generator it mentions has been assigned.
-    When one of those relators mentions that generator exactly once, the
-    images already assigned force its value (forward checking), so only
-    that value is tried against the rest.  Output is in lexicographic order
-    of the image tuples, so it is deterministic and canonical.  A search
-    that has tried more than ``HOM_SEARCH_CAP`` candidates, counted
-    |target| at a time as each partial assignment is extended, raises
-    ``ScaleError``; the count is the same whether a value is forced or not.
+    Each relator is checked as soon as the last generator it mentions has
+    been assigned.  When one of those relators mentions that generator
+    exactly once, the images already assigned force its value (forward
+    checking), so only that value is tried against the rest.
+
+    The interface of a generator is the set of earlier generators that some
+    relator checked or solved at it or later mentions: the search from a
+    generator on sees the images before it only through its interface.  The
+    generators split into stretches, one starting at each generator whose
+    interface is no larger than the previous one's: with trivial edge groups
+    that is each vertex block of a graph-of-groups presentation.  Each
+    stretch is solved once for each value of its interface, its boundary
+    state, by dynamic programming over the stretches (bucket elimination,
+    Dechter 1999), and the homs are then walked from the stored solutions.
+
+    The search budget counts |target| candidates as each partial assignment
+    is extended, the same whether a value is forced or not; a reused
+    solution is charged what solving it charged, so the count is that of a
+    search that solves every stretch again on every path.  A count past
+    ``HOM_SEARCH_CAP`` raises ``ScaleError`` before any hom is yielded.
     """
     gens = source.generators
     r = len(gens)
     n = target.order
+    if not r:
+        yield ()
+        return
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for rel in source.relators:
         if not rel:
@@ -276,19 +292,30 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
                 del bucket[k]
                 break
 
+    # interfaces[d]: the generators before d, ascending, that a relator
+    # checked or solved at depth d or later mentions
+    interfaces: list[tuple[int, ...]] = [()] * r
+    live: set[int] = set()
+    for depth in reversed(range(r)):
+        for rel in buckets[depth]:
+            live.update(abs(letter) - 1 for letter in rel)
+        if solved[depth] is not None:
+            live.update(abs(letter) - 1 for letter in solved[depth][0])
+        live.discard(depth)
+        interfaces[depth] = tuple(sorted(live))
+    starts = [d for d in range(r) if not d or len(interfaces[d]) <= len(interfaces[d - 1])]
+    ends = starts[1:] + [r]
+
     table = target.table
     inv = target.inverse
     identity = target.identity
     # vals[k] is the image of generator k (from 1) and vals[-k] its inverse,
     # so a relator letter indexes its value directly
     vals = [identity] * (2 * r + 1)
-    out: list[tuple[int, ...]] = []
     what = f"the hom search into {target.name}"
     tried = 0
-    if not r:
-        return ((),)
-    # one iterator of candidate images per generator from the first to the
-    # one being chosen, so the depth of the search is not the call depth
+    # one iterator of candidate images per generator of the stretch being
+    # solved, up to the one being chosen, so the depth is not the call depth
     stack: list = []
 
     def push(depth: int) -> None:
@@ -304,34 +331,103 @@ def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int
             acc = table[acc][vals[letter]]
         stack.append(iter((inv[acc] if sign > 0 else acc,)))
 
-    # when no relator is left to check at the last generator (it is free, or
-    # solved by its one relator), each of its candidates is a leaf
-    free_leaves = not buckets[r - 1]
-    push(0)
-    while stack:
-        depth = len(stack) - 1
-        if free_leaves and depth + 1 == r:
-            head = tuple(vals[1:r])
-            out.extend([head + (cand,) for cand in stack.pop()])
-            continue
-        bucket = buckets[depth]
-        for cand in stack[-1]:
-            vals[depth + 1] = cand
-            vals[-depth - 1] = inv[cand]
-            for rel in bucket:
-                acc = identity
-                for letter in rel:
-                    acc = table[acc][vals[letter]]
-                if acc != identity:
-                    break
+    def solve(a: int, b: int) -> list[tuple[int, ...]]:
+        """The images of generators a..b-1 under which every relator checked
+        there dies, for the interface images already in ``vals``."""
+        found: list[tuple[int, ...]] = []
+        push(a)
+        while stack:
+            depth = a + len(stack) - 1
+            bucket = buckets[depth]
+            # with no relator left to check at the stretch's last generator,
+            # each of its candidates is a solution
+            if depth + 1 == b and not bucket:
+                head = tuple(vals[a + 1:b])
+                found.extend([head + (cand,) for cand in stack.pop()])
+                continue
+            for cand in stack[-1]:
+                vals[depth + 1] = cand
+                vals[-depth - 1] = inv[cand]
+                for rel in bucket:
+                    acc = identity
+                    for letter in rel:
+                        acc = table[acc][vals[letter]]
+                    if acc != identity:
+                        break
+                else:
+                    if depth + 1 < b:
+                        push(depth + 1)
+                        break
+                    found.append(tuple(vals[a + 1:b + 1]))
             else:
-                if depth + 1 < r:
-                    push(depth + 1)
-                    break
-                out.append(tuple(vals[1:r + 1]))
+                stack.pop()
+        return found
+
+    # per stretch, in the order its boundary states were first reached: the
+    # solutions, the state each one hands the next stretch (its position in
+    # that stretch's lists), and the candidates solving it charged
+    states: list[dict[tuple[int, ...], int]] = [{} for _ in starts]
+    solutions: list[list[list[tuple[int, ...]]]] = [[] for _ in starts]
+    nexts: list[list[list[int]]] = [[] for _ in starts]
+    charges: list[list[int]] = [[] for _ in starts]
+    states[0][()] = 0
+    last = len(starts) - 1
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        # the next interface's generators, as positions in state + solution
+        carry = () if k == last else tuple(
+            interfaces[a].index(g) if g < a else len(interfaces[a]) + g - a
+            for g in interfaces[b]
+        )
+        for state in states[k]:
+            for g, x in zip(interfaces[a], state):
+                vals[g + 1] = x
+                vals[-g - 1] = inv[x]
+            before = tried
+            found = solve(a, b)
+            charges[k].append(tried - before)
+            solutions[k].append(found)
+            if k < last:
+                following = states[k + 1]
+                handed = []
+                for sol in found:
+                    full = state + sol
+                    handed.append(following.setdefault(tuple([full[i] for i in carry]),
+                                                       len(following)))
+                nexts[k].append(handed)
+
+    # the candidates charged from each stretch and state to the end, reusing
+    # the totals of the states each solution hands on
+    totals = charges[last]
+    for k in reversed(range(last)):
+        totals = [c + sum(totals[j] for j in following)
+                  for c, following in zip(charges[k], nexts[k])]
+    refuse_past(what, (totals[0],), HOM_SEARCH_CAP)
+
+    if not last:
+        yield from solutions[0][0]
+        return
+    # one iterator of (solution, next state) per stretch from the first to
+    # the one being chosen, all but the last, so the depth is not the call
+    # depth
+    heads = [()] * last
+    walk = [iter(zip(solutions[0][0], nexts[0][0]))]
+    while walk:
+        k = len(walk) - 1
+        for sol, j in walk[-1]:
+            head = heads[k] + sol
+            if k + 1 == last:
+                yield from map(head.__add__, solutions[last][j])
+                continue
+            heads[k + 1] = head
+            walk.append(iter(zip(solutions[k + 1][j], nexts[k + 1][j])))
+            break
         else:
-            stack.pop()
-    return tuple(out)
+            walk.pop()
+
+
+def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """``iter_homs`` as a tuple, for callers that need the homs more than once."""
+    return tuple(iter_homs(source, target))
 
 
 def group_presentation(group: FiniteGroup) -> Presentation:

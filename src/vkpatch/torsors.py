@@ -46,7 +46,7 @@ from .gog import (
     build_presentation,
 )
 from .graphs import refuse_past
-from .groups import FiniteGroup, GroupHom, enumerate_homs, group_presentation
+from .groups import FiniteGroup, GroupHom, enumerate_homs, group_presentation, iter_homs
 
 
 class PatchingError(ValueError):
@@ -673,9 +673,7 @@ def verify_groupoid_pushout(
     gauge = refuse_past(f"the marking gauge {G.order}^{free_branches}",
                         itertools.repeat(G.order, free_branches), FUNCTOR_SET_CAP)
     presentation = build_presentation(gog)
-    pi1 = [
-        presentation.family_key(a) for a in enumerate_homs(presentation.presentation, G)
-    ]
+    pi1 = [presentation.family_key(a) for a in iter_homs(presentation.presentation, G)]
     lhs_raw = refuse_past(f"the global functor count, {len(pi1)} x {gauge},",
                           (len(pi1), gauge), FUNCTOR_SET_CAP)
 

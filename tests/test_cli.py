@@ -198,11 +198,19 @@ def test_gog_verify_all_trees_flag(tmp_path, capsys):
 
 
 def test_gog_verify_all_trees_enumerates_each_tree_once(tmp_path, capsys, monkeypatch):
-    from vkpatch import gog
+    from vkpatch import gog, groups
 
     calls = []
-    real = gog.enumerate_homs
-    monkeypatch.setattr(gog, "enumerate_homs", lambda pres, G: calls.append(pres) or real(pres, G))
+    real = groups.iter_homs
+
+    def counted(pres, G):
+        calls.append(pres)
+        return real(pres, G)
+
+    # the verifiers stream from gog's binding, the naive limit's vertex homs
+    # come through groups.enumerate_homs
+    monkeypatch.setattr(gog, "iter_homs", counted)
+    monkeypatch.setattr(groups, "iter_homs", counted)
     code = run(["gog-verify", write(tmp_path, CIRCLE), "--all-trees"])
     machine = json.loads(capsys.readouterr().out.split("-- machine --\n", 1)[1])
     assert code == EXIT_PASS
@@ -388,14 +396,14 @@ def test_gog_verify_all_trees_exits_1_when_a_tree_count_is_off(tmp_path, capsys,
     differs for the spanning tree {b2} refutes tree independence."""
     from vkpatch import gog
 
-    real = gog.enumerate_homs
+    real = gog.iter_homs
 
     def one_short_for_b2(pres, G):
-        homs = real(pres, G)
+        homs = tuple(real(pres, G))
         # the tree {b2} reaches U through b2, so its letter comes third
-        return homs[:-1] if pres.generators[2:3] == ("e:b2",) else homs
+        return iter(homs[:-1] if pres.generators[2:3] == ("e:b2",) else homs)
 
-    monkeypatch.setattr(gog, "enumerate_homs", one_short_for_b2)
+    monkeypatch.setattr(gog, "iter_homs", one_short_for_b2)
     assert_refuted(capsys, run(["gog-verify", write(tmp_path, CIRCLE), "--all-trees"]),
                    "counts identical across trees: False")
 
@@ -928,6 +936,53 @@ def test_kummer_refused_past_the_budget_builds_no_dense_gbar(tmp_path, capsys):
     code, peak_kb = map(int, child.stdout.split())
     assert code == EXIT_INCONCLUSIVE
     assert peak_kb <= 25 * 1024, f"peak RSS {peak_kb} KB"
+
+
+# theta with S3 at both vertices, into S4: 665,856 presentation homs over
+# 34 x 34 distinct vertex restrictions
+_THETA_S3_S4 = {
+    "version": 1,
+    "graph": {"points": [{"name": "P", "group": "S3"}],
+              "components": [{"name": "U", "group": "S3"}],
+              "edges": [["b1", "P", "U"], ["b2", "P", "U"], ["b3", "P", "U"]]},
+    "groups": {"S3": {"symmetric": 3}, "S4": {"symmetric": 4}},
+    "options": {"test_group": "S4"},
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-trees"]], ids=["maximal-tree", "all-trees"])
+def test_gog_verify_streams_the_homs(tmp_path, flags):
+    """gog-verify keeps each distinct vertex restriction, not every hom, and
+    counts the other trees' homs without a list: on theta (S3, S3) into S4
+    it peaked at 220 MB when it held them all."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, "gog-verify", write(tmp_path, _THETA_S3_S4),
+         *flags],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    code, peak_kb = map(int, child.stdout.split())
+    assert code == EXIT_PASS
+    assert peak_kb <= 40 * 1024, f"peak RSS {peak_kb} KB"
+
+
+def test_child_peaks_reads_each_childs_own_peak():
+    """tools/child_peaks.py on one cheap invocation: a row for the launcher's
+    floor, a child that runs ``pass``, and one for the CLI child, which
+    imports the package and so peaks above it."""
+    root = pathlib.Path(vkpatch.__file__).parents[2]
+    child = subprocess.run(
+        [sys.executable, str(root / "tools" / "child_peaks.py"), str(root / "src"),
+         "pi1-patching", "1", "theta-trivial-s3/gog-homs"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    rows = [line.split() for line in child.stdout.splitlines()]
+    assert [row[-1] for row in rows] == ["launcher", "theta-trivial-s3/gog-homs"]
+    for wall, ms, peak, mb, exit_, code, _ in rows:
+        assert (ms, mb, exit_, code) == ("ms", "MB", "exit", "0")
+        assert float(wall) > 0 and float(peak) > 0
+    assert float(rows[1][2]) > float(rows[0][2])
 
 
 def test_cli_import_loads_no_introspection_modules():

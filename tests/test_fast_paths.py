@@ -62,7 +62,7 @@ from vkpatch.gog import (
     enumerate_pi1_homs,
     naive_limit_homs,
 )
-from vkpatch.graphs import ReductionGraph, ScaleError, _unreached, refuse_past
+from vkpatch.graphs import ReductionGraph, ScaleError, _unreached, refuse_past, spanning_trees
 from vkpatch.groups import (
     GroupHom,
     Presentation,
@@ -308,6 +308,81 @@ def try_every_candidate_homs(source, target):
                 extend(depth + 1)
 
     extend(0)
+    return tuple(out)
+
+
+def unsegmented_homs(source, target):
+    """The hom search as one backtracking walk over every generator: the
+    same forward checking and budget as ``enumerate_homs``, without the
+    stretches, so it solves the generators after an empty interface again
+    on every path."""
+    gens = source.generators
+    r = len(gens)
+    n = target.order
+    buckets = [[] for _ in range(r)]
+    for rel in source.relators:
+        if not rel:
+            continue
+        buckets[max(abs(letter) for letter in rel) - 1].append(rel)
+    solved = [None] * r
+    for depth, bucket in enumerate(buckets):
+        for k, rel in enumerate(bucket):
+            at = [i for i, letter in enumerate(rel) if abs(letter) == depth + 1]
+            if len(at) == 1:
+                i = at[0]
+                solved[depth] = (rel[i + 1:] + rel[:i], rel[i])
+                del bucket[k]
+                break
+
+    table = target.table
+    inv = target.inverse
+    identity = target.identity
+    vals = [identity] * (2 * r + 1)
+    out = []
+    what = f"the hom search into {target.name}"
+    tried = 0
+    if not r:
+        return ((),)
+    stack = []
+
+    def push(depth):
+        nonlocal tried
+        tried += n
+        groups_mod.refuse_past(what, (tried,), groups_mod.HOM_SEARCH_CAP)
+        if solved[depth] is None:
+            stack.append(iter(range(n)))
+            return
+        word, sign = solved[depth]
+        acc = identity
+        for letter in word:
+            acc = table[acc][vals[letter]]
+        stack.append(iter((inv[acc] if sign > 0 else acc,)))
+
+    free_leaves = not buckets[r - 1]
+    push(0)
+    while stack:
+        depth = len(stack) - 1
+        if free_leaves and depth + 1 == r:
+            head = tuple(vals[1:r])
+            out.extend([head + (cand,) for cand in stack.pop()])
+            continue
+        bucket = buckets[depth]
+        for cand in stack[-1]:
+            vals[depth + 1] = cand
+            vals[-depth - 1] = inv[cand]
+            for rel in bucket:
+                acc = identity
+                for letter in rel:
+                    acc = table[acc][vals[letter]]
+                if acc != identity:
+                    break
+            else:
+                if depth + 1 < r:
+                    push(depth + 1)
+                    break
+                out.append(tuple(vals[1:r + 1]))
+        else:
+            stack.pop()
     return tuple(out)
 
 
@@ -609,6 +684,155 @@ def test_hom_search_matches_the_oracle_on_words(name):
         homs = enumerate_homs(pres, target)
         assert homs == try_every_candidate_homs(pres, target)
         assert homs
+
+
+def assert_matches_unsegmented(monkeypatch, pres, target):
+    """The stretch search yields the unsegmented search's homs and charges
+    the same candidates in all, the last ``refuse_past`` argument of each;
+    both refuse, with the same message, at a cap one below that total, and
+    neither at the total.  Returns the budget checks each search made, the
+    unsegmented one first."""
+    charged = []
+    real = groups_mod.refuse_past
+
+    def recording(what, factors, cap):
+        factors = tuple(factors)
+        charged.append(factors[0])
+        return real(what, factors, cap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups_mod, "refuse_past", recording)
+        homs = unsegmented_homs(pres, target)
+        total, checks = charged[-1], len(charged)
+        charged.clear()
+        assert enumerate_homs(pres, target) == homs, pres.relators
+        assert charged[-1] == total, pres.relators
+        stretch_checks = len(charged)
+        for cap in (total - 1, total):
+            patch.setattr(groups_mod, "HOM_SEARCH_CAP", cap)
+            expected = homs if cap == total else (
+                f"the hom search into {target.name} passes the cap of {cap}")
+            for search in (enumerate_homs, unsegmented_homs):
+                try:
+                    outcome = search(pres, target)
+                except ScaleError as exc:
+                    outcome = str(exc)
+                assert outcome == expected, (search.__name__, cap, pres.relators)
+    return checks, stretch_checks
+
+
+def shuffled(group, rng):
+    """The group with its elements listed in a random order, so that the
+    identity need not be element 0."""
+    order = rng.sample(range(group.order), group.order)
+    table = [[group.label(group.mul(a, b)) for b in order] for a in order]
+    return from_table([group.label(x) for x in order], table, name=group.name)
+
+
+def _central_involution(group):
+    return next(x for x in range(group.order)
+                if x != group.identity and group.mul(x, x) == group.identity
+                and all(group.mul(x, y) == group.mul(y, x) for y in range(group.order)))
+
+
+def _shuffled_d4_q8_circle(rng):
+    """A circle with shuffled D4 and Q8 tables at its ends, glued along their
+    central involutions by a C2 branch, and a C1 branch."""
+    c1, c2 = cyclic(1), cyclic(2)
+    d4, q8 = shuffled(dihedral4(), rng), shuffled(quaternion8(), rng)
+    return GraphOfFiniteGroups(
+        circle_graph(),
+        {"P": d4, "U": q8},
+        {"b1": c2, "b2": c1},
+        {
+            "b1": {"to_point": GroupHom(c2, d4, [d4.identity, _central_involution(d4)]),
+                   "to_component": GroupHom(c2, q8, [q8.identity, _central_involution(q8)])},
+            "b2": {"to_point": GroupHom.trivial(c1, d4),
+                   "to_component": GroupHom.trivial(c1, q8)},
+        },
+    )
+
+
+def test_stretch_search_matches_the_unsegmented_one_on_pi1_presentations(monkeypatch):
+    """The catalog's presentations, with C1 and C2 branches, over every
+    spanning tree; the shuffled D4|Q8 circle; the seeded random sweep; and
+    circle (S3, S3) into S4, where the stretches are solved once per
+    boundary state, so the stretch search makes fewer budget checks."""
+    rng = random.Random("stretch-search")
+    gogs = [CATALOG[name]() for name in sorted(CATALOG)]
+    gogs += [_shuffled_d4_q8_circle(rng) for _ in range(2)]
+    gogs += [gog for gog, _ in random_instances()]
+    targets = (cyclic(2), symmetric(3), shuffled(dihedral4(), rng), shuffled(quaternion8(), rng))
+    for gog in gogs:
+        for tree in spanning_trees(gog.graph):
+            pres = build_presentation(gog, tree).presentation
+            for target in targets:
+                assert_matches_unsegmented(monkeypatch, pres, target)
+    s3 = symmetric(3)
+    circle = with_trivial_edges(circle_graph(), {"P": s3, "U": s3})
+    checks, stretch_checks = assert_matches_unsegmented(
+        monkeypatch, build_presentation(circle).presentation, symmetric(4))
+    assert stretch_checks < checks
+
+
+@pytest.mark.parametrize("name", sorted(WORD_PRESENTATIONS))
+def test_stretch_search_matches_the_unsegmented_one_on_words(monkeypatch, name):
+    pres = presentation_from_words(*WORD_PRESENTATIONS[name])
+    rng = random.Random(name)
+    for target in (cyclic(4), symmetric(3), symmetric(4), shuffled(dihedral4(), rng),
+                   shuffled(quaternion8(), rng)):
+        assert_matches_unsegmented(monkeypatch, pres, target)
+
+
+def random_blocked_presentation(rng):
+    """Two or three blocks of one or two generators, each relator on the
+    letters of one block, and now and then one relator joining two
+    consecutive blocks: the interface empties at every other block start."""
+    sizes = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+    starts = list(itertools.accumulate([0] + sizes))
+    relators = []
+    for start, size in zip(starts, sizes):
+        for _ in range(rng.randint(0, 3)):
+            relators.append(tuple(rng.choice((1, -1)) * rng.randint(start + 1, start + size)
+                                  for _ in range(rng.randint(1, 4))))
+    for k in range(len(sizes) - 1):
+        if rng.random() < 0.3:
+            word = [rng.choice((1, -1)) * rng.randint(1, starts[k + 1]),
+                    rng.choice((1, -1)) * rng.randint(starts[k + 1] + 1, starts[k + 2])]
+            relators.insert(rng.randint(0, len(relators)), tuple(rng.sample(word, 2)))
+    return Presentation(tuple(f"x{i}" for i in range(starts[-1])), tuple(relators))
+
+
+def test_stretch_search_matches_the_unsegmented_one_when_the_interface_empties(monkeypatch):
+    rng = random.Random("blocked")
+    targets = (cyclic(3), symmetric(3), shuffled(quaternion8(), rng))
+    reused = 0
+    for _ in range(60):
+        pres = random_blocked_presentation(rng)
+        for target in targets:
+            checks, stretch_checks = assert_matches_unsegmented(monkeypatch, pres, target)
+            reused += stretch_checks < checks
+    assert reused > 0
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
+def test_stretch_search_matches_the_unsegmented_one_on_a_hypothesis_sweep(monkeypatch):
+    targets = (cyclic(2), cyclic(3), symmetric(3), dihedral4())
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), r=st.integers(min_value=1, max_value=6),
+           target=st.sampled_from(targets))
+    def sweep(data, r, target):
+        letter = st.integers(min_value=1, max_value=r).flatmap(
+            lambda g: st.sampled_from((g, -g)))
+        relators = data.draw(st.lists(st.lists(letter, max_size=4).map(tuple), max_size=5))
+        pres = Presentation(tuple(f"x{i}" for i in range(r)), tuple(relators))
+        assert_matches_unsegmented(monkeypatch, pres, target)
+
+    sweep()
 
 
 def test_hom_search_refuses_where_the_oracle_does(monkeypatch):

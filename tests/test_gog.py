@@ -279,7 +279,7 @@ def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
     counts and labels are those of enumerating every tree."""
     from catalog import add_extra_edges
 
-    real_build, real_enumerate = gog_mod.build_presentation, gog_mod.enumerate_homs
+    real_build, real_iter = gog_mod.build_presentation, gog_mod.iter_homs
     built, enumerated = [], []
 
     def build(*args, **kwargs):
@@ -287,13 +287,13 @@ def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
         built.append(vk.presentation)
         return vk
 
-    def enumerate_counted(pres, G):
+    def iter_counted(pres, G):
         if any(pres is p for p in built):
             enumerated.append(pres)
-        return real_enumerate(pres, G)
+        return real_iter(pres, G)
 
     monkeypatch.setattr(gog_mod, "build_presentation", build)
-    monkeypatch.setattr(gog_mod, "enumerate_homs", enumerate_counted)
+    monkeypatch.setattr(gog_mod, "iter_homs", iter_counted)
     rng = random.Random(29)
     cases = [(trivial_gog(g()), symmetric(3)) for g in (diamond_graph, circle_graph, theta_graph)]
     for k in range(6):
@@ -308,7 +308,7 @@ def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
         assert len(enumerated) == len(trees)
         expected = [
             ("{" + ",".join(t) + "}",
-             len(real_enumerate(real_build(gog, t).presentation, G)))
+             len(enumerate_homs(real_build(gog, t).presentation, G)))
             for t in trees
         ]
         assert list(indep["counts"].items()) == expected
@@ -494,6 +494,48 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
         assert fields == _validated_vankampen_fields(gog, G)
         witnesses += report["witness"] is not None
     assert witnesses > 0
+
+
+def test_streamed_witness_is_the_first_hom_that_does_not_land(monkeypatch):
+    """With every other naive family dropped, many homs restrict outside the
+    naive limit, several to each dropped family; the witness is the first of
+    them in hom order, as over the validated families."""
+    s3 = symmetric(3)
+    gog = with_trivial_edges(circle_graph(), {"P": s3, "U": s3})
+    real = naive_limit_homs
+    kept = real(gog, s3)[::2]
+    dropped = set(real(gog, s3)) - set(kept)
+    # the van Kampen check and the validated fields read both bindings
+    monkeypatch.setattr(gog_mod, "naive_limit_homs", lambda g, G: kept)
+    monkeypatch.setitem(globals(), "naive_limit_homs", lambda g, G: kept)
+    _, report = verify_tree_vankampen(gog, s3)
+    fields = (report["pi1_count"], report["naive_count"], report["bijection"],
+              report["witness"])
+    assert fields == _validated_vankampen_fields(gog, s3)
+    families = enumerate_pi1_homs(gog, s3)
+    outside = [fam for fam in families if fam.key[0] in dropped]
+    # the first hom lands, and the first that does not shares its
+    # restriction with homs of other conjugators
+    assert families[0].key[0] in kept and outside[0] is not families[0]
+    assert len({fam.key[1] for fam in outside if fam.key[0] == outside[0].key[0]}) > 1
+    first = "{" + ", ".join(f"{n}: {s3.label(c)}"
+                            for n, c in zip(gog.graph.edge_names(), outside[0].key[1])) + "}"
+    assert report["witness"] == ("a presentation hom restricts to a family without exact edge "
+                                 f"agreement; conjugators {first}")
+
+
+def test_streamed_witness_is_the_first_duplicate_restriction():
+    """On the circle, homs that differ only in the free letter restrict
+    identically; the witness is the first hom whose restriction came
+    before, as over the validated families."""
+    s3 = symmetric(3)
+    for gog in (with_trivial_edges(circle_graph(), {"P": s3, "U": cyclic(2)}),
+                with_trivial_edges(theta_graph(), {"P": cyclic(2), "U": s3})):
+        _, report = verify_tree_vankampen(gog, s3)
+        fields = (report["pi1_count"], report["naive_count"], report["bijection"],
+                  report["witness"])
+        assert fields == _validated_vankampen_fields(gog, s3)
+        assert report["witness"].startswith("two presentation homs restrict identically")
 
 
 def test_family_keys_match_validated_families_on_the_catalog():

@@ -359,3 +359,40 @@ def test_no_float_is_made_in_src():
     # command is not a call
     calls = float_calls()
     assert not calls, f"float calls in src/vkpatch: {calls}"
+
+
+def determinism_breaches() -> list[str]:
+    """Each line of ``src/vkpatch`` that could make a report depend on the
+    run, as ``module:line: what``: an import of ``random``; an import of
+    ``time`` outside ``cli``, which times each command for the ``timing``
+    lines the digest leaves out; a call of ``hash`` outside a ``__hash__``,
+    since a string's hash changes with ``PYTHONHASHSEED``; and any call of
+    ``id``, an address."""
+    found = []
+    for module, tree in _modules().items():
+        in_hash = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "__hash__"
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported = [node.module.partition(".")[0]]
+            else:
+                imported = []
+            for name in imported:
+                if name == "random" or name == "time" and module != "cli":
+                    found.append(f"{module}:{node.lineno}: imports {name}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                node.func.id == "id" or node.func.id == "hash" and id(node) not in in_hash
+            ):
+                found.append(f"{module}:{node.lineno}: calls {node.func.id}")
+    return sorted(found)
+
+
+def test_reports_depend_on_no_clock_seed_or_address():
+    breaches = determinism_breaches()
+    assert not breaches, "run-dependent calls in src/vkpatch:\n" + "\n".join(breaches)
