@@ -320,7 +320,7 @@ def _cmd_gog_verify(args, doc):
     lines, machine = verify_tree_vankampen(gog, group)
     passed = machine["passed"]
     if args.all_trees or doc.options.get("all_trees"):
-        indep_lines, indep = verify_tree_independence(gog, group, machine["pi1_count"])
+        indep_lines, indep = verify_tree_independence(gog, group)
         lines.extend(indep_lines)
         machine["tree_independence"] = indep
         passed = passed and indep["passed"]

@@ -24,7 +24,6 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .graphs import (
     ReductionGraph,
-    cycle_rank,
     is_tree,
     maximal_tree,
     refuse_past,
@@ -39,8 +38,8 @@ from .groups import (
     iter_homs,
 )
 
-# enumerations of presentation homs, or of global or fiber-product functors,
-# beyond this many elements are refused
+# the vertex join's candidates, and the global and fiber-product functor
+# sets of the patching verifiers, are refused beyond this many elements
 FUNCTOR_SET_CAP = 2_000_000
 
 
@@ -270,14 +269,6 @@ class HomFamily:
                     )
 
 
-def _refuse_unbounded_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> None:
-    # vertex generators at the identity with any values of the free letters
-    # are homs, so there are at least |G|^rank of them
-    rank = cycle_rank(gog.graph)
-    refuse_past(f"the presentation hom count, at least {group.order}^{rank},",
-                itertools.repeat(group.order, rank), FUNCTOR_SET_CAP)
-
-
 def enumerate_pi1_homs(
     gog: GraphOfFiniteGroups,
     group: FiniteGroup,
@@ -285,11 +276,10 @@ def enumerate_pi1_homs(
     """All homomorphisms of the presented fundamental group into the test
     group, as hom families (conjugators the identity on tree edges).
     Ordered lexicographically over the presentation's generators."""
-    _refuse_unbounded_homs(gog, group)
     presentation = build_presentation(gog)
     return tuple(
         HomFamily(gog, group, presentation.family_key(assignment))
-        for assignment in iter_homs(presentation.presentation, group)
+        for assignment in iter_homs(presentation.presentation, group)[1]
     )
 
 
@@ -308,7 +298,8 @@ def backtrack_vertices(
     branches whose other end comes earlier, so a partial choice extends by
     one lookup (a hash join) instead of a test per candidate.  Buckets keep
     candidate order, so the choices, tuples in vertex order, come out in
-    lexicographic order of the candidate positions."""
+    lexicographic order of the candidate positions.  Each bucket a partial
+    choice is extended with is charged to the budget, ``FUNCTOR_SET_CAP``."""
     n = len(gog.graph.vertices)
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for b, (p, _, u, _) in enumerate(gog.branch_ends):
@@ -328,11 +319,16 @@ def backtrack_vertices(
     picks = [0] * n
     out: list[tuple] = []
     last = candidates[n - 1]
+    tried = 0
 
     def matching(j: int) -> Sequence[int]:
         """The positions of vertex j's candidates that agree with the picks
-        at the earlier ends of its branches."""
-        return buckets[j].get(tuple([restricted[picks[i]] for i, restricted in probes[j]]), ())
+        at the earlier ends of its branches, charged to the budget."""
+        nonlocal tried
+        bucket = buckets[j].get(tuple([restricted[picks[i]] for i, restricted in probes[j]]), ())
+        tried += len(bucket)
+        refuse_past("the vertex join", (tried,), FUNCTOR_SET_CAP)
+        return bucket
 
     def complete() -> None:
         head = tuple([candidates[i][picks[i]] for i in range(n - 1)])
@@ -385,7 +381,6 @@ def verify_tree_vankampen(
     test group.  Returns the report's human lines and its machine block.
     """
     tree_flag = is_tree(gog.graph)
-    _refuse_unbounded_homs(gog, group)
     vk = build_presentation(gog)
     # each hom's vertex images in vertex order, against each naive family's
     # tables run together; a valid graph has two vertices at least, so the
@@ -394,13 +389,12 @@ def verify_tree_vankampen(
         *(x for block in vk.vertex_blocks for x in range(block.start, block.stop))
     )
     # the homs are streamed, and only each distinct restriction is kept, with
-    # the first hom restricting to it; the search refuses before any is
-    # yielded, so before the naive join runs
+    # the first hom restricting to it; the search refuses when called, so
+    # before the naive join runs
     first: dict[tuple, tuple] = {}
     duplicate = None
-    pi1_count = 0
-    for a in iter_homs(vk.presentation, group):
-        pi1_count += 1
+    pi1_count, homs = iter_homs(vk.presentation, group)
+    for a in homs:
         k = vertex_images(a)
         if k not in first:
             first[k] = a
@@ -456,24 +450,16 @@ def _conj_desc(vk: VanKampenPresentation, group: FiniteGroup, assignment: Sequen
     return "{" + ", ".join(f"{n}: {group.label(c)}" for n, c in conj) + "}"
 
 
-def verify_tree_independence(
-    gog: GraphOfFiniteGroups, group: FiniteGroup, maximal_count: int
-) -> tuple[list[str], dict]:
+def verify_tree_independence(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[list[str], dict]:
     """Hom counts must not depend on the choice of maximal tree.
 
-    ``maximal_count`` is the hom count already taken for ``maximal_tree``
-    (the ``pi1_count`` of ``verify_tree_vankampen``); that tree is not
-    enumerated again.  Returns the report's human lines and machine block.
+    Each spanning tree's count is the hom search's, taken without walking a
+    hom.  Returns the report's human lines and machine block.
     """
-    maximal = maximal_tree(gog.graph)
-    counts: dict[str, int] = {}
-    for tree in spanning_trees(gog.graph):
-        label = "{" + ",".join(tree) + "}"
-        if tree == maximal:
-            counts[label] = maximal_count
-        else:
-            counts[label] = sum(1 for _ in iter_homs(build_presentation(gog, tree).presentation,
-                                                     group))
+    counts = {
+        "{" + ",".join(tree) + "}": iter_homs(build_presentation(gog, tree).presentation, group)[0]
+        for tree in spanning_trees(gog.graph)
+    }
     all_equal = len(set(counts.values())) == 1
     lines = [f"spanning trees: {len(counts)}"]
     lines.extend(f"  tree {name}: {count} homs" for name, count in counts.items())

@@ -242,10 +242,10 @@ class Presentation:
         self.relators = relators
 
 
-def iter_homs(source: Presentation, target: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """All maps generator -> target element under which every relator dies,
-    in lexicographic order of the image tuples, so deterministic and
-    canonical.
+def iter_homs(source: Presentation, target: FiniteGroup) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The number of maps generator -> target element under which every
+    relator dies, and those maps as a stream, in lexicographic order of the
+    image tuples, so deterministic and canonical.
 
     Each relator is checked as soon as the last generator it mentions has
     been assigned.  When one of those relators mentions that generator
@@ -260,20 +260,20 @@ def iter_homs(source: Presentation, target: FiniteGroup) -> Iterator[tuple[int, 
     that is each vertex block of a graph-of-groups presentation.  Each
     stretch is solved once for each value of its interface, its boundary
     state, by dynamic programming over the stretches (bucket elimination,
-    Dechter 1999), and the homs are then walked from the stored solutions.
+    Dechter 1999).  One backward pass over these tables gives the hom count,
+    and the stream walks the homs from the stored solutions.
 
     The search budget counts |target| candidates as each partial assignment
     is extended, the same whether a value is forced or not; a reused
     solution is charged what solving it charged, so the count is that of a
     search that solves every stretch again on every path.  A count past
-    ``HOM_SEARCH_CAP`` raises ``ScaleError`` before any hom is yielded.
+    ``HOM_SEARCH_CAP`` raises ``ScaleError`` from this call, not the stream.
     """
     gens = source.generators
     r = len(gens)
     n = target.order
     if not r:
-        yield ()
-        return
+        return 1, iter(((),))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for rel in source.relators:
         if not rel:
@@ -395,14 +395,23 @@ def iter_homs(source: Presentation, target: FiniteGroup) -> Iterator[tuple[int, 
                                                        len(following)))
                 nexts[k].append(handed)
 
-    # the candidates charged from each stretch and state to the end, reusing
-    # the totals of the states each solution hands on
+    # the candidates charged and the homs found from each stretch and state
+    # to the end, reusing the figures of the states each solution hands on
     totals = charges[last]
+    counts = [len(found) for found in solutions[last]]
     for k in reversed(range(last)):
         totals = [c + sum(totals[j] for j in following)
                   for c, following in zip(charges[k], nexts[k])]
+        counts = [sum(counts[j] for j in following) for following in nexts[k]]
     refuse_past(what, (totals[0],), HOM_SEARCH_CAP)
+    return counts[0], _walk_stretches(solutions, nexts)
 
+
+def _walk_stretches(solutions: list, nexts: list) -> Iterator[tuple[int, ...]]:
+    """The homs from the stretch tables of ``iter_homs``, in its order: each
+    solution of the first stretch, then the homs of the rest from the state
+    it hands on."""
+    last = len(solutions) - 1
     if not last:
         yield from solutions[0][0]
         return
@@ -426,8 +435,8 @@ def iter_homs(source: Presentation, target: FiniteGroup) -> Iterator[tuple[int, 
 
 
 def enumerate_homs(source: Presentation, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """``iter_homs`` as a tuple, for callers that need the homs more than once."""
-    return tuple(iter_homs(source, target))
+    """The homs of ``iter_homs`` as a tuple, for callers that need them twice."""
+    return tuple(iter_homs(source, target)[1])
 
 
 def group_presentation(group: FiniteGroup) -> Presentation:

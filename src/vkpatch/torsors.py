@@ -673,9 +673,10 @@ def verify_groupoid_pushout(
     gauge = refuse_past(f"the marking gauge {G.order}^{free_branches}",
                         itertools.repeat(G.order, free_branches), FUNCTOR_SET_CAP)
     presentation = build_presentation(gog)
-    pi1 = [presentation.family_key(a) for a in iter_homs(presentation.presentation, G)]
-    lhs_raw = refuse_past(f"the global functor count, {len(pi1)} x {gauge},",
-                          (len(pi1), gauge), FUNCTOR_SET_CAP)
+    # the count refuses before a family key or a fiber datum is built
+    pi1_count, homs = iter_homs(presentation.presentation, G)
+    lhs_raw = refuse_past(f"the global functor count, {pi1_count} x {gauge},",
+                          (pi1_count, gauge), FUNCTOR_SET_CAP)
 
     fiber = _enumerate_fiber_data(gog, G)
     unmatched = set(fiber)
@@ -686,7 +687,7 @@ def verify_groupoid_pushout(
                 for combo in itertools.product(range(G.order), repeat=free_branches)]
     maps = _NaturalMaps(presentation, G, markings)
     bijective = True
-    for key in pi1:
+    for key in map(presentation.family_key, homs):
         hits = maps.forward_columns(key)
         left = len(unmatched)
         unmatched.difference_update(zip(*hits))
@@ -698,9 +699,9 @@ def verify_groupoid_pushout(
     if fiber_raw % gauge != 0:
         raise AssertionError("fiber count is not a multiple of the marking gauge")
     fiber_classes = fiber_raw // gauge
-    agreement = fiber_classes == len(pi1)
+    agreement = fiber_classes == pi1_count
     lines = [
-        f"global torsor classes = presentation homs: {len(pi1)}",
+        f"global torsor classes = presentation homs: {pi1_count}",
         f"patching-family classes = pushout functors: {fiber_classes}",
         f"counts agree: {agreement}",
         f"raw functor sets: global {lhs_raw}, fiber product {fiber_raw}",
@@ -709,10 +710,10 @@ def verify_groupoid_pushout(
         f"round trips verified: {lhs_raw} (every element)",
     ]
     machine = {
-        "global_classes": len(pi1),
+        "global_classes": pi1_count,
         "fiber_classes": fiber_classes,
         "functor_count": fiber_classes,
-        "pi1_count": len(pi1),
+        "pi1_count": pi1_count,
         "agreement": agreement,
         "global_raw": lhs_raw,
         "fiber_raw": fiber_raw,

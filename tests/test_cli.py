@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -200,24 +201,37 @@ def test_gog_verify_all_trees_flag(tmp_path, capsys):
 def test_gog_verify_all_trees_enumerates_each_tree_once(tmp_path, capsys, monkeypatch):
     from vkpatch import gog, groups
 
-    calls = []
     real = groups.iter_homs
+    searched = {"gog": [], "groups": []}
+    walked = []
 
-    def counted(pres, G):
-        calls.append(pres)
-        return real(pres, G)
+    def counted(binding):
+        def search(pres, G):
+            count, homs = real(pres, G)
+            call = (binding, len(searched[binding]))
+            searched[binding].append(pres)
 
-    # the verifiers stream from gog's binding, the naive limit's vertex homs
-    # come through groups.enumerate_homs
-    monkeypatch.setattr(gog, "iter_homs", counted)
-    monkeypatch.setattr(groups, "iter_homs", counted)
+            def stream():
+                walked.append(call)
+                yield from homs
+
+            return count, stream()
+
+        return search
+
+    # the verifiers search through gog's binding, the naive limit's vertex
+    # homs come through groups.enumerate_homs
+    monkeypatch.setattr(gog, "iter_homs", counted("gog"))
+    monkeypatch.setattr(groups, "iter_homs", counted("groups"))
     code = run(["gog-verify", write(tmp_path, CIRCLE), "--all-trees"])
     machine = json.loads(capsys.readouterr().out.split("-- machine --\n", 1)[1])
     assert code == EXIT_PASS
     assert machine["tree_independence"]["counts"] == {"{b1}": 2, "{b2}": 2}
-    # one van Kampen presentation per spanning tree, plus one per vertex group
-    # for the naive limit
-    assert len(calls) == 2 + 2
+    # the van Kampen check's presentation and one per spanning tree, of which
+    # only the first is walked; one per vertex group for the naive limit
+    assert len(searched["gog"]) == 1 + 2
+    assert len(searched["groups"]) == 2
+    assert sorted(walked) == [("gog", 0), ("groups", 0), ("groups", 1)]
 
 
 def test_gog_homs_amalgam(tmp_path, capsys):
@@ -399,9 +413,9 @@ def test_gog_verify_all_trees_exits_1_when_a_tree_count_is_off(tmp_path, capsys,
     real = gog.iter_homs
 
     def one_short_for_b2(pres, G):
-        homs = tuple(real(pres, G))
+        count, homs = real(pres, G)
         # the tree {b2} reaches U through b2, so its letter comes third
-        return iter(homs[:-1] if pres.generators[2:3] == ("e:b2",) else homs)
+        return count - (pres.generators[2:3] == ("e:b2",)), homs
 
     monkeypatch.setattr(gog, "iter_homs", one_short_for_b2)
     assert_refuted(capsys, run(["gog-verify", write(tmp_path, CIRCLE), "--all-trees"]),
@@ -840,7 +854,8 @@ def _as_rational_fails(support):
         # 6^24 markings on the global side, refused before any hom is enumerated
         ("torsor-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
         ("pushout-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
-        # at least 6^24 presentation homs, refused before any is enumerated
+        # at least 6^24 presentation homs, refused by the hom search's charge
+        # before any is walked
         ("gog-homs", _CIRCLE_25, EXIT_INPUT_ERROR, None),
         ("gog-verify", _CIRCLE_25, EXIT_INPUT_ERROR, None),
         # only the exponents with i^2 <= truncation are walked
@@ -909,14 +924,56 @@ def test_extreme_inputs_answer_fast_without_traceback(tmp_path, command, text, e
         assert {key: block[key] for key in machine} == machine
 
 
-# a child that runs one command and prints its exit code and peak RSS in KB;
-# the child's own RUSAGE_CHILDREN sees only that one command
-_PEAK_RSS_CHILD = (
-    "import resource, subprocess, sys\n"
-    "code = subprocess.run([sys.executable, '-m', 'vkpatch.cli', *sys.argv[1:]],"
-    " stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode\n"
-    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-)
+def _star(points):
+    """One component U joined to ``points`` points, S3 at every vertex and on
+    every branch with identity edge maps, into S4: a tree of groups whose
+    fundamental group is S3, so 34 homs, and 34 candidates at every point
+    for the vertex join to choose from before U filters them."""
+    identity = {label: label for label in ("012", "021", "102", "120", "201", "210")}
+    return json.dumps({
+        "version": 1,
+        "graph": {"points": [{"name": f"P{i}", "group": "S3"} for i in range(1, points + 1)],
+                  "components": [{"name": "U", "group": "S3"}],
+                  "edges": [{"name": f"b{i}", "point": f"P{i}", "component": "U", "group": "S3"}
+                            for i in range(1, points + 1)]},
+        "groups": {"S3": {"symmetric": 3}, "S4": {"symmetric": 4}},
+        "edge_maps": {f"b{i}": {"to_point": identity, "to_component": identity}
+                      for i in range(1, points + 1)},
+        "options": {"test_group": "S4"},
+    })
+
+
+@pytest.mark.parametrize("points, exit_code", [(4, EXIT_PASS), (5, EXIT_INPUT_ERROR)])
+def test_gog_verify_on_a_star_ends_within_the_join_budget(tmp_path, points, exit_code):
+    """The join walks the 34^points choices at the points before U filters
+    any: the star of four answers within ``FUNCTOR_SET_CAP``, and the star
+    of five is refused by it, where it ran for minutes with no budget."""
+    path = tmp_path / "input.json"
+    path.write_text(_star(points))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "vkpatch.cli", "gog-verify", str(path)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert child.returncode == exit_code, child.stderr
+    if exit_code == EXIT_PASS:
+        block = json.loads(child.stdout.partition("-- machine --\n")[2])
+        assert (block["pi1_count"], block["naive_count"], block["passed"]) == (34, 34, True)
+    else:
+        assert child.stderr == "input error: the vertex join passes the cap of 2000000\n"
+
+
+def own_peak(*cli_args):
+    """The exit code and peak resident KB of one ``python -m vkpatch.cli``
+    child spawned by ``tools/child_peaks.py``'s launcher, a ``python -S``
+    process: a child spawned from a larger process counts its memory too."""
+    root = pathlib.Path(vkpatch.__file__).parents[2]
+    spec = importlib.util.spec_from_file_location("child_peaks", root / "tools" / "child_peaks.py")
+    child_peaks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child_peaks)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    _, peak_kb, code = child_peaks.measure([sys.executable, "-m", "vkpatch.cli", *cli_args], env)
+    return code, peak_kb
 
 
 def test_kummer_refused_past_the_budget_builds_no_dense_gbar(tmp_path, capsys):
@@ -928,14 +985,9 @@ def test_kummer_refused_past_the_budget_builds_no_dense_gbar(tmp_path, capsys):
     assert run(["descent-kummer", path]) == EXIT_INCONCLUSIVE
     block = json.loads(capsys.readouterr().out.partition("-- machine --\n")[2])
     assert (block["verdict"], block["candidates_tried"]) == ("INCONCLUSIVE", 0)
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
-    child = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, "descent-kummer", path],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
-    code, peak_kb = map(int, child.stdout.split())
+    code, peak_kb = own_peak("descent-kummer", path)
     assert code == EXIT_INCONCLUSIVE
-    assert peak_kb <= 25 * 1024, f"peak RSS {peak_kb} KB"
+    assert peak_kb <= 19.5 * 1024, f"peak RSS {peak_kb} KB"
 
 
 # theta with S3 at both vertices, into S4: 665,856 presentation homs over
@@ -953,17 +1005,25 @@ _THETA_S3_S4 = {
 @pytest.mark.parametrize("flags", [[], ["--all-trees"]], ids=["maximal-tree", "all-trees"])
 def test_gog_verify_streams_the_homs(tmp_path, flags):
     """gog-verify keeps each distinct vertex restriction, not every hom, and
-    counts the other trees' homs without a list: on theta (S3, S3) into S4
-    it peaked at 220 MB when it held them all."""
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
-    child = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_CHILD, "gog-verify", write(tmp_path, _THETA_S3_S4),
-         *flags],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    code, peak_kb = map(int, child.stdout.split())
+    takes the other trees' hom counts from the search: on theta (S3, S3)
+    into S4 it peaked at 220 MB when it held them all."""
+    code, peak_kb = own_peak("gog-verify", write(tmp_path, _THETA_S3_S4), *flags)
     assert code == EXIT_PASS
-    assert peak_kb <= 40 * 1024, f"peak RSS {peak_kb} KB"
+    assert peak_kb <= 34.5 * 1024, f"peak RSS {peak_kb} KB"
+
+
+@pytest.mark.parametrize("command", ["torsor-verify", "pushout-verify"])
+def test_functor_set_commands_refuse_theta_by_the_count(tmp_path, capsys, command):
+    """The hom search's count refuses the global side, 665,856 homs times
+    576 markings, before a family key or a fiber datum is built: the child
+    peaked at 264 MB when it listed every key first."""
+    path = write(tmp_path, _THETA_S3_S4)
+    assert run([command, path]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "input error: the global functor count, 665856 x 576, passes the cap of 2000000\n")
+    code, peak_kb = own_peak(command, path)
+    assert code == EXIT_INPUT_ERROR
+    assert peak_kb <= 30 * 1024, f"peak RSS {peak_kb} KB"
 
 
 def test_child_peaks_reads_each_childs_own_peak():

@@ -70,6 +70,7 @@ from vkpatch.groups import (
     enumerate_homs,
     from_table,
     group_presentation,
+    iter_homs,
     symmetric,
 )
 from vkpatch.series import LaurentSeries
@@ -687,9 +688,10 @@ def test_hom_search_matches_the_oracle_on_words(name):
 
 
 def assert_matches_unsegmented(monkeypatch, pres, target):
-    """The stretch search yields the unsegmented search's homs and charges
-    the same candidates in all, the last ``refuse_past`` argument of each;
-    both refuse, with the same message, at a cap one below that total, and
+    """The stretch search yields the unsegmented search's homs, counts as
+    many as it walks, and charges the same candidates in all, the last
+    ``refuse_past`` argument of each; both refuse, with the same message, at
+    a cap one below that total, the stretch search when it is called, and
     neither at the total.  Returns the budget checks each search made, the
     unsegmented one first."""
     charged = []
@@ -705,19 +707,26 @@ def assert_matches_unsegmented(monkeypatch, pres, target):
         homs = unsegmented_homs(pres, target)
         total, checks = charged[-1], len(charged)
         charged.clear()
-        assert enumerate_homs(pres, target) == homs, pres.relators
+        count, stream = iter_homs(pres, target)
         assert charged[-1] == total, pres.relators
         stretch_checks = len(charged)
+        walked = tuple(stream)
+        assert walked == homs, pres.relators
+        assert count == len(walked) == len(homs), pres.relators
         for cap in (total - 1, total):
             patch.setattr(groups_mod, "HOM_SEARCH_CAP", cap)
-            expected = homs if cap == total else (
-                f"the hom search into {target.name} passes the cap of {cap}")
-            for search in (enumerate_homs, unsegmented_homs):
+            outcomes = []
+            for search in (iter_homs, unsegmented_homs):
                 try:
-                    outcome = search(pres, target)
+                    outcomes.append(search(pres, target))
                 except ScaleError as exc:
-                    outcome = str(exc)
-                assert outcome == expected, (search.__name__, cap, pres.relators)
+                    outcomes.append(str(exc))
+            if cap < total:
+                refusal = f"the hom search into {target.name} passes the cap of {cap}"
+                assert outcomes == [refusal, refusal], (cap, pres.relators)
+            else:
+                (count, stream), unsegmented = outcomes
+                assert (count, tuple(stream), unsegmented) == (len(homs), homs, homs)
     return checks, stretch_checks
 
 

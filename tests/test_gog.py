@@ -258,8 +258,7 @@ def test_non_tree_with_trivial_vertex_groups_counts_rank():
 
 
 def _independence(gog, G):
-    _, machine = verify_tree_independence(gog, G, verify_tree_vankampen(gog, G)[1]["pi1_count"])
-    return machine
+    return verify_tree_independence(gog, G)[1]
 
 
 def test_tree_independence_reports():
@@ -274,13 +273,14 @@ def test_tree_independence_reports():
 
 
 def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
-    """With the van Kampen check's count for the maximal tree, the two checks
-    enumerate one presentation per spanning tree, and the independence
-    counts and labels are those of enumerating every tree."""
+    """The independence check searches one presentation per spanning tree
+    and the van Kampen check one more, and only the van Kampen check walks
+    its homs; the independence counts and labels are those of enumerating
+    every tree."""
     from catalog import add_extra_edges
 
     real_build, real_iter = gog_mod.build_presentation, gog_mod.iter_homs
-    built, enumerated = [], []
+    built, searched, walked = [], [], []
 
     def build(*args, **kwargs):
         vk = real_build(*args, **kwargs)
@@ -288,9 +288,17 @@ def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
         return vk
 
     def iter_counted(pres, G):
-        if any(pres is p for p in built):
-            enumerated.append(pres)
-        return real_iter(pres, G)
+        count, homs = real_iter(pres, G)
+        if not any(pres is p for p in built):
+            return count, homs
+        call = len(searched)
+        searched.append(pres)
+
+        def stream():
+            walked.append(call)
+            yield from homs
+
+        return count, stream()
 
     monkeypatch.setattr(gog_mod, "build_presentation", build)
     monkeypatch.setattr(gog_mod, "iter_homs", iter_counted)
@@ -301,11 +309,13 @@ def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
         cases.append((random_gog(rng, graph, vertex_order_cap=6), symmetric(3)))
     for gog, G in cases:
         built.clear()
-        enumerated.clear()
-        _, report = verify_tree_vankampen(gog, G)
-        _, indep = verify_tree_independence(gog, G, report["pi1_count"])
+        searched.clear()
+        walked.clear()
+        verify_tree_vankampen(gog, G)
+        _, indep = verify_tree_independence(gog, G)
         trees = spanning_trees(gog.graph)
-        assert len(enumerated) == len(trees)
+        assert len(searched) == 1 + len(trees)
+        assert walked == [0]
         expected = [
             ("{" + ",".join(t) + "}",
              len(enumerate_homs(real_build(gog, t).presentation, G)))
@@ -355,9 +365,9 @@ def test_enumeration_is_deterministic():
 
 def test_hom_enumeration_is_refused_past_the_cap(monkeypatch):
     """Vertex generators at the identity with any free letters are homs, so
-    there are at least |G|^rank of them: both enumerating callers run at the
-    cap and refuse past it before enumerating."""
-    monkeypatch.setattr(gog_mod, "FUNCTOR_SET_CAP", 8)
+    there are at least |G|^rank of them, and the search charges a candidate
+    for each: both enumerating callers refuse every bouquet whose |G|^rank
+    passes the search's cap, by the search's budget."""
     c2 = cyclic(2)
 
     def bouquet(branches):
@@ -367,11 +377,24 @@ def test_hom_enumeration_is_refused_past_the_cap(monkeypatch):
 
     assert len(enumerate_pi1_homs(bouquet(4), c2)) == 8
     assert verify_tree_vankampen(bouquet(4), c2)[1]["pi1_count"] == 8
+    # 2^21 homs into C2, the least rank whose |G|^rank passes the cap
+    assert groups_mod.HOM_SEARCH_CAP <= gog_mod.FUNCTOR_SET_CAP < 2**21
     for enumerate_or_verify in (enumerate_pi1_homs, verify_tree_vankampen):
-        with pytest.raises(ScaleError, match=r"at least 2\^4, passes the cap of 8$"):
-            enumerate_or_verify(bouquet(5), c2)
+        with pytest.raises(ScaleError, match="^the hom search into C2 passes the cap of 2000000$"):
+            enumerate_or_verify(bouquet(22), c2)
     # a trivial test group never passes the cap, whatever the rank
     assert len(enumerate_pi1_homs(bouquet(40), cyclic(1))) == 1
+    for cap in (4, 8, 30):
+        monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", cap)
+        for G in (c2, cyclic(3)):
+            for branches in range(1, 6):
+                if G.order ** (branches - 1) <= cap:
+                    continue
+                for enumerate_or_verify in (enumerate_pi1_homs, verify_tree_vankampen):
+                    with pytest.raises(ScaleError,
+                                       match=f"^the hom search into {G.name} passes the cap "
+                                             f"of {cap}$"):
+                        enumerate_or_verify(bouquet(branches), G)
 
 
 def test_theta_of_s3_into_s4_fits_the_hom_search_budget(monkeypatch):
@@ -479,7 +502,7 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
         G = nonabelian[k // 2 % len(nonabelian)] if k % 2 else pool[k // 2]
 
         _, report = verify_tree_vankampen(gog, G)
-        _, indep = verify_tree_independence(gog, G, report["pi1_count"])
+        _, indep = verify_tree_independence(gog, G)
         assert list(indep["counts"].values()) == [
             len(enumerate_homs(build_presentation(gog, t).presentation, G))
             for t in spanning_trees(graph)

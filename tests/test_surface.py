@@ -396,3 +396,70 @@ def determinism_breaches() -> list[str]:
 def test_reports_depend_on_no_clock_seed_or_address():
     breaches = determinism_breaches()
     assert not breaches, "run-dependent calls in src/vkpatch:\n" + "\n".join(breaches)
+
+
+# each exception class that ``src/vkpatch`` raises, with the reason it may
+RAISED = {
+    "InputError": "a document or command line the schema refuses; cli.run exits 3",
+    "InvalidGraphError": "a reduction graph that fails validation; cli.run exits 3",
+    "ScaleError": "a size or a search past its cap, raised by refuse_past; cli.run exits 3",
+    "EdgeMapError": "an edge map that does not fit its branch; the input boundary exits 3",
+    "PatchingError": "a patching problem that does not glue, raised by the library's "
+                     "check_compatibility; no command builds one",
+    "GroupAxiomError": "a group table that breaks an axiom; the input boundary exits 3",
+    "PrecisionError": "an exact comparison asked of a truncated series; its one caller, the AS "
+                      "oracle's witness check, compares exact ones",
+    "ValueError": "a value a constructor or a reader refuses; the input boundary exits 3",
+    "KeyError": "a label or edge name that is not declared; the input boundary exits 3",
+    "ZeroDivisionError": "division by zero in a field; the input boundary exits 3",
+    "AssertionError": "a verifier's self-check of its own result, listed in SELF_CHECKS",
+}
+
+# the AssertionError self-checks, as (module, message), one per raise; a
+# failing one is a fault of src, not of the input
+SELF_CHECKS = (
+    ("descent", "oracle produced an invalid Artin-Schreier witness"),
+    ("descent", "search produced an invalid Kummer relation"),
+    ("torsors", "reconstruction failed to pin the base marking"),
+    ("torsors", "reconstruction failed to trivialize a tree letter"),
+    ("torsors", "inverse natural map failed the round trip"),
+    ("torsors", "inverse natural map failed the round trip"),
+    ("torsors", "induced datum at {v} fails to match the problem"),
+    ("torsors", "fiber enumeration produced duplicates"),
+    ("torsors", "fiber count is not a multiple of the marking gauge"),
+)
+
+
+def _message(node: ast.AST) -> str:
+    """A raise's first argument as its source shows it, an f-string's
+    fields in braces."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_message(part) if isinstance(part, ast.Constant)
+                       else "{" + ast.unparse(part.value) + "}" for part in node.values)
+    return ast.unparse(node)
+
+
+def raises() -> tuple[set[str], list[tuple[str, str]]]:
+    """The names that the ``raise`` statements of ``src/vkpatch`` raise (a
+    bare ``raise`` as ``raise``), and each ``AssertionError`` as (module,
+    message)."""
+    names, checks = set(), []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = "raise" if exc is None else ast.unparse(exc)
+            names.add(name)
+            if name == "AssertionError":
+                checks.append((module, _message(node.exc.args[0]) if node.exc.args else ""))
+    return names, checks
+
+
+def test_every_raise_is_of_a_listed_kind():
+    names, checks = raises()
+    assert names <= RAISED.keys(), f"raised but not listed: {sorted(names - RAISED.keys())}"
+    assert names >= RAISED.keys(), f"listed but not raised: {sorted(RAISED.keys() - names)}"
+    assert sorted(checks) == sorted(SELF_CHECKS)
