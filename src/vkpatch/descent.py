@@ -16,19 +16,20 @@ level: for f = g^p + x with x a uniformizer, the extension descends only if
 f e^p is algebraic over the base ring for some unit e, which the desk model
 checks by bounded-degree minimal-polynomial search over truncated power
 series.  A relation that holds to the truncation order holds to every lower
-order, so each candidate is first screened at a low order and only the
-survivors are solved at full truncation (van der Hoeven, "Relax, but don't
-be too lazy", *J. Symbolic Comput.* 34(6), 2002).
+order, so each candidate's system is made one order at a time, as its one
+elimination reads it, and a candidate is rejected at the first order whose
+rows have full rank (van der Hoeven, "Relax, but don't be too lazy",
+*J. Symbolic Comput.* 34(6), 2002).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .fields import FiniteField, RationalFunctionField, poly_add, poly_mul, poly_strip
-from .graphs import ScaleError, refuse_past
+from .graphs import PRINTABLE_CAP, ScaleError, refuse_past
 from .series import LaurentSeries
 
 DESCENDS = "DESCENDS"
@@ -37,13 +38,12 @@ FAILS_WITHIN_BOUNDS = "FAILS-WITHIN-BOUNDS"
 OBSTRUCTED_WITHIN_BOUNDS = "OBSTRUCTED-WITHIN-BOUNDS"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# The Artin-Schreier oracle refuses a search of more than this many candidate
-# beta, |k1|^support_bound, rather than run unbounded.
+# The Artin-Schreier oracle refuses a walk of more than this many steps,
+# |k1|^(support_bound // p) free choices times support_bound exponents.
 AS_CANDIDATE_CAP = 1_000_000
 
-# The Kummer search stops before its elimination work, counted as candidates
-# times rows times unknowns squared, passes this.  The count is that of a
-# full-truncation elimination per candidate; the low-order screen does less.
+# The Kummer search stops before its elimination work, counted as the rows it
+# has read times unknowns squared, passes this.
 KUMMER_WORK_CAP = 25_000_000
 
 
@@ -232,18 +232,22 @@ def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> SearchRep
     ``candidates_tried`` is its rank plus one, or the whole product space
     when there is none: the count an exhaustive loop would report.  The
     witness gamma is checked exactly against the equation.  An empty search
-    space, or one of more than ``AS_CANDIDATE_CAP`` candidates, is
-    INCONCLUSIVE with nothing tried, never a silent answer.
+    space, a walk of more than ``AS_CANDIDATE_CAP`` steps, or a candidate
+    count too long to print is INCONCLUSIVE with nothing tried, never a
+    silent answer.
     """
     if support_bound < 1:
         return _oracle_report(INCONCLUSIVE, 0, support_bound,
                               "support bound below 1: empty search space")
     k2 = instance.k2
     k1_elements = instance.k1_elements()
+    size, free = len(k1_elements), support_bound // instance.p
     try:
-        space = refuse_past(
-            f"the search space |k1|^{support_bound} with |k1| = {len(k1_elements)}",
-            (len(k1_elements) for _ in range(support_bound)), AS_CANDIDATE_CAP)
+        walk = itertools.chain(itertools.repeat(size, free), (support_bound,))
+        refuse_past(f"the walk of |k1|^{free} choices x {support_bound} exponents "
+                    f"with |k1| = {size}", walk, AS_CANDIDATE_CAP)
+        space = refuse_past(f"the candidate count |k1|^{support_bound}",
+                            itertools.repeat(size, support_bound), PRINTABLE_CAP)
     except ScaleError as exc:
         return _oracle_report(INCONCLUSIVE, 0, support_bound, f"{exc}: search not run")
     position = {b: i for i, b in enumerate(k1_elements)}
@@ -251,7 +255,7 @@ def as_brute_force_oracle(instance: ASInstance, support_bound: int) -> SearchRep
     def rank(beta: dict) -> int:
         r = 0
         for m in range(-support_bound, 0):
-            r = r * len(k1_elements) + position[beta[m]]
+            r = r * size + position[beta[m]]
         return r
 
     valid = ((rank(beta), beta, gamma) for beta, gamma in _valid_betas(instance, support_bound))
@@ -424,21 +428,25 @@ class KummerInstance:
         return poly_add(F, _frobenius(F, dense, self.truncation + 1), (F.zero, F.one))
 
 
-def _relation_rows(F: FiniteField, fbar: Sequence, e_power: Sequence, search_bound: int,
-                   order: int) -> list[list]:
-    """The linear system of a relation sum c_jk x^k h^j = 0 with h = fbar e^p
-    to x^order: row n holds the coefficients of x^n, column
-    j (search_bound + 1) + k those of x^k h^j."""
-    n = order + 1
-    h = poly_mul(F, fbar, e_power, n)
-    powers = [[F.one]]
-    for _ in range(search_bound):
-        powers.append(poly_mul(F, powers[-1], h, n))
-    return [
-        [power[exp - k] if 0 <= exp - k < len(power) else F.zero
-         for power in powers for k in range(search_bound + 1)]
-        for exp in range(n)
-    ]
+def _relation_rows(F: FiniteField, h: Sequence, search_bound: int, n: int):
+    """The rows of the linear system of a relation sum c_jk x^k h^j = 0 below
+    x^n, made in increasing order: row m holds the coefficients of x^m,
+    column j (search_bound + 1) + k that of x^(m-k) in h^j.  Each power gains
+    its coefficient at x^m only as row m is made, from h's nonzero terms and
+    the power below it, so a reader that stops early pays for no more orders."""
+    terms = [(i, c) for i, c in enumerate(h) if c != F.zero]
+    # each power is kept behind search_bound zeros, its coefficients at x^-k
+    powers = [[F.zero] * search_bound for _ in range(search_bound + 1)]
+    for m in range(n):
+        powers[0].append(F.one if m == 0 else F.zero)
+        for below, power in zip(powers, powers[1:]):
+            acc = F.zero
+            for i, c in terms:
+                if i > m:
+                    break
+                acc = F.add(acc, F.mul(c, below[search_bound + m - i]))
+            power.append(acc)
+        yield [power[search_bound + m - k] for power in powers for k in range(search_bound + 1)]
 
 
 def _check_relation(F: FiniteField, h: Sequence, relation: Sequence, n: int) -> None:
@@ -451,7 +459,7 @@ def _check_relation(F: FiniteField, h: Sequence, relation: Sequence, n: int) -> 
         raise AssertionError("search produced an invalid Kummer relation")
 
 
-def _kernel_vector(F: FiniteField, rows: list[list], ncols: int) -> list | None:
+def _kernel_vector(F: FiniteField, rows: Iterable[list], ncols: int) -> list | None:
     """A nonzero kernel vector of the rows over GF(q), or None when they
     have rank ``ncols``.
 
@@ -519,14 +527,13 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> SearchRep
     and denominators do not enlarge the p-th power class).  For each, the
     model membership test asks for a polynomial relation of degree <=
     search_bound with coefficient degree <= search_bound holding to the
-    truncation order, found by exact linear algebra over GF(q).  A candidate
-    whose rows up to order min(2 unknowns, truncation) already have full
-    rank has no relation to any higher order either, and is rejected there;
-    the survivors are solved at full truncation, and a relation found is
-    checked by substitution.  Both verdicts are labeled with their bounds.
-    The search stops INCONCLUSIVE before its elimination work, counted at
-    full truncation for every candidate, would pass ``KUMMER_WORK_CAP``, so a
-    candidate too large to try alone is refused before fbar is built.
+    truncation order, found by one exact elimination over GF(q) of the rows
+    of ``_relation_rows``; it rejects the candidate at the first order whose
+    rows have full rank, and a relation found is checked by substitution.
+    Both verdicts are labeled with their bounds.  Each row read is charged
+    unknowns^2 field operations, and the search stops INCONCLUSIVE before
+    the charge passes ``KUMMER_WORK_CAP``; a truncation whose rows for one
+    candidate alone would pass it is refused before fbar is built.
     """
     if search_bound < 0:
         return _kummer_report(INCONCLUSIVE, 0, search_bound, instance.truncation,
@@ -540,43 +547,36 @@ def kummer_obstruction(instance: KummerInstance, search_bound: int) -> SearchRep
             INCONCLUSIVE, 0, search_bound, truncation,
             f"truncation {truncation} too small for {search_bound + 1}^2 unknowns")
 
-    # each candidate's system has at most n rows, and its elimination costs
-    # about rows * unknowns^2 field operations
     n = truncation + 1
     what = f"the elimination work at truncation {truncation} with {unknowns} unknowns"
-    # rows up to this order reject nearly every candidate that the full system
-    # rejects; at the truncation itself the screen would be the full system
-    screen = min(2 * unknowns, truncation)
-    fbar = None  # built once the first candidate is admitted
-    tried = 0
-    for deg in range(0, search_bound + 1):
-        for lower in itertools.product(range(F.q), repeat=deg):
-            e_coeffs = tuple(lower) + (F.one,)
-            try:
-                refuse_past(what, (tried + 1, n, unknowns, unknowns), KUMMER_WORK_CAP)
-            except ScaleError as exc:
-                return _kummer_report(INCONCLUSIVE, tried, search_bound, truncation,
-                                      f"{exc}: stopped after {tried} candidates")
+    read = tried = 0
+
+    def charged(row: list) -> list:
+        nonlocal read
+        read += 1
+        refuse_past(what, (read, unknowns, unknowns), KUMMER_WORK_CAP)
+        return row
+
+    units = (tuple(lower) + (F.one,) for deg in range(search_bound + 1)
+             for lower in itertools.product(range(F.q), repeat=deg))
+    try:
+        refuse_past(what, (n, unknowns, unknowns), KUMMER_WORK_CAP)  # one candidate, n rows
+        fbar = instance.fbar()
+        for e_coeffs in units:
+            h = poly_mul(F, fbar, _frobenius(F, e_coeffs, n), n)
+            vec = _kernel_vector(F, map(charged, _relation_rows(F, h, search_bound, n)), unknowns)
             tried += 1
-            if fbar is None:
-                fbar = instance.fbar()
-            e_power = _frobenius(F, e_coeffs, n)
-            if screen < truncation and _kernel_vector(
-                F, _relation_rows(F, fbar, e_power, search_bound, screen), unknowns
-            ) is None:
-                continue
-            rows = _relation_rows(F, fbar, e_power, search_bound, truncation)
-            vec = _kernel_vector(F, rows, unknowns)
             if vec is not None:
-                relation = tuple(
-                    poly_strip(F, tuple(vec[j:j + search_bound + 1]))
-                    for j in range(0, unknowns, search_bound + 1)
-                )
-                _check_relation(F, poly_mul(F, fbar, e_power, n), relation, n)
+                relation = tuple(poly_strip(F, tuple(vec[j:j + search_bound + 1]))
+                                 for j in range(0, unknowns, search_bound + 1))
+                _check_relation(F, h, relation, n)
                 return _kummer_report(
                     DESCENDS, tried, search_bound, truncation,
                     f"f*e^p satisfies a degree-<= {search_bound} relation to order {truncation}: "
                     "the obstruction vanishes within bounds", (e_coeffs, relation))
+    except ScaleError as exc:
+        return _kummer_report(INCONCLUSIVE, tried, search_bound, truncation,
+                              f"{exc}: stopped after {tried} candidates")
     return _kummer_report(
         OBSTRUCTED_WITHIN_BOUNDS, tried, search_bound, truncation,
         f"no unit candidate of degree <= {search_bound} makes f*e^p algebraic "

@@ -21,6 +21,11 @@ class ScaleError(ValueError):
     """A size or a search passes its fixed cap; ``refuse_past`` raises it."""
 
 
+# the largest integer of the 4,300 digits that Python converts to text: a
+# count a report prints is refused past this
+PRINTABLE_CAP = 10**4300 - 1
+
+
 def refuse_past(what: str, factors: Iterable[int], cap: int) -> int:
     """The product of the positive ``factors``, a size or a count of work.
 
@@ -31,7 +36,7 @@ def refuse_past(what: str, factors: Iterable[int], cap: int) -> int:
     total = 1
     for f in factors:
         total *= f
-        if total > cap:  # the index cap, of 4,300 digits, is shown by its length
+        if total > cap:  # PRINTABLE_CAP is shown by its length
             shown = cap if cap < 10**18 else f"{len(str(cap))} digits"
             raise ScaleError(f"{what} passes the cap of {shown}")
     return total

@@ -16,14 +16,10 @@ from contextlib import contextmanager
 
 from .descent import ASInstance, KummerInstance
 from .gog import EdgeMapError, GraphOfFiniteGroups
-from .graphs import ReductionGraph, read_int, read_list, refuse_past
+from .graphs import PRINTABLE_CAP, ReductionGraph, read_int, read_list, refuse_past
 from .groups import FiniteGroup, GroupAxiomError, GroupHom, cyclic, make_group
 
 SCHEMA_VERSION = 1
-
-# index-bound refuses a product of local indices past this, the largest
-# integer of the 4,300 digits that Python converts to text
-_INDEX_PRODUCT_CAP = 10**4300 - 1
 
 _TOP_KEYS = {"version", "graph", "groups", "edge_maps", "descent", "options"}
 _GRAPH_KEYS = {"points", "components", "edges"}
@@ -187,7 +183,7 @@ class WorkbenchInput:
                 ])
             out[str(label)] = index
         refuse_past("options.local_indices: the product of the indices", out.values(),
-                    _INDEX_PRODUCT_CAP)
+                    PRINTABLE_CAP)
         return out
 
 

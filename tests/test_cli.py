@@ -14,6 +14,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -758,23 +759,45 @@ def test_flags_and_coefficient_lists_must_have_their_json_type(tmp_path, capsys,
     assert (captured.out, captured.err) == ("", f"input error: {line}\n")
 
 
-def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
-    # a child process with a timeout fails on an unbounded search instead of
-    # hanging
+def _timed_child(*cli_args):
+    """The completed ``python -m vkpatch.cli`` child and its wall time in seconds."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
-    child = subprocess.run(
-        [sys.executable, "-m", "vkpatch.cli", "descent-as", write(tmp_path, AS_P5_DOC)],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    started = time.perf_counter()
+    child = subprocess.run([sys.executable, "-m", "vkpatch.cli", *cli_args],
+                           capture_output=True, text=True, timeout=30, env=env)
+    return child, time.perf_counter() - started
+
+
+def test_descent_as_over_the_candidate_cap_is_inconclusive(tmp_path):
+    # GF(5^2) at the default support walks 5^5 choices x 25 exponents and
+    # decides; GF(7^2) would walk 7^7 x 49, past the cap, and runs nothing
+    child, seconds = _timed_child("descent-as", write(tmp_path, AS_P5_DOC))
+    assert child.returncode == EXIT_PASS
+    block = json.loads(child.stdout.partition("-- machine --\n")[2])
+    assert (block["oracle"]["verdict"], block["agreement"]) == ("FAILS-WITHIN-BOUNDS", True)
+    assert seconds < 0.3, f"{seconds:.2f} s"
+    doc = {"version": 1, "descent": {"artin_schreier": {"p": 7, "k2_degree": 2, "alpha": "w"}}}
+    child, _ = _timed_child("descent-as", write(tmp_path, doc, "p7.json"))
     assert child.returncode == EXIT_PASS
     human, _, machine = child.stdout.partition("-- machine --\n")
     assert "oracle inconclusive; criterion verdict stands" in human
     oracle = json.loads(machine)["oracle"]
-    assert oracle["verdict"] == "INCONCLUSIVE"
-    assert oracle["candidates_tried"] == 0
+    assert (oracle["verdict"], oracle["candidates_tried"]) == ("INCONCLUSIVE", 0)
     assert oracle["note"] == (
-        "the search space |k1|^25 with |k1| = 5 passes the cap of 1000000: search not run"
+        "the walk of |k1|^7 choices x 49 exponents with |k1| = 7 passes the cap of 1000000: "
+        "search not run"
     )
+
+
+def test_descent_kummer_at_p5_bound_4_decides_within_its_budget(tmp_path):
+    # 781 candidates read 20,738 rows of 25 unknowns, 12,961,250 of the budget
+    doc = {"version": 1, "descent": {"kummer": {
+        "p": 5, "model": "transcendental", "terms": 4, "truncation": 200}}}
+    child, seconds = _timed_child("descent-kummer", write(tmp_path, doc))
+    assert child.returncode == EXIT_PASS, child.stderr
+    block = json.loads(child.stdout.partition("-- machine --\n")[2])
+    assert (block["verdict"], block["candidates_tried"]) == ("OBSTRUCTED-WITHIN-BOUNDS", 781)
+    assert seconds < 0.8, f"{seconds:.2f} s"
 
 
 _CIRCLE_25 = json.dumps({
@@ -874,7 +897,7 @@ def _as_rational_fails(support):
         ("descent-kummer", json.dumps({"version": 1, "descent": {"kummer": {
             "p": 5, "model": "transcendental", "terms": 4, "truncation": 200}},
             "options": {"search_bound": 6}}), EXIT_INCONCLUSIVE,
-         {"verdict": "INCONCLUSIVE", "candidates_tried": 51}),
+         {"verdict": "INCONCLUSIVE", "candidates_tried": 195}),
         # the hom search budget, where |G|^rank refuses nothing
         ("gog-homs", _TREE_20, EXIT_INPUT_ERROR, None),
         ("gog-verify", _TREE_20, EXIT_INPUT_ERROR, None),

@@ -115,19 +115,30 @@ def test_oracle_empty_search_space_is_inconclusive():
 
 
 def test_oracle_search_over_the_cap_is_inconclusive():
+    # the walk is |k1|^(bound // p) free choices times bound exponents
     inst = ASInstance.finite(2, 1, 2, "w")
-    for bound in (20, 1_000_000_000):  # 2^20 = 1,048,576 candidates and up
+    oracle = as_brute_force_oracle(inst, 30).machine  # 2^15 x 30 = 983,040
+    assert (oracle["verdict"], oracle["candidates_tried"]) == (FAILS_WITHIN_BOUNDS, 2**30)
+    for bound in (31, 2**31):  # 2^15 x 31 = 1,015,808 and up
         oracle = as_brute_force_oracle(inst, bound).machine
-        assert oracle["verdict"] == INCONCLUSIVE
-        assert oracle["candidates_tried"] == 0
+        assert (oracle["verdict"], oracle["candidates_tried"]) == (INCONCLUSIVE, 0)
         assert oracle["note"] == (
-            f"the search space |k1|^{bound} with |k1| = 2 passes the cap of 1000000: "
-            "search not run"
+            f"the walk of |k1|^{bound // 2} choices x {bound} exponents with |k1| = 2 "
+            "passes the cap of 1000000: search not run"
         )
-    # k1 = GF(2^10): 1024 candidates are searched, 1024^2 are not
+    # k1 = GF(2^10): 1024 x 3 steps are walked, 1024^2 x 4 are not
     inst = ASInstance.finite(2, 10, 10, "w")
-    assert as_brute_force_oracle(inst, 1).machine["verdict"] == DESCENDS
-    assert as_brute_force_oracle(inst, 2).machine["verdict"] == INCONCLUSIVE
+    assert as_brute_force_oracle(inst, 3).machine["verdict"] == DESCENDS
+    assert as_brute_force_oracle(inst, 4).machine["verdict"] == INCONCLUSIVE
+    # k1 = GF(4093): one free choice, but 4093^1191 candidates have 4,302
+    # digits, more than a report can print
+    inst = ASInstance.finite(4093, 1, 1, 2)
+    assert as_brute_force_oracle(inst, 1190).machine["verdict"] == DESCENDS
+    for bound in (1191, 4000):
+        oracle = as_brute_force_oracle(inst, bound).machine
+        assert (oracle["verdict"], oracle["candidates_tried"]) == (INCONCLUSIVE, 0)
+        assert oracle["note"] == (
+            f"the candidate count |k1|^{bound} passes the cap of 4300 digits: search not run")
 
 
 def test_oracle_witnesses_satisfy_equation_exactly():
@@ -307,25 +318,26 @@ def test_kummer_bounds_are_honest():
 
 
 def test_kummer_search_stops_when_its_work_budget_is_spent(monkeypatch):
-    # p = 2, bound 4, truncation 200: each candidate is 201 rows x 25^2 unknowns
+    # p = 2, bound 4, truncation 200: the 31 candidates read 846 rows in all,
+    # each charged 25^2 for its 25 unknowns
     inst = KummerInstance.transcendental_model(2, 1, 4, 200)
-    per_candidate = 201 * 25 * 25
-    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 7 * per_candidate)
-    block = kummer_obstruction(inst, 4).machine
-    assert block["verdict"] == INCONCLUSIVE
-    assert block["candidates_tried"] == 7
-    assert block["note"] == (
-        f"the elimination work at truncation 200 with 25 unknowns passes the cap of "
-        f"{7 * per_candidate}: stopped after 7 candidates"
-    )
-    # one candidate past the budget is refused before the search
-    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", per_candidate - 1)
-    block = kummer_obstruction(inst, 4).machine
-    assert (block["verdict"], block["candidates_tried"]) == (INCONCLUSIVE, 0)
-    # the whole search, 31 candidates, fits a budget of exactly its work
-    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 31 * per_candidate)
+    total = 846 * 25 * 25
+    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", total)
     block = kummer_obstruction(inst, 4).machine
     assert (block["verdict"], block["candidates_tried"]) == (OBSTRUCTED_WITHIN_BOUNDS, 31)
+    # one unit less stops in the last candidate's rows, after 30 completed
+    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", total - 1)
+    block = kummer_obstruction(inst, 4).machine
+    assert (block["verdict"], block["candidates_tried"]) == (INCONCLUSIVE, 30)
+    assert block["note"] == (
+        f"the elimination work at truncation 200 with 25 unknowns passes the cap of "
+        f"{total - 1}: stopped after 30 candidates"
+    )
+    # a candidate may read all 201 rows: a budget short of that is refused
+    # before the search
+    monkeypatch.setattr(descent_mod, "KUMMER_WORK_CAP", 201 * 25 * 25 - 1)
+    block = kummer_obstruction(inst, 4).machine
+    assert (block["verdict"], block["candidates_tried"]) == (INCONCLUSIVE, 0)
 
 
 def test_kummer_search_that_decides_early_is_never_refused():

@@ -8,9 +8,10 @@ the graph by vertex and branch name with markings keyed by branch, the
 pushout verifier's comparison one global functor at a time, a hom
 search that tries every candidate image of every generator, an
 edge-relation check that walks the graph by name too, the Artin-Schreier
-oracle that solves every candidate beta in product order, and the Kummer
+oracle that solves every candidate beta in product order, the Kummer
 search that forms its series by precision-tracked products and solves every
-candidate's system at full truncation by a full Gauss-Jordan elimination.
+candidate's system at full truncation by a full Gauss-Jordan elimination,
+and that system's rows made at once from whole truncated powers.
 The fast paths must reproduce them exactly, order and messages included.
 """
 
@@ -49,6 +50,7 @@ from vkpatch.descent import (
     SearchReport,
     _frobenius,
     _kummer_report,
+    _relation_rows,
     _oracle_report,
     _valid_betas,
     as_brute_force_oracle,
@@ -1308,33 +1310,70 @@ def test_frobenius_and_truncated_product_match_the_series_products():
                 assert fast == [series_coefficient(slow, i) for i in range(n)], (p, e, a, b, n)
 
 
-def test_kummer_search_matches_the_full_elimination_past_screen_survivors(monkeypatch):
-    # at p = 5 a candidate can pass the screen and still fail at full
-    # truncation; at truncation 40 a later candidate then descends
-    full = []
+def test_kummer_search_eliminates_each_candidate_once(monkeypatch):
+    # at p = 5 a candidate's rows can keep a kernel past twice the unknowns
+    # and still reach full rank below the truncation; at truncation 40 a
+    # later candidate then descends
+    calls = []
     kernel_vector = descent_mod._kernel_vector
 
     def counted(F, rows, ncols):
-        vec = kernel_vector(F, rows, ncols)
-        # a full-truncation system has a row per order up to the truncation;
-        # the screen's stops at twice the unknowns, below it
-        if len(rows) > 2 * ncols + 1:
-            full.append(vec)
+        read = [0]
+
+        def tally():
+            for row in rows:
+                read[0] += 1
+                yield row
+
+        vec = kernel_vector(F, tally(), ncols)
+        calls.append((read[0], vec, ncols))
         return vec
 
     monkeypatch.setattr(descent_mod, "_kernel_vector", counted)
     for truncation, bound, verdict, tried in ((25, 2, OBSTRUCTED_WITHIN_BOUNDS, 31),
                                               (40, 3, DESCENDS, 32)):
         inst = KummerInstance.transcendental_model(5, 1, 1, truncation)
-        full.clear()
+        calls.clear()
         fast = kummer_obstruction(inst, bound)
         assert (fast.machine["verdict"], fast.candidates_tried) == (verdict, tried)
-        assert None in full
+        assert len(calls) == tried
+        rejected = [read for read, vec, _ in calls if vec is None]
+        assert max(rejected) > 2 * calls[0][2] + 1
+        assert min(rejected) < truncation + 1
         assert_same_decision(fast, full_elimination_kummer(inst, bound))
 
 
-def test_kummer_search_matches_the_full_elimination_when_the_screen_is_the_whole_system():
-    # bound 3 has 16 unknowns, so a truncation of 30 leaves no lower order to screen at
+def test_kummer_search_matches_the_full_elimination_just_above_the_unknowns():
+    # bound 3 has 16 unknowns, so a truncation of 30 gives a system of 31 rows
     for model in ("transcendental", "base-ring"):
         inst = _kummer_instance(model, 2, 30)
         assert_same_decision(kummer_obstruction(inst, 3), full_elimination_kummer(inst, 3))
+
+
+def dense_relation_rows(F, h, search_bound, n):
+    """Reference rows: every power h^j cut below x^n formed whole by
+    truncated products, then row m read off at x^m."""
+    powers = [[F.one]]
+    for _ in range(search_bound):
+        powers.append(poly_mul(F, powers[-1], h, n))
+    return [
+        [power[exp - k] if 0 <= exp - k < len(power) else F.zero
+         for power in powers for k in range(search_bound + 1)]
+        for exp in range(n)
+    ]
+
+
+def test_relation_rows_match_the_dense_system():
+    rng = random.Random(53)
+    for p, e in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        F = FiniteField(p, e)
+        for bound in range(5):
+            unknowns = (bound + 1) ** 2
+            for truncation in range(unknowns, 61):
+                n = truncation + 1
+                # h sparse or dense, with or without a constant term, or empty
+                density = rng.choice((0.0, 0.2, 0.9))
+                h = poly_strip(F, tuple(rng.randrange(1, F.q) if rng.random() < density
+                                        else F.zero for _ in range(rng.randint(0, n))))
+                rows = list(_relation_rows(F, h, bound, n))
+                assert rows == dense_relation_rows(F, h, bound, n), (p, e, bound, truncation)

@@ -17,7 +17,10 @@ list of graph shapes follows under the key ``graph-shapes``: ``graph-check``
 on a graph in three pieces, and ``graph-rank``, ``graph-tree``,
 ``export-dot``, ``gog-presentation`` and ``gog-verify --all-trees`` into C2
 on a rank-3 graph with 36 spanning trees, whose grown tree is not its five
-least-named branches.  For every invocation OUT.json
+least-named branches.  Two documents whose searches sit near their
+budgets follow under the key ``budget-edges``: ``descent-kummer`` at p=5 with
+``--support-bound 4``, and ``descent-as`` over GF(5^2) at its default
+support.  For every invocation OUT.json
 records the exit code, a sha256 of stdout with the ``timing:`` line and the
 machine block's ``timing_ms`` line removed, and a sha256 of stderr.  An
 exception that escapes ``run`` is recorded as exit 1 with its type and
@@ -58,6 +61,12 @@ LARGE_FIELDS = (
     ("as-4093", "descent-as", {"p": 4093, "k1_degree": 1, "k2_degree": 1, "alpha": 2}),
     ("kummer-7^2", "descent-kummer", {"p": 7, "q_exp": 2, "terms": 4, "truncation": 200}),
     ("kummer-7^3", "descent-kummer", {"p": 7, "q_exp": 3, "terms": 4, "truncation": 200}),
+)
+BUDGET_EDGES = (
+    ("kummer-p5-bound4", "descent-kummer",
+     {"kummer": {"p": 5, "model": "transcendental", "terms": 4, "truncation": 200}},
+     ("--support-bound", "4")),
+    ("as-5^2", "descent-as", {"artin_schreier": {"p": 5, "k2_degree": 2, "alpha": "w"}}, ()),
 )
 
 # the four least-named branches close the cycle P1 U1 P2 U2
@@ -124,6 +133,17 @@ def large_fields_pass():
     return Pass("large-fields", 0, docs, tuple(invocations), 0)
 
 
+def budget_edges_pass():
+    """The ``BUDGET_EDGES`` documents as one pass of the workloads' shape."""
+    from workloads import Invocation, Pass
+
+    docs, invocations = {}, []
+    for name, command, descent, flags in BUDGET_EDGES:
+        docs[name] = json.dumps({"version": 1, "descent": descent})
+        invocations.append(Invocation(name, command, name, flags))
+    return Pass("budget-edges", 0, docs, tuple(invocations), 0)
+
+
 def graph_shapes_pass():
     """The ``GRAPH_SHAPES`` documents as one pass of the workloads' shape."""
     from workloads import Invocation, Pass
@@ -153,6 +173,7 @@ def main(argv: list[str]) -> int:
 
     passes = {f"{w}:{seed}": build_pass(w, seed) for w in WORKLOADS for seed in SEEDS}
     passes["large-fields"] = large_fields_pass()
+    passes["budget-edges"] = budget_edges_pass()
     passes["graph-shapes"] = graph_shapes_pass()
     results = {}
     raised: list[str] = []
