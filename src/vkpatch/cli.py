@@ -303,7 +303,7 @@ def _cmd_gog_homs(args, doc):
     shown = [
         {
             "vertex_homs": {
-                v: [group.label(x) for x in table] for v, table in zip(gog.graph.vertices, tables)
+                v: [group.label(x) for x in table] for v, table in zip(gog.vertices, tables)
             },
             "conjugators": {e: group.label(c) for e, c in zip(gog.graph.edge_names(), conj)},
         }

@@ -57,10 +57,13 @@ class GraphOfFiniteGroups:
     ``edge_maps[name]`` holds the two monomorphisms of the branch's group,
     keyed ``"to_point"`` and ``"to_component"``; both must be injective.
 
-    The graph is also indexed by position, vertices in ``graph.vertices``
-    order and branches in ``edge_names`` order, so that the join and the
-    natural maps of the patching verifiers never look up a name:
+    The graph is also indexed by position, vertices in ``vertices`` order
+    and branches in ``edge_names`` order, so that the join and the natural
+    maps of the patching verifiers never look up a name:
 
+    - ``vertices``: the vertex labels in the order a breadth-first search of
+      ``maximal_tree`` reaches them from the least vertex, so every vertex
+      after the first comes after its tree parent;
     - ``incidence``: per vertex, (branch, end) for each branch in
       ``edges_at`` order, with end 0 at the point and 1 at the component;
     - ``branch_ends``: per branch, (point, its slot, component, its slot),
@@ -103,9 +106,31 @@ class GraphOfFiniteGroups:
         for b, (p, p_slot, u, u_slot) in enumerate(ends):
             incidence[p][p_slot] = (b, 0)
             incidence[u][u_slot] = (b, 1)
-        self.incidence = tuple(tuple(row) for row in incidence)
-        self.branch_ends = tuple(ends)
+        # renumber the label-order tables above as the maximal tree's search reaches them
+        tree = set(maximal_tree(graph))
+        bfs, _ = _tree_search(incidence, ends, [name in tree for name in graph.edge_names()])
+        at = {v: i for i, (v, _) in enumerate(bfs)}
+        self.vertices = tuple([graph.vertices[v] for v, _ in bfs])
+        self.incidence = tuple([tuple(incidence[v]) for v, _ in bfs])
+        self.branch_ends = tuple([(at[p], p_slot, at[u], u_slot) for p, p_slot, u, u_slot in ends])
         self.branch_maps = tuple(tables)
+
+
+def _tree_search(incidence, branch_ends, in_tree: Sequence[bool]) -> tuple[list, list]:
+    """Breadth-first search of a spanning tree from vertex 0 on the position
+    tables (Serre, *Trees*, §I.5): the vertices as reached, each with the
+    tree branch reaching it (``None`` at vertex 0), and the steps below
+    vertex 0 as (vertex, slot, earlier vertex, slot) of that branch."""
+    bfs, steps, reached = [(0, None)], [], {0}
+    for v, _ in bfs:
+        for k, (b, end) in enumerate(incidence[v]):
+            p, p_slot, u, u_slot = branch_ends[b]
+            w, w_slot = (u, u_slot) if end == 0 else (p, p_slot)
+            if in_tree[b] and w not in reached:
+                reached.add(w)
+                bfs.append((w, b))
+                steps.append((w, w_slot, v, k))
+    return bfs, steps
 
 
 class VanKampenPresentation:
@@ -149,7 +174,7 @@ class VanKampenPresentation:
 
     def family_key(self, assignment: Sequence[int]) -> tuple:
         """The hom family of a generator assignment as ``HomFamily.key``
-        holds it: vertex tables in vertex order, then branch conjugators."""
+        holds it: vertex tables in position order, then branch conjugators."""
         return (
             tuple(tuple(assignment[block]) for block in self.vertex_blocks),
             tuple(assignment[s] for s in self.edge_symbols),
@@ -163,21 +188,9 @@ def build_presentation(
     given by its edge names (``maximal_tree`` by default)."""
     if tree is None:
         tree = maximal_tree(gog.graph)
-    vertices, names = gog.graph.vertices, gog.graph.edge_names()
+    vertices, names = gog.vertices, gog.graph.edge_names()
     in_tree = [name in tree for name in names]
-
-    # BFS of the tree from vertex 0, each vertex with the branch reaching it
-    bfs: list[tuple[int, int | None]] = [(0, None)]
-    steps: list[tuple[int, int, int, int]] = []
-    reached = {0}
-    for v, _ in bfs:
-        for k, (b, end) in enumerate(gog.incidence[v]):
-            p, p_slot, u, u_slot = gog.branch_ends[b]
-            w, w_slot = (u, u_slot) if end == 0 else (p, p_slot)
-            if in_tree[b] and w not in reached:
-                reached.add(w)
-                bfs.append((w, b))
-                steps.append((w, w_slot, v, k))
+    bfs, steps = _tree_search(gog.incidence, gog.branch_ends, in_tree)
 
     generators: list[str] = []
     starts = [0] * len(vertices)
@@ -230,7 +243,7 @@ def build_presentation(
 
 class HomFamily:
     """A hom of the presented fundamental group into the test group, held as
-    its family key: vertex tables in vertex order, then one conjugator per
+    its family key: vertex tables in position order, then one conjugator per
     branch in branch order.
 
     The defining compatibility, checked on construction: for every branch at
@@ -291,16 +304,18 @@ def backtrack_vertices(
     """Every choice of one candidate per vertex whose two ends restrict
     equally to every branch.
 
-    ``candidates[i]`` lists the candidates at ``graph.vertices[i]`` and
+    ``candidates[i]`` lists the candidates at ``gog.vertices[i]`` and
     ``restrict(i, b, cand)`` is the restriction of one of them to branch b
-    (a position in ``edge_names``).  Vertices are chosen in canonical order.
-    Each vertex's candidates are bucketed by their restrictions to the
-    branches whose other end comes earlier, so a partial choice extends by
-    one lookup (a hash join) instead of a test per candidate.  Buckets keep
-    candidate order, so the choices, tuples in vertex order, come out in
-    lexicographic order of the candidate positions.  Each bucket a partial
-    choice is extended with is charged to the budget, ``FUNCTOR_SET_CAP``."""
-    n = len(gog.graph.vertices)
+    (a position in ``edge_names``).  Vertices are chosen in position order,
+    the maximal tree's search, so every vertex after the first has a branch
+    to an earlier one.  Each vertex's candidates are bucketed by their
+    restrictions to the branches whose other end comes earlier, so a partial
+    choice extends by one lookup (a hash join) instead of a test per
+    candidate.  Buckets keep candidate order, so the choices, tuples in
+    position order, come out in lexicographic order of the candidate
+    positions.  Each bucket a partial choice is extended with is charged to
+    the budget, ``FUNCTOR_SET_CAP``."""
+    n = len(gog.vertices)
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for b, (p, _, u, _) in enumerate(gog.branch_ends):
         early, late = sorted((p, u))
@@ -354,14 +369,12 @@ def backtrack_vertices(
 def naive_limit_homs(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tuple[tuple, ...]:
     """The compatible-system model: vertex-hom families whose edge
     restrictions agree exactly (all conjugators the identity), each as its
-    vertex tables in vertex order, in sorted order."""
+    vertex tables in position order, in sorted order."""
     def restrict(i: int, b: int, table: tuple) -> tuple:
         to_p, to_u = gog.branch_maps[b]
         return tuple([table[a] for a in (to_p if i == gog.branch_ends[b][0] else to_u)])
 
-    candidates = [
-        enumerate_homs(group_presentation(gog.vertex_groups[v]), group) for v in gog.graph.vertices
-    ]
+    candidates = [enumerate_homs(group_presentation(gog.vertex_groups[v]), group) for v in gog.vertices]
     # candidates come in lexicographic order, so the join's output is sorted
     return tuple(backtrack_vertices(gog, candidates, restrict))
 
@@ -382,7 +395,7 @@ def verify_tree_vankampen(
     """
     tree_flag = is_tree(gog.graph)
     vk = build_presentation(gog)
-    # each hom's vertex images in vertex order, against each naive family's
+    # each hom's vertex images in position order, against each naive family's
     # tables run together; a valid graph has two vertices at least, so the
     # getter reads two positions or more and returns tuples
     vertex_images = operator.itemgetter(

@@ -307,7 +307,7 @@ def _least_transitive_tuples(n: int, r: int) -> list[tuple[tuple[int, ...], ...]
                 continue
             out.append((c, *rest))
             if not centralizer:
-                centralizer = [tau for tau in perms if _conj(tau, c) == c]
+                centralizer = [tau for tau in perms if all(tau[c[i]] == c[tau[i]] for i in range(n))]
             for tau in centralizer:
                 mark = 0
                 for sigma in rest:

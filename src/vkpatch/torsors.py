@@ -313,15 +313,15 @@ def torsor_morphisms(t1: MultipointedTorsor, t2: MultipointedTorsor) -> tuple[in
 # Local functor data over a graph of groups
 #
 # Functor data is kept as plain index tuples, each its own set key.  A global
-# functor is a family key (``HomFamily.key``: vertex tables in vertex order,
-# conjugators in branch order) plus its markings: one test-group element per
-# branch in branch order, identity at the least branch.  A local datum is one
-# entry per vertex in vertex order: the vertex hom table and one flag per
-# incident branch in ``edges_at`` order, identity at the least branch.  The
-# maps below walk the position tables that ``GraphOfFiniteGroups`` owns
-# (incidence, branch ends, branch maps), not the graph's names; the inverse
-# map also walks the presentation's tree steps and tree branches, the only
-# tables that depend on the spanning tree.
+# functor is a family key (``HomFamily.key``: vertex tables in position
+# order, conjugators in branch order) plus its markings: one test-group
+# element per branch in branch order, identity at the least branch.  A local
+# datum is one entry per vertex in position order: the vertex hom table and
+# one flag per incident branch in ``edges_at`` order, identity at the least
+# branch.  The maps below walk the position tables that
+# ``GraphOfFiniteGroups`` owns (incidence, branch ends, branch maps), not the
+# graph's names; the inverse map also walks the presentation's tree steps and
+# tree branches, the only tables that depend on the spanning tree.
 
 
 def _restriction(
@@ -515,11 +515,9 @@ def inverse_natural_map(
 
 def _enumerate_fiber_data(gog: GraphOfFiniteGroups, group: FiniteGroup) -> list[tuple]:
     """All branch-compatible local data, by a join over the vertices in
-    canonical order."""
+    position order."""
     G = group
-    tables = [
-        enumerate_homs(group_presentation(gog.vertex_groups[v]), G) for v in gog.graph.vertices
-    ]
+    tables = [enumerate_homs(group_presentation(gog.vertex_groups[v]), G) for v in gog.vertices]
     # a vertex has its hom tables times |G|^(branches - 1) flag tuples; the
     # caller's gauge check keeps that power small
     refuse_past(
@@ -563,9 +561,9 @@ class PatchingProblem:
     ):
         self.gog = gog
         self.group = group
-        self.vertex_data = {v: vertex_data[v] for v in gog.graph.vertices}
+        self.vertex_data = {v: vertex_data[v] for v in gog.vertices}
         self.branch_data = {e: branch_data[e] for e in gog.graph.edge_names()}
-        for v in gog.graph.vertices:
+        for v in gog.vertices:
             t = self.vertex_data[v]
             if t.group != group:
                 raise ValueError(f"vertex datum at {v} is not a {group.name}-torsor")
@@ -615,16 +613,16 @@ def solve_patching(problem: PatchingProblem) -> tuple[HomFamily, dict[str, int]]
     problem.check_compatibility()
     gog, G = problem.gog, problem.group
     groupoids = [ModelGroupoid(gog.graph.edges_at(v), gog.vertex_groups[v])
-                 for v in gog.graph.vertices]
+                 for v in gog.vertices]
     # edges_at lists a vertex's branches sorted, the groupoid's object order
     datum = tuple(hom_from_torsor(problem.vertex_data[v], groupoid).key()
-                  for v, groupoid in zip(gog.graph.vertices, groupoids))
+                  for v, groupoid in zip(gog.vertices, groupoids))
     presentation = build_presentation(gog)
     key, markings = inverse_natural_map(presentation, G, datum)
     family = HomFamily(gog, G, key)
 
     induced = natural_map(presentation, G, key, markings)
-    for v, groupoid, (table, flags) in zip(gog.graph.vertices, groupoids, induced):
+    for v, groupoid, (table, flags) in zip(gog.vertices, groupoids, induced):
         functor = GroupoidFunctor(groupoid, G, GroupHom(groupoid.group, G, table),
                                   dict(zip(groupoid.objects, flags)))
         if torsor_morphisms(torsor_from_hom(functor), problem.vertex_data[v]) is None:
@@ -719,8 +717,6 @@ def verify_groupoid_pushout(
         "fiber_raw": fiber_raw,
         "marking_gauge": gauge,
         "bijective": bijective,
-        "roundtrip_checked": lhs_raw,
-        "roundtrip_stride": 1,
         "passed": bijective and agreement,
     }
     return lines, machine

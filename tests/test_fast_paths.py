@@ -98,7 +98,7 @@ def filter_vertices(gog, candidates, agrees):
     """Every choice of one candidate per vertex passing ``agrees(chosen,
     branch)`` on every branch, tested as soon as both ends are chosen; in
     lexicographic order of the candidate positions."""
-    vertices = gog.graph.vertices
+    vertices = gog.vertices
     pos = {v: i for i, v in enumerate(vertices)}
     edges_by_later = {v: [] for v in vertices}
     for name in gog.graph.edge_names():
@@ -145,7 +145,7 @@ def local_candidates(gog, G):
             for table in enumerate_homs(group_presentation(gog.vertex_groups[v]), G)
             for combo in itertools.product(range(G.order), repeat=len(gog.graph.edges_at(v)) - 1)
         ]
-        for v in gog.graph.vertices
+        for v in gog.vertices
     }
 
 
@@ -164,7 +164,7 @@ def filtered_naive_limit(gog, G):
         return all(f_u[a] == f_p[b] for a, b in zip(to_u, to_p))
 
     candidates = {
-        v: enumerate_homs(group_presentation(gog.vertex_groups[v]), G) for v in gog.graph.vertices
+        v: enumerate_homs(group_presentation(gog.vertex_groups[v]), G) for v in gog.vertices
     }
     return filter_vertices(gog, candidates, compatible)
 
@@ -175,7 +175,7 @@ def natural_map_by_names(presentation, G, family_key, markings):
     tables, conj = family_key
     conjugators = dict(zip(graph.edge_names(), conj))
     datum = []
-    for v, table in zip(graph.vertices, tables):
+    for v, table in zip(presentation.gog.vertices, tables):
         shifted = [
             markings[e] if graph.point_end(e) == v else G.mul(markings[e], G.inv(conjugators[e]))
             for e in graph.edges_at(v)
@@ -192,7 +192,7 @@ def inverse_natural_map_by_names(presentation, G, datum):
     graph = presentation.gog.graph
     flag = {
         (v, e): f
-        for v, (_, flags) in zip(graph.vertices, datum)
+        for v, (_, flags) in zip(presentation.gog.vertices, datum)
         for e, f in zip(graph.edges_at(v), flags)
     }
     # gauges along the tree by a name BFS from the least vertex
@@ -213,7 +213,7 @@ def inverse_natural_map_by_names(presentation, G, datum):
     gauges = {v: G.mul(a, shift) for v, a in gauges.items()}
     tables = tuple(
         tuple(G.conjugate(G.inv(gauges[v]), x) for x in table)
-        for v, (table, _) in zip(graph.vertices, datum)
+        for v, (table, _) in zip(presentation.gog.vertices, datum)
     )
     markings, conjugators = {}, []
     for e in graph.edge_names():
@@ -253,7 +253,7 @@ def per_element_functor_sets(gog, G):
         image.add(datum)
         if len(image) == seen:
             raise AssertionError("restriction functor is not injective")
-        by_name = dict(zip(gog.graph.vertices, datum))
+        by_name = dict(zip(gog.vertices, datum))
         if not all(branch_agrees(gog, G, by_name, e) for e in names):
             raise AssertionError("restriction broke branch agreement")
         if inverse_natural_map_by_names(presentation, G, datum) != (key, markings):
@@ -267,7 +267,7 @@ def edge_relation_violation_by_names(gog, G, key):
     """The edge-relation check of a family key walking the graph by name:
     the message of the first violation, or None when the key passes."""
     tables, conj = key
-    vertex_tables = dict(zip(gog.graph.vertices, tables))
+    vertex_tables = dict(zip(gog.vertices, tables))
     conjugators = dict(zip(gog.graph.edge_names(), conj))
     for name in gog.graph.edge_names():
         c = conjugators[name]
@@ -433,7 +433,7 @@ def assert_fast_paths_match(gog, G, max_globals=400):
     # the index-table agreement check decides agreement like the predicate
     candidates = local_candidates(gog, G)
     for chosen in itertools.islice(itertools.product(*candidates.values()), 2000):
-        by_name = dict(zip(gog.graph.vertices, chosen))
+        by_name = dict(zip(gog.vertices, chosen))
         bad = [e for e in names if not branch_agrees(gog, G, by_name, e)]
         found = disagreeing_branch(pres, G, chosen)
         assert found == (names.index(bad[0]) if bad else None)
@@ -545,22 +545,26 @@ def assert_column_pass_matches(monkeypatch, gog, G):
     """``verify_groupoid_pushout`` and ``per_element_functor_sets`` agree on
     the image set and the verdict, and the verifier round-trips every global
     functor."""
-    image = set()
-    forward_columns = _NaturalMaps.forward_columns
+    image, round_trips = set(), []
+    forward_columns, check_round_trips = _NaturalMaps.forward_columns, _NaturalMaps.check_round_trips
 
     def recording(self, key):
         hits = forward_columns(self, key)
         image.update(zip(*hits))
         return hits
 
+    def counting(self, key, hits):
+        round_trips.append(len(hits[0]))
+        check_round_trips(self, key, hits)
+
     with monkeypatch.context() as patch:
         patch.setattr(_NaturalMaps, "forward_columns", recording)
+        patch.setattr(_NaturalMaps, "check_round_trips", counting)
         _, report = verify_groupoid_pushout(gog, G)
     oracle_image, passed = per_element_functor_sets(gog, G)
     assert image == oracle_image
     assert report["passed"] == passed
-    assert report["roundtrip_checked"] == report["global_raw"] == len(image)
-    assert report["roundtrip_stride"] == 1
+    assert sum(round_trips) == report["global_raw"] == len(image)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -640,8 +644,37 @@ def test_column_pass_matches_the_per_element_loop_on_random_instances(monkeypatc
     large = 0
     for gog, G in random_instances():
         assert_column_pass_matches(monkeypatch, gog, G)
-        large += len(gog.graph.vertices) >= 3
+        large += len(gog.vertices) >= 3
     assert large > 0
+
+
+def assert_positions_follow_the_tree(gog):
+    """``gog.vertices`` lists every label once, the least first, and on the
+    default tree the vertex blocks come in position order and each vertex
+    after the first shares a tree branch with an earlier one.  Returns
+    whether the positions differ from the label order."""
+    graph, vk = gog.graph, build_presentation(gog)
+    assert sorted(gog.vertices) == list(graph.vertices)
+    assert gog.vertices[0] == graph.vertices[0]
+    starts = [block.start for block in vk.vertex_blocks]
+    assert starts == sorted(starts)
+    tree = [(graph.point_end(n), graph.component_end(n)) for n in vk.tree]
+    for i, v in enumerate(gog.vertices[1:], 1):
+        earlier = gog.vertices[:i]
+        assert any(p == v and u in earlier or u == v and p in earlier for p, u in tree), v
+    return gog.vertices != graph.vertices
+
+
+def test_positions_follow_the_maximal_trees_search():
+    """Over the catalog, the random sweep and stars of 2-8 points, where the
+    least point comes before the component and the other points after it."""
+    for name in sorted(CATALOG):
+        assert_positions_follow_the_tree(CATALOG[name]())
+    assert sum(assert_positions_follow_the_tree(gog) for gog, _ in random_instances()) > 0
+    for k in range(2, 9):
+        points = [f"P{i}" for i in range(k)]
+        star = ReductionGraph(points, ["U"], [(f"b{i}", p, "U") for i, p in enumerate(points)])
+        assert assert_positions_follow_the_tree(trivial_gog(star))
 
 
 def test_join_keeps_disagreeing_data_out():

@@ -183,7 +183,7 @@ def test_hom_families_satisfy_edge_relation():
     for fam in enumerate_pi1_homs(gog, s3):
         # HomFamily validates on construction; re-check one instance by hand
         tables, (c,) = fam.key
-        f = dict(zip(gog.graph.vertices, tables))
+        f = dict(zip(gog.vertices, tables))
         assert f["U"][3] == s3.conjugate(c, f["P"][2])
 
 
@@ -194,7 +194,7 @@ def test_hom_family_rejects_bad_conjugator():
     tables, conj = fams[1].key
     bad_tables = list(tables)
     # break edge agreement
-    bad_tables[gog.graph.vertices.index("U")] = hom_set(cyclic(6), c2)[1].mapping
+    bad_tables[gog.vertices.index("U")] = hom_set(cyclic(6), c2)[1].mapping
     with pytest.raises(ValueError, match="edge relation on branch b1"):
         HomFamily(gog, c2, (tuple(bad_tables), conj))
 
@@ -397,6 +397,28 @@ def test_hom_enumeration_is_refused_past_the_cap(monkeypatch):
                         enumerate_or_verify(bouquet(branches), G)
 
 
+def test_the_vertex_join_is_refused_past_its_budget_in_any_order(monkeypatch):
+    """The join charges every bucket it extends a partial choice with.  Two
+    vertices of m and n candidates whose restrictions all agree charge m for
+    the first and n for each of its picks, whichever comes first: at 1,500
+    each that is 2,251,500, past ``FUNCTOR_SET_CAP``, and a budget of exactly
+    m + m * n admits the join where one less refuses it."""
+    gog = trivial_gog(diamond_graph())
+
+    def join(*sizes):
+        return gog_mod.backtrack_vertices(gog, [range(k) for k in sizes], lambda i, b, c: 0)
+
+    message = "^the vertex join passes the cap of {}$"
+    with pytest.raises(ScaleError, match=message.format(2_000_000)):
+        join(1500, 1500)
+    for m, n in ((3, 5), (5, 3)):
+        monkeypatch.setattr(gog_mod, "FUNCTOR_SET_CAP", m + m * n)
+        assert join(m, n) == [(i, k) for i in range(m) for k in range(n)]
+        monkeypatch.setattr(gog_mod, "FUNCTOR_SET_CAP", m + m * n - 1)
+        with pytest.raises(ScaleError, match=message.format(m + m * n - 1)):
+            join(m, n)
+
+
 def test_theta_of_s3_into_s4_fits_the_hom_search_budget(monkeypatch):
     """665,856 homs take 927,984 candidate images, under ``HOM_SEARCH_CAP``;
     a budget of exactly that many still admits the search."""
@@ -422,7 +444,7 @@ def test_conjugacy_class_count():
 def _validated_family(gog, G, key):
     """The family of a key, each vertex table first built as a validating
     GroupHom."""
-    for v, table in zip(gog.graph.vertices, key[0]):
+    for v, table in zip(gog.vertices, key[0]):
         GroupHom(gog.vertex_groups[v], G, table)
     return HomFamily(gog, G, key)
 
@@ -477,7 +499,7 @@ def _orbit_count(gog, G, families):
         for g in range(G.order):
             verts = tuple(
                 GroupHom(gog.vertex_groups[v], G, [G.conjugate(g, x) for x in table]).mapping
-                for v, table in zip(gog.graph.vertices, tables)
+                for v, table in zip(gog.vertices, tables)
             )
             conj = tuple(G.conjugate(g, c) for c in conjugators)
             remaining.discard((verts, conj))
@@ -580,7 +602,7 @@ def test_family_keys_match_validated_families_on_the_catalog():
         assert [vk.family_key(a) for a in assignments] == [fam.key for fam in families]
         symbols = [
             (v, x, s)
-            for v, block in zip(gog.graph.vertices, vk.vertex_blocks)
+            for v, block in zip(gog.vertices, vk.vertex_blocks)
             for x, s in enumerate(range(block.start, block.stop))
         ]
         # each symbol is named for its vertex and element, each letter for its branch
@@ -593,7 +615,7 @@ def test_family_keys_match_validated_families_on_the_catalog():
             tables, conjugators = fam.key
             homs = {
                 v: GroupHom(gog.vertex_groups[v], G, table)
-                for v, table in zip(gog.graph.vertices, tables)
+                for v, table in zip(gog.vertices, tables)
             }
             assert all(homs[v](x) == a[s] for v, x, s in symbols)
             assert all(c == a[s] for c, s in zip(conjugators, vk.edge_symbols))

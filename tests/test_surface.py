@@ -463,3 +463,38 @@ def test_every_raise_is_of_a_listed_kind():
     assert names <= RAISED.keys(), f"raised but not listed: {sorted(names - RAISED.keys())}"
     assert names >= RAISED.keys(), f"listed but not raised: {sorted(RAISED.keys() - names)}"
     assert sorted(checks) == sorted(SELF_CHECKS)
+
+
+def graph_vertex_reads() -> list[str]:
+    """Each read of ``<x>.graph.vertices``, the label order, in the modules
+    that index a graph of groups by position, outside
+    ``GraphOfFiniteGroups.__init__``, which numbers the positions, as
+    ``module:line: text``."""
+    found = []
+    for module in ("gog", "torsors", "cli"):
+        text = (SRC / f"{module}.py").read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        inside = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "GraphOfFiniteGroups"
+            for init in node.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for sub in ast.walk(init)
+        }
+        lines = text.splitlines()
+        found += [
+            f"{module}:{node.lineno}: {lines[node.lineno - 1].strip()}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "vertices"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "graph"
+            and id(node) not in inside
+        ]
+    return found
+
+
+def test_positions_are_read_in_the_graph_of_groups_order():
+    # position tables are numbered by GraphOfFiniteGroups.vertices, the
+    # maximal tree's search; zipping them with the label order misreads them
+    reads = graph_vertex_reads()
+    assert not reads, "label-order reads beside position tables:\n" + "\n".join(reads)

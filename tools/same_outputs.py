@@ -17,10 +17,13 @@ list of graph shapes follows under the key ``graph-shapes``: ``graph-check``
 on a graph in three pieces, and ``graph-rank``, ``graph-tree``,
 ``export-dot``, ``gog-presentation`` and ``gog-verify --all-trees`` into C2
 on a rank-3 graph with 36 spanning trees, whose grown tree is not its five
-least-named branches.  Two documents whose searches sit near their
-budgets follow under the key ``budget-edges``: ``descent-kummer`` at p=5 with
-``--support-bound 4``, and ``descent-as`` over GF(5^2) at its default
-support.  For every invocation OUT.json
+least-named branches.  Documents whose searches sit near their budgets
+follow under the key ``budget-edges``: ``descent-kummer`` at p=5 with
+``--support-bound 4``; ``descent-as`` over GF(5^2) at its default support;
+``gog-verify`` on the stars of one S3 component and 5 and 8 S3 points into
+S4, whose vertex join depends on its vertex order; and ``torsor-verify`` on
+the star of 4 points, which the fiber join's estimate refuses.  For every
+invocation OUT.json
 records the exit code, a sha256 of stdout with the ``timing:`` line and the
 machine block's ``timing_ms`` line removed, and a sha256 of stderr.  An
 exception that escapes ``run`` is recorded as exit 1 with its type and
@@ -62,11 +65,35 @@ LARGE_FIELDS = (
     ("kummer-7^2", "descent-kummer", {"p": 7, "q_exp": 2, "terms": 4, "truncation": 200}),
     ("kummer-7^3", "descent-kummer", {"p": 7, "q_exp": 3, "terms": 4, "truncation": 200}),
 )
+
+
+def star(points: int) -> dict:
+    """One S3 component U joined to ``points`` S3 points by S3 branches with
+    identity edge maps, into S4: a tree of groups with 34 homs."""
+    identity = {label: label for label in ("012", "021", "102", "120", "201", "210")}
+    return {
+        "version": 1,
+        "graph": {"points": [{"name": f"P{i}", "group": "S3"} for i in range(1, points + 1)],
+                  "components": [{"name": "U", "group": "S3"}],
+                  "edges": [{"name": f"b{i}", "point": f"P{i}", "component": "U", "group": "S3"}
+                            for i in range(1, points + 1)]},
+        "groups": {"S3": {"symmetric": 3}, "S4": {"symmetric": 4}},
+        "edge_maps": {f"b{i}": {"to_point": identity, "to_component": identity}
+                      for i in range(1, points + 1)},
+        "options": {"test_group": "S4"},
+    }
+
+
 BUDGET_EDGES = (
     ("kummer-p5-bound4", "descent-kummer",
-     {"kummer": {"p": 5, "model": "transcendental", "terms": 4, "truncation": 200}},
+     {"version": 1, "descent": {
+         "kummer": {"p": 5, "model": "transcendental", "terms": 4, "truncation": 200}}},
      ("--support-bound", "4")),
-    ("as-5^2", "descent-as", {"artin_schreier": {"p": 5, "k2_degree": 2, "alpha": "w"}}, ()),
+    ("as-5^2", "descent-as",
+     {"version": 1, "descent": {"artin_schreier": {"p": 5, "k2_degree": 2, "alpha": "w"}}}, ()),
+    ("star-5", "gog-verify", star(5), ()),
+    ("star-8", "gog-verify", star(8), ()),
+    ("star-4", "torsor-verify", star(4), ()),
 )
 
 # the four least-named branches close the cycle P1 U1 P2 U2
@@ -138,8 +165,8 @@ def budget_edges_pass():
     from workloads import Invocation, Pass
 
     docs, invocations = {}, []
-    for name, command, descent, flags in BUDGET_EDGES:
-        docs[name] = json.dumps({"version": 1, "descent": descent})
+    for name, command, document, flags in BUDGET_EDGES:
+        docs[name] = json.dumps(document)
         invocations.append(Invocation(name, command, name, flags))
     return Pass("budget-edges", 0, docs, tuple(invocations), 0)
 
