@@ -1,14 +1,15 @@
 """Command-line front end: one input document per invocation, batch only.
 
 Exit status contract: 0 verified/pass (including a decided descent verdict),
-1 refuted/fail, 2 inconclusive within the given bounds, 3 input error.
+1 refuted/fail, 2 inconclusive within the given bounds, 3 input error, 4 an
+internal error: an exception of the program itself, reported in one line
+without a traceback.
 Reports carry a machine block and a deterministic digest that ignores
 timing.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 import time
@@ -44,6 +45,7 @@ from .reports import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_PASS,
     ReportDocument,
     input_digest,
@@ -89,9 +91,9 @@ class CommandLine:
 
     A flag takes its value from the next word or after ``=``; a repeated
     flag keeps its last value.  A flag must be spelled out in full.  Any
-    other word that starts with ``-`` is refused, and so is a next word that
-    does, unless it is ``-`` or a negative integer.  Every refusal is an
-    ``InputError`` with one message.
+    other word that starts with ``-`` is refused, and so is an empty value,
+    as is a next word that starts with ``-`` unless it is ``-`` or a
+    negative integer.  Every refusal is an ``InputError`` with one message.
     """
 
     __slots__ = ("command", "input", "group", "degree", "support_bound", "all_trees",
@@ -112,10 +114,11 @@ class CommandLine:
                 self.all_trees = True
             elif flag in _VALUE_FLAGS:
                 if not eq:
-                    value = next(tokens, None)
-                    if value is None or (value.startswith("-") and value != "-"
-                                         and not value[1:].isdigit()):
-                        raise InputError([f"{flag} needs a value"])
+                    value = next(tokens, "")
+                    if value.startswith("-") and value != "-" and not value[1:].isdigit():
+                        value = ""
+                if not value:
+                    raise InputError([f"{flag} needs a value"])
                 name, kind = _VALUE_FLAGS[flag]
                 try:
                     setattr(self, name, kind(value))
@@ -141,26 +144,29 @@ def run(argv: list[str]) -> int:
     try:
         args = CommandLine(argv)
         document = _read_document(args.input)
-    except (InputError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         doc = parse_input(document.decode("utf-8"))
         verdict, lines, machine, exit_code = _HANDLERS[args.command](args, doc)
+        report = ReportDocument(
+            args.command, input_digest(document), verdict, lines, machine, doc.warnings
+        )
+        report.timing_ms = (time.perf_counter() - started) * 1000.0
+        text = report.render()
     except InputError as exc:
         for err in exc.errors:
             print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (InvalidGraphError, ScaleError, UnicodeDecodeError) as exc:
+    except (OSError, InvalidGraphError, ScaleError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = ReportDocument(
-        args.command, input_digest(document), verdict, lines, machine, doc.warnings
-    )
-    report.timing_ms = (time.perf_counter() - started) * 1000.0
-    sys.stdout.write(report.render())
+    except Exception as exc:
+        # any other exception (a failed self-check, MemoryError,
+        # RecursionError) is no verdict on the input, and exit 1 would read
+        # as a refuted law.  The report is written below, outside this
+        # catch, so that a closed pipe still reaches main
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    sys.stdout.write(text)
     return exit_code
 
 
@@ -293,9 +299,7 @@ def _cmd_gog_homs(args, doc):
     gog = doc.build_gog()
     group = doc.test_group(args.group)
     families = enumerate_pi1_homs(gog, group)
-    # a family's tables and conjugators are its generator images, reordered
-    keys = [fam.key for fam in families]
-    classes = conjugacy_class_count(group, (itertools.chain(*verts, conj) for verts, conj in keys))
+    classes = conjugacy_class_count(build_presentation(gog).presentation, group)
     lines = [
         f"presentation homs into {group.name}: {len(families)}",
         f"up to simultaneous conjugation: {classes}",
@@ -307,7 +311,7 @@ def _cmd_gog_homs(args, doc):
             },
             "conjugators": {e: group.label(c) for e, c in zip(gog.graph.edge_names(), conj)},
         }
-        for tables, conj in keys[:20]
+        for tables, conj in (fam.key for fam in families[:20])
     ]
     machine = {"law": "vankampen-presentation", "count": len(families),
                "conjugacy_classes": classes, "families_shown": shown}

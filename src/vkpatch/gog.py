@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Callable, Hashable, Mapping, Sequence
 
 from .graphs import (
     ReductionGraph,
@@ -482,16 +483,25 @@ def verify_tree_independence(gog: GraphOfFiniteGroups, group: FiniteGroup) -> tu
     return lines, machine
 
 
-def conjugacy_class_count(group: FiniteGroup, homs: Iterable[Sequence[int]]) -> int:
-    """Number of homs up to simultaneous conjugation by the test group.
-
-    A hom is its tuple of generator images, as ``iter_homs`` yields it;
-    conjugating the hom conjugates every entry."""
-    remaining = {tuple(h) for h in homs}
-    classes = 0
-    while remaining:
-        h = remaining.pop()
-        classes += 1
-        for table in group.conjugation_table():
-            remaining.discard(tuple(table[x] for x in h))
+def conjugacy_class_count(presentation: Presentation, group: FiniteGroup) -> int:
+    """Number of homs of the presented group into ``group`` up to
+    conjugation, by Burnside's lemma (Neumann, *Math. Scientist* 4, 1979):
+    the mean over g of the homs g fixes, which are the homs into the
+    centralizer C(g).  Each distinct centralizer is built once as a group on
+    its elements, the group itself for a central g, and its homs are counted
+    by the hom search, which walks none of them."""
+    centralizers = Counter(
+        tuple([a for a in range(group.order) if row[a] == a]) for row in group.conjugation_table()
+    )
+    total = 0
+    for members, times in centralizers.items():
+        sub = group
+        if len(members) < group.order:
+            at = {x: i for i, x in enumerate(members)}
+            sub = FiniteGroup(group.name, [group.label(x) for x in members],
+                              [[at[group.table[x][y]] for y in members] for x in members])
+        total += times * iter_homs(presentation, sub)[0]
+    classes, remainder = divmod(total, group.order)
+    if remainder:
+        raise AssertionError("Burnside's sum is not a multiple of the group order")
     return classes

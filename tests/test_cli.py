@@ -19,6 +19,7 @@ import time
 import pytest
 
 import vkpatch
+from vkpatch import cli
 from vkpatch.cli import _HANDLERS, main, run
 from vkpatch.fields import FiniteField
 from vkpatch.inputs import InputError, parse_input
@@ -26,6 +27,7 @@ from vkpatch.reports import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_PASS,
     ReportDocument,
     input_digest,
@@ -1196,6 +1198,56 @@ def test_a_child_prints_what_run_prints(tmp_path, capsys, command, doc, exit_cod
         assert child_dot == dot.read_text() == machine["dot"]
 
 
+INTERNAL_ERRORS = [
+    (AssertionError("fiber count is not a multiple of the marking gauge"),
+     "internal error: AssertionError: fiber count is not a multiple of the marking gauge\n"),
+    (MemoryError(), "internal error: MemoryError: \n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "internal error: RecursionError: maximum recursion depth exceeded\n"),
+]
+
+
+@pytest.mark.parametrize("fault, line", INTERNAL_ERRORS,
+                         ids=["assertion", "memory", "recursion"])
+def test_a_fault_of_the_program_exits_4_in_one_line(tmp_path, capsys, monkeypatch, fault, line):
+    """An exception that is no input error, here raised by a handler, is a
+    fault of the program, not a refuted law: one line on stderr, no
+    traceback, nothing on stdout, exit 4."""
+    def handler(args, doc):
+        raise fault
+
+    monkeypatch.setitem(cli._HANDLERS, "graph-check", handler)
+    assert run(["graph-check", write(tmp_path, CIRCLE)]) == EXIT_INTERNAL_ERROR
+    assert capsys.readouterr() == ("", line)
+
+
+def test_a_fault_while_reading_the_document_exits_4(tmp_path, capsys, monkeypatch):
+    """Reading is inside the same catch: a document too large for memory
+    (seen under an address-space limit) is no traceback either."""
+    def read(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_read_document", read)
+    assert run(["graph-check", write(tmp_path, CIRCLE)]) == EXIT_INTERNAL_ERROR
+    assert capsys.readouterr() == ("", "internal error: MemoryError: \n")
+
+
+def test_a_child_whose_handler_raises_exits_4(tmp_path):
+    """Through ``main``, as a CLI child ends."""
+    code = (
+        "import sys; from vkpatch import cli\n"
+        "def handler(args, doc): raise RecursionError('maximum recursion depth exceeded')\n"
+        "cli._HANDLERS['graph-check'] = handler\n"
+        "sys.argv[1:] = ['graph-check', sys.argv[1]]\n"
+        "cli.main()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", code, write(tmp_path, CIRCLE)],
+                           capture_output=True, text=True, timeout=30, env=env)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        EXIT_INTERNAL_ERROR, "", INTERNAL_ERRORS[2][1])
+
+
 def _child(argv, stdin=b""):
     """A ``python -m vkpatch.cli`` child on argv, fed the stdin bytes."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vkpatch.__file__).parents[1])}
@@ -1510,7 +1562,10 @@ _COMMANDS = ", ".join(_HANDLERS)
     (["gog-verify", "DOC", "--group", "--all-trees"], "input error: --group needs a value"),
     (["graph-covers", "DOC", "--degree", "two"], "input error: --degree: not an integer: 'two'"),
     (["graph-covers", "DOC", "--degree", "2.5"], "input error: --degree: not an integer: '2.5'"),
-    (["graph-covers", "DOC", "--degree="], "input error: --degree: not an integer: ''"),
+    (["graph-covers", "DOC", "--degree="], "input error: --degree needs a value"),
+    (["gog-verify", "DOC", "--group="], "input error: --group needs a value"),
+    (["gog-verify", "DOC", "--group", ""], "input error: --group needs a value"),
+    (["export-dot", "DOC", "--dot-output="], "input error: --dot-output needs a value"),
     (["descent-as", "DOC", "--support-bound", "x"],
      "input error: --support-bound: not an integer: 'x'"),
     (["graph-check", "DOC", "DOC"], "input error: more than one input path: {doc!r}, {doc!r}"),
@@ -1535,8 +1590,8 @@ _COMMANDS = ", ".join(_HANDLERS)
     (["gog-verify", "--group=C2", "--all-trees", "DOC"],
      ["gog-verify", "DOC", "--group", "C2", "--all-trees"]),
 ], ids=["no-command", "flags-only", "unknown-command", "unknown-flag", "group-no-value",
-        "group-then-flag", "degree-word", "degree-fraction", "degree-empty",
-        "support-bound-word", "two-paths", "all-trees-value", "abbreviation", "short-flag",
+        "group-then-flag", "degree-word", "degree-fraction", "degree-empty", "group-equals-empty",
+        "group-empty", "dot-output-equals-empty", "support-bound-word", "two-paths", "all-trees-value", "abbreviation", "short-flag",
         "double-dash", "degree-negative", "degree-equals", "repeated-last-wins", "repeated-switch",
         "flag-before-path", "flag-before-command", "equals-before-path"])
 def test_the_command_line_contract(tmp_path, capsys, argv, expected):
@@ -1885,15 +1940,17 @@ class _Hang(BaseException):
     ``Exception``, so no handler in the package can swallow it."""
 
 
-def _run_within(argv: list[str], seconds: float) -> int:
+def _run_within(argv: list[str], seconds: float) -> tuple[int, str]:
+    """The exit code of ``run`` on argv and what it wrote on stderr."""
     def alarm(signum, frame):
         raise _Hang(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, alarm)
     signal.setitimer(signal.ITIMER_REAL, seconds)
+    err = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return run(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return run(argv), err.getvalue()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -1901,8 +1958,9 @@ def _run_within(argv: list[str], seconds: float) -> int:
 
 @pytest.mark.skipif(given is None, reason="hypothesis is not installed")
 def test_structural_fuzz_keeps_the_exit_contract(tmp_path):
-    """Mutated documents never hang, never raise out of ``run``, and exit
-    with a code of the contract (MacIver et al., JOSS 4(43), 2019)."""
+    """Mutated documents never hang, never raise out of ``run``, never end in
+    an internal error, print no traceback, and exit with a code of the
+    contract (MacIver et al., JOSS 4(43), 2019)."""
     path = tmp_path / "fuzz.json"
 
     @seed(20261018)
@@ -1911,6 +1969,8 @@ def test_structural_fuzz_keeps_the_exit_contract(tmp_path):
     def check(case):
         command, doc = case
         path.write_text(json.dumps(doc))
-        assert _run_within([command, str(path)], 5) in (0, 1, 2, 3)
+        code, err = _run_within([command, str(path)], 5)
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
 
     check()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 import pytest
 
 from catalog import (
+    add_extra_edges,
+    alternating4,
     circle_graph,
     diamond_graph,
     groups_up_to,
@@ -30,7 +34,20 @@ from vkpatch.gog import (
     verify_tree_vankampen,
 )
 from vkpatch.graphs import ReductionGraph, ScaleError, spanning_trees
-from vkpatch.groups import GroupHom, cyclic, enumerate_homs, from_table, symmetric
+from vkpatch.groups import (
+    GroupHom,
+    cyclic,
+    direct_product,
+    enumerate_homs,
+    from_table,
+    iter_homs,
+    symmetric,
+)
+
+try:
+    from hypothesis import given, seed, settings, strategies as st
+except ImportError:  # the sweep below is optional
+    given = None
 
 
 def amalgam_c4_c6() -> GraphOfFiniteGroups:
@@ -277,8 +294,6 @@ def test_tree_independence_enumerates_each_spanning_tree_once(monkeypatch):
     and the van Kampen check one more, and only the van Kampen check walks
     its homs; the independence counts and labels are those of enumerating
     every tree."""
-    from catalog import add_extra_edges
-
     real_build, real_iter = gog_mod.build_presentation, gog_mod.iter_homs
     built, searched, walked = [], [], []
 
@@ -328,8 +343,6 @@ def test_pi1_count_invariant_under_tree_choice_random_instances():
     rng = random.Random(23)
     for _ in range(5):
         graph = random_tree_graph(rng)
-        from catalog import add_extra_edges
-
         graph = add_extra_edges(rng, graph, rng.randint(1, 2))
         gog = random_gog(rng, graph, vertex_order_cap=6)
         counts = {
@@ -434,11 +447,124 @@ def test_conjugacy_class_count():
     gog = with_trivial_edges(
         diamond_graph(), {"P": cyclic(2), "U": cyclic(3)}
     )
-    homs = enumerate_homs(build_presentation(gog).presentation, s3)
+    presentation = build_presentation(gog).presentation
+    homs = enumerate_homs(presentation, s3)
     assert len(homs) == 12
-    classes = conjugacy_class_count(s3, homs)
     # orbits under simultaneous conjugation: hand count
-    assert classes == 4
+    assert conjugacy_class_count(presentation, s3) == _set_count(s3, homs) == 4
+
+
+def _set_count(group, homs):
+    """Classes under simultaneous conjugation by hashing every hom, each a
+    tuple of generator images, and discarding its conjugates."""
+    remaining = {tuple(h) for h in homs}
+    classes = 0
+    while remaining:
+        h = remaining.pop()
+        classes += 1
+        for table in group.conjugation_table():
+            remaining.discard(tuple(table[x] for x in h))
+    return classes
+
+
+# test groups up to order 12; the nonabelian ones have the proper
+# centralizers that Burnside's sum builds
+BURNSIDE_TARGETS = groups_up_to(8) + [
+    alternating4(), direct_product(symmetric(3), cyclic(2), name="D6"), cyclic(12),
+]
+
+
+def _random_instance(rng):
+    """A random graph of groups on at most three vertices, at most one
+    branch off its tree, and a test group of order up to 12."""
+    graph = random_tree_graph(rng, max_vertices=3)
+    if rng.random() < 0.5:
+        graph = add_extra_edges(rng, graph, 1)
+    return random_gog(rng, graph, vertex_order_cap=6), rng.choice(BURNSIDE_TARGETS)
+
+
+def _assert_burnside_matches_the_set_count(gog, G):
+    presentation = build_presentation(gog).presentation
+    assert conjugacy_class_count(presentation, G) == _set_count(G, iter_homs(presentation, G)[1])
+
+
+def test_burnside_matches_the_set_count_on_the_catalog():
+    """Every vertex group of the zoo up to order 6 at both ends of the
+    circle, with trivial branches, into every test group."""
+    for P, U in itertools.combinations_with_replacement(groups_up_to(6), 2):
+        for G in BURNSIDE_TARGETS:
+            _assert_burnside_matches_the_set_count(
+                with_trivial_edges(circle_graph(), {"P": P, "U": U}), G)
+
+
+def test_burnside_matches_the_set_count_on_random_graphs_of_groups():
+    rng = random.Random(20261022)
+    for _ in range(150):
+        _assert_burnside_matches_the_set_count(*_random_instance(rng))
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
+def test_burnside_matches_the_set_count_on_a_hypothesis_sweep():
+    @seed(20261022)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.randoms(use_true_random=False))
+    def sweep(rng):
+        _assert_burnside_matches_the_set_count(*_random_instance(rng))
+
+    sweep()
+
+
+def test_burnside_adds_no_refusal_to_the_hom_search(monkeypatch):
+    """A search into a centralizer extends only partial assignments that the
+    search into G extends, each charged |C(g)| <= |G|: the least budget that
+    admits the search into G admits every centralizer search, and one less
+    refuses the class count with the search into G."""
+    rng = random.Random(5)
+    # drawn before the budget is patched, since drawing searches for homs
+    instances = [_random_instance(rng) for _ in range(40)]
+    cap = groups_mod.HOM_SEARCH_CAP
+    for gog, G in instances:
+        presentation = build_presentation(gog).presentation
+        low, high = 1, cap
+        while low < high:
+            middle = (low + high) // 2
+            monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", middle)
+            try:
+                iter_homs(presentation, G)
+                high = middle
+            except ScaleError:
+                low = middle + 1
+        monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", low)
+        conjugacy_class_count(presentation, G)
+        monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", low - 1)
+        with pytest.raises(ScaleError, match=f"^the hom search into {re.escape(G.name)} passes "
+                                             f"the cap of {low - 1}$"):
+            conjugacy_class_count(presentation, G)
+
+
+def test_burnside_walks_no_hom(monkeypatch):
+    """Every term of the sum is the hom search's count: with the walk of the
+    stored solutions made to raise, the classes still come out."""
+    def walk(solutions, nexts):
+        raise AssertionError("a hom was walked")
+        yield
+
+    s3 = symmetric(3)
+    presentation = build_presentation(
+        with_trivial_edges(circle_graph(), {"P": s3, "U": s3})).presentation
+    monkeypatch.setattr(groups_mod, "_walk_stretches", walk)
+    with pytest.raises(AssertionError, match="a hom was walked"):
+        list(iter_homs(presentation, symmetric(4))[1])
+    assert conjugacy_class_count(presentation, symmetric(4)) == 1_213
+
+
+def test_theta_of_s3_into_s4_has_28115_classes(monkeypatch):
+    """At a budget of exactly what the search for the 665,856 homs charges,
+    Burnside's sum over the centralizers of S4 gives the classes."""
+    s3 = symmetric(3)
+    vk = build_presentation(with_trivial_edges(theta_graph(), {"P": s3, "U": s3}))
+    monkeypatch.setattr(groups_mod, "HOM_SEARCH_CAP", 927_984)
+    assert conjugacy_class_count(vk.presentation, symmetric(4)) == 28_115
 
 
 def _validated_family(gog, G, key):
@@ -507,8 +633,6 @@ def _orbit_count(gog, G, families):
 
 
 def test_tuple_paths_match_validated_families_on_the_catalog():
-    from catalog import add_extra_edges
-
     rng = random.Random(71)
     pool = [G for G in groups_up_to(8) if G.order > 1]
     nonabelian = [
@@ -531,8 +655,8 @@ def test_tuple_paths_match_validated_families_on_the_catalog():
         ]
 
         families = enumerate_pi1_homs(gog, G)
-        homs = enumerate_homs(build_presentation(gog).presentation, G)
-        assert conjugacy_class_count(G, homs) == _orbit_count(gog, G, families)
+        assert conjugacy_class_count(build_presentation(gog).presentation, G) == _orbit_count(
+            gog, G, families)
 
         fields = (report["pi1_count"], report["naive_count"], report["bijection"],
                   report["witness"])
@@ -586,8 +710,6 @@ def test_streamed_witness_is_the_first_duplicate_restriction():
 def test_family_keys_match_validated_families_on_the_catalog():
     """The presentation's family keys are the keys of the validated families,
     in order, and read each generator image at its own symbol."""
-    from catalog import add_extra_edges
-
     rng = random.Random(83)
     pool = [G for G in groups_up_to(6) if G.order > 1]
     for k in range(12):

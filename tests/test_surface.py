@@ -412,7 +412,8 @@ RAISED = {
     "ValueError": "a value a constructor or a reader refuses; the input boundary exits 3",
     "KeyError": "a label or edge name that is not declared; the input boundary exits 3",
     "ZeroDivisionError": "division by zero in a field; the input boundary exits 3",
-    "AssertionError": "a verifier's self-check of its own result, listed in SELF_CHECKS",
+    "AssertionError": "a verifier's self-check of its own result, listed in SELF_CHECKS; "
+                      "cli.run exits 4",
 }
 
 # the AssertionError self-checks, as (module, message), one per raise; a
@@ -420,6 +421,7 @@ RAISED = {
 SELF_CHECKS = (
     ("descent", "oracle produced an invalid Artin-Schreier witness"),
     ("descent", "search produced an invalid Kummer relation"),
+    ("gog", "Burnside's sum is not a multiple of the group order"),
     ("torsors", "reconstruction failed to pin the base marking"),
     ("torsors", "reconstruction failed to trivialize a tree letter"),
     ("torsors", "inverse natural map failed the round trip"),

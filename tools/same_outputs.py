@@ -22,8 +22,10 @@ follow under the key ``budget-edges``: ``descent-kummer`` at p=5 with
 ``--support-bound 4``; ``descent-as`` over GF(5^2) at its default support;
 ``gog-verify`` on the stars of one S3 component and 5 and 8 S3 points into
 S4, whose vertex join depends on its vertex order; and ``torsor-verify`` on
-the star of 4 points, which the fiber join's estimate refuses.  For every
-invocation OUT.json
+the star of 4 points, which the fiber join's estimate refuses.  Last, under
+the key ``centralizers``, ``gog-homs`` on the circle with S3 at both
+vertices into S4, whose class count reads the homs into the centralizers of
+S4: C2xC2, D4, C3 and C4.  For every invocation OUT.json
 records the exit code, a sha256 of stdout with the ``timing:`` line and the
 machine block's ``timing_ms`` line removed, and a sha256 of stderr.  An
 exception that escapes ``run`` is recorded as exit 1 with its type and
@@ -96,6 +98,18 @@ BUDGET_EDGES = (
     ("star-4", "torsor-verify", star(4), ()),
 )
 
+# two S3 vertices joined by two trivial branches, into S4: 27,744 homs in
+# 1,213 classes
+CENTRALIZERS = (
+    ("circle-s3s3-s4", "gog-homs",
+     {"version": 1,
+      "graph": {"points": [{"name": "P", "group": "S3"}],
+                "components": [{"name": "U", "group": "S3"}],
+                "edges": [["b1", "P", "U"], ["b2", "P", "U"]]},
+      "groups": {"S3": {"symmetric": 3}, "S4": {"symmetric": 4}},
+      "options": {"test_group": "S4"}}, ()),
+)
+
 # the four least-named branches close the cycle P1 U1 P2 U2
 RANK3_GRAPH = {
     "points": [{"name": "P1", "group": "C2"}, "P2", "P3"],
@@ -160,15 +174,16 @@ def large_fields_pass():
     return Pass("large-fields", 0, docs, tuple(invocations), 0)
 
 
-def budget_edges_pass():
-    """The ``BUDGET_EDGES`` documents as one pass of the workloads' shape."""
+def fixed_pass(key, rows):
+    """Rows of (name, command, document, flags), such as ``BUDGET_EDGES``, as
+    one pass of the workloads' shape."""
     from workloads import Invocation, Pass
 
     docs, invocations = {}, []
-    for name, command, document, flags in BUDGET_EDGES:
+    for name, command, document, flags in rows:
         docs[name] = json.dumps(document)
         invocations.append(Invocation(name, command, name, flags))
-    return Pass("budget-edges", 0, docs, tuple(invocations), 0)
+    return Pass(key, 0, docs, tuple(invocations), 0)
 
 
 def graph_shapes_pass():
@@ -200,8 +215,9 @@ def main(argv: list[str]) -> int:
 
     passes = {f"{w}:{seed}": build_pass(w, seed) for w in WORKLOADS for seed in SEEDS}
     passes["large-fields"] = large_fields_pass()
-    passes["budget-edges"] = budget_edges_pass()
+    passes["budget-edges"] = fixed_pass("budget-edges", BUDGET_EDGES)
     passes["graph-shapes"] = graph_shapes_pass()
+    passes["centralizers"] = fixed_pass("centralizers", CENTRALIZERS)
     results = {}
     raised: list[str] = []
     home = os.getcwd()
