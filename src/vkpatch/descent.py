@@ -312,21 +312,8 @@ def _render_uty(poly: dict) -> str:
 
 def _w_identity_remainder(p: int, w_power: int) -> dict:
     """(Y^w)^3 + (Y^w)^2 + Y^w - u^2 T^2 reduced modulo Y^3 - Y - u T."""
-    w = {(0, 0, w_power): 1}
-    expr: dict = {}
-    for exponent in (3, 2, 1):
-        term = {(0, 0, 0): 1}
-        for _ in range(exponent):
-            new: dict = {}
-            for (a1, b1, c1), v1 in term.items():
-                for (a2, b2, c2), v2 in w.items():
-                    key = (a1 + a2, b1 + b2, c1 + c2)
-                    new[key] = (new.get(key, 0) + v1 * v2) % p
-            term = new
-        for key, v in term.items():
-            expr[key] = (expr.get(key, 0) + v) % p
-    key = (2, 2, 0)
-    expr[key] = (expr.get(key, 0) - 1) % p
+    expr = {(0, 0, k * w_power): 1 for k in (1, 2, 3)}
+    expr[(2, 2, 0)] = p - 1
     return _reduce_y_cubed(p, expr)
 
 

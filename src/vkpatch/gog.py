@@ -315,7 +315,9 @@ def backtrack_vertices(
     candidate.  Buckets keep candidate order, so the choices, tuples in
     position order, come out in lexicographic order of the candidate
     positions.  Each bucket a partial choice is extended with is charged to
-    the budget, ``FUNCTOR_SET_CAP``."""
+    the budget, ``FUNCTOR_SET_CAP``, and the search keeps each choice of all
+    but the last vertex with its non-empty last bucket, so a refused join
+    has built no choice."""
     n = len(gog.vertices)
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for b, (p, _, u, _) in enumerate(gog.branch_ends):
@@ -333,8 +335,9 @@ def backtrack_vertices(
         buckets.append(index)
 
     picks = [0] * n
-    out: list[tuple] = []
-    last = candidates[n - 1]
+    # two lists, not one of pairs: a pair costs 56 bytes more per choice
+    heads: list[tuple] = []
+    tails: list[Sequence[int]] = []
     tried = 0
 
     def matching(j: int) -> Sequence[int]:
@@ -347,8 +350,10 @@ def backtrack_vertices(
         return bucket
 
     def complete() -> None:
-        head = tuple([candidates[i][picks[i]] for i in range(n - 1)])
-        out.extend([head + (last[k],) for k in matching(n - 1)])
+        bucket = matching(n - 1)
+        if bucket:
+            heads.append(tuple([candidates[i][picks[i]] for i in range(n - 1)]))
+            tails.append(bucket)
 
     # one iterator of matching positions per vertex from the first to the
     # one being picked, all but the last (a valid graph has a point and a
@@ -364,6 +369,14 @@ def backtrack_vertices(
             complete()
         else:
             stack.pop()
+    # build the choices in search order, dropping each head once used
+    last = candidates[n - 1]
+    heads.reverse()
+    tails.reverse()
+    out: list[tuple] = []
+    while heads:
+        head = heads.pop()
+        out.extend([head + (last[k],) for k in tails.pop()])
     return out
 
 

@@ -497,7 +497,3 @@ class GroupHom:
             and self.target == other.target
             and self.mapping == other.mapping
         )
-
-    @classmethod
-    def trivial(cls, source: FiniteGroup, target: FiniteGroup) -> "GroupHom":
-        return cls(source, target, [target.identity] * source.order)

@@ -88,16 +88,12 @@ class WorkbenchInput:
             eg = self.groups[name] if name else trivial
             edge_groups[e] = eg
             p, u = graph.point_end(e), graph.component_end(e)
-            if eg.order == 1:
-                edge_maps[e] = {
-                    "to_point": GroupHom.trivial(eg, vertex_groups[p]),
-                    "to_component": GroupHom.trivial(eg, vertex_groups[u]),
-                }
-                continue
             table = self.edge_map_tables.get(e)
             if not table:  # parse_input reads an empty or null map as absent
-                errors.append(f"edge_maps.{e}: required for nontrivial edge group")
-                continue
+                if eg.order > 1:
+                    errors.append(f"edge_maps.{e}: required for nontrivial edge group")
+                    continue
+                table = {"to_point": {}, "to_component": {}}  # the trivial map
             try:
                 edge_maps[e] = {
                     "to_point": _hom_from_labels(eg, vertex_groups[p], table["to_point"]),

@@ -105,6 +105,11 @@ def hom_set(source: FiniteGroup, target: FiniteGroup) -> tuple[GroupHom, ...]:
     return tuple(GroupHom(source, target, mapping) for mapping in images)
 
 
+def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHom:
+    """The hom sending every element of ``source`` to the identity."""
+    return GroupHom(source, target, [target.identity] * source.order)
+
+
 def injective_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
     return [h for h in hom_set(source, target) if h.is_injective()]
 
@@ -174,8 +179,8 @@ def with_trivial_edges(
     edge_groups = {n: triv for n in graph.edge_names()}
     edge_maps = {
         n: {
-            "to_point": GroupHom.trivial(triv, vertex_groups[graph.point_end(n)]),
-            "to_component": GroupHom.trivial(triv, vertex_groups[graph.component_end(n)]),
+            "to_point": trivial_hom(triv, vertex_groups[graph.point_end(n)]),
+            "to_component": trivial_hom(triv, vertex_groups[graph.component_end(n)]),
         }
         for n in graph.edge_names()
     }

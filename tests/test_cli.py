@@ -68,6 +68,18 @@ AMALGAM = {
     "options": {"test_group": "C2"},
 }
 
+# an S3 point and a C2 component joined by a branch whose group is trivial
+TRIVIAL_EDGE = {
+    "version": 1,
+    "graph": {
+        "points": [{"name": "P", "group": "S3"}],
+        "components": [{"name": "U", "group": "C2"}],
+        "edges": [{"name": "b1", "point": "P", "component": "U", "group": "C1"}],
+    },
+    "groups": {"C1": {"cyclic": 1}, "C2": {"cyclic": 2}, "S3": {"symmetric": 3}},
+    "options": {"test_group": "C2"},
+}
+
 AS_DOC = {
     "version": 1,
     "descent": {"artin_schreier": {"p": 2, "k1_degree": 1, "k2_degree": 2, "alpha": "w"}},
@@ -695,9 +707,33 @@ def test_edge_map_errors_name_the_missing_field_and_the_unknown_label(tmp_path, 
     for doc, line in (
         (missing, "input error: edge_maps.b1: missing field 'to_point'"),
         (unknown, "input error: edge_maps.b1: 'zz' is not an element of C2"),
+        # a trivial edge group's map gets the same messages
+        ({**TRIVIAL_EDGE, "edge_maps": {"b1": {"to_point": {"0": "no-such-element"},
+                                                "to_component": {"7": "012"}}}},
+         "input error: edge_maps.b1: 'no-such-element' is not an element of S3"),
+        ({**TRIVIAL_EDGE, "edge_maps": {"b1": {"to_point": {"0": "012"},
+                                                "to_component": {"0": "1"}}}},
+         "input error: edge_maps.b1: map does not send identity to identity"),
+        ({**TRIVIAL_EDGE, "edge_maps": {"b1": {"to_point": {}}}},
+         "input error: edge_maps.b1: missing field 'to_component'"),
     ):
         assert run(["gog-verify", write(tmp_path, doc)]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == line + "\n"
+        assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_an_absent_or_identity_map_on_a_trivial_edge_group_reads_as_no_map(tmp_path, capsys):
+    # a null or empty map reads as absent, and absent on a trivial edge group
+    # is the trivial map, which is also what the identity labels give
+    reports = []
+    for edge_maps in (None, {"b1": None}, {"b1": {}},
+                      {"b1": {"to_point": None, "to_component": {}}},
+                      {"b1": {"to_point": {"0": "012"}, "to_component": {"0": "0"}}}):
+        doc = TRIVIAL_EDGE if edge_maps is None else {**TRIVIAL_EDGE, "edge_maps": edge_maps}
+        assert run(["gog-verify", write(tmp_path, doc)]) == EXIT_PASS
+        reports.append([line for line in capsys.readouterr().out.split("\n")
+                        if not line.startswith("input:") and "digest" not in line
+                        and "timing" not in line])
+    assert all(report == reports[0] for report in reports)
 
 
 def test_input_errors_without_a_path(tmp_path, capsys):
@@ -1756,7 +1792,7 @@ def test_subdividing_a_branch_keeps_the_homs_and_the_classes(tmp_path, capsys):
     gains two markings, a factor |G|^2.  On the circle with S3 and C2 and
     one C2 branch, into S3, that is 60 homs, 13 classes and global_raw 360
     becoming 12,960; then on seeded random instances."""
-    from catalog import add_extra_edges, circle_graph, random_gog, random_tree_graph
+    from catalog import add_extra_edges, circle_graph, random_gog, random_tree_graph, trivial_hom
     from vkpatch.gog import GraphOfFiniteGroups
     from vkpatch.groups import GroupHom, cyclic, symmetric
 
@@ -1766,7 +1802,7 @@ def test_subdividing_a_branch_keeps_the_homs_and_the_classes(tmp_path, capsys):
         circle_graph(), {"P": s3, "U": c2}, {"b1": c2, "b2": c1},
         {"b1": {"to_point": GroupHom(c2, s3, [s3.identity, involution]),
                 "to_component": GroupHom(c2, c2, range(2))},
-         "b2": {"to_point": GroupHom.trivial(c1, s3), "to_component": GroupHom.trivial(c1, c2)}},
+         "b2": {"to_point": trivial_hom(c1, s3), "to_component": trivial_hom(c1, c2)}},
     )
     cases = [(circle, "b1", {"symmetric": 3}, 6)]
     rng = random.Random(37)

@@ -20,6 +20,7 @@ from vkpatch.descent import (
     as_descends_galois,
     kummer_obstruction,
     _kernel_vector,
+    _reduce_y_cubed,
     _w_identity_remainder,
     verify_example_29,
 )
@@ -251,6 +252,38 @@ def test_example_29_char5_remainder_shape():
     assert _w_identity_remainder(5, 2) == {(0, 0, 2): 3, (1, 1, 1): 3}
     _, machine = verify_example_29()
     assert machine["char5_remainder"] == "3*Y^2 + 3*u*T*Y"
+
+
+def _expanded_remainder(p: int, w_power: int) -> dict:
+    """The oracle: (Y^w)^3 + (Y^w)^2 + Y^w - u^2 T^2 with each power of the
+    monomial Y^w expanded by a general product loop, then reduced."""
+    w = {(0, 0, w_power): 1}
+    expr: dict = {}
+    for exponent in (3, 2, 1):
+        term = {(0, 0, 0): 1}
+        for _ in range(exponent):
+            new: dict = {}
+            for (a1, b1, c1), v1 in term.items():
+                for (a2, b2, c2), v2 in w.items():
+                    key = (a1 + a2, b1 + b2, c1 + c2)
+                    new[key] = (new.get(key, 0) + v1 * v2) % p
+            term = new
+        for key, v in term.items():
+            expr[key] = (expr.get(key, 0) + v) % p
+    key = (2, 2, 0)
+    expr[key] = (expr.get(key, 0) - 1) % p
+    return _reduce_y_cubed(p, expr)
+
+
+def test_w_identity_remainder_matches_the_product_loop():
+    # the identity holds for W = Y^2 over GF(3) and at no other pair
+    vanishing = []
+    for p, w_power in itertools.product((2, 3, 5, 7, 11, 13), (1, 2, 3)):
+        remainder = _w_identity_remainder(p, w_power)
+        assert remainder == _expanded_remainder(p, w_power), (p, w_power)
+        if not remainder:
+            vanishing.append((p, w_power))
+    assert vanishing == [(3, 2)]
 
 
 # -- Kummer obstruction --------------------------------------------------------------

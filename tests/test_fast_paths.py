@@ -34,6 +34,7 @@ from catalog import (
     random_tree_graph,
     theta_graph,
     trivial_gog,
+    trivial_hom,
     with_trivial_edges,
 )
 from vkpatch import descent as descent_mod
@@ -513,8 +514,8 @@ def _table_edge_identity_second():
         {
             "b1": {"to_point": GroupHom(edge, c2, [1, 0]),
                    "to_component": GroupHom(edge, at_u, [0, 1])},
-            "b2": {"to_point": GroupHom.trivial(cyclic(1), c2),
-                   "to_component": GroupHom.trivial(cyclic(1), at_u)},
+            "b2": {"to_point": trivial_hom(cyclic(1), c2),
+                   "to_component": trivial_hom(cyclic(1), at_u)},
         },
     )
 
@@ -791,8 +792,8 @@ def _shuffled_d4_q8_circle(rng):
         {
             "b1": {"to_point": GroupHom(c2, d4, [d4.identity, _central_involution(d4)]),
                    "to_component": GroupHom(c2, q8, [q8.identity, _central_involution(q8)])},
-            "b2": {"to_point": GroupHom.trivial(c1, d4),
-                   "to_component": GroupHom.trivial(c1, q8)},
+            "b2": {"to_point": trivial_hom(c1, d4),
+                   "to_component": trivial_hom(c1, q8)},
         },
     )
 

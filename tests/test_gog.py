@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -19,11 +22,14 @@ from catalog import (
     random_tree_graph,
     theta_graph,
     trivial_gog,
+    trivial_hom,
     with_trivial_edges,
 )
+from test_cli import _tool
 from vkpatch import gog as gog_mod
 from vkpatch import groups as groups_mod
 from vkpatch.gog import (
+    EdgeMapError,
     GraphOfFiniteGroups,
     HomFamily,
     build_presentation,
@@ -120,8 +126,8 @@ def test_presentation_pinned_with_table_edge_group_identity_not_first():
         {
             "b1": {"to_point": GroupHom(edge, c2, [1, 0]),
                    "to_component": GroupHom(edge, at_u, [0, 1])},
-            "b2": {"to_point": GroupHom.trivial(cyclic(1), c2),
-                   "to_component": GroupHom.trivial(cyclic(1), at_u)},
+            "b2": {"to_point": trivial_hom(cyclic(1), c2),
+                   "to_component": trivial_hom(cyclic(1), at_u)},
         },
     )
     vk = build_presentation(gog)
@@ -150,8 +156,8 @@ def test_presentation_pinned_on_theta_with_a_chosen_tree():
         {"P": c2, "U": c4},
         {"b1": cyclic(1), "b2": c2, "b3": c2},
         {
-            "b1": {"to_point": GroupHom.trivial(cyclic(1), c2),
-                   "to_component": GroupHom.trivial(cyclic(1), c4)},
+            "b1": {"to_point": trivial_hom(cyclic(1), c2),
+                   "to_component": trivial_hom(cyclic(1), c4)},
             "b2": into,
             "b3": into,
         },
@@ -218,12 +224,29 @@ def test_hom_family_rejects_bad_conjugator():
 
 def test_edge_maps_must_be_injective_by_default():
     c2, c4 = cyclic(2), cyclic(4)
-    collapse = GroupHom.trivial(c2, c4)
+    collapse = trivial_hom(c2, c4)
     with pytest.raises(ValueError):
         GraphOfFiniteGroups(
             diamond_graph(), {"P": c4, "U": c4}, {"b1": c2},
             {"b1": {"to_point": collapse, "to_component": GroupHom(c2, c4, [0, 2])}},
         )
+
+
+_C2, _C4 = cyclic(2), cyclic(4)
+_INTO_C4 = GroupHom(_C2, _C4, [0, 2])
+
+
+@pytest.mark.parametrize("to_point, to_component, message", [
+    (GroupHom(_C4, _C4, range(4)), _INTO_C4, "edge maps of b1 must start at its edge group"),
+    (GroupHom(_C2, _C2, range(2)), _INTO_C4, "map to_point of b1 must land in the group at P"),
+    (_INTO_C4, GroupHom(_C2, _C2, range(2)),
+     "map to_component of b1 must land in the group at U"),
+], ids=["source", "point-target", "component-target"])
+def test_edge_maps_that_do_not_fit_their_branch_are_refused(to_point, to_component, message):
+    with pytest.raises(EdgeMapError, match=f"^{message}$") as info:
+        GraphOfFiniteGroups(diamond_graph(), {"P": _C4, "U": _C4}, {"b1": _C2},
+                            {"b1": {"to_point": to_point, "to_component": to_component}})
+    assert info.value.branch == "b1"
 
 
 def test_tree_vankampen_on_trees_is_a_bijection():
@@ -430,6 +453,26 @@ def test_the_vertex_join_is_refused_past_its_budget_in_any_order(monkeypatch):
         monkeypatch.setattr(gog_mod, "FUNCTOR_SET_CAP", m + m * n - 1)
         with pytest.raises(ScaleError, match=message.format(m + m * n - 1)):
             join(m, n)
+
+
+def test_a_refused_join_builds_no_choice():
+    """The search keeps the picks and last buckets of its partial choices and
+    builds the choices only once it is admitted, so the 1,500 x 1,500
+    refusal above peaks near the interpreter's own floor in a child; when
+    every choice up to the cap was built first it peaked at about 200 MB."""
+    script = ("from catalog import diamond_graph, trivial_gog\n"
+              "from vkpatch.gog import backtrack_vertices\n"
+              "from vkpatch.graphs import ScaleError\n"
+              "try:\n"
+              "    backtrack_vertices(trivial_gog(diamond_graph()), [range(1500)] * 2,\n"
+              "                       lambda i, b, c: 0)\n"
+              "except ScaleError:\n"
+              "    raise SystemExit(3)\n")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    _, peak_kb, code = _tool("child_peaks").measure([sys.executable, "-c", script], env)
+    assert code == 3
+    assert peak_kb < 40 * 1024, f"peak RSS {peak_kb} KB"
 
 
 def test_theta_of_s3_into_s4_fits_the_hom_search_budget(monkeypatch):

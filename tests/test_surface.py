@@ -47,7 +47,6 @@ PERFBENCH_PINNED = (
 # (qualified name, why it may build a validating GroupHom or a HomFamily);
 # everywhere else the runtime works on index tables
 VALIDATED_BUILDERS = (
-    ("inputs.WorkbenchInput.build_gog", "input boundary: trivial edge maps of a trivial edge group"),
     ("inputs._hom_from_labels", "input boundary: an edge map read from the document"),
     ("gog.enumerate_pi1_homs",
      "perfbench/tracer.py counts HomFamily.__post_init__ under gog-homs"),
@@ -262,16 +261,8 @@ def test_no_class_only_stores_its_parameters():
 
 
 def _builds_validated(call: ast.Call) -> bool:
-    """``GroupHom(...)``, ``GroupHom.trivial(...)`` or ``HomFamily(...)``."""
-    f = call.func
-    if isinstance(f, ast.Name):
-        return f.id in ("GroupHom", "HomFamily")
-    return (
-        isinstance(f, ast.Attribute)
-        and f.attr == "trivial"
-        and isinstance(f.value, ast.Name)
-        and f.value.id == "GroupHom"
-    )
+    """``GroupHom(...)`` or ``HomFamily(...)``."""
+    return isinstance(call.func, ast.Name) and call.func.id in ("GroupHom", "HomFamily")
 
 
 def validated_builds() -> set[str]:

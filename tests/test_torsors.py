@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from catalog import (
     random_tree_graph,
     theta_graph,
     trivial_gog,
+    trivial_hom,
     with_trivial_edges,
 )
 from test_fast_paths import disagreeing_branch
@@ -97,10 +99,10 @@ def test_model_groupoid_arrow_algebra():
 def test_trivial_functor_gives_trivial_torsor():
     c2 = cyclic(2)
     gpd = ModelGroupoid(["a"], cyclic(1))
-    f = GroupoidFunctor(gpd, c2, GroupHom.trivial(cyclic(1), c2), {"a": 0})
+    f = GroupoidFunctor(gpd, c2, trivial_hom(cyclic(1), c2), {"a": 0})
     t = torsor_from_hom(f)
     assert t.points["a"] == t.group.identity
-    assert t.structure_map() == GroupHom.trivial(cyclic(1), c2)
+    assert t.structure_map() == trivial_hom(cyclic(1), c2)
 
 
 def test_identity_character_torsor_has_nontrivial_left_action():
@@ -116,7 +118,7 @@ def test_identity_character_torsor_has_nontrivial_left_action():
 def test_point_recipe_for_free_translation():
     c3 = cyclic(3)
     gpd = ModelGroupoid(["s0", "s1"], cyclic(1))
-    f = GroupoidFunctor(gpd, c3, GroupHom.trivial(cyclic(1), c3), {"s0": 0, "s1": 1})
+    f = GroupoidFunctor(gpd, c3, trivial_hom(cyclic(1), c3), {"s0": 0, "s1": 1})
     t = torsor_from_hom(f)
     assert t.points["s0"] == 0
     assert t.points["s1"] == c3.inv(1)
@@ -172,10 +174,10 @@ def test_distinct_homs_give_unrelated_torsors():
 def test_remarking_one_of_two_points_breaks_morphisms():
     c3 = cyclic(3)
     t = MultipointedTorsor.standard(
-        c3, GroupHom.trivial(cyclic(1), c3), {"a": 0, "b": 0}
+        c3, trivial_hom(cyclic(1), c3), {"a": 0, "b": 0}
     )
     remarked = MultipointedTorsor.standard(
-        c3, GroupHom.trivial(cyclic(1), c3), {"a": 0, "b": 1}
+        c3, trivial_hom(cyclic(1), c3), {"a": 0, "b": 1}
     )
     assert torsor_morphisms(t, remarked) is None
 
@@ -189,6 +191,112 @@ def test_torsor_validation_catches_broken_actions():
             [[0, 1]],
             {"a": 0},
         )
+
+
+_C1, _C2, _C3 = cyclic(1), cyclic(2), cyclic(3)
+_ID2 = GroupHom(_C2, _C2, range(2))
+
+
+def _c2_torsor(points=None):
+    """C2 acting on itself with trivial structure group, marked at ``a``."""
+    return MultipointedTorsor.standard(_C2, trivial_hom(_C1, _C2), points or {"a": 0})
+
+
+def _patching(vertex=None, branch=None):
+    """A patching problem on the diamond with C2 at P and C3 at U, into C2,
+    whose datum at P or at b1 is replaced by the one given."""
+    gog = with_trivial_edges(diamond_graph(), {"P": _C2, "U": _C3})
+    vertex_data = {"P": vertex or MultipointedTorsor.standard(_C2, _ID2, {"b1": 0}),
+                   "U": MultipointedTorsor.standard(_C2, trivial_hom(_C3, _C2), {"b1": 0})}
+    return PatchingProblem(gog, _C2, vertex_data, {"b1": branch or _c2_torsor({"b1": 0})})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelGroupoid([], _C2), "a model groupoid needs at least one object"),
+    (lambda: ModelGroupoid(["a", "a"], _C2), "duplicate object labels"),
+    (lambda: GroupoidFunctor(ModelGroupoid(["a"], _C2), _C3, _ID2, {"a": 0}),
+     "vertex_hom must map the groupoid group into the target"),
+    (lambda: GroupoidFunctor(ModelGroupoid(["a", "b"], _C2), _C2, _ID2, {"a": 1, "b": 0}),
+     "base translation must be the identity"),
+    (lambda: GroupoidFunctor(ModelGroupoid(["a", "b"], _C2), _C2, _ID2, {"a": 0, "b": 5}),
+     "translation at b is not a target element"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x"], [[0, 1]], [[0]], {"a": 0}),
+     "carrier size must equal |G| for a torsor"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[0, 1]], [[0, 1]], {"a": 0}),
+     "right action table must be carrier x G"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[0, 1], [1, 0]], [], {"a": 0}),
+     "left action table must be Gamma x carrier"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[1, 0], [0, 1]], [[0, 1]], {"a": 0}),
+     "right action does not fix the identity"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[0, 0], [1, 1]], [[0, 1]], {"a": 0}),
+     "right action is not free and transitive"),
+    # each row a permutation the identity fixes, but at x = 0, (x.2).1 = 1 and x.(2+1) = 0
+    (lambda: MultipointedTorsor(_C3, _C1, ["x", "y", "z"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+                                [[0, 1, 2]], {"a": 0}),
+     "right action is not an action"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[0, 1], [1, 0]], [[1, 0]], {"a": 0}),
+     "left identity does not act trivially"),
+    (lambda: MultipointedTorsor(_C2, _C2, ["x", "y"], [[0, 1], [1, 0]], [[0, 1], [0, 0]],
+                                {"a": 0}),
+     "left action is not an action"),
+    # the generator of C2 swaps y and z, which C3's translations do not commute with
+    (lambda: MultipointedTorsor(_C3, _C2, ["x", "y", "z"], _C3.table, [[0, 1, 2], [0, 2, 1]],
+                                {"a": 0}),
+     "left and right actions do not commute"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[0, 1], [1, 0]], [[0, 1]], {}),
+     "a multipointed torsor needs at least one marked point"),
+    (lambda: MultipointedTorsor(_C2, _C1, ["x", "y"], [[0, 1], [1, 0]], [[0, 1]], {"a": 5}),
+     "marked point a is not a carrier element"),
+    (lambda: MultipointedTorsor.standard(_C3, _ID2, {"a": 0}),
+     "structure_hom must land in the acting group"),
+    (lambda: _c2_torsor().restrict_to_branch("a", trivial_hom(_C1, _C3)),
+     "alpha must land in the structure group"),
+    (lambda: _c2_torsor().restrict_to_branch("b", trivial_hom(_C1, _C1)),
+     "no marked point for branch b"),
+    (lambda: hom_from_torsor(_c2_torsor(), ModelGroupoid(["a"], _C2)),
+     "torsor structure group does not match the groupoid"),
+    (lambda: hom_from_torsor(_c2_torsor(), ModelGroupoid(["a", "b"], _C1)),
+     "torsor marked points do not match the groupoid objects"),
+    (lambda: _patching(vertex=MultipointedTorsor.standard(_C3, trivial_hom(_C2, _C3), {"b1": 0})),
+     "vertex datum at P is not a C2-torsor"),
+    (lambda: _patching(vertex=MultipointedTorsor.standard(_C2, trivial_hom(_C3, _C2), {"b1": 0})),
+     "vertex datum at P has the wrong structure group"),
+    (lambda: _patching(vertex=MultipointedTorsor.standard(_C2, _ID2, {"b2": 0})),
+     "vertex datum at P must be marked by its branches"),
+    (lambda: _patching(branch=MultipointedTorsor.standard(_C3, trivial_hom(_C1, _C3), {"b1": 0})),
+     "branch datum at b1 is not a C2-torsor"),
+    (lambda: _patching(branch=MultipointedTorsor.standard(_C2, _ID2, {"b1": 0})),
+     "branch datum at b1 has the wrong structure group"),
+    (lambda: _patching(branch=_c2_torsor({"b1": 0, "b2": 0})),
+     "branch datum at b1 must be marked by b1 alone"),
+], ids=["groupoid-empty", "groupoid-duplicate", "functor-target", "functor-base",
+        "functor-translation", "torsor-carrier", "torsor-right-shape", "torsor-left-shape",
+        "torsor-right-identity", "torsor-right-free", "torsor-right-action",
+        "torsor-left-identity", "torsor-left-action", "torsor-commute", "torsor-no-point",
+        "torsor-point", "standard-target", "restrict-alpha", "restrict-branch",
+        "dictionary-group", "dictionary-points", "patching-vertex-group",
+        "patching-vertex-structure", "patching-vertex-points", "patching-branch-group",
+        "patching-branch-structure", "patching-branch-points"])
+def test_malformed_torsor_data_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def _tampered_right_action():
+    """A C2-torsor whose right action at y was changed after validation, so
+    the map forced by the base point is not right-equivariant into it."""
+    tampered = _c2_torsor()
+    tampered.right = ((0, 1), (1, 1))
+    return tampered
+
+
+@pytest.mark.parametrize("other", [
+    lambda: MultipointedTorsor.standard(_C3, trivial_hom(_C1, _C3), {"a": 0}),
+    lambda: _c2_torsor({"b": 0}),
+    _tampered_right_action,
+], ids=["other-group", "other-points", "not-right-equivariant"])
+def test_torsors_without_a_morphism(other):
+    assert torsor_morphisms(_c2_torsor(), other()) is None
 
 
 def test_restrict_to_branch_pulls_back_action():
@@ -317,7 +425,7 @@ def _c2_edged_circle():
         {"P": c4, "U": c2},
         {"b1": c2, "b2": c1},
         {"b1": {"to_point": GroupHom(c2, c4, [0, 2]), "to_component": GroupHom(c2, c2, [0, 1])},
-         "b2": {"to_point": GroupHom.trivial(c1, c4), "to_component": GroupHom.trivial(c1, c2)}},
+         "b2": {"to_point": trivial_hom(c1, c4), "to_component": trivial_hom(c1, c2)}},
     )
 
 
@@ -511,7 +619,7 @@ def _vertex_groupoid_data(gog, G, family, markings):
 def test_solve_patching_trivial_data():
     c2 = cyclic(2)
     gog = trivial_gog(diamond_graph())
-    triv = GroupHom.trivial(cyclic(1), c2)
+    triv = trivial_hom(cyclic(1), c2)
     vd = {v: MultipointedTorsor.standard(c2, triv, {"b1": 0}) for v in ("P", "U")}
     bd = {"b1": MultipointedTorsor.standard(c2, triv, {"b1": 0})}
     family, _ = solve_patching(PatchingProblem(gog, c2, vd, bd))
@@ -529,7 +637,7 @@ def test_solve_patching_reproduces_local_homs():
                 "P": MultipointedTorsor.standard(s3, f_p, {"b1": 0}),
                 "U": MultipointedTorsor.standard(s3, f_u, {"b1": 0}),
             }
-            bd = {"b1": MultipointedTorsor.standard(s3, GroupHom.trivial(cyclic(1), s3), {"b1": 0})}
+            bd = {"b1": MultipointedTorsor.standard(s3, trivial_hom(cyclic(1), s3), {"b1": 0})}
             family, _ = solve_patching(PatchingProblem(gog, s3, vd, bd))
             tables = dict(zip(gog.vertices, family.key[0]))
             assert tables["P"] == f_p.mapping
@@ -541,7 +649,7 @@ def test_solve_patching_reproduces_local_homs():
 def test_solve_patching_circle_family_has_two_classes():
     c2 = cyclic(2)
     gog = trivial_gog(circle_graph())
-    triv = GroupHom.trivial(cyclic(1), c2)
+    triv = trivial_hom(cyclic(1), c2)
     bd = {e: MultipointedTorsor.standard(c2, triv, {e: 0}) for e in ("b1", "b2")}
     classes = set()
     for pts in itertools.product(range(2), repeat=4):
@@ -631,7 +739,7 @@ def test_incompatible_problem_names_the_branch():
                 "to_component": GroupHom(c2, c2, range(2))}},
     )
     f_id = GroupHom(c2, c2, range(2))
-    f_tr = GroupHom.trivial(c2, c2)
+    f_tr = trivial_hom(c2, c2)
     vd = {
         "P": MultipointedTorsor.standard(c2, f_id, {"b1": 0}),
         "U": MultipointedTorsor.standard(c2, f_tr, {"b1": 0}),

@@ -57,15 +57,25 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pi1-patching", "descent-search", "cli-batch")
 SEEDS = (3, 7)
 TIMING = re.compile(r'^(timing: .*|\s*"timing_ms": .*)\n', re.MULTILINE)
+
+
+def _descent(name: str, command: str, spec: dict) -> tuple:
+    """A ``LARGE_FIELDS`` row: one descent document at ``--support-bound 1``."""
+    key = "artin_schreier" if command == "descent-as" else "kummer"
+    return (name, command, {"version": 1, "descent": {key: spec}}, ("--support-bound", "1"))
+
+
 LARGE_FIELDS = (
-    ("as-2^10", "descent-as", {"p": 2, "k1_degree": 1, "k2_degree": 10, "alpha": "w"}),
-    ("as-2^12", "descent-as", {"p": 2, "k1_degree": 4, "k2_degree": 12, "alpha": "w"}),
-    ("as-3^7", "descent-as", {"p": 3, "k1_degree": 1, "k2_degree": 7, "alpha": "w"}),
-    ("as-5^5", "descent-as", {"p": 5, "k1_degree": 1, "k2_degree": 5, "alpha": "w"}),
-    ("as-7^4", "descent-as", {"p": 7, "k1_degree": 2, "k2_degree": 4, "alpha": "w"}),
-    ("as-4093", "descent-as", {"p": 4093, "k1_degree": 1, "k2_degree": 1, "alpha": 2}),
-    ("kummer-7^2", "descent-kummer", {"p": 7, "q_exp": 2, "terms": 4, "truncation": 200}),
-    ("kummer-7^3", "descent-kummer", {"p": 7, "q_exp": 3, "terms": 4, "truncation": 200}),
+    _descent("as-2^10", "descent-as", {"p": 2, "k1_degree": 1, "k2_degree": 10, "alpha": "w"}),
+    _descent("as-2^12", "descent-as", {"p": 2, "k1_degree": 4, "k2_degree": 12, "alpha": "w"}),
+    _descent("as-3^7", "descent-as", {"p": 3, "k1_degree": 1, "k2_degree": 7, "alpha": "w"}),
+    _descent("as-5^5", "descent-as", {"p": 5, "k1_degree": 1, "k2_degree": 5, "alpha": "w"}),
+    _descent("as-7^4", "descent-as", {"p": 7, "k1_degree": 2, "k2_degree": 4, "alpha": "w"}),
+    _descent("as-4093", "descent-as", {"p": 4093, "k1_degree": 1, "k2_degree": 1, "alpha": 2}),
+    _descent("kummer-7^2", "descent-kummer",
+             {"p": 7, "q_exp": 2, "terms": 4, "truncation": 200}),
+    _descent("kummer-7^3", "descent-kummer",
+             {"p": 7, "q_exp": 3, "terms": 4, "truncation": 200}),
 )
 
 
@@ -122,10 +132,20 @@ THREE_PIECES = {
     "components": ["U1", "U2", "U3"],
     "edges": [["b1", "P1", "U1"], ["b2", "P1", "U1"], ["b3", "P2", "U2"], ["b4", "P3", "U3"]],
 }
+
+
+def _shapes(name: str, graph: dict, *calls: str) -> tuple:
+    """``GRAPH_SHAPES`` rows: each call on one graph with C2, as ``name/command``."""
+    document = {"version": 1, "graph": graph, "groups": {"C2": {"cyclic": 2}},
+                "options": {"test_group": "C2"}}
+    return tuple((f"{name}/{command}", command, document, tuple(flags))
+                 for command, *flags in map(str.split, calls))
+
+
 GRAPH_SHAPES = (
-    ("three-pieces", THREE_PIECES, ("graph-check",)),
-    ("rank3", RANK3_GRAPH, ("graph-rank", "graph-tree", "export-dot", "gog-presentation",
-                            "gog-verify --all-trees")),
+    _shapes("three-pieces", THREE_PIECES, "graph-check")
+    + _shapes("rank3", RANK3_GRAPH, "graph-rank", "graph-tree", "export-dot",
+              "gog-presentation", "gog-verify --all-trees")
 )
 
 
@@ -162,21 +182,9 @@ def replay(run, bench, raised: list[str]) -> dict:
     return out
 
 
-def large_fields_pass():
-    """The ``LARGE_FIELDS`` documents as one pass of the workloads' shape."""
-    from workloads import Invocation, Pass
-
-    docs, invocations = {}, []
-    for name, command, spec in LARGE_FIELDS:
-        key = "artin_schreier" if command == "descent-as" else "kummer"
-        docs[name] = json.dumps({"version": 1, "descent": {key: spec}})
-        invocations.append(Invocation(name, command, name, ("--support-bound", "1")))
-    return Pass("large-fields", 0, docs, tuple(invocations), 0)
-
-
 def fixed_pass(key, rows):
     """Rows of (name, command, document, flags), such as ``BUDGET_EDGES``, as
-    one pass of the workloads' shape."""
+    one pass of the workloads' shape, each row with its own document."""
     from workloads import Invocation, Pass
 
     docs, invocations = {}, []
@@ -184,21 +192,6 @@ def fixed_pass(key, rows):
         docs[name] = json.dumps(document)
         invocations.append(Invocation(name, command, name, flags))
     return Pass(key, 0, docs, tuple(invocations), 0)
-
-
-def graph_shapes_pass():
-    """The ``GRAPH_SHAPES`` documents as one pass of the workloads' shape."""
-    from workloads import Invocation, Pass
-
-    docs, invocations = {}, []
-    for name, graph, calls in GRAPH_SHAPES:
-        docs[name] = json.dumps({"version": 1, "graph": graph,
-                                 "groups": {"C2": {"cyclic": 2}},
-                                 "options": {"test_group": "C2"}})
-        for call in calls:
-            command, *flags = call.split()
-            invocations.append(Invocation(f"{name}/{command}", command, name, tuple(flags)))
-    return Pass("graph-shapes", 0, docs, tuple(invocations), 0)
 
 
 def main(argv: list[str]) -> int:
@@ -214,9 +207,9 @@ def main(argv: list[str]) -> int:
     from workloads import build_pass
 
     passes = {f"{w}:{seed}": build_pass(w, seed) for w in WORKLOADS for seed in SEEDS}
-    passes["large-fields"] = large_fields_pass()
+    passes["large-fields"] = fixed_pass("large-fields", LARGE_FIELDS)
     passes["budget-edges"] = fixed_pass("budget-edges", BUDGET_EDGES)
-    passes["graph-shapes"] = graph_shapes_pass()
+    passes["graph-shapes"] = fixed_pass("graph-shapes", GRAPH_SHAPES)
     passes["centralizers"] = fixed_pass("centralizers", CENTRALIZERS)
     results = {}
     raised: list[str] = []
